@@ -27,11 +27,11 @@ import numpy as np
 from .core import (
     BlaschkeProduct,
     CompositionChain,
-    DEFAULT_TOL,
     DiskAutomorphism,
     ToleranceConfig,
     circle_samples,
     unit,
+    _tol,
 )
 from .errors import InputError, SolverFailure
 
@@ -82,7 +82,7 @@ def lifted_argument(
     B: BlaschkeProduct, t: float, tol: ToleranceConfig | None = None
 ) -> float:
     """Continuous increasing lift of arg B(e^{it}), with psi(0) in [0, 2pi)."""
-    tol = tol if tol is not None else DEFAULT_TOL
+    tol = _tol(tol)
     ts, values, psi = _lift_grid(B, tol)
     turns, tr = divmod(float(t), TAU)
     step = TAU / (len(ts) - 1)
@@ -98,7 +98,7 @@ def argument_derivative(
     B: BlaschkeProduct, t: float, tol: ToleranceConfig | None = None
 ) -> float:
     """psi'(t) = Re(z B'(z)/B(z)) at z = e^{it}; positive for every product."""
-    tol = tol if tol is not None else DEFAULT_TOL
+    tol = _tol(tol)
     z = cmath.exp(1j * float(t))
     return (z * B.derivative(z, tol) / B.evaluate(z, tol)).real
 
@@ -136,7 +136,7 @@ def solve_on_circle(
     so convergence is unconditional; SolverFailure can only mean the grid or
     tolerances are misconfigured.
     """
-    tol = tol if tol is not None else DEFAULT_TOL
+    tol = _tol(tol)
     lam = complex(lam)
     if abs(abs(lam) - 1.0) > 1e-9:
         raise InputError(f"target must lie on the unit circle, got |lam|={abs(lam)!r}")
@@ -216,7 +216,7 @@ def invariant_orbit(
     One level-set solve serves the whole orbit: the iterates of g through z
     are consecutive points of solve_on_circle(B, B(z)).
     """
-    tol = tol if tol is not None else DEFAULT_TOL
+    tol = _tol(tol)
     if count < 1:
         raise InputError("orbit length must be at least 1")
     z = unit(complex(z))
@@ -261,7 +261,7 @@ class InvariantMapSample:
 def invariant_generator(
     B: BlaschkeProduct, tol: ToleranceConfig | None = None
 ) -> InvariantMapSample:
-    return InvariantMapSample(B.degree, B, tol if tol is not None else DEFAULT_TOL)
+    return InvariantMapSample(B.degree, B, _tol(tol))
 
 
 @dataclass(frozen=True)
@@ -285,7 +285,7 @@ def verify_generator_power(
     phi_a on 64 circle samples; passes when the sup error stays within
     identity_tol.
     """
-    tol = tol if tol is not None else DEFAULT_TOL
+    tol = _tol(tol)
     if any(f.degree != 2 for f in chain.factors):
         raise InputError("every factor in the chain must have degree 2")
     inner = chain.factors[-1]

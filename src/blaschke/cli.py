@@ -35,7 +35,7 @@ from .core import (
     is_regularized,
     normalize,
 )
-from .circle import invariant_orbit, next_preimage, verify_generator_power
+from .circle import invariant_orbit, verify_generator_power
 from .critical import check_value_bound, critical_data
 from .decompose import chain_2n, elliptical_implies_decomposable_check, inner_factor_general
 from .errors import (
@@ -501,10 +501,10 @@ def cmd_invariants(obj, cfg: RunConfig) -> int:
     B = _as_product(obj, tol)
     n = B.degree
     samples = list(circle_samples(8, 0.13))
-    pairs = [{"z": z, "g": next_preimage(B, z, tol)} for z in samples]
-    identity_error = max(
-        abs(invariant_orbit(B, z, n + 1, tol)[n] - z) for z in samples
-    )
+    # one level-set solve per sample serves both g(z) and g^n(z)
+    orbits = [invariant_orbit(B, z, n + 1, tol) for z in samples]
+    pairs = [{"z": z, "g": orbit[1]} for z, orbit in zip(samples, orbits)]
+    identity_error = max(abs(orbit[n] - z) for z, orbit in zip(samples, orbits))
     report = {
         "order": n,
         "generator_samples": pairs,

@@ -33,11 +33,11 @@ import numpy as np
 from .core import (
     BlaschkeProduct,
     CompositionChain,
-    DEFAULT_TOL,
     DiskAutomorphism,
     ToleranceConfig,
     compose,
     unit,
+    _tol,
 )
 from .errors import CountMismatch, DegenerateInput, SolverFailure, VerificationFailure
 
@@ -270,7 +270,7 @@ def polynomial_roots(
     pairs sorted by (real, imag).  Raises SolverFailure when neither route
     produces residuals below root_tol at the found roots.
     """
-    tol = tol if tol is not None else DEFAULT_TOL
+    tol = _tol(tol)
     c = _poly_trim(np.asarray(coeffs, dtype=complex))
     if len(c) <= 1:
         return []
@@ -427,7 +427,7 @@ def critical_data(
 
     Raises CountMismatch if the in-disk multiplicity count is not degree - 1.
     """
-    tol = tol if tol is not None else DEFAULT_TOL
+    tol = _tol(tol)
     roots = polynomial_roots(derivative_numerator(B), tol)
     in_disk = [(r, m) for r, m in roots if abs(r) < 1.0]
     total = sum(m for _, m in in_disk)
@@ -466,7 +466,7 @@ class ValueBoundReport:
 def check_value_bound(
     chain: CompositionChain, tol: ToleranceConfig | None = None
 ) -> ValueBoundReport:
-    tol = tol if tol is not None else DEFAULT_TOL
+    tol = _tol(tol)
     degrees = tuple(f.degree for f in chain.factors)
     bound = sum(d - 1 for d in degrees)
     expanded = chain.expand(tol)
@@ -510,7 +510,7 @@ def one_critical_value_form(
     agree on one point a; tau is then the Mobius map interpolating three
     circle evaluations of B against phi_a^n, verified to 1e-8 on 64 samples.
     """
-    tol = tol if tol is not None else DEFAULT_TOL
+    tol = _tol(tol)
     cd = critical_data(B, tol)
     if len(cd.distinct_values) != 1:
         return None
@@ -567,7 +567,7 @@ def factor_any_order(
     sits innermost, pure powers in between, tau carried by the outermost
     factor.  Verified by re-expansion against B.
     """
-    tol = tol if tol is not None else DEFAULT_TOL
+    tol = _tol(tol)
     ordering = tuple(int(p) for p in ordering)
     if any(p < 1 for p in ordering):
         raise DegenerateInput("ordering entries must be positive")

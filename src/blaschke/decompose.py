@@ -33,12 +33,12 @@ import numpy as np
 from .core import (
     BlaschkeProduct,
     CompositionChain,
-    DEFAULT_TOL,
     DiskAutomorphism,
     ToleranceConfig,
     circle_samples,
     compose,
     unit,
+    _tol,
 )
 from .circle import invariant_orbit, solve_on_circle
 from .errors import DegenerateInput, InputError, SolverFailure
@@ -112,7 +112,7 @@ def inner_degree2(
     and leaves the boundary values of B unchanged; the outer factor is then
     read off the paired zeros and the whole split is verified by evaluation.
     """
-    tol = tol if tol is not None else DEFAULT_TOL
+    tol = _tol(tol)
     n = B.degree
     if n % 2 != 0:
         return None
@@ -196,7 +196,7 @@ def chain_2n(
     the normalization on the next pending part.  The extracted factor order
     is outermost first, matching CompositionChain.
     """
-    tol = tol if tol is not None else DEFAULT_TOL
+    tol = _tol(tol)
     n = B.degree
     k = n.bit_length() - 1
     if n != 2**k or n < 2:
@@ -405,7 +405,7 @@ def inner_factor_general(
     negative answer carries its reason; the theory certifies existence for
     genuine factors but gives no numerical certificate of absence.
     """
-    tol = tol if tol is not None else DEFAULT_TOL
+    tol = _tol(tol)
     n = B.degree
     if not (1 < k < n) or n % k != 0:
         raise InputError(f"k must be a proper divisor of {n}, got {k}")
@@ -496,7 +496,7 @@ def elliptical_implies_decomposable_check(
     ellipse, a factorization must exist for every proper divisor of the
     degree, and each is searched for directly.
     """
-    tol = tol if tol is not None else DEFAULT_TOL
+    tol = _tol(tol)
     idx = min(range(B.degree), key=lambda i: abs(B.zeros[i]))
     if abs(B.zeros[idx]) > tol.identity_tol:
         raise DegenerateInput("expected a zero at the origin (the z factor)")

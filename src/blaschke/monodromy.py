@@ -26,9 +26,9 @@ from functools import reduce
 
 from .core import (
     BlaschkeProduct,
-    DEFAULT_TOL,
     ToleranceConfig,
     unit,
+    _tol,
 )
 from .critical import critical_data
 from .errors import (
@@ -235,7 +235,7 @@ def build_loops(
     distances to the unit circle, value distances to the base point 0.  Every
     loop therefore clears every other value by more than the radius.
     """
-    tol = tol if tol is not None else DEFAULT_TOL
+    tol = _tol(tol)
     vals = [complex(v) for v in values]
     if not vals:
         raise GeometryFailure("no critical values; nothing to loop around")
@@ -314,7 +314,7 @@ def continue_branch(
     takes fewer than 3; underflow below 1e-9 or escape past |z| = 1.5 raises
     TrackingFailure.
     """
-    tol = tol if tol is not None else DEFAULT_TOL
+    tol = _tol(tol)
     z = complex(start)
     ws = loop.waypoints
     for w0, w1 in zip(ws, ws[1:]):
@@ -378,7 +378,7 @@ def monodromy_group(
     the zeros sorted by (argument, modulus); one generator per distinct
     critical value, values in (real, imag) order.
     """
-    tol = tol if tol is not None else DEFAULT_TOL
+    tol = _tol(tol)
     n = B.degree
     zeros = list(B.zeros)
     min_sep = min(
@@ -604,7 +604,7 @@ def cross_validate(
     """
     from .decompose import inner_factor_general
 
-    tol = tol if tol is not None else DEFAULT_TOL
+    tol = _tol(tol)
     mono = monodromy_group(B, tol)
     systems = block_systems(mono.group)
     sizes = {s.block_size for s in systems}

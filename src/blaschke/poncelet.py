@@ -30,16 +30,16 @@ import numpy as np
 
 from .core import (
     BlaschkeProduct,
-    DEFAULT_TOL,
     ToleranceConfig,
     format_float,
     unit,
+    _tol,
 )
-from .circle import CircleSolutionSet, next_preimage, solve_on_circle
+from .circle import CircleSolutionSet, invariant_orbit, solve_on_circle
 from .errors import (
     DegenerateEnvelope,
-    GeometryFailure,
     InputError,
+    VerificationFailure,
 )
 
 __all__ = [
@@ -94,23 +94,22 @@ class EnvelopeCurve:
         )
 
 
-def _tangency(
-    Bhat: BlaschkeProduct,
-    sol: CircleSolutionSet,
-    j: int,
-    hop: int,
-    t: float,
-    tol: ToleranceConfig,
-) -> EnvelopeSample:
+class _LevelSet(NamedTuple):
+    """One row of the envelope table: the level set Bhat = e^{it} and the
+    velocity z'(t) = i e^{it} / Bhat'(z) of each of its vertices, in order."""
+
+    t: float
+    sol: CircleSolutionSet
+    velocity: tuple[complex, ...]
+
+
+def _tangency(level: _LevelSet, j: int, hop: int) -> EnvelopeSample:
+    sol, t = level.sol, level.t
+    n = len(sol)
     p = sol.point(j)
     q = sol.point(j + hop)
-    lam = cmath.exp(1j * t)
-
-    def velocity(z: complex) -> complex:
-        return 1j * lam / Bhat.derivative(z, tol)
-
-    dp = velocity(p)
-    dq = velocity(q)
+    dp = level.velocity[j % n]
+    dq = level.velocity[(j + hop) % n]
     chord = q - p
 
     def cross(u: complex, v: complex) -> float:
@@ -125,33 +124,34 @@ def _tangency(
     s = -cross(dp, chord) / den
     e = p + s * chord
     if abs(e) > 1.0 + 1e-6:
-        raise GeometryFailure(f"envelope point left the disk: |e| = {abs(e):.6f}")
+        raise VerificationFailure(
+            f"envelope point left the disk: |e| = {abs(e):.6f}"
+        )
     return EnvelopeSample(t, e, (p, q))
 
 
 def _level_sets(
     Bhat: BlaschkeProduct, count: int, tol: ToleranceConfig
-) -> list[CircleSolutionSet]:
-    return [
-        solve_on_circle(Bhat, cmath.exp(1j * TAU * q / count), tol)
-        for q in range(count)
-    ]
+) -> list[_LevelSet]:
+    """The table shared by every chord family: count level sets at evenly
+    spaced angles, each vertex velocity computed once."""
+    table = []
+    for q in range(count):
+        t = TAU * q / count
+        lam = cmath.exp(1j * t)
+        sol = solve_on_circle(Bhat, lam, tol)
+        velocity = tuple(1j * lam / Bhat.derivative(z, tol) for z in sol.points)
+        table.append(_LevelSet(t, sol, velocity))
+    return table
 
 
-def _envelope_from_table(
-    Bhat: BlaschkeProduct,
-    skip: int,
-    table: list[CircleSolutionSet],
-    tol: ToleranceConfig,
-) -> EnvelopeCurve:
-    n = Bhat.degree
-    per_chord = len(table)
+def _envelope_from_table(skip: int, table: list[_LevelSet]) -> EnvelopeCurve:
     hop = skip + 1
-    samples = []
-    for j in range(n):
-        for q in range(per_chord):
-            t = TAU * q / per_chord
-            samples.append(_tangency(Bhat, table[q], j, hop, t, tol))
+    samples = [
+        _tangency(level, j, hop)
+        for j in range(len(table[0].sol))
+        for level in table
+    ]
     return EnvelopeCurve(skip, tuple(samples))
 
 
@@ -165,9 +165,9 @@ def envelope(
 
     samples is the total point budget for the closed curve; the same level
     sets serve all n chord families, so only ceil(samples/n) circle solves
-    are performed.
+    are performed, and each vertex velocity is computed once.
     """
-    tol = tol if tol is not None else DEFAULT_TOL
+    tol = _tol(tol)
     n = Bhat.degree
     if n < 2:
         raise InputError("envelope needs degree at least 2")
@@ -176,8 +176,7 @@ def envelope(
     if samples < 6:
         raise InputError("need at least 6 envelope samples")
     per_chord = max(2, -(-samples // n))
-    table = _level_sets(Bhat, per_chord, tol)
-    return _envelope_from_table(Bhat, skip, table, tol)
+    return _envelope_from_table(skip, _level_sets(Bhat, per_chord, tol))
 
 
 @dataclass(frozen=True)
@@ -230,7 +229,7 @@ def _point_fit(pts: np.ndarray) -> ConicFit:
 
 def fit_conic(points, tol: ToleranceConfig | None = None) -> ConicFit:
     """Fit and classify a conic through a planar point sample (at least 6)."""
-    tol = tol if tol is not None else DEFAULT_TOL
+    tol = _tol(tol)
     pts = np.asarray([complex(p) for p in points], dtype=complex)
     if len(pts) < 6:
         raise InputError("conic fitting needs at least 6 points")
@@ -320,7 +319,7 @@ def tangency_audit(
     each chord must equal the chord's offset.  Returns the max discrepancy
     over all chords of all supplied level values.
     """
-    tol = tol if tol is not None else DEFAULT_TOL
+    tol = _tol(tol)
     if fit.classification not in ("ellipse", "point"):
         raise InputError("tangency audit requires an ellipse or point fit")
     worst = 0.0
@@ -341,6 +340,24 @@ def tangency_audit(
     return worst
 
 
+def _hops_to_close(orbit: tuple[complex, ...], skip: int) -> int:
+    """First d <= 2n at which d skip-m chords from orbit[0] land back on it.
+
+    orbit is (z, g(z), ..., g^n(z)) from one verified level set, so the hop
+    index wraps modulo n and the point at index 0 is the re-solved g^n(z),
+    never the start itself.
+    """
+    n = len(orbit) - 1
+    k = 0
+    for d in range(1, 2 * n + 1):
+        k = (k + skip + 1) % n
+        if abs(orbit[k or n] - orbit[0]) <= 1e-8:
+            return d
+    raise VerificationFailure(
+        f"tangent polygon failed to close within {2 * n} steps"
+    )
+
+
 def closure_order(
     Bhat: BlaschkeProduct,
     skip: int,
@@ -351,19 +368,16 @@ def closure_order(
 
     From a starting circle point, hop to the far endpoint of the skip-m chord
     (skip+1 solutions ahead on the same level set) until landing back within
-    1e-8 of the start.  Each hop re-solves the level set, so closure is a
-    measured property, not an assumption.
+    1e-8 of the start.  All hops stay on one level set, so it is solved and
+    verified once (residual, n strictly increasing angles, the start located
+    on it) and the hops are read off it; the closing hop is measured against
+    the re-solved n-th iterate of the start, so closure is still a measured
+    property, not an assumption.  VerificationFailure if it never closes.
     """
-    tol = tol if tol is not None else DEFAULT_TOL
-    start = unit(complex(cmath.exp(0.3j) if start is None else start))
-    v = start
-    for d in range(1, 2 * Bhat.degree + 1):
-        v = next_preimage(Bhat, v, tol, steps=skip + 1)
-        if abs(v - start) <= 1e-8:
-            return d
-    raise GeometryFailure(
-        f"tangent polygon failed to close within {2 * Bhat.degree} steps"
-    )
+    tol = _tol(tol)
+    start = complex(cmath.exp(0.3j) if start is None else start)
+    orbit = invariant_orbit(Bhat, start, Bhat.degree + 1, tol)
+    return _hops_to_close(orbit, skip)
 
 
 @dataclass(frozen=True)
@@ -404,21 +418,22 @@ def package(
 ) -> PonceletPackage:
     """Compute, fit, and order-test every curve of the package.
 
-    The level-set table is solved once and shared by every skip.
+    One level-set table (with its vertex velocities) serves every skip, and
+    one verified level set through 1 serves every closure order, as in
+    closure_order: max(2, ceil(samples/n)) + 1 circle solves in all.
     """
-    tol = tol if tol is not None else DEFAULT_TOL
+    tol = _tol(tol)
     n = Bhat.degree
     if n < 2:
         raise InputError("package needs degree at least 2")
     per_chord = max(2, -(-samples // n))
     table = _level_sets(Bhat, per_chord, tol)
+    orbit = invariant_orbit(Bhat, 1.0 + 0j, n + 1, tol)
     entries = []
     for skip in range(n // 2):
-        curve = _envelope_from_table(Bhat, skip, table, tol)
+        curve = _envelope_from_table(skip, table)
         fit = fit_conic(curve.points, tol)
-        entries.append(
-            PackageEntry(skip, curve, fit, closure_order(Bhat, skip, tol))
-        )
+        entries.append(PackageEntry(skip, curve, fit, _hops_to_close(orbit, skip)))
     return PonceletPackage(tuple(entries))
 
 
@@ -500,7 +515,7 @@ def scene_svg(
     lambda_angles: tuple[float, ...] = (0.4, 2.5, 4.6),
 ) -> str:
     """Standalone SVG: unit circle, sample polygons, envelope, fit overlay."""
-    tol = tol if tol is not None else DEFAULT_TOL
+    tol = _tol(tol)
     n = Bhat.degree
     hop = curve.skip + 1
     cycle = n // math.gcd(n, hop)

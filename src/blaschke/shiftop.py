@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, ToleranceConfig, format_float
+from .core import ToleranceConfig, format_float, _tol
 from .errors import EigensolverFailure, InputError
 
 __all__ = [
@@ -166,7 +166,7 @@ def is_elliptical_range(
     """
     from .poncelet import fit_conic
 
-    tol = tol if tol is not None else DEFAULT_TOL
+    tol = _tol(tol)
     sample = numerical_range_boundary(A, samples)
     fit = fit_conic(sample.points, tol)
     if fit.classification != "ellipse":

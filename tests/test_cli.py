@@ -8,6 +8,7 @@ import pytest
 
 import blaschke
 import blaschke.cli as cli
+import blaschke.poncelet as poncelet
 from blaschke.errors import (
     NonBijective,
     SolverFailure,
@@ -284,6 +285,23 @@ def test_exit_code_ladder(monkeypatch):
     ]:
         monkeypatch.setitem(cli.DISPATCH, "analyze", boom(exc))
         assert cli.main(["analyze", "--demo", "power2"]) == code
+
+
+def test_unclosed_polygon_is_a_verification_failure(monkeypatch, capsys, tmp_path):
+    # a computed polygon that fails its closure certificate is not bad input
+    real = poncelet.invariant_orbit
+
+    def missed(B, z, count, tol=None):
+        orbit = real(B, z, count, tol)
+        return orbit[:-1] + (-orbit[-1],)
+
+    monkeypatch.setattr(poncelet, "invariant_orbit", missed)
+    for command in ("package", "curve"):
+        code = cli.main([command, "--demo", "nonexample84", "--out", str(tmp_path)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("verification failure:")
+        assert "failed to close" in err
 
 
 # ---------------------------------------------------------------- determinism

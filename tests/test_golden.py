@@ -1,0 +1,94 @@
+"""Demo-corpus output pinned byte for byte against recorded golden files.
+
+For every demo, the stdout of the `package`, `curve` and `invariants`
+subcommands is stored under tests/data/golden/ as <command>-<demo>.stdout,
+and files.sha256 holds a SHA-256 digest of every file they write.  Each run
+happens in a fresh working directory with ``--out out``, so the ``files``
+paths in the reports read ``out/<name>`` on every machine.
+
+Floats are printed with 17 significant digits, so any change to the
+arithmetic behind these reports shows up here, not only a change between two
+runs of the same code.  When a change moves the output on purpose, regenerate
+the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and say in the change why the output moved.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+from pathlib import Path
+
+import pytest
+
+import blaschke.cli as cli
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+DEMOS = (
+    "power2",
+    "power8",
+    "elliptical8",
+    "nonexample84",
+    "deg6elliptic",
+    "deg6nonelliptic",
+    "chain3",
+)
+COMMANDS = ("package", "curve", "invariants")
+CASES = [(command, demo) for command in COMMANDS for demo in DEMOS]
+
+
+def run_case(command: str, demo: str, workdir: Path) -> tuple[str, dict[str, str]]:
+    """stdout of one subcommand run in workdir, and digests of its files."""
+    out = io.StringIO()
+    here = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = cli.main([command, "--demo", demo, "--out", "out"])
+    finally:
+        os.chdir(here)
+    assert code == 0, f"{command} --demo {demo} exited {code}"
+    written = workdir / "out"
+    digests = {
+        f"{command}-{demo}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(written.iterdir())
+    } if written.exists() else {}
+    return out.getvalue(), digests
+
+
+def read_digests() -> dict[str, str]:
+    rows = (GOLDEN / "files.sha256").read_text().splitlines()
+    return {name: digest for digest, name in (row.split("  ") for row in rows)}
+
+
+@pytest.mark.parametrize("command,demo", CASES)
+def test_demo_output_matches_golden(command, demo, tmp_path):
+    stdout, digests = run_case(command, demo, tmp_path)
+    assert stdout == (GOLDEN / f"{command}-{demo}.stdout").read_text()
+    recorded = {
+        name: digest
+        for name, digest in read_digests().items()
+        if name.startswith(f"{command}-{demo}/")
+    }
+    assert digests == recorded
+
+
+def write_golden() -> None:
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for command, demo in CASES:
+        with tempfile.TemporaryDirectory() as workdir:
+            stdout, digests = run_case(command, demo, Path(workdir))
+        (GOLDEN / f"{command}-{demo}.stdout").write_text(stdout)
+        rows += [f"{digest}  {name}" for name, digest in digests.items()]
+    (GOLDEN / "files.sha256").write_text("\n".join(rows) + "\n")
+
+
+if __name__ == "__main__":
+    write_golden()

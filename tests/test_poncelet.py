@@ -6,9 +6,10 @@ import pytest
 
 from blaschke import (
     BlaschkeProduct,
-    GeometryFailure,
     InputError,
+    VerificationFailure,
 )
+from blaschke import circle, poncelet
 from blaschke.circle import invariant_orbit, solve_on_circle
 from blaschke.poncelet import (
     closure_order,
@@ -235,6 +236,66 @@ def test_closure_order_of_power():
     B = BlaschkeProduct(1.0, (0j,) * 8)
     # skip m joins every (m+1)-th vertex of a regular 8-gon
     assert [closure_order(B, m) for m in range(4)] == [8, 4, 8, 2]
+
+
+def test_closure_order_refuses_an_orbit_that_does_not_close(monkeypatch):
+    # the closing hop is measured against the re-solved n-th iterate, so a
+    # level set whose orbit misses its start fails the closure certificate
+    def missed(B, z, count, tol=None):
+        orbit = invariant_orbit(B, z, count, tol)
+        return orbit[:-1] + (orbit[-1] * cmath.exp(1e-6j),)
+
+    monkeypatch.setattr(poncelet, "invariant_orbit", missed)
+    with pytest.raises(VerificationFailure, match="failed to close"):
+        closure_order(B84, 0)
+    with pytest.raises(VerificationFailure, match="failed to close"):
+        package(B84, 120)
+
+
+def _count_solves(monkeypatch) -> list[int]:
+    """Count every circle solve poncelet makes, direct or through an orbit."""
+    calls = [0]
+    real = circle.solve_on_circle
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(circle, "solve_on_circle", counted)
+    monkeypatch.setattr(poncelet, "solve_on_circle", counted)
+    return calls
+
+
+def test_closure_order_solves_one_level_set(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    for skip in range(4):
+        calls[0] = 0
+        closure_order(B84, skip)
+        assert calls[0] == 1
+
+
+@pytest.mark.parametrize("degree,samples", [(3, 240), (8, 5), (8, 360), (11, 720)])
+def test_package_solves_table_plus_one_level_set(monkeypatch, degree, samples):
+    B = random_product(rng_for(412 + degree), degree, radius=0.8)
+    calls = _count_solves(monkeypatch)
+    package(B, samples)
+    assert calls[0] == max(2, -(-samples // degree)) + 1
+
+
+@pytest.mark.parametrize("degree", [10, 15, 24])
+def test_package_matches_separate_envelopes_and_closures(degree):
+    # the shared table, velocities and orbit change no bit of any entry, and
+    # every skip-m polygon closes after n / gcd(n, m+1) hops
+    B = random_product(rng_for(413 + degree), degree, radius=0.8)
+    samples = 720
+    pkg = package(B, samples)
+    assert len(pkg) == degree // 2
+    for entry in pkg.entries:
+        assert entry.closure == degree // math.gcd(degree, entry.skip + 1)
+        curve = envelope(B, entry.skip, samples)
+        assert entry.curve == curve
+        assert entry.fit == fit_conic(curve.points)
+        assert entry.closure == closure_order(B, entry.skip)
 
 
 # ----------------------------------------------------------- audits and match
