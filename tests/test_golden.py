@@ -1,10 +1,13 @@
 """Demo-corpus output pinned byte for byte against recorded golden files.
 
-For every demo, the stdout of the `package`, `curve` and `invariants`
-subcommands is stored under tests/data/golden/ as <command>-<demo>.stdout,
-and files.sha256 holds a SHA-256 digest of every file they write.  Each run
-happens in a fresh working directory with ``--out out``, so the ``files``
-paths in the reports read ``out/<name>`` on every machine.
+For every demo and every subcommand that reads a product (analyze, curve,
+package, nrange, decompose, monodromy, invariants), the stdout is stored
+under tests/data/golden/ as <command>-<demo>.stdout, status.json holds each
+case's exit code and stderr, and files.sha256 holds a SHA-256 digest of every
+file the case writes.  Each run happens in a fresh working directory with
+``--out out``, so the ``files`` paths in the reports read ``out/<name>`` on
+every machine.  A refusal (a nonzero exit, such as ``monodromy --demo
+nonexample84``) is pinned like any other outcome.
 
 Floats are printed with 17 significant digits, so any change to the
 arithmetic behind these reports shows up here, not only a change between two
@@ -21,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import tempfile
 from pathlib import Path
@@ -39,27 +43,34 @@ DEMOS = (
     "deg6nonelliptic",
     "chain3",
 )
-COMMANDS = ("package", "curve", "invariants")
+COMMANDS = (
+    "analyze",
+    "curve",
+    "package",
+    "nrange",
+    "decompose",
+    "monodromy",
+    "invariants",
+)
 CASES = [(command, demo) for command in COMMANDS for demo in DEMOS]
 
 
-def run_case(command: str, demo: str, workdir: Path) -> tuple[str, dict[str, str]]:
-    """stdout of one subcommand run in workdir, and digests of its files."""
-    out = io.StringIO()
+def run_case(command: str, demo: str, workdir: Path) -> tuple[str, dict, dict[str, str]]:
+    """stdout, {exit, stderr} and file digests of one subcommand run in workdir."""
+    out, err = io.StringIO(), io.StringIO()
     here = os.getcwd()
     os.chdir(workdir)
     try:
-        with contextlib.redirect_stdout(out):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main([command, "--demo", demo, "--out", "out"])
     finally:
         os.chdir(here)
-    assert code == 0, f"{command} --demo {demo} exited {code}"
     written = workdir / "out"
     digests = {
         f"{command}-{demo}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(written.iterdir())
     } if written.exists() else {}
-    return out.getvalue(), digests
+    return out.getvalue(), {"exit": code, "stderr": err.getvalue()}, digests
 
 
 def read_digests() -> dict[str, str]:
@@ -69,8 +80,10 @@ def read_digests() -> dict[str, str]:
 
 @pytest.mark.parametrize("command,demo", CASES)
 def test_demo_output_matches_golden(command, demo, tmp_path):
-    stdout, digests = run_case(command, demo, tmp_path)
+    stdout, status, digests = run_case(command, demo, tmp_path)
     assert stdout == (GOLDEN / f"{command}-{demo}.stdout").read_text()
+    recorded_status = json.loads((GOLDEN / "status.json").read_text())
+    assert status == recorded_status[f"{command}-{demo}"]
     recorded = {
         name: digest
         for name, digest in read_digests().items()
@@ -82,12 +95,15 @@ def test_demo_output_matches_golden(command, demo, tmp_path):
 def write_golden() -> None:
     GOLDEN.mkdir(parents=True, exist_ok=True)
     rows = []
+    statuses = {}
     for command, demo in CASES:
         with tempfile.TemporaryDirectory() as workdir:
-            stdout, digests = run_case(command, demo, Path(workdir))
+            stdout, status, digests = run_case(command, demo, Path(workdir))
         (GOLDEN / f"{command}-{demo}.stdout").write_text(stdout)
+        statuses[f"{command}-{demo}"] = status
         rows += [f"{digest}  {name}" for name, digest in digests.items()]
     (GOLDEN / "files.sha256").write_text("\n".join(rows) + "\n")
+    (GOLDEN / "status.json").write_text(json.dumps(statuses, indent=1) + "\n")
 
 
 if __name__ == "__main__":
