@@ -53,7 +53,7 @@ from .errors import (
     TrackingFailure,
     VerificationFailure,
 )
-from .monodromy import block_systems, cross_validate, monodromy_group, wreath_audit
+from .monodromy import cross_validate, wreath_audit
 from .poncelet import (
     closure_order,
     curve_csv,
@@ -61,6 +61,7 @@ from .poncelet import (
     fit_conic,
     foci_vs_zeros,
     package,
+    polygon_vertices,
     scene_svg,
     tangency_audit,
 )
@@ -69,6 +70,8 @@ from .shiftop import boundary_csv, is_elliptical_range, kippenhahn_eval, shift_m
 __all__ = ["main", "RunConfig", "demo_corpus"]
 
 DEFAULT_SEED = 0xB1A5
+# level values whose polygons the SVG scenes draw and the tangency audit checks
+SCENE_LAMBDAS = tuple(cmath.exp(1j * t) for t in (0.4, 2.5, 4.6))
 
 
 # ---------------------------------------------------------------- demo corpus
@@ -292,9 +295,10 @@ def cmd_curve(obj, cfg: RunConfig) -> int:
     B = _as_product(obj, tol)
     curve = envelope(B, cfg.skip, cfg.lambda_samples, tol)
     fit = fit_conic(curve.points, tol)
+    level_sets = [polygon_vertices(B, lam, tol) for lam in SCENE_LAMBDAS]
     files = [
         _write(cfg, f"curve_skip{cfg.skip}.csv", curve_csv(curve)),
-        _write(cfg, f"curve_skip{cfg.skip}.svg", scene_svg(B, curve, fit, tol)),
+        _write(cfg, f"curve_skip{cfg.skip}.svg", scene_svg(curve, fit, level_sets)),
     ]
     report = {
         "skip": cfg.skip,
@@ -304,9 +308,8 @@ def cmd_curve(obj, cfg: RunConfig) -> int:
         "files": files,
     }
     if fit.classification in ("ellipse", "point"):
-        lams = [cmath.exp(1j * t) for t in (0.4, 2.5, 4.6)]
         report["tangency_discrepancy"] = tangency_audit(
-            fit, B, lams, cfg.skip, tol
+            fit, B, SCENE_LAMBDAS, cfg.skip, tol
         )
     _emit(report)
     return 0
@@ -316,6 +319,7 @@ def cmd_package(obj, cfg: RunConfig) -> int:
     tol = cfg.tolerances
     B = _as_product(obj, tol)
     pkg = package(B, cfg.lambda_samples, tol)
+    level_sets = [polygon_vertices(B, lam, tol) for lam in SCENE_LAMBDAS]
     entries = []
     files = []
     for entry in pkg.entries:
@@ -340,7 +344,7 @@ def cmd_package(obj, cfg: RunConfig) -> int:
             _write(
                 cfg,
                 f"package_k{entry.index}.svg",
-                scene_svg(B, entry.curve, entry.fit, tol),
+                scene_svg(entry.curve, entry.fit, level_sets),
             )
         )
     closure_counts: dict[str, int] = {}
@@ -445,8 +449,8 @@ def cmd_monodromy(obj, cfg: RunConfig) -> int:
     B = _as_product(obj, tol)
     nf = normalize(B, tol)
     N = nf.product
-    mono = monodromy_group(N, tol)
-    systems = block_systems(mono.group)
+    cross = cross_validate(N, tol)
+    mono, systems = cross.monodromy, cross.systems
     report = {
         "degree": N.degree,
         "normalization": {
@@ -480,7 +484,6 @@ def cmd_monodromy(obj, cfg: RunConfig) -> int:
             "nested_ok": audit.nested_ok,
             "ok": audit.ok,
         }
-    cross = cross_validate(N, tol)
     report["cross_validation"] = {
         "consistent": cross.consistent,
         "rows": [

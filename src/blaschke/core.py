@@ -83,6 +83,30 @@ def _tol(tol: ToleranceConfig | None) -> ToleranceConfig:
     return DEFAULT_TOL if tol is None else tol
 
 
+class _DisjointSets:
+    """Union-find over range(n), for partition closures of labels."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        """The representative of x's class, halving the path on the way."""
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x: int, y: int) -> bool:
+        """Merge the classes of x and y under x's representative; False if
+        they were already one class."""
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        self.parent[ry] = rx
+        return True
+
+
 def unit(c: complex) -> complex:
     """Project a nonzero complex number onto the unit circle."""
     m = abs(c)
@@ -401,29 +425,17 @@ def compose(
     """Expand outer(inner(z)) into a single Blaschke product.
 
     The zeros of the composition are the inner-preimages of the outer zeros:
-    for each zero w of outer, solve inner(z) = w as the degree-m polynomial
-    gamma_inner * P(z) - w * Q(z) = 0, all of whose roots lie in the open
-    disk.  The constant is fixed by matching one circle evaluation.
+    for each zero w of outer, the fiber inner(z) = w, all of which lies in
+    the open disk.  The constant is fixed by matching one circle evaluation.
     """
-    from .critical import polynomial_roots, product_numerator_denominator
+    from .critical import fiber
 
     tol = _tol(tol)
-    p_coeffs, q_coeffs = product_numerator_denominator(inner)
-    width = max(len(p_coeffs), len(q_coeffs))
-    p_pad = np.zeros(width, dtype=complex)
-    p_pad[: len(p_coeffs)] = p_coeffs
-    q_pad = np.zeros(width, dtype=complex)
-    q_pad[: len(q_coeffs)] = q_coeffs
-
     zeros: list[complex] = []
     fiber_cache: dict[complex, list[complex]] = {}
     for w in outer.zeros:
         if w not in fiber_cache:
-            poly = inner.gamma * p_pad - w * q_pad
-            fiber: list[complex] = []
-            for root, mult in polynomial_roots(poly, tol):
-                fiber.extend([root] * mult)
-            fiber_cache[w] = fiber
+            fiber_cache[w] = fiber(inner, w, tol)
         zeros.extend(fiber_cache[w])
 
     base = BlaschkeProduct(1.0, tuple(zeros))
@@ -454,7 +466,7 @@ def normalize(B: BlaschkeProduct, tol: ToleranceConfig | None = None) -> Normali
     origin), then returns lambda * phi_alpha o B o phi_beta with the rotation
     chosen so the derivative at 0 is real positive.
     """
-    from .critical import critical_data, polynomial_roots, product_numerator_denominator
+    from .critical import critical_data, fiber
 
     tol = _tol(tol)
     cd = critical_data(B, tol)
@@ -479,20 +491,12 @@ def normalize(B: BlaschkeProduct, tol: ToleranceConfig | None = None) -> Normali
         beta = best[1]
     alpha = B.evaluate(beta, tol)
 
-    p_coeffs, q_coeffs = product_numerator_denominator(B)
-    width = max(len(p_coeffs), len(q_coeffs))
-    p_pad = np.zeros(width, dtype=complex)
-    p_pad[: len(p_coeffs)] = p_coeffs
-    q_pad = np.zeros(width, dtype=complex)
-    q_pad[: len(q_coeffs)] = q_coeffs
-    fiber: list[complex] = []
-    for root, mult in polynomial_roots(B.gamma * p_pad - alpha * q_pad, tol):
-        fiber.extend([root] * mult)
-    if len(fiber) != B.degree:
+    base_fiber = fiber(B, alpha, tol)
+    if len(base_fiber) != B.degree:
         raise DegenerateInput("fiber of the base value has the wrong size")
 
     pre = DiskAutomorphism(1.0, beta)
-    zeros_n = [pre(w) for w in fiber]
+    zeros_n = [pre(w) for w in base_fiber]
     # beta itself is in the fiber; snap its image to exactly 0
     i0 = min(range(len(zeros_n)), key=lambda i: abs(zeros_n[i]))
     if abs(zeros_n[i0]) > 1e-7:

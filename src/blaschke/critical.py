@@ -37,6 +37,7 @@ from .core import (
     ToleranceConfig,
     compose,
     unit,
+    _DisjointSets,
     _tol,
 )
 from .errors import CountMismatch, DegenerateInput, SolverFailure, VerificationFailure
@@ -45,6 +46,7 @@ __all__ = [
     "product_numerator_denominator",
     "derivative_numerator",
     "polynomial_roots",
+    "fiber",
     "CriticalData",
     "critical_data",
     "ValueBoundReport",
@@ -198,39 +200,27 @@ def _resolve_clusters(
     def radius(k: int) -> float:
         return min(0.1, max(tol.cluster_tol, 3.0 * (1e-13) ** (1.0 / k)))
 
-    # Kruskal-style merge forest capped at 0.1
-    parent = list(range(m))
+    # Kruskal-style merge forest capped at 0.1; forest nodes 0..m-1 are the
+    # points, and node_of maps each class representative to its forest node
+    sets = _DisjointSets(m)
+    node_of = list(range(m))
     members: dict[int, list[int]] = {i: [i] for i in range(m)}
     children: dict[int, tuple] = {i: () for i in range(m)}
-    next_id = m
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     edges = sorted(
         (abs(pts[i] - pts[j]), i, j) for i in range(m) for j in range(i + 1, m)
     )
-    node_of = {i: i for i in range(m)}
     for d, i, j in edges:
         if d > 0.1:
             break
-        ri, rj = find(i), find(j)
-        if ri == rj:
+        a, b = node_of[sets.find(i)], node_of[sets.find(j)]
+        if not sets.union(i, j):
             continue
-        parent.append(next_id)
-        parent[ri] = next_id
-        parent[rj] = next_id
-        members[next_id] = members[node_of[ri]] + members[node_of[rj]]
-        children[next_id] = (node_of[ri], node_of[rj])
-        node_of[next_id] = next_id
-        node_of[ri] = next_id
-        node_of[rj] = next_id
-        next_id += 1
+        node = len(members)
+        members[node] = members[a] + members[b]
+        children[node] = (a, b)
+        node_of[sets.find(i)] = node
 
-    roots_of_forest = {node_of[find(i)] for i in range(m)}
+    roots_of_forest = {node_of[sets.find(i)] for i in range(m)}
 
     out: list[tuple[complex, int]] = []
 
@@ -300,6 +290,21 @@ def polynomial_roots(
 
     results.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return results
+
+
+def fiber(
+    B: BlaschkeProduct, w: complex, tol: ToleranceConfig | None = None
+) -> list[complex]:
+    """The n solutions of B(z) = w, repeated with multiplicity.
+
+    They are the roots of gamma P - w Q, sorted by (real, imag); every fiber
+    solve in the package goes through here.  Raises SolverFailure as
+    polynomial_roots does.
+    """
+    p, q = product_numerator_denominator(B)
+    return [
+        r for r, m in polynomial_roots(B.gamma * p - w * q, tol) for _ in range(m)
+    ]
 
 
 def _residuals_ok(
@@ -399,23 +404,15 @@ def _cluster_values(
     values: list[complex], tol_gap: float
 ) -> list[tuple[complex, int]]:
     """Single-linkage clustering; returns (mean, count) per cluster."""
-    remaining = list(range(len(values)))
-    clusters: list[list[int]] = []
-    while remaining:
-        seed = [remaining.pop(0)]
-        changed = True
-        while changed:
-            changed = False
-            for i in list(remaining):
-                if any(abs(values[i] - values[j]) <= tol_gap for j in seed):
-                    seed.append(i)
-                    remaining.remove(i)
-                    changed = True
-        clusters.append(seed)
-    out = []
-    for cl in clusters:
-        mean = sum(values[i] for i in cl) / len(cl)
-        out.append((mean, len(cl)))
+    sets = _DisjointSets(len(values))
+    for i in range(len(values)):
+        for j in range(i):
+            if abs(values[i] - values[j]) <= tol_gap:
+                sets.union(j, i)
+    clusters: dict[int, list[complex]] = {}
+    for i, v in enumerate(values):
+        clusters.setdefault(sets.find(i), []).append(v)
+    out = [(sum(cl) / len(cl), len(cl)) for cl in clusters.values()]
     out.sort(key=lambda vm: (vm[0].real, vm[0].imag))
     return out
 

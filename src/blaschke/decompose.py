@@ -41,6 +41,7 @@ from .core import (
     _tol,
 )
 from .circle import invariant_orbit, solve_on_circle
+from .critical import fiber
 from .errors import DegenerateInput, InputError, SolverFailure
 from .shiftop import RangeVerdict, is_elliptical_range, shift_matrix
 
@@ -69,6 +70,28 @@ def _chain_error(
     return max(
         abs(chain(z, tol) - B.evaluate(z, tol)) for z in circle_samples(count, 0.05)
     )
+
+
+def _pin_outer(
+    B: BlaschkeProduct,
+    outer_zeros: tuple[complex, ...],
+    inner: BlaschkeProduct,
+    offset: float,
+    tol: ToleranceConfig,
+) -> BlaschkeProduct | None:
+    """The outer factor with these zeros whose composition with inner matches
+    B at the first of 8 circle points (from offset) where the zeros leave a
+    usable denominator; None if no point is usable or the constant is not
+    unimodular to 1e-6."""
+    base = BlaschkeProduct(1.0, outer_zeros)
+    for z0 in circle_samples(8, offset):
+        denom = base.evaluate(inner.evaluate(z0, tol), tol)
+        if abs(denom) > 1e-6:
+            gamma = B.evaluate(z0, tol) / denom
+            if abs(abs(gamma) - 1.0) > 1e-6:
+                return None
+            return BlaschkeProduct(unit(gamma), outer_zeros)
+    return None
 
 
 @dataclass(frozen=True)
@@ -142,16 +165,9 @@ def inner_degree2(
 
         inner = BlaschkeProduct(-1.0, (0j, a))  # z * phi_a
         outer_zeros = tuple(inner.evaluate(b, tol) for b, _ in pairs)
-        base = BlaschkeProduct(1.0, outer_zeros)
-        gamma = None
-        for z0 in circle_samples(8, 0.83):
-            denom = base.evaluate(inner.evaluate(z0, tol), tol)
-            if abs(denom) > 1e-6:
-                gamma = B.evaluate(z0, tol) / denom
-                break
-        if gamma is None or abs(abs(gamma) - 1.0) > 1e-6:
+        outer = _pin_outer(B, outer_zeros, inner, 0.83, tol)
+        if outer is None:
             continue
-        outer = BlaschkeProduct(unit(gamma), outer_zeros)
 
         err = max(
             abs(outer.evaluate(inner.evaluate(z, tol), tol) - w)
@@ -361,21 +377,16 @@ def _zero_fiber_starts(
     of the remaining solutions turns the search global: the true zero set is
     always in the list, up to root-finding noise.
     """
-    from .critical import polynomial_roots, product_numerator_denominator
-
-    p, q = product_numerator_denominator(B)
-    w0 = B.evaluate(0.0, tol)
     try:
-        pairs = polynomial_roots(B.gamma * p - w0 * q, tol)
+        zero_fiber = fiber(B, B.evaluate(0.0, tol), tol)
     except SolverFailure:
         return []
-    fiber = [r for r, m in pairs for _ in range(m)]
-    if len(fiber) != B.degree:
+    if len(zero_fiber) != B.degree:
         return []
-    i0 = min(range(len(fiber)), key=lambda i: abs(fiber[i]))
-    if abs(fiber[i0]) > 1e-6:
+    i0 = min(range(len(zero_fiber)), key=lambda i: abs(zero_fiber[i]))
+    if abs(zero_fiber[i0]) > 1e-6:
         return []
-    rest = [z for i, z in enumerate(fiber) if i != i0]
+    rest = [z for i, z in enumerate(zero_fiber) if i != i0]
     seen: set[tuple[tuple[float, float], ...]] = set()
     out: list[np.ndarray] = []
     for combo in itertools.combinations(rest, k - 1):
@@ -442,21 +453,11 @@ def inner_factor_general(
         if outer_zeros is None:
             last_reason = "not-found"
             continue
-        base = BlaschkeProduct(1.0, outer_zeros)
-        gamma = None
-        for z0 in circle_samples(8, 0.37):
-            denom = base.evaluate(D.evaluate(z0, tol), tol)
-            if abs(denom) > 1e-6:
-                gamma = B.evaluate(z0, tol) / denom
-                break
-        if gamma is None or abs(abs(gamma) - 1.0) > 1e-6:
+        C = _pin_outer(B, outer_zeros, D, 0.37, tol)
+        if C is None:
             last_reason = "verification-failed"
             continue
-        C = BlaschkeProduct(unit(gamma), outer_zeros)
-        err = max(
-            abs(C.evaluate(D.evaluate(z, tol), tol) - B.evaluate(z, tol))
-            for z in circle_samples(100, 0.05)
-        )
+        err = _chain_error(CompositionChain((C, D)), B, tol)
         if err <= 1e-8:
             return InnerFactorResult(True, C, D, "ok", err)
         last_reason = "verification-failed"

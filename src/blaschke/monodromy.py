@@ -28,6 +28,7 @@ from .core import (
     BlaschkeProduct,
     ToleranceConfig,
     unit,
+    _DisjointSets,
     _tol,
 )
 from .critical import critical_data
@@ -37,6 +38,7 @@ from .errors import (
     InputError,
     NonBijective,
     TrackingFailure,
+    VerificationFailure,
 )
 
 __all__ = [
@@ -57,6 +59,8 @@ __all__ = [
 ]
 
 TAU = 2.0 * math.pi
+ENUMERATION_CAP = 10**6
+_NOT_ENUMERATED = object()
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,8 @@ class PermutationGroup:
     """Group generated by a list of permutations on range(degree).
 
     Closure is computed on demand by breadth-first products and cached; when
-    it would exceed the cap the order is reported as None rather than wrong.
+    it would exceed ENUMERATION_CAP elements the order is reported as None
+    rather than wrong.
     """
 
     def __init__(self, generators, degree: int):
@@ -123,11 +128,10 @@ class PermutationGroup:
         self.degree = int(degree)
         if any(len(g.images) != self.degree for g in self.generators):
             raise InputError("generator degree mismatch")
-        self._closure: frozenset | None = None
-        self._closure_done = False
+        self._closure = _NOT_ENUMERATED
 
-    def elements(self, cap: int = 10**6) -> frozenset | None:
-        if self._closure_done:
+    def elements(self) -> frozenset | None:
+        if self._closure is not _NOT_ENUMERATED:
             return self._closure
         identity = tuple(range(self.degree))
         seen = {identity}
@@ -141,12 +145,11 @@ class PermutationGroup:
                     if prod not in seen:
                         seen.add(prod)
                         nxt.append(prod)
-                        if len(seen) > cap:
-                            self._closure, self._closure_done = None, True
+                        if len(seen) > ENUMERATION_CAP:
+                            self._closure = None
                             return None
             frontier = nxt
         self._closure = frozenset(seen)
-        self._closure_done = True
         return self._closure
 
     def order(self) -> int | None:
@@ -427,46 +430,25 @@ def _minimal_system(
     gens: tuple[Permutation, ...], n: int, a: int, b: int
 ) -> BlockSystem:
     """Finest group-congruence identifying a and b (union-find propagation)."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> bool:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        parent[ry] = rx
-        return True
-
+    sets = _DisjointSets(n)
     stack = [(a, b)]
-    union(a, b)
+    sets.union(a, b)
     while stack:
         x, y = stack.pop()
         for g in gens:
             gx, gy = g.images[x], g.images[y]
-            if union(gx, gy):
+            if sets.union(gx, gy):
                 stack.append((gx, gy))
-    return BlockSystem.from_classes({x: find(x) for x in range(n)})
+    return BlockSystem.from_classes({x: sets.find(x) for x in range(n)})
 
 
 def _join(p: BlockSystem, q: BlockSystem, n: int) -> BlockSystem:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = _DisjointSets(n)
     for system in (p, q):
         for block in system.blocks:
             for x in block[1:]:
-                parent[find(x)] = find(block[0])
-    return BlockSystem.from_classes({x: find(x) for x in range(n)})
+                sets.union(block[0], x)
+    return BlockSystem.from_classes({x: sets.find(x) for x in range(n)})
 
 
 def block_systems(G: PermutationGroup) -> tuple[BlockSystem, ...]:
@@ -501,12 +483,12 @@ def block_systems(G: PermutationGroup) -> tuple[BlockSystem, ...]:
     for s in systems:
         sizes = {len(b) for b in s.blocks}
         if len(sizes) != 1:
-            raise GeometryFailure("uneven blocks from a transitive group")
+            raise VerificationFailure("uneven blocks from a transitive group")
         block_index = {x: i for i, block in enumerate(s.blocks) for x in block}
         for g in G.generators:
             for block in s.blocks:
                 if len({block_index[g.images[x]] for x in block}) != 1:
-                    raise GeometryFailure("generator tore a block apart")
+                    raise VerificationFailure("generator tore a block apart")
     return tuple(systems)
 
 
@@ -543,10 +525,8 @@ def wreath_audit(G: PermutationGroup, levels: int) -> WreathAudit:
     order = G.order()
     order_ok = order == expected
 
-    orders = G.element_orders()
-    two_group_ok = orders is not None and all(
-        o & (o - 1) == 0 for o in orders
-    )
+    # a finite group is a 2-group exactly when its order is a power of two
+    two_group_ok = order is not None and order & (order - 1) == 0
 
     wanted = [2**i for i in range(1, levels)]
     systems = block_systems(G) if G.is_transitive() else ()

@@ -238,7 +238,7 @@ def fit_conic(points, tol: ToleranceConfig | None = None) -> ConicFit:
 
     x, y = pts.real, pts.imag
     design = np.column_stack([x * x, x * y, y * y, x, y, np.ones_like(x)])
-    _, _, vh = np.linalg.svd(design)
+    _, _, vh = np.linalg.svd(design, full_matrices=False)
     coeff = vh[-1]
     # pin the arbitrary SVD sign: with A + C > 0 the quadratic part of an
     # ellipse is positive definite, so the eigh ordering below is reliable
@@ -508,23 +508,20 @@ def _svg_polyline(pts, color: str, width: float, dashed: bool = False, close: bo
 
 
 def scene_svg(
-    Bhat: BlaschkeProduct,
     curve: EnvelopeCurve,
     fit: ConicFit,
-    tol: ToleranceConfig | None = None,
-    lambda_angles: tuple[float, ...] = (0.4, 2.5, 4.6),
+    level_sets: list[CircleSolutionSet],
 ) -> str:
-    """Standalone SVG: unit circle, sample polygons, envelope, fit overlay."""
-    tol = _tol(tol)
-    n = Bhat.degree
+    """Standalone SVG: unit circle, the skip-m polygons of the given level
+    sets, envelope, fit overlay."""
     hop = curve.skip + 1
-    cycle = n // math.gcd(n, hop)
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.1 -1.1 2.2 2.2">',
         '<circle cx="0" cy="0" r="1" fill="none" stroke="#303030" stroke-width="0.008"/>',
     ]
-    for t in lambda_angles:
-        sol = solve_on_circle(Bhat, cmath.exp(1j * t), tol)
+    for sol in level_sets:
+        n = len(sol)
+        cycle = n // math.gcd(n, hop)
         for offset in range(math.gcd(n, hop)):
             ring = [sol.point(offset + k * hop) for k in range(cycle)]
             parts.append(_svg_polyline(ring, "#4878b0", 0.006))

@@ -2,9 +2,17 @@ import itertools
 
 import pytest
 
+import blaschke.cli as cli
+import blaschke.monodromy as monodromy
 from blaschke import BlaschkeProduct, InputError, compose, normalize
-from blaschke.errors import DegenerateInput, GeometryFailure, NonBijective
+from blaschke.errors import (
+    DegenerateInput,
+    GeometryFailure,
+    NonBijective,
+    VerificationFailure,
+)
 from blaschke.monodromy import (
+    BlockSystem,
     LoopSpec,
     Permutation,
     PermutationGroup,
@@ -151,6 +159,27 @@ def test_four_cycle_has_the_diagonal_system():
 def test_symmetric_group_is_primitive():
     G = PermutationGroup([Permutation((1, 0, 2, 3)), Permutation((1, 2, 3, 0))], 4)
     assert block_systems(G) == ()
+
+
+def test_torn_block_is_a_verification_failure(monkeypatch, capsys):
+    """A partition that a generator tears apart is a failed certificate on a
+    computed result (exit 4), not bad input."""
+
+    def torn(gens, n, a, b):
+        # consecutive pairs along the n-cycle of the first generator g: g maps
+        # {x, g(x)} onto {g(x), g(g(x))}, which straddles two of the pairs
+        cycle = [0]
+        while len(cycle) < n:
+            cycle.append(gens[0].images[cycle[-1]])
+        pairs = (tuple(sorted(cycle[i : i + 2])) for i in range(0, n, 2))
+        return BlockSystem(tuple(sorted(pairs)))
+
+    monkeypatch.setattr(monodromy, "_minimal_system", torn)
+    with pytest.raises(VerificationFailure, match="tore a block apart"):
+        block_systems(PermutationGroup([Permutation((1, 2, 3, 0))], 4))
+    # the monodromy of z^8 is generated by one 8-cycle
+    assert cli.main(["monodromy", "--demo", "power8"]) == 4
+    assert "verification failure: generator tore a block apart" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- wreath audit

@@ -373,7 +373,8 @@ def test_scene_svg_well_formed():
     Bh = B84
     curve = envelope(Bh, 1, 90)
     fit = fit_conic(curve.points)
-    text = scene_svg(Bh, curve, fit)
+    level_sets = [polygon_vertices(Bh, cmath.exp(1j * t)) for t in (0.4, 2.5, 4.6)]
+    text = scene_svg(curve, fit, level_sets)
     root = ET.fromstring(text)
     assert root.tag.endswith("svg")
     body = ET.tostring(root, encoding="unicode")
@@ -385,6 +386,7 @@ def test_scene_svg_marks_point_curve():
     B = BlaschkeProduct(1.0, (0j,) * 8)
     curve = envelope(B, 3, 90)
     fit = fit_conic(curve.points)
-    text = scene_svg(B, curve, fit)
+    level_sets = [polygon_vertices(B, cmath.exp(1j * t)) for t in (0.4, 2.5, 4.6)]
+    text = scene_svg(curve, fit, level_sets)
     assert "point" in text
     ET.fromstring(text)
