@@ -308,9 +308,7 @@ def cmd_curve(obj, cfg: RunConfig) -> int:
         "files": files,
     }
     if fit.classification in ("ellipse", "point"):
-        report["tangency_discrepancy"] = tangency_audit(
-            fit, B, SCENE_LAMBDAS, cfg.skip, tol
-        )
+        report["tangency_discrepancy"] = tangency_audit(fit, level_sets, cfg.skip)
     _emit(report)
     return 0
 

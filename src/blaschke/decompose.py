@@ -12,19 +12,17 @@ Three attack routes, ordered by specificity:
   correction outward at each level so the peeling lemma applies again.
 
 * inner_factor_general: for any divisor k of the degree, a degree-k inner
-  factor D (normalized D(0) = 0, leading constant 1) must identify the orbits
-  of the n/k-th power of the next-preimage map on the circle, and its zero
-  set must sit inside the fiber of B over B(0).  Subsets of that fiber give
-  globally complete candidate starts; two interlaced orbits give 2(k-1)
-  complex conditions on the k-1 free zeros of D, polished by damped
-  Gauss-Newton.  Success is certified by re-expansion; failure is reported
-  with its reason, never guessed.
+  factor D (normalized D(0) = 0, leading constant 1) takes one value on
+  every (n/k)-th point of a level set of B on the circle.  Two interlaced
+  such orbits fix D in closed form: writing D = z P / Q, the monic
+  polynomials vanishing on the orbits differ by a multiple of Q, and P
+  follows, with no candidate search.  Success is certified by
+  re-expansion, and failure is reported with its reason, never guessed.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,8 +38,8 @@ from .core import (
     unit,
     _tol,
 )
-from .circle import invariant_orbit, solve_on_circle
-from .critical import fiber
+from .circle import invariant_orbit
+from .critical import polynomial_roots
 from .errors import DegenerateInput, InputError, SolverFailure
 from .shiftop import RangeVerdict, is_elliptical_range, shift_matrix
 
@@ -256,10 +254,10 @@ def chain_2n(
 class InnerFactorResult:
     """Outcome of the degree-k inner factor search.
 
-    reason is "ok" when found; otherwise "newton-stalled" (no start
-    converged), "verification-failed" (a candidate D identified the orbits
-    but C o D missed B), or "not-found" (structural obstruction, e.g. the
-    collapsed zero multiset had the wrong counts).
+    reason is "ok" when found; otherwise "not-found" (the two orbits fix no
+    inner factor of degree k, or the collapsed zero multiset had the wrong
+    counts) or "verification-failed" (a candidate D was built but C o D
+    missed B on the circle).
     """
 
     found: bool
@@ -288,62 +286,6 @@ def _orbit_pair(
     return orbit0, orbit1
 
 
-def _candidate_inner(b: np.ndarray) -> BlaschkeProduct:
-    return BlaschkeProduct(1.0, (0j, *(complex(v) for v in b)))
-
-
-def _orbit_residual(
-    b: np.ndarray, orbits: tuple[tuple[complex, ...], ...], tol: ToleranceConfig
-) -> np.ndarray:
-    D = _candidate_inner(b)
-    res = []
-    for orbit in orbits:
-        base = D.evaluate(orbit[0], tol)
-        for w in orbit[1:]:
-            res.append(D.evaluate(w, tol) - base)
-    return np.array(res, dtype=complex)
-
-
-def _gauss_newton_inner(
-    orbits, k: int, start: np.ndarray, tol: ToleranceConfig
-) -> np.ndarray | None:
-    """Damped Gauss-Newton for the k-1 free zeros of D; None on stall."""
-    b = start.astype(complex)
-    r = _orbit_residual(b, orbits, tol)
-    cost = float(np.linalg.norm(r))
-    h = 1e-7
-    for _ in range(200):
-        if cost <= 1e-12:
-            return b
-        m = len(b)
-        J = np.zeros((len(r), 2 * m), dtype=complex)
-        for i in range(m):
-            for part, delta in ((0, h), (1, 1j * h)):
-                bp = b.copy()
-                bp[i] += delta
-                J[:, 2 * i + part] = (_orbit_residual(bp, orbits, tol) - r) / h
-        Jr = np.vstack([J.real, J.imag])
-        rr = np.concatenate([r.real, r.imag])
-        step, *_ = np.linalg.lstsq(Jr, -rr, rcond=None)
-        move = step[0::2] + 1j * step[1::2]
-        scale = 1.0
-        for _damp in range(12):
-            trial = b + scale * move
-            over = np.abs(trial) > 0.98
-            trial[over] = 0.98 * trial[over] / np.abs(trial[over])
-            r_trial = _orbit_residual(trial, orbits, tol)
-            cost_trial = float(np.linalg.norm(r_trial))
-            if cost_trial < cost:
-                b, r, cost = trial, r_trial, cost_trial
-                break
-            scale *= 0.5
-        else:
-            return b if cost <= 1e-12 else None
-        if float(np.linalg.norm(scale * move)) < 1e-14:
-            return b if cost <= 1e-12 else None
-    return b if cost <= 1e-12 else None
-
-
 def _collapse_zeros(
     B: BlaschkeProduct, D: BlaschkeProduct, k: int, tol: ToleranceConfig
 ) -> tuple[complex, ...] | None:
@@ -366,39 +308,47 @@ def _collapse_zeros(
     return tuple(sorted(out, key=lambda z: (z.real, z.imag)))
 
 
-def _zero_fiber_starts(
-    B: BlaschkeProduct, k: int, tol: ToleranceConfig
-) -> list[np.ndarray]:
-    """Candidate zero sets for the inner factor, from the fiber over B(0).
+def _newton_step(b: complex, c0: complex, c1: complex, a0, a1) -> complex:
+    """One Newton step on c1 R_0 - c0 R_1 evaluated as products over the
+    orbits, which sidesteps the cancellation among its coefficients."""
+    d0, d1 = b - a0, b - a1
+    t0, t1 = c1 * np.prod(d0), c0 * np.prod(d1)
+    return complex(b - (t0 - t1) / (t0 * np.sum(1.0 / d0) - t1 * np.sum(1.0 / d1)))
 
-    D(0) = 0 makes the zero set of D exactly the D-fiber of the origin, and
-    B is constant on that fiber, so the zeros of D sit among the n solutions
-    of B(z) = B(0), one of which is 0 itself.  Enumerating the (k-1)-subsets
-    of the remaining solutions turns the search global: the true zero set is
-    always in the list, up to root-finding noise.
+
+def _inner_from_orbits(
+    orbits: tuple[tuple[complex, ...], tuple[complex, ...]],
+    k: int,
+    tol: ToleranceConfig,
+) -> BlaschkeProduct | None:
+    """The degree-k D with D(0) = 0 and leading constant 1 that is constant
+    on each of the two orbits, read off their vanishing polynomials.
+
+    Write D = z P / Q with P monic of degree k-1 and Q = prod (1 - conj(b) z).
+    D = c on the k points of an orbit makes z P - c Q the monic polynomial
+    R_c vanishing there, so Q = (R_0 - R_1) / (c_1 - c_0) with c = -R_c(0),
+    and z P = R_0 + c_0 Q.  Simple roots of P get one Newton step in product
+    form.  None when the two values coincide, the roots of P are refused, or
+    they are not k-1 points inside the disk.
     """
+    a0, a1 = (np.array(orbit) for orbit in orbits)
+    r0, r1 = np.poly(a0)[::-1], np.poly(a1)[::-1]
+    c0, c1 = -r0[0], -r1[0]
+    if abs(c1 - c0) <= tol.cluster_tol:
+        return None
+    q = (r0 - r1) / (c1 - c0)
     try:
-        zero_fiber = fiber(B, B.evaluate(0.0, tol), tol)
+        roots = polynomial_roots((r0 + c0 * q)[1:], tol)
     except SolverFailure:
-        return []
-    if len(zero_fiber) != B.degree:
-        return []
-    i0 = min(range(len(zero_fiber)), key=lambda i: abs(zero_fiber[i]))
-    if abs(zero_fiber[i0]) > 1e-6:
-        return []
-    rest = [z for i, z in enumerate(zero_fiber) if i != i0]
-    seen: set[tuple[tuple[float, float], ...]] = set()
-    out: list[np.ndarray] = []
-    for combo in itertools.combinations(rest, k - 1):
-        if any(abs(z) >= 1.0 for z in combo):
-            continue
-        ordered = sorted(combo, key=lambda z: (z.real, z.imag))
-        key = tuple((round(z.real, 9), round(z.imag, 9)) for z in ordered)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(np.array(ordered, dtype=complex))
-    return out
+        return None
+    zeros = [
+        _newton_step(b, c0, c1, a0, a1) if m == 1 else b
+        for b, m in roots
+        for _ in range(m)
+    ]
+    if len(zeros) != k - 1 or not all(abs(b) < 1.0 for b in zeros):
+        return None
+    return BlaschkeProduct(1.0, (0j, *zeros))
 
 
 def inner_factor_general(
@@ -407,11 +357,9 @@ def inner_factor_general(
     """Search for B = C o D with deg D = k, for a proper divisor k of deg B.
 
     D is normalized to D(0) = 0 with leading constant 1; the rotation freedom
-    this leaves is absorbed by C.  The search asks for D constant on two
-    interlaced orbits of the (n/k)-th power of the next-preimage map.
-    Candidate zero sets come from the fiber of B over B(0), which must
-    contain the zero set of D; each candidate is polished by damped
-    Gauss-Newton on the orbit residual, then C is reconstructed from the
+    this leaves is absorbed by C.  If B = C o D, then D is constant on every
+    (n/k)-th point of a level set of B on the circle, and two such orbits
+    determine D (see _inner_from_orbits).  C is then reconstructed from the
     collapsed zero multiset and the pair is verified on the circle.  A
     negative answer carries its reason; the theory certifies existence for
     genuine factors but gives no numerical certificate of absence.
@@ -420,51 +368,16 @@ def inner_factor_general(
     n = B.degree
     if not (1 < k < n) or n % k != 0:
         raise InputError(f"k must be a proper divisor of {n}, got {k}")
-    hop = n // k
 
-    orbits = _orbit_pair(B, hop, k, tol)
-    candidates = _zero_fiber_starts(B, k, tol)
-    candidates.sort(
-        key=lambda b: float(np.linalg.norm(_orbit_residual(b, orbits, tol)))
-    )
-    starts: list[np.ndarray] = candidates[:24]
-    # deterministic fallbacks, for fibers too noisy to enumerate
-    starts.append(np.zeros(k - 1, dtype=complex))
-    for s in range(7):
-        radius = 0.25 + 0.08 * (s % 3)
-        phase = 2.0 * math.pi * (0.137 + 0.41 * s)
-        starts.append(
-            radius
-            * np.exp(
-                1j * (phase + 2.0 * math.pi * np.arange(k - 1) / max(k - 1, 1))
-            )
-        )
-
-    stalled = True
-    last_reason = "newton-stalled"
-    best_error = math.inf
-    for start in starts:
-        b = _gauss_newton_inner(orbits, k, start, tol)
-        if b is None:
-            continue
-        stalled = False
-        D = _candidate_inner(b)
-        outer_zeros = _collapse_zeros(B, D, k, tol)
-        if outer_zeros is None:
-            last_reason = "not-found"
-            continue
-        C = _pin_outer(B, outer_zeros, D, 0.37, tol)
-        if C is None:
-            last_reason = "verification-failed"
-            continue
-        err = _chain_error(CompositionChain((C, D)), B, tol)
-        if err <= 1e-8:
-            return InnerFactorResult(True, C, D, "ok", err)
-        last_reason = "verification-failed"
-        best_error = min(best_error, err)
-
-    reason = "newton-stalled" if stalled else last_reason
-    return InnerFactorResult(False, None, None, reason, best_error)
+    D = _inner_from_orbits(_orbit_pair(B, n // k, k, tol), k, tol)
+    outer_zeros = None if D is None else _collapse_zeros(B, D, k, tol)
+    if outer_zeros is None:
+        return InnerFactorResult(False, None, None, "not-found", math.inf)
+    C = _pin_outer(B, outer_zeros, D, 0.37, tol)
+    err = math.inf if C is None else _chain_error(CompositionChain((C, D)), B, tol)
+    if err <= 1e-8:
+        return InnerFactorResult(True, C, D, "ok", err)
+    return InnerFactorResult(False, None, None, "verification-failed", err)
 
 
 @dataclass(frozen=True)

@@ -307,25 +307,21 @@ def fit_conic(points, tol: ToleranceConfig | None = None) -> ConicFit:
 
 def tangency_audit(
     fit: ConicFit,
-    Bhat: BlaschkeProduct,
-    lambdas,
+    level_sets: list[CircleSolutionSet],
     skip: int = 0,
-    tol: ToleranceConfig | None = None,
 ) -> float:
     """Worst gap between the fitted curve and the polygon chords.
 
     A curve genuinely inscribed in the level-set polygons has every chord as
     a supporting line: the support value in the outward normal direction of
     each chord must equal the chord's offset.  Returns the max discrepancy
-    over all chords of all supplied level values.
+    over all chords of the given solved level sets.
     """
-    tol = _tol(tol)
     if fit.classification not in ("ellipse", "point"):
         raise InputError("tangency audit requires an ellipse or point fit")
     worst = 0.0
     hop = skip + 1
-    for lam in lambdas:
-        sol = solve_on_circle(Bhat, lam, tol)
+    for sol in level_sets:
         n = len(sol)
         centroid = sum(sol.points) / n
         for j in range(n):
@@ -362,11 +358,10 @@ def closure_order(
     Bhat: BlaschkeProduct,
     skip: int,
     tol: ToleranceConfig | None = None,
-    start: complex = 1.0 + 0j,
 ) -> int:
     """Steps of the tangent-chord construction until the polygon closes.
 
-    From a starting circle point, hop to the far endpoint of the skip-m chord
+    From the circle point 1, hop to the far endpoint of the skip-m chord
     (skip+1 solutions ahead on the same level set) until landing back within
     1e-8 of the start.  All hops stay on one level set, so it is solved and
     verified once (residual, n strictly increasing angles, the start located
@@ -375,8 +370,7 @@ def closure_order(
     property, not an assumption.  VerificationFailure if it never closes.
     """
     tol = _tol(tol)
-    start = complex(cmath.exp(0.3j) if start is None else start)
-    orbit = invariant_orbit(Bhat, start, Bhat.degree + 1, tol)
+    orbit = invariant_orbit(Bhat, 1.0 + 0j, Bhat.degree + 1, tol)
     return _hops_to_close(orbit, skip)
 
 

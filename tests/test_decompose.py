@@ -9,13 +9,16 @@ from blaschke import (
     DegenerateInput,
     InputError,
     compose,
+    normalize,
 )
+from blaschke.cli import demo_corpus
 from blaschke.decompose import (
     chain_2n,
     elliptical_implies_decomposable_check,
     inner_degree2,
     inner_factor_general,
 )
+from blaschke.monodromy import block_systems, monodromy_group
 
 from conftest import TAU, circle_grid, random_product, rng_for
 
@@ -169,6 +172,64 @@ def test_nonexample_power_inners():
         res = inner_factor_general(B84, k)
         assert res.found
         assert _sup(B84, compose(res.outer, res.inner)) < 1e-8
+
+
+def _tower(rng, levels):
+    # outermost first; each level is gamma * z (z - a) / (1 - conj(a) z)
+    factors = []
+    for _ in range(levels):
+        a = rng.uniform(0.25, 0.55) * cmath.exp(1j * rng.uniform(0, TAU))
+        gamma = cmath.exp(1j * rng.uniform(0, TAU))
+        factors.append(BlaschkeProduct(gamma, (0j, a)))
+    return CompositionChain(tuple(factors)).expand()
+
+
+def test_inner_factor_degree_32_towers_and_refusals():
+    for seed in (931, 932, 935):
+        B = _tower(rng_for(seed), 5)
+        for k in (2, 4, 8, 16):
+            res = inner_factor_general(B, k)
+            assert res.found, (seed, k, res.reason)
+            assert res.inner.degree == k and res.outer.degree == 32 // k
+            assert _sup(B, compose(res.outer, res.inner)) < 1e-8
+    # random products are almost surely indecomposable
+    for degree, seed in ((8, 941), (8, 942), (12, 943), (12, 944)):
+        B = random_product(rng_for(seed), degree)
+        for k in range(2, degree):
+            if degree % k == 0:
+                res = inner_factor_general(B, k)
+                assert not res.found, (degree, seed, k)
+                assert res.reason in ("not-found", "verification-failed")
+
+
+def test_each_inner_factor_is_its_block_system():
+    # the paper's link: the D-fibers of the zero labels are the blocks of
+    # the one size-k system of the monodromy group
+    demos = demo_corpus()
+    products = [demos["chain3"].expand(), demos["elliptical8"], demos["deg6elliptic"]]
+    products += [_tower(rng_for(seed), 3) for seed in (951, 952, 953)]
+    products += [_tower(rng_for(seed), 4) for seed in (961, 962, 963)]
+    for P in products:
+        N = normalize(P).product
+        mono = monodromy_group(N)
+        systems = block_systems(mono.group)
+        found = set()
+        for k in range(2, N.degree):
+            if N.degree % k != 0:
+                continue
+            res = inner_factor_general(N, k)
+            if not res.found:
+                continue
+            found.add(k)
+            classes: dict[complex, list[int]] = {}
+            for i, z in enumerate(mono.labels):
+                v = res.inner(z)
+                key = next((c for c in classes if abs(c - v) <= 1e-6), v)
+                classes.setdefault(key, []).append(i)
+            blocks = tuple(sorted(tuple(b) for b in classes.values()))
+            (system,) = [s for s in systems if s.block_size == k]
+            assert blocks == system.blocks
+        assert found and found == {s.block_size for s in systems}
 
 
 # ------------------------------------------------- ellipse versus decomposing

@@ -307,7 +307,7 @@ def test_tangency_audit_degree_three():
     curve = envelope(B, 0, 240)
     fit = fit_conic(curve.points)
     lams = [cmath.exp(1j * t) for t in (0.3, 1.7, 4.1)]
-    assert tangency_audit(fit, B, lams) < 1e-8
+    assert tangency_audit(fit, [polygon_vertices(B, lam) for lam in lams]) < 1e-8
 
 
 def test_tangency_audit_degree_two_point():
@@ -318,7 +318,7 @@ def test_tangency_audit_degree_two_point():
     curve = envelope(B, 0, 240)
     fit = fit_conic(curve.points)
     lams = [cmath.exp(1j * t) for t in (0.3, 1.7, 4.1)]
-    assert tangency_audit(fit, B, lams) < 1e-9
+    assert tangency_audit(fit, [polygon_vertices(B, lam) for lam in lams]) < 1e-9
 
 
 def test_foci_vs_zeros_degree_three():
