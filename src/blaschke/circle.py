@@ -8,6 +8,16 @@ once per product on a grid fine enough that consecutive samples differ by at
 most 0.5 radians.  That bound makes the unwrap provably correct and gives
 every solver below a guaranteed bracket.
 
+solve_levels solves any number of level sets at once: it brackets all
+n * len(lams) roots on that grid and runs one safeguarded Newton iteration
+over all of them as numpy arrays.  Each pass evaluates B and the rate
+psi'(t) = sum_j (1 - |a_j|^2) / |e^{it} - a_j|^2 (a Poisson sum, positive for
+every product) with one broadcast over the zeros.  A root stops when its
+offset from arg(lambda) is below 1e-14, or when its Newton correction or its
+bracket is within a few ulps of t.  Past t = 0.5 one ulp of t is already
+wider than 1e-16, so an absolute bracket test of that size can never fire
+there; an ulp-relative rule can.
+
 The next-preimage map g (send a circle point to the next solution of the same
 level set, counterclockwise) generates the full set of continuous circle maps
 commuting with B in the sense B o u = B, a cyclic group of order n.  Orbits
@@ -39,6 +49,7 @@ __all__ = [
     "lifted_argument",
     "argument_derivative",
     "CircleSolutionSet",
+    "solve_levels",
     "solve_on_circle",
     "next_preimage",
     "invariant_orbit",
@@ -94,13 +105,31 @@ def lifted_argument(
     return float(psi[i]) + increment + TAU * B.degree * turns
 
 
+def _circle_terms(
+    B: BlaschkeProduct, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """B(z) and psi' at circle points z, each from one broadcast over the zeros.
+
+    Every factor is renormalized to unit modulus, as BlaschkeProduct.evaluate
+    does on the circle.  psi' is the Poisson sum: on |z| = 1 the factor
+    (z - a)/(1 - conj(a) z) turns at rate (1 - |a|^2)/|z - a|^2.
+    """
+    a = np.asarray(B.zeros)
+    gap = z[..., None] - a
+    factors = gap / (1.0 - a.conj() * z[..., None])
+    factors /= np.abs(factors)
+    rate = np.sum((1.0 - np.abs(a) ** 2) / (gap.real**2 + gap.imag**2), axis=-1)
+    return B.gamma * np.prod(factors, axis=-1), rate
+
+
 def argument_derivative(
-    B: BlaschkeProduct, t: float, tol: ToleranceConfig | None = None
-) -> float:
-    """psi'(t) = Re(z B'(z)/B(z)) at z = e^{it}; positive for every product."""
-    tol = _tol(tol)
-    z = cmath.exp(1j * float(t))
-    return (z * B.derivative(z, tol) / B.evaluate(z, tol)).real
+    B: BlaschkeProduct, t, tol: ToleranceConfig | None = None
+):
+    """psi'(t) = sum_j (1 - |a_j|^2)/|e^{it} - a_j|^2; positive for every
+    product.  t may be a float or an array of angles; tol is not needed on
+    the circle and is accepted for signature compatibility."""
+    rate = _circle_terms(B, np.exp(1j * np.asarray(t, dtype=float)))[1]
+    return float(rate) if rate.ndim == 0 else rate
 
 
 @dataclass(frozen=True)
@@ -126,74 +155,101 @@ class CircleSolutionSet:
         return self.angles[k % n] + TAU * (k // n)
 
 
+# a root whose Newton correction or bracket is within this many ulps of t
+# is solved
+_ULPS = 4.0
+
+
+def solve_levels(
+    B: BlaschkeProduct, lams, tol: ToleranceConfig | None = None
+) -> list[CircleSolutionSet]:
+    """The circle solutions of B(z) = lam for every unimodular lam in lams.
+
+    Brackets each of the n * len(lams) roots psi(t) = arg(lam) + 2 pi k on
+    the grid and runs Newton with a bisection safeguard on all of them at
+    once.  The bracket is never abandoned, so convergence is unconditional.
+    A root stops when |psi(t) - arg(lam)| < 1e-14 (mod 2 pi), when its Newton
+    correction or its bracket is within a few ulps of t, or after 80 passes.
+    Each level set is then certified on its own: residual |B(z) - lam| at
+    most 1e-10 and n strictly increasing angles, or SolverFailure, which can
+    only mean the grid or tolerances are misconfigured.
+    """
+    tol = _tol(tol)
+    targets = []
+    for value in lams:
+        value = complex(value)
+        if abs(abs(value) - 1.0) > 1e-9:
+            raise InputError(
+                f"target must lie on the unit circle, got |lam|={abs(value)!r}"
+            )
+        targets.append(unit(value))
+    lam = np.array(targets, dtype=complex)
+    n = B.degree
+
+    ts, _, psi = _lift_grid(B, tol)
+    psi0 = float(psi[0])
+    first = psi0 + (np.angle(lam) - psi0) % TAU
+    level = (first[:, None] + TAU * np.arange(n)).ravel()
+    idx = np.clip(np.searchsorted(psi, level), 1, len(ts) - 1)
+    lo, hi = ts[idx - 1], ts[idx]
+    # psi is strictly increasing on the grid, so the secant is well defined
+    flo, fhi = psi[idx - 1] - level, psi[idx] - level
+    t = np.clip(lo + (hi - lo) * (-flo) / (fhi - flo), lo, hi)
+
+    # f = arg(B(z) conj(lam)) is the offset psi(t) - arg(lam), wrapped
+    rotate = np.repeat(lam.conj(), n)
+    live = np.arange(len(t))
+    for _ in range(80):
+        tl = t[live]
+        w, rate = _circle_terms(B, np.exp(1j * tl))
+        f = np.angle(w * rotate[live])
+        below = f < 0.0
+        lo_l = np.where(below, tl, lo[live])
+        hi_l = np.where(below, hi[live], tl)
+        step = f / rate
+        newton = tl - step
+        ulps = _ULPS * np.spacing(tl)
+        done = np.abs(f) < 1e-14
+        settled = np.abs(step) <= ulps
+        inside = (lo_l < newton) & (newton < hi_l)
+        t[live] = np.where(
+            done, tl, np.where(inside | settled, newton, 0.5 * (lo_l + hi_l))
+        )
+        lo[live], hi[live] = lo_l, hi_l
+        live = live[~(done | settled | (hi_l - lo_l <= ulps))]
+        if not live.size:
+            break
+
+    angles = np.sort((t % TAU).reshape(len(lam), n), axis=1)
+    points = np.exp(1j * angles)
+    residual = np.abs(_circle_terms(B, points)[0] - lam[:, None]).max(axis=1)
+    ordered = np.all(np.diff(angles, axis=1) > 0.0, axis=1)
+    for worst, increasing in zip(residual, ordered):
+        if worst > 1e-10:
+            raise SolverFailure(f"circle solve residual {worst:.3e} exceeds 1e-10")
+        if not increasing:
+            raise SolverFailure("coincident circle solutions; level set degenerate")
+    return [
+        CircleSolutionSet(target, tuple(row_angles), tuple(row_points))
+        for target, row_angles, row_points in zip(
+            targets, angles.tolist(), points.tolist()
+        )
+    ]
+
+
 def solve_on_circle(
     B: BlaschkeProduct, lam: complex, tol: ToleranceConfig | None = None
 ) -> CircleSolutionSet:
     """All circle solutions of B(z) = lam for unimodular lam.
 
-    Brackets psi(t) = arg(lam) + 2 pi k on the grid, then runs Newton with a
-    bisection safeguard inside each bracket.  The bracket is never abandoned,
-    so convergence is unconditional; SolverFailure can only mean the grid or
-    tolerances are misconfigured.
+    The one-row case of solve_levels: the n roots are bracketed on the lift
+    grid and solved together by one array Newton iteration with a bisection
+    safeguard.  A root stops when its offset from arg(lam) is below 1e-14 or
+    its Newton correction or bracket is within a few ulps of t, so no root
+    runs to the 80-pass cap; the residual (at most 1e-10) and the strictly
+    increasing angles are checked before returning.
     """
-    tol = _tol(tol)
-    lam = complex(lam)
-    if abs(abs(lam) - 1.0) > 1e-9:
-        raise InputError(f"target must lie on the unit circle, got |lam|={abs(lam)!r}")
-    lam = unit(lam)
-    arg_lam = cmath.phase(lam)
-
-    ts, _, psi = _lift_grid(B, tol)
-    n = B.degree
-    psi0 = float(psi[0])
-    first = psi0 + (arg_lam - psi0) % TAU
-
-    def wrapped_offset(t: float) -> float:
-        w = B.evaluate(cmath.exp(1j * t), tol)
-        return math.remainder(cmath.phase(w) - arg_lam, TAU)
-
-    angles = []
-    for k in range(n):
-        target = first + TAU * k
-        idx = int(np.searchsorted(psi, target))
-        if idx <= 0:
-            lo, hi = float(ts[0]), float(ts[1])
-        else:
-            idx = min(idx, len(ts) - 1)
-            lo, hi = float(ts[idx - 1]), float(ts[idx])
-        flo = float(psi[max(idx - 1, 0)]) - target
-        fhi = float(psi[min(idx, len(ts) - 1)]) - target
-        if fhi > flo:
-            t = lo + (hi - lo) * (-flo) / (fhi - flo)
-        else:
-            t = 0.5 * (lo + hi)
-        t = min(max(t, lo), hi)
-        for _ in range(80):
-            f = wrapped_offset(t)
-            if abs(f) < 1e-14:
-                break
-            if f < 0.0:
-                lo = t
-            else:
-                hi = t
-            rate = argument_derivative(B, t, tol)
-            step_to = t - f / rate if rate > 0.0 else 0.5 * (lo + hi)
-            t = step_to if lo < step_to < hi else 0.5 * (lo + hi)
-            if hi - lo < 1e-16:
-                break
-        angles.append(t % TAU)
-
-    points = tuple(cmath.exp(1j * t) for t in angles)
-    worst = max(abs(B.evaluate(p, tol) - lam) for p in points)
-    if worst > 1e-10:
-        raise SolverFailure(f"circle solve residual {worst:.3e} exceeds 1e-10")
-    order = sorted(range(n), key=angles.__getitem__)
-    angles = tuple(angles[i] for i in order)
-    points = tuple(points[i] for i in order)
-    for i in range(1, n):
-        if angles[i] <= angles[i - 1]:
-            raise SolverFailure("coincident circle solutions; level set degenerate")
-    return CircleSolutionSet(lam, angles, points)
+    return solve_levels(B, [lam], tol)[0]
 
 
 def _locate(sol: CircleSolutionSet, z: complex) -> int:

@@ -393,28 +393,39 @@ class CriticalData:
     points_in_disk: the n-1 critical points, repeated with multiplicity.
     values: B at each point (same order and length as points_in_disk).
     distinct_values: clustered representatives with total multiplicities.
+    cluster_index: for each entry of values, the index in distinct_values of
+    the cluster that holds it.
     """
 
     points_in_disk: tuple[complex, ...]
     values: tuple[complex, ...]
     distinct_values: tuple[tuple[complex, int], ...]
+    cluster_index: tuple[int, ...]
 
 
 def _cluster_values(
     values: list[complex], tol_gap: float
-) -> list[tuple[complex, int]]:
-    """Single-linkage clustering; returns (mean, count) per cluster."""
+) -> tuple[list[tuple[complex, int]], list[int]]:
+    """Single-linkage clustering; returns (mean, count) per cluster, sorted
+    by mean, and the index of each value's cluster in that list."""
     sets = _DisjointSets(len(values))
     for i in range(len(values)):
         for j in range(i):
             if abs(values[i] - values[j]) <= tol_gap:
                 sets.union(j, i)
-    clusters: dict[int, list[complex]] = {}
-    for i, v in enumerate(values):
-        clusters.setdefault(sets.find(i), []).append(v)
-    out = [(sum(cl) / len(cl), len(cl)) for cl in clusters.values()]
-    out.sort(key=lambda vm: (vm[0].real, vm[0].imag))
-    return out
+    clusters: dict[int, list[int]] = {}
+    for i in range(len(values)):
+        clusters.setdefault(sets.find(i), []).append(i)
+    groups = [
+        (sum(values[i] for i in members) / len(members), members)
+        for members in clusters.values()
+    ]
+    groups.sort(key=lambda gm: (gm[0].real, gm[0].imag))
+    index = [0] * len(values)
+    for k, (_, members) in enumerate(groups):
+        for i in members:
+            index[i] = k
+    return [(mean, len(members)) for mean, members in groups], index
 
 
 def critical_data(
@@ -445,8 +456,8 @@ def critical_data(
         v = B.evaluate(r, tol)
         points.extend([r] * m)
         values.extend([v] * m)
-    distinct = _cluster_values(values, tol.cluster_tol)
-    return CriticalData(tuple(points), tuple(values), tuple(distinct))
+    distinct, index = _cluster_values(values, tol.cluster_tol)
+    return CriticalData(tuple(points), tuple(values), tuple(distinct), tuple(index))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 
@@ -31,7 +32,7 @@ from .core import (
     _DisjointSets,
     _tol,
 )
-from .critical import critical_data
+from .critical import CriticalData, critical_data
 from .errors import (
     DegenerateInput,
     GeometryFailure,
@@ -369,6 +370,18 @@ class MonodromyResult:
     group: PermutationGroup
 
 
+def _ramification_type(cd: CriticalData, k: int, n: int) -> tuple[int, ...]:
+    """The cycle type Riemann-Hurwitz forces on the loop around the k-th
+    distinct critical value: one (m+1)-cycle per distinct critical point of
+    multiplicity m in that value's cluster, fixed points for the rest of the
+    fiber.  Lengths summing past n mean no loop can match."""
+    multiplicity = Counter(
+        p for p, c in zip(cd.points_in_disk, cd.cluster_index) if c == k
+    )
+    cycles = sorted((m + 1 for m in multiplicity.values()), reverse=True)
+    return tuple(cycles + [1] * (n - sum(cycles)))
+
+
 def monodromy_group(
     B: BlaschkeProduct,
     tol: ToleranceConfig | None = None,
@@ -379,7 +392,10 @@ def monodromy_group(
     Requires a product whose fiber over 0 is the zero set with all zeros
     simple (0 a regular value); normalize first otherwise.  Branch labels are
     the zeros sorted by (argument, modulus); one generator per distinct
-    critical value, values in (real, imag) order.
+    critical value, values in (real, imag) order.  Each generator must have
+    the cycle type Riemann-Hurwitz gives for the critical points clustered
+    at its value, or VerificationFailure: a loop that encloses several
+    values merged by the clustering fails this check.
     """
     tol = _tol(tol)
     n = B.degree
@@ -419,7 +435,15 @@ def monodromy_group(
             images.append(j)
         if sorted(images) != list(range(n)):
             raise NonBijective(f"loop around {loop.target:.6f} did not permute")
-        generators.append(Permutation(tuple(images)))
+        generator = Permutation(tuple(images))
+        expected = _ramification_type(cd, len(generators), n)
+        if generator.cycle_type() != expected:
+            raise VerificationFailure(
+                f"Riemann-Hurwitz: the loop around critical value "
+                f"{loop.target:.6e} gives cycle type {generator.cycle_type()}, "
+                f"but its critical points give {expected}"
+            )
+        generators.append(generator)
 
     return MonodromyResult(
         labels, loops, tuple(generators), PermutationGroup(generators, n)

@@ -7,10 +7,11 @@ around the circle, a closed convex curve: the envelope K_{m+1}.  The family
 K_1 .. K_{floor(n/2)} is the curve package of Bhat.
 
 Envelope points come from the analytic tangency condition, not finite
-differences.  Differentiating Bhat(z(t)) = e^{it} gives the vertex velocity
-z'(t) = i e^{it} / Bhat'(z), and the tangency point of the moving chord
-p(t) + s (q(t) - p(t)) is the s where the point velocity stays parallel to
-the chord:
+differences.  A vertex z(t) = e^{i theta(t)} of the level set Bhat = e^{it}
+moves with psi(theta) = t, psi the lifted argument of Bhat on the circle, so
+its velocity is z'(t) = i z / psi'(theta) (equal to i e^{it} / Bhat'(z)), and
+the tangency point of the moving chord p(t) + s (q(t) - p(t)) is the s where
+the point velocity stays parallel to the chord:
 
     s = - cross(p', q - p) / cross(q' - p', q - p),   cross(u, v) = Im(conj(u) v).
 
@@ -35,7 +36,13 @@ from .core import (
     unit,
     _tol,
 )
-from .circle import CircleSolutionSet, invariant_orbit, solve_on_circle
+from .circle import (
+    CircleSolutionSet,
+    argument_derivative,
+    invariant_orbit,
+    solve_levels,
+    solve_on_circle,
+)
 from .errors import (
     DegenerateEnvelope,
     InputError,
@@ -94,64 +101,64 @@ class EnvelopeCurve:
         )
 
 
-class _LevelSet(NamedTuple):
-    """One row of the envelope table: the level set Bhat = e^{it} and the
-    velocity z'(t) = i e^{it} / Bhat'(z) of each of its vertices, in order."""
+class _LevelTable(NamedTuple):
+    """The envelope table shared by every chord family: the level sets
+    Bhat = e^{it} at the angles t, with vertex j of the q-th level set at
+    points[j, q] (each column sorted by angle) and its velocity
+    z'(t) = i z / psi'(arg z) at velocity[j, q]."""
 
-    t: float
-    sol: CircleSolutionSet
-    velocity: tuple[complex, ...]
-
-
-def _tangency(level: _LevelSet, j: int, hop: int) -> EnvelopeSample:
-    sol, t = level.sol, level.t
-    n = len(sol)
-    p = sol.point(j)
-    q = sol.point(j + hop)
-    dp = level.velocity[j % n]
-    dq = level.velocity[(j + hop) % n]
-    chord = q - p
-
-    def cross(u: complex, v: complex) -> float:
-        return (u.conjugate() * v).imag
-
-    den = cross(dq - dp, chord)
-    scale = (abs(dp) + abs(dq)) * abs(chord)
-    if abs(den) <= 1e-12 * scale or scale == 0.0:
-        raise DegenerateEnvelope(
-            f"stationary chord at angle {t:.6f} (skip {hop - 1})"
-        )
-    s = -cross(dp, chord) / den
-    e = p + s * chord
-    if abs(e) > 1.0 + 1e-6:
-        raise VerificationFailure(
-            f"envelope point left the disk: |e| = {abs(e):.6f}"
-        )
-    return EnvelopeSample(t, e, (p, q))
+    t: np.ndarray
+    points: np.ndarray
+    velocity: np.ndarray
 
 
 def _level_sets(
     Bhat: BlaschkeProduct, count: int, tol: ToleranceConfig
-) -> list[_LevelSet]:
-    """The table shared by every chord family: count level sets at evenly
-    spaced angles, each vertex velocity computed once."""
-    table = []
-    for q in range(count):
-        t = TAU * q / count
-        lam = cmath.exp(1j * t)
-        sol = solve_on_circle(Bhat, lam, tol)
-        velocity = tuple(1j * lam / Bhat.derivative(z, tol) for z in sol.points)
-        table.append(_LevelSet(t, sol, velocity))
-    return table
+) -> _LevelTable:
+    """count level sets at evenly spaced angles, solved in one batch, each
+    vertex velocity computed once."""
+    t = TAU * np.arange(count) / count
+    sols = solve_levels(Bhat, np.exp(1j * t), tol)
+    angles = np.array([sol.angles for sol in sols]).T
+    points = np.array([sol.points for sol in sols]).T
+    velocity = 1j * points / argument_derivative(Bhat, angles)
+    return _LevelTable(t, points, velocity)
 
 
-def _envelope_from_table(skip: int, table: list[_LevelSet]) -> EnvelopeCurve:
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (u.conj() * v).imag
+
+
+def _envelope_from_table(skip: int, table: _LevelTable) -> EnvelopeCurve:
+    """Every tangency point of the skip-m chords, vertex-major: all level
+    sets for vertex 0, then vertex 1, and so on.  The first sample (in that
+    order) with a stationary chord or a point outside the disk raises."""
     hop = skip + 1
-    samples = [
-        _tangency(level, j, hop)
-        for j in range(len(table[0].sol))
-        for level in table
-    ]
+    p, dp = table.points, table.velocity
+    q, dq = np.roll(p, -hop, axis=0), np.roll(dp, -hop, axis=0)
+    chord = q - p
+    den = _cross(dq - dp, chord)
+    scale = (np.abs(dp) + np.abs(dq)) * np.abs(chord)
+    stationary = (np.abs(den) <= 1e-12 * scale) | (scale == 0.0)
+    e = p - _cross(dp, chord) / np.where(stationary, 1.0, den) * chord
+    outside = np.abs(e) > 1.0 + 1e-6
+    bad = np.flatnonzero(stationary | outside)
+    if bad.size:
+        j, k = np.unravel_index(bad[0], p.shape)
+        if stationary[j, k]:
+            raise DegenerateEnvelope(
+                f"stationary chord at angle {table.t[k]:.6f} (skip {skip})"
+            )
+        raise VerificationFailure(
+            f"envelope point left the disk: |e| = {abs(e[j, k]):.6f}"
+        )
+    angle = np.broadcast_to(table.t, p.shape).ravel().tolist()
+    samples = map(
+        EnvelopeSample,
+        angle,
+        e.ravel().tolist(),
+        zip(p.ravel().tolist(), q.ravel().tolist()),
+    )
     return EnvelopeCurve(skip, tuple(samples))
 
 
@@ -164,8 +171,8 @@ def envelope(
     """Envelope of the chords connecting vertex j to vertex j + skip + 1.
 
     samples is the total point budget for the closed curve; the same level
-    sets serve all n chord families, so only ceil(samples/n) circle solves
-    are performed, and each vertex velocity is computed once.
+    sets serve all n chord families, so only max(2, ceil(samples/n)) level
+    sets are solved, in one batch, and each vertex velocity is computed once.
     """
     tol = _tol(tol)
     n = Bhat.degree
@@ -412,9 +419,10 @@ def package(
 ) -> PonceletPackage:
     """Compute, fit, and order-test every curve of the package.
 
-    One level-set table (with its vertex velocities) serves every skip, and
-    one verified level set through 1 serves every closure order, as in
-    closure_order: max(2, ceil(samples/n)) + 1 circle solves in all.
+    One level-set table (with its vertex velocities), solved in one batch,
+    serves every skip, and one verified level set through 1 serves every
+    closure order, as in closure_order: max(2, ceil(samples/n)) + 1 level
+    sets in all.
     """
     tol = _tol(tol)
     n = Bhat.degree

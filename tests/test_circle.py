@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from blaschke import BlaschkeProduct, CompositionChain, InputError
@@ -11,9 +12,11 @@ from blaschke.circle import (
     invariant_orbit,
     lifted_argument,
     next_preimage,
+    solve_levels,
     solve_on_circle,
     verify_generator_power,
 )
+from blaschke import circle
 
 from conftest import TAU, circle_grid, random_product, rng_for
 
@@ -69,6 +72,16 @@ def test_argument_derivative_positive():
             assert argument_derivative(B, t) > 0.0
 
 
+def test_argument_derivative_of_angle_array():
+    B = random_product(rng_for(106), 7)
+    ts = np.array([[0.0, 0.8], [2.9, 5.1]])
+    rates = argument_derivative(B, ts)
+    assert rates.shape == ts.shape
+    for t, rate in zip(ts.ravel(), rates.ravel()):
+        z = cmath.exp(1j * t)
+        assert abs(rate - (z * B.derivative(z) / B(z)).real) < 1e-12
+
+
 # ------------------------------------------------------------- circle solves
 
 
@@ -105,6 +118,54 @@ def test_solution_angle_wraps_by_turns():
     sol = solve_on_circle(B, 1.0 + 0j)
     assert abs(sol.angle(4) - (sol.angle(0) + TAU)) < 1e-12
     assert abs(sol.point(4) - sol.point(0)) < 1e-12
+
+
+def _level_polynomial_roots(B, lam) -> np.ndarray:
+    # B(z) = lam  <=>  gamma prod (z - a_j) - lam prod (1 - conj(a_j) z) = 0
+    top = np.poly(B.zeros)
+    bottom = np.array([1.0 + 0j])
+    for a in B.zeros:
+        bottom = np.polymul(bottom, [-a.conjugate(), 1.0])
+    return np.roots(B.gamma * top - lam * bottom)
+
+
+@pytest.mark.parametrize("degree", [3, 5, 8, 12, 16, 20, 24])
+def test_level_sets_match_polynomial_roots(degree):
+    # independent oracle: the roots of the cleared-denominator polynomial,
+    # found by a companion-matrix eigensolve rather than by any circle solve
+    B = random_product(rng_for(150 + degree), degree, radius=0.8)
+    lams = [cmath.exp(1j * t) for t in (0.0, 0.9, 2.3, 3.7, 5.2)]
+    levels = solve_levels(B, lams)
+    assert levels == [solve_on_circle(B, lam) for lam in lams]
+    for lam, sol in zip(lams, levels):
+        roots = _level_polynomial_roots(B, lam)
+        for z in sol.points:
+            assert np.min(np.abs(roots - z)) < 1e-12
+
+
+@pytest.mark.parametrize("seed,degree", [(905, 14), (902, 16), (905, 20), (901, 24)])
+def test_level_solve_stops_within_a_few_passes(monkeypatch, seed, degree):
+    # on these products an absolute bracket test (hi - lo < 1e-16) never
+    # fires for some roots past t = 0.5 and their Newton loop runs to its
+    # 80-pass cap; the ulp-relative stop ends every root within a few passes
+    B = random_product(rng_for(seed), degree, radius=0.8)
+    passes = [0]
+    real = circle._circle_terms
+
+    def counted(*args):
+        passes[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(circle, "_circle_terms", counted)
+    lams = [cmath.exp(1j * TAU * q / 8) for q in range(8)]
+    levels = solve_levels(B, lams)
+    assert passes[0] <= 6
+    for lam, sol in zip(lams, levels):
+        assert max(abs(B(z) - lam) for z in sol.points) < 1e-10
+
+
+def test_solve_levels_of_no_targets_is_empty():
+    assert solve_levels(BlaschkeProduct(1.0, (0j, 0.5j)), []) == []
 
 
 # ------------------------------------------------------------ invariant maps

@@ -16,7 +16,9 @@ the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and say in the change why the output moved.
+and say in the change why the output moved.  For every file it rewrites,
+the script prints how many printed numbers changed and the largest absolute
+change, so the size of the drift can be quoted with the change.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -92,18 +95,51 @@ def test_demo_output_matches_golden(command, demo, tmp_path):
     assert digests == recorded
 
 
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def drift(old: str, new: str) -> str:
+    """How far the printed numbers of new moved from old, or that the text
+    around the numbers changed."""
+    if NUMBER.sub("#", old) != NUMBER.sub("#", new):
+        return "text other than numbers changed"
+    moved = [
+        abs(float(a) - float(b))
+        for a, b in zip(NUMBER.findall(old), NUMBER.findall(new))
+        if a != b
+    ]
+    return f"{len(moved)} numbers changed, largest by {max(moved, default=0.0):.2e}"
+
+
+def rewrite(path: Path, text: str) -> None:
+    """Write text to path, reporting the drift when the file changes."""
+    old = path.read_text() if path.exists() else None
+    if old == text:
+        return
+    path.write_text(text)
+    print(f"{path.name}: " + ("new file" if old is None else drift(old, text)))
+
+
 def write_golden() -> None:
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    rows = []
+    old_digests = read_digests() if (GOLDEN / "files.sha256").exists() else {}
     statuses = {}
+    digests_now = {}
     for command, demo in CASES:
         with tempfile.TemporaryDirectory() as workdir:
             stdout, status, digests = run_case(command, demo, Path(workdir))
-        (GOLDEN / f"{command}-{demo}.stdout").write_text(stdout)
+        rewrite(GOLDEN / f"{command}-{demo}.stdout", stdout)
         statuses[f"{command}-{demo}"] = status
-        rows += [f"{digest}  {name}" for name, digest in digests.items()]
+        digests_now.update(digests)
+    moved = sorted(
+        name for name in old_digests.keys() | digests_now.keys()
+        if old_digests.get(name) != digests_now.get(name)
+    )
+    if moved:
+        print(f"files.sha256: {len(moved)} digests changed: {', '.join(moved)}")
+    rows = [f"{digest}  {name}" for name, digest in digests_now.items()]
     (GOLDEN / "files.sha256").write_text("\n".join(rows) + "\n")
-    (GOLDEN / "status.json").write_text(json.dumps(statuses, indent=1) + "\n")
+    rewrite(GOLDEN / "status.json", json.dumps(statuses, indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -329,6 +329,38 @@ def test_plain_power_needs_normalization():
     assert res.group.order() == 4
 
 
+# A normalized random degree-16 product whose 15 simple critical points (at
+# least 0.017 apart) have values 6.6e-13 to 5.1e-9 apart: clustering at
+# cluster_tol merges them into one value, the one loop around it lifts to a
+# 16-cycle, and 15 simple points cannot give a 16-cycle.
+MERGED_VALUES_16 = BlaschkeProduct(
+    -0.9922278757615017 + 0.12443408922726029j,
+    (
+        -0.7327231163109104 + 0.02259620454356994j,
+        -0.7269504542910337 + 0.12068456914347724j,
+        -0.7089695294702538 - 0.08003248015019464j,
+        -0.6898627826074113 + 0.21407021890505193j,
+        -0.6554465393919453 - 0.1822210917588141j,
+        -0.6190440317636675 + 0.3021518441737059j,
+        -0.5697074390972072 - 0.27240542506718796j,
+        -0.5166548139322837 + 0.3859988840167356j,
+        -0.4486163921644327 - 0.3272117078431763j,
+        -0.39457158662889186 + 0.44975782279608983j,
+        -0.2901359789822631 - 0.30947376739924887j,
+        -0.2601248828135958 + 0.45728496582714184j,
+        -0.11707676303427537 - 0.19619381476351616j,
+        -0.11510938957410902 + 0.3762150300782007j,
+        -0.0029618522492132066 + 0.2133252107702862j,
+        0j,
+    ),
+)
+
+
+def test_merged_critical_values_fail_riemann_hurwitz():
+    with pytest.raises(VerificationFailure, match=r"\(16,\).*\(2, 2, 2"):
+        monodromy_group(MERGED_VALUES_16)
+
+
 def test_repeated_zero_rejected():
     with pytest.raises(DegenerateInput):
         monodromy_group(BlaschkeProduct(1.0, (0.4, 0.4, 0.2)))

@@ -253,16 +253,18 @@ def test_closure_order_refuses_an_orbit_that_does_not_close(monkeypatch):
 
 
 def _count_solves(monkeypatch) -> list[int]:
-    """Count every circle solve poncelet makes, direct or through an orbit."""
+    """Count every level set poncelet solves, batched or through an orbit:
+    all of them pass through circle.solve_levels."""
     calls = [0]
-    real = circle.solve_on_circle
+    real = circle.solve_levels
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return real(*args, **kwargs)
+    def counted(B, lams, *args, **kwargs):
+        lams = list(lams)
+        calls[0] += len(lams)
+        return real(B, lams, *args, **kwargs)
 
-    monkeypatch.setattr(circle, "solve_on_circle", counted)
-    monkeypatch.setattr(poncelet, "solve_on_circle", counted)
+    monkeypatch.setattr(circle, "solve_levels", counted)
+    monkeypatch.setattr(poncelet, "solve_levels", counted)
     return calls
 
 
