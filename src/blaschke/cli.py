@@ -35,7 +35,7 @@ from .core import (
     is_regularized,
     normalize,
 )
-from .circle import invariant_orbit, verify_generator_power
+from .circle import invariant_orbit, solve_levels, verify_generator_power
 from .critical import check_value_bound, critical_data
 from .decompose import chain_2n, elliptical_implies_decomposable_check, inner_factor_general
 from .errors import (
@@ -61,7 +61,6 @@ from .poncelet import (
     fit_conic,
     foci_vs_zeros,
     package,
-    polygon_vertices,
     scene_svg,
     tangency_audit,
 )
@@ -295,7 +294,7 @@ def cmd_curve(obj, cfg: RunConfig) -> int:
     B = _as_product(obj, tol)
     curve = envelope(B, cfg.skip, cfg.lambda_samples, tol)
     fit = fit_conic(curve.points, tol)
-    level_sets = [polygon_vertices(B, lam, tol) for lam in SCENE_LAMBDAS]
+    level_sets = solve_levels(B, SCENE_LAMBDAS, tol)
     files = [
         _write(cfg, f"curve_skip{cfg.skip}.csv", curve_csv(curve)),
         _write(cfg, f"curve_skip{cfg.skip}.svg", scene_svg(curve, fit, level_sets)),
@@ -317,7 +316,7 @@ def cmd_package(obj, cfg: RunConfig) -> int:
     tol = cfg.tolerances
     B = _as_product(obj, tol)
     pkg = package(B, cfg.lambda_samples, tol)
-    level_sets = [polygon_vertices(B, lam, tol) for lam in SCENE_LAMBDAS]
+    level_sets = solve_levels(B, SCENE_LAMBDAS, tol)
     entries = []
     files = []
     for entry in pkg.entries:

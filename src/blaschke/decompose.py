@@ -1,15 +1,6 @@
 """Recovering compositional structure: B = C o D with both degrees > 1.
 
-Three attack routes, ordered by specificity:
-
-* inner_degree2: for B vanishing at 0, a degree-2 inner factor must have the
-  shape z*phi_a with a a zero of B, and it exists exactly when the zero
-  multiset and the boundary values of B are invariant under phi_a.  Direct
-  candidate testing, no iteration.
-
-* chain_2n: peel degree-2 inner factors repeatedly to write a degree-2^k
-  product as a chain of k quadratic maps, carrying a disk-automorphism
-  correction outward at each level so the peeling lemma applies again.
+Two routes, the second built on the first:
 
 * inner_factor_general: for any divisor k of the degree, a degree-k inner
   factor D (normalized D(0) = 0, leading constant 1) takes one value on
@@ -18,6 +9,10 @@ Three attack routes, ordered by specificity:
   polynomials vanishing on the orbits differ by a multiple of Q, and P
   follows, with no candidate search.  Success is certified by
   re-expansion, and failure is reported with its reason, never guessed.
+
+* chain_2n: peel degree-2 inner factors with inner_factor_general(., 2)
+  until the pending outer factor has degree 2, writing a degree-2^k product
+  as a chain of k quadratic maps, and certify the chain by re-expansion.
 """
 
 from __future__ import annotations
@@ -31,21 +26,17 @@ import numpy as np
 from .core import (
     BlaschkeProduct,
     CompositionChain,
-    DiskAutomorphism,
     ToleranceConfig,
     circle_samples,
-    compose,
     unit,
     _tol,
 )
 from .circle import invariant_orbit
-from .critical import polynomial_roots
+from .critical import _cluster_values, polynomial_roots
 from .errors import DegenerateInput, InputError, SolverFailure
 from .shiftop import RangeVerdict, is_elliptical_range, shift_matrix
 
 __all__ = [
-    "Degree2Split",
-    "inner_degree2",
     "ChainRecord",
     "ShapeFailure",
     "DecompositionReport",
@@ -56,10 +47,6 @@ __all__ = [
     "EllipticalDecomposableReport",
     "elliptical_implies_decomposable_check",
 ]
-
-
-def _phi(a: complex) -> DiskAutomorphism:
-    return DiskAutomorphism(1.0, a)
 
 
 def _chain_error(
@@ -74,105 +61,20 @@ def _pin_outer(
     B: BlaschkeProduct,
     outer_zeros: tuple[complex, ...],
     inner: BlaschkeProduct,
-    offset: float,
     tol: ToleranceConfig,
 ) -> BlaschkeProduct | None:
     """The outer factor with these zeros whose composition with inner matches
-    B at the first of 8 circle points (from offset) where the zeros leave a
+    B at the first of 8 circle points (from 0.37) where the zeros leave a
     usable denominator; None if no point is usable or the constant is not
     unimodular to 1e-6."""
     base = BlaschkeProduct(1.0, outer_zeros)
-    for z0 in circle_samples(8, offset):
+    for z0 in circle_samples(8, 0.37):
         denom = base.evaluate(inner.evaluate(z0, tol), tol)
         if abs(denom) > 1e-6:
             gamma = B.evaluate(z0, tol) / denom
             if abs(abs(gamma) - 1.0) > 1e-6:
                 return None
             return BlaschkeProduct(unit(gamma), outer_zeros)
-    return None
-
-
-@dataclass(frozen=True)
-class Degree2Split:
-    """B = outer o inner with inner = z * phi_point of degree 2."""
-
-    outer: BlaschkeProduct
-    inner: BlaschkeProduct
-    point: complex
-
-
-def _match_zero_multiset(
-    zeros: tuple[complex, ...], phi: DiskAutomorphism, match_tol: float
-) -> list[tuple[complex, complex]] | None:
-    """Pair each zero b with a distinct-slot zero near phi(b); None if stuck."""
-    remaining = list(range(len(zeros)))
-    pairs: list[tuple[complex, complex]] = []
-    while remaining:
-        i = remaining.pop(0)
-        image = phi(zeros[i])
-        best = None
-        for pos, j in enumerate(remaining):
-            d = abs(zeros[j] - image)
-            if d <= match_tol and (best is None or d < best[0]):
-                best = (d, pos)
-        if best is None:
-            return None
-        j = remaining.pop(best[1])
-        pairs.append((zeros[i], zeros[j]))
-    return pairs
-
-
-def inner_degree2(
-    B: BlaschkeProduct, tol: ToleranceConfig | None = None
-) -> Degree2Split | None:
-    """Degree-2 inner factor of a product vanishing at the origin, if any.
-
-    Candidates for the defining point a are exactly the zeros of B (the
-    inner factor z*phi_a kills both 0 and a, and B(0) = 0 forces a into the
-    zero set).  A candidate survives only if phi_a permutes the zero multiset
-    and leaves the boundary values of B unchanged; the outer factor is then
-    read off the paired zeros and the whole split is verified by evaluation.
-    """
-    tol = _tol(tol)
-    n = B.degree
-    if n % 2 != 0:
-        return None
-    origin = min(abs(b) for b in B.zeros)
-    if origin > tol.identity_tol:
-        raise InputError(
-            "inner_degree2 expects a product vanishing at 0; normalize first"
-        )
-
-    seen: list[complex] = []
-    boundary = tuple(circle_samples(4 * n, 0.11))
-    reference = [B.evaluate(z, tol) for z in boundary]
-
-    for a in B.zeros:
-        if any(abs(a - s) <= tol.cluster_tol for s in seen):
-            continue
-        seen.append(a)
-        phi = _phi(a)
-        pairs = _match_zero_multiset(B.zeros, phi, 10.0 * tol.cluster_tol)
-        if pairs is None:
-            continue
-        if any(
-            abs(B.evaluate(phi(z), tol) - w) > tol.identity_tol
-            for z, w in zip(boundary, reference)
-        ):
-            continue
-
-        inner = BlaschkeProduct(-1.0, (0j, a))  # z * phi_a
-        outer_zeros = tuple(inner.evaluate(b, tol) for b, _ in pairs)
-        outer = _pin_outer(B, outer_zeros, inner, 0.83, tol)
-        if outer is None:
-            continue
-
-        err = max(
-            abs(outer.evaluate(inner.evaluate(z, tol), tol) - w)
-            for z, w in zip(boundary, reference)
-        )
-        if err <= 1e-8:
-            return Degree2Split(outer, inner, a)
     return None
 
 
@@ -205,10 +107,10 @@ def chain_2n(
 ) -> DecompositionReport:
     """Write a degree-2^k product as a chain of k degree-2 factors.
 
-    Each level normalizes the pending outer part to vanish at 0 (composing
-    with phi of its value there), peels a degree-2 inner factor, and undoes
-    the normalization on the next pending part.  The extracted factor order
-    is outermost first, matching CompositionChain.
+    Each level takes the degree-2 inner factor of the pending outer part
+    with inner_factor_general, so every inner factor is z (z - b) / (1 -
+    conj(b) z), and continues with the outer factor it returns.  The
+    extracted factor order is outermost first, matching CompositionChain.
     """
     tol = _tol(tol)
     n = B.degree
@@ -220,10 +122,8 @@ def chain_2n(
     tail: list[BlaschkeProduct] = []
     pending = B
     while pending.degree > 2:
-        c0 = pending.evaluate(0j, tol)
-        shifted = compose(_phi(c0).as_blaschke(), pending, tol)
-        split = inner_degree2(shifted, tol)
-        if split is None:
+        res = inner_factor_general(pending, 2, tol)
+        if not res.found:
             level = len(tail)
             return DecompositionReport(
                 n,
@@ -236,8 +136,8 @@ def chain_2n(
                     ),
                 ),
             )
-        pending = compose(_phi(c0).inverse().as_blaschke(), split.outer, tol)
-        tail.insert(0, split.inner)
+        pending = res.outer
+        tail.insert(0, res.inner)
 
     chain = CompositionChain((pending, *tail))
     err = _chain_error(chain, B, tol)
@@ -290,22 +190,11 @@ def _collapse_zeros(
     B: BlaschkeProduct, D: BlaschkeProduct, k: int, tol: ToleranceConfig
 ) -> tuple[complex, ...] | None:
     """Zeros of the outer factor: cluster D(zeros of B), divide counts by k."""
-    values = [D.evaluate(b, tol) for b in B.zeros]
-    clusters: list[list[complex]] = []
-    for v in values:
-        for cl in clusters:
-            if abs(v - cl[0]) <= 1e-5:
-                cl.append(v)
-                break
-        else:
-            clusters.append([v])
-    out: list[complex] = []
-    for cl in clusters:
-        if len(cl) % k != 0:
-            return None
-        mean = sum(cl) / len(cl)
-        out.extend([mean] * (len(cl) // k))
-    return tuple(sorted(out, key=lambda z: (z.real, z.imag)))
+    clusters, _ = _cluster_values([D.evaluate(b, tol) for b in B.zeros], 1e-5)
+    if any(count % k != 0 for _, count in clusters):
+        return None
+    # clusters come sorted by mean, so the zeros are too
+    return tuple(mean for mean, count in clusters for _ in range(count // k))
 
 
 def _newton_step(b: complex, c0: complex, c1: complex, a0, a1) -> complex:
@@ -373,7 +262,7 @@ def inner_factor_general(
     outer_zeros = None if D is None else _collapse_zeros(B, D, k, tol)
     if outer_zeros is None:
         return InnerFactorResult(False, None, None, "not-found", math.inf)
-    C = _pin_outer(B, outer_zeros, D, 0.37, tol)
+    C = _pin_outer(B, outer_zeros, D, tol)
     err = math.inf if C is None else _chain_error(CompositionChain((C, D)), B, tol)
     if err <= 1e-8:
         return InnerFactorResult(True, C, D, "ok", err)

@@ -229,9 +229,9 @@ def test_two_step_matches_iterated_single_step():
 # -------------------------------------------------- generator power structure
 
 
-def _chain_with_inner_mobius(rng, levels: int) -> CompositionChain:
+def _chain_with_inner_mobius(rng, levels: int, gamma: complex = -1.0) -> CompositionChain:
     a = 0.2 + 0.35j
-    inner = BlaschkeProduct(-1.0, (0j, a))
+    inner = BlaschkeProduct(gamma, (0j, a))
     outers = [random_product(rng, 2, radius=0.5) for _ in range(levels - 1)]
     return CompositionChain(tuple(outers) + (inner,))
 
@@ -243,6 +243,12 @@ def test_generator_power_reaches_inner_mobius():
     assert check.ok
     assert check.power == 2
     assert check.sup_error < 1e-9
+    # any unimodular constant on the innermost factor keeps its fibers {z, phi_a(z)}
+    for gamma in (1.0, cmath.exp(0.7j)):
+        check = verify_generator_power(_chain_with_inner_mobius(rng, 3, gamma))
+        assert check.ok
+        assert check.power == 4
+        assert check.sup_error < 1e-9
 
 
 def test_generator_power_requires_degree_two_factors():

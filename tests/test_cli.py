@@ -9,6 +9,7 @@ import pytest
 import blaschke
 import blaschke.cli as cli
 import blaschke.poncelet as poncelet
+from blaschke.decompose import chain_2n
 from blaschke.errors import (
     NonBijective,
     SolverFailure,
@@ -200,6 +201,17 @@ def test_invariants_chain_reports_generator_power(tmp_path):
     assert block["ok"] is True
     assert block["power"] == 4
     assert block["sup_error"] < 1e-9
+
+
+def test_invariants_accepts_found_chain(tmp_path):
+    chain = chain_2n(cli.demo_corpus()["chain3"].expand()).chains[0].chain
+    src = tmp_path / "chain.json"
+    src.write_text(chain.to_json())
+    r = run_cli("invariants", "--input", str(src), "--out", str(tmp_path), cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    block = json.loads(r.stdout)["generator_power"]
+    assert block["ok"] is True
+    assert block["power"] == 4
 
 
 def test_analyze_accepts_input_file(tmp_path):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import pytest
 
@@ -15,12 +16,11 @@ from blaschke.cli import demo_corpus
 from blaschke.decompose import (
     chain_2n,
     elliptical_implies_decomposable_check,
-    inner_degree2,
     inner_factor_general,
 )
 from blaschke.monodromy import block_systems, monodromy_group
 
-from conftest import TAU, circle_grid, random_product, rng_for
+from conftest import TAU, circle_grid, random_degree2_chain, random_product, rng_for
 
 B84 = BlaschkeProduct(
     1.0, (0j, 0j, 0j, 0j, 0.84 + 0j, -0.84 + 0j, 0.84j, -0.84j)
@@ -39,39 +39,6 @@ DEG6_NONELLIPTIC = BlaschkeProduct(
 def _sup(B, C, count=200):
     pts = [cmath.exp(1j * (0.004 + TAU * k / count)) for k in range(count)]
     return max(abs(B(z) - C(z)) for z in pts)
-
-
-# ------------------------------------------------------------- degree-2 split
-
-
-def test_inner_degree2_round_trip():
-    # oracle first: compose a known pair, then demand an equivalent split
-    rng = rng_for(501)
-    for _ in range(10):
-        outer = random_product(rng, int(rng.integers(1, 4)), radius=0.55, origin_zero=True)
-        a = 0.55 * cmath.exp(1j * rng.uniform(0, TAU))
-        inner = BlaschkeProduct(-1.0, (0j, a))
-        B = compose(outer, inner)
-        split = inner_degree2(B)
-        assert split is not None
-        assert split.inner.degree == 2
-        assert _sup(B, compose(split.outer, split.inner)) < 1e-8
-
-
-def test_inner_degree2_requires_origin_zero():
-    with pytest.raises(InputError):
-        inner_degree2(BlaschkeProduct(1.0, (0.2 + 0j, 0.3 + 0j, 0.1j, -0.4j)))
-
-
-def test_inner_degree2_odd_degree_is_none():
-    B = random_product(rng_for(502), 3, origin_zero=True)
-    assert inner_degree2(B) is None
-
-
-def test_inner_degree2_generic_product_is_none():
-    # a random degree-4 product is almost surely indecomposable
-    B = random_product(rng_for(503), 4, origin_zero=True)
-    assert inner_degree2(B) is None
 
 
 # ------------------------------------------------------------ full 2^n chains
@@ -126,21 +93,68 @@ def test_chain_2n_reports_failure_for_indecomposable():
     assert any(f.reason for f in report.failures)
 
 
+def test_chain_2n_degree_32_towers():
+    for seed in (931, 932, 935):
+        B = _tower(rng_for(seed), 5)
+        report = chain_2n(B)
+        assert report.found, (seed, report.failures)
+        record = report.chains[0]
+        assert record.factor_degrees == (2, 2, 2, 2, 2)
+        assert _sup(B, record.chain.expand()) < 1e-8
+
+
+def test_chain_2n_degree_16_towers_without_origin_zeros():
+    for seed in (971, 976, 982):
+        B = random_degree2_chain(rng_for(seed), 4).expand()
+        report = chain_2n(B)
+        assert report.found, (seed, report.failures)
+        assert report.chains[0].factor_degrees == (2, 2, 2, 2)
+        assert _sup(B, report.chains[0].chain.expand()) < 1e-8
+
+
+def test_chain_2n_makes_no_compose_call(monkeypatch):
+    B = _tower(rng_for(931), 4)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return compose(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "blaschke" and getattr(module, "compose", None) is compose:
+            monkeypatch.setattr(module, "compose", counting)
+    assert chain_2n(B).found
+    assert calls == []
+
+
 # ------------------------------------------------------- general inner factor
 
 
 def test_inner_factor_round_trip_degree_6():
     # oracle: build C o D with deg D = 3, recover an equivalent pair
     rng = rng_for(521)
+    pairs = []
     for _ in range(4):
         outer = random_product(rng, 2, radius=0.5)
         b1 = 0.5 * cmath.exp(1j * rng.uniform(0, TAU))
         b2 = 0.5 * cmath.exp(1j * rng.uniform(0, TAU))
-        inner = BlaschkeProduct(1.0, (0j, b1, b2))
+        pairs.append((outer, BlaschkeProduct(1.0, (0j, b1, b2))))
+    # and degree-2 inner factors z*phi_a under outer factors vanishing at 0
+    rng = rng_for(501)
+    for _ in range(10):
+        outer = random_product(rng, int(rng.integers(1, 4)), radius=0.55, origin_zero=True)
+        a = 0.55 * cmath.exp(1j * rng.uniform(0, TAU))
+        pairs.append((outer, BlaschkeProduct(-1.0, (0j, a))))
+    for outer, inner in pairs:
         B = compose(outer, inner)
-        res = inner_factor_general(B, 3)
+        if outer.degree == 1:
+            # a degree-2 product has no proper inner factor
+            with pytest.raises(InputError):
+                inner_factor_general(B, inner.degree)
+            continue
+        res = inner_factor_general(B, inner.degree)
         assert res.found, res.reason
-        assert res.inner.degree == 3 and res.outer.degree == 2
+        assert res.inner.degree == inner.degree and res.outer.degree == outer.degree
         assert _sup(B, compose(res.outer, res.inner)) < 1e-8
 
 
