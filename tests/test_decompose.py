@@ -139,12 +139,21 @@ def test_inner_factor_round_trip_degree_6():
         b1 = 0.5 * cmath.exp(1j * rng.uniform(0, TAU))
         b2 = 0.5 * cmath.exp(1j * rng.uniform(0, TAU))
         pairs.append((outer, BlaschkeProduct(1.0, (0j, b1, b2))))
-    # and degree-2 inner factors z*phi_a under outer factors vanishing at 0
+    _assert_round_trips(pairs)
+
+
+def test_inner_degree2_round_trip():
+    # degree-2 inner factors z*phi_a under outer factors vanishing at 0
     rng = rng_for(501)
+    pairs = []
     for _ in range(10):
         outer = random_product(rng, int(rng.integers(1, 4)), radius=0.55, origin_zero=True)
         a = 0.55 * cmath.exp(1j * rng.uniform(0, TAU))
         pairs.append((outer, BlaschkeProduct(-1.0, (0j, a))))
+    _assert_round_trips(pairs)
+
+
+def _assert_round_trips(pairs):
     for outer, inner in pairs:
         B = compose(outer, inner)
         if outer.degree == 1:
