@@ -1,31 +1,38 @@
-"""Critical points and critical values of finite Blaschke products.
+"""Critical points, critical values and fibers of finite Blaschke products.
 
-The critical points of B = gamma P/Q (P = prod (z - a_j), Q = prod
-(1 - conj(a_j) z)) are the roots of the numerator N = P'Q - PQ' of B', a
-polynomial of degree at most 2n - 2 whose root set is closed under
-z -> 1/conj(z).  Exactly n - 1 roots (with multiplicity) lie in the open
-disk, inside the convex hull of {0} and the zeros.
+Both solves are eigenvalue problems built from the factored product; no
+polynomial is ever expanded into coefficients.
 
-Roots are computed by simultaneous Aberth-Ehrlich iteration with a companion
-matrix fallback, followed by a multiplicity-resolution pass: a cluster of k
-approximations is accepted as one multiplicity-k root only after Newton
-refinement on the (k-1)-th derivative and a residual check on all lower
-derivatives.  Without that pass a multiplicity-m root is only known to
-~eps^(1/m), far too coarse for the downstream clustering of critical values.
+Critical points.  A zero of B of multiplicity k is a critical point of
+multiplicity k - 1.  The others are the zeros of the logarithmic derivative
 
-The coefficient form of N is only a locator.  Near the unit circle its
-coefficients can exceed |N'| by many orders of magnitude, so a root passing
-the scaled residual test may still sit 1e-4 from the truth, which fragments
-critical-value clusters.  Each in-disk point is therefore re-polished by
-Newton on the factored logarithmic derivative B'/B, which is conditioned
-like the product itself, and critical_data refuses (raises SolverFailure)
-when a point cannot be certified that way.
+    S(z) = B'(z)/B(z) = sum_i w_i / (z - x_i),
+
+whose nodes are the distinct zeros (weight: their multiplicity), their
+reflections 1/conj(a) (weight minus the multiplicity) and the origin
+(weight its multiplicity).  Exactly n - 1 critical points (with
+multiplicity) lie in the open disk, inside the convex hull of {0} and the
+zeros.  The zeros of such a sum are the eigenvalues of a diagonal plus
+rank-one matrix after a shift of variable (a companion matrix in the
+Lagrange basis, Corless 2004).  Each in-disk point is polished by Newton on
+S, which is conditioned like the product itself, and critical_data refuses
+(raises SolverFailure) when a point cannot be certified that way.
+
+Fibers.  The solutions of B(z) = w are the spectrum of the compressed shift
+S_B plus a rank-one term (Clark 1972; Sarason 2007); see fiber.
+
+Multiple roots.  A root of multiplicity m comes back as m eigenvalues about
+eps^(1/m) apart.  Such a cluster becomes one point of multiplicity m only
+when Newton on the (m-1)-th derivative of the sum, where the root is
+simple, leaves every lower derivative at relative residual 1e-8; otherwise
+its points stay simple.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,17 +42,16 @@ from .core import (
     CompositionChain,
     DiskAutomorphism,
     ToleranceConfig,
+    circle_samples,
     compose,
     unit,
     _DisjointSets,
     _tol,
 )
 from .errors import CountMismatch, DegenerateInput, SolverFailure, VerificationFailure
+from .shiftop import shift_matrix
 
 __all__ = [
-    "product_numerator_denominator",
-    "derivative_numerator",
-    "polynomial_roots",
     "fiber",
     "CriticalData",
     "critical_data",
@@ -56,334 +62,188 @@ __all__ = [
     "factor_any_order",
 ]
 
-# Coefficient arrays are numpy complex vectors, lowest power first.
+
+def _log_derivative(counts: dict[complex, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x and weights w with B'/B = sum_i w_i / (z - x_i).
+
+    Each distinct zero a of multiplicity m is a node of weight m, and unless
+    a = 0 its reflection 1/conj(a) is a node of weight -m, since
+    conj(a)/(1 - conj(a) z) = -1/(z - 1/conj(a)).
+    """
+    nodes: list[complex] = []
+    weights: list[float] = []
+    for a, m in counts.items():
+        nodes.append(a)
+        weights.append(m)
+        if a != 0:
+            nodes.append(1.0 / a.conjugate())
+            weights.append(-m)
+    return np.array(nodes, dtype=complex), np.array(weights, dtype=float)
 
 
-def _poly_trim(c: np.ndarray) -> np.ndarray:
-    c = np.asarray(c, dtype=complex)
-    scale = np.max(np.abs(c)) if c.size else 0.0
-    if scale == 0.0:
-        return np.zeros(1, dtype=complex)
-    keep = len(c)
-    while keep > 1 and abs(c[keep - 1]) <= 1e-14 * scale:
-        keep -= 1
-    return c[:keep]
+def _secular_zeros(nodes: np.ndarray, weights: np.ndarray, s: complex) -> np.ndarray:
+    """Zeros of F(z) = sum_i w_i / (z - x_i), for s neither a node nor a zero.
+
+    With y_i = 1/(x_i - s) and v_i = -w_i y_i, the substitution z = s + 1/u
+    gives F = u sum_i v_i / (u - y_i), whose zeros are the eigenvalues of
+    diag(y) - v y^T / sum(v) (a companion matrix in the Lagrange basis)
+    other than one zero eigenvalue of the construction, dropped here as the
+    eigenvalue of least modulus.  A zero of F at infinity comes back as a
+    huge or infinite z.
+    """
+    y = 1.0 / (nodes - s)
+    v = -weights * y
+    u = np.linalg.eigvals(np.diag(y) - np.outer(v, y) / v.sum())
+    u = np.delete(u, np.argmin(np.abs(u)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return s + 1.0 / u
 
 
-def _poly_der(c: np.ndarray) -> np.ndarray:
-    if len(c) <= 1:
-        return np.zeros(1, dtype=complex)
-    return c[1:] * np.arange(1, len(c), dtype=float)
+def _secular_kth(
+    nodes: np.ndarray, weights: np.ndarray, z: complex, k: int
+) -> tuple[complex, complex, float]:
+    """k-th derivative of F = sum_i w_i / (z - x_i) at z, with F^(k+1) and
+    a magnitude scale.
 
-
-def _poly_val(c: np.ndarray, z: complex) -> complex:
-    out = 0j
-    for coeff in c[::-1]:
-        out = out * z + coeff
-    return out
-
-
-def _poly_scale(c: np.ndarray, z: complex) -> float:
-    """Evaluation magnitude sum |c_i| |z|^i, the natural residual scale."""
-    out = 0.0
-    az = abs(z)
-    for coeff in c[::-1]:
-        out = out * az + abs(coeff)
-    return out
-
-
-def product_numerator_denominator(B: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of P = prod (z - a_j) and Q = prod (1 - conj(a_j) z)."""
-    p = np.array([1.0 + 0.0j])
-    q = np.array([1.0 + 0.0j])
-    for a in B.zeros:
-        p = np.convolve(p, np.array([-a, 1.0], dtype=complex))
-        q = np.convolve(q, np.array([1.0, -np.conj(a)], dtype=complex))
-    return p, q
-
-
-def derivative_numerator(B: BlaschkeProduct) -> np.ndarray:
-    """Coefficients of N = P'Q - PQ' (the constant gamma plays no role)."""
-    p, q = product_numerator_denominator(B)
-    n = np.convolve(_poly_der(p), q) - np.convolve(p, _poly_der(q))
-    return _poly_trim(n)
-
-
-def _root_radius_bound(c: np.ndarray) -> float:
-    """Fujiwara bound 2 max_k |c_{n-k}/c_n|^(1/k), finite and usually tight."""
-    deg = len(c) - 1
-    lead = abs(c[deg])
-    best = 0.0
-    for k in range(1, deg + 1):
-        a = abs(c[deg - k]) / lead
-        if a > 0.0:
-            best = max(best, a ** (1.0 / k))
-    return 2.0 * best
-
-
-def _aberth(c: np.ndarray, tol: ToleranceConfig) -> np.ndarray | None:
-    """Simultaneous root iteration; returns None if 500 iterations pass."""
-    deg = len(c) - 1
-    bound = _root_radius_bound(c)
-    k = np.arange(deg)
-    # staggered start: slightly irrational angle fraction, mild radius jitter
-    z = (
-        max(1.0, bound)
-        * np.exp(2j * np.pi * (k + 0.371) / deg)
-        * (1.0 + 0.01 * ((k % 3) - 1) / deg)
+    Every derivative is an explicit sum over the same linear factors, so it
+    stays conditioned like the factored product, however the expanded
+    numerator would behave.  The scale is the sum of term moduli, the
+    natural yardstick for a relative residual.
+    """
+    d = z - nodes
+    terms = weights * ((-1.0) ** k * math.factorial(k)) / d ** (k + 1)
+    return (
+        complex(terms.sum()),
+        complex((-(k + 1) * terms / d).sum()),
+        float(np.abs(terms).sum()),
     )
 
+
+def _polish(
+    nodes: np.ndarray, weights: np.ndarray, r: complex, m: int
+) -> tuple[complex, float]:
+    """Refine a zero of multiplicity m of F = sum_i w_i / (z - x_i) near r.
+
+    Such a zero is a simple zero of F^(m-1), so Newton there recovers full
+    precision for any m.  If Newton leaves the disk or moves more than 5e-2,
+    r is kept.  Returns (point, largest relative residual of F, F', ...,
+    F^(m-1) there); the caller treats a large residual as a failed
+    location, never as data.
+    """
+    z = complex(r)
     with np.errstate(all="ignore"):
-        for _ in range(500):
-            pv = np.zeros(deg, dtype=complex)
-            dv = np.zeros(deg, dtype=complex)
-            for coeff in c[::-1]:
-                dv = dv * z + pv
-                pv = pv * z + coeff
-            w = np.where(dv != 0, pv / np.where(dv != 0, dv, 1.0), pv)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            s = np.sum(1.0 / diff, axis=1)
-            denom = 1.0 - w * s
-            step = np.where(denom != 0, w / np.where(denom != 0, denom, 1.0), w)
-            if not np.all(np.isfinite(step)):
-                return None
+        for _ in range(60):
+            f, df, _ = _secular_kth(nodes, weights, z, m - 1)
+            if df == 0:
+                break
+            step = f / df
+            if not (math.isfinite(step.real) and math.isfinite(step.imag)):
+                break
             z = z - step
-            if np.max(np.abs(step)) < 1e-14 * (1.0 + np.max(np.abs(z))):
-                return z
-    return None
+            if abs(step) <= 1e-16 * (1.0 + abs(z)):
+                break
+        if not (abs(z - r) < 5e-2 and abs(z) < 1.0):
+            z = complex(r)
+        residuals = []
+        for j in range(m):
+            f, _, scale = _secular_kth(nodes, weights, z, j)
+            residuals.append(abs(f) / (scale + 1e-300))
+    # np.max keeps a nan residual, which then fails every bound
+    return z, float(np.max(residuals))
 
 
-def _newton_polish(c: np.ndarray, dc: np.ndarray, z: complex, iters: int = 50) -> complex:
-    for _ in range(iters):
-        f = _poly_val(c, z)
-        df = _poly_val(dc, z)
-        if df == 0:
-            break
-        step = f / df
-        z = z - step
-        if abs(step) <= 1e-16 * (1.0 + abs(z)):
-            break
-    return z
+def _merge_clusters(points, accept) -> list[tuple[complex, int]]:
+    """(point, multiplicity) pairs, sorted by (real, imag), from eigenvalues
+    that may hold multiple roots.
 
-
-def _derivative_table(c: np.ndarray, depth: int) -> list[np.ndarray]:
-    table = [c]
-    for _ in range(depth):
-        table.append(_poly_der(table[-1]))
-    return table
-
-
-def _verify_multiplicity(table: list[np.ndarray], mu: complex, k: int) -> bool:
-    for j in range(k):
-        cj = table[j]
-        if abs(_poly_val(cj, mu)) > 1e-8 * (_poly_scale(cj, mu) + 1e-300):
-            return False
-    return True
-
-
-def _resolve_clusters(
-    c: np.ndarray, raw: np.ndarray, tol: ToleranceConfig
-) -> list[tuple[complex, int]]:
-    """Turn raw approximations into (root, multiplicity) pairs.
-
-    Single-linkage merge tree capped at radius 0.1, walked top down.  A node
-    of size k whose diameter is consistent with a multiplicity-k cluster is
-    refined by Newton on the (k-1)-th derivative of the polynomial (where the
-    multiple root is simple) and accepted only if p, p', ..., p^(k-1) all
-    vanish at the refined point to scaled tolerance 1e-8.
+    Points are linked by _cluster_values at gap 0.1, then 0.01, and so on.
+    A k-fold root splits into k eigenvalues about eps^(1/k) apart, so a
+    group of k > 1 points within min(0.1, 3 (1e-13)^(1/k)) of their mean
+    becomes one point of multiplicity k when accept(mean, k) returns that
+    point rather than None.  A group of exactly equal points is kept as one
+    (a triangular matrix returns a repeated diagonal entry exactly).  Any
+    other group is linked again at a tenth of the gap; below 1e-8 its
+    points stay simple.
     """
-    pts = list(raw)
-    m = len(pts)
-    table = _derivative_table(c, m)
-
-    def radius(k: int) -> float:
-        return min(0.1, max(tol.cluster_tol, 3.0 * (1e-13) ** (1.0 / k)))
-
-    # Kruskal-style merge forest capped at 0.1; forest nodes 0..m-1 are the
-    # points, and node_of maps each class representative to its forest node
-    sets = _DisjointSets(m)
-    node_of = list(range(m))
-    members: dict[int, list[int]] = {i: [i] for i in range(m)}
-    children: dict[int, tuple] = {i: () for i in range(m)}
-    edges = sorted(
-        (abs(pts[i] - pts[j]), i, j) for i in range(m) for j in range(i + 1, m)
-    )
-    for d, i, j in edges:
-        if d > 0.1:
-            break
-        a, b = node_of[sets.find(i)], node_of[sets.find(j)]
-        if not sets.union(i, j):
-            continue
-        node = len(members)
-        members[node] = members[a] + members[b]
-        children[node] = (a, b)
-        node_of[sets.find(i)] = node
-
-    roots_of_forest = {node_of[sets.find(i)] for i in range(m)}
-
     out: list[tuple[complex, int]] = []
-
-    def diameter(idx_list: list[int]) -> float:
-        return max(
-            (abs(pts[a] - pts[b]) for a in idx_list for b in idx_list), default=0.0
-        )
-
-    def resolve(node: int) -> None:
-        idx = members[node]
-        k = len(idx)
-        if k == 1:
-            z = _newton_polish(table[0], table[1], complex(pts[idx[0]]))
-            out.append((z, 1))
-            return
-        if diameter(idx) <= 2.0 * radius(k):
-            mu0 = complex(sum(pts[i] for i in idx) / k)
-            mu = _newton_polish(table[k - 1], table[k], mu0)
-            if abs(mu - mu0) <= 4.0 * radius(k) and _verify_multiplicity(table, mu, k):
-                out.append((mu, k))
-                return
-        a, b = children[node]
-        resolve(a)
-        resolve(b)
-
-    for node in sorted(roots_of_forest):
-        resolve(node)
-    return out
+    pending = [([complex(p) for p in points], 0.1)]
+    while pending:
+        group, gap = pending.pop()
+        _, index = _cluster_values(group, gap)
+        members: dict[int, list[complex]] = {}
+        for p, i in zip(group, index):
+            members.setdefault(i, []).append(p)
+        for g in members.values():
+            k = len(g)
+            if k > 1 and all(p == g[0] for p in g):
+                out.append((g[0], k))
+                continue
+            mean = sum(g) / k
+            radius = min(0.1, 3.0 * 1e-13 ** (1.0 / k))
+            if k > 1 and max(abs(p - mean) for p in g) <= radius:
+                merged = accept(mean, k)
+                if merged is not None:
+                    out.append((merged, k))
+                    continue
+            if k == 1 or gap < 1e-8:
+                out.extend((p, 1) for p in g)
+            else:
+                pending.append((g, gap / 10.0))
+    return sorted(out, key=lambda zm: (zm[0].real, zm[0].imag))
 
 
-def polynomial_roots(
-    coeffs, tol: ToleranceConfig | None = None
+def _secular_roots(
+    nodes: np.ndarray, weights: np.ndarray, points
 ) -> list[tuple[complex, int]]:
-    """All roots of a polynomial with multiplicities, Aberth then companion.
+    """Computed zeros of F = sum_i w_i / (z - x_i) with multiplicities: a
+    cluster of k becomes one point once F, ..., F^(k-1) vanish there to
+    relative 1e-8."""
 
-    coeffs: complex coefficients, lowest power first.  Returns (root, mult)
-    pairs sorted by (real, imag).  Raises SolverFailure when neither route
-    produces residuals below root_tol at the found roots.
-    """
-    tol = _tol(tol)
-    c = _poly_trim(np.asarray(coeffs, dtype=complex))
-    if len(c) <= 1:
-        return []
+    def accept(mean: complex, k: int) -> complex | None:
+        z, residual = _polish(nodes, weights, mean, k)
+        return z if residual <= 1e-8 else None
 
-    # deflate exact zeros at the origin
-    scale = float(np.max(np.abs(c)))
-    origin_mult = 0
-    while len(c) > 1 and abs(c[0]) <= 1e-15 * scale:
-        origin_mult += 1
-        c = c[1:]
-
-    results: list[tuple[complex, int]] = []
-    if origin_mult:
-        results.append((0j, origin_mult))
-
-    if len(c) > 1:
-        raw = _aberth(c, tol)
-        if raw is not None and not _residuals_ok(c, raw, tol):
-            raw = None
-        if raw is None:
-            raw = np.roots(c[::-1])
-            if not _residuals_ok(c, raw, tol, loose=True):
-                raise SolverFailure(
-                    f"root residuals exceed tolerance for degree {len(c) - 1}"
-                )
-        results.extend(_resolve_clusters(c, raw, tol))
-
-    results.sort(key=lambda rm: (rm[0].real, rm[0].imag))
-    return results
+    return _merge_clusters(points, accept)
 
 
 def fiber(
     B: BlaschkeProduct, w: complex, tol: ToleranceConfig | None = None
 ) -> list[complex]:
-    """The n solutions of B(z) = w, repeated with multiplicity.
+    """The n solutions of B(z) = w, repeated with multiplicity, sorted by
+    (real, imag); every fiber solve in the package goes through here.
 
-    They are the roots of gamma P - w Q, sorted by (real, imag); every fiber
-    solve in the package goes through here.  Raises SolverFailure as
-    polynomial_roots does.
+    They are the spectrum of the compressed shift S_B modified by a rank-one
+    term (Clark 1972; Sarason 2007).  In the Takenaka basis S_B is the
+    transpose A^T of shiftop.shift_matrix(B.zeros), and B(z) = w exactly on
+    the eigenvalues of
+
+        A^T + beta x y^H,   beta = w / (1 - conj(B(0)) w),
+        x_j = sqrt(1 - |a_j|^2) prod_{l<j} (-conj(a_l)),
+        y_j = gamma sqrt(1 - |a_j|^2) prod_{l>j} (-a_l).
+
+    For w = 0 the matrix is triangular and the zeros come back exactly.  A
+    cluster of k eigenvalues becomes one point of multiplicity k when it
+    polishes to a critical point of multiplicity k - 1 (B'/B and its first
+    k - 2 derivatives vanish to relative 1e-8) with |B - w| <= root_tol.
     """
-    p, q = product_numerator_denominator(B)
-    return [
-        r for r, m in polynomial_roots(B.gamma * p - w * q, tol) for _ in range(m)
-    ]
+    tol = _tol(tol)
+    a = np.array(B.zeros, dtype=complex)
+    defect = np.sqrt(1.0 - np.abs(a) ** 2)
+    x = defect * np.cumprod(np.concatenate(([1.0], -a[:-1].conj())))
+    y = B.gamma * defect * np.cumprod(np.concatenate(([1.0], -a[:0:-1])))[::-1]
+    beta = w / (1.0 - B.evaluate(0j, tol).conjugate() * w)
+    A = shift_matrix(B.zeros).entries
+    eigenvalues = np.linalg.eigvals(A.T + beta * np.outer(x, y.conj()))
 
+    nodes, weights = _log_derivative(Counter(B.zeros))
 
-def _residuals_ok(
-    c: np.ndarray, roots: np.ndarray, tol: ToleranceConfig, loose: bool = False
-) -> bool:
-    slack = 1e3 if loose else 1.0
-    for z in roots:
-        if not np.isfinite(z):
-            return False
-        if abs(_poly_val(c, complex(z))) > slack * tol.root_tol * (
-            _poly_scale(c, complex(z)) + 1e-300
-        ):
-            return False
-    return True
+    def accept(mean: complex, k: int) -> complex | None:
+        z, residual = _polish(nodes, weights, mean, k - 1)
+        if residual <= 1e-8 and abs(B.evaluate(z, tol) - w) <= tol.root_tol:
+            return z
+        return None
 
-
-def _log_derivative_kth(
-    zeros: tuple[complex, ...], z: complex, k: int
-) -> tuple[complex, complex, float]:
-    """k-th derivative of S = B'/B at z, with S^(k+1) and a magnitude scale.
-
-    S(z) = sum_j [1/(z - a_j) + conj(a_j)/(1 - conj(a_j) z)], so every
-    derivative is an explicit sum of powers of the same linear factors and
-    stays conditioned like the product itself, no matter how the expanded
-    numerator coefficients behave.  The scale is the sum of term moduli,
-    the natural yardstick for a relative residual.
-    """
-    fk = math.factorial(k)
-    sign = (-1.0) ** k
-    val = 0j
-    nxt = 0j
-    scale = 0.0
-    for a in zeros:
-        u = z - a
-        ac = a.conjugate()
-        v = 1.0 - ac * z
-        t1 = sign * fk / u ** (k + 1)
-        t2 = fk * ac ** (k + 1) / v ** (k + 1)
-        val += t1 + t2
-        nxt += -(k + 1) * t1 / u + (k + 1) * t2 * ac / v
-        scale += abs(t1) + abs(t2)
-    return val, nxt, scale
-
-
-def _polish_critical_point(
-    B: BlaschkeProduct, r: complex, m: int
-) -> tuple[complex, float]:
-    """Refine one in-disk critical point against the factored derivative.
-
-    The coefficient polynomial N locates roots globally but loses accuracy
-    near the boundary once its coefficients dwarf |N'| there (degree 16 and
-    up in practice).  A multiplicity-m critical point is a simple zero of
-    S^(m-1) where S = B'/B, so Newton on that explicit sum recovers full
-    precision for any m.  Critical points sitting at a repeated zero of B
-    are returned as that zero directly, since S has a pole there rather
-    than a root.
-
-    Returns (point, relative residual); the residual is 0 for the
-    repeated-zero case.  The caller treats a large residual as a failed
-    location, never as data.
-    """
-    near = [a for a in B.zeros if abs(a - r) < 1e-6]
-    if len(near) >= 2:
-        return complex(sum(near) / len(near)), 0.0
-    z = complex(r)
-    for _ in range(60):
-        f, df, _ = _log_derivative_kth(B.zeros, z, m - 1)
-        if df == 0:
-            break
-        step = f / df
-        if not (math.isfinite(step.real) and math.isfinite(step.imag)):
-            break
-        z = z - step
-        if abs(step) <= 1e-16 * (1.0 + abs(z)):
-            break
-    if not (abs(z - r) < 5e-2 and abs(z) < 1.0):
-        z = complex(r)
-    f, _, scale = _log_derivative_kth(B.zeros, z, m - 1)
-    return z, abs(f) / (scale + 1e-300)
+    return [z for z, m in _merge_clusters(eigenvalues, accept) for _ in range(m)]
 
 
 @dataclass(frozen=True)
@@ -433,18 +293,26 @@ def critical_data(
 ) -> CriticalData:
     """Critical points of B inside the disk, their values, and value clusters.
 
-    Raises CountMismatch if the in-disk multiplicity count is not degree - 1.
+    Repeated zeros of B are taken as they are; the other points are the
+    in-disk zeros of S = B'/B, solved with the shift s on the unit circle
+    (where S never vanishes) farthest from the nodes among 16 samples.
+    Raises CountMismatch if the in-disk multiplicity count is not degree - 1
+    and SolverFailure if a point fails its certificate on S.
     """
     tol = _tol(tol)
-    roots = polynomial_roots(derivative_numerator(B), tol)
-    in_disk = [(r, m) for r, m in roots if abs(r) < 1.0]
-    total = sum(m for _, m in in_disk)
+    counts = Counter(B.zeros)
+    nodes, weights = _log_derivative(counts)
+    s = max(circle_samples(16, 0.3), key=lambda p: np.min(np.abs(nodes - p)))
+    zeros_of_s = _secular_roots(
+        nodes, weights, [z for z in _secular_zeros(nodes, weights, s) if abs(z) < 1.0]
+    )
+    total = sum(m for _, m in zeros_of_s) + sum(k - 1 for k in counts.values())
     if total != B.degree - 1:
         raise CountMismatch(B.degree - 1, total, "critical points in the disk")
-    polished: list[tuple[complex, int]] = []
-    for r, m in in_disk:
-        p, residual = _polish_critical_point(B, r, m)
-        if residual > 1e-6:
+    polished = [(a, k - 1) for a, k in counts.items() if k > 1]
+    for r, m in zeros_of_s:
+        p, residual = _polish(nodes, weights, r, m)
+        if not residual <= 1e-6:
             raise SolverFailure(
                 f"critical point near {r:.6f} has derivative residual "
                 f"{residual:.1e}; root location unreliable at degree {B.degree}"
@@ -551,8 +419,6 @@ def one_critical_value_form(
     if tau is None:
         raise VerificationFailure("could not interpolate tau from circle samples")
 
-    from .core import circle_samples
-
     err = max(
         abs(tau(base.evaluate(z, tol)) - B.evaluate(z, tol)) for z in circle_samples(64)
     )
@@ -601,8 +467,6 @@ def factor_any_order(
         factors.extend(z_power(p) for p in ordering[1:-1])
         factors.append(_phi_power(a, ordering[-1]))
     chain = CompositionChain(tuple(factors))
-
-    from .core import circle_samples
 
     err = max(abs(chain(z, tol) - B.evaluate(z, tol)) for z in circle_samples(64))
     if err > 1e-8:

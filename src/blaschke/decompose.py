@@ -32,8 +32,8 @@ from .core import (
     _tol,
 )
 from .circle import invariant_orbit
-from .critical import _cluster_values, polynomial_roots
-from .errors import DegenerateInput, InputError, SolverFailure
+from .critical import _cluster_values, _secular_roots, _secular_zeros
+from .errors import DegenerateInput, InputError
 from .shiftop import RangeVerdict, is_elliptical_range, shift_matrix
 
 __all__ = [
@@ -215,23 +215,27 @@ def _inner_from_orbits(
 
     Write D = z P / Q with P monic of degree k-1 and Q = prod (1 - conj(b) z).
     D = c on the k points of an orbit makes z P - c Q the monic polynomial
-    R_c vanishing there, so Q = (R_0 - R_1) / (c_1 - c_0) with c = -R_c(0),
-    and z P = R_0 + c_0 Q.  Simple roots of P get one Newton step in product
-    form.  None when the two values coincide, the roots of P are refused, or
-    they are not k-1 points inside the disk.
+    R_c vanishing there, with c = -R_c(0), so z P is a multiple of
+    c_1 R_0 - c_0 R_1.  In partial fractions over the orbit-0 points,
+    R_1/R_0 = 1 + sum_j rho_j / (z - a_j) with rho_j = R_1(a_j) / R_0'(a_j),
+    and the roots of P are the zeros of sum_j (rho_j / a_j) / (z - a_j),
+    solved as eigenvalues with the shift 2 (away from the orbits on the
+    circle and from roots in the disk).  Simple roots of P get one Newton
+    step in product form, except within cluster_tol of 0: there z P has a
+    double root, and the step would return only rounding.  None when the
+    two values coincide or the roots are not k-1 points inside the disk.
     """
     a0, a1 = (np.array(orbit) for orbit in orbits)
-    r0, r1 = np.poly(a0)[::-1], np.poly(a1)[::-1]
-    c0, c1 = -r0[0], -r1[0]
+    c0, c1 = -np.prod(-a0), -np.prod(-a1)
     if abs(c1 - c0) <= tol.cluster_tol:
         return None
-    q = (r0 - r1) / (c1 - c0)
-    try:
-        roots = polynomial_roots((r0 + c0 * q)[1:], tol)
-    except SolverFailure:
-        return None
+    gaps = a0[:, None] - a0[None, :]
+    np.fill_diagonal(gaps, 1.0)
+    rho = np.prod(a0[:, None] - a1[None, :], axis=1) / np.prod(gaps, axis=1)
+    weights = rho / a0
+    roots = _secular_roots(a0, weights, _secular_zeros(a0, weights, 2.0))
     zeros = [
-        _newton_step(b, c0, c1, a0, a1) if m == 1 else b
+        _newton_step(b, c0, c1, a0, a1) if m == 1 and abs(b) > tol.cluster_tol else b
         for b, m in roots
         for _ in range(m)
     ]

@@ -11,15 +11,15 @@ from blaschke import (
     DiskAutomorphism,
     InputError,
     compose,
+    normalize,
 )
+from blaschke.circle import solve_on_circle
 from blaschke.critical import (
     check_value_bound,
     critical_data,
-    derivative_numerator,
     factor_any_order,
+    fiber,
     one_critical_value_form,
-    polynomial_roots,
-    product_numerator_denominator,
 )
 
 from conftest import TAU, circle_grid, random_degree2_chain, random_product, rng_for
@@ -76,79 +76,6 @@ def test_hull_oracle_sanity():
     assert not _in_hull(1.5 + 0j, hull)
 
 
-# ------------------------------------------------------------ polynomial part
-
-
-def test_rational_parts_reproduce_product():
-    # P and Q carry the zero and pole factors; gamma stays outside
-    rng = rng_for(201)
-    B = random_product(rng, 5)
-    P, Q = product_numerator_denominator(B)
-    for z in circle_grid(16, 0.31) + [0.3 + 0.1j]:
-        num = sum(c * z**k for k, c in enumerate(P))
-        den = sum(c * z**k for k, c in enumerate(Q))
-        assert abs(B.gamma * num / den - B(z)) < 1e-11
-
-
-def test_derivative_numerator_vanishes_at_critical_points():
-    rng = rng_for(202)
-    B = random_product(rng, 4)
-    coeffs = derivative_numerator(B)
-    cd = critical_data(B)
-    for p, _ in _as_pairs(cd.points_in_disk):
-        val = sum(c * p**k for k, c in enumerate(coeffs))
-        scale = sum(abs(c) * abs(p) ** k for k, c in enumerate(coeffs))
-        assert abs(val) <= 1e-9 * max(scale, 1.0)
-
-
-def _as_pairs(points):
-    return [(p, 1) for p in points]
-
-
-# ------------------------------------------------------------------ rootfinder
-
-
-def test_roots_against_numpy_oracle():
-    rng = rng_for(203)
-    for _ in range(12):
-        deg = int(rng.integers(2, 9))
-        coeffs = [
-            complex(rng.normal(), rng.normal()) for _ in range(deg + 1)
-        ]
-        if abs(coeffs[-1]) < 0.3:
-            coeffs[-1] += 1.0
-        found = polynomial_roots(coeffs)
-        assert sum(m for _, m in found) == deg
-        expected = sorted(np.roots(list(reversed(coeffs))), key=lambda z: (z.real, z.imag))
-        flat = sorted(
-            (r for r, m in found for _ in range(m)), key=lambda z: (z.real, z.imag)
-        )
-        for a, b in zip(flat, expected):
-            assert abs(a - b) < 1e-7 * max(1.0, abs(b))
-
-
-def test_roots_detect_multiplicity():
-    # (z - r)^3 (z - s)^2, coefficients from the numpy oracle
-    r, s = 0.4 + 0.2j, -0.3 + 0.55j
-    coeffs = list(reversed(np.poly([r, r, r, s, s]).tolist()))
-    found = polynomial_roots(coeffs)
-    assert sorted(m for _, m in found) == [2, 3]
-    by_mult = {m: root for root, m in found}
-    assert abs(by_mult[3] - r) < 1e-7
-    assert abs(by_mult[2] - s) < 1e-7
-
-
-def test_roots_at_exact_origin():
-    coeffs = [0j, 0j, 1 + 0j, 2 + 0j]
-    found = polynomial_roots(coeffs)
-    assert (0j, 2) in found
-
-
-def test_roots_of_degenerate_inputs():
-    assert polynomial_roots([0j, 0j]) == []
-    assert polynomial_roots([3.0 + 0j]) == []
-
-
 # --------------------------------------------------------------- critical data
 
 
@@ -191,6 +118,82 @@ def test_power_has_single_critical_value():
     value, mult = cd.distinct_values[0]
     assert abs(value) < 1e-12
     assert mult == 7
+
+
+def _uniform_modulus_product(rng, degree):
+    # zero moduli uniform on [0, 0.8), angles uniform
+    zeros = tuple(
+        rng.uniform(0.0, 0.8) * cmath.exp(1j * rng.uniform(0.0, TAU))
+        for _ in range(degree)
+    )
+    return BlaschkeProduct(cmath.exp(1j * rng.uniform(0.0, TAU)), zeros)
+
+
+def _derivative_residual(B, z):
+    # |B'(z)| over sum_j |f_j'(z)| prod_{k != j} |f_k(z)|, from the factors:
+    # relative, because |B| and |B'| are tiny over most of the disk at
+    # high degree, where an absolute bound would pass any point
+    a = np.array(B.zeros)
+    den = 1.0 - a.conj() * z
+    f = (z - a) / den
+    df = (1.0 - np.abs(a) ** 2) / den**2
+    terms = np.array([df[j] * np.prod(np.delete(f, j)) for j in range(len(a))])
+    return abs(terms.sum()) / np.abs(terms).sum()
+
+
+def _assert_certified(B):
+    cd = critical_data(B)
+    assert len(cd.points_in_disk) == B.degree - 1
+    assert len(set(cd.points_in_disk)) == B.degree - 1
+    for p in cd.points_in_disk:
+        assert abs(p) < 1.0
+        assert _derivative_residual(B, p) <= 1e-6
+
+
+@pytest.mark.parametrize("degree", [32, 48, 64])
+def test_critical_points_certified_up_to_degree_64(degree):
+    # the coefficient form of B' refused most of these from degree 24 up
+    rng = rng_for(3000 + degree)
+    for _ in range(8):
+        _assert_certified(_uniform_modulus_product(rng, degree))
+
+
+@pytest.mark.parametrize("degree", [20, 24])
+def test_critical_points_of_normalized_products(degree):
+    # normalizing moves zeros toward the circle; the coefficient form then
+    # found more than n - 1 roots in the disk and raised CountMismatch
+    rng = rng_for(3000 + degree)
+    for _ in range(8):
+        _assert_certified(normalize(_uniform_modulus_product(rng, degree)).product)
+
+
+# ----------------------------------------------------------------------- fiber
+
+
+def test_fiber_edge_cases():
+    # z^8 over 0: the shift matrix is triangular, so the zeros are exact
+    assert fiber(BlaschkeProduct(1.0, (0j,) * 8), 0j) == [0j] * 8
+    # one zero of multiplicity 6: exact for the same reason
+    assert fiber(BlaschkeProduct(1.0, (0.5 + 0j,) * 6), 0j) == [0.5 + 0j] * 6
+    # tau o phi_a^4 takes tau(0) only at a, four times: the eigensolve
+    # returns four points about eps^(1/4) apart, merged into one point
+    a = 0.3 + 0.25j
+    tau = DiskAutomorphism(cmath.exp(0.7j), 0.35 - 0.2j)
+    B = compose(tau.as_blaschke(), BlaschkeProduct(1.0, (a,) * 4))
+    points = fiber(B, tau(0j))
+    assert len(points) == 4 and len(set(points)) == 1
+    assert abs(points[0] - a) < 1e-12
+
+
+@pytest.mark.parametrize("degree", [3, 5, 8, 12, 16, 20, 24])
+def test_fiber_on_the_circle_matches_solve_on_circle(degree):
+    # a second oracle for the circle solve, independent of the np.roots one
+    B = random_product(rng_for(150 + degree), degree, radius=0.8)
+    for t in (0.0, 0.9, 2.3, 3.7, 5.2):
+        lam = cmath.exp(1j * t)
+        points = np.array(fiber(B, lam))
+        for z in solve_on_circle(B, lam).points:
+            assert np.min(np.abs(points - z)) < 1e-12
 
 
 # ----------------------------------------------------------------- value bound

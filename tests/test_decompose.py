@@ -225,6 +225,16 @@ def test_inner_factor_degree_32_towers_and_refusals():
                 assert res.reason in ("not-found", "verification-failed")
 
 
+def test_compose_re_expands_degree_32_towers():
+    # compose solves the fibers of D over the zeros of C; at k = 16 the
+    # coefficient-form solve re-expanded these only to 1e-10 and 5e-10
+    for seed in (932, 935):
+        B = _tower(rng_for(seed), 5)
+        res = inner_factor_general(B, 16)
+        assert res.found, (seed, res.reason)
+        assert _sup(B, compose(res.outer, res.inner)) <= 1e-12
+
+
 def test_each_inner_factor_is_its_block_system():
     # the paper's link: the D-fibers of the zero labels are the blocks of
     # the one size-k system of the monodromy group
