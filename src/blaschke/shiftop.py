@@ -7,9 +7,21 @@ on the diagonal and
 
 above it.  It is a contraction with rank(I - A*A) = 1, and its numerical
 range W(A) = {<Av, v> : |v| = 1} is the convex region whose boundary this
-module samples by a support-function sweep: for each direction, the top
-eigenpair of the Hermitian part of e^{-i theta} A gives both the support
-value and a boundary point.
+module samples by a support-function sweep over a uniform grid of outward
+normal angles theta.  Which input takes which path:
+
+* a ShiftMatrix is swept from its zeros alone, with no eigensolve.  W(A) is
+  the region bounded by the Poncelet curve of C = z * prod (z - a_j)/(1 -
+  conj(a_j) z): the chord joining two consecutive circle solutions of
+  C = lam is tangent to its boundary (Gau and Wu 1998; Daepp, Gorkin,
+  Shaffer and Voss 2018).  The chord with normal e^{i theta} joins
+  e^{i(theta - delta)} to e^{i(theta + delta)}, where the lifted argument psi
+  of C gains exactly 2 pi across the arc; its support value is cos(delta)
+  and its tangency point is the psi'-weighted mean of the two endpoints.
+* any other square array goes through a Hermitian eigen-sweep: for each
+  direction, the top eigenpair of the Hermitian part of e^{-i theta} A gives
+  both the support value and a boundary point.  The tests use it as the
+  reference for the first path.
 """
 
 from __future__ import annotations
@@ -19,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circle import TAU, _ULPS
 from .core import ToleranceConfig, format_float, _tol
-from .errors import EigensolverFailure, InputError
+from .errors import EigensolverFailure, InputError, SolverFailure
 
 __all__ = [
     "ShiftMatrix",
@@ -90,15 +103,27 @@ class NumericalRangeSample:
 
 
 def numerical_range_boundary(A, samples: int = 720) -> NumericalRangeSample:
-    """Boundary sample of the numerical range by Hermitian eigen-sweep."""
+    """Boundary sample of W(A) at the normal angles 2 pi k / samples.
+
+    A ShiftMatrix is swept by the tangency formula from its zeros, with no
+    eigensolve; every angle's chord equation is certified to |F| <= 1e-10 or
+    SolverFailure names the angle.  Any other square array is swept by one
+    Hermitian eigensolve per angle.
+    """
     if samples < 8:
         raise InputError("need at least 8 sweep directions")
-    M = _as_matrix(A)
-    angles = []
+    angles = [2.0 * math.pi * k / samples for k in range(samples)]
+    if isinstance(A, ShiftMatrix):
+        support, points = _tangency_sweep(A.zeros, np.array(angles))
+    else:
+        support, points = _eigen_sweep(_as_matrix(A), angles)
+    return NumericalRangeSample(tuple(angles), tuple(support), tuple(points))
+
+
+def _eigen_sweep(M: np.ndarray, angles: list[float]) -> tuple[list, list]:
     support = []
     points = []
-    for k in range(samples):
-        theta = 2.0 * math.pi * k / samples
+    for theta in angles:
         R = np.exp(-1j * theta) * M
         H = 0.5 * (R + R.conj().T)
         try:
@@ -106,10 +131,84 @@ def numerical_range_boundary(A, samples: int = 720) -> NumericalRangeSample:
         except np.linalg.LinAlgError as exc:
             raise EigensolverFailure(f"Hermitian eigensolve failed at theta={theta}") from exc
         v = V[:, -1]
-        angles.append(theta)
         support.append(float(w[-1]))
         points.append(complex(np.vdot(v, M @ v)))
-    return NumericalRangeSample(tuple(angles), tuple(support), tuple(points))
+    return support, points
+
+
+def _chord(a: np.ndarray, theta: np.ndarray, delta: np.ndarray):
+    """The chord from z1 = e^{i(theta - delta)} to z2 = e^{i(theta + delta)}
+    for C = z * prod (z - a_j)/(1 - conj(a_j) z), with psi the lifted argument
+    of C on the circle.
+
+    Returns F = psi(theta + delta) - psi(theta - delta) - 2 pi, z1, z2 and
+    psi' at both ends (the Poisson sum, 1 for the z factor).  F needs no lift
+    grid: the z factor gains 2 delta, and every other factor turns once round
+    the circle with increasing argument, so across an arc shorter than a full
+    turn it gains its phase increment wrapped into [0, 2 pi).
+    """
+    z1 = np.exp(1j * (theta - delta))[:, None]
+    z2 = np.exp(1j * (theta + delta))[:, None]
+    gap1, gap2 = z1 - a, z2 - a
+    f1 = gap1 / (1.0 - a.conj() * z1)
+    f2 = gap2 / (1.0 - a.conj() * z2)
+    turn = np.angle(f2 * f1.conj()) % TAU
+    F = 2.0 * delta + np.sum(turn, axis=-1) - TAU
+    mass = 1.0 - np.abs(a) ** 2
+    rate1 = 1.0 + np.sum(mass / (gap1.real**2 + gap1.imag**2), axis=-1)
+    rate2 = 1.0 + np.sum(mass / (gap2.real**2 + gap2.imag**2), axis=-1)
+    return F, z1[:, 0], z2[:, 0], rate1, rate2
+
+
+def _tangency_sweep(zeros, theta: np.ndarray) -> tuple[list, list]:
+    """Support values and boundary points of W(S) for the compressed shift
+    with these zeros, at every normal angle in theta at once.
+
+    F(delta) rises from -2 pi at 0 to 2 pi len(zeros) at pi with slope
+    psi'(theta - delta) + psi'(theta + delta), so each angle has one root,
+    found by Newton with a bisection bracket over the live angles as numpy
+    arrays.  A Newton step is taken only when it is at most half the bracket
+    width; otherwise the bracket is halved.  An angle
+    stops when |F| < 1e-14 or when its step or bracket is within a few ulps
+    of theta + delta, the larger endpoint angle, whose rounding sets the
+    noise floor of F; after 80 passes at most.
+    """
+    a = np.asarray(zeros, dtype=complex)
+    delta = np.full_like(theta, math.pi / (len(a) + 1))
+    lo = np.zeros_like(theta)
+    hi = np.full_like(theta, math.pi)
+    live = np.arange(len(theta))
+    for _ in range(80):
+        d = delta[live]
+        F, _, _, rate1, rate2 = _chord(a, theta[live], d)
+        below = F < 0.0
+        lo_l = np.where(below, d, lo[live])
+        hi_l = np.where(below, hi[live], d)
+        step = F / (rate1 + rate2)
+        newton = d - step
+        ulps = _ULPS * np.spacing(theta[live] + d)
+        done = np.abs(F) < 1e-14
+        settled = np.abs(step) <= ulps
+        # d is one end of its bracket, so a step of at most half the width
+        # stays inside it
+        short = np.abs(step) <= 0.5 * (hi_l - lo_l)
+        delta[live] = np.where(
+            done, d, np.where(short | settled, newton, 0.5 * (lo_l + hi_l))
+        )
+        lo[live], hi[live] = lo_l, hi_l
+        live = live[~(done | settled | (hi_l - lo_l <= ulps))]
+        if not live.size:
+            break
+
+    F, z1, z2, rate1, rate2 = _chord(a, theta, delta)
+    worst = int(np.argmax(np.abs(F)))
+    if abs(F[worst]) > 1e-10:
+        raise SolverFailure(
+            f"tangent chord at theta={float(theta[worst])!r} has residual "
+            f"|F|={abs(F[worst]):.3e}, above 1e-10"
+        )
+    points = (z1 * rate1 + z2 * rate2) / (rate1 + rate2)
+    return (np.exp(-1j * theta) * points).real.tolist(), points.tolist()
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,7 +23,7 @@ from blaschke.poncelet import (
     tangency_audit,
 )
 
-from conftest import TAU, rng_for, random_product
+from conftest import TAU, rng_for, random_point, random_product
 
 B84 = BlaschkeProduct(
     1.0, (0j, 0j, 0j, 0j, 0.84 + 0j, -0.84 + 0j, 0.84j, -0.84j)
@@ -158,6 +158,23 @@ def test_curve_matches_shift_range_support():
         abs(fit.support(t) - h) for t, h in zip(sample.angles, sample.support)
     )
     assert mismatch < 1e-8
+
+
+@pytest.mark.parametrize("degree, seed", [(6, 341), (8, 342)])
+def test_poncelet_curve_lies_in_shift_range(degree, seed):
+    # the boundary of W(S) for zeros Z is the skip-0 envelope of z * prod_Z:
+    # no envelope point passes a support line of the swept range, and each
+    # support line is reached up to the envelope's sampling
+    from blaschke.shiftop import numerical_range_boundary, shift_matrix
+
+    rng = rng_for(seed)
+    Z = [random_point(rng) for _ in range(degree - 1)]
+    env = envelope(BlaschkeProduct(1.0, (0j, *Z)), 0).points
+    sample = numerical_range_boundary(shift_matrix(Z), 360)
+    for t, h in zip(sample.angles, sample.support):
+        reach = max((cmath.exp(-1j * t) * e).real for e in env)
+        assert reach <= h + 1e-9
+        assert reach >= h - 1e-3
 
 
 def test_envelope_grid_independence():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from blaschke import BlaschkeProduct, InputError
+from blaschke import shiftop
 from blaschke.shiftop import (
     boundary_csv,
     is_elliptical_range,
@@ -14,7 +15,7 @@ from blaschke.shiftop import (
     shift_matrix,
 )
 
-from conftest import TAU, rng_for, random_product
+from conftest import TAU, rng_for, random_point, random_product
 
 COS_QUARTER = math.cos(math.pi / 4)
 
@@ -113,6 +114,54 @@ def test_zero_order_does_not_change_range():
 def test_boundary_needs_enough_samples():
     with pytest.raises(InputError):
         numerical_range_boundary(shift_matrix([0j, 0j]), 4)
+    for A in (shift_matrix([0.3j, -0.2]), shift_matrix([0.3j, -0.2]).entries):
+        with pytest.raises(InputError):
+            numerical_range_boundary(A, 7)
+
+
+def _oracle_zeros(rng, size: int) -> list[complex]:
+    # seeded zeros with a repeated zero from size 3 up and one zero at 0
+    # from size 2 up (two of them from size 8 up)
+    zeros = [random_point(rng, 0.9) for _ in range(size)]
+    if size >= 2:
+        zeros[-1] = 0j
+    if size >= 3:
+        zeros[1] = zeros[0]
+    if size >= 8:
+        zeros[-2] = 0j
+    return zeros
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 8, 24, 63])
+def test_tangency_sweep_matches_eigensolve(size):
+    # a ShiftMatrix is swept from its zeros by the Poncelet tangency formula;
+    # its plain entries go through the Hermitian eigen-sweep, the reference
+    zeros = _oracle_zeros(rng_for(330 + size), size)
+    A = shift_matrix(zeros)
+    fast = numerical_range_boundary(A, 180)
+    ref = numerical_range_boundary(A.entries, 180)
+    assert fast.angles == ref.angles
+    assert max(abs(x - y) for x, y in zip(fast.support, ref.support)) < 1e-12
+    assert max(abs(x - y) for x, y in zip(fast.points, ref.points)) < 1e-9
+
+
+def test_shift_matrix_sweep_makes_no_eigensolve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve called for a ShiftMatrix")
+
+    monkeypatch.setattr(shiftop.np.linalg, "eigh", refuse)
+    monkeypatch.setattr(shiftop.np.linalg, "eigvalsh", refuse)
+    sample = numerical_range_boundary(shift_matrix(_oracle_zeros(rng_for(339), 8)))
+    assert len(sample.points) == 720
+
+
+def test_one_by_one_range_is_its_zero():
+    a = 0.35 - 0.5j
+    A = shift_matrix([a])
+    sample = numerical_range_boundary(A, 720)
+    assert max(abs(p - a) for p in sample.points) < 1e-14
+    verdict = is_elliptical_range(A, 720)
+    assert verdict.fit.classification == "point"
 
 
 # ------------------------------------------------------------ ellipse verdict
