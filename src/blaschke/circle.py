@@ -61,6 +61,25 @@ __all__ = [
 ]
 
 TAU = 2.0 * math.pi
+MAX_LIFT_CELLS = 2**25
+
+
+def _lift_cells(B: BlaschkeProduct, tol: ToleranceConfig) -> int:
+    """Cell count of the lift grid, checked before anything is allocated.
+
+    A solve holds about 100 bytes per cell at its peak, so a grid above
+    MAX_LIFT_CELLS raises SolverFailure instead of exhausting memory.  One
+    zero at 1 - 1e-6 needs about 2.5e7 cells and passes; one at 1 - 1e-8
+    needs about 2.5e9.
+    """
+    rate_bound = sum((1.0 + abs(a)) / (1.0 - abs(a)) for a in B.zeros)
+    cells = max(tol.circle_samples, int(math.ceil(TAU * rate_bound / 0.5)))
+    if cells > MAX_LIFT_CELLS:
+        raise SolverFailure(
+            f"argument lift needs {cells} grid cells, above {MAX_LIFT_CELLS}; "
+            f"the largest zero modulus is {max(abs(a) for a in B.zeros)!r}"
+        )
+    return cells
 
 
 @lru_cache(maxsize=64)
@@ -74,8 +93,7 @@ def _lift_grid(
     Using ceil(2 pi L / 0.5) cells keeps each increment of psi inside half a
     radian, which is what makes the unwrap exact rather than heuristic.
     """
-    rate_bound = sum((1.0 + abs(a)) / (1.0 - abs(a)) for a in B.zeros)
-    cells = max(tol.circle_samples, int(math.ceil(TAU * rate_bound / 0.5)))
+    cells = _lift_cells(B, tol)
     ts = np.linspace(0.0, TAU, cells + 1)
     values = B.evaluate(np.exp(1j * ts), tol)
     psi = np.unwrap(np.angle(values))

@@ -39,7 +39,6 @@ from .circle import invariant_orbit, solve_levels, verify_generator_power
 from .critical import check_value_bound, critical_data
 from .decompose import chain_2n, elliptical_implies_decomposable_check, inner_factor_general
 from .errors import (
-    BlaschkeError,
     CountMismatch,
     DegenerateEnvelope,
     DegenerateInput,
@@ -175,8 +174,6 @@ def _chain_dict(chain: CompositionChain) -> dict:
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str
-    source: str
     tolerances: ToleranceConfig
     lambda_samples: int
     skip: int
@@ -599,8 +596,6 @@ def main(argv=None) -> int:
         )
         seed = int(os.environ.get("BLASCHKE_SEED", str(DEFAULT_SEED)), 0)
         cfg = RunConfig(
-            command=args.command,
-            source=args.demo or args.input or "",
             tolerances=tol,
             lambda_samples=args.lambda_samples,
             skip=args.skip,

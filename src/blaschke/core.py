@@ -23,7 +23,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -212,8 +212,6 @@ class BlaschkeProduct:
         need no special casing.
         """
         tol = _tol(tol)
-        if isinstance(z, np.ndarray):
-            return self._derivative_array(z, tol)
         z = complex(z)
         p = self.gamma
         dp = 0.0 + 0.0j
@@ -221,21 +219,6 @@ class BlaschkeProduct:
             den = 1.0 - a.conjugate() * z
             if abs(den) <= tol.root_tol:
                 raise PoleProximity(z, den)
-            f = (z - a) / den
-            df = (1.0 - abs(a) ** 2) / (den * den)
-            dp = dp * f + p * df
-            p = p * f
-        return dp
-
-    def _derivative_array(self, z: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        p = np.full(z.shape, self.gamma, dtype=complex)
-        dp = np.zeros(z.shape, dtype=complex)
-        for a in self.zeros:
-            den = 1.0 - np.conj(a) * z
-            if np.any(np.abs(den) <= tol.root_tol):
-                bad = z.flat[int(np.argmin(np.abs(den)))]
-                raise PoleProximity(bad, np.min(np.abs(den)))
             f = (z - a) / den
             df = (1.0 - abs(a) ** 2) / (den * den)
             dp = dp * f + p * df

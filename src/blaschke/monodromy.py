@@ -28,7 +28,6 @@ from functools import reduce
 from .core import (
     BlaschkeProduct,
     ToleranceConfig,
-    unit,
     _DisjointSets,
     _tol,
 )
@@ -61,7 +60,13 @@ __all__ = [
 
 TAU = 2.0 * math.pi
 ENUMERATION_CAP = 10**6
-_NOT_ENUMERATED = object()
+
+
+def _invert(images: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(images)
+    for i, j in enumerate(images):
+        inv[j] = i
+    return tuple(inv)
 
 
 @dataclass(frozen=True)
@@ -80,10 +85,7 @@ class Permutation:
         return Permutation(tuple(self.images[j] for j in other.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
+        return Permutation(_invert(self.images))
 
     @staticmethod
     def identity(n: int) -> "Permutation":
@@ -119,9 +121,13 @@ class Permutation:
 class PermutationGroup:
     """Group generated by a list of permutations on range(degree).
 
-    Closure is computed on demand by breadth-first products and cached; when
-    it would exceed ENUMERATION_CAP elements the order is reported as None
-    rather than wrong.
+    Every group question is read off one stabilizer chain, built by
+    deterministic Schreier-Sims on first use and cached (Sims 1970; Seress,
+    Permutation Group Algorithms, 2003).  Level i holds a base point b_i, the
+    strong generators fixing b_0 .. b_{i-1}, and a transversal: for each point
+    p of the basic orbit of b_i, a group element u with u(b_i) = p and its
+    inverse.  The order is the product of the basic-orbit sizes, and the
+    group is transitive when the first basic orbit holds every point.
     """
 
     def __init__(self, generators, degree: int):
@@ -129,33 +135,56 @@ class PermutationGroup:
         self.degree = int(degree)
         if any(len(g.images) != self.degree for g in self.generators):
             raise InputError("generator degree mismatch")
-        self._closure = _NOT_ENUMERATED
+        self._levels: list | None = None
 
-    def elements(self) -> frozenset | None:
-        if self._closure is not _NOT_ENUMERATED:
-            return self._closure
+    def _chain(self) -> list:
+        """The levels (base point, strong generators, transversal), built
+        from the generators on first use."""
+        if self._levels is None:
+            self._levels = []
+            for g in self.generators:
+                self._extend(0, g.images)
+        return self._levels
+
+    def _sift(self, g: tuple, i: int) -> tuple:
+        """Strip g by the transversals from level i down; the identity comes
+        back exactly when g lies in the group those levels generate."""
+        for base, _, transversal in self._levels[i:]:
+            rep = transversal.get(g[base])
+            if rep is None:
+                break
+            g = tuple(rep[1][x] for x in g)
+        return g
+
+    def _extend(self, i: int, g: tuple) -> None:
+        """Add g, which fixes the first i base points, to level i unless it
+        sifts out, then sift every Schreier generator of level i into the
+        levels below.  On return every level from i down is complete."""
         identity = tuple(range(self.degree))
-        seen = {identity}
-        frontier = [identity]
-        gen_images = [g.images for g in self.generators]
+        g = self._sift(g, i)
+        if g == identity:
+            return
+        levels = self._levels
+        if i == len(levels):
+            base = next(x for x, y in enumerate(g) if x != y)
+            levels.append((base, [], {base: (identity, identity)}))
+        _, gens, transversal = levels[i]
+        gens.append(g)
+        frontier = list(transversal)
         while frontier:
-            nxt = []
-            for elem in frontier:
-                for gi in gen_images:
-                    prod = tuple(gi[j] for j in elem)
-                    if prod not in seen:
-                        seen.add(prod)
-                        nxt.append(prod)
-                        if len(seen) > ENUMERATION_CAP:
-                            self._closure = None
-                            return None
-            frontier = nxt
-        self._closure = frozenset(seen)
-        return self._closure
+            p = frontier.pop()
+            for s in gens:
+                if s[p] not in transversal:
+                    v = tuple(s[x] for x in transversal[p][0])
+                    transversal[s[p]] = (v, _invert(v))
+                    frontier.append(s[p])
+        for p, (u, _) in list(transversal.items()):
+            for s in gens:
+                w = transversal[s[p]][1]
+                self._extend(i + 1, tuple(w[s[x]] for x in u))
 
-    def order(self) -> int | None:
-        closure = self.elements()
-        return None if closure is None else len(closure)
+    def order(self) -> int:
+        return math.prod(len(level[2]) for level in self._chain())
 
     def is_abelian(self) -> bool:
         gens = self.generators
@@ -164,24 +193,32 @@ class PermutationGroup:
         )
 
     def is_transitive(self) -> bool:
-        reached = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for g in self.generators:
-                    for j in (g.images[i], g.inverse().images[i]):
-                        if j not in reached:
-                            reached.add(j)
-                            nxt.append(j)
-            frontier = nxt
-        return len(reached) == self.degree
+        levels = self._chain()
+        orbit = len(levels[0][2]) if levels else 1
+        return orbit == self.degree
 
-    def element_orders(self) -> tuple[int, ...] | None:
-        closure = self.elements()
-        if closure is None:
-            return None
-        return tuple(sorted({Permutation(e).order() for e in closure}))
+    def element_orders(self) -> tuple[int, ...]:
+        """Sorted distinct element orders, from every product u_0 u_1 ...
+        of one transversal element per level.  Groups of order above
+        ENUMERATION_CAP raise InputError instead of being listed."""
+        order = self.order()
+        if order > ENUMERATION_CAP:
+            raise InputError(
+                f"group of order {order} is above ENUMERATION_CAP = "
+                f"{ENUMERATION_CAP}; its elements are not listed"
+            )
+        levels = self._chain()
+        found = set()
+
+        def walk(i: int, prefix: tuple) -> None:
+            if i == len(levels):
+                found.add(Permutation(prefix).order())
+                return
+            for u, _ in levels[i][2].values():
+                walk(i + 1, tuple(prefix[x] for x in u))
+
+        walk(0, tuple(range(self.degree)))
+        return tuple(sorted(found))
 
 
 @dataclass(frozen=True)
@@ -527,7 +564,7 @@ def _refines(p: BlockSystem, q: BlockSystem) -> bool:
 @dataclass(frozen=True)
 class WreathAudit:
     levels: int
-    order: int | None
+    order: int
     expected_order: int
     order_ok: bool
     two_group_ok: bool
@@ -542,7 +579,9 @@ class WreathAudit:
 def wreath_audit(G: PermutationGroup, levels: int) -> WreathAudit:
     """Audit G against the iterated binary wreath shape of height `levels`:
     order 2^(2^levels - 1), every element order a power of two, and a nested
-    chain of block systems of sizes 2, 4, ..., 2^(levels-1)."""
+    chain of block systems of sizes 2, 4, ..., 2^(levels-1).  The order comes
+    off G's stabilizer chain, so no element is listed at any height; a 2-group
+    is recognized by its order alone."""
     if levels < 1:
         raise InputError("levels must be positive")
     expected = 2 ** (2**levels - 1)
@@ -550,7 +589,7 @@ def wreath_audit(G: PermutationGroup, levels: int) -> WreathAudit:
     order_ok = order == expected
 
     # a finite group is a 2-group exactly when its order is a power of two
-    two_group_ok = order is not None and order & (order - 1) == 0
+    two_group_ok = order & (order - 1) == 0
 
     wanted = [2**i for i in range(1, levels)]
     systems = block_systems(G) if G.is_transitive() else ()

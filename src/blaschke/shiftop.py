@@ -106,9 +106,9 @@ def numerical_range_boundary(A, samples: int = 720) -> NumericalRangeSample:
     """Boundary sample of W(A) at the normal angles 2 pi k / samples.
 
     A ShiftMatrix is swept by the tangency formula from its zeros, with no
-    eigensolve; every angle's chord equation is certified to |F| <= 1e-10 or
-    SolverFailure names the angle.  Any other square array is swept by one
-    Hermitian eigensolve per angle.
+    eigensolve; every angle's delta is certified to |F|/(psi'1 + psi'2) <=
+    5e-11 or SolverFailure names the angle.  Any other square array is swept
+    by one Hermitian eigensolve per angle.
     """
     if samples < 8:
         raise InputError("need at least 8 sweep directions")
@@ -201,11 +201,15 @@ def _tangency_sweep(zeros, theta: np.ndarray) -> tuple[list, list]:
             break
 
     F, z1, z2, rate1, rate2 = _chord(a, theta, delta)
-    worst = int(np.argmax(np.abs(F)))
-    if abs(F[worst]) > 1e-10:
+    # F' = psi'(theta - delta) + psi'(theta + delta), so |F|/F' is the error
+    # in delta; near a zero close to the circle F' is huge, and an accurate
+    # delta can still leave |F| far from 0
+    error = np.abs(F) / (rate1 + rate2)
+    worst = int(np.argmax(error))
+    if error[worst] > 5e-11:
         raise SolverFailure(
-            f"tangent chord at theta={float(theta[worst])!r} has residual "
-            f"|F|={abs(F[worst]):.3e}, above 1e-10"
+            f"tangent chord at theta={float(theta[worst])!r} has delta error "
+            f"|F|/(psi'1 + psi'2)={error[worst]:.3e}, above 5e-11"
         )
     points = (z1 * rate1 + z2 * rate2) / (rate1 + rate2)
     return (np.exp(-1j * theta) * points).real.tolist(), points.tolist()

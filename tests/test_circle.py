@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from blaschke import BlaschkeProduct, CompositionChain, InputError
+from blaschke import BlaschkeProduct, CompositionChain, InputError, ToleranceConfig
 from blaschke.circle import (
     argument_derivative,
     chord_second_intersection,
@@ -17,6 +17,7 @@ from blaschke.circle import (
     verify_generator_power,
 )
 from blaschke import circle
+from blaschke.errors import SolverFailure
 
 from conftest import TAU, circle_grid, random_product, rng_for
 
@@ -295,3 +296,16 @@ def test_chord_rejects_bad_arguments():
         chord_second_intersection(1.5 + 0j, 1.0 + 0j)
     with pytest.raises(InputError):
         chord_second_intersection(0.2 + 0j, 0.5 + 0j)
+
+
+def test_lift_grid_refuses_a_zero_too_close_to_the_circle():
+    # a zero at 1 - 1e-8 needs a 2.5e9-cell lift grid, tens of GiB of
+    # arrays; the cell count is refused before anything is allocated
+    B = BlaschkeProduct(1.0, ((1.0 - 1e-8) * cmath.exp(1j),))
+    with pytest.raises(SolverFailure, match="needs 2513274098 grid cells") as info:
+        solve_on_circle(B, -1.0)
+    assert "largest zero modulus is 0.99999999" in str(info.value)
+    # a zero at 1 - 1e-6 still gets its grid, about 2.5e7 cells
+    near = BlaschkeProduct(1.0, ((1.0 - 1e-6) * cmath.exp(1j),))
+    cells = circle._lift_cells(near, ToleranceConfig())
+    assert 2.5e7 < cells <= circle.MAX_LIFT_CELLS

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -25,6 +26,7 @@ from blaschke.monodromy import (
 )
 
 from conftest import random_point, rng_for
+from test_decompose import _tower
 
 
 # -------------------------------------------------------- permutation algebra
@@ -415,3 +417,81 @@ def test_prime_degree_has_no_blocks():
     assert report.rows == ()
     assert report.systems == ()
     assert report.consistent
+
+
+# ------------------------------------------------------------ stabilizer chain
+
+
+def _symmetric(n):
+    cycle = Permutation(tuple((i + 1) % n for i in range(n)))
+    swap = Permutation((1, 0) + tuple(range(2, n)))
+    return PermutationGroup([cycle, swap], n)
+
+
+@pytest.mark.parametrize("n", [9, 10, 12])
+def test_symmetric_group_order(n):
+    # 10! and 12! are above ENUMERATION_CAP; the chain gives them exactly
+    G = _symmetric(n)
+    assert G.order() == math.factorial(n)
+    assert type(G.order()) is int
+    assert G.is_transitive()
+
+
+def test_element_orders_refuse_a_large_group_without_listing(monkeypatch):
+    def refuse(self):
+        raise AssertionError("an element was listed")
+
+    monkeypatch.setattr(Permutation, "order", refuse)
+    with pytest.raises(InputError, match="order 3628800"):
+        _symmetric(10).element_orders()
+
+
+def test_chain_matches_listing_and_orbit():
+    rng = rng_for(340)
+    for trial in range(40):
+        n = int(rng.integers(3, 8))
+        if trial % 2:
+            gens = [_random_perm(rng, n), _random_perm(rng, n)]
+        else:
+            # each generator keeps {0, .., k-1} and its complement apart
+            k = int(rng.integers(1, n))
+            gens = [
+                Permutation(
+                    tuple(int(i) for i in rng.permutation(k))
+                    + tuple(k + int(i) for i in rng.permutation(n - k))
+                )
+                for _ in range(2)
+            ]
+        listed = {tuple(range(n))}
+        frontier = list(listed)
+        while frontier:
+            nxt = []
+            for e in frontier:
+                for g in gens:
+                    prod = tuple(g.images[j] for j in e)
+                    if prod not in listed:
+                        listed.add(prod)
+                        nxt.append(prod)
+            frontier = nxt
+        orbit = {0}
+        frontier = [0]
+        while frontier:
+            nxt = [g(i) for i in frontier for g in gens if g(i) not in orbit]
+            orbit.update(nxt)
+            frontier = nxt
+        G = PermutationGroup(gens, n)
+        assert G.order() == len(listed), (trial, n)
+        assert G.is_transitive() == (len(orbit) == n), (trial, n)
+
+
+@pytest.mark.parametrize("seed", [931, 932, 935])
+def test_wreath_audit_degree_32_towers(seed):
+    # five degree-2 levels: the group is the 5-fold iterated wreath product
+    # of C2, of order 2^31, far past any listing
+    B = normalize(_tower(rng_for(seed), 5)).product
+    cross = cross_validate(B)
+    audit = wreath_audit(cross.monodromy.group, 5)
+    assert audit.ok
+    assert audit.order == 2**31
+    assert audit.nested_sizes == (2, 4, 8, 16)
+    assert cross.consistent

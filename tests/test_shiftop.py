@@ -145,6 +145,22 @@ def test_tangency_sweep_matches_eigensolve(size):
     assert max(abs(x - y) for x, y in zip(fast.points, ref.points)) < 1e-9
 
 
+@pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-12])
+def test_tangency_sweep_certifies_zeros_near_the_circle(eps):
+    # near a zero at 1 - eps the slope psi'1 + psi'2 of F is of order 1/eps,
+    # so an accurate delta leaves |F| far above 1e-10; the certificate is on
+    # the delta error |F|/(psi'1 + psi'2)
+    for size in (3, 16, 63):
+        rng = rng_for(350 + size)
+        zeros = [random_point(rng, 0.9) for _ in range(size)]
+        zeros[0] = (1.0 - eps) * cmath.exp(1.3j)
+        A = shift_matrix(zeros)
+        fast = numerical_range_boundary(A, 180)
+        ref = numerical_range_boundary(A.entries, 180)
+        assert max(abs(x - y) for x, y in zip(fast.support, ref.support)) < 1e-12
+        assert max(abs(x - y) for x, y in zip(fast.points, ref.points)) < 1e-9
+
+
 def test_shift_matrix_sweep_makes_no_eigensolve(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("eigensolve called for a ShiftMatrix")
