@@ -24,7 +24,6 @@ from .core import (
 from .errors import (
     BlaschkeError,
     CountMismatch,
-    DegenerateEnvelope,
     DegenerateInput,
     EigensolverFailure,
     GeometryFailure,
@@ -55,7 +54,6 @@ __all__ = [
     "unit",
     "BlaschkeError",
     "CountMismatch",
-    "DegenerateEnvelope",
     "DegenerateInput",
     "EigensolverFailure",
     "GeometryFailure",

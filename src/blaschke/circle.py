@@ -9,20 +9,18 @@ most 0.5 radians.  That bound makes the unwrap provably correct and gives
 every solver below a guaranteed bracket.
 
 solve_levels solves any number of level sets at once: it brackets all
-n * len(lams) roots on that grid and runs one safeguarded Newton iteration
-over all of them as numpy arrays.  Each pass evaluates B and the rate
-psi'(t) = sum_j (1 - |a_j|^2) / |e^{it} - a_j|^2 (a Poisson sum, positive for
-every product) with one broadcast over the zeros.  A root stops when its
-offset from arg(lambda) is below 1e-14, or when its Newton correction or its
-bracket is within a few ulps of t.  Past t = 0.5 one ulp of t is already
-wider than 1e-16, so an absolute bracket test of that size can never fire
-there; an ulp-relative rule can.
+n * len(lams) roots on that grid and solves them with _bracketed_newton, the
+one Newton kernel for every monotone circle equation here and in shiftop,
+and _certify, their one certificate.  Each pass evaluates B and the rate
+psi'(t) = sum_j (1 - |a_j|^2) / |e^{it} - a_j|^2 (a Poisson sum, positive
+for every product) with one broadcast over the zeros.
 
 The next-preimage map g (send a circle point to the next solution of the same
 level set, counterclockwise) generates the full set of continuous circle maps
 commuting with B in the sense B o u = B, a cyclic group of order n.  Orbits
 of g come from a single level-set solve: the iterates are just successive
-entries of one CircleSolutionSet.
+entries of one CircleSolutionSet, and the orbits of many starts come from one
+batched solve.
 """
 
 from __future__ import annotations
@@ -173,9 +171,62 @@ class CircleSolutionSet:
         return self.angles[k % n] + TAU * (k // n)
 
 
-# a root whose Newton correction or bracket is within this many ulps of t
-# is solved
+# a root whose Newton step or bracket is within this many ulps of the
+# solved angle is solved
 _ULPS = 4.0
+
+
+def _bracketed_newton(evaluate, x, lo, hi, base):
+    """Roots x of increasing functions, one per entry, solved together.
+
+    evaluate(live, x) returns f and f' > 0 at the entries live.  Each root
+    lies in its bracket [lo, hi] and the solved angle is base + x, whose
+    rounding sets the noise floor of f.  Newton runs over the live entries as
+    numpy arrays; a step is taken only when it is at most half the bracket
+    width, otherwise the bracket is halved, so convergence is unconditional.
+    An entry stops when |f| < 1e-14 or when its step or bracket is within
+    _ULPS ulps of base + x; after 80 passes at most.  x, lo and hi are
+    updated in place.
+    """
+    base = np.broadcast_to(base, x.shape)
+    live = np.arange(len(x))
+    for _ in range(80):
+        xl = x[live]
+        f, rate = evaluate(live, xl)
+        below = f < 0.0
+        lo_l = np.where(below, xl, lo[live])
+        hi_l = np.where(below, hi[live], xl)
+        step = f / rate
+        ulps = _ULPS * np.spacing(base[live] + xl)
+        done = np.abs(f) < 1e-14
+        settled = np.abs(step) <= ulps
+        # xl is one end of its bracket, so a step of at most half the width
+        # stays inside it
+        short = np.abs(step) <= 0.5 * (hi_l - lo_l)
+        x[live] = np.where(
+            done, xl, np.where(short | settled, xl - step, 0.5 * (lo_l + hi_l))
+        )
+        lo[live], hi[live] = lo_l, hi_l
+        live = live[~(done | settled | (hi_l - lo_l <= ulps))]
+        if not live.size:
+            break
+    return x
+
+
+def _certify(f, rate, name) -> None:
+    """SolverFailure unless every root has argument error |f|/f' <= 5e-11.
+
+    Near a zero close to the circle f' is huge, so an accurate root can still
+    leave |f| far from 0; |f|/f' is the error in the root itself.  name(k)
+    describes the k-th root (flat index) for the message.
+    """
+    error = (np.abs(f) / rate).ravel()
+    if error.size and error.max() > 5e-11:
+        worst = int(np.argmax(error))
+        raise SolverFailure(
+            f"{name(worst)} has argument error |f|/f' = {error[worst]:.3e}, "
+            f"above 5e-11"
+        )
 
 
 def solve_levels(
@@ -184,13 +235,11 @@ def solve_levels(
     """The circle solutions of B(z) = lam for every unimodular lam in lams.
 
     Brackets each of the n * len(lams) roots psi(t) = arg(lam) + 2 pi k on
-    the grid and runs Newton with a bisection safeguard on all of them at
-    once.  The bracket is never abandoned, so convergence is unconditional.
-    A root stops when |psi(t) - arg(lam)| < 1e-14 (mod 2 pi), when its Newton
-    correction or its bracket is within a few ulps of t, or after 80 passes.
-    Each level set is then certified on its own: residual |B(z) - lam| at
-    most 1e-10 and n strictly increasing angles, or SolverFailure, which can
-    only mean the grid or tolerances are misconfigured.
+    the grid and solves them all at once with _bracketed_newton.  Every root
+    is then certified on its argument error |psi(t) - arg(lam)|/psi'(t) <=
+    5e-11, and every level set on its n strictly increasing angles, or
+    SolverFailure, which can only mean the grid or tolerances are
+    misconfigured.
     """
     tol = _tol(tol)
     targets = []
@@ -216,37 +265,23 @@ def solve_levels(
 
     # f = arg(B(z) conj(lam)) is the offset psi(t) - arg(lam), wrapped
     rotate = np.repeat(lam.conj(), n)
-    live = np.arange(len(t))
-    for _ in range(80):
-        tl = t[live]
+
+    def offset(live, tl):
         w, rate = _circle_terms(B, np.exp(1j * tl))
-        f = np.angle(w * rotate[live])
-        below = f < 0.0
-        lo_l = np.where(below, tl, lo[live])
-        hi_l = np.where(below, hi[live], tl)
-        step = f / rate
-        newton = tl - step
-        ulps = _ULPS * np.spacing(tl)
-        done = np.abs(f) < 1e-14
-        settled = np.abs(step) <= ulps
-        inside = (lo_l < newton) & (newton < hi_l)
-        t[live] = np.where(
-            done, tl, np.where(inside | settled, newton, 0.5 * (lo_l + hi_l))
-        )
-        lo[live], hi[live] = lo_l, hi_l
-        live = live[~(done | settled | (hi_l - lo_l <= ulps))]
-        if not live.size:
-            break
+        return np.angle(w * rotate[live]), rate
+
+    t = _bracketed_newton(offset, t, lo, hi, 0.0)
 
     angles = np.sort((t % TAU).reshape(len(lam), n), axis=1)
     points = np.exp(1j * angles)
-    residual = np.abs(_circle_terms(B, points)[0] - lam[:, None]).max(axis=1)
-    ordered = np.all(np.diff(angles, axis=1) > 0.0, axis=1)
-    for worst, increasing in zip(residual, ordered):
-        if worst > 1e-10:
-            raise SolverFailure(f"circle solve residual {worst:.3e} exceeds 1e-10")
-        if not increasing:
-            raise SolverFailure("coincident circle solutions; level set degenerate")
+    w, rate = _circle_terms(B, points)
+    _certify(
+        np.angle(w * lam.conj()[:, None]),
+        rate,
+        lambda k: f"circle solution of B = {targets[k // n]!r}",
+    )
+    if not np.all(np.diff(angles, axis=1) > 0.0):
+        raise SolverFailure("coincident circle solutions; level set degenerate")
     return [
         CircleSolutionSet(target, tuple(row_angles), tuple(row_points))
         for target, row_angles, row_points in zip(
@@ -261,22 +296,30 @@ def solve_on_circle(
     """All circle solutions of B(z) = lam for unimodular lam.
 
     The one-row case of solve_levels: the n roots are bracketed on the lift
-    grid and solved together by one array Newton iteration with a bisection
-    safeguard.  A root stops when its offset from arg(lam) is below 1e-14 or
-    its Newton correction or bracket is within a few ulps of t, so no root
-    runs to the 80-pass cap; the residual (at most 1e-10) and the strictly
-    increasing angles are checked before returning.
+    grid, solved together by _bracketed_newton and certified on their
+    argument error and their strictly increasing angles before returning.
     """
     return solve_levels(B, [lam], tol)[0]
 
 
-def _locate(sol: CircleSolutionSet, z: complex) -> int:
-    best = min(range(len(sol)), key=lambda i: abs(sol.points[i] - z))
-    if abs(sol.points[best] - z) > 1e-6:
+def _orbit(sol: CircleSolutionSet, z: complex, count: int) -> tuple[complex, ...]:
+    """(z, g(z), ..., g^{count-1}(z)) read off the level set sol through z,
+    which must hold z itself."""
+    i = min(range(len(sol)), key=lambda k: abs(sol.points[k] - z))
+    if abs(sol.points[i] - z) > 1e-6:
         raise SolverFailure(
             "point is not on its own level set; circle solve inconsistent"
         )
-    return best
+    return (z,) + tuple(sol.point(i + j) for j in range(1, count))
+
+
+def _orbits(
+    B: BlaschkeProduct, starts, count: int, tol: ToleranceConfig
+) -> list[tuple[complex, ...]]:
+    """invariant_orbit for every start, from one solve_levels call."""
+    starts = [unit(complex(z)) for z in starts]
+    sols = solve_levels(B, [B.evaluate(z, tol) for z in starts], tol)
+    return [_orbit(sol, z, count) for sol, z in zip(sols, starts)]
 
 
 def invariant_orbit(
@@ -294,9 +337,7 @@ def invariant_orbit(
     if count < 1:
         raise InputError("orbit length must be at least 1")
     z = unit(complex(z))
-    sol = solve_on_circle(B, B.evaluate(z, tol), tol)
-    i = _locate(sol, z)
-    return (z,) + tuple(sol.point(i + j) for j in range(1, count))
+    return _orbit(solve_on_circle(B, B.evaluate(z, tol), tol), z, count)
 
 
 def next_preimage(
@@ -358,8 +399,8 @@ def verify_generator_power(
     That factor is gamma * z * phi_a for some unimodular gamma, and gamma
     does not matter: either way its fibers are the pairs {z, phi_a(z)}.
     Compares the iterated next-preimage map of the expanded chain against
-    phi_a on 64 circle samples; passes when the sup error stays within
-    identity_tol.
+    phi_a on 64 circle samples, all read off one batched level-set solve;
+    passes when the sup error stays within identity_tol.
     """
     tol = _tol(tol)
     if any(f.degree != 2 for f in chain.factors):
@@ -376,8 +417,8 @@ def verify_generator_power(
     phi = DiskAutomorphism(1.0, a)
     worst = 0.0
     worst_at = 1.0 + 0j
-    for z in circle_samples(64, offset=0.05):
-        orbit = invariant_orbit(B, z, power + 1, tol)
+    samples = list(circle_samples(64, offset=0.05))
+    for z, orbit in zip(samples, _orbits(B, samples, power + 1, tol)):
         err = abs(orbit[power] - phi(z))
         if err > worst:
             worst, worst_at = err, z

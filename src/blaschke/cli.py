@@ -35,12 +35,11 @@ from .core import (
     is_regularized,
     normalize,
 )
-from .circle import invariant_orbit, solve_levels, verify_generator_power
+from .circle import _orbits, solve_levels, verify_generator_power
 from .critical import check_value_bound, critical_data
 from .decompose import chain_2n, elliptical_implies_decomposable_check, inner_factor_general
 from .errors import (
     CountMismatch,
-    DegenerateEnvelope,
     DegenerateInput,
     EigensolverFailure,
     GeometryFailure,
@@ -498,8 +497,8 @@ def cmd_invariants(obj, cfg: RunConfig) -> int:
     B = _as_product(obj, tol)
     n = B.degree
     samples = list(circle_samples(8, 0.13))
-    # one level-set solve per sample serves both g(z) and g^n(z)
-    orbits = [invariant_orbit(B, z, n + 1, tol) for z in samples]
+    # one batched level-set solve serves g(z) and g^n(z) for every sample
+    orbits = _orbits(B, samples, n + 1, tol)
     pairs = [{"z": z, "g": orbit[1]} for z, orbit in zip(samples, orbits)]
     identity_error = max(abs(orbit[n] - z) for z, orbit in zip(samples, orbits))
     report = {
@@ -620,7 +619,6 @@ def main(argv=None) -> int:
         CountMismatch,
         NoInteriorFixedPoint,
         PoleProximity,
-        DegenerateEnvelope,
     ) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3

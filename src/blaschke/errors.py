@@ -56,10 +56,6 @@ class EigensolverFailure(BlaschkeError):
     """The Hermitian eigensolver did not converge."""
 
 
-class DegenerateEnvelope(BlaschkeError):
-    """The chord family is stationary; no envelope point is defined."""
-
-
 class GeometryFailure(BlaschkeError):
     """Loop or chord geometry cannot be built (merged points, no clearance)."""
 

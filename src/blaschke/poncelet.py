@@ -9,11 +9,16 @@ K_1 .. K_{floor(n/2)} is the curve package of Bhat.
 Envelope points come from the analytic tangency condition, not finite
 differences.  A vertex z(t) = e^{i theta(t)} of the level set Bhat = e^{it}
 moves with psi(theta) = t, psi the lifted argument of Bhat on the circle, so
-its velocity is z'(t) = i z / psi'(theta) (equal to i e^{it} / Bhat'(z)), and
-the tangency point of the moving chord p(t) + s (q(t) - p(t)) is the s where
-the point velocity stays parallel to the chord:
+its angle turns at rate 1/psi'(theta).  A chord whose ends p and q turn at
+rates 1/psi'_p and 1/psi'_q touches its envelope at the point dividing it in
+the ratio of those rates, the psi'-weighted mean of its ends:
 
-    s = - cross(p', q - p) / cross(q' - p', q - p),   cross(u, v) = Im(conj(u) v).
+    e = (p psi'_p + q psi'_q) / (psi'_p + psi'_q),
+
+the formula shiftop uses for the numerical range, the skip-0 envelope of z
+times the zeros.  psi' > 0 on the circle and p != q, so e is a convex
+combination of two distinct circle points: no chord is stationary and no
+envelope point can leave the disk.
 
 Conic identification is algebraic least squares on the six monomials with a
 Sampson (gradient-normalized) residual; classification separates genuine
@@ -43,11 +48,7 @@ from .circle import (
     solve_levels,
     solve_on_circle,
 )
-from .errors import (
-    DegenerateEnvelope,
-    InputError,
-    VerificationFailure,
-)
+from .errors import InputError, VerificationFailure
 
 __all__ = [
     "polygon_vertices",
@@ -104,54 +105,33 @@ class EnvelopeCurve:
 class _LevelTable(NamedTuple):
     """The envelope table shared by every chord family: the level sets
     Bhat = e^{it} at the angles t, with vertex j of the q-th level set at
-    points[j, q] (each column sorted by angle) and its velocity
-    z'(t) = i z / psi'(arg z) at velocity[j, q]."""
+    points[j, q] (each column sorted by angle) and psi' there at
+    rate[j, q]."""
 
     t: np.ndarray
     points: np.ndarray
-    velocity: np.ndarray
+    rate: np.ndarray
 
 
 def _level_sets(
     Bhat: BlaschkeProduct, count: int, tol: ToleranceConfig
 ) -> _LevelTable:
-    """count level sets at evenly spaced angles, solved in one batch, each
-    vertex velocity computed once."""
+    """count level sets at evenly spaced angles, solved in one batch, with
+    psi' computed once per vertex."""
     t = TAU * np.arange(count) / count
     sols = solve_levels(Bhat, np.exp(1j * t), tol)
     angles = np.array([sol.angles for sol in sols]).T
     points = np.array([sol.points for sol in sols]).T
-    velocity = 1j * points / argument_derivative(Bhat, angles)
-    return _LevelTable(t, points, velocity)
-
-
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (u.conj() * v).imag
+    return _LevelTable(t, points, argument_derivative(Bhat, angles))
 
 
 def _envelope_from_table(skip: int, table: _LevelTable) -> EnvelopeCurve:
     """Every tangency point of the skip-m chords, vertex-major: all level
-    sets for vertex 0, then vertex 1, and so on.  The first sample (in that
-    order) with a stationary chord or a point outside the disk raises."""
+    sets for vertex 0, then vertex 1, and so on."""
     hop = skip + 1
-    p, dp = table.points, table.velocity
-    q, dq = np.roll(p, -hop, axis=0), np.roll(dp, -hop, axis=0)
-    chord = q - p
-    den = _cross(dq - dp, chord)
-    scale = (np.abs(dp) + np.abs(dq)) * np.abs(chord)
-    stationary = (np.abs(den) <= 1e-12 * scale) | (scale == 0.0)
-    e = p - _cross(dp, chord) / np.where(stationary, 1.0, den) * chord
-    outside = np.abs(e) > 1.0 + 1e-6
-    bad = np.flatnonzero(stationary | outside)
-    if bad.size:
-        j, k = np.unravel_index(bad[0], p.shape)
-        if stationary[j, k]:
-            raise DegenerateEnvelope(
-                f"stationary chord at angle {table.t[k]:.6f} (skip {skip})"
-            )
-        raise VerificationFailure(
-            f"envelope point left the disk: |e| = {abs(e[j, k]):.6f}"
-        )
+    p, rp = table.points, table.rate
+    q, rq = np.roll(p, -hop, axis=0), np.roll(rp, -hop, axis=0)
+    e = (p * rp + q * rq) / (rp + rq)
     angle = np.broadcast_to(table.t, p.shape).ravel().tolist()
     samples = map(
         EnvelopeSample,
@@ -172,7 +152,7 @@ def envelope(
 
     samples is the total point budget for the closed curve; the same level
     sets serve all n chord families, so only max(2, ceil(samples/n)) level
-    sets are solved, in one batch, and each vertex velocity is computed once.
+    sets are solved, in one batch, and psi' is computed once per vertex.
     """
     tol = _tol(tol)
     n = Bhat.degree
@@ -371,10 +351,11 @@ def closure_order(
     From the circle point 1, hop to the far endpoint of the skip-m chord
     (skip+1 solutions ahead on the same level set) until landing back within
     1e-8 of the start.  All hops stay on one level set, so it is solved and
-    verified once (residual, n strictly increasing angles, the start located
-    on it) and the hops are read off it; the closing hop is measured against
-    the re-solved n-th iterate of the start, so closure is still a measured
-    property, not an assumption.  VerificationFailure if it never closes.
+    verified once (argument error, n strictly increasing angles, the start
+    located on it) and the hops are read off it; the closing hop is measured
+    against the re-solved n-th iterate of the start, so closure is still a
+    measured property, not an assumption.  VerificationFailure if it never
+    closes.
     """
     tol = _tol(tol)
     orbit = invariant_orbit(Bhat, 1.0 + 0j, Bhat.degree + 1, tol)
@@ -419,7 +400,7 @@ def package(
 ) -> PonceletPackage:
     """Compute, fit, and order-test every curve of the package.
 
-    One level-set table (with its vertex velocities), solved in one batch,
+    One level-set table (with psi' at every vertex), solved in one batch,
     serves every skip, and one verified level set through 1 serves every
     closure order, as in closure_order: max(2, ceil(samples/n)) + 1 level
     sets in all.

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import TAU, _ULPS
+from .circle import TAU, _bracketed_newton, _certify
 from .core import ToleranceConfig, format_float, _tol
-from .errors import EigensolverFailure, InputError, SolverFailure
+from .errors import EigensolverFailure, InputError
 
 __all__ = [
     "ShiftMatrix",
@@ -107,8 +107,9 @@ def numerical_range_boundary(A, samples: int = 720) -> NumericalRangeSample:
 
     A ShiftMatrix is swept by the tangency formula from its zeros, with no
     eigensolve; every angle's delta is certified to |F|/(psi'1 + psi'2) <=
-    5e-11 or SolverFailure names the angle.  Any other square array is swept
-    by one Hermitian eigensolve per angle.
+    5e-11, the certificate of every circle solve, or SolverFailure names the
+    angle.  Any other square array is swept by one Hermitian eigensolve per
+    angle.
     """
     if samples < 8:
         raise InputError("need at least 8 sweep directions")
@@ -166,51 +167,27 @@ def _tangency_sweep(zeros, theta: np.ndarray) -> tuple[list, list]:
 
     F(delta) rises from -2 pi at 0 to 2 pi len(zeros) at pi with slope
     psi'(theta - delta) + psi'(theta + delta), so each angle has one root,
-    found by Newton with a bisection bracket over the live angles as numpy
-    arrays.  A Newton step is taken only when it is at most half the bracket
-    width; otherwise the bracket is halved.  An angle
-    stops when |F| < 1e-14 or when its step or bracket is within a few ulps
-    of theta + delta, the larger endpoint angle, whose rounding sets the
-    noise floor of F; after 80 passes at most.
+    found by circle._bracketed_newton with base theta: the larger endpoint
+    angle theta + delta sets the noise floor of F.  Every delta is certified
+    on its error |F|/(psi'1 + psi'2) by circle._certify.
     """
     a = np.asarray(zeros, dtype=complex)
-    delta = np.full_like(theta, math.pi / (len(a) + 1))
-    lo = np.zeros_like(theta)
-    hi = np.full_like(theta, math.pi)
-    live = np.arange(len(theta))
-    for _ in range(80):
-        d = delta[live]
-        F, _, _, rate1, rate2 = _chord(a, theta[live], d)
-        below = F < 0.0
-        lo_l = np.where(below, d, lo[live])
-        hi_l = np.where(below, hi[live], d)
-        step = F / (rate1 + rate2)
-        newton = d - step
-        ulps = _ULPS * np.spacing(theta[live] + d)
-        done = np.abs(F) < 1e-14
-        settled = np.abs(step) <= ulps
-        # d is one end of its bracket, so a step of at most half the width
-        # stays inside it
-        short = np.abs(step) <= 0.5 * (hi_l - lo_l)
-        delta[live] = np.where(
-            done, d, np.where(short | settled, newton, 0.5 * (lo_l + hi_l))
-        )
-        lo[live], hi[live] = lo_l, hi_l
-        live = live[~(done | settled | (hi_l - lo_l <= ulps))]
-        if not live.size:
-            break
 
+    def gap(live, d):
+        F, _, _, rate1, rate2 = _chord(a, theta[live], d)
+        return F, rate1 + rate2
+
+    delta = _bracketed_newton(
+        gap,
+        np.full_like(theta, math.pi / (len(a) + 1)),
+        np.zeros_like(theta),
+        np.full_like(theta, math.pi),
+        theta,
+    )
     F, z1, z2, rate1, rate2 = _chord(a, theta, delta)
-    # F' = psi'(theta - delta) + psi'(theta + delta), so |F|/F' is the error
-    # in delta; near a zero close to the circle F' is huge, and an accurate
-    # delta can still leave |F| far from 0
-    error = np.abs(F) / (rate1 + rate2)
-    worst = int(np.argmax(error))
-    if error[worst] > 5e-11:
-        raise SolverFailure(
-            f"tangent chord at theta={float(theta[worst])!r} has delta error "
-            f"|F|/(psi'1 + psi'2)={error[worst]:.3e}, above 5e-11"
-        )
+    _certify(
+        F, rate1 + rate2, lambda k: f"tangent chord at theta={float(theta[k])!r}"
+    )
     points = (z1 * rate1 + z2 * rate2) / (rate1 + rate2)
     return (np.exp(-1j * theta) * points).real.tolist(), points.tolist()
 

@@ -122,12 +122,14 @@ def test_solution_angle_wraps_by_turns():
 
 
 def _level_polynomial_roots(B, lam) -> np.ndarray:
-    # B(z) = lam  <=>  gamma prod (z - a_j) - lam prod (1 - conj(a_j) z) = 0
+    # B(z) = lam  <=>  gamma prod (z - a_j) - lam prod (1 - conj(a_j) z) = 0;
+    # polymul drops the zero leading coefficient a zero at 0 gives the
+    # second product, so the two are subtracted aligned at the constant term
     top = np.poly(B.zeros)
     bottom = np.array([1.0 + 0j])
     for a in B.zeros:
         bottom = np.polymul(bottom, [-a.conjugate(), 1.0])
-    return np.roots(B.gamma * top - lam * bottom)
+    return np.roots(np.polysub(B.gamma * top, lam * bottom))
 
 
 @pytest.mark.parametrize("degree", [3, 5, 8, 12, 16, 20, 24])
@@ -163,6 +165,21 @@ def test_level_solve_stops_within_a_few_passes(monkeypatch, seed, degree):
     assert passes[0] <= 6
     for lam, sol in zip(lams, levels):
         assert max(abs(B(z) - lam) for z in sol.points) < 1e-10
+
+
+def test_solve_certifies_roots_near_a_zero_close_to_the_circle():
+    # next to a zero at 1 - 1e-6 psi' is about 2e6, so an accurate root can
+    # leave |B(z) - lam| above 1e-10; the certificate is on the argument
+    # error |f|/psi', which stays at rounding level
+    B = BlaschkeProduct(1.0, (0j, (1.0 - 1e-6) * cmath.exp(1j)))
+    for t in (0.0, math.pi / 2, 4.6, math.pi, 2.5):
+        lam = cmath.exp(1j * t)
+        sol = solve_on_circle(B, lam)
+        roots = _level_polynomial_roots(B, lam)
+        for angle in sol.angles:
+            oracle = np.angle(roots) % TAU
+            gap = np.abs(np.remainder(oracle - angle + math.pi, TAU) - math.pi)
+            assert gap.min() < 1e-12
 
 
 def test_solve_levels_of_no_targets_is_empty():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import blaschke
+import blaschke.circle as circle
 import blaschke.cli as cli
 import blaschke.poncelet as poncelet
 from blaschke.decompose import chain_2n
@@ -201,6 +202,23 @@ def test_invariants_chain_reports_generator_power(tmp_path):
     assert block["ok"] is True
     assert block["power"] == 4
     assert block["sup_error"] < 1e-9
+
+
+def test_invariants_solve_one_batch_per_orbit_family(monkeypatch, capsys, tmp_path):
+    # the 8 generator samples share one solve_levels call, and so do the 64
+    # samples of the generator-power check
+    real = circle.solve_levels
+    batches = []
+
+    def counted(B, lams, *args, **kwargs):
+        lams = list(lams)
+        batches.append(len(lams))
+        return real(B, lams, *args, **kwargs)
+
+    monkeypatch.setattr(circle, "solve_levels", counted)
+    assert cli.main(["invariants", "--demo", "chain3", "--out", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["generator_power"]["ok"] is True
+    assert batches == [8, 64]
 
 
 def test_invariants_accepts_found_chain(tmp_path):

@@ -161,6 +161,23 @@ def test_tangency_sweep_certifies_zeros_near_the_circle(eps):
         assert max(abs(x - y) for x, y in zip(fast.points, ref.points)) < 1e-9
 
 
+@pytest.mark.parametrize("size", [2, 3, 8, 16])
+def test_first_envelope_of_z_times_the_product_is_the_numerical_range(size):
+    # K_1 of z * prod_Z is the boundary of W(S) (Gau and Wu 1998): each
+    # envelope point is the boundary point of the eigen-sweep at its chord's
+    # outward normal angle, not only some point on the chord
+    from blaschke.poncelet import envelope
+
+    zeros = [random_point(rng_for(360 + size), 0.9) for _ in range(size)]
+    curve = envelope(BlaschkeProduct(1.0, (0j, *zeros)), 0, 120)
+    chords = [s.chord for s in curve.samples]
+    normals = [cmath.phase(-1j * (q - p)) for p, q in chords]
+    support, points = shiftop._eigen_sweep(shift_matrix(zeros).entries, normals)
+    for s, theta, h, x in zip(curve.samples, normals, support, points):
+        assert abs(s.point - x) < 1e-12
+        assert abs((cmath.exp(-1j * theta) * s.point).real - h) < 1e-12
+
+
 def test_shift_matrix_sweep_makes_no_eigensolve(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("eigensolve called for a ShiftMatrix")
