@@ -4,7 +4,8 @@ Subcommands: analyze, curve, package, nrange, decompose, monodromy,
 invariants, demo.  Input is a JSON product or chain file (--input) or a named
 demo (--demo).  All reports go to stdout as JSON; curve-like commands also
 write CSV and SVG files into --out.  Exit codes: 0 success, 2 bad input,
-3 solver failure, 4 verification failure.
+3 solver failure, 4 verification failure; each error class in errors.py
+carries its code and its stderr prefix.
 
 Output is byte-identical across runs: no timestamps, no unordered
 iteration, floats always printed with 17 significant digits, complex numbers
@@ -38,19 +39,7 @@ from .core import (
 from .circle import _orbits, solve_levels, verify_generator_power
 from .critical import check_value_bound, critical_data
 from .decompose import chain_2n, elliptical_implies_decomposable_check, inner_factor_general
-from .errors import (
-    CountMismatch,
-    DegenerateInput,
-    EigensolverFailure,
-    GeometryFailure,
-    InputError,
-    NoInteriorFixedPoint,
-    NonBijective,
-    PoleProximity,
-    SolverFailure,
-    TrackingFailure,
-    VerificationFailure,
-)
+from .errors import BlaschkeError, InputError
 from .monodromy import cross_validate, wreath_audit
 from .poncelet import (
     closure_order,
@@ -412,20 +401,26 @@ def cmd_decompose(obj, cfg: RunConfig) -> int:
                 ]
             }
 
-    rows = []
-    for divisor in range(2, n):
-        if n % divisor == 0:
-            res = inner_factor_general(B, divisor, tol)
-            row = {"k": divisor, "found": res.found, "reason": res.reason}
-            if res.found:
-                row["inner"] = _product_dict(res.inner)
-                row["outer"] = _product_dict(res.outer)
-                row["verification_error"] = res.error
-            rows.append(row)
-    report["divisors"] = rows
-
+    # with a zero at the origin the elliptical check's rows are the table
+    ell = None
     if any(abs(z) <= tol.identity_tol for z in B.zeros):
         ell = elliptical_implies_decomposable_check(B, tol)
+        searches = [(r.k, r.result) for r in ell.rows]
+    else:
+        searches = [
+            (k, inner_factor_general(B, k, tol)) for k in range(2, n) if n % k == 0
+        ]
+    rows = []
+    for divisor, res in searches:
+        row = {"k": divisor, "found": res.found, "reason": res.reason}
+        if res.found:
+            row["inner"] = _product_dict(res.inner)
+            row["outer"] = _product_dict(res.outer)
+            row["verification_error"] = res.error
+        rows.append(row)
+    report["divisors"] = rows
+
+    if ell is not None:
         report["elliptical_check"] = {
             "is_ellipse": ell.verdict.is_ellipse,
             "consistent": ell.consistent,
@@ -609,22 +604,12 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"input parse error: {exc}", file=sys.stderr)
         return 2
-    except (InputError, DegenerateInput, GeometryFailure, OSError, ValueError) as exc:
+    except BlaschkeError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (
-        SolverFailure,
-        TrackingFailure,
-        EigensolverFailure,
-        CountMismatch,
-        NoInteriorFixedPoint,
-        PoleProximity,
-    ) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
-    except (VerificationFailure, NonBijective) as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

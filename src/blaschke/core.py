@@ -53,11 +53,20 @@ _ON_CIRCLE_TOL = 1e-12
 class ToleranceConfig:
     """Shared numerical tolerances.
 
-    root_tol: residual target for root finding and circle solving.
-    cluster_tol: distance below which two computed values are the same value.
-    identity_tol: sup-norm slack when checking that two maps agree.
+    root_tol: the pole guard (evaluation raises PoleProximity when a factor's
+        denominator 1 - conj(a) z falls to root_tol) and the residual
+        |B(z) - w| a repeated fiber point must meet; also the modulus below
+        which a critical value or an automorphism center counts as 0.  It is
+        not a solver stop: circle solves stop at 1e-14 or a few ulps and
+        certify at 5e-11, and the branch tracker corrects to 1e-12.
+    cluster_tol: distance below which two computed values (critical values,
+        critical points, zeros) are the same value.
+    identity_tol: sup-norm slack when checking that two maps agree, and the
+        modulus below which a zero counts as a zero at the origin.
     conic_residual_tol: algebraic residual gate for conic fits.
-    circle_samples: base grid size for work on the unit circle.
+    circle_samples: the floor on the cell count of the lift grid that
+        brackets circle solves; the grid is refined past it as the zeros
+        approach the circle.
     """
 
     root_tol: float = 1e-12
@@ -107,6 +116,16 @@ class _DisjointSets:
         return True
 
 
+def _finite(name: str, value) -> complex:
+    """value as a complex number, or InputError naming it when it is NaN or
+    infinite (every comparison with NaN is False, so the range checks that
+    follow would let it through)."""
+    c = complex(value)
+    if not cmath.isfinite(c):
+        raise InputError(f"{name} {c} is not finite")
+    return c
+
+
 def unit(c: complex) -> complex:
     """Project a nonzero complex number onto the unit circle."""
     m = abs(c)
@@ -144,8 +163,8 @@ class BlaschkeProduct:
     zeros: tuple[complex, ...]
 
     def __post_init__(self):
-        gamma = complex(self.gamma)
-        zeros = tuple(complex(a) for a in self.zeros)
+        gamma = _finite("gamma", self.gamma)
+        zeros = tuple(_finite("zero", a) for a in self.zeros)
         if abs(abs(gamma) - 1.0) > 1e-12:
             raise InputError(f"|gamma| = {abs(gamma)!r}, must be 1")
         if len(zeros) < 1:
@@ -164,29 +183,16 @@ class BlaschkeProduct:
         return self.evaluate(z, tol)
 
     def evaluate(self, z, tol: ToleranceConfig | None = None):
-        """Evaluate B(z), factor by factor.
+        """Evaluate B(z), factor by factor (see _jet).
 
-        On the unit circle every factor has modulus exactly 1, so when |z| is
-        within 1e-12 of 1 each factor is renormalized to unit modulus as it is
-        multiplied in; the result then satisfies ||B(z)| - 1| <= a few ulps
+        On the unit circle the result satisfies ||B(z)| - 1| <= a few ulps
         regardless of degree.  Raises PoleProximity when a denominator falls
         below root_tol (only possible for |z| > 1).
         """
         tol = _tol(tol)
         if isinstance(z, np.ndarray):
             return self._evaluate_array(z, tol)
-        z = complex(z)
-        on_circle = abs(abs(z) - 1.0) <= _ON_CIRCLE_TOL
-        w = self.gamma
-        for a in self.zeros:
-            den = 1.0 - a.conjugate() * z
-            if abs(den) <= tol.root_tol:
-                raise PoleProximity(z, den)
-            f = (z - a) / den
-            if on_circle:
-                f /= abs(f)
-            w *= f
-        return w
+        return self._jet(complex(z), tol)[0]
 
     def _evaluate_array(self, z: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
@@ -204,15 +210,21 @@ class BlaschkeProduct:
         return w
 
     def derivative(self, z, tol: ToleranceConfig | None = None):
-        """Evaluate B'(z) by running product-rule accumulation over factors.
+        """Evaluate B'(z) at a scalar point (see _jet)."""
+        return self._jet(complex(z), _tol(tol))[1]
+
+    def _jet(self, z: complex, tol: ToleranceConfig) -> tuple[complex, complex]:
+        """(B(z), B'(z)) in one running product-rule pass over the factors.
 
         Each factor f_j = (z - a_j)/(1 - conj(a_j) z) has
         f_j' = (1 - |a_j|^2)/(1 - conj(a_j) z)^2; the running pair
         (prod, dprod) is updated without ever dividing by f_j, so zeros of B
-        need no special casing.
+        need no special casing.  On the unit circle every factor has modulus
+        exactly 1, so when |z| is within 1e-12 of 1 each factor is
+        renormalized to unit modulus as it is multiplied in.  Raises
+        PoleProximity when a denominator falls below root_tol.
         """
-        tol = _tol(tol)
-        z = complex(z)
+        on_circle = abs(abs(z) - 1.0) <= _ON_CIRCLE_TOL
         p = self.gamma
         dp = 0.0 + 0.0j
         for a in self.zeros:
@@ -220,14 +232,12 @@ class BlaschkeProduct:
             if abs(den) <= tol.root_tol:
                 raise PoleProximity(z, den)
             f = (z - a) / den
+            if on_circle:
+                f /= abs(f)
             df = (1.0 - abs(a) ** 2) / (den * den)
             dp = dp * f + p * df
             p = p * f
-        return dp
-
-    def hat(self) -> "BlaschkeProduct":
-        """z * B(z): prepend a zero at the origin."""
-        return BlaschkeProduct(self.gamma, (0j,) + self.zeros)
+        return p, dp
 
     def to_json(self) -> str:
         """Serialize as {"gamma":[re,im],"zeros":[[re,im],...]}, 17 digits."""
@@ -269,8 +279,8 @@ class DiskAutomorphism:
     center: complex = 0.0 + 0.0j
 
     def __post_init__(self):
-        rotation = complex(self.rotation)
-        center = complex(self.center)
+        rotation = _finite("rotation", self.rotation)
+        center = _finite("center", self.center)
         if abs(abs(rotation) - 1.0) > 1e-12:
             raise InputError(f"|rotation| = {abs(rotation)!r}, must be 1")
         if abs(center) >= 1.0:

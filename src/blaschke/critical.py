@@ -30,7 +30,6 @@ its points stay simple.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -363,28 +362,16 @@ def _phi_power(a: complex, n: int) -> BlaschkeProduct:
     return BlaschkeProduct((-1.0) ** n, (complex(a),) * n)
 
 
-def _mobius_through(
-    pairs: list[tuple[complex, complex]]
-) -> tuple[complex, complex, complex, complex]:
-    """Coefficients (alpha, beta, gamma, delta) with (alpha w + beta)/(gamma w + delta)
-    sending the three source points to the three targets."""
-    rows = []
-    for w, b in pairs:
-        rows.append([w, 1.0, -b * w, -b])
-    _, _, vh = np.linalg.svd(np.array(rows, dtype=complex))
-    # the right-singular vector is a column of V, which is vh conjugated
-    alpha, beta, gam, delta = np.conj(vh[-1])
-    return alpha, beta, gam, delta
-
-
 def one_critical_value_form(
     B: BlaschkeProduct, tol: ToleranceConfig | None = None
 ) -> OneCriticalValueForm | None:
     """Detect B = tau o phi_a^n (single critical value); None otherwise.
 
     When the critical data collapses to one value, all n-1 critical points
-    agree on one point a; tau is then the Mobius map interpolating three
-    circle evaluations of B against phi_a^n, verified to 1e-8 on 64 samples.
+    agree on one point a.  Since phi_a^n(a) = 0, tau(0) = v = B(a), so
+    phi_v o tau fixes 0 and is a rotation by rho = phi_v(B(z0)) / phi_a(z0)^n
+    for any circle point z0; then tau = phi_v(rho w) = DiskAutomorphism(rho,
+    v conj(rho)).  The form is verified to 1e-8 on 64 circle samples.
     """
     tol = _tol(tol)
     cd = critical_data(B, tol)
@@ -396,28 +383,11 @@ def one_critical_value_form(
         raise VerificationFailure(
             "single critical value but critical points do not coincide"
         )
-    n = B.degree
-    base = _phi_power(a, n)
-
-    tau = None
-    for offset in (0.0, 0.31, 0.77):
-        span = 2.0 * math.pi / n
-        zs = [cmath.exp(1j * (offset + span * f)) for f in (0.13, 0.41, 0.83)]
-        ws = [base.evaluate(z, tol) for z in zs]
-        if min(abs(ws[i] - ws[j]) for i in range(3) for j in range(i + 1, 3)) < 1e-3:
-            continue
-        bs = [B.evaluate(z, tol) for z in zs]
-        alpha, beta, gam, delta = _mobius_through(list(zip(ws, bs)))
-        if abs(delta) < 1e-12 or abs(alpha) < 1e-12:
-            continue
-        rotation = -alpha / delta
-        center = -beta / alpha
-        if abs(abs(rotation) - 1.0) > 1e-6 or abs(center) >= 1.0:
-            continue
-        tau = DiskAutomorphism(unit(rotation), center)
-        break
-    if tau is None:
-        raise VerificationFailure("could not interpolate tau from circle samples")
+    base = _phi_power(a, B.degree)
+    v = B.evaluate(a, tol)
+    phi_v = DiskAutomorphism(1.0, v)
+    rho = unit(phi_v(B.evaluate(1.0, tol)) / base.evaluate(1.0, tol))
+    tau = DiskAutomorphism(rho, v * rho.conjugate())
 
     err = max(
         abs(tau(base.evaluate(z, tol)) - B.evaluate(z, tol)) for z in circle_samples(64)

@@ -276,8 +276,15 @@ def inner_factor_general(
 @dataclass(frozen=True)
 class DivisorRow:
     k: int
-    found: bool
-    reason: str
+    result: InnerFactorResult
+
+    @property
+    def found(self) -> bool:
+        return self.result.found
+
+    @property
+    def reason(self) -> str:
+        return self.result.reason
 
 
 @dataclass(frozen=True)
@@ -301,19 +308,19 @@ def elliptical_implies_decomposable_check(
     The matrix model is built from the zeros of B with one zero at the origin
     removed (the compressed shift of B/z); if its numerical range is an
     ellipse, a factorization must exist for every proper divisor of the
-    degree, and each is searched for directly.
+    degree, and each is searched for directly; every row keeps its search
+    result, so callers that also want the divisor table need not search again.
     """
     tol = _tol(tol)
     idx = min(range(B.degree), key=lambda i: abs(B.zeros[i]))
     if abs(B.zeros[idx]) > tol.identity_tol:
         raise DegenerateInput("expected a zero at the origin (the z factor)")
+    n = B.degree
+    rows = tuple(
+        DivisorRow(k, inner_factor_general(B, k, tol))
+        for k in range(2, n)
+        if n % k == 0
+    )
     rest = tuple(b for i, b in enumerate(B.zeros) if i != idx)
     verdict = is_elliptical_range(shift_matrix(rest), tol=tol)
-
-    rows = []
-    n = B.degree
-    for k in range(2, n):
-        if n % k == 0:
-            res = inner_factor_general(B, k, tol)
-            rows.append(DivisorRow(k, res.found, res.reason))
-    return EllipticalDecomposableReport(verdict, tuple(rows))
+    return EllipticalDecomposableReport(verdict, rows)

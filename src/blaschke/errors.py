@@ -2,7 +2,10 @@
 
 Every failure that callers are expected to catch derives from BlaschkeError.
 Exceptions carry a witness where one exists (the offending point, pair, or
-residual) so tests and the CLI can report something concrete.
+residual) so tests and the CLI can report something concrete.  Each class
+also carries the CLI's exit code and stderr prefix for it: 2 "input error"
+for bad or unusable input, 4 "verification failure" when a computed object
+fails its check, and 3 "solver failure" for everything else.
 """
 
 from __future__ import annotations
@@ -11,9 +14,15 @@ from __future__ import annotations
 class BlaschkeError(Exception):
     """Base class for all toolkit errors."""
 
+    exit_code = 3
+    label = "solver failure"
+
 
 class InputError(BlaschkeError):
     """Malformed or out-of-contract input (bad JSON, invalid degrees, ...)."""
+
+    exit_code = 2
+    label = "input error"
 
 
 class DegenerateInput(InputError):
@@ -51,6 +60,9 @@ class CountMismatch(BlaschkeError):
 class VerificationFailure(BlaschkeError):
     """A reconstructed object failed its residual check against the input."""
 
+    exit_code = 4
+    label = "verification failure"
+
 
 class EigensolverFailure(BlaschkeError):
     """The Hermitian eigensolver did not converge."""
@@ -59,6 +71,9 @@ class EigensolverFailure(BlaschkeError):
 class GeometryFailure(BlaschkeError):
     """Loop or chord geometry cannot be built (merged points, no clearance)."""
 
+    exit_code = 2
+    label = "input error"
+
 
 class TrackingFailure(BlaschkeError):
     """Analytic continuation stalled: step size underflowed."""
@@ -66,3 +81,6 @@ class TrackingFailure(BlaschkeError):
 
 class NonBijective(BlaschkeError):
     """Branch continuation produced a non-bijective endpoint assignment."""
+
+    exit_code = 4
+    label = "verification failure"

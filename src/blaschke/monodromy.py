@@ -9,8 +9,12 @@ Loops are lollipops: a straight run from 0 toward the value (with circular
 detours around any other critical value sitting in the corridor), one full
 counterclockwise circle, and the same run reversed.  Lifting is a
 predictor-corrector tracker on B(z(t)) = gamma(t): Euler prediction through
-z' = gamma'/B'(z), Newton correction to 1e-12, with the step halved whenever
-correction labors and grown when it coasts.
+z' = gamma'/B'(z), Newton correction to |B(z) - gamma| <= 1e-12, with the
+step halved whenever correction labors and grown when it coasts.  The
+corrector is one-pass: each Newton iteration takes the residual and the
+slope from a single product-rule sweep over the factors, and the slope at
+the accepted point doubles as the next Euler predictor, so a step costs one
+sweep per iteration and no separate derivative evaluation.
 
 Block systems of the resulting group are the group-respected partitions of
 the zero labels; each corresponds to a compositional factorization, which is
@@ -350,13 +354,16 @@ def continue_branch(
     """Lift the loop through the fiber point start; returns the endpoint.
 
     Tracks B(z(t)) = gamma(t) along each waypoint segment with an Euler
-    predictor and a Newton corrector (to 1e-12).  The step fraction halves
-    when correction takes more than 5 iterations and grows by 1.5 when it
-    takes fewer than 3; underflow below 1e-9 or escape past |z| = 1.5 raises
-    TrackingFailure.
+    predictor and a Newton corrector (to 1e-12).  Every corrector iteration
+    takes B and B' from one pass over the factors (BlaschkeProduct._jet),
+    and the slope at the accepted point is the next Euler predictor's.  The
+    step fraction halves when correction takes more than 5 iterations and
+    grows by 1.5 when it takes fewer than 3; underflow below 1e-9 or escape
+    past |z| = 1.5 raises TrackingFailure.
     """
     tol = _tol(tol)
     z = complex(start)
+    d = B._jet(z, tol)[1]
     ws = loop.waypoints
     for w0, w1 in zip(ws, ws[1:]):
         span = w1 - w0
@@ -368,19 +375,14 @@ def continue_branch(
             ds = min(ds, 1.0 - s)
             gamma_now = w0 + s * span
             gamma_next = w0 + (s + ds) * span
-            d = B.derivative(z, tol)
             trial = z if abs(d) < 1e-12 else z + (gamma_next - gamma_now) / d
-            converged = False
-            iterations = 0
             for iterations in range(1, 11):
-                f = B.evaluate(trial, tol) - gamma_next
-                if abs(f) <= 1e-12:
-                    converged = True
+                value, slope = B._jet(trial, tol)
+                f = value - gamma_next
+                if abs(f) <= 1e-12 or abs(slope) < 1e-12:
                     break
-                df = B.derivative(trial, tol)
-                if abs(df) < 1e-12:
-                    break
-                trial = trial - f / df
+                trial = trial - f / slope
+            converged = abs(f) <= 1e-12
             if not converged or iterations > 5 or abs(trial) > 1.5:
                 if abs(trial) > 1.5:
                     raise TrackingFailure(
@@ -392,7 +394,7 @@ def continue_branch(
                         f"step underflow near gamma={gamma_now:.6f}"
                     )
                 continue
-            z = trial
+            z, d = trial, slope
             s += ds
             if iterations < 3:
                 ds = min(ds * 1.5, 0.5 * step_scale)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import TAU, _bracketed_newton, _certify
-from .core import ToleranceConfig, format_float, _tol
+from .core import ToleranceConfig, format_float, _finite, _tol
 from .errors import EigensolverFailure, InputError
 
 __all__ = [
@@ -62,7 +62,7 @@ class ShiftMatrix:
 
 
 def shift_matrix(zeros) -> ShiftMatrix:
-    zs = tuple(complex(a) for a in zeros)
+    zs = tuple(_finite("zero", a) for a in zeros)
     if not zs:
         raise InputError("at least one zero is required")
     if any(abs(a) >= 1.0 for a in zs):

@@ -11,12 +11,7 @@ import blaschke.circle as circle
 import blaschke.cli as cli
 import blaschke.poncelet as poncelet
 from blaschke.decompose import chain_2n
-from blaschke.errors import (
-    NonBijective,
-    SolverFailure,
-    TrackingFailure,
-    VerificationFailure,
-)
+import blaschke.errors as errors
 
 DEMOS = (
     "power2",
@@ -300,21 +295,72 @@ def test_solver_failure_maps_to_exit_3(tmp_path):
     assert "solver failure" in r.stderr
 
 
-def test_exit_code_ladder(monkeypatch):
+EXIT_LADDER = {
+    errors.BlaschkeError("x"): (3, "solver failure"),
+    errors.InputError("x"): (2, "input error"),
+    errors.DegenerateInput("x"): (2, "input error"),
+    errors.GeometryFailure("x"): (2, "input error"),
+    errors.PoleProximity(1.5 + 0j, 1e-13): (3, "solver failure"),
+    errors.NoInteriorFixedPoint("x"): (3, "solver failure"),
+    errors.SolverFailure("x"): (3, "solver failure"),
+    errors.CountMismatch(3, 2, "points"): (3, "solver failure"),
+    errors.EigensolverFailure("x"): (3, "solver failure"),
+    errors.TrackingFailure("x"): (3, "solver failure"),
+    errors.VerificationFailure("x"): (4, "verification failure"),
+    errors.NonBijective("x"): (4, "verification failure"),
+}
+
+
+def test_exit_code_ladder(monkeypatch, capsys):
     def boom(exc):
         def handler(obj, cfg):
             raise exc
 
         return handler
 
-    for exc, code in [
-        (SolverFailure("x"), 3),
-        (TrackingFailure("x"), 3),
-        (VerificationFailure("x"), 4),
-        (NonBijective("x"), 4),
-    ]:
+    # every error class of the package, the base class included, is listed
+    classes = {
+        cls
+        for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.BlaschkeError)
+    }
+    assert {type(exc) for exc in EXIT_LADDER} == classes
+    for exc, (code, prefix) in EXIT_LADDER.items():
         monkeypatch.setitem(cli.DISPATCH, "analyze", boom(exc))
         assert cli.main(["analyze", "--demo", "power2"]) == code
+        assert capsys.readouterr().err == f"{prefix}: {exc}\n"
+
+
+def test_nan_gamma_is_an_input_error(tmp_path):
+    # json reads NaN, and every range check on it is False
+    src = tmp_path / "nan.json"
+    src.write_text('{"gamma": [NaN, 0.0], "zeros": [[0.0, 0.0], [0.5, 0.0]]}')
+    r = run_cli("nrange", "--input", str(src), "--out", str(tmp_path), cwd=tmp_path)
+    assert r.returncode == 2
+    assert r.stderr == "input error: gamma (nan+0j) is not finite\n"
+    assert r.stdout == ""
+
+
+def test_decompose_runs_each_inner_factor_search_once(monkeypatch, capsys, tmp_path):
+    import blaschke.decompose as decompose
+
+    real = decompose.inner_factor_general
+    calls = []
+
+    def counted(B, k, tol=None):
+        calls.append((B.degree, k))
+        return real(B, k, tol)
+
+    monkeypatch.setattr(decompose, "inner_factor_general", counted)
+    monkeypatch.setattr(cli, "inner_factor_general", counted)
+    for demo in ("power8", "elliptical8", "nonexample84"):
+        calls.clear()
+        assert cli.main(["decompose", "--demo", demo, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        # chain_2n peels (8, 2) and (4, 2); the table and the elliptical
+        # check share one (8, 2) and one (8, 4)
+        assert calls.count((8, 2)) <= 2
+        assert calls.count((8, 4)) == 1
 
 
 def test_unclosed_polygon_is_a_verification_failure(monkeypatch, capsys, tmp_path):

@@ -77,6 +77,19 @@ def test_zero_outside_disk_rejected():
         BlaschkeProduct(1.0, (1.2 + 0j,))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_non_finite_input_rejected(bad):
+    # every range check is False for NaN, so these need their own test
+    for build, name in (
+        (lambda: BlaschkeProduct(bad, (0.1 + 0j,)), "gamma"),
+        (lambda: BlaschkeProduct(1.0, (0.1 + 0j, bad)), "zero"),
+        (lambda: DiskAutomorphism(bad, 0.2), "rotation"),
+        (lambda: DiskAutomorphism(1.0, bad), "center"),
+    ):
+        with pytest.raises(InputError, match=f"^{name} .* is not finite$"):
+            build()
+
+
 def test_evaluation_near_pole_guarded():
     from blaschke import PoleProximity
 
@@ -97,6 +110,14 @@ def test_derivative_matches_finite_differences():
         for z in (0.3 + 0.2j, cmath.exp(0.7j), -0.1 - 0.55j):
             fd = (B(z + h) - B(z - h)) / (2 * h)
             assert abs(B.derivative(z) - fd) < 1e-5 * max(1.0, abs(fd))
+
+
+def test_value_and_derivative_share_one_pass():
+    # scalar evaluate and derivative are the two halves of one pass
+    rng = rng_for(22)
+    B = random_product(rng, 6)
+    for z in (0.3 + 0.2j, cmath.exp(0.7j), -0.1 - 0.55j, 1.4 + 0j):
+        assert B._jet(z, ToleranceConfig()) == (B(z), B.derivative(z))
 
 
 def test_derivative_of_power():

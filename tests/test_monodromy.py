@@ -302,6 +302,22 @@ def test_null_loop_is_the_identity():
         assert abs(end - z0) < 1e-8
 
 
+def test_tracker_takes_value_and_slope_from_one_pass(monkeypatch):
+    # the corrector reads B and B' off one factored pass, never the
+    # separate scalar evaluate and derivative
+    B = _two_value_chain()
+    loop = monodromy_group(B).loops[0]
+    expected = [continue_branch(B, loop, z0) for z0 in B.zeros]
+
+    def forbidden(self, z, tol=None):
+        raise AssertionError("separate scalar evaluation in the tracker")
+
+    monkeypatch.setattr(BlaschkeProduct, "evaluate", forbidden)
+    monkeypatch.setattr(BlaschkeProduct, "derivative", forbidden)
+    assert [continue_branch(B, loop, z0) for z0 in B.zeros] == expected
+    assert any(abs(end - z0) > 1e-3 for end, z0 in zip(expected, B.zeros))
+
+
 def test_continuation_stable_under_step_halving():
     B = _two_value_chain()
     full = monodromy_group(B, step_scale=1.0)

@@ -29,6 +29,11 @@ def test_matrix_entries_single_zero():
     assert abs(A.entries[0][0] - (0.3 + 0.4j)) < 1e-15
 
 
+def test_non_finite_zero_rejected():
+    with pytest.raises(InputError, match="zero .* is not finite"):
+        shift_matrix([0.2, complex(math.nan, 0.0)])
+
+
 def test_matrix_entries_jordan():
     A = shift_matrix([0j, 0j, 0j])
     M = np.array(A.entries)
