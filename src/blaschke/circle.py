@@ -3,10 +3,9 @@
 A finite product of degree n wraps the circle around itself n times with
 strictly increasing argument, so B(z) = lambda has exactly n circle solutions
 for every unimodular lambda.  Everything here rides on one object, a lifted
-(continuous, increasing) argument psi with B(e^{it}) = e^{i psi(t)}, built
-once per product on a grid fine enough that consecutive samples differ by at
-most 0.5 radians.  That bound makes the unwrap provably correct and gives
-every solver below a guaranteed bracket.
+(continuous, increasing) argument psi with B(e^{it}) = e^{i psi(t)}, exact at
+any single point and kept once per product on a grid that is fine only where
+psi is steep (_lift_grid), so every grid cell is a guaranteed bracket.
 
 solve_levels solves any number of level sets at once: it brackets all
 n * len(lams) roots on that grid and solves them with _bracketed_newton, the
@@ -59,50 +58,72 @@ __all__ = [
 ]
 
 TAU = 2.0 * math.pi
-MAX_LIFT_CELLS = 2**25
+
+# a root whose Newton step or bracket is within this many ulps of the
+# solved angle is solved, and a lift-grid cell that narrow is not split
+_ULPS = 4.0
+# the lift grid starts from this many equal cells and halves every cell
+# across which psi gains at least 0.5, at most this many times
+_BASE_CELLS = 512
+_MAX_DEPTH = 64
 
 
-def _lift_cells(B: BlaschkeProduct, tol: ToleranceConfig) -> int:
-    """Cell count of the lift grid, checked before anything is allocated.
+def _phase_gain(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """The argument each factor (z - a_j)/(1 - conj(a_j) z) gains from its
+    value f1 at one circle point counterclockwise to its value f2 at
+    another, wrapped into [0, 2pi).
 
-    A solve holds about 100 bytes per cell at its peak, so a grid above
-    MAX_LIFT_CELLS raises SolverFailure instead of exhausting memory.  One
-    zero at 1 - 1e-6 needs about 2.5e7 cells and passes; one at 1 - 1e-8
-    needs about 2.5e9.
+    Every factor turns once round the circle with increasing argument, so
+    across an arc shorter than a full turn its gain is exactly its wrapped
+    phase increment.
     """
-    rate_bound = sum((1.0 + abs(a)) / (1.0 - abs(a)) for a in B.zeros)
-    cells = max(tol.circle_samples, int(math.ceil(TAU * rate_bound / 0.5)))
-    if cells > MAX_LIFT_CELLS:
-        raise SolverFailure(
-            f"argument lift needs {cells} grid cells, above {MAX_LIFT_CELLS}; "
-            f"the largest zero modulus is {max(abs(a) for a in B.zeros)!r}"
-        )
-    return cells
+    return np.angle(f2 * f1.conj()) % TAU
 
 
 @lru_cache(maxsize=64)
-def _lift_grid(
-    B: BlaschkeProduct, tol: ToleranceConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ts, values, psi) on a uniform grid over [0, 2pi], endpoints included.
+def _lift_grid(B: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
+    """(ts, psi): the lift psi(t) on an increasing grid over [0, 2pi].
 
-    Grid density: the argument rate of a single factor with zero a is at most
-    (1+|a|)/(1-|a|) on the circle, so the sum L of those bounds caps psi'.
-    Using ceil(2 pi L / 0.5) cells keeps each increment of psi inside half a
-    radian, which is what makes the unwrap exact rather than heuristic.
+    psi is exact at every grid point: psi(0) = arg B(1) in [0, 2pi) plus
+    each factor's _phase_gain from 1 to e^{it}; the ends are exactly psi(0)
+    and psi(0) + 2 pi n.  Of _BASE_CELLS equal cells, only those across
+    which psi gains 0.5 or more are halved, repeatedly.  That terminates: a
+    steep cell of _ULPS ulps, one still steep after _MAX_DEPTH halvings, or
+    a psi that fails to increase (a zero so close to the circle that its
+    gain is lost to rounding) raises SolverFailure naming the largest zero
+    modulus.
     """
-    cells = _lift_cells(B, tol)
-    ts = np.linspace(0.0, TAU, cells + 1)
-    values = B.evaluate(np.exp(1j * ts), tol)
-    psi = np.unwrap(np.angle(values))
-    psi0 = math.atan2(values[0].imag, values[0].real) % TAU
-    psi = psi - psi[0] + psi0
-    winding = psi[-1] - psi[0]
-    if abs(winding - TAU * B.degree) > 1e-9:
-        raise SolverFailure(
-            f"argument lift wound {winding / TAU:.12f} turns, expected {B.degree}"
-        )
-    return ts, values, psi
+    a = np.asarray(B.zeros)
+
+    def factors(z):
+        return (z - a) / (1.0 - a.conj() * z)
+
+    def lift(t):
+        gain = _phase_gain(factors(1.0), factors(np.exp(1j * t)[:, None]))
+        return psi0 + np.sum(gain, axis=-1)
+
+    def refuse(why):
+        top = max(abs(z) for z in B.zeros)
+        return SolverFailure(f"argument lift {why}; the largest zero modulus is {top!r}")
+
+    psi0 = cmath.phase(B.evaluate(1.0)) % TAU
+    ts = np.linspace(0.0, TAU, _BASE_CELLS + 1)
+    psi = lift(ts)
+    psi[0], psi[-1] = psi0, psi0 + TAU * B.degree
+    for _ in range(_MAX_DEPTH):
+        gain = np.diff(psi)
+        if not np.all(gain > 0.0):
+            raise refuse("is not increasing on its grid")
+        steep = np.flatnonzero(gain >= 0.5)
+        if not steep.size:
+            return ts, psi
+        lo, hi = ts[steep], ts[steep + 1]
+        if np.any(hi - lo <= _ULPS * np.spacing(hi)):
+            raise refuse("cannot split a steep cell of a few ulps")
+        mid = 0.5 * (lo + hi)
+        ts = np.insert(ts, steep + 1, mid)
+        psi = np.insert(psi, steep + 1, lift(mid))
+    raise refuse(f"still has steep cells after {_MAX_DEPTH} halvings")
 
 
 def lifted_argument(
@@ -110,14 +131,14 @@ def lifted_argument(
 ) -> float:
     """Continuous increasing lift of arg B(e^{it}), with psi(0) in [0, 2pi)."""
     tol = _tol(tol)
-    ts, values, psi = _lift_grid(B, tol)
+    ts, psi = _lift_grid(B)
     turns, tr = divmod(float(t), TAU)
-    step = TAU / (len(ts) - 1)
-    i = min(int(tr / step), len(ts) - 2)
+    i = min(int(np.searchsorted(ts, tr, side="right")) - 1, len(ts) - 2)
     w = B.evaluate(cmath.exp(1j * tr), tol)
-    # within one grid cell psi moves less than half a turn, so the wrapped
-    # phase difference against the cached cell value is the exact increment
-    increment = math.remainder(cmath.phase(w) - cmath.phase(complex(values[i])), TAU)
+    w0 = B.evaluate(cmath.exp(1j * float(ts[i])), tol)
+    # within one grid cell psi gains less than half a turn, so the wrapped
+    # phase difference against the cell's left end is the exact increment
+    increment = math.remainder(cmath.phase(w) - cmath.phase(w0), TAU)
     return float(psi[i]) + increment + TAU * B.degree * turns
 
 
@@ -169,11 +190,6 @@ class CircleSolutionSet:
     def angle(self, k: int) -> float:
         n = len(self.angles)
         return self.angles[k % n] + TAU * (k // n)
-
-
-# a root whose Newton step or bracket is within this many ulps of the
-# solved angle is solved
-_ULPS = 4.0
 
 
 def _bracketed_newton(evaluate, x, lo, hi, base):
@@ -235,11 +251,10 @@ def solve_levels(
     """The circle solutions of B(z) = lam for every unimodular lam in lams.
 
     Brackets each of the n * len(lams) roots psi(t) = arg(lam) + 2 pi k on
-    the grid and solves them all at once with _bracketed_newton.  Every root
-    is then certified on its argument error |psi(t) - arg(lam)|/psi'(t) <=
-    5e-11, and every level set on its n strictly increasing angles, or
-    SolverFailure, which can only mean the grid or tolerances are
-    misconfigured.
+    the lift grid and solves them all at once with _bracketed_newton.  Every
+    root is then certified on its argument error |psi(t) - arg(lam)|/psi'(t)
+    <= 5e-11, and every level set on its n strictly increasing angles, or
+    SolverFailure.
     """
     tol = _tol(tol)
     targets = []
@@ -253,7 +268,7 @@ def solve_levels(
     lam = np.array(targets, dtype=complex)
     n = B.degree
 
-    ts, _, psi = _lift_grid(B, tol)
+    ts, psi = _lift_grid(B)
     psi0 = float(psi[0])
     first = psi0 + (np.angle(lam) - psi0) % TAU
     level = (first[:, None] + TAU * np.arange(n)).ravel()
@@ -317,6 +332,8 @@ def _orbits(
     B: BlaschkeProduct, starts, count: int, tol: ToleranceConfig
 ) -> list[tuple[complex, ...]]:
     """invariant_orbit for every start, from one solve_levels call."""
+    if count < 1:
+        raise InputError("orbit length must be at least 1")
     starts = [unit(complex(z)) for z in starts]
     sols = solve_levels(B, [B.evaluate(z, tol) for z in starts], tol)
     return [_orbit(sol, z, count) for sol, z in zip(sols, starts)]
@@ -330,14 +347,10 @@ def invariant_orbit(
 ) -> tuple[complex, ...]:
     """(z, g(z), g^2(z), ..., g^{count-1}(z)) for the next-preimage map g.
 
-    One level-set solve serves the whole orbit: the iterates of g through z
-    are consecutive points of solve_on_circle(B, B(z)).
+    The one-start case of _orbits: the iterates of g through z are
+    consecutive points of the level set of B through z.
     """
-    tol = _tol(tol)
-    if count < 1:
-        raise InputError("orbit length must be at least 1")
-    z = unit(complex(z))
-    return _orbit(solve_on_circle(B, B.evaluate(z, tol), tol), z, count)
+    return _orbits(B, [z], count, _tol(tol))[0]
 
 
 def next_preimage(

@@ -574,7 +574,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol-cluster", type=float, default=1e-8)
     parser.add_argument("--tol-identity", type=float, default=1e-9)
     parser.add_argument("--tol-conic-residual", type=float, default=1e-6)
-    parser.add_argument("--circle-samples", type=int, default=512)
     return parser
 
 
@@ -586,7 +585,6 @@ def main(argv=None) -> int:
             cluster_tol=args.tol_cluster,
             identity_tol=args.tol_identity,
             conic_residual_tol=args.tol_conic_residual,
-            circle_samples=args.circle_samples,
         )
         seed = int(os.environ.get("BLASCHKE_SEED", str(DEFAULT_SEED)), 0)
         cfg = RunConfig(

@@ -64,16 +64,13 @@ class ToleranceConfig:
     identity_tol: sup-norm slack when checking that two maps agree, and the
         modulus below which a zero counts as a zero at the origin.
     conic_residual_tol: algebraic residual gate for conic fits.
-    circle_samples: the floor on the cell count of the lift grid that
-        brackets circle solves; the grid is refined past it as the zeros
-        approach the circle.
+    No tolerance sizes the lift grid of circle solves; it refines itself.
     """
 
     root_tol: float = 1e-12
     cluster_tol: float = 1e-8
     identity_tol: float = 1e-9
     conic_residual_tol: float = 1e-6
-    circle_samples: int = 512
 
     def __post_init__(self):
         for name in ("root_tol", "cluster_tol", "identity_tol", "conic_residual_tol"):
@@ -81,8 +78,6 @@ class ToleranceConfig:
                 raise InputError(f"{name} must lie in (0, 1)")
         if self.cluster_tol <= self.root_tol:
             raise InputError("cluster_tol must exceed root_tol")
-        if self.circle_samples < 16:
-            raise InputError("circle_samples must be at least 16")
 
 
 DEFAULT_TOL = ToleranceConfig()

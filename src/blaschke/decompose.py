@@ -64,18 +64,16 @@ def _pin_outer(
     tol: ToleranceConfig,
 ) -> BlaschkeProduct | None:
     """The outer factor with these zeros whose composition with inner matches
-    B at the first of 8 circle points (from 0.37) where the zeros leave a
-    usable denominator; None if no point is usable or the constant is not
-    unimodular to 1e-6."""
+    B at z0 = e^{0.37i}; None if the constant is not unimodular to 1e-6.
+
+    inner maps the circle to the circle and so does the outer base product,
+    so the denominator at z0 has modulus 1 and z0 always serves."""
+    z0 = cmath.exp(0.37j)
     base = BlaschkeProduct(1.0, outer_zeros)
-    for z0 in circle_samples(8, 0.37):
-        denom = base.evaluate(inner.evaluate(z0, tol), tol)
-        if abs(denom) > 1e-6:
-            gamma = B.evaluate(z0, tol) / denom
-            if abs(abs(gamma) - 1.0) > 1e-6:
-                return None
-            return BlaschkeProduct(unit(gamma), outer_zeros)
-    return None
+    gamma = B.evaluate(z0, tol) / base.evaluate(inner.evaluate(z0, tol), tol)
+    if abs(abs(gamma) - 1.0) > 1e-6:
+        return None
+    return BlaschkeProduct(unit(gamma), outer_zeros)
 
 
 @dataclass(frozen=True)

@@ -349,7 +349,6 @@ def continue_branch(
     loop: LoopSpec,
     start: complex,
     tol: ToleranceConfig | None = None,
-    step_scale: float = 1.0,
 ) -> complex:
     """Lift the loop through the fiber point start; returns the endpoint.
 
@@ -370,7 +369,7 @@ def continue_branch(
         if span == 0:
             continue
         s = 0.0
-        ds = 0.2 * step_scale
+        ds = 0.2
         while s < 1.0 - 1e-15:
             ds = min(ds, 1.0 - s)
             gamma_now = w0 + s * span
@@ -397,7 +396,7 @@ def continue_branch(
             z, d = trial, slope
             s += ds
             if iterations < 3:
-                ds = min(ds * 1.5, 0.5 * step_scale)
+                ds = min(ds * 1.5, 0.5)
     return z
 
 
@@ -424,7 +423,6 @@ def _ramification_type(cd: CriticalData, k: int, n: int) -> tuple[int, ...]:
 def monodromy_group(
     B: BlaschkeProduct,
     tol: ToleranceConfig | None = None,
-    step_scale: float = 1.0,
 ) -> MonodromyResult:
     """Generators and group of the branch permutations over the base point 0.
 
@@ -458,7 +456,7 @@ def monodromy_group(
     for loop in loops:
         images = []
         for z0 in labels:
-            end = continue_branch(B, loop, z0, tol, step_scale)
+            end = continue_branch(B, loop, z0, tol)
             if abs(B.evaluate(end, tol)) > 1e-10:
                 raise TrackingFailure(
                     f"lifted endpoint is not in the fiber: |B(end)|="

@@ -46,12 +46,10 @@ from .circle import (
     argument_derivative,
     invariant_orbit,
     solve_levels,
-    solve_on_circle,
 )
 from .errors import InputError, VerificationFailure
 
 __all__ = [
-    "polygon_vertices",
     "EnvelopeSample",
     "EnvelopeCurve",
     "envelope",
@@ -69,13 +67,6 @@ __all__ = [
 ]
 
 TAU = 2.0 * math.pi
-
-
-def polygon_vertices(
-    Bhat: BlaschkeProduct, lam: complex, tol: ToleranceConfig | None = None
-) -> CircleSolutionSet:
-    """Vertices of the inscribed polygon for one level value, sorted by angle."""
-    return solve_on_circle(Bhat, lam, tol)
 
 
 class EnvelopeSample(NamedTuple):

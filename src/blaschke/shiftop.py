@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import TAU, _bracketed_newton, _certify
+from .circle import TAU, _bracketed_newton, _certify, _phase_gain
 from .core import ToleranceConfig, format_float, _finite, _tol
 from .errors import EigensolverFailure, InputError
 
@@ -144,17 +144,15 @@ def _chord(a: np.ndarray, theta: np.ndarray, delta: np.ndarray):
 
     Returns F = psi(theta + delta) - psi(theta - delta) - 2 pi, z1, z2 and
     psi' at both ends (the Poisson sum, 1 for the z factor).  F needs no lift
-    grid: the z factor gains 2 delta, and every other factor turns once round
-    the circle with increasing argument, so across an arc shorter than a full
-    turn it gains its phase increment wrapped into [0, 2 pi).
+    grid: the z factor gains 2 delta and every other factor its
+    circle._phase_gain across the arc.
     """
     z1 = np.exp(1j * (theta - delta))[:, None]
     z2 = np.exp(1j * (theta + delta))[:, None]
     gap1, gap2 = z1 - a, z2 - a
     f1 = gap1 / (1.0 - a.conj() * z1)
     f2 = gap2 / (1.0 - a.conj() * z2)
-    turn = np.angle(f2 * f1.conj()) % TAU
-    F = 2.0 * delta + np.sum(turn, axis=-1) - TAU
+    F = 2.0 * delta + np.sum(_phase_gain(f1, f2), axis=-1) - TAU
     mass = 1.0 - np.abs(a) ** 2
     rate1 = 1.0 + np.sum(mass / (gap1.real**2 + gap1.imag**2), axis=-1)
     rate2 = 1.0 + np.sum(mass / (gap2.real**2 + gap2.imag**2), axis=-1)

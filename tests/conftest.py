@@ -7,12 +7,14 @@ suite is deterministic run to run.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from blaschke import BlaschkeProduct, CompositionChain, ToleranceConfig
+from blaschke.monodromy import continue_branch
 
 TAU = 2.0 * math.pi
 
@@ -57,6 +59,29 @@ def circle_grid(count: int, offset: float = 0.0) -> list[complex]:
 
 def sup_difference(f, g, points) -> float:
     return max(abs(f(z) - g(z)) for z in points)
+
+
+def halved_step_images(B: BlaschkeProduct, result) -> list[tuple[int, ...]]:
+    """The generator images of a MonodromyResult, lifted again along the same
+    loops with every waypoint segment split in two.  Each tracker step is a
+    fraction of its segment, so this halves every step."""
+    labels = result.labels
+    images = []
+    for loop in result.loops:
+        ws = loop.waypoints
+        split = [ws[0]]
+        for w0, w1 in zip(ws, ws[1:]):
+            split += [0.5 * (w0 + w1), w1]
+        halved = dataclasses.replace(loop, waypoints=tuple(split))
+        row = []
+        for z0 in labels:
+            end = continue_branch(B, halved, z0)
+            dists = [abs(end - label) for label in labels]
+            j = min(range(len(labels)), key=dists.__getitem__)
+            assert dists[j] < 1e-8
+            row.append(j)
+        images.append(tuple(row))
+    return images
 
 
 @pytest.fixture

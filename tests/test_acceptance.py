@@ -26,7 +26,14 @@ from blaschke.shiftop import (
     shift_matrix,
 )
 
-from conftest import TAU, circle_grid, random_point, random_product, rng_for
+from conftest import (
+    TAU,
+    circle_grid,
+    halved_step_images,
+    random_point,
+    random_product,
+    rng_for,
+)
 
 CORPUS = demo_corpus()
 
@@ -401,11 +408,8 @@ def test_criterion_10_property_suites():
         B = normalize(
             BlaschkeProduct(1.0, tuple(random_point(sub, 0.7) for _ in range(4)))
         ).product
-        full = monodromy_group(B, step_scale=1.0)
-        half = monodromy_group(B, step_scale=0.5)
-        assert [g.images for g in full.generators] == [
-            g.images for g in half.generators
-        ]
+        full = monodromy_group(B)
+        assert [g.images for g in full.generators] == halved_step_images(B, full)
 
     _passline(
         10,

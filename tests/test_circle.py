@@ -1,10 +1,11 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
 
-from blaschke import BlaschkeProduct, CompositionChain, InputError, ToleranceConfig
+from blaschke import BlaschkeProduct, CompositionChain, InputError
 from blaschke.circle import (
     argument_derivative,
     chord_second_intersection,
@@ -17,7 +18,7 @@ from blaschke.circle import (
     verify_generator_power,
 )
 from blaschke import circle
-from blaschke.errors import SolverFailure
+from blaschke.errors import BlaschkeError
 
 from conftest import TAU, circle_grid, random_product, rng_for
 
@@ -315,14 +316,48 @@ def test_chord_rejects_bad_arguments():
         chord_second_intersection(0.2 + 0j, 0.5 + 0j)
 
 
-def test_lift_grid_refuses_a_zero_too_close_to_the_circle():
-    # a zero at 1 - 1e-8 needs a 2.5e9-cell lift grid, tens of GiB of
-    # arrays; the cell count is refused before anything is allocated
-    B = BlaschkeProduct(1.0, ((1.0 - 1e-8) * cmath.exp(1j),))
-    with pytest.raises(SolverFailure, match="needs 2513274098 grid cells") as info:
+# ------------------------------------------------------------------ lift grid
+
+
+@pytest.mark.parametrize("gap", [1e-8, 1e-12])
+@pytest.mark.parametrize("with_origin", [False, True])
+def test_solve_certifies_zeros_within_1e_8_and_1e_12_of_the_circle(gap, with_origin):
+    # the grid is refined only next to the zero, so it stays small however
+    # close the zero comes, and every root still meets the argument-error
+    # certificate
+    near = (1.0 - gap) * cmath.exp(1j)
+    B = BlaschkeProduct(1.0, (0j, near) if with_origin else (near,))
+    lams = [-1.0, 1j, cmath.exp(2.5j)]
+    for lam, sol in zip(lams, solve_levels(B, lams)):
+        assert len(sol) == B.degree
+        points = np.array(sol.points)
+        w, rate = circle._circle_terms(B, points)
+        circle._certify(np.angle(w * np.conj(lam)), rate, str)
+    assert len(circle._lift_grid(B)[0]) - 1 < 1000
+
+
+def test_lift_grid_refuses_a_zero_at_1e_15_promptly():
+    # a phase gain of about 1e-15 per factor is lost to rounding, so the lift
+    # cannot be resolved; the grid says so instead of halving forever
+    B = BlaschkeProduct(1.0, (0j, (1.0 - 1e-15) * cmath.exp(1j)))
+    start = time.perf_counter()
+    with pytest.raises(BlaschkeError, match="zero modulus is 0.999999999999999"):
         solve_on_circle(B, -1.0)
-    assert "largest zero modulus is 0.99999999" in str(info.value)
-    # a zero at 1 - 1e-6 still gets its grid, about 2.5e7 cells
-    near = BlaschkeProduct(1.0, ((1.0 - 1e-6) * cmath.exp(1j),))
-    cells = circle._lift_cells(near, ToleranceConfig())
-    assert 2.5e7 < cells <= circle.MAX_LIFT_CELLS
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("degree", [3, 8, 17, 32, 64])
+def test_lift_grid_matches_a_dense_unwrap(degree):
+    # independent oracle: np.unwrap of arg B, evaluated factor by factor on
+    # a uniform grid fine enough that every step gains far less than pi,
+    # merged with the lift grid's own points
+    B = random_product(rng_for(170 + degree), degree, radius=0.8)
+    ts, psi = circle._lift_grid(B)
+    assert np.all(np.diff(ts) > 0.0)
+    assert np.all((np.diff(psi) > 0.0) & (np.diff(psi) < 0.5))
+    assert abs(psi[-1] - psi[0] - TAU * degree) < 1e-12
+    dense = np.union1d(np.linspace(0.0, TAU, 2**14 + 1), ts)
+    unwrapped = np.unwrap(np.angle(B.evaluate(np.exp(1j * dense))))
+    unwrapped += psi[0] - unwrapped[0]
+    at_grid = unwrapped[np.searchsorted(dense, ts)]
+    assert np.max(np.abs(at_grid - psi)) < 1e-12

@@ -25,7 +25,7 @@ from blaschke.monodromy import (
     wreath_audit,
 )
 
-from conftest import random_point, rng_for
+from conftest import halved_step_images, random_point, rng_for
 from test_decompose import _tower
 
 
@@ -320,11 +320,8 @@ def test_tracker_takes_value_and_slope_from_one_pass(monkeypatch):
 
 def test_continuation_stable_under_step_halving():
     B = _two_value_chain()
-    full = monodromy_group(B, step_scale=1.0)
-    half = monodromy_group(B, step_scale=0.5)
-    assert [g.images for g in full.generators] == [
-        g.images for g in half.generators
-    ]
+    full = monodromy_group(B)
+    assert [g.images for g in full.generators] == halved_step_images(B, full)
 
 
 # -------------------------------------------------------------- monodromy group

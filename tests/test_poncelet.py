@@ -18,7 +18,6 @@ from blaschke.poncelet import (
     fit_conic,
     foci_vs_zeros,
     package,
-    polygon_vertices,
     scene_svg,
     tangency_audit,
 )
@@ -227,7 +226,7 @@ def test_power_envelope_collapses_to_origin():
 
 def test_polygon_vertices_are_fiber():
     lam = cmath.exp(0.7j)
-    verts = polygon_vertices(B84, lam)
+    verts = solve_on_circle(B84, lam)
     assert len(verts) == B84.degree
     for k in range(len(verts)):
         assert abs(B84(verts.point(k)) - lam) < 1e-9
@@ -326,7 +325,7 @@ def test_tangency_audit_degree_three():
     curve = envelope(B, 0, 240)
     fit = fit_conic(curve.points)
     lams = [cmath.exp(1j * t) for t in (0.3, 1.7, 4.1)]
-    assert tangency_audit(fit, [polygon_vertices(B, lam) for lam in lams]) < 1e-8
+    assert tangency_audit(fit, [solve_on_circle(B, lam) for lam in lams]) < 1e-8
 
 
 def test_tangency_audit_degree_two_point():
@@ -337,7 +336,7 @@ def test_tangency_audit_degree_two_point():
     curve = envelope(B, 0, 240)
     fit = fit_conic(curve.points)
     lams = [cmath.exp(1j * t) for t in (0.3, 1.7, 4.1)]
-    assert tangency_audit(fit, [polygon_vertices(B, lam) for lam in lams]) < 1e-9
+    assert tangency_audit(fit, [solve_on_circle(B, lam) for lam in lams]) < 1e-9
 
 
 def test_foci_vs_zeros_degree_three():
@@ -392,7 +391,7 @@ def test_scene_svg_well_formed():
     Bh = B84
     curve = envelope(Bh, 1, 90)
     fit = fit_conic(curve.points)
-    level_sets = [polygon_vertices(Bh, cmath.exp(1j * t)) for t in (0.4, 2.5, 4.6)]
+    level_sets = [solve_on_circle(Bh, cmath.exp(1j * t)) for t in (0.4, 2.5, 4.6)]
     text = scene_svg(curve, fit, level_sets)
     root = ET.fromstring(text)
     assert root.tag.endswith("svg")
@@ -405,7 +404,7 @@ def test_scene_svg_marks_point_curve():
     B = BlaschkeProduct(1.0, (0j,) * 8)
     curve = envelope(B, 3, 90)
     fit = fit_conic(curve.points)
-    level_sets = [polygon_vertices(B, cmath.exp(1j * t)) for t in (0.4, 2.5, 4.6)]
+    level_sets = [solve_on_circle(B, cmath.exp(1j * t)) for t in (0.4, 2.5, 4.6)]
     text = scene_svg(curve, fit, level_sets)
     assert "point" in text
     ET.fromstring(text)
