@@ -16,7 +16,6 @@ from .core import (
     ToleranceConfig,
     circle_samples,
     compose,
-    disk_samples,
     is_regularized,
     normalize,
     unit,
@@ -48,7 +47,6 @@ __all__ = [
     "ToleranceConfig",
     "circle_samples",
     "compose",
-    "disk_samples",
     "is_regularized",
     "normalize",
     "unit",

@@ -50,8 +50,6 @@ __all__ = [
     "solve_on_circle",
     "next_preimage",
     "invariant_orbit",
-    "InvariantMapSample",
-    "invariant_generator",
     "GeneratorPowerCheck",
     "verify_generator_power",
     "chord_second_intersection",
@@ -159,12 +157,9 @@ def _circle_terms(
     return B.gamma * np.prod(factors, axis=-1), rate
 
 
-def argument_derivative(
-    B: BlaschkeProduct, t, tol: ToleranceConfig | None = None
-):
+def argument_derivative(B: BlaschkeProduct, t):
     """psi'(t) = sum_j (1 - |a_j|^2)/|e^{it} - a_j|^2; positive for every
-    product.  t may be a float or an array of angles; tol is not needed on
-    the circle and is accepted for signature compatibility."""
+    product.  t may be a float or an array of angles."""
     rate = _circle_terms(B, np.exp(1j * np.asarray(t, dtype=float)))[1]
     return float(rate) if rate.ndim == 0 else rate
 
@@ -329,9 +324,10 @@ def _orbit(sol: CircleSolutionSet, z: complex, count: int) -> tuple[complex, ...
 
 
 def _orbits(
-    B: BlaschkeProduct, starts, count: int, tol: ToleranceConfig
+    B: BlaschkeProduct, starts, count: int, tol: ToleranceConfig | None = None
 ) -> list[tuple[complex, ...]]:
     """invariant_orbit for every start, from one solve_levels call."""
+    tol = _tol(tol)
     if count < 1:
         raise InputError("orbit length must be at least 1")
     starts = [unit(complex(z)) for z in starts]
@@ -350,7 +346,7 @@ def invariant_orbit(
     The one-start case of _orbits: the iterates of g through z are
     consecutive points of the level set of B through z.
     """
-    return _orbits(B, [z], count, _tol(tol))[0]
+    return _orbits(B, [z], count, tol)[0]
 
 
 def next_preimage(
@@ -363,33 +359,6 @@ def next_preimage(
     if steps < 0:
         steps %= B.degree
     return invariant_orbit(B, z, steps + 1, tol)[steps]
-
-
-@dataclass(frozen=True)
-class InvariantMapSample:
-    """Pointwise access to the invariant-map group of one product.
-
-    order is deg(B); calling the sample applies the generator g (optionally
-    g^steps).  g satisfies B o g = B on the circle and g^order = identity.
-    """
-
-    order: int
-    product: BlaschkeProduct
-    tolerances: ToleranceConfig
-
-    def __call__(self, z: complex, steps: int = 1) -> complex:
-        return next_preimage(self.product, z, self.tolerances, steps)
-
-    def orbit(self, z: complex, count: int | None = None) -> tuple[complex, ...]:
-        return invariant_orbit(
-            self.product, z, count if count is not None else self.order, self.tolerances
-        )
-
-
-def invariant_generator(
-    B: BlaschkeProduct, tol: ToleranceConfig | None = None
-) -> InvariantMapSample:
-    return InvariantMapSample(B.degree, B, _tol(tol))
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ import numpy as np
 from .core import (
     BlaschkeProduct,
     CompositionChain,
+    DEFAULT_TOL,
     DiskAutomorphism,
-    ToleranceConfig,
     circle_samples,
     compose,
     format_float,
@@ -162,7 +162,6 @@ def _chain_dict(chain: CompositionChain) -> dict:
 
 @dataclass(frozen=True)
 class RunConfig:
-    tolerances: ToleranceConfig
     lambda_samples: int
     skip: int
     out_dir: Path
@@ -192,17 +191,17 @@ def _load_input(args, seed: int):
     return BlaschkeProduct.from_json(text)
 
 
-def _as_product(obj, tol: ToleranceConfig) -> BlaschkeProduct:
+def _as_product(obj) -> BlaschkeProduct:
     if isinstance(obj, CompositionChain):
-        return obj.expand(tol)
+        return obj.expand()
     return obj
 
 
 # ------------------------------------------------------------------ commands
 
 
-def _critical_dict(B: BlaschkeProduct, tol: ToleranceConfig) -> dict:
-    cd = critical_data(B, tol)
+def _critical_dict(B: BlaschkeProduct) -> dict:
+    cd = critical_data(B)
     return {
         "points": list(cd.points_in_disk),
         "values": list(cd.values),
@@ -211,15 +210,14 @@ def _critical_dict(B: BlaschkeProduct, tol: ToleranceConfig) -> dict:
         ],
         "distinct_count": len(cd.distinct_values),
         "nonzero_point_count": sum(
-            1 for p in cd.points_in_disk if abs(p) > tol.cluster_tol
+            1 for p in cd.points_in_disk if abs(p) > DEFAULT_TOL.cluster_tol
         ),
     }
 
 
 def cmd_analyze(obj, cfg: RunConfig) -> int:
-    tol = cfg.tolerances
-    B = _as_product(obj, tol)
-    reg = is_regularized(B, tol)
+    B = _as_product(obj)
+    reg = is_regularized(B)
     report = {
         "degree": B.degree,
         "gamma": B.gamma,
@@ -230,23 +228,23 @@ def cmd_analyze(obj, cfg: RunConfig) -> int:
             "simple_zeros": reg.simple_zeros,
             "violating_pairs": [list(p) for p in reg.violating_pairs],
         },
-        "critical": _critical_dict(B, tol),
+        "critical": _critical_dict(B),
     }
     if isinstance(obj, CompositionChain):
-        bound = check_value_bound(obj, tol)
+        bound = check_value_bound(obj)
         report["value_bound"] = {
             "ok": bound.ok,
             "distinct_count": bound.distinct_count,
             "bound": bound.bound,
             "factor_degrees": list(bound.factor_degrees),
         }
-    nf = normalize(B, tol)
+    nf = normalize(B)
     report["normalized"] = {
         "pre_center": nf.pre.center,
         "post_rotation": nf.post.rotation,
         "post_center": nf.post.center,
         "zeros": list(nf.product.zeros),
-        "critical": _critical_dict(nf.product, tol),
+        "critical": _critical_dict(nf.product),
     }
     _emit(report)
     return 0
@@ -275,11 +273,10 @@ def _fit_dict(fit) -> dict:
 
 
 def cmd_curve(obj, cfg: RunConfig) -> int:
-    tol = cfg.tolerances
-    B = _as_product(obj, tol)
-    curve = envelope(B, cfg.skip, cfg.lambda_samples, tol)
-    fit = fit_conic(curve.points, tol)
-    level_sets = solve_levels(B, SCENE_LAMBDAS, tol)
+    B = _as_product(obj)
+    curve = envelope(B, cfg.skip, cfg.lambda_samples)
+    fit = fit_conic(curve.points)
+    level_sets = solve_levels(B, SCENE_LAMBDAS)
     files = [
         _write(cfg, f"curve_skip{cfg.skip}.csv", curve_csv(curve)),
         _write(cfg, f"curve_skip{cfg.skip}.svg", scene_svg(curve, fit, level_sets)),
@@ -288,7 +285,7 @@ def cmd_curve(obj, cfg: RunConfig) -> int:
         "skip": cfg.skip,
         "curve_index": cfg.skip + 1,
         "fit": _fit_dict(fit),
-        "closure_order": closure_order(B, cfg.skip, tol),
+        "closure_order": closure_order(B, cfg.skip),
         "files": files,
     }
     if fit.classification in ("ellipse", "point"):
@@ -298,10 +295,9 @@ def cmd_curve(obj, cfg: RunConfig) -> int:
 
 
 def cmd_package(obj, cfg: RunConfig) -> int:
-    tol = cfg.tolerances
-    B = _as_product(obj, tol)
-    pkg = package(B, cfg.lambda_samples, tol)
-    level_sets = solve_levels(B, SCENE_LAMBDAS, tol)
+    B = _as_product(obj)
+    pkg = package(B, cfg.lambda_samples)
+    level_sets = solve_levels(B, SCENE_LAMBDAS)
     entries = []
     files = []
     for entry in pkg.entries:
@@ -313,7 +309,7 @@ def cmd_package(obj, cfg: RunConfig) -> int:
             "diameter": entry.curve.diameter(),
         }
         if entry.fit.classification in ("ellipse", "point"):
-            match = foci_vs_zeros(entry.fit, B, tol)
+            match = foci_vs_zeros(entry.fit, B)
             row["foci_match"] = {
                 "zeros": list(match.matched_zeros),
                 "distances": list(match.distances),
@@ -345,20 +341,19 @@ def cmd_package(obj, cfg: RunConfig) -> int:
 
 
 def cmd_nrange(obj, cfg: RunConfig) -> int:
-    tol = cfg.tolerances
-    B = _as_product(obj, tol)
+    B = _as_product(obj)
     # When the product vanishes at the origin the interesting operator is the
     # compressed shift on the model space of B(z)/z, so one origin zero is
     # dropped before building the matrix.
     zeros = list(B.zeros)
     origin_removed = False
     for i, z in enumerate(zeros):
-        if abs(z) <= tol.identity_tol:
+        if abs(z) <= DEFAULT_TOL.identity_tol:
             del zeros[i]
             origin_removed = True
             break
     A = shift_matrix(zeros)
-    verdict = is_elliptical_range(A, cfg.lambda_samples, tol)
+    verdict = is_elliptical_range(A, cfg.lambda_samples)
     files = [_write(cfg, "nrange.csv", boundary_csv(verdict.sample))]
     probes = [(1.0, 0.0, 1.0), (0.3, 0.7, 1.1), (0.0, 0.0, 1.0)]
     report = {
@@ -378,14 +373,13 @@ def cmd_nrange(obj, cfg: RunConfig) -> int:
 
 
 def cmd_decompose(obj, cfg: RunConfig) -> int:
-    tol = cfg.tolerances
-    B = _as_product(obj, tol)
+    B = _as_product(obj)
     n = B.degree
     report: dict = {"degree": n}
 
     k = n.bit_length() - 1
     if n == 2**k and n >= 4:
-        rep = chain_2n(B, tol)
+        rep = chain_2n(B)
         if rep.found:
             record = rep.chains[0]
             report["chain"] = {
@@ -401,17 +395,11 @@ def cmd_decompose(obj, cfg: RunConfig) -> int:
                 ]
             }
 
-    # with a zero at the origin the elliptical check's rows are the table
-    ell = None
-    if any(abs(z) <= tol.identity_tol for z in B.zeros):
-        ell = elliptical_implies_decomposable_check(B, tol)
-        searches = [(r.k, r.result) for r in ell.rows]
-    else:
-        searches = [
-            (k, inner_factor_general(B, k, tol)) for k in range(2, n) if n % k == 0
-        ]
     rows = []
-    for divisor, res in searches:
+    for divisor in range(2, n):
+        if n % divisor:
+            continue
+        res = inner_factor_general(B, divisor)
         row = {"k": divisor, "found": res.found, "reason": res.reason}
         if res.found:
             row["inner"] = _product_dict(res.inner)
@@ -420,7 +408,8 @@ def cmd_decompose(obj, cfg: RunConfig) -> int:
         rows.append(row)
     report["divisors"] = rows
 
-    if ell is not None:
+    if any(abs(z) <= DEFAULT_TOL.identity_tol for z in B.zeros):
+        ell = elliptical_implies_decomposable_check(B)
         report["elliptical_check"] = {
             "is_ellipse": ell.verdict.is_ellipse,
             "consistent": ell.consistent,
@@ -433,11 +422,10 @@ def cmd_decompose(obj, cfg: RunConfig) -> int:
 
 
 def cmd_monodromy(obj, cfg: RunConfig) -> int:
-    tol = cfg.tolerances
-    B = _as_product(obj, tol)
-    nf = normalize(B, tol)
+    B = _as_product(obj)
+    nf = normalize(B)
     N = nf.product
-    cross = cross_validate(N, tol)
+    cross = cross_validate(N)
     mono, systems = cross.monodromy, cross.systems
     report = {
         "degree": N.degree,
@@ -488,12 +476,11 @@ def cmd_monodromy(obj, cfg: RunConfig) -> int:
 
 
 def cmd_invariants(obj, cfg: RunConfig) -> int:
-    tol = cfg.tolerances
-    B = _as_product(obj, tol)
+    B = _as_product(obj)
     n = B.degree
     samples = list(circle_samples(8, 0.13))
     # one batched level-set solve serves g(z) and g^n(z) for every sample
-    orbits = _orbits(B, samples, n + 1, tol)
+    orbits = _orbits(B, samples, n + 1)
     pairs = [{"z": z, "g": orbit[1]} for z, orbit in zip(samples, orbits)]
     identity_error = max(abs(orbit[n] - z) for z, orbit in zip(samples, orbits))
     report = {
@@ -506,7 +493,7 @@ def cmd_invariants(obj, cfg: RunConfig) -> int:
         and all(f.degree == 2 for f in obj.factors)
         and min(abs(z) for z in obj.factors[-1].zeros) <= 1e-9
     ):
-        check = verify_generator_power(obj, tol)
+        check = verify_generator_power(obj)
         report["generator_power"] = {
             "ok": check.ok,
             "power": check.power,
@@ -570,25 +557,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--skip", type=int, default=0, help="chord skip for curve")
     parser.add_argument("--out", default=".", help="output directory for files")
-    parser.add_argument("--tol-root", type=float, default=1e-12)
-    parser.add_argument("--tol-cluster", type=float, default=1e-8)
-    parser.add_argument("--tol-identity", type=float, default=1e-9)
-    parser.add_argument("--tol-conic-residual", type=float, default=1e-6)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        tol = ToleranceConfig(
-            root_tol=args.tol_root,
-            cluster_tol=args.tol_cluster,
-            identity_tol=args.tol_identity,
-            conic_residual_tol=args.tol_conic_residual,
-        )
         seed = int(os.environ.get("BLASCHKE_SEED", str(DEFAULT_SEED)), 0)
         cfg = RunConfig(
-            tolerances=tol,
             lambda_samples=args.lambda_samples,
             skip=args.skip,
             out_dir=Path(args.out),

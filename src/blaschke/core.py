@@ -42,7 +42,6 @@ __all__ = [
     "is_regularized",
     "unit",
     "circle_samples",
-    "disk_samples",
     "format_float",
 ]
 
@@ -52,6 +51,9 @@ _ON_CIRCLE_TOL = 1e-12
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Shared numerical tolerances.
+
+    DEFAULT_TOL holds the defaults.  Every CLI subcommand runs at them;
+    library callers may pass another instance as tol.
 
     root_tol: the pole guard (evaluation raises PoleProximity when a factor's
         denominator 1 - conj(a) z falls to root_tol) and the residual
@@ -137,14 +139,6 @@ def format_float(x: float) -> str:
 def circle_samples(count: int, offset: float = 0.0) -> list[complex]:
     """Evenly spaced points on the unit circle, deterministic."""
     return [cmath.exp(1j * (offset + 2.0 * math.pi * k / count)) for k in range(count)]
-
-
-def disk_samples(count: int, seed: int = 7) -> list[complex]:
-    """Deterministic quasi-random points in the open disk."""
-    rng = np.random.default_rng(seed)
-    r = np.sqrt(rng.uniform(0.0, 0.9025, count))
-    t = rng.uniform(0.0, 2.0 * np.pi, count)
-    return [complex(ri * math.cos(ti), ri * math.sin(ti)) for ri, ti in zip(r, t)]
 
 
 @dataclass(frozen=True)

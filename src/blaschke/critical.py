@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -296,9 +297,15 @@ def critical_data(
     in-disk zeros of S = B'/B, solved with the shift s on the unit circle
     (where S never vanishes) farthest from the nodes among 16 samples.
     Raises CountMismatch if the in-disk multiplicity count is not degree - 1
-    and SolverFailure if a point fails its certificate on S.
+    and SolverFailure if a point fails its certificate on S.  The result is
+    kept per (product, tolerances), so asking again for an equal product
+    costs no solve.
     """
-    tol = _tol(tol)
+    return _critical_data(B, _tol(tol))
+
+
+@lru_cache(maxsize=64)
+def _critical_data(B: BlaschkeProduct, tol: ToleranceConfig) -> CriticalData:
     counts = Counter(B.zeros)
     nodes, weights = _log_derivative(counts)
     s = max(circle_samples(16, 0.3), key=lambda p: np.min(np.abs(nodes - p)))

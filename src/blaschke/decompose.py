@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -253,13 +254,21 @@ def inner_factor_general(
     determine D (see _inner_from_orbits).  C is then reconstructed from the
     collapsed zero multiset and the pair is verified on the circle.  A
     negative answer carries its reason; the theory certifies existence for
-    genuine factors but gives no numerical certificate of absence.
+    genuine factors but gives no numerical certificate of absence.  The
+    result is kept per (product, k, tolerances), so searching again costs
+    nothing.
     """
-    tol = _tol(tol)
     n = B.degree
     if not (1 < k < n) or n % k != 0:
         raise InputError(f"k must be a proper divisor of {n}, got {k}")
+    return _inner_factor(B, k, _tol(tol))
 
+
+@lru_cache(maxsize=64)
+def _inner_factor(
+    B: BlaschkeProduct, k: int, tol: ToleranceConfig
+) -> InnerFactorResult:
+    n = B.degree
     D = _inner_from_orbits(_orbit_pair(B, n // k, k, tol), k, tol)
     outer_zeros = None if D is None else _collapse_zeros(B, D, k, tol)
     if outer_zeros is None:
@@ -306,8 +315,8 @@ def elliptical_implies_decomposable_check(
     The matrix model is built from the zeros of B with one zero at the origin
     removed (the compressed shift of B/z); if its numerical range is an
     ellipse, a factorization must exist for every proper divisor of the
-    degree, and each is searched for directly; every row keeps its search
-    result, so callers that also want the divisor table need not search again.
+    degree, and each is searched for directly with inner_factor_general; every
+    row keeps its search result.
     """
     tol = _tol(tol)
     idx = min(range(B.degree), key=lambda i: abs(B.zeros[i]))

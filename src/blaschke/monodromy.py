@@ -63,7 +63,6 @@ __all__ = [
 ]
 
 TAU = 2.0 * math.pi
-ENUMERATION_CAP = 10**6
 
 
 def _invert(images: tuple[int, ...]) -> tuple[int, ...]:
@@ -200,29 +199,6 @@ class PermutationGroup:
         levels = self._chain()
         orbit = len(levels[0][2]) if levels else 1
         return orbit == self.degree
-
-    def element_orders(self) -> tuple[int, ...]:
-        """Sorted distinct element orders, from every product u_0 u_1 ...
-        of one transversal element per level.  Groups of order above
-        ENUMERATION_CAP raise InputError instead of being listed."""
-        order = self.order()
-        if order > ENUMERATION_CAP:
-            raise InputError(
-                f"group of order {order} is above ENUMERATION_CAP = "
-                f"{ENUMERATION_CAP}; its elements are not listed"
-            )
-        levels = self._chain()
-        found = set()
-
-        def walk(i: int, prefix: tuple) -> None:
-            if i == len(levels):
-                found.add(Permutation(prefix).order())
-                return
-            for u, _ in levels[i][2].values():
-                walk(i + 1, tuple(prefix[x] for x in u))
-
-        walk(0, tuple(range(self.degree)))
-        return tuple(sorted(found))
 
 
 @dataclass(frozen=True)

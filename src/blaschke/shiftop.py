@@ -40,8 +40,6 @@ __all__ = [
     "shift_matrix",
     "NumericalRangeSample",
     "numerical_range_boundary",
-    "KippenhahnForm",
-    "kippenhahn_form",
     "kippenhahn_eval",
     "RangeVerdict",
     "is_elliptical_range",
@@ -190,33 +188,17 @@ def _tangency_sweep(zeros, theta: np.ndarray) -> tuple[list, list]:
     return (np.exp(-1j * theta) * points).real.tolist(), points.tolist()
 
 
-@dataclass(frozen=True, eq=False)
-class KippenhahnForm:
-    """Hermitian parts of A and the ternary form det(u ReA + v ImA + w I).
+def kippenhahn_eval(A, u: complex, v: complex, w: complex) -> complex:
+    """The ternary form det(u Re A + v Im A + w I), Re A and Im A the
+    Hermitian parts of A, evaluated at one point and never expanded.
 
     The real points of the dual of {f = 0} sweep out the boundary generators
-    of W(A); here the form is only evaluated, never expanded symbolically.
+    of W(A) (Kippenhahn 1951).
     """
-
-    re_part: np.ndarray
-    im_part: np.ndarray
-
-    def __call__(self, u: complex, v: complex, w: complex) -> complex:
-        n = self.re_part.shape[0]
-        return complex(
-            np.linalg.det(u * self.re_part + v * self.im_part + w * np.eye(n))
-        )
-
-
-def kippenhahn_form(A) -> KippenhahnForm:
     M = _as_matrix(A)
     re = 0.5 * (M + M.conj().T)
     im = (M - M.conj().T) / 2j
-    return KippenhahnForm(re, im)
-
-
-def kippenhahn_eval(A, u: complex, v: complex, w: complex) -> complex:
-    return kippenhahn_form(A)(u, v, w)
+    return complex(np.linalg.det(u * re + v * im + w * np.eye(M.shape[0])))
 
 
 @dataclass(frozen=True, eq=False)

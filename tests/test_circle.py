@@ -9,7 +9,6 @@ from blaschke import BlaschkeProduct, CompositionChain, InputError
 from blaschke.circle import (
     argument_derivative,
     chord_second_intersection,
-    invariant_generator,
     invariant_orbit,
     lifted_argument,
     next_preimage,
@@ -228,14 +227,14 @@ def test_orbit_preserves_circular_order():
 def test_generator_sample_orbit():
     rng = rng_for(124)
     B = random_product(rng, 4)
-    g = invariant_generator(B)
-    assert g.order == 4
     z = cmath.exp(2.2j)
-    assert abs(g(z) - next_preimage(B, z)) < 1e-12
-    orb = g.orbit(z)
-    assert len(orb) == 4
-    closed = g.orbit(z, 5)
-    assert abs(closed[4] - z) < 1e-9
+    orb = invariant_orbit(B, z, 5)
+    assert len(orb) == 5
+    assert abs(orb[0] - z) < 1e-15
+    for step in range(1, 4):
+        assert abs(orb[step] - next_preimage(B, z, steps=step)) < 1e-12
+        assert abs(B.evaluate(orb[step]) - B.evaluate(z)) < 1e-9
+    assert abs(orb[4] - z) < 1e-9
 
 
 def test_two_step_matches_iterated_single_step():

@@ -342,25 +342,55 @@ def test_nan_gamma_is_an_input_error(tmp_path):
 
 
 def test_decompose_runs_each_inner_factor_search_once(monkeypatch, capsys, tmp_path):
+    # chain_2n peels (8, 2) and (4, 2); the divisor table and the elliptical
+    # check ask again for (8, 2) and (8, 4) and get the kept results
     import blaschke.decompose as decompose
 
-    real = decompose.inner_factor_general
+    real = decompose._orbit_pair
     calls = []
 
-    def counted(B, k, tol=None):
+    def counted(B, hop, k, tol):
         calls.append((B.degree, k))
-        return real(B, k, tol)
+        return real(B, hop, k, tol)
 
-    monkeypatch.setattr(decompose, "inner_factor_general", counted)
-    monkeypatch.setattr(cli, "inner_factor_general", counted)
+    monkeypatch.setattr(decompose, "_orbit_pair", counted)
     for demo in ("power8", "elliptical8", "nonexample84"):
+        decompose._inner_factor.cache_clear()
         calls.clear()
         assert cli.main(["decompose", "--demo", demo, "--out", str(tmp_path)]) == 0
         capsys.readouterr()
-        # chain_2n peels (8, 2) and (4, 2); the table and the elliptical
-        # check share one (8, 2) and one (8, 4)
-        assert calls.count((8, 2)) <= 2
-        assert calls.count((8, 4)) == 1
+        assert sorted(calls) == [(4, 2), (8, 2), (8, 4)], demo
+
+
+@pytest.mark.parametrize("demo", ["chain3", "elliptical8", "power8"])
+def test_analyze_solves_critical_points_once_per_product(monkeypatch, capsys, demo):
+    # the report, is_regularized, check_value_bound and normalize share the
+    # solve of the input; the normalized product needs the second
+    import blaschke.critical as critical
+
+    real = critical._secular_zeros
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(critical, "_secular_zeros", counted)
+    critical._critical_data.cache_clear()
+    assert cli.main(["analyze", "--demo", demo]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "flag", ["--tol-root", "--tol-cluster", "--tol-identity", "--tol-conic-residual"]
+)
+def test_tolerance_flags_are_not_accepted(capsys, flag):
+    # every subcommand runs at the library tolerances
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--demo", "power2", flag, "1e-6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_unclosed_polygon_is_a_verification_failure(monkeypatch, capsys, tmp_path):

@@ -1,4 +1,5 @@
 import cmath
+import importlib
 import json
 import math
 
@@ -274,3 +275,17 @@ def test_unit_helper():
     assert abs(unit(3 + 4j) - (0.6 + 0.8j)) < 1e-15
     z = unit(cmath.exp(0.2j) * (1 + 3e-12))
     assert abs(abs(z) - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["blaschke"]
+    + [
+        f"blaschke.{name}"
+        for name in ("core", "circle", "critical", "shiftop", "poncelet", "decompose", "monodromy", "cli")
+    ],
+)
+def test_every_export_exists(module):
+    # a deleted name must not stay behind in __all__
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

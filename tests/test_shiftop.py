@@ -10,7 +10,6 @@ from blaschke.shiftop import (
     boundary_csv,
     is_elliptical_range,
     kippenhahn_eval,
-    kippenhahn_form,
     numerical_range_boundary,
     shift_matrix,
 )
@@ -255,12 +254,6 @@ def test_kippenhahn_jordan_closed_form():
     for u, v, w in [(1.0, 0.0, 1.0), (0.3, -0.7, 0.9), (0.0, 1.0, 2.0)]:
         expected = w**3 - w * (u**2 + v**2) / 2
         assert abs(kippenhahn_eval(A, u, v, w) - expected) < 1e-12
-
-
-def test_kippenhahn_form_matches_eval():
-    A = shift_matrix([0.3 + 0.1j, -0.2j])
-    form = kippenhahn_form(A)
-    assert abs(form(0.4, 0.5, 1.1) - kippenhahn_eval(A, 0.4, 0.5, 1.1)) < 1e-13
 
 
 def test_kippenhahn_vanishes_on_tangent_coordinates():
