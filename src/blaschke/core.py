@@ -145,7 +145,10 @@ def circle_samples(count: int, offset: float = 0.0) -> list[complex]:
 class BlaschkeProduct:
     """A finite Blaschke product, stored as unimodular constant plus zero list.
 
-    zeros is a tuple with multiplicity; the degree is its length.
+    zeros is a tuple with multiplicity; the degree is its length.  The
+    private factor table _terms holds (a, conj(a), 1 - |a|^2) per zero, built
+    once here for _jet; it is not a field, so equality, hashing and repr see
+    only gamma and zeros.
     """
 
     gamma: complex
@@ -163,6 +166,9 @@ class BlaschkeProduct:
                 raise InputError(f"zero {a} is not inside the open unit disk")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "zeros", zeros)
+        object.__setattr__(
+            self, "_terms", tuple((a, a.conjugate(), 1.0 - abs(a) ** 2) for a in zeros)
+        )
 
     @property
     def degree(self) -> int:
@@ -175,8 +181,12 @@ class BlaschkeProduct:
         """Evaluate B(z), factor by factor (see _jet).
 
         On the unit circle the result satisfies ||B(z)| - 1| <= a few ulps
-        regardless of degree.  Raises PoleProximity when a denominator falls
-        below root_tol (only possible for |z| > 1).
+        regardless of degree.  Raises PoleProximity when a denominator
+        1 - conj(a) z falls to root_tol.  For |z| <= 1 the denominator is at
+        least 1 - |a|, so this needs a zero a within root_tol of the circle,
+        and then it happens near a/|a| although B has no pole there:
+        BlaschkeProduct(1, (0.3j, 1 - 1e-13)).evaluate(1) raises.  For
+        |z| > 1 it happens near the poles 1/conj(a).
         """
         tol = _tol(tol)
         if isinstance(z, np.ndarray):
@@ -208,22 +218,25 @@ class BlaschkeProduct:
         Each factor f_j = (z - a_j)/(1 - conj(a_j) z) has
         f_j' = (1 - |a_j|^2)/(1 - conj(a_j) z)^2; the running pair
         (prod, dprod) is updated without ever dividing by f_j, so zeros of B
-        need no special casing.  On the unit circle every factor has modulus
-        exactly 1, so when |z| is within 1e-12 of 1 each factor is
-        renormalized to unit modulus as it is multiplied in.  Raises
-        PoleProximity when a denominator falls below root_tol.
+        need no special casing.  conj(a_j) and 1 - |a_j|^2 come from the
+        factor table _terms built with the product, so a pass recomputes
+        neither.  On the unit circle every factor has modulus exactly 1, so
+        when |z| is within 1e-12 of 1 each factor is renormalized to unit
+        modulus as it is multiplied in.  Raises PoleProximity when a
+        denominator falls to root_tol (see evaluate for where that happens).
         """
         on_circle = abs(abs(z) - 1.0) <= _ON_CIRCLE_TOL
+        root_tol = tol.root_tol
         p = self.gamma
         dp = 0.0 + 0.0j
-        for a in self.zeros:
-            den = 1.0 - a.conjugate() * z
-            if abs(den) <= tol.root_tol:
+        for a, a_conj, k in self._terms:
+            den = 1.0 - a_conj * z
+            if abs(den) <= root_tol:
                 raise PoleProximity(z, den)
             f = (z - a) / den
             if on_circle:
                 f /= abs(f)
-            df = (1.0 - abs(a) ** 2) / (den * den)
+            df = k / (den * den)
             dp = dp * f + p * df
             p = p * f
         return p, dp

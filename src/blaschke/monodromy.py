@@ -12,9 +12,14 @@ predictor-corrector tracker on B(z(t)) = gamma(t): Euler prediction through
 z' = gamma'/B'(z), Newton correction to |B(z) - gamma| <= 1e-12, with the
 step halved whenever correction labors and grown when it coasts.  The
 corrector is one-pass: each Newton iteration takes the residual and the
-slope from a single product-rule sweep over the factors, and the slope at
-the accepted point doubles as the next Euler predictor, so a step costs one
-sweep per iteration and no separate derivative evaluation.
+slope from a single product-rule sweep over the factors, reading each
+factor's conj(a) and 1 - |a|^2 from the table the product built once, and
+the slope at the accepted point doubles as the next Euler predictor, so a
+step costs one sweep per iteration and no separate derivative evaluation.
+
+monodromy_group keeps its last 64 results per (product, tolerances), so
+cross_validate after monodromy_group, or the CLI's one cross_validate,
+tracks each branch once.
 
 Block systems of the resulting group are the group-respected partitions of
 the zero labels; each corresponds to a compositional factorization, which is
@@ -27,7 +32,7 @@ import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .core import (
     BlaschkeProduct,
@@ -330,15 +335,16 @@ def continue_branch(
 
     Tracks B(z(t)) = gamma(t) along each waypoint segment with an Euler
     predictor and a Newton corrector (to 1e-12).  Every corrector iteration
-    takes B and B' from one pass over the factors (BlaschkeProduct._jet),
-    and the slope at the accepted point is the next Euler predictor's.  The
+    takes B and B' from one pass over the factors (BlaschkeProduct._jet,
+    over the product's precomputed factor table), and the slope at the accepted point is the next Euler predictor's.  The
     step fraction halves when correction takes more than 5 iterations and
     grows by 1.5 when it takes fewer than 3; underflow below 1e-9 or escape
     past |z| = 1.5 raises TrackingFailure.
     """
     tol = _tol(tol)
+    jet = B._jet
     z = complex(start)
-    d = B._jet(z, tol)[1]
+    d = jet(z, tol)[1]
     ws = loop.waypoints
     for w0, w1 in zip(ws, ws[1:]):
         span = w1 - w0
@@ -352,7 +358,7 @@ def continue_branch(
             gamma_next = w0 + (s + ds) * span
             trial = z if abs(d) < 1e-12 else z + (gamma_next - gamma_now) / d
             for iterations in range(1, 11):
-                value, slope = B._jet(trial, tol)
+                value, slope = jet(trial, tol)
                 f = value - gamma_next
                 if abs(f) <= 1e-12 or abs(slope) < 1e-12:
                     break
@@ -408,9 +414,16 @@ def monodromy_group(
     critical value, values in (real, imag) order.  Each generator must have
     the cycle type Riemann-Hurwitz gives for the critical points clustered
     at its value, or VerificationFailure: a loop that encloses several
-    values merged by the clustering fails this check.
+    values merged by the clustering fails this check.  The result is kept
+    per (product, tolerances), so asking again for an equal product, as
+    cross_validate does, tracks no branch; a refusal is not kept and is
+    raised again on every call.
     """
-    tol = _tol(tol)
+    return _monodromy_group(B, _tol(tol))
+
+
+@lru_cache(maxsize=64)
+def _monodromy_group(B: BlaschkeProduct, tol: ToleranceConfig) -> MonodromyResult:
     n = B.degree
     zeros = list(B.zeros)
     min_sep = min(
@@ -619,7 +632,9 @@ def cross_validate(
     An inner factor of degree k partitions the branches into blocks of size
     k, and conversely; the agreement matrix over proper divisors of the
     degree checks the two pipelines against each other.  Requires a product
-    acceptable to monodromy_group (simple zeros, 0 regular).
+    acceptable to monodromy_group (simple zeros, 0 regular).  The group
+    comes from monodromy_group, so after monodromy_group(B) no branch is
+    tracked again and cross.monodromy is the same result object.
     """
     from .decompose import inner_factor_general
 

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import importlib
 import json
 import math
@@ -119,6 +120,40 @@ def test_value_and_derivative_share_one_pass():
     B = random_product(rng, 6)
     for z in (0.3 + 0.2j, cmath.exp(0.7j), -0.1 - 0.55j, 1.4 + 0j):
         assert B._jet(z, ToleranceConfig()) == (B(z), B.derivative(z))
+
+
+def _textbook_jet(B, z):
+    # the running product rule written out from gamma and the zeros alone
+    on_circle = abs(abs(z) - 1.0) <= 1e-12
+    p, dp = B.gamma, 0j
+    for a in B.zeros:
+        den = 1.0 - a.conjugate() * z
+        f = (z - a) / den
+        if on_circle:
+            f /= abs(f)
+        df = (1.0 - abs(a) ** 2) / (den * den)
+        dp = dp * f + p * df
+        p = p * f
+    return p, dp
+
+
+@pytest.mark.parametrize("degree", [1, 6, 33])
+def test_jet_matches_the_textbook_loop_exactly(degree):
+    # the precomputed factor table changes no bit of B or B'
+    B = random_product(rng_for(23 + degree), degree)
+    points = [0.3 + 0.2j, -0.1 - 0.55j, 0j, 1.4 + 0j, -0.9 + 1.1j]
+    points += circle_grid(7, 0.2)
+    for z in points:
+        assert B._jet(z, ToleranceConfig()) == _textbook_jet(B, z), z
+
+
+def test_factor_table_is_not_part_of_the_value():
+    rng = rng_for(24)
+    B = random_product(rng, 5)
+    twin = BlaschkeProduct(B.gamma, tuple(B.zeros))
+    assert [f.name for f in dataclasses.fields(BlaschkeProduct)] == ["gamma", "zeros"]
+    assert B == twin and hash(B) == hash(twin) and B is not twin
+    assert "_terms" not in repr(B)
 
 
 def test_derivative_of_power():

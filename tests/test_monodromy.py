@@ -10,6 +10,7 @@ from blaschke.errors import (
     DegenerateInput,
     GeometryFailure,
     NonBijective,
+    TrackingFailure,
     VerificationFailure,
 )
 from blaschke.monodromy import (
@@ -25,7 +26,7 @@ from blaschke.monodromy import (
     wreath_audit,
 )
 
-from conftest import halved_step_images, random_point, rng_for
+from conftest import halved_step_images, random_point, random_product, rng_for
 from test_decompose import _tower
 
 
@@ -406,6 +407,109 @@ def test_fiber_labels_are_the_zeros():
     )
 
 
+# ------------------------------------------------------------ seeded corpus
+
+# Generator images of normalized seeded products, pinned as literals: a
+# change to the tracker, the loops or the evaluation kernel that moves a
+# single branch endpoint to another label shows here.  Products are drawn in
+# order from rng_for(2026): the random ones first (radius 0.8), then a 3- and
+# a 4-level tower of degree-2 factors.
+PINNED_RANDOM = (
+    (5, (
+        (0, 1, 3, 2, 4),
+        (0, 1, 2, 4, 3),
+        (0, 2, 1, 3, 4),
+        (3, 1, 2, 0, 4),
+    )),
+    (6, (
+        (0, 1, 2, 3, 5, 4),
+        (2, 1, 0, 3, 4, 5),
+        (0, 1, 5, 3, 4, 2),
+        (0, 1, 3, 2, 4, 5),
+        (0, 2, 1, 3, 4, 5),
+    )),
+    (6, (
+        (0, 1, 5, 3, 4, 2),
+        (0, 1, 4, 3, 2, 5),
+        (0, 2, 1, 3, 4, 5),
+        (0, 1, 2, 4, 3, 5),
+        (1, 0, 2, 3, 4, 5),
+    )),
+    (7, (
+        (0, 1, 6, 3, 4, 5, 2),
+        (0, 2, 1, 3, 4, 5, 6),
+        (0, 1, 5, 3, 4, 2, 6),
+        (0, 1, 2, 4, 3, 5, 6),
+        (0, 1, 4, 3, 2, 5, 6),
+        (1, 0, 2, 3, 4, 5, 6),
+    )),
+    (7, (
+        (6, 1, 2, 3, 4, 5, 0),
+        (4, 1, 2, 3, 0, 5, 6),
+        (0, 1, 3, 2, 4, 5, 6),
+        (0, 1, 2, 4, 3, 5, 6),
+        (0, 2, 1, 3, 4, 5, 6),
+        (0, 1, 2, 3, 5, 4, 6),
+    )),
+    (8, (
+        (4, 1, 2, 3, 0, 5, 6, 7),
+        (0, 1, 2, 3, 7, 5, 6, 4),
+        (0, 1, 4, 3, 2, 5, 6, 7),
+        (0, 1, 2, 3, 5, 4, 6, 7),
+        (0, 4, 2, 3, 1, 5, 6, 7),
+        (0, 1, 2, 3, 6, 5, 4, 7),
+        (0, 1, 2, 4, 3, 5, 6, 7),
+    )),
+    (8, (
+        (1, 0, 2, 3, 4, 5, 6, 7),
+        (0, 6, 2, 3, 4, 5, 1, 7),
+        (0, 5, 2, 3, 4, 1, 6, 7),
+        (0, 1, 2, 3, 4, 5, 7, 6),
+        (0, 2, 1, 3, 4, 5, 6, 7),
+        (0, 1, 3, 2, 4, 5, 6, 7),
+        (0, 1, 2, 4, 3, 5, 6, 7),
+    )),
+    (6, (
+        (0, 1, 3, 2, 4, 5),
+        (1, 0, 2, 3, 4, 5),
+        (0, 1, 4, 3, 2, 5),
+        (0, 4, 2, 3, 1, 5),
+        (0, 1, 2, 3, 5, 4),
+    )),
+)
+PINNED_TOWERS = (
+    (3, (
+        (3, 2, 1, 0, 5, 4, 7, 6),
+        (0, 1, 2, 5, 4, 3, 6, 7),
+        (0, 3, 2, 1, 4, 6, 5, 7),
+    )),
+    (4, (
+        (6, 1, 2, 4, 3, 5, 0, 7, 12, 9, 10, 13, 8, 11, 14, 15),
+        (0, 1, 2, 3, 4, 5, 12, 7, 8, 9, 10, 11, 6, 13, 14, 15),
+        (1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 15, 14, 13, 12),
+        (0, 1, 2, 6, 4, 5, 3, 7, 8, 9, 10, 12, 11, 13, 14, 15),
+    )),
+)
+
+
+def test_seeded_generators_are_pinned():
+    rng = rng_for(2026)
+    for degree, expected in PINNED_RANDOM:
+        B = normalize(random_product(rng, degree, radius=0.8)).product
+        assert tuple(g.images for g in monodromy_group(B).generators) == expected
+    for levels, expected in PINNED_TOWERS:
+        B = normalize(_tower(rng, levels)).product
+        res = monodromy_group(B)
+        assert tuple(g.images for g in res.generators) == expected
+        assert res.group.order() == 2 ** (2**levels - 1)
+    # a seeded degree-7 product on which a lifted branch leaves the disk
+    refused = normalize(random_product(rng_for(2027), 7)).product
+    with pytest.raises(
+        TrackingFailure, match=r"escaped the tracking region at \|z\|=2\.534"
+    ):
+        monodromy_group(refused)
+
+
 # -------------------------------------------------------------- cross validation
 
 
@@ -418,6 +522,41 @@ def test_cross_validation_on_a_two_three_composite():
     rows = {r.k: r for r in report.rows}
     assert rows[3].block_system and rows[3].factor_found
     assert not rows[2].factor_found
+
+
+def _counted_tracker(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return continue_branch(*args, **kwargs)
+
+    monkeypatch.setattr(monodromy, "continue_branch", counted)
+    return calls
+
+
+def test_cross_validate_reuses_the_group(monkeypatch):
+    # a product no other test tracks, so the first call below tracks it
+    calls = _counted_tracker(monkeypatch)
+    B = normalize(_tower(rng_for(2031), 2)).product
+    mono = monodromy_group(B)
+    assert len(calls) == len(mono.loops) * B.degree
+    calls.clear()
+    cross = cross_validate(B)
+    assert calls == []
+    assert cross.monodromy is mono is monodromy_group(B)
+    assert cross.consistent
+
+
+def test_refusal_is_tracked_again(monkeypatch):
+    # a refusal is not kept: every call tracks and raises anew
+    calls = _counted_tracker(monkeypatch)
+    refused = normalize(random_product(rng_for(2027), 7)).product
+    for _ in range(2):
+        calls.clear()
+        with pytest.raises(TrackingFailure):
+            monodromy_group(refused)
+        assert calls
 
 
 def test_prime_degree_has_no_blocks():
