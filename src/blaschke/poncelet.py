@@ -20,6 +20,12 @@ times the zeros.  psi' > 0 on the circle and p != q, so e is a convex
 combination of two distinct circle points: no chord is stationary and no
 envelope point can leave the disk.
 
+A sampled envelope is an EnvelopeCurve: read-only numpy arrays of the level
+angles, the tangency points and the chord ends, filled straight from the
+level-set table with no per-sample object.  Its samples property builds
+EnvelopeSample tuples from those arrays on each access, for readers that
+want one record per sample; nothing on the compute path calls it.
+
 Conic identification is algebraic least squares on the six monomials with a
 Sampson (gradient-normalized) residual; classification separates genuine
 ellipses from points, degenerate conics, and outright non-conics.
@@ -75,21 +81,65 @@ class EnvelopeSample(NamedTuple):
     chord: tuple[complex, complex]
 
 
-@dataclass(frozen=True)
+# rows of the difference matrix held at once by EnvelopeCurve.diameter
+_DIAMETER_ROWS = 64
+
+
+@dataclass(frozen=True, eq=False)
 class EnvelopeCurve:
-    """Sampled envelope of the skip-m chords, in order along the curve."""
+    """Sampled envelope of the skip-m chords, as read-only numpy arrays.
+
+    Sample k is the tangency point points[k] of the chord from chords[k, 0]
+    to chords[k, 1], taken on the level set Bhat = e^{i angles[k]}.  Samples
+    run vertex-major: every level set for vertex 0, then vertex 1, and so on,
+    which is in order along the curve.  Two curves are equal when their skips
+    are equal and every array is equal element by element.
+    """
 
     skip: int
-    samples: tuple[EnvelopeSample, ...]
+    angles: np.ndarray  # float, shape (N,)
+    points: np.ndarray  # complex, shape (N,)
+    chords: np.ndarray  # complex, shape (N, 2)
+
+    def __post_init__(self) -> None:
+        for a in (self.angles, self.points, self.chords):
+            a.flags.writeable = False
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EnvelopeCurve):
+            return NotImplemented
+        return self.skip == other.skip and all(
+            np.array_equal(a, b)
+            for a, b in (
+                (self.angles, other.angles),
+                (self.points, other.points),
+                (self.chords, other.chords),
+            )
+        )
 
     @property
-    def points(self) -> tuple[complex, ...]:
-        return tuple(s.point for s in self.samples)
+    def samples(self) -> tuple[EnvelopeSample, ...]:
+        """One EnvelopeSample per sample, built from the arrays on access."""
+        return tuple(
+            map(
+                EnvelopeSample,
+                self.angles.tolist(),
+                self.points.tolist(),
+                map(tuple, self.chords.tolist()),
+            )
+        )
 
     def diameter(self) -> float:
-        pts = np.array(self.points)
+        """Largest distance between two samples, over blocks of rows so the
+        full N x N difference matrix is never held."""
+        pts = self.points
+        if len(pts) < 2:
+            return 0.0
         return float(
-            np.max(np.abs(pts[:, None] - pts[None, :])) if len(pts) > 1 else 0.0
+            max(
+                np.max(np.abs(pts[i : i + _DIAMETER_ROWS, None] - pts[None, :]))
+                for i in range(0, len(pts), _DIAMETER_ROWS)
+            )
         )
 
 
@@ -123,14 +173,12 @@ def _envelope_from_table(skip: int, table: _LevelTable) -> EnvelopeCurve:
     p, rp = table.points, table.rate
     q, rq = np.roll(p, -hop, axis=0), np.roll(rp, -hop, axis=0)
     e = (p * rp + q * rq) / (rp + rq)
-    angle = np.broadcast_to(table.t, p.shape).ravel().tolist()
-    samples = map(
-        EnvelopeSample,
-        angle,
-        e.ravel().tolist(),
-        zip(p.ravel().tolist(), q.ravel().tolist()),
+    return EnvelopeCurve(
+        skip,
+        np.tile(table.t, len(p)),
+        e.ravel(),
+        np.stack((p, q), axis=-1).reshape(-1, 2),
     )
-    return EnvelopeCurve(skip, tuple(samples))
 
 
 def envelope(
@@ -208,7 +256,7 @@ def _point_fit(pts: np.ndarray) -> ConicFit:
 def fit_conic(points, tol: ToleranceConfig | None = None) -> ConicFit:
     """Fit and classify a conic through a planar point sample (at least 6)."""
     tol = _tol(tol)
-    pts = np.asarray([complex(p) for p in points], dtype=complex)
+    pts = np.asarray(points, dtype=complex)
     if len(pts) < 6:
         raise InputError("conic fitting needs at least 6 points")
     if float(np.max(np.abs(pts - pts[0]))) < 1e-6:
@@ -450,13 +498,10 @@ def foci_vs_zeros(
 
 
 def curve_csv(curve: EnvelopeCurve) -> str:
-    lines = ["t,re,im"]
-    for s in curve.samples:
-        lines.append(
-            ",".join(
-                (format_float(s.angle), format_float(s.point.real), format_float(s.point.imag))
-            )
-        )
+    rows = zip(
+        curve.angles.tolist(), curve.points.real.tolist(), curve.points.imag.tolist()
+    )
+    lines = ["t,re,im", *(",".join(map(format_float, row)) for row in rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -499,7 +544,7 @@ def scene_svg(
         for offset in range(math.gcd(n, hop)):
             ring = [sol.point(offset + k * hop) for k in range(cycle)]
             parts.append(_svg_polyline(ring, "#4878b0", 0.006))
-    parts.append(_svg_polyline(curve.points, "#c03030", 0.01))
+    parts.append(_svg_polyline(curve.points.tolist(), "#c03030", 0.01))
     if fit.classification == "ellipse":
         p, q = fit.semi_axes
         rim = [

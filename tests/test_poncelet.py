@@ -2,6 +2,7 @@ import cmath
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from blaschke import (
@@ -11,6 +12,7 @@ from blaschke import (
 )
 from blaschke import circle, poncelet
 from blaschke.circle import invariant_orbit, solve_on_circle
+from blaschke.core import DEFAULT_TOL
 from blaschke.poncelet import (
     closure_order,
     curve_csv,
@@ -219,6 +221,48 @@ def test_power_envelope_collapses_to_origin():
     curve = envelope(B, 1, 90)
     assert curve.diameter() < 1e-9
     assert max(abs(s.point) for s in curve.samples) < 1e-9
+    # diameter() takes its maximum block by block: the same float as the
+    # maximum over the full difference matrix, for 92, 720 and 40 samples
+    curves = [
+        curve,
+        envelope(random_product(rng_for(415), 12, radius=0.8), 2, 720),
+        envelope(random_product(rng_for(416), 8, radius=0.8), 1, 40),
+    ]
+    assert [len(c.points) for c in curves] == [92, 720, 40]
+    for c in curves:
+        pts = c.points
+        assert c.diameter() == np.max(np.abs(pts[:, None] - pts[None, :]))
+
+
+def test_envelope_arrays_come_straight_from_the_table(monkeypatch):
+    # package and envelope build no per-sample object; the arrays are
+    # read-only, and samples rebuilds exactly the tuples of the formula
+    # e = (p psi'_p + q psi'_q) / (psi'_p + psi'_q) on the level table
+    B = random_product(rng_for(414), 12, radius=0.8)
+
+    def refuse(*args):
+        raise AssertionError("EnvelopeSample built on the compute path")
+
+    with monkeypatch.context() as m:
+        m.setattr(poncelet, "EnvelopeSample", refuse)
+        pkg = package(B, 720)
+        curve = envelope(B, 3, 720)
+    assert curve == pkg.entry(4).curve
+    table = poncelet._level_sets(B, 60, DEFAULT_TOL)
+    for entry in pkg.entries:
+        arrays = (entry.curve.angles, entry.curve.points, entry.curve.chords)
+        assert not any(a.flags.writeable for a in arrays)
+        hop = entry.skip + 1
+        p, rp = table.points, table.rate
+        q, rq = np.roll(p, -hop, axis=0), np.roll(rp, -hop, axis=0)
+        e = (p * rp + q * rq) / (rp + rq)
+        angle = np.broadcast_to(table.t, p.shape).ravel().tolist()
+        want = zip(
+            angle,
+            e.ravel().tolist(),
+            zip(p.ravel().tolist(), q.ravel().tolist()),
+        )
+        assert entry.curve.samples == tuple(want)
 
 
 # ------------------------------------------------------------------- polygons
