@@ -170,11 +170,13 @@ class CircleSolutionSet:
 
     angles are strictly increasing in [0, 2pi); point(k) indexes modularly,
     so point(i + 1) is the next solution counterclockwise from point(i).
+    rates[k] is psi' at points[k], as the certificate computed it.
     """
 
     target: complex
     angles: tuple[float, ...]
     points: tuple[complex, ...]
+    rates: tuple[float, ...]
 
     def __len__(self) -> int:
         return len(self.points)
@@ -249,7 +251,7 @@ def solve_levels(
     the lift grid and solves them all at once with _bracketed_newton.  Every
     root is then certified on its argument error |psi(t) - arg(lam)|/psi'(t)
     <= 5e-11, and every level set on its n strictly increasing angles, or
-    SolverFailure.
+    SolverFailure; the psi' of the certificate comes back as rates.
     """
     tol = _tol(tol)
     targets = []
@@ -293,9 +295,9 @@ def solve_levels(
     if not np.all(np.diff(angles, axis=1) > 0.0):
         raise SolverFailure("coincident circle solutions; level set degenerate")
     return [
-        CircleSolutionSet(target, tuple(row_angles), tuple(row_points))
-        for target, row_angles, row_points in zip(
-            targets, angles.tolist(), points.tolist()
+        CircleSolutionSet(target, tuple(row_t), tuple(row_z), tuple(row_rate))
+        for target, row_t, row_z, row_rate in zip(
+            targets, angles.tolist(), points.tolist(), rate.tolist()
         )
     ]
 

@@ -26,6 +26,11 @@ eps^(1/m) apart.  Such a cluster becomes one point of multiplicity m only
 when Newton on the (m-1)-th derivative of the sum, where the root is
 simple, leaves every lower derivative at relative residual 1e-8; otherwise
 its points stay simple.
+
+One critical value.  one_critical_value_form recognizes B = tau o phi_a^n,
+the products with a single critical value; it builds no chain.  Chains
+along a factorization of n, for these products and any other, come from
+decompose.factor_any_order.
 """
 
 from __future__ import annotations
@@ -43,12 +48,11 @@ from .core import (
     DiskAutomorphism,
     ToleranceConfig,
     circle_samples,
-    compose,
     unit,
     _DisjointSets,
     _tol,
 )
-from .errors import CountMismatch, DegenerateInput, SolverFailure, VerificationFailure
+from .errors import CountMismatch, SolverFailure, VerificationFailure
 from .shiftop import shift_matrix
 
 __all__ = [
@@ -59,7 +63,6 @@ __all__ = [
     "check_value_bound",
     "OneCriticalValueForm",
     "one_critical_value_form",
-    "factor_any_order",
 ]
 
 
@@ -364,11 +367,6 @@ class OneCriticalValueForm:
     point: complex
 
 
-def _phi_power(a: complex, n: int) -> BlaschkeProduct:
-    """phi_a(z)^n as a product: gamma = (-1)^n, zero a with multiplicity n."""
-    return BlaschkeProduct((-1.0) ** n, (complex(a),) * n)
-
-
 def one_critical_value_form(
     B: BlaschkeProduct, tol: ToleranceConfig | None = None
 ) -> OneCriticalValueForm | None:
@@ -390,7 +388,8 @@ def one_critical_value_form(
         raise VerificationFailure(
             "single critical value but critical points do not coincide"
         )
-    base = _phi_power(a, B.degree)
+    # phi_a^n: zero a of multiplicity n, gamma (-1)^n
+    base = BlaschkeProduct((-1.0) ** B.degree, (a,) * B.degree)
     v = B.evaluate(a, tol)
     phi_v = DiskAutomorphism(1.0, v)
     rho = unit(phi_v(B.evaluate(1.0, tol)) / base.evaluate(1.0, tol))
@@ -404,48 +403,3 @@ def one_critical_value_form(
             f"one-critical-value form mismatch: sup error {err:.3e}"
         )
     return OneCriticalValueForm(tau, a)
-
-
-def factor_any_order(
-    B: BlaschkeProduct,
-    ordering: tuple[int, ...] | list[int],
-    tol: ToleranceConfig | None = None,
-) -> CompositionChain:
-    """Factor a one-critical-value product along any degree ordering.
-
-    For B = tau o phi_a^n and ordering (p_1, ..., p_m) with prod p_i = n the
-    chain is (tau o z^{p_1}) o z^{p_2} o ... o phi_a^{p_m}: the phi_a power
-    sits innermost, pure powers in between, tau carried by the outermost
-    factor.  Verified by re-expansion against B.
-    """
-    tol = _tol(tol)
-    ordering = tuple(int(p) for p in ordering)
-    if any(p < 1 for p in ordering):
-        raise DegenerateInput("ordering entries must be positive")
-    total = 1
-    for p in ordering:
-        total *= p
-    if total != B.degree:
-        raise DegenerateInput(
-            f"ordering product {total} does not match degree {B.degree}"
-        )
-    form = one_critical_value_form(B, tol)
-    if form is None:
-        raise DegenerateInput("product does not have a single critical value")
-    tau, a = form.tau, form.point
-
-    def z_power(p: int) -> BlaschkeProduct:
-        return BlaschkeProduct(1.0, (0j,) * p)
-
-    if len(ordering) == 1:
-        factors = [compose(tau.as_blaschke(), _phi_power(a, ordering[0]), tol)]
-    else:
-        factors = [compose(tau.as_blaschke(), z_power(ordering[0]), tol)]
-        factors.extend(z_power(p) for p in ordering[1:-1])
-        factors.append(_phi_power(a, ordering[-1]))
-    chain = CompositionChain(tuple(factors))
-
-    err = max(abs(chain(z, tol) - B.evaluate(z, tol)) for z in circle_samples(64))
-    if err > 1e-8:
-        raise VerificationFailure(f"ordering {ordering}: re-expansion error {err:.3e}")
-    return chain

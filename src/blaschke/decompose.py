@@ -1,7 +1,5 @@
 """Recovering compositional structure: B = C o D with both degrees > 1.
 
-Two routes, the second built on the first:
-
 * inner_factor_general: for any divisor k of the degree, a degree-k inner
   factor D (normalized D(0) = 0, leading constant 1) takes one value on
   every (n/k)-th point of a level set of B on the circle.  Two interlaced
@@ -10,9 +8,12 @@ Two routes, the second built on the first:
   follows, with no candidate search.  Success is certified by
   re-expansion, and failure is reported with its reason, never guessed.
 
-* chain_2n: peel degree-2 inner factors with inner_factor_general(., 2)
-  until the pending outer factor has degree 2, writing a degree-2^k product
-  as a chain of k quadratic maps, and certify the chain by re-expansion.
+* factor_any_order: the one route to a chain whose factor degrees follow
+  a factorization of n.  It peels inner factors with inner_factor_general
+  from the innermost entry outward, continuing with each outer factor, and
+  certifies the chain by re-expansion.  chain_2n is its (2, ..., 2) case,
+  a degree-2^k product as a chain of k quadratic maps, reported rather
+  than raised.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .core import (
 )
 from .circle import invariant_orbit
 from .critical import _cluster_values, _secular_roots, _secular_zeros
-from .errors import DegenerateInput, InputError
+from .errors import DegenerateInput, InputError, VerificationFailure
 from .shiftop import RangeVerdict, is_elliptical_range, shift_matrix
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "ShapeFailure",
     "DecompositionReport",
     "chain_2n",
+    "factor_any_order",
     "InnerFactorResult",
     "inner_factor_general",
     "DivisorRow",
@@ -101,15 +103,48 @@ class DecompositionReport:
         return bool(self.chains)
 
 
+# the identity factor z, for a 1 in a degree ordering
+_IDENTITY = BlaschkeProduct(1.0, (0j,))
+
+
+def _peel(
+    B: BlaschkeProduct, ordering: tuple[int, ...], tol: ToleranceConfig
+) -> tuple[CompositionChain | None, str, InnerFactorResult | None]:
+    """(chain, "", None) with the factor degrees of ordering, outermost
+    first, peeled from the innermost entry p outward; (None, why, result)
+    at the first level whose inner factor search fails.
+
+    A p equal to the pending degree takes the pending product whole (and
+    leaves z pending), a 1 is the factor z, and any other p takes the inner
+    factor inner_factor_general(pending, p) and goes on with its outer
+    factor.  The chain is not checked against B here.
+    """
+    factors: list[BlaschkeProduct] = []
+    pending = B
+    for level, p in enumerate(reversed(ordering)):
+        if p == pending.degree:
+            factors.insert(0, pending)
+            pending = _IDENTITY
+        elif p == 1:
+            factors.insert(0, _IDENTITY)
+        else:
+            res = inner_factor_general(pending, p, tol)
+            if not res.found:
+                why = f"no degree-{p} inner factor at level {level}"
+                return None, f"{why} (pending degree {pending.degree})", res
+            factors.insert(0, res.inner)
+            pending = res.outer
+    return CompositionChain(tuple(factors)), "", None
+
+
 def chain_2n(
     B: BlaschkeProduct, tol: ToleranceConfig | None = None
 ) -> DecompositionReport:
     """Write a degree-2^k product as a chain of k degree-2 factors.
 
-    Each level takes the degree-2 inner factor of the pending outer part
-    with inner_factor_general, so every inner factor is z (z - b) / (1 -
-    conj(b) z), and continues with the outer factor it returns.  The
-    extracted factor order is outermost first, matching CompositionChain.
+    The (2, ..., 2) case of factor_any_order, with a failure reported
+    rather than raised: every inner factor is z (z - b) / (1 - conj(b) z),
+    and the factors run outermost first, matching CompositionChain.
     """
     tol = _tol(tol)
     n = B.degree
@@ -118,35 +153,44 @@ def chain_2n(
         raise InputError(f"degree {n} is not a power of two")
     shape = (2,) * k
 
-    tail: list[BlaschkeProduct] = []
-    pending = B
-    while pending.degree > 2:
-        res = inner_factor_general(pending, 2, tol)
-        if not res.found:
-            level = len(tail)
-            return DecompositionReport(
-                n,
-                (),
-                (
-                    ShapeFailure(
-                        shape,
-                        f"no degree-2 inner factor at level {level} "
-                        f"(pending degree {pending.degree})",
-                    ),
-                ),
-            )
-        pending = res.outer
-        tail.insert(0, res.inner)
-
-    chain = CompositionChain((pending, *tail))
-    err = _chain_error(chain, B, tol)
+    chain, why, _ = _peel(B, shape, tol)
+    err = math.inf if chain is None else _chain_error(chain, B, tol)
     if err > 1e-8:
-        return DecompositionReport(
-            n, (), (ShapeFailure(shape, f"re-expansion error {err:.3e}"),)
-        )
+        why = why or f"re-expansion error {err:.3e}"
+        return DecompositionReport(n, (), (ShapeFailure(shape, why),))
     return DecompositionReport(
         n, (ChainRecord(chain, tuple(f.degree for f in chain.factors), err),), ()
     )
+
+
+def factor_any_order(
+    B: BlaschkeProduct,
+    ordering: tuple[int, ...] | list[int],
+    tol: ToleranceConfig | None = None,
+) -> CompositionChain:
+    """Factor B along the degree ordering (p_1, ..., p_m), outermost first.
+
+    The chain is peeled from the inside (see _peel) and certified by
+    re-expansion to 1e-8 on the circle, or VerificationFailure.  Raises
+    DegenerateInput, before any solve, for an entry below 1 or a product of
+    entries other than the degree, and for a level without an inner factor,
+    naming the level and the failed search.
+    """
+    tol = _tol(tol)
+    ordering = tuple(int(p) for p in ordering)
+    if not ordering or any(p < 1 for p in ordering):
+        raise DegenerateInput("ordering must be nonempty with positive entries")
+    if math.prod(ordering) != B.degree:
+        raise DegenerateInput(
+            f"ordering product {math.prod(ordering)} does not match degree {B.degree}"
+        )
+    chain, why, res = _peel(B, ordering, tol)
+    if chain is None:
+        raise DegenerateInput(f"{why}: search {res.reason}, error {res.error:.3e}")
+    err = _chain_error(chain, B, tol)
+    if err > 1e-8:
+        raise VerificationFailure(f"ordering {ordering}: re-expansion error {err:.3e}")
+    return chain
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,10 @@ from blaschke.circle import solve_on_circle
 from blaschke.critical import (
     check_value_bound,
     critical_data,
-    factor_any_order,
     fiber,
     one_critical_value_form,
 )
+from blaschke.decompose import factor_any_order
 
 from conftest import TAU, circle_grid, random_degree2_chain, random_product, rng_for
 

@@ -8,6 +8,7 @@ from blaschke import (
     BlaschkeProduct,
     CompositionChain,
     DegenerateInput,
+    DiskAutomorphism,
     InputError,
     compose,
     normalize,
@@ -16,6 +17,7 @@ from blaschke.cli import demo_corpus
 from blaschke.decompose import (
     chain_2n,
     elliptical_implies_decomposable_check,
+    factor_any_order,
     inner_factor_general,
 )
 from blaschke.monodromy import block_systems, monodromy_group
@@ -125,6 +127,80 @@ def test_chain_2n_makes_no_compose_call(monkeypatch):
             monkeypatch.setattr(module, "compose", counting)
     assert chain_2n(B).found
     assert calls == []
+
+
+# ------------------------------------------------------ any degree ordering
+
+
+def _one_critical_value(degree):
+    # tau o phi_a^n, two products for each |a|; rng seed 11
+    rng = rng_for(11)
+    for r in (0.3, 0.6, 0.8, 0.9):
+        for _ in range(2):
+            a = r * cmath.exp(1j * rng.uniform(0, TAU))
+            c = 0.5 * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0, TAU))
+            tau = DiskAutomorphism(cmath.exp(1j * rng.uniform(0, TAU)), c)
+            yield compose(tau.as_blaschke(), BlaschkeProduct(1.0, (a,) * degree))
+
+
+def _orderings(degree):
+    # every two-part ordering, and (2, ..., 2) for a power of two
+    pairs = [(p, degree // p) for p in range(2, degree) if degree % p == 0]
+    k = degree.bit_length() - 1
+    return pairs + [(2,) * k] if degree == 2**k else pairs
+
+
+def _compositions(shape):
+    # several critical values: 3 for (3, 2), 4 for (2, 2, 3), 5 for (4, 3)
+    rng = rng_for(11)
+    for _ in range(3):
+        factors = tuple(random_product(rng, d, radius=0.6) for d in shape)
+        yield CompositionChain(factors).expand()
+
+
+M4 = compose(
+    DiskAutomorphism(cmath.exp(0.6j), 0.2 - 0.1j).as_blaschke(),
+    BlaschkeProduct(1.0, (0.3 + 0.25j,) * 4),
+)
+
+
+@pytest.mark.parametrize(
+    "products,orderings,successes",
+    [
+        # the closed form from one_critical_value_form factored none of the
+        # degree-32 cases; the two refusals are degree 32, |a| = 0.3, (2, 16)
+        pytest.param(
+            lambda: _one_critical_value(24), _orderings(24), 48, id="tau-phi-24"
+        ),
+        pytest.param(
+            lambda: _one_critical_value(32), _orderings(32), 38, id="tau-phi-32"
+        ),
+        pytest.param(lambda: _compositions((3, 2)), [(3, 2)], 3, id="composed-3-2"),
+        pytest.param(
+            lambda: _compositions((2, 2, 3)), [(2, 2, 3)], 3, id="composed-2-2-3"
+        ),
+        pytest.param(lambda: _compositions((4, 3)), [(4, 3)], 3, id="composed-4-3"),
+        pytest.param(lambda: [M4], [(1, 4), (4, 1), (2, 1, 2), (4,)], 4, id="ones"),
+        pytest.param(
+            lambda: [random_product(rng_for(514), 8)], [(2, 4)], 0, id="indecomposable"
+        ),
+    ],
+)
+def test_factor_any_order(products, orderings, successes):
+    # every ordering either re-expands to 1e-8 with exactly its degrees or
+    # is a DegenerateInput naming the level that has no inner factor
+    found = 0
+    for B in products():
+        for ordering in orderings:
+            try:
+                chain = factor_any_order(B, ordering)
+            except DegenerateInput as exc:
+                assert "inner factor at level" in str(exc), str(exc)
+                continue
+            assert tuple(f.degree for f in chain.factors) == ordering
+            assert _sup(B, chain) <= 1e-8
+            found += 1
+    assert found == successes
 
 
 # ------------------------------------------------------- general inner factor

@@ -12,6 +12,7 @@ from blaschke import (
 )
 from blaschke import circle, poncelet
 from blaschke.circle import invariant_orbit, solve_on_circle
+from blaschke.cli import demo_corpus
 from blaschke.core import DEFAULT_TOL
 from blaschke.poncelet import (
     closure_order,
@@ -78,6 +79,21 @@ def test_fit_classifies_circle():
     fit = fit_conic(_ellipse_points(0j, 0.4, 0.4, 0.0))
     assert fit.classification == "ellipse"
     assert abs(fit.semi_axes[0] - fit.semi_axes[1]) < 1e-10
+
+
+def test_round_fit_puts_both_foci_at_the_center():
+    # power8's K_1 is a circle whose fitted axes differ by rounding alone,
+    # (p - q)/p = 3.8e-15, which sqrt(p^2 - q^2) made into foci 1e-7 apart;
+    # elliptical8's K_1 is a true ellipse, (p - q)/p = 8.4e-2
+    demos = demo_corpus()
+    fit = fit_conic(envelope(demos["power8"], 0).points)
+    assert fit.classification == "ellipse"
+    assert fit.foci == (fit.center, fit.center)
+    fit = fit_conic(envelope(demos["elliptical8"], 0).points)
+    p, q = fit.semi_axes
+    f1, f2 = fit.foci
+    assert abs(f1 - f2) == pytest.approx(2.0 * math.sqrt(p * p - q * q), rel=1e-12)
+    assert abs(f1 - f2) > 0.1 and abs(0.5 * (f1 + f2) - fit.center) < 1e-15
 
 
 def test_fit_detects_point():
