@@ -546,12 +546,9 @@ def is_regularized(
 
     tol = _tol(tol)
     zero_at_origin = abs(B.evaluate(0j, tol)) <= tol.identity_tol
-    zs = B.zeros
-    simple = all(
-        abs(zs[i] - zs[j]) > tol.cluster_tol
-        for i in range(len(zs))
-        for j in range(i + 1, len(zs))
-    )
+    zs = np.array(B.zeros, dtype=complex)
+    gaps = np.abs(zs[:, None] - zs)[np.triu_indices(len(zs), 1)]
+    simple = bool(np.all(gaps > tol.cluster_tol))
     violating: list[tuple[complex, complex]] = []
     values = [v for v, _ in critical_data(B, tol).distinct_values]
     for i in range(len(values)):

@@ -14,9 +14,12 @@ reflections 1/conj(a) (weight minus the multiplicity) and the origin
 multiplicity) lie in the open disk, inside the convex hull of {0} and the
 zeros.  The zeros of such a sum are the eigenvalues of a diagonal plus
 rank-one matrix after a shift of variable (a companion matrix in the
-Lagrange basis, Corless 2004).  Each in-disk point is polished by Newton on
-S, which is conditioned like the product itself, and critical_data refuses
-(raises SolverFailure) when a point cannot be certified that way.
+Lagrange basis, Corless 2004).  The in-disk points are polished by Newton on
+S, which is conditioned like the product itself: all points of one
+multiplicity at once, as one (points x nodes) array per pass, each point
+with its own stop test.  critical_data refuses (raises SolverFailure) when a
+point cannot be certified that way, naming the first such point in
+(real, imag) order.
 
 Fibers.  The solutions of B(z) = w are the spectrum of the compressed shift
 S_B plus a rank-one term (Clark 1972; Sarason 2007); see fiber.
@@ -25,7 +28,8 @@ Multiple roots.  A root of multiplicity m comes back as m eigenvalues about
 eps^(1/m) apart.  Such a cluster becomes one point of multiplicity m only
 when Newton on the (m-1)-th derivative of the sum, where the root is
 simple, leaves every lower derivative at relative residual 1e-8; otherwise
-its points stay simple.
+its points stay simple.  Clusters, and the distinct critical values, come
+from single linkage on one matrix of pairwise distances.
 
 One critical value.  one_critical_value_form recognizes B = tau o phi_a^n,
 the products with a single critical value; it builds no chain.  Chains
@@ -49,7 +53,6 @@ from .core import (
     ToleranceConfig,
     circle_samples,
     unit,
-    _DisjointSets,
     _tol,
 )
 from .errors import CountMismatch, SolverFailure, VerificationFailure
@@ -103,56 +106,63 @@ def _secular_zeros(nodes: np.ndarray, weights: np.ndarray, s: complex) -> np.nda
 
 
 def _secular_kth(
-    nodes: np.ndarray, weights: np.ndarray, z: complex, k: int
-) -> tuple[complex, complex, float]:
-    """k-th derivative of F = sum_i w_i / (z - x_i) at z, with F^(k+1) and
-    a magnitude scale.
+    nodes: np.ndarray, weights: np.ndarray, z: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k-th derivative of F = sum_i w_i / (z - x_i) at each point of z, with
+    F^(k+1) and a magnitude scale, as three arrays shaped like z.
 
     Every derivative is an explicit sum over the same linear factors, so it
     stays conditioned like the factored product, however the expanded
     numerator would behave.  The scale is the sum of term moduli, the
-    natural yardstick for a relative residual.
+    natural yardstick for a relative residual.  Each row of the
+    (points x nodes) term array is summed on its own, so a point gets the
+    same bits whatever other points it is evaluated with.
     """
-    d = z - nodes
+    d = z[:, None] - nodes
     terms = weights * ((-1.0) ** k * math.factorial(k)) / d ** (k + 1)
     return (
-        complex(terms.sum()),
-        complex((-(k + 1) * terms / d).sum()),
-        float(np.abs(terms).sum()),
+        terms.sum(axis=1),
+        (-(k + 1) * terms / d).sum(axis=1),
+        np.abs(terms).sum(axis=1),
     )
 
 
 def _polish(
-    nodes: np.ndarray, weights: np.ndarray, r: complex, m: int
-) -> tuple[complex, float]:
-    """Refine a zero of multiplicity m of F = sum_i w_i / (z - x_i) near r.
+    nodes: np.ndarray, weights: np.ndarray, starts: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Refine zeros of multiplicity m of F = sum_i w_i / (z - x_i), one per
+    start point, all at once.
 
     Such a zero is a simple zero of F^(m-1), so Newton there recovers full
-    precision for any m.  If Newton leaves the disk or moves more than 5e-2,
-    r is kept.  Returns (point, largest relative residual of F, F', ...,
-    F^(m-1) there); the caller treats a large residual as a failed
-    location, never as data.
+    precision for any m.  Newton runs on every start as one
+    (points x nodes) array, but each point keeps its own rules: it stops
+    when F^(m) vanishes, the step is not finite, |step| <= 1e-16 (1 + |z|),
+    or after 60 passes, and a point that leaves the disk or moves 5e-2 or
+    more falls back to its start.  Returns the points and, for each, the
+    largest relative residual of F, F', ..., F^(m-1) there; the caller
+    treats a large residual as a failed location, never as data.
     """
-    z = complex(r)
+    starts = np.asarray(starts, dtype=complex)
+    z = starts.copy()
+    live = np.arange(len(z))
     with np.errstate(all="ignore"):
         for _ in range(60):
-            f, df, _ = _secular_kth(nodes, weights, z, m - 1)
-            if df == 0:
+            if not len(live):
                 break
+            f, df, _ = _secular_kth(nodes, weights, z[live], m - 1)
             step = f / df
-            if not (math.isfinite(step.real) and math.isfinite(step.imag)):
-                break
-            z = z - step
-            if abs(step) <= 1e-16 * (1.0 + abs(z)):
-                break
-        if not (abs(z - r) < 5e-2 and abs(z) < 1.0):
-            z = complex(r)
+            moves = (df != 0) & np.isfinite(step)
+            live, step = live[moves], step[moves]
+            z[live] -= step
+            live = live[np.abs(step) > 1e-16 * (1.0 + np.abs(z[live]))]
+        stray = ~((np.abs(z - starts) < 5e-2) & (np.abs(z) < 1.0))
+        z[stray] = starts[stray]
         residuals = []
         for j in range(m):
             f, _, scale = _secular_kth(nodes, weights, z, j)
-            residuals.append(abs(f) / (scale + 1e-300))
+            residuals.append(np.abs(f) / (scale + 1e-300))
     # np.max keeps a nan residual, which then fails every bound
-    return z, float(np.max(residuals))
+    return z, np.max(residuals, axis=0)
 
 
 def _merge_clusters(points, accept) -> list[tuple[complex, int]]:
@@ -203,8 +213,8 @@ def _secular_roots(
     relative 1e-8."""
 
     def accept(mean: complex, k: int) -> complex | None:
-        z, residual = _polish(nodes, weights, mean, k)
-        return z if residual <= 1e-8 else None
+        z, residual = _polish(nodes, weights, np.array([mean]), k)
+        return complex(z[0]) if residual[0] <= 1e-8 else None
 
     return _merge_clusters(points, accept)
 
@@ -241,8 +251,9 @@ def fiber(
     nodes, weights = _log_derivative(Counter(B.zeros))
 
     def accept(mean: complex, k: int) -> complex | None:
-        z, residual = _polish(nodes, weights, mean, k - 1)
-        if residual <= 1e-8 and abs(B.evaluate(z, tol) - w) <= tol.root_tol:
+        z, residual = _polish(nodes, weights, np.array([mean]), k - 1)
+        z = complex(z[0])
+        if residual[0] <= 1e-8 and abs(B.evaluate(z, tol) - w) <= tol.root_tol:
             return z
         return None
 
@@ -270,15 +281,31 @@ def _cluster_values(
     values: list[complex], tol_gap: float
 ) -> tuple[list[tuple[complex, int]], list[int]]:
     """Single-linkage clustering; returns (mean, count) per cluster, sorted
-    by mean, and the index of each value's cluster in that list."""
-    sets = _DisjointSets(len(values))
-    for i in range(len(values)):
-        for j in range(i):
-            if abs(values[i] - values[j]) <= tol_gap:
-                sets.union(j, i)
+    by mean, and the index of each value's cluster in that list.
+
+    Values i and j are linked when |v_i - v_j| <= tol_gap, all pairs at
+    once as one boolean matrix.  Each value starts with its own index as
+    label and takes the least label among the values linked to it, then the
+    label of that label, until nothing changes: every value then carries the
+    least index of its component.  Each cluster lists its members in input
+    order and takes their mean as a Python sum in that order, and clusters
+    with equal means keep the order of their first members.
+    """
+    if not values:
+        return [], []
+    v = np.array(values, dtype=complex)
+    linked = np.abs(v[:, None] - v) <= tol_gap
+    np.fill_diagonal(linked, True)
+    label = np.arange(len(v))
+    while True:
+        least = np.where(linked, label, len(v)).min(axis=1)
+        least = least[least]
+        if np.array_equal(least, label):
+            break
+        label = least
     clusters: dict[int, list[int]] = {}
-    for i in range(len(values)):
-        clusters.setdefault(sets.find(i), []).append(i)
+    for i, root in enumerate(label.tolist()):
+        clusters.setdefault(root, []).append(i)
     groups = [
         (sum(values[i] for i in members) / len(members), members)
         for members in clusters.values()
@@ -319,8 +346,14 @@ def _critical_data(B: BlaschkeProduct, tol: ToleranceConfig) -> CriticalData:
     if total != B.degree - 1:
         raise CountMismatch(B.degree - 1, total, "critical points in the disk")
     polished = [(a, k - 1) for a, k in counts.items() if k > 1]
+    # one polish per multiplicity; the certificate is read in point order
+    located = {}
+    for m in {m for _, m in zeros_of_s}:
+        starts = np.array([r for r, k in zeros_of_s if k == m])
+        p, residual = _polish(nodes, weights, starts, m)
+        located[m] = zip(p.tolist(), residual.tolist())
     for r, m in zeros_of_s:
-        p, residual = _polish(nodes, weights, r, m)
+        p, residual = next(located[m])
         if not residual <= 1e-6:
             raise SolverFailure(
                 f"critical point near {r:.6f} has derivative residual "

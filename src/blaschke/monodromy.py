@@ -34,6 +34,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
+import numpy as np
+
 from .core import (
     BlaschkeProduct,
     ToleranceConfig,
@@ -425,17 +427,15 @@ def monodromy_group(
 @lru_cache(maxsize=64)
 def _monodromy_group(B: BlaschkeProduct, tol: ToleranceConfig) -> MonodromyResult:
     n = B.degree
-    zeros = list(B.zeros)
-    min_sep = min(
-        (abs(zeros[i] - zeros[j]) for i in range(n) for j in range(i + 1, n)),
-        default=math.inf,
-    )
+    zeros = np.array(B.zeros, dtype=complex)
+    gaps = np.abs(zeros[:, None] - zeros)[np.triu_indices(n, 1)]
+    min_sep = float(gaps.min()) if gaps.size else math.inf
     if min_sep <= tol.cluster_tol:
         raise DegenerateInput(
             "zeros must be simple and separated for branch labeling; "
             "normalize the product first"
         )
-    labels = tuple(sorted(zeros, key=lambda z: (cmath.phase(z), abs(z))))
+    labels = tuple(sorted(B.zeros, key=lambda z: (cmath.phase(z), abs(z))))
 
     cd = critical_data(B, tol)
     values = [v for v, _ in cd.distinct_values]

@@ -1,25 +1,38 @@
 import cmath
+import functools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import blaschke.critical as critical
 from blaschke import (
     BlaschkeProduct,
     CompositionChain,
     CountMismatch,
     DiskAutomorphism,
     InputError,
+    SolverFailure,
     compose,
     normalize,
 )
 from blaschke.circle import solve_on_circle
+from blaschke.cli import demo_corpus
+from blaschke.core import circle_samples
 from blaschke.critical import (
+    _cluster_values,
+    _critical_data,
+    _log_derivative,
+    _polish,
+    _secular_roots,
+    _secular_zeros,
     check_value_bound,
     critical_data,
     fiber,
     one_critical_value_form,
 )
+from blaschke.errors import BlaschkeError
 from blaschke.decompose import factor_any_order
 
 from conftest import TAU, circle_grid, random_degree2_chain, random_product, rng_for
@@ -289,6 +302,209 @@ def test_factor_any_order_rejects_wrong_product():
     )
     with pytest.raises(InputError):
         factor_any_order(M, (3, 2))
+
+
+# ------------------------------------------------- array polish and clusters
+
+
+def _reference_kth(nodes, weights, z, k):
+    # one point at a time: the reference for the array critical._secular_kth
+    d = z - nodes
+    terms = weights * ((-1.0) ** k * math.factorial(k)) / d ** (k + 1)
+    return (
+        complex(terms.sum()),
+        complex((-(k + 1) * terms / d).sum()),
+        float(np.abs(terms).sum()),
+    )
+
+
+def _reference_polish(nodes, weights, r, m):
+    # Newton one point at a time under the rules of the array critical._polish
+    z = complex(r)
+    with np.errstate(all="ignore"):
+        for _ in range(60):
+            f, df, _ = _reference_kth(nodes, weights, z, m - 1)
+            if df == 0:
+                break
+            step = f / df
+            if not (math.isfinite(step.real) and math.isfinite(step.imag)):
+                break
+            z = z - step
+            if abs(step) <= 1e-16 * (1.0 + abs(z)):
+                break
+        if not (abs(z - r) < 5e-2 and abs(z) < 1.0):
+            z = complex(r)
+        residuals = []
+        for j in range(m):
+            f, _, scale = _reference_kth(nodes, weights, z, j)
+            residuals.append(abs(f) / (scale + 1e-300))
+    return z, float(np.max(residuals))
+
+
+def _polish_cases(B):
+    """(nodes, weights, starts, m) for every polish critical_data makes on B,
+    plus every raw in-disk eigenvalue polished as a simple zero."""
+    nodes, weights = _log_derivative(Counter(B.zeros))
+    s = max(circle_samples(16, 0.3), key=lambda p: np.min(np.abs(nodes - p)))
+    raw = [z for z in _secular_zeros(nodes, weights, s) if abs(z) < 1.0]
+    cases = [(nodes, weights, raw, 1)] if raw else []
+    merged = _secular_roots(nodes, weights, raw)
+    for m in sorted({m for _, m in merged}):
+        cases.append((nodes, weights, [r for r, k in merged if k == m], m))
+    return cases
+
+
+_POLISH_DEGREES = (8, 16, 24, 32, 48, 64)
+_POLISH_NAMES = [f"random{d}-{j}" for d in _POLISH_DEGREES for j in range(3)] + [
+    "power2", "power8", "elliptical8", "nonexample84", "deg6elliptic",
+    "deg6nonelliptic", "chain3",
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _polish_products(name):
+    """The named product and, when normalize accepts it, its normal form."""
+    if name.startswith("random"):
+        degree, j = (int(x) for x in name[len("random"):].split("-"))
+        rng = rng_for(4100 + degree)
+        for _ in range(j + 1):
+            B = random_product(rng, degree, radius=0.8)
+    else:
+        B = demo_corpus()[name]
+        B = B.expand() if isinstance(B, CompositionChain) else B
+    try:
+        return B, normalize(B).product
+    except BlaschkeError:
+        return (B,)
+
+
+@pytest.mark.parametrize("name", _POLISH_NAMES)
+def test_array_polish_matches_per_point_newton(name):
+    for B in _polish_products(name):
+        for nodes, weights, starts, m in _polish_cases(B):
+            points, residuals = _polish(nodes, weights, np.array(starts), m)
+            assert points.shape == residuals.shape == (len(starts),)
+            for r, p, res in zip(starts, points, residuals):
+                p_ref, res_ref = _reference_polish(nodes, weights, r, m)
+                assert abs(p - p_ref) <= 1e-15
+                for bound in (1e-6, 1e-8):
+                    assert (res <= bound) == (res_ref <= bound)
+                # a point's bits do not depend on the points polished with it
+                alone, alone_residual = _polish(nodes, weights, np.array([r]), m)
+                assert (alone[0], alone_residual[0]) == (p, res)
+
+
+def test_polish_corpus_holds_multiple_and_normalized_points():
+    def multiplicities(B):
+        return {m for *_, m in _polish_cases(B)}
+
+    # normalizing z^8 leaves one critical point of multiplicity 7 off the zeros
+    assert 7 in multiplicities(_polish_products("power8")[1])
+    assert 7 in multiplicities(_polish_products("elliptical8")[0])
+    assert len(_polish_products("deg6elliptic")) == 2
+    normalized = [len(_polish_products(n)) == 2 for n in _POLISH_NAMES[:18]]
+    assert sum(normalized) >= 6
+
+
+def test_polish_keeps_the_start_of_a_point_that_runs_away():
+    # start beside a pole of S: Newton leaves the disk or jumps far, so the
+    # start comes back, with the residual there
+    nodes, weights = _log_derivative(Counter((0.5 + 0j, -0.3j, 0.2 + 0.6j)))
+    starts = np.array([0.5 + 1e-9j, -0.3j + 1e-9, 0.1 + 0.1j])
+    points, residuals = _polish(nodes, weights, starts, 1)
+    for r, p, res in zip(starts, points, residuals):
+        p_ref, res_ref = _reference_polish(nodes, weights, r, 1)
+        assert abs(p - p_ref) <= 1e-15
+        assert (res <= 1e-6) == (res_ref <= 1e-6)
+    assert points[0] == starts[0] and points[1] == starts[1]
+    assert not residuals[0] <= 1e-6
+
+
+def test_failed_certificate_names_the_first_failing_point(monkeypatch):
+    # fail every point in the right half plane: the error must name the
+    # first of them in (real, imag) order, as the per-point loop did
+    B = random_product(rng_for(4200), 12, radius=0.8)
+    nodes, weights = _log_derivative(Counter(B.zeros))
+    s = max(circle_samples(16, 0.3), key=lambda p: np.min(np.abs(nodes - p)))
+    merged = _secular_roots(
+        nodes, weights, [z for z in _secular_zeros(nodes, weights, s) if abs(z) < 1.0]
+    )
+    first = next(r for r, _ in merged if r.real > 0)
+    assert first != min((r for r, _ in merged), key=lambda z: (z.real, z.imag))
+    polish = critical._polish
+
+    def failing(nodes, weights, starts, m):
+        points, residuals = polish(nodes, weights, starts, m)
+        return points, np.where(np.asarray(starts).real > 0, 0.5, residuals)
+
+    monkeypatch.setattr(critical, "_polish", failing)
+    _critical_data.cache_clear()
+    with pytest.raises(SolverFailure) as excinfo:
+        critical_data(B)
+    assert str(excinfo.value) == (
+        f"critical point near {first:.6f} has derivative residual 5.0e-01; "
+        f"root location unreliable at degree 12"
+    )
+    monkeypatch.undo()
+    assert len(critical_data(B).points_in_disk) == 11
+
+
+def _brute_force_clusters(values, gap):
+    # transitive closure of the pair table, one value at a time
+    n = len(values)
+    linked = [[abs(values[i] - values[j]) <= gap for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if linked[i][k]:
+                for j in range(n):
+                    linked[i][j] = linked[i][j] or linked[k][j]
+    roots = [min(j for j in range(n) if linked[i][j] or j == i) for i in range(n)]
+    members = {}
+    for i, root in enumerate(roots):
+        members.setdefault(root, []).append(i)
+    groups = sorted(
+        ((sum(values[i] for i in g) / len(g), g) for g in members.values()),
+        key=lambda mg: (mg[0].real, mg[0].imag),
+    )
+    index = [0] * n
+    for k, (_, g) in enumerate(groups):
+        for i in g:
+            index[i] = k
+    return [(mean, len(g)) for mean, g in groups], index
+
+
+@pytest.mark.parametrize(
+    "values,gap,expected",
+    [
+        ([], 0.1, ([], [])),
+        ([0.3 + 0.1j], 0.1, ([(0.3 + 0.1j, 1)], [0])),
+        # a-b and b-c are links, a-c is not: one cluster by transitivity
+        ([0.0j, 0.08 + 0j, 0.16 + 0j], 0.1, ([(0.08 + 0j, 3)], [0, 0, 0])),
+        # the chain given out of order still closes; means sort by real part
+        ([0.25 + 0j, -0.5j, 0.0j, 0.125 + 0j], 0.2,
+         ([(-0.5j, 1), (0.125 + 0j, 3)], [1, 0, 1, 1])),
+        # exact duplicates at gap 0
+        ([0.25 + 0j, 0.25 + 0j, 0.5 - 0.125j, 0.25 + 0j], 0.0,
+         ([(0.25 + 0j, 3), (0.5 - 0.125j, 1)], [0, 0, 1, 0])),
+    ],
+)
+def test_cluster_values_cases(values, gap, expected):
+    assert _cluster_values(values, gap) == expected
+    assert _cluster_values(values, gap) == _brute_force_clusters(values, gap)
+
+
+def test_cluster_values_match_brute_force_single_linkage():
+    rng = rng_for(4300)
+    for trial in range(60):
+        n = int(rng.integers(1, 40))
+        values = [complex(v) for v in rng.normal(size=n) + 1j * rng.normal(size=n)]
+        if trial % 3 == 0:
+            values += values[: n // 2]  # exact duplicates
+        for gap in (0.0, 1e-8, 0.05, 0.2, 0.6, 2.0):
+            got = _cluster_values(values, gap)
+            want = _brute_force_clusters(values, gap)
+            # equal means bit for bit: the same members summed in the same order
+            assert repr(got) == repr(want)
 
 
 # ------------------------------------------------------------------- failures
