@@ -5,17 +5,19 @@ the critical values lifts through each zero to a path ending at a (possibly
 different) zero, and the induced permutations of the zero labels generate the
 monodromy group.  One loop per distinct critical value suffices.
 
-Loops are lollipops: a straight run from 0 toward the value (with circular
-detours around any other critical value sitting in the corridor), one full
-counterclockwise circle, and the same run reversed.  Lifting is a
-predictor-corrector tracker on B(z(t)) = gamma(t): Euler prediction through
-z' = gamma'/B'(z), Newton correction to |B(z) - gamma| <= 1e-12, with the
-step halved whenever correction labors and grown when it coasts.  The
-corrector is one-pass: each Newton iteration takes the residual and the
-slope from a single product-rule sweep over the factors, reading each
-factor's conj(a) and 1 - |a|^2 from the table the product built once, and
-the slope at the accepted point doubles as the next Euler predictor, so a
-step costs one sweep per iteration and no separate derivative evaluation.
+Loops are lollipops: straight chords from 0 toward the value (with
+polygonal detours around any other critical value sitting in the corridor),
+one full counterclockwise circle as two exact half-turn arcs, and the same
+chords reversed.  Lifting is a predictor-corrector tracker on
+B(z(t)) = gamma(t), one piece at a time under one step rule: Euler
+prediction through z' = gamma'/B'(z), Newton correction to
+|B(z) - gamma| <= 1e-12, with the step halved whenever correction labors
+and grown when it coasts.  The corrector is one-pass: each Newton iteration
+takes the residual and the slope from a single product-rule sweep over the
+factors, reading each factor's conj(a) and 1 - |a|^2 from the table the
+product built once, and the slope at the accepted point doubles as the next
+Euler predictor, so a step costs one sweep per iteration and no separate
+derivative evaluation.
 
 monodromy_group keeps its last 64 results per (product, tolerances), so
 cross_validate after monodromy_group, or the CLI's one cross_validate,
@@ -56,6 +58,7 @@ __all__ = [
     "Permutation",
     "PermutationGroup",
     "BlockSystem",
+    "LoopPiece",
     "LoopSpec",
     "build_loops",
     "continue_branch",
@@ -234,17 +237,61 @@ class BlockSystem:
 
 
 @dataclass(frozen=True)
-class LoopSpec:
-    """Closed waypoint polyline from 0 around one critical value.
+class LoopPiece:
+    """One piece of a loop, traversed from start (s = 0) to end (s = 1).
 
-    The full counterclockwise circle around target has the given radius;
-    detour arcs around bystander values use the same radius.  Waypoints are
-    polyline vertices; the tracker subdivides each segment adaptively.
+    With sweep 0 the piece is the chord from start to end; otherwise it is
+    the arc that turns start counterclockwise by sweep about center, and it
+    ends exactly at the stored end, so consecutive pieces join bit-exactly.
+    kind says where the piece lies: "outward", "arc" or "return".
+    """
+
+    kind: str
+    start: complex
+    end: complex
+    center: complex = 0j
+    sweep: float = 0.0
+
+    def at(self, s: float) -> complex:
+        """The point a fraction s of the way along; exactly end at s = 1."""
+        if s >= 1.0:
+            return self.end
+        if self.sweep:
+            turn = cmath.exp(1j * self.sweep * s)
+            return self.center + (self.start - self.center) * turn
+        return self.start + s * (self.end - self.start)
+
+    def distance(self, w: complex) -> float:
+        """Distance from w to the piece."""
+        if self.sweep:
+            turn = cmath.phase((w - self.center) / (self.start - self.center)) % TAU
+            if turn <= self.sweep:
+                return abs(abs(w - self.center) - abs(self.start - self.center))
+            return min(abs(w - self.start), abs(w - self.end))
+        span = self.end - self.start
+        t = ((w - self.start) * span.conjugate()).real / abs(span) ** 2
+        return abs(w - self.start - min(1.0, max(0.0, t)) * span)
+
+
+@dataclass(frozen=True)
+class LoopSpec:
+    """Closed loop from 0 around one critical value, as a list of pieces.
+
+    The outward chords run from 0 to the entry point on the circle of the
+    given radius about target, with detours around bystander values drawn
+    as chords of that same radius; two exact half-turn arcs go once round
+    the circle counterclockwise, the second ending bit-exactly at the entry
+    point; the return chords retrace the outward ones.
     """
 
     target: complex
-    waypoints: tuple[complex, ...]
+    pieces: tuple[LoopPiece, ...]
     radius: float
+
+    @property
+    def waypoints(self) -> tuple[complex, ...]:
+        """The start of the loop and the end point of every piece."""
+        return (self.pieces[0].start,) + tuple(p.end for p in self.pieces)
 
 
 def _detour_arc(w: complex, p1: complex, p2: complex, r: float) -> list[complex]:
@@ -254,6 +301,10 @@ def _detour_arc(w: complex, p1: complex, p2: complex, r: float) -> list[complex]
     return [w + r * cmath.exp(1j * (t1 + sweep * j / steps)) for j in range(1, steps)]
 
 
+def _chords(kind: str, points: list[complex]) -> list[LoopPiece]:
+    return [LoopPiece(kind, p, q) for p, q in zip(points, points[1:]) if p != q]
+
+
 def build_loops(
     values, tol: ToleranceConfig | None = None
 ) -> tuple[LoopSpec, ...]:
@@ -261,7 +312,11 @@ def build_loops(
 
     The radius is 0.45 of the smallest of: pairwise value distances, value
     distances to the unit circle, value distances to the base point 0.  Every
-    loop therefore clears every other value by more than the radius.
+    loop therefore clears every other value by more than the radius.  A loop
+    is the outward chords from 0 to the entry point v - r v/|v| (detouring
+    round any value in the corridor), the circle about v as two half-turn
+    arcs through the entry point, and the outward chords reversed; every
+    piece must keep 0.9 r from every other value, or GeometryFailure.
     """
     tol = _tol(tol)
     vals = [complex(v) for v in values]
@@ -312,19 +367,64 @@ def build_loops(
         e = v - r * u
         outward.append(e)
 
-        phi0 = cmath.phase(e - v)
-        circle = [
-            v + r * cmath.exp(1j * (phi0 + TAU * j / 24)) for j in range(1, 25)
-        ]
-        waypoints = outward + circle + list(reversed(outward[:-1]))
-        for p in waypoints:
+        opposite = v + (v - e)
+        pieces = (
+            _chords("outward", outward)
+            + [
+                LoopPiece("arc", e, opposite, v, math.pi),
+                LoopPiece("arc", opposite, e, v, math.pi),
+            ]
+            + _chords("return", outward[::-1])
+        )
+        for piece in pieces:
             for w in vals:
-                if w is not v and abs(p - w) < 0.9 * r:
+                if w is not v and piece.distance(w) < 0.9 * r:
                     raise GeometryFailure(
-                        f"loop for {v} passes within {abs(p - w):.3e} of {w}"
+                        f"loop for {v} passes within {piece.distance(w):.3e} of {w}"
                     )
-        loops.append(LoopSpec(v, tuple(waypoints), r))
+        loops.append(LoopSpec(v, tuple(pieces), r))
     return tuple(loops)
+
+
+def _where(loop: LoopSpec, start: complex, kind: str) -> str:
+    return (
+        f"; loop around critical value {loop.target:.6f}, "
+        f"start label {complex(start):.6f}, {kind} piece"
+    )
+
+
+def _lift_piece(jet, piece: LoopPiece, z: complex, d: complex, tol):
+    """Lift one piece from the fiber point z, where B'(z) = d; returns the
+    lifted end point and B' there.  The only tracker loop (see
+    continue_branch for the step rule)."""
+    s, ds = 0.0, 0.2
+    g0 = piece.start
+    while True:
+        t = s + ds
+        if t >= 1.0 - 1e-15:
+            t = 1.0
+        g1 = piece.at(t)
+        trial = z if abs(d) < 1e-12 else z + (g1 - g0) / d
+        for iterations in range(1, 11):
+            value, slope = jet(trial, tol)
+            f = value - g1
+            if abs(f) <= 1e-12 or abs(slope) < 1e-12:
+                break
+            trial = trial - f / slope
+        if abs(trial) > 1.5:
+            raise TrackingFailure(
+                f"branch escaped the tracking region at |z|={abs(trial):.3f}"
+            )
+        if abs(f) > 1e-12 or iterations > 5:
+            ds = 0.5 * (t - s)
+            if ds < 1e-9:
+                raise TrackingFailure(f"step underflow near gamma={g0:.6f}")
+            continue
+        z, d, g0, s = trial, slope, g1, t
+        if t == 1.0:
+            return z, d
+        if iterations <= 3:
+            ds = min(1.5 * ds, 0.5)
 
 
 def continue_branch(
@@ -335,52 +435,25 @@ def continue_branch(
 ) -> complex:
     """Lift the loop through the fiber point start; returns the endpoint.
 
-    Tracks B(z(t)) = gamma(t) along each waypoint segment with an Euler
-    predictor and a Newton corrector (to 1e-12).  Every corrector iteration
-    takes B and B' from one pass over the factors (BlaschkeProduct._jet,
-    over the product's precomputed factor table), and the slope at the accepted point is the next Euler predictor's.  The
-    step fraction halves when correction takes more than 5 iterations and
-    grows by 1.5 when it takes fewer than 3; underflow below 1e-9 or escape
-    past |z| = 1.5 raises TrackingFailure.
+    Tracks B(z(t)) = gamma(t) piece by piece with an Euler predictor and a
+    Newton corrector (to 1e-12).  Every corrector iteration takes B and B'
+    from one pass over the factors (BlaschkeProduct._jet, over the
+    product's precomputed factor table), and the slope at the accepted point
+    is the next Euler predictor's.  One step rule holds on every piece, chord
+    or arc: the step starts at 0.2 of the piece, grows by 1.5 up to 0.5 when
+    a step takes at most 3 evaluations, and halves when one takes more than
+    5 or does not converge.  Underflow below 1e-9 or escape past |z| = 1.5
+    raises TrackingFailure naming the loop's value, start and the piece.
     """
     tol = _tol(tol)
     jet = B._jet
     z = complex(start)
     d = jet(z, tol)[1]
-    ws = loop.waypoints
-    for w0, w1 in zip(ws, ws[1:]):
-        span = w1 - w0
-        if span == 0:
-            continue
-        s = 0.0
-        ds = 0.2
-        while s < 1.0 - 1e-15:
-            ds = min(ds, 1.0 - s)
-            gamma_now = w0 + s * span
-            gamma_next = w0 + (s + ds) * span
-            trial = z if abs(d) < 1e-12 else z + (gamma_next - gamma_now) / d
-            for iterations in range(1, 11):
-                value, slope = jet(trial, tol)
-                f = value - gamma_next
-                if abs(f) <= 1e-12 or abs(slope) < 1e-12:
-                    break
-                trial = trial - f / slope
-            converged = abs(f) <= 1e-12
-            if not converged or iterations > 5 or abs(trial) > 1.5:
-                if abs(trial) > 1.5:
-                    raise TrackingFailure(
-                        f"branch escaped the tracking region at |z|={abs(trial):.3f}"
-                    )
-                ds *= 0.5
-                if ds < 1e-9:
-                    raise TrackingFailure(
-                        f"step underflow near gamma={gamma_now:.6f}"
-                    )
-                continue
-            z, d = trial, slope
-            s += ds
-            if iterations < 3:
-                ds = min(ds * 1.5, 0.5)
+    for piece in loop.pieces:
+        try:
+            z, d = _lift_piece(jet, piece, z, d, tol)
+        except TrackingFailure as exc:
+            raise TrackingFailure(f"{exc}{_where(loop, start, piece.kind)}") from None
     return z
 
 
@@ -449,18 +522,23 @@ def _monodromy_group(B: BlaschkeProduct, tol: ToleranceConfig) -> MonodromyResul
             if abs(B.evaluate(end, tol)) > 1e-10:
                 raise TrackingFailure(
                     f"lifted endpoint is not in the fiber: |B(end)|="
-                    f"{abs(B.evaluate(end, tol)):.3e}"
+                    f"{abs(B.evaluate(end, tol)):.3e}{_where(loop, z0, 'return')}"
                 )
             dists = [abs(end - lb) for lb in labels]
             j = min(range(n), key=dists.__getitem__)
             if dists[j] > min_sep / 10.0:
                 raise NonBijective(
                     f"endpoint {end:.6f} matches no branch label within "
-                    f"{min_sep / 10.0:.3e}"
+                    f"{min_sep / 10.0:.3e}{_where(loop, z0, 'return')}"
                 )
             images.append(j)
         if sorted(images) != list(range(n)):
-            raise NonBijective(f"loop around {loop.target:.6f} did not permute")
+            i = next(i for i, j in enumerate(images) if j in images[:i])
+            raise NonBijective(
+                f"loop around {loop.target:.6f} did not permute: branches "
+                f"{images.index(images[i])} and {i} both end at label "
+                f"{images[i]}{_where(loop, labels[i], 'return')}"
+            )
         generator = Permutation(tuple(images))
         expected = _ramification_type(cd, len(generators), n)
         if generator.cycle_type() != expected:

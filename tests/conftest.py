@@ -63,16 +63,20 @@ def sup_difference(f, g, points) -> float:
 
 def halved_step_images(B: BlaschkeProduct, result) -> list[tuple[int, ...]]:
     """The generator images of a MonodromyResult, lifted again along the same
-    loops with every waypoint segment split in two.  Each tracker step is a
-    fraction of its segment, so this halves every step."""
+    loops with every piece, chord or arc, split in two at its midpoint.  Each
+    tracker step is a fraction of its piece, so this halves every step."""
     labels = result.labels
     images = []
     for loop in result.loops:
-        ws = loop.waypoints
-        split = [ws[0]]
-        for w0, w1 in zip(ws, ws[1:]):
-            split += [0.5 * (w0 + w1), w1]
-        halved = dataclasses.replace(loop, waypoints=tuple(split))
+        split = []
+        for piece in loop.pieces:
+            mid = piece.at(0.5)
+            half = piece.sweep / 2
+            split += [
+                dataclasses.replace(piece, end=mid, sweep=half),
+                dataclasses.replace(piece, start=mid, sweep=half),
+            ]
+        halved = dataclasses.replace(loop, pieces=tuple(split))
         row = []
         for z0 in labels:
             end = continue_branch(B, halved, z0)

@@ -6,8 +6,8 @@ under tests/data/golden/ as <command>-<demo>.stdout, status.json holds each
 case's exit code and stderr, and files.sha256 holds a SHA-256 digest of every
 file the case writes.  Each run happens in a fresh working directory with
 ``--out out``, so the ``files`` paths in the reports read ``out/<name>`` on
-every machine.  A refusal (a nonzero exit, such as ``monodromy --demo
-nonexample84``) is pinned like any other outcome.
+every machine.  A refusal (a nonzero exit) is pinned like any other
+outcome.
 
 Floats are printed with 17 significant digits, so any change to the
 arithmetic behind these reports shows up here, not only a change between two

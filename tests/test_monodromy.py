@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 
@@ -15,6 +16,7 @@ from blaschke.errors import (
 )
 from blaschke.monodromy import (
     BlockSystem,
+    LoopPiece,
     LoopSpec,
     Permutation,
     PermutationGroup,
@@ -262,6 +264,51 @@ def test_collinear_values_force_a_detour():
         assert abs(p - far) >= 0.9 * r - 1e-12
 
 
+def _piece_samples(piece, count=64):
+    return [piece.at(k / count) for k in range(count + 1)]
+
+
+@pytest.mark.parametrize(
+    "vals",
+    [
+        [0.3 + 0j],
+        [0.25 + 0j, 0.55 + 0j],
+        [0.2 + 0.05j, 0.5 + 0.1j, 0.75 + 0.2j],
+        [0.3, -0.2 + 0.4j, 0.1 - 0.5j],
+    ],
+)
+def test_loop_pieces_join_and_keep_their_clearance(vals):
+    for loop in build_loops(vals):
+        v, r, pieces = loop.target, loop.radius, loop.pieces
+        assert pieces[0].start == 0j and pieces[-1].end == 0j
+        for before, after in zip(pieces, pieces[1:]):
+            assert before.end == after.start
+        kinds = [p.kind for p in pieces]
+        k = kinds.index("arc")
+        assert kinds == ["outward"] * k + ["arc", "arc"] + ["return"] * k
+        first, second = pieces[k], pieces[k + 1]
+        entry = first.start
+        assert first.sweep == second.sweep == math.pi
+        assert second.end == entry and second.at(1.0) == entry
+        assert abs(entry - v) == pytest.approx(r, rel=1e-14)
+        for arc in (first, second):
+            for z in _piece_samples(arc):
+                assert abs(z - v) == pytest.approx(r, rel=1e-14)
+        # the two arcs go once round v counterclockwise
+        turn = sum(
+            cmath.phase((b - v) / (a - v))
+            for arc in (first, second)
+            for a, b in itertools.pairwise(_piece_samples(arc))
+        )
+        assert turn == pytest.approx(2 * math.pi)
+        for w in vals:
+            if complex(w) != v:
+                for piece in pieces:
+                    gap = min(abs(z - w) for z in _piece_samples(piece))
+                    assert gap >= 0.9 * r
+                    assert piece.distance(w) == pytest.approx(gap, abs=r * 2e-3)
+
+
 def test_loop_count_matches_value_count():
     vals = [0.3, -0.2 + 0.4j, 0.1 - 0.5j]
     assert len(build_loops(vals)) == 3
@@ -292,10 +339,15 @@ def test_null_loop_is_the_identity():
 
     B = _two_value_chain()
     r = 0.4 * min(abs(v) for v, _ in critical_data(B).distinct_values)
-    import cmath
-
-    ring = [r * cmath.exp(2j * cmath.pi * k / 12) for k in range(12)]
-    loop = LoopSpec(0j, tuple([0j] + ring + [0j]), r)
+    # out to r, once round the circle of radius r about the regular value 0,
+    # and back
+    pieces = (
+        LoopPiece("outward", 0j, r + 0j),
+        LoopPiece("arc", r + 0j, -r + 0j, 0j, cmath.pi),
+        LoopPiece("arc", -r + 0j, r + 0j, 0j, cmath.pi),
+        LoopPiece("return", r + 0j, 0j),
+    )
+    loop = LoopSpec(0j, pieces, r)
     for z0 in B.zeros:
         end = continue_branch(B, loop, z0)
         assert abs(end - z0) < 1e-8
@@ -315,6 +367,48 @@ def test_tracker_takes_value_and_slope_from_one_pass(monkeypatch):
     monkeypatch.setattr(BlaschkeProduct, "derivative", forbidden)
     assert [continue_branch(B, loop, z0) for z0 in B.zeros] == expected
     assert any(abs(end - z0) > 1e-3 for end, z0 in zip(expected, B.zeros))
+
+
+def test_tracker_step_budget_on_a_degree_8_tower(monkeypatch):
+    # one step rule over a few long pieces takes about 1600 evaluations of B
+    # for these 24 lifts; a circle of 24 chords, each restarting the step,
+    # takes about 8800
+    B = normalize(_tower(rng_for(2034), 3)).product
+    mono = monodromy_group(B)
+    calls = []
+    jet = BlaschkeProduct._jet
+
+    def counted(self, z, tol):
+        calls.append(z)
+        return jet(self, z, tol)
+
+    monkeypatch.setattr(BlaschkeProduct, "_jet", counted)
+    for loop in mono.loops:
+        for z0 in mono.labels:
+            continue_branch(B, loop, z0)
+    assert len(mono.loops) * len(mono.labels) == 24
+    assert len(calls) < 4000
+
+
+def test_tracker_failures_name_the_loop_the_label_and_the_piece(monkeypatch):
+    refused = normalize(random_product(rng_for(2027), 7)).product
+    with pytest.raises(TrackingFailure) as info:
+        monodromy_group(refused)
+    message = str(info.value)
+    assert message.startswith("branch escaped the tracking region at |z|=2.534")
+    assert "loop around critical value " in message
+    assert "start label " in message
+    assert message.endswith(" outward piece")
+
+    # every branch lifted to the first label: the loop does not permute
+    B = normalize(_tower(rng_for(2036), 2)).product
+    labels = sorted(B.zeros, key=lambda z: (cmath.phase(z), abs(z)))
+    monkeypatch.setattr(monodromy, "continue_branch", lambda *args: labels[0])
+    with pytest.raises(NonBijective) as info:
+        monodromy_group(B)
+    message = str(info.value)
+    assert "did not permute: branches 0 and 1 both end at label 0" in message
+    assert f"start label {labels[1]:.6f}, return piece" in message
 
 
 def test_continuation_stable_under_step_halving():
@@ -508,6 +602,37 @@ def test_seeded_generators_are_pinned():
         TrackingFailure, match=r"escaped the tracking region at \|z\|=2\.534"
     ):
         monodromy_group(refused)
+
+
+def test_nonexample84_group_is_order_32_with_blocks_of_2_and_4():
+    B = normalize(cli.demo_corpus()["nonexample84"]).product
+    mono = monodromy_group(B)
+    gens = [g.images for g in mono.generators]
+    assert gens == [(1, 0, 3, 2, 5, 4, 7, 6), (2, 1, 4, 3, 6, 5, 0, 7)]
+    assert mono.group.order() == 32
+    assert [s.block_size for s in block_systems(mono.group)] == [2, 4]
+    assert cross_validate(B).consistent
+
+    # independently: the closure of the generators under composition, by
+    # breadth-first search, and the product of the two generators
+    seen = {tuple(range(8))}
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g[x] for x in p)
+                if q not in seen:
+                    seen.add(q)
+                    fresh.append(q)
+        frontier = fresh
+    assert len(seen) == 32
+    a, b = gens
+    product = tuple(a[b[x]] for x in range(8))
+    orbit = [0]
+    while product[orbit[-1]] != 0:
+        orbit.append(product[orbit[-1]])
+    assert len(orbit) == 8
 
 
 # -------------------------------------------------------------- cross validation
