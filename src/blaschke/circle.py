@@ -82,9 +82,10 @@ def _phase_gain(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
 def _lift_grid(B: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
     """(ts, psi): the lift psi(t) on an increasing grid over [0, 2pi].
 
-    psi is exact at every grid point: psi(0) = arg B(1) in [0, 2pi) plus
-    each factor's _phase_gain from 1 to e^{it}; the ends are exactly psi(0)
-    and psi(0) + 2 pi n.  Of _BASE_CELLS equal cells, only those across
+    psi is exact at every grid point: psi(0) = arg B(1) in [0, 2pi), read
+    off the unit-modulus factors at 1 (_circle_terms), plus each factor's
+    _phase_gain from 1 to e^{it}; the ends are exactly psi(0) and
+    psi(0) + 2 pi n.  Of _BASE_CELLS equal cells, only those across
     which psi gains 0.5 or more are halved, repeatedly.  That terminates: a
     steep cell of _ULPS ulps, one still steep after _MAX_DEPTH halvings, or
     a psi that fails to increase (a zero so close to the circle that its
@@ -97,14 +98,17 @@ def _lift_grid(B: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
         return (z - a) / (1.0 - a.conj() * z)
 
     def lift(t):
-        gain = _phase_gain(factors(1.0), factors(np.exp(1j * t)[:, None]))
+        gain = _phase_gain(at_one, factors(np.exp(1j * t)[:, None]))
         return psi0 + np.sum(gain, axis=-1)
 
     def refuse(why):
         top = max(abs(z) for z in B.zeros)
         return SolverFailure(f"argument lift {why}; the largest zero modulus is {top!r}")
 
-    psi0 = cmath.phase(B.evaluate(1.0)) % TAU
+    # the factors at 1, (1 - a)/(1 - conj(a)), have no pole even for a zero
+    # next to 1, where B.evaluate(1) would refuse
+    at_one = factors(1.0)
+    psi0 = cmath.phase(complex(_circle_terms(B, np.array(1.0))[0])) % TAU
     ts = np.linspace(0.0, TAU, _BASE_CELLS + 1)
     psi = lift(ts)
     psi[0], psi[-1] = psi0, psi0 + TAU * B.degree
@@ -124,16 +128,15 @@ def _lift_grid(B: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
     raise refuse(f"still has steep cells after {_MAX_DEPTH} halvings")
 
 
-def lifted_argument(
-    B: BlaschkeProduct, t: float, tol: ToleranceConfig | None = None
-) -> float:
-    """Continuous increasing lift of arg B(e^{it}), with psi(0) in [0, 2pi)."""
-    tol = _tol(tol)
+def lifted_argument(B: BlaschkeProduct, t: float) -> float:
+    """Continuous increasing lift of arg B(e^{it}), with psi(0) in [0, 2pi).
+
+    B is read off its unit-modulus factors (_circle_terms), which have no
+    pole on the circle."""
     ts, psi = _lift_grid(B)
     turns, tr = divmod(float(t), TAU)
     i = min(int(np.searchsorted(ts, tr, side="right")) - 1, len(ts) - 2)
-    w = B.evaluate(cmath.exp(1j * tr), tol)
-    w0 = B.evaluate(cmath.exp(1j * float(ts[i])), tol)
+    w, w0 = _circle_terms(B, np.exp(1j * np.array([tr, ts[i]])))[0]
     # within one grid cell psi gains less than half a turn, so the wrapped
     # phase difference against the cell's left end is the exact increment
     increment = math.remainder(cmath.phase(w) - cmath.phase(w0), TAU)

@@ -27,7 +27,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateInput, InputError, NoInteriorFixedPoint, PoleProximity
+from .errors import (
+    DegenerateInput,
+    InputError,
+    NoInteriorFixedPoint,
+    PoleProximity,
+    SolverFailure,
+)
 
 __all__ = [
     "ToleranceConfig",
@@ -459,7 +465,9 @@ def normalize(B: BlaschkeProduct, tol: ToleranceConfig | None = None) -> Normali
     Picks a base point beta whose image alpha = B(beta) is a regular value
     (beta = 0 when possible, otherwise scanning small circles around the
     origin), then returns lambda * phi_alpha o B o phi_beta with the rotation
-    chosen so the derivative at 0 is real positive.
+    chosen so the derivative at 0 is real positive.  When no scanned point
+    has a value clear of every critical value by more than cluster_tol it
+    raises SolverFailure: that is a limit of the scan, not of the input.
     """
     from .critical import critical_data, fiber
 
@@ -482,7 +490,7 @@ def normalize(B: BlaschkeProduct, tol: ToleranceConfig | None = None) -> Normali
             if best is not None and best[0] > 100 * tol.cluster_tol:
                 break
         if best is None or best[0] <= tol.cluster_tol:
-            raise DegenerateInput("no regular base point found near the origin")
+            raise SolverFailure("no regular base point found near the origin")
         beta = best[1]
     alpha = B.evaluate(beta, tol)
 

@@ -8,11 +8,17 @@ monodromy group.  One loop per distinct critical value suffices.
 Loops are lollipops: straight chords from 0 toward the value (with
 polygonal detours around any other critical value sitting in the corridor),
 one full counterclockwise circle as two exact half-turn arcs, and the same
-chords reversed.  Lifting is a predictor-corrector tracker on
-B(z(t)) = gamma(t), one piece at a time under one step rule: Euler
-prediction through z' = gamma'/B'(z), Newton correction to
-|B(z) - gamma| <= 1e-12, with the step halved whenever correction labors
-and grown when it coasts.  The corrector is one-pass: each Newton iteration
+chords reversed.  Path lifting is unique, so the reversed chords lift to
+the inverse of the outward map: with out taking the labels to the fiber over
+the entry point e and arc the permutation of that fiber the two arcs give,
+each generator is out^-1 o arc o out.  monodromy_group therefore lifts the
+outward chords once per label and the arcs once per outward end, and no
+return chord; continue_branch lifts a whole closed loop.
+
+Lifting is a predictor-corrector tracker on B(z(t)) = gamma(t), one piece
+at a time under one step rule: Euler prediction through z' = gamma'/B'(z),
+Newton correction to |B(z) - gamma| <= 1e-12, with the step halved whenever
+correction labors and grown when it coasts.  The corrector is one-pass: each Newton iteration
 takes the residual and the slope from a single product-rule sweep over the
 factors, reading each factor's conj(a) and 1 - |a|^2 from the table the
 product built once, and the slope at the accepted point doubles as the next
@@ -427,13 +433,26 @@ def _lift_piece(jet, piece: LoopPiece, z: complex, d: complex, tol):
             ds = min(1.5 * ds, 0.5)
 
 
+def _lift(jet, loop: LoopSpec, pieces, start: complex, z: complex, d: complex, tol):
+    """Lift pieces in turn from the fiber point z, where B'(z) = d, on the
+    branch through the label start; returns the end point and B' there.  A
+    TrackingFailure names the loop's value, start and the failing piece."""
+    for piece in pieces:
+        try:
+            z, d = _lift_piece(jet, piece, z, d, tol)
+        except TrackingFailure as exc:
+            raise TrackingFailure(f"{exc}{_where(loop, start, piece.kind)}") from None
+    return z, d
+
+
 def continue_branch(
     B: BlaschkeProduct,
     loop: LoopSpec,
     start: complex,
     tol: ToleranceConfig | None = None,
 ) -> complex:
-    """Lift the loop through the fiber point start; returns the endpoint.
+    """Lift the whole closed loop, return chords included, through the fiber
+    point start; returns the endpoint.
 
     Tracks B(z(t)) = gamma(t) piece by piece with an Euler predictor and a
     Newton corrector (to 1e-12).  Every corrector iteration takes B and B'
@@ -444,17 +463,13 @@ def continue_branch(
     a step takes at most 3 evaluations, and halves when one takes more than
     5 or does not converge.  Underflow below 1e-9 or escape past |z| = 1.5
     raises TrackingFailure naming the loop's value, start and the piece.
+    monodromy_group does not call this: it lifts only the outward chords and
+    the arcs, so this full closed-loop lift is an independent cross-check.
     """
     tol = _tol(tol)
     jet = B._jet
     z = complex(start)
-    d = jet(z, tol)[1]
-    for piece in loop.pieces:
-        try:
-            z, d = _lift_piece(jet, piece, z, d, tol)
-        except TrackingFailure as exc:
-            raise TrackingFailure(f"{exc}{_where(loop, start, piece.kind)}") from None
-    return z
+    return _lift(jet, loop, loop.pieces, z, z, jet(z, tol)[1], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -489,21 +504,32 @@ def monodromy_group(
     critical value, values in (real, imag) order.  Each generator must have
     the cycle type Riemann-Hurwitz gives for the critical points clustered
     at its value, or VerificationFailure: a loop that encloses several
-    values merged by the clustering fails this check.  The result is kept
-    per (product, tolerances), so asking again for an equal product, as
-    cross_validate does, tracks no branch; a refusal is not kept and is
-    raised again on every call.
+    values merged by the clustering fails this check.
+
+    Each generator is read as out^-1 o arc o out (see the module
+    docstring): the outward chords are lifted from every label to points
+    q_i over the loop's entry point e, which must be pairwise more than
+    cluster_tol apart (else NonBijective, naming the outward piece); the
+    two arcs are lifted from every q_i, and each arc end must satisfy
+    |B(end) - e| <= 1e-10 (else TrackingFailure) and lie within a tenth of
+    the smallest gap between the q of some q_j (else NonBijective, naming
+    the arc piece), and j is the image of label i.  No return chord is
+    lifted.
+
+    The result is kept per (product, tolerances), so asking again for an
+    equal product, as cross_validate does, tracks no branch; a refusal is
+    not kept and is raised again on every call.
     """
     return _monodromy_group(B, _tol(tol))
 
 
 @lru_cache(maxsize=64)
 def _monodromy_group(B: BlaschkeProduct, tol: ToleranceConfig) -> MonodromyResult:
+    """monodromy_group's body, kept per (product, tolerances)."""
     n = B.degree
     zeros = np.array(B.zeros, dtype=complex)
     gaps = np.abs(zeros[:, None] - zeros)[np.triu_indices(n, 1)]
-    min_sep = float(gaps.min()) if gaps.size else math.inf
-    if min_sep <= tol.cluster_tol:
+    if gaps.size and gaps.min() <= tol.cluster_tol:
         raise DegenerateInput(
             "zeros must be simple and separated for branch labeling; "
             "normalize the product first"
@@ -514,22 +540,43 @@ def _monodromy_group(B: BlaschkeProduct, tol: ToleranceConfig) -> MonodromyResul
     values = [v for v, _ in cd.distinct_values]
     loops = build_loops(values, tol)
 
+    jet = B._jet
     generators = []
     for loop in loops:
+        outward = [p for p in loop.pieces if p.kind == "outward"]
+        arcs = [p for p in loop.pieces if p.kind == "arc"]
+        entry = arcs[0].start
+        # out: each label to its point over the entry point, with B' there
+        over_entry = [
+            _lift(jet, loop, outward, z0, z0, jet(z0, tol)[1], tol) for z0 in labels
+        ]
+        ends = np.array([q for q, _ in over_entry])
+        apart = np.abs(ends[:, None] - ends)
+        apart[np.diag_indices(n)] = math.inf
+        i, k = sorted(map(int, np.unravel_index(np.argmin(apart), apart.shape)))
+        if apart[i, k] <= tol.cluster_tol:
+            raise NonBijective(
+                f"outward lifts of labels {i} and {k} both reach "
+                f"{ends[i]:.6f}{_where(loop, labels[k], 'outward')}"
+            )
+        match_tol = float(apart[i, k]) / 10.0
+        # arc, then out^-1: the arc end over the entry point names the label
+        # whose outward lift reaches it
         images = []
-        for z0 in labels:
-            end = continue_branch(B, loop, z0, tol)
-            if abs(B.evaluate(end, tol)) > 1e-10:
+        for z0, (q, d) in zip(labels, over_entry):
+            end, _ = _lift(jet, loop, arcs, z0, q, d, tol)
+            residual = abs(B.evaluate(end, tol) - entry)
+            if residual > 1e-10:
                 raise TrackingFailure(
-                    f"lifted endpoint is not in the fiber: |B(end)|="
-                    f"{abs(B.evaluate(end, tol)):.3e}{_where(loop, z0, 'return')}"
+                    f"lifted endpoint is not in the fiber over the entry point: "
+                    f"|B(end) - e|={residual:.3e}{_where(loop, z0, 'arc')}"
                 )
-            dists = [abs(end - lb) for lb in labels]
-            j = min(range(n), key=dists.__getitem__)
-            if dists[j] > min_sep / 10.0:
+            dists = np.abs(ends - end)
+            j = int(np.argmin(dists))
+            if dists[j] > match_tol:
                 raise NonBijective(
-                    f"endpoint {end:.6f} matches no branch label within "
-                    f"{min_sep / 10.0:.3e}{_where(loop, z0, 'return')}"
+                    f"endpoint {end:.6f} matches no outward end within "
+                    f"{match_tol:.3e}{_where(loop, z0, 'arc')}"
                 )
             images.append(j)
         if sorted(images) != list(range(n)):
@@ -537,7 +584,7 @@ def _monodromy_group(B: BlaschkeProduct, tol: ToleranceConfig) -> MonodromyResul
             raise NonBijective(
                 f"loop around {loop.target:.6f} did not permute: branches "
                 f"{images.index(images[i])} and {i} both end at label "
-                f"{images[i]}{_where(loop, labels[i], 'return')}"
+                f"{images[i]}{_where(loop, labels[i], 'arc')}"
             )
         generator = Permutation(tuple(images))
         expected = _ramification_type(cd, len(generators), n)

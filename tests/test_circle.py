@@ -182,6 +182,24 @@ def test_solve_certifies_roots_near_a_zero_close_to_the_circle():
             assert gap.min() < 1e-12
 
 
+def test_solve_and_lift_next_to_a_zero_within_root_tol_of_1():
+    # B.evaluate(1) refuses here (its denominator 1 - conj(a) is 1e-13), but
+    # the factor (1 - a)/(1 - conj(a)) has modulus 1 and no pole, so psi(0)
+    # and the lift need no evaluation at 1
+    B = BlaschkeProduct(1.0, (0.3j, 1.0 - 1e-13))
+    with pytest.raises(BlaschkeError):
+        B.evaluate(1.0)
+    sol = solve_on_circle(B, 1j)
+    roots = _level_polynomial_roots(B, 1j)
+    oracle = np.angle(roots) % TAU
+    for angle in sol.angles:
+        gap = np.abs(np.remainder(oracle - angle + math.pi, TAU) - math.pi)
+        assert gap.min() < 1e-12
+        turn = (lifted_argument(B, angle) - math.pi / 2) / TAU
+        assert abs(turn - round(turn)) < 1e-9
+    assert 0.0 <= lifted_argument(B, 0.0) < TAU
+
+
 def test_solve_levels_of_no_targets_is_empty():
     assert solve_levels(BlaschkeProduct(1.0, (0j, 0.5j)), []) == []
 

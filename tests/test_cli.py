@@ -13,6 +13,8 @@ import blaschke.poncelet as poncelet
 from blaschke.decompose import chain_2n
 import blaschke.errors as errors
 
+from conftest import random_product, rng_for
+
 DEMOS = (
     "power2",
     "power8",
@@ -293,6 +295,17 @@ def test_solver_failure_maps_to_exit_3(tmp_path):
     r = run_cli("analyze", "--input", str(src), "--out", str(tmp_path), cwd=tmp_path)
     assert r.returncode == 3
     assert "solver failure" in r.stderr
+
+
+def test_normalize_without_a_base_point_is_a_solver_failure(tmp_path):
+    # for every beta the scan tries on this valid degree-64 product, B(beta)
+    # lies within cluster_tol of a critical value: the scan gives up, which
+    # is a solver limit and not an input error
+    src = tmp_path / "deg64.json"
+    src.write_text(random_product(rng_for(2026), 64).to_json())
+    r = run_cli("analyze", "--input", str(src), "--out", str(tmp_path), cwd=tmp_path)
+    assert r.returncode == 3
+    assert r.stderr.startswith("solver failure: no regular base point")
 
 
 EXIT_LADDER = {

@@ -1,12 +1,15 @@
 import cmath
+import dataclasses
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
 import blaschke.cli as cli
 import blaschke.monodromy as monodromy
 from blaschke import BlaschkeProduct, InputError, compose, normalize
+from blaschke.critical import critical_data
 from blaschke.errors import (
     DegenerateInput,
     GeometryFailure,
@@ -390,6 +393,12 @@ def test_tracker_step_budget_on_a_degree_8_tower(monkeypatch):
     assert len(calls) < 4000
 
 
+def _outward_only(loop):
+    return dataclasses.replace(
+        loop, pieces=tuple(p for p in loop.pieces if p.kind == "outward")
+    )
+
+
 def test_tracker_failures_name_the_loop_the_label_and_the_piece(monkeypatch):
     refused = normalize(random_product(rng_for(2027), 7)).product
     with pytest.raises(TrackingFailure) as info:
@@ -400,21 +409,152 @@ def test_tracker_failures_name_the_loop_the_label_and_the_piece(monkeypatch):
     assert "start label " in message
     assert message.endswith(" outward piece")
 
-    # every branch lifted to the first label: the loop does not permute
+    # every arc ends on the outward end of the first label: the loop does
+    # not permute
     B = normalize(_tower(rng_for(2036), 2)).product
     labels = sorted(B.zeros, key=lambda z: (cmath.phase(z), abs(z)))
-    monkeypatch.setattr(monodromy, "continue_branch", lambda *args: labels[0])
+    first_end = {
+        loop.target: continue_branch(B, _outward_only(loop), labels[0])
+        for loop in build_loops(v for v, _ in critical_data(B).distinct_values)
+    }
+    lift_piece = monodromy._lift_piece
+
+    def onto_first(jet, piece, z, d, tol):
+        if piece.kind == "arc":
+            z = first_end[piece.center]
+            return z, jet(z, tol)[1]
+        return lift_piece(jet, piece, z, d, tol)
+
+    monkeypatch.setattr(monodromy, "_lift_piece", onto_first)
     with pytest.raises(NonBijective) as info:
         monodromy_group(B)
     message = str(info.value)
     assert "did not permute: branches 0 and 1 both end at label 0" in message
-    assert f"start label {labels[1]:.6f}, return piece" in message
+    assert f"start label {labels[1]:.6f}, arc piece" in message
+
+
+def test_colliding_outward_lifts_are_not_injective(monkeypatch):
+    # every branch's outward lift is forced onto the first branch's, so two
+    # labels reach one point over the entry point
+    B = normalize(_tower(rng_for(2037), 2)).product
+    labels = sorted(B.zeros, key=lambda z: (cmath.phase(z), abs(z)))
+    first = {}
+    lift_piece = monodromy._lift_piece
+
+    def collide(jet, piece, z, d, tol):
+        if piece not in first:
+            first[piece] = lift_piece(jet, piece, z, d, tol)
+        return first[piece]
+
+    monkeypatch.setattr(monodromy, "_lift_piece", collide)
+    with pytest.raises(NonBijective) as info:
+        monodromy_group(B)
+    message = str(info.value)
+    assert "outward lifts of labels 0 and 1 both reach" in message
+    assert f"start label {labels[1]:.6f}, outward piece" in message
 
 
 def test_continuation_stable_under_step_halving():
     B = _two_value_chain()
     full = monodromy_group(B)
     assert [g.images for g in full.generators] == halved_step_images(B, full)
+
+
+# ------------------------------------------- generators as out^-1 o arc o out
+
+
+def _split(loop, parts):
+    """The loop with every piece, chord or arc, cut into parts equal pieces."""
+    pieces = []
+    for piece in loop.pieces:
+        cuts = [piece.at(k / parts) for k in range(parts + 1)]
+        pieces += [
+            dataclasses.replace(piece, start=p, end=q, sweep=piece.sweep / parts)
+            for p, q in zip(cuts, cuts[1:])
+        ]
+    return dataclasses.replace(loop, pieces=tuple(pieces))
+
+
+def _closed_loop_ends(B, mono, loop):
+    """For each label, the label its full closed-loop lift (return chords
+    included) ends on, or None where that lift fails or ends off the labels."""
+    row = []
+    for z0 in mono.labels:
+        try:
+            end = continue_branch(B, loop, z0)
+        except TrackingFailure:
+            row.append(None)
+            continue
+        dists = [abs(end - label) for label in mono.labels]
+        j = min(range(len(dists)), key=dists.__getitem__)
+        row.append(j if dists[j] < 1e-8 else None)
+    return row
+
+
+def _corpus():
+    rng = rng_for(2040)
+    for degree in (8, 8, 10, 10):
+        yield normalize(random_product(rng, degree, radius=0.8)).product
+    for levels in (3, 4, 5):
+        yield normalize(_tower(rng, levels)).product
+
+
+def test_generators_match_closed_loop_lifts_on_a_seeded_corpus():
+    # the group never lifts a return chord; lifting every closed loop in full
+    # must give the same permutation wherever it gives one at all
+    compared = 0
+    for B in _corpus():
+        try:
+            mono = monodromy_group(B)
+        except (TrackingFailure, NonBijective):
+            continue
+        for loop, generator in zip(mono.loops, mono.generators):
+            row = _closed_loop_ends(B, mono, loop)
+            if sorted(j for j in row if j is not None) == list(range(B.degree)):
+                assert tuple(row) == generator.images
+                compared += 1
+    assert compared >= 40
+
+
+def test_group_lifts_outward_chords_and_arcs_only(monkeypatch):
+    kinds = _counted_lifts(monkeypatch)
+    B = normalize(_tower(rng_for(2041), 3)).product
+    mono = monodromy_group(B)
+    n = B.degree
+    assert "return" not in kinds
+    outward = sum(p.kind == "outward" for loop in mono.loops for p in loop.pieces)
+    assert Counter(kinds) == {"outward": n * outward, "arc": 2 * n * len(mono.loops)}
+    assert any(p.kind == "return" for p in mono.loops[0].pieces)
+
+
+def test_product_whose_return_chord_jumps_gets_its_group():
+    # a seeded degree-6 product on which one full closed-loop lift jumps
+    # branch on its return chords, so lifting whole loops does not permute
+    B = normalize(random_product(rng_for(3042), 6, radius=0.8)).product
+    mono = monodromy_group(B)
+    rows = [_closed_loop_ends(B, mono, loop) for loop in mono.loops]
+    assert any(sorted(row) != list(range(6)) for row in rows)
+
+    # with every piece cut 4 or 8 ways the full lifts agree with the
+    # generators on every branch they carry back to a label
+    for parts in (4, 8):
+        checked = 0
+        for loop, generator in zip(mono.loops, mono.generators):
+            ends = _closed_loop_ends(B, mono, _split(loop, parts))
+            for image, j in zip(generator.images, ends):
+                if j is not None:
+                    assert j == image
+                    checked += 1
+        assert checked == 6 * len(mono.loops)
+
+    # five critical points in the disk with five distinct values: each
+    # value has one simple point, so Riemann-Hurwitz asks for a
+    # transposition per loop, and the group must be transitive
+    cd = critical_data(B)
+    assert len(cd.points_in_disk) == len(cd.distinct_values) == 5
+    assert len(mono.generators) == 5
+    assert all(g.cycle_type() == (2, 1, 1, 1, 1) for g in mono.generators)
+    assert mono.group.is_transitive()
 
 
 # -------------------------------------------------------------- monodromy group
@@ -649,39 +789,41 @@ def test_cross_validation_on_a_two_three_composite():
     assert not rows[2].factor_found
 
 
-def _counted_tracker(monkeypatch):
-    calls = []
+def _counted_lifts(monkeypatch):
+    """Record the kind of every piece monodromy_group lifts."""
+    kinds = []
+    lift_piece = monodromy._lift_piece
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return continue_branch(*args, **kwargs)
+    def counted(jet, piece, z, d, tol):
+        kinds.append(piece.kind)
+        return lift_piece(jet, piece, z, d, tol)
 
-    monkeypatch.setattr(monodromy, "continue_branch", counted)
-    return calls
+    monkeypatch.setattr(monodromy, "_lift_piece", counted)
+    return kinds
 
 
 def test_cross_validate_reuses_the_group(monkeypatch):
     # a product no other test tracks, so the first call below tracks it
-    calls = _counted_tracker(monkeypatch)
+    kinds = _counted_lifts(monkeypatch)
     B = normalize(_tower(rng_for(2031), 2)).product
     mono = monodromy_group(B)
-    assert len(calls) == len(mono.loops) * B.degree
-    calls.clear()
+    assert kinds.count("arc") == 2 * len(mono.loops) * B.degree
+    kinds.clear()
     cross = cross_validate(B)
-    assert calls == []
+    assert kinds == []
     assert cross.monodromy is mono is monodromy_group(B)
     assert cross.consistent
 
 
 def test_refusal_is_tracked_again(monkeypatch):
     # a refusal is not kept: every call tracks and raises anew
-    calls = _counted_tracker(monkeypatch)
+    kinds = _counted_lifts(monkeypatch)
     refused = normalize(random_product(rng_for(2027), 7)).product
     for _ in range(2):
-        calls.clear()
+        kinds.clear()
         with pytest.raises(TrackingFailure):
             monodromy_group(refused)
-        assert calls
+        assert kinds
 
 
 def test_prime_degree_has_no_blocks():
