@@ -10,9 +10,9 @@ psi is steep (_lift_grid), so every grid cell is a guaranteed bracket.
 solve_levels solves any number of level sets at once: it brackets all
 n * len(lams) roots on that grid and solves them with _bracketed_newton, the
 one Newton kernel for every monotone circle equation here and in shiftop,
-and _certify, their one certificate.  Each pass evaluates B and the rate
-psi'(t) = sum_j (1 - |a_j|^2) / |e^{it} - a_j|^2 (a Poisson sum, positive
-for every product) with one broadcast over the zeros.
+and _certify, their one certificate.  Each pass reads B and psi' > 0
+(_poisson_rate) off one core._factor_array call; _arc_gain and _tangency,
+the summed arc gain and chord tangency point, serve shiftop and poncelet too.
 
 The next-preimage map g (send a circle point to the next solution of the same
 level set, counterclockwise) generates the full set of continuous circle maps
@@ -38,6 +38,7 @@ from .core import (
     ToleranceConfig,
     circle_samples,
     unit,
+    _factor_array,
     _tol,
 )
 from .errors import InputError, SolverFailure
@@ -66,16 +67,21 @@ _BASE_CELLS = 512
 _MAX_DEPTH = 64
 
 
-def _phase_gain(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    """The argument each factor (z - a_j)/(1 - conj(a_j) z) gains from its
-    value f1 at one circle point counterclockwise to its value f2 at
-    another, wrapped into [0, 2pi).
+def _poisson_rate(a: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """The Poisson sum psi' at circle points z, from their gaps z - a_j."""
+    return np.sum((1.0 - np.abs(a) ** 2) / (gap.real**2 + gap.imag**2), axis=-1)
 
-    Every factor turns once round the circle with increasing argument, so
-    across an arc shorter than a full turn its gain is exactly its wrapped
-    phase increment.
-    """
-    return np.angle(f2 * f1.conj()) % TAU
+
+def _arc_gain(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """The factors' summed argument gain from values f1 at one circle point
+    counterclockwise to f2 at another; each factor turns once round the circle
+    forwards, so on an arc short of a turn its wrapped increment is exact."""
+    return np.sum(np.angle(f2 * f1.conj()) % TAU, axis=-1)
+
+
+def _tangency(p, rate_p, q, rate_q):
+    """psi'-weighted mean of chord ends p, q: the chord's point on its envelope."""
+    return (p * rate_p + q * rate_q) / (rate_p + rate_q)
 
 
 @lru_cache(maxsize=64)
@@ -83,8 +89,8 @@ def _lift_grid(B: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
     """(ts, psi): the lift psi(t) on an increasing grid over [0, 2pi].
 
     psi is exact at every grid point: psi(0) = arg B(1) in [0, 2pi), read
-    off the unit-modulus factors at 1 (_circle_terms), plus each factor's
-    _phase_gain from 1 to e^{it}; the ends are exactly psi(0) and
+    off the unit-modulus factors at 1 (_circle_terms), plus the factors'
+    _arc_gain from 1 to e^{it}; the ends are exactly psi(0) and
     psi(0) + 2 pi n.  Of _BASE_CELLS equal cells, only those across
     which psi gains 0.5 or more are halved, repeatedly.  That terminates: a
     steep cell of _ULPS ulps, one still steep after _MAX_DEPTH halvings, or
@@ -94,12 +100,8 @@ def _lift_grid(B: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
     """
     a = np.asarray(B.zeros)
 
-    def factors(z):
-        return (z - a) / (1.0 - a.conj() * z)
-
     def lift(t):
-        gain = _phase_gain(at_one, factors(np.exp(1j * t)[:, None]))
-        return psi0 + np.sum(gain, axis=-1)
+        return psi0 + _arc_gain(f_one, _factor_array(a, np.exp(1j * t))[0])
 
     def refuse(why):
         top = max(abs(z) for z in B.zeros)
@@ -107,7 +109,7 @@ def _lift_grid(B: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
 
     # the factors at 1, (1 - a)/(1 - conj(a)), have no pole even for a zero
     # next to 1, where B.evaluate(1) would refuse
-    at_one = factors(1.0)
+    f_one = _factor_array(a, np.array(1.0))[0]
     psi0 = cmath.phase(complex(_circle_terms(B, np.array(1.0))[0])) % TAU
     ts = np.linspace(0.0, TAU, _BASE_CELLS + 1)
     psi = lift(ts)
@@ -148,16 +150,13 @@ def _circle_terms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """B(z) and psi' at circle points z, each from one broadcast over the zeros.
 
-    Every factor is renormalized to unit modulus, as BlaschkeProduct.evaluate
-    does on the circle.  psi' is the Poisson sum: on |z| = 1 the factor
-    (z - a)/(1 - conj(a) z) turns at rate (1 - |a|^2)/|z - a|^2.
+    Every factor of _factor_array is renormalized to unit modulus, as
+    BlaschkeProduct.evaluate does on the circle; psi' is _poisson_rate.
     """
     a = np.asarray(B.zeros)
-    gap = z[..., None] - a
-    factors = gap / (1.0 - a.conj() * z[..., None])
+    factors, gap, _ = _factor_array(a, z)
     factors /= np.abs(factors)
-    rate = np.sum((1.0 - np.abs(a) ** 2) / (gap.real**2 + gap.imag**2), axis=-1)
-    return B.gamma * np.prod(factors, axis=-1), rate
+    return B.gamma * np.prod(factors, axis=-1), _poisson_rate(a, gap)
 
 
 def argument_derivative(B: BlaschkeProduct, t):

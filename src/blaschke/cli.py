@@ -408,7 +408,9 @@ def cmd_decompose(obj, cfg: RunConfig) -> int:
         rows.append(row)
     report["divisors"] = rows
 
-    if any(abs(z) <= DEFAULT_TOL.identity_tol for z in B.zeros):
+    # the check reads the compressed shift on the model space of B(z)/z,
+    # which is empty at degree 1
+    if n >= 2 and any(abs(z) <= DEFAULT_TOL.identity_tol for z in B.zeros):
         ell = elliptical_implies_decomposable_check(B)
         report["elliptical_check"] = {
             "is_ellipse": ell.verdict.is_ellipse,

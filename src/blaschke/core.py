@@ -147,6 +147,14 @@ def circle_samples(count: int, offset: float = 0.0) -> list[complex]:
     return [cmath.exp(1j * (offset + 2.0 * math.pi * k / count)) for k in range(count)]
 
 
+def _factor_array(a: np.ndarray, z: np.ndarray):
+    """(gap/den, gap, den), gap = z - a_j and den = 1 - conj(a_j) z, along a
+    new last axis of z: the array factors, of which _jet is the scalar form."""
+    gap = z[..., None] - a
+    den = 1.0 - a.conj() * z[..., None]
+    return gap / den, gap, den
+
+
 @dataclass(frozen=True)
 class BlaschkeProduct:
     """A finite Blaschke product, stored as unimodular constant plus zero list.
@@ -184,7 +192,7 @@ class BlaschkeProduct:
         return self.evaluate(z, tol)
 
     def evaluate(self, z, tol: ToleranceConfig | None = None):
-        """Evaluate B(z), factor by factor (see _jet).
+        """Evaluate B(z) from its factors (_jet, or _factor_array for arrays).
 
         On the unit circle the result satisfies ||B(z)| - 1| <= a few ulps
         regardless of degree.  Raises PoleProximity when a denominator
@@ -201,18 +209,14 @@ class BlaschkeProduct:
 
     def _evaluate_array(self, z: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
+        f, _, den = _factor_array(np.asarray(self.zeros), z)
+        size = np.abs(den)
+        if np.any(size <= tol.root_tol):
+            k = int(np.argmin(size))
+            raise PoleProximity(z.flat[k // self.degree], size.flat[k])
         on_circle = np.abs(np.abs(z) - 1.0) <= _ON_CIRCLE_TOL
-        w = np.full(z.shape, self.gamma, dtype=complex)
-        for a in self.zeros:
-            den = 1.0 - np.conj(a) * z
-            if np.any(np.abs(den) <= tol.root_tol):
-                bad = z.flat[int(np.argmin(np.abs(den)))]
-                raise PoleProximity(bad, np.min(np.abs(den)))
-            f = (z - a) / den
-            if np.any(on_circle):
-                f = np.where(on_circle, f / np.abs(f), f)
-            w *= f
-        return w
+        f[on_circle] /= np.abs(f[on_circle])
+        return self.gamma * np.prod(f, axis=-1)
 
     def derivative(self, z, tol: ToleranceConfig | None = None):
         """Evaluate B'(z) at a scalar point (see _jet)."""
@@ -404,8 +408,8 @@ class CompositionChain:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError(f"invalid JSON: {exc}") from exc
-        if not isinstance(data, dict) or "factors" not in data:
-            raise InputError('chain JSON needs "factors"')
+        if not isinstance(data, dict) or not isinstance(data.get("factors"), list):
+            raise InputError('chain JSON needs a "factors" list')
         return CompositionChain(
             tuple(BlaschkeProduct._from_json_dict(d) for d in data["factors"])
         )
@@ -541,6 +545,13 @@ class RegularizedCheck:
         return self.ok
 
 
+def _zeros_separated(B: BlaschkeProduct, tol: ToleranceConfig) -> bool:
+    """Whether every two zeros of B lie more than cluster_tol apart."""
+    zs = np.array(B.zeros, dtype=complex)
+    gaps = np.abs(zs[:, None] - zs)[np.triu_indices(len(zs), 1)]
+    return bool(np.all(gaps > tol.cluster_tol))
+
+
 def is_regularized(
     B: BlaschkeProduct, tol: ToleranceConfig | None = None
 ) -> RegularizedCheck:
@@ -554,9 +565,7 @@ def is_regularized(
 
     tol = _tol(tol)
     zero_at_origin = abs(B.evaluate(0j, tol)) <= tol.identity_tol
-    zs = np.array(B.zeros, dtype=complex)
-    gaps = np.abs(zs[:, None] - zs)[np.triu_indices(len(zs), 1)]
-    simple = bool(np.all(gaps > tol.cluster_tol))
+    simple = _zeros_separated(B, tol)
     violating: list[tuple[complex, complex]] = []
     values = [v for v, _ in critical_data(B, tol).distinct_values]
     for i in range(len(values)):

@@ -49,6 +49,7 @@ from .core import (
     ToleranceConfig,
     _DisjointSets,
     _tol,
+    _zeros_separated,
 )
 from .critical import CriticalData, critical_data
 from .errors import (
@@ -527,9 +528,7 @@ def monodromy_group(
 def _monodromy_group(B: BlaschkeProduct, tol: ToleranceConfig) -> MonodromyResult:
     """monodromy_group's body, kept per (product, tolerances)."""
     n = B.degree
-    zeros = np.array(B.zeros, dtype=complex)
-    gaps = np.abs(zeros[:, None] - zeros)[np.triu_indices(n, 1)]
-    if gaps.size and gaps.min() <= tol.cluster_tol:
+    if not _zeros_separated(B, tol):
         raise DegenerateInput(
             "zeros must be simple and separated for branch labeling; "
             "normalize the product first"
@@ -538,7 +537,8 @@ def _monodromy_group(B: BlaschkeProduct, tol: ToleranceConfig) -> MonodromyResul
 
     cd = critical_data(B, tol)
     values = [v for v, _ in cd.distinct_values]
-    loops = build_loops(values, tol)
+    # a degree-1 product has no critical value: no loops, the trivial group
+    loops = build_loops(values, tol) if values else ()
 
     jet = B._jet
     generators = []

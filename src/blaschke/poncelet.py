@@ -15,10 +15,10 @@ the ratio of those rates, the psi'-weighted mean of its ends:
 
     e = (p psi'_p + q psi'_q) / (psi'_p + psi'_q),
 
-the formula shiftop uses for the numerical range, the skip-0 envelope of z
-times the zeros.  psi' > 0 on the circle and p != q, so e is a convex
-combination of two distinct circle points: no chord is stationary and no
-envelope point can leave the disk.
+circle._tangency, which shiftop uses for the numerical range, the skip-0
+envelope of z times the zeros.  psi' > 0 on the circle and p != q, so e is a
+convex combination of two distinct circle points: no chord is stationary and
+no envelope point can leave the disk.
 
 A sampled envelope is an EnvelopeCurve: read-only numpy arrays of the level
 angles, the tangency points and the chord ends, filled straight from the
@@ -51,6 +51,7 @@ from .circle import (
     CircleSolutionSet,
     invariant_orbit,
     solve_levels,
+    _tangency,
 )
 from .errors import InputError, VerificationFailure
 
@@ -170,11 +171,10 @@ def _envelope_from_table(skip: int, table: _LevelTable) -> EnvelopeCurve:
     hop = skip + 1
     p, rp = table.points, table.rate
     q, rq = np.roll(p, -hop, axis=0), np.roll(rp, -hop, axis=0)
-    e = (p * rp + q * rq) / (rp + rq)
     return EnvelopeCurve(
         skip,
         np.tile(table.t, len(p)),
-        e.ravel(),
+        _tangency(p, rp, q, rq).ravel(),
         np.stack((p, q), axis=-1).reshape(-1, 2),
     )
 

@@ -17,7 +17,8 @@ normal angles theta.  Which input takes which path:
   Shaffer and Voss 2018).  The chord with normal e^{i theta} joins
   e^{i(theta - delta)} to e^{i(theta + delta)}, where the lifted argument psi
   of C gains exactly 2 pi across the arc; its support value is cos(delta)
-  and its tangency point is the psi'-weighted mean of the two endpoints.
+  and its tangency point is circle._tangency, the psi'-weighted mean of the
+  two endpoints.
 * any other square array goes through a Hermitian eigen-sweep: for each
   direction, the top eigenpair of the Hermitian part of e^{-i theta} A gives
   both the support value and a boundary point.  The tests use it as the
@@ -31,8 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import TAU, _bracketed_newton, _certify, _phase_gain
-from .core import ToleranceConfig, format_float, _finite, _tol
+from .circle import (
+    TAU, _arc_gain, _bracketed_newton, _certify, _poisson_rate, _tangency
+)
+from .core import ToleranceConfig, format_float, _factor_array, _finite, _tol
 from .errors import EigensolverFailure, InputError
 
 __all__ = [
@@ -140,21 +143,15 @@ def _chord(a: np.ndarray, theta: np.ndarray, delta: np.ndarray):
     for C = z * prod (z - a_j)/(1 - conj(a_j) z), with psi the lifted argument
     of C on the circle.
 
-    Returns F = psi(theta + delta) - psi(theta - delta) - 2 pi, z1, z2 and
-    psi' at both ends (the Poisson sum, 1 for the z factor).  F needs no lift
-    grid: the z factor gains 2 delta and every other factor its
-    circle._phase_gain across the arc.
+    Returns F = psi(theta + delta) - psi(theta - delta) - 2 pi, the ends
+    stacked as z = (z1, z2) and psi' at both (circle._poisson_rate plus 1 for
+    the z factor).  F needs no lift grid: the z factor gains 2 delta and the
+    others their circle._arc_gain across the arc.
     """
-    z1 = np.exp(1j * (theta - delta))[:, None]
-    z2 = np.exp(1j * (theta + delta))[:, None]
-    gap1, gap2 = z1 - a, z2 - a
-    f1 = gap1 / (1.0 - a.conj() * z1)
-    f2 = gap2 / (1.0 - a.conj() * z2)
-    F = 2.0 * delta + np.sum(_phase_gain(f1, f2), axis=-1) - TAU
-    mass = 1.0 - np.abs(a) ** 2
-    rate1 = 1.0 + np.sum(mass / (gap1.real**2 + gap1.imag**2), axis=-1)
-    rate2 = 1.0 + np.sum(mass / (gap2.real**2 + gap2.imag**2), axis=-1)
-    return F, z1[:, 0], z2[:, 0], rate1, rate2
+    z = np.exp(1j * (theta + np.stack((-delta, delta))))
+    (f1, f2), gap, _ = _factor_array(a, z)
+    F = 2.0 * delta + _arc_gain(f1, f2) - TAU
+    return F, z, 1.0 + _poisson_rate(a, gap)
 
 
 def _tangency_sweep(zeros, theta: np.ndarray) -> tuple[list, list]:
@@ -170,8 +167,8 @@ def _tangency_sweep(zeros, theta: np.ndarray) -> tuple[list, list]:
     a = np.asarray(zeros, dtype=complex)
 
     def gap(live, d):
-        F, _, _, rate1, rate2 = _chord(a, theta[live], d)
-        return F, rate1 + rate2
+        F, _, rate = _chord(a, theta[live], d)
+        return F, rate[0] + rate[1]
 
     delta = _bracketed_newton(
         gap,
@@ -180,11 +177,11 @@ def _tangency_sweep(zeros, theta: np.ndarray) -> tuple[list, list]:
         np.full_like(theta, math.pi),
         theta,
     )
-    F, z1, z2, rate1, rate2 = _chord(a, theta, delta)
+    F, z, rate = _chord(a, theta, delta)
     _certify(
-        F, rate1 + rate2, lambda k: f"tangent chord at theta={float(theta[k])!r}"
+        F, rate[0] + rate[1], lambda k: f"tangent chord at theta={float(theta[k])!r}"
     )
-    points = (z1 * rate1 + z2 * rate2) / (rate1 + rate2)
+    points = _tangency(z[0], rate[0], z[1], rate[1])
     return (np.exp(-1j * theta) * points).real.tolist(), points.tolist()
 
 

@@ -237,6 +237,25 @@ def test_analyze_accepts_input_file(tmp_path):
     assert json.loads(r.stdout)["degree"] == 2
 
 
+def test_degree_one_monodromy_is_the_trivial_group(tmp_path):
+    src = tmp_path / "mobius.json"
+    src.write_text('{"gamma": [1, 0], "zeros": [[0, 0]]}')
+    r = run_cli("monodromy", "--input", str(src), "--out", str(tmp_path), cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    report = json.loads(r.stdout)
+    assert report["critical_values"] == [] and report["generators"] == []
+    assert report["order"] == 1 and report["transitive"] is True
+
+
+def test_degree_one_decompose_has_no_elliptical_check(tmp_path):
+    # the check reads the model space of B(z)/z, which is empty here
+    src = tmp_path / "mobius.json"
+    src.write_text('{"gamma": [1, 0], "zeros": [[0, 0]]}')
+    r = run_cli("decompose", "--input", str(src), "--out", str(tmp_path), cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == {"degree": 1, "divisors": []}
+
+
 # ------------------------------------------------------------------ exit codes
 
 
@@ -264,6 +283,15 @@ def test_missing_and_malformed_input_files(tmp_path):
     schema = tmp_path / "schema.json"
     schema.write_text('{"eggs": 3}')
     assert run_cli("analyze", "--input", str(schema), cwd=tmp_path).returncode == 2
+
+
+@pytest.mark.parametrize("factors", ["5", "null"])
+def test_chain_factors_must_be_a_list(tmp_path, factors):
+    src = tmp_path / "chain.json"
+    src.write_text(f'{{"factors": {factors}}}')
+    r = run_cli("analyze", "--input", str(src), cwd=tmp_path)
+    assert r.returncode == 2
+    assert r.stderr == 'input error: chain JSON needs a "factors" list\n'
 
 
 def test_zero_outside_disk_rejected(tmp_path):

@@ -1,8 +1,10 @@
 import cmath
 import dataclasses
 import importlib
+import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +100,52 @@ def test_evaluation_near_pole_guarded():
     B = BlaschkeProduct(1.0, (0.9 + 0j,))
     with pytest.raises(PoleProximity):
         B(1.0 / 0.9 + 0j)
+
+
+def test_array_evaluation_names_the_least_denominator():
+    from blaschke import PoleProximity
+
+    # both points are within root_tol of a pole; the second zero, at the
+    # second point, is the closer one
+    B = BlaschkeProduct(1.0, (1 - 1e-13 + 0j, (1 - 5e-14) * 1j))
+    with pytest.raises(PoleProximity) as info:
+        B(np.array([1.0 + 0j, 1j]))
+    assert info.value.z == 1j
+    assert abs(info.value.denominator) < 6e-14
+
+
+def test_array_evaluation_at_a_zero_is_zero_without_warnings():
+    B = BlaschkeProduct(1j, (0.3 + 0.4j, -0.5 + 0j))
+    z = np.array([0.3 + 0.4j, cmath.exp(0.7j), -0.5 + 0j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = B(z)
+    assert w[0] == 0 and w[2] == 0
+    # the circle point still has its factors renormalized to unit modulus
+    assert abs(abs(w[1]) - 1.0) <= 4e-16
+
+
+def test_factor_kernel_matches_mpmath_next_to_the_circle():
+    mpmath = pytest.importorskip("mpmath")
+    from blaschke.core import _factor_array
+
+    eps = np.finfo(float).eps
+    a = np.array([(1 - 1e-9) * cmath.exp(0.7j), 0.3 - 0.2j])
+    z = np.array(
+        [cmath.exp(0.7j), cmath.exp(1j * (0.7 + 1e-9)), a[0], 0.5 + 0j, -1 + 0j]
+    )
+    f, gap, den = _factor_array(a, z)
+    assert f.shape == gap.shape == den.shape == (5, 2)
+    with mpmath.workdps(50):
+        for (i, zi), (j, aj) in itertools.product(enumerate(z), enumerate(a)):
+            zm, am = mpmath.mpc(zi.real, zi.imag), mpmath.mpc(aj.real, aj.imag)
+            G, D = zm - am, 1 - mpmath.conj(am) * zm
+            F = G / D
+            # gap is exact up to rounding; den loses about eps absolute to
+            # cancellation, which is eps/|den| relative in the factor
+            assert abs(gap[i, j] - complex(G)) <= 2 * eps * abs(G)
+            assert abs(den[i, j] - complex(D)) <= 8 * eps
+            assert abs(f[i, j] - complex(F)) <= 8 * eps * abs(F) * (1 + 1 / abs(D))
 
 
 # ----------------------------------------------------------------- derivative
