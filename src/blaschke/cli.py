@@ -352,6 +352,11 @@ def cmd_nrange(obj, cfg: RunConfig) -> int:
             del zeros[i]
             origin_removed = True
             break
+    if origin_removed and not zeros:
+        raise InputError(
+            "nrange needs degree at least 2 when B(0) = 0: "
+            "the model space of B(z)/z is empty"
+        )
     A = shift_matrix(zeros)
     verdict = is_elliptical_range(A, cfg.lambda_samples)
     files = [_write(cfg, "nrange.csv", boundary_csv(verdict.sample))]

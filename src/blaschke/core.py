@@ -526,7 +526,8 @@ def normalize(B: BlaschkeProduct, tol: ToleranceConfig | None = None) -> Normali
     d0 = n2.derivative(0j, tol)
     if abs(d0) == 0.0:
         raise DegenerateInput("normalized derivative vanished at 0")
-    lam = d0.conjugate() / abs(d0)
+    # + 0j turns the -0.0 imaginary part of a real d0's conjugate into +0.0
+    lam = d0.conjugate() / abs(d0) + 0j
     product = BlaschkeProduct(unit(lam * n2.gamma), tuple(zeros_n))
     post = DiskAutomorphism(lam, alpha)
     return NormalizedForm(product, pre, post)

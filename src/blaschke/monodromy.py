@@ -5,15 +5,16 @@ the critical values lifts through each zero to a path ending at a (possibly
 different) zero, and the induced permutations of the zero labels generate the
 monodromy group.  One loop per distinct critical value suffices.
 
-Loops are lollipops: straight chords from 0 toward the value (with
-polygonal detours around any other critical value sitting in the corridor),
-one full counterclockwise circle as two exact half-turn arcs, and the same
-chords reversed.  Path lifting is unique, so the reversed chords lift to
-the inverse of the outward map: with out taking the labels to the fiber over
-the entry point e and arc the permutation of that fiber the two arcs give,
-each generator is out^-1 o arc o out.  monodromy_group therefore lifts the
-outward chords once per label and the arcs once per outward end, and no
-return chord; continue_branch lifts a whole closed loop.
+Loops are lollipops built from exact chords and arcs: straight chords from
+0 toward the value (with one exact arc round any other critical value
+sitting in the corridor), one full counterclockwise circle as two exact
+half-turn arcs, and the outward pieces reversed.  Path lifting is unique, so
+the reversed pieces lift to the inverse of the outward map: with out taking
+the labels to the fiber over the entry point e and arc the permutation of
+that fiber the two arcs give, each generator is out^-1 o arc o out.
+monodromy_group therefore lifts the outward pieces once per label and the
+arcs once per outward end, and no return piece; continue_branch lifts a
+whole closed loop.
 
 Lifting is a predictor-corrector tracker on B(z(t)) = gamma(t), one piece
 at a time under one step rule: Euler prediction through z' = gamma'/B'(z),
@@ -248,8 +249,9 @@ class LoopPiece:
     """One piece of a loop, traversed from start (s = 0) to end (s = 1).
 
     With sweep 0 the piece is the chord from start to end; otherwise it is
-    the arc that turns start counterclockwise by sweep about center, and it
-    ends exactly at the stored end, so consecutive pieces join bit-exactly.
+    the arc that turns start by sweep about center (counterclockwise when
+    sweep > 0, clockwise when sweep < 0), and it ends exactly at the stored
+    end, so consecutive pieces join bit-exactly.
     kind says where the piece lies: "outward", "arc" or "return".
     """
 
@@ -271,8 +273,9 @@ class LoopPiece:
     def distance(self, w: complex) -> float:
         """Distance from w to the piece."""
         if self.sweep:
-            turn = cmath.phase((w - self.center) / (self.start - self.center)) % TAU
-            if turn <= self.sweep:
+            # the turn from start to w about center, in the arc's own sense
+            turn = cmath.phase((w - self.center) / (self.start - self.center))
+            if abs(turn % math.copysign(TAU, self.sweep)) <= abs(self.sweep):
                 return abs(abs(w - self.center) - abs(self.start - self.center))
             return min(abs(w - self.start), abs(w - self.end))
         span = self.end - self.start
@@ -284,11 +287,11 @@ class LoopPiece:
 class LoopSpec:
     """Closed loop from 0 around one critical value, as a list of pieces.
 
-    The outward chords run from 0 to the entry point on the circle of the
-    given radius about target, with detours around bystander values drawn
-    as chords of that same radius; two exact half-turn arcs go once round
-    the circle counterclockwise, the second ending bit-exactly at the entry
-    point; the return chords retrace the outward ones.
+    The outward pieces run from 0 to the entry point on the circle of the
+    given radius about target, with one arc of that radius round each
+    bystander value in the way; two exact half-turn arcs go once round the
+    circle counterclockwise, ending bit-exactly at the entry point; the
+    return pieces are the outward ones reversed.
     """
 
     target: complex
@@ -301,17 +304,6 @@ class LoopSpec:
         return (self.pieces[0].start,) + tuple(p.end for p in self.pieces)
 
 
-def _detour_arc(w: complex, p1: complex, p2: complex, r: float) -> list[complex]:
-    t1 = cmath.phase(p1 - w)
-    sweep = math.remainder(cmath.phase(p2 - w) - t1, TAU)
-    steps = max(4, int(math.ceil(abs(sweep) / 0.3)))
-    return [w + r * cmath.exp(1j * (t1 + sweep * j / steps)) for j in range(1, steps)]
-
-
-def _chords(kind: str, points: list[complex]) -> list[LoopPiece]:
-    return [LoopPiece(kind, p, q) for p, q in zip(points, points[1:]) if p != q]
-
-
 def build_loops(
     values, tol: ToleranceConfig | None = None
 ) -> tuple[LoopSpec, ...]:
@@ -320,29 +312,26 @@ def build_loops(
     The radius is 0.45 of the smallest of: pairwise value distances, value
     distances to the unit circle, value distances to the base point 0.  Every
     loop therefore clears every other value by more than the radius.  A loop
-    is the outward chords from 0 to the entry point v - r v/|v| (detouring
-    round any value in the corridor), the circle about v as two half-turn
-    arcs through the entry point, and the outward chords reversed; every
-    piece must keep 0.9 r from every other value, or GeometryFailure.
+    is the outward chords from 0 to the entry point v - r v/|v| (with one arc
+    of radius r round each value in the corridor), the circle about v as two
+    half-turn arcs through the entry point, and the outward pieces reversed;
+    every piece must keep 0.9 r from every other value, or GeometryFailure.
     """
     tol = _tol(tol)
     vals = [complex(v) for v in values]
     if not vals:
         raise GeometryFailure("no critical values; nothing to loop around")
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if abs(vals[i] - vals[j]) <= tol.cluster_tol:
-                raise GeometryFailure(
-                    f"critical values {vals[i]} and {vals[j]} coincide; "
-                    "cluster before building loops"
-                )
-    margins = [1.0 - abs(v) for v in vals] + [abs(v) for v in vals]
-    pairwise = [
-        abs(vals[i] - vals[j])
-        for i in range(len(vals))
-        for j in range(i + 1, len(vals))
-    ]
-    tightest = min(margins + pairwise)
+    points = np.array(vals)
+    gaps = np.abs(points[:, None] - points)
+    gaps[np.diag_indices(len(vals))] = math.inf
+    i, j = sorted(map(int, np.unravel_index(np.argmin(gaps), gaps.shape)))
+    if gaps[i, j] <= tol.cluster_tol:
+        raise GeometryFailure(
+            f"critical values {vals[i]} and {vals[j]} coincide; "
+            "cluster before building loops"
+        )
+    moduli = np.abs(points)
+    tightest = float(min(gaps[i, j], moduli.min(), (1.0 - moduli).min()))
     if tightest <= tol.cluster_tol:
         raise GeometryFailure(
             "a critical value sits at the base point or on the circle; "
@@ -352,44 +341,47 @@ def build_loops(
 
     loops = []
     for v in vals:
+        others = [w for w in vals if w != v]
         u = v / abs(v)
         reach = abs(v) - r
-        outward: list[complex] = [0j]
         blockers = []
-        for w in vals:
-            if w is v:
-                continue
+        for w in others:
             along = (u.conjugate() * w).real
             perp = (u.conjugate() * w).imag
             if 0.0 < along < reach and abs(perp) < r:
                 blockers.append((along, perp, w))
         blockers.sort(key=lambda t: t[0])
+        outward = []
+        here = 0j
         for along, perp, w in blockers:
             half = math.sqrt(r * r - perp * perp)
             p1 = (along - half) * u
             p2 = (along + half) * u
-            outward.append(p1)
-            outward.extend(_detour_arc(w, p1, p2, r))
-            outward.append(p2)
+            sweep = math.remainder(cmath.phase(p2 - w) - cmath.phase(p1 - w), TAU)
+            outward.append(LoopPiece("outward", here, p1))
+            outward.append(LoopPiece("outward", p1, p2, w, sweep))
+            here = p2
         e = v - r * u
-        outward.append(e)
+        outward.append(LoopPiece("outward", here, e))
+        outward = [p for p in outward if p.start != p.end]
 
         opposite = v + (v - e)
-        pieces = (
-            _chords("outward", outward)
-            + [
-                LoopPiece("arc", e, opposite, v, math.pi),
-                LoopPiece("arc", opposite, e, v, math.pi),
-            ]
-            + _chords("return", outward[::-1])
-        )
-        for piece in pieces:
-            for w in vals:
-                if w is not v and piece.distance(w) < 0.9 * r:
+        arcs = [
+            LoopPiece("arc", e, opposite, v, math.pi),
+            LoopPiece("arc", opposite, e, v, math.pi),
+        ]
+        # the return pieces retrace the outward ones, so need no check
+        for piece in outward + arcs:
+            for w in others:
+                if piece.distance(w) < 0.9 * r:
                     raise GeometryFailure(
                         f"loop for {v} passes within {piece.distance(w):.3e} of {w}"
                     )
-        loops.append(LoopSpec(v, tuple(pieces), r))
+        back = [
+            LoopPiece("return", p.end, p.start, p.center, -p.sweep)
+            for p in reversed(outward)
+        ]
+        loops.append(LoopSpec(v, tuple(outward + arcs + back), r))
     return tuple(loops)
 
 
@@ -452,7 +444,7 @@ def continue_branch(
     start: complex,
     tol: ToleranceConfig | None = None,
 ) -> complex:
-    """Lift the whole closed loop, return chords included, through the fiber
+    """Lift the whole closed loop, return pieces included, through the fiber
     point start; returns the endpoint.
 
     Tracks B(z(t)) = gamma(t) piece by piece with an Euler predictor and a
@@ -464,7 +456,7 @@ def continue_branch(
     a step takes at most 3 evaluations, and halves when one takes more than
     5 or does not converge.  Underflow below 1e-9 or escape past |z| = 1.5
     raises TrackingFailure naming the loop's value, start and the piece.
-    monodromy_group does not call this: it lifts only the outward chords and
+    monodromy_group does not call this: it lifts only the outward pieces and
     the arcs, so this full closed-loop lift is an independent cross-check.
     """
     tol = _tol(tol)
@@ -508,13 +500,13 @@ def monodromy_group(
     values merged by the clustering fails this check.
 
     Each generator is read as out^-1 o arc o out (see the module
-    docstring): the outward chords are lifted from every label to points
+    docstring): the outward pieces are lifted from every label to points
     q_i over the loop's entry point e, which must be pairwise more than
     cluster_tol apart (else NonBijective, naming the outward piece); the
     two arcs are lifted from every q_i, and each arc end must satisfy
     |B(end) - e| <= 1e-10 (else TrackingFailure) and lie within a tenth of
     the smallest gap between the q of some q_j (else NonBijective, naming
-    the arc piece), and j is the image of label i.  No return chord is
+    the arc piece), and j is the image of label i.  No return piece is
     lifted.
 
     The result is kept per (product, tolerances), so asking again for an

@@ -247,6 +247,17 @@ def test_degree_one_monodromy_is_the_trivial_group(tmp_path):
     assert report["order"] == 1 and report["transitive"] is True
 
 
+def test_degree_one_nrange_names_the_empty_model_space(tmp_path):
+    src = tmp_path / "mobius.json"
+    src.write_text('{"gamma": [1, 0], "zeros": [[0, 0]]}')
+    r = run_cli("nrange", "--input", str(src), "--out", str(tmp_path), cwd=tmp_path)
+    assert r.returncode == 2
+    assert r.stderr == (
+        "input error: nrange needs degree at least 2 when B(0) = 0: "
+        "the model space of B(z)/z is empty\n"
+    )
+
+
 def test_degree_one_decompose_has_no_elliptical_check(tmp_path):
     # the check reads the model space of B(z)/z, which is empty here
     src = tmp_path / "mobius.json"

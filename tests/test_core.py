@@ -307,6 +307,14 @@ def test_normalize_reconstruction():
         assert abs(B(z) - post_inv(nf.product(nf.pre(z)))) < 1e-9
 
 
+def test_normalize_rotation_has_no_negative_zero():
+    # B = z has B'(0) = 1, whose conjugate carries imaginary part -0.0
+    rotation = normalize(BlaschkeProduct(1.0, (0j,))).post.rotation
+    assert rotation == 1
+    assert math.copysign(1.0, rotation.imag) == 1.0
+    assert format_float(rotation.imag) == "0"
+
+
 def test_regularized_examples():
     bad = BlaschkeProduct(1.0, (0j, 0.4 + 0j, 0.5 + 0j, 0.9 + 0j))
     check = is_regularized(bad)

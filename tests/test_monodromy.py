@@ -278,6 +278,10 @@ def _piece_samples(piece, count=64):
         [0.25 + 0j, 0.55 + 0j],
         [0.2 + 0.05j, 0.5 + 0.1j, 0.75 + 0.2j],
         [0.3, -0.2 + 0.4j, 0.1 - 0.5j],
+        # the detour of the loop round 0.55 turns counterclockwise, then
+        # clockwise
+        [0.25 + 0.02j, 0.55 + 0j],
+        [0.25 - 0.02j, 0.55 + 0j],
     ],
 )
 def test_loop_pieces_join_and_keep_their_clearance(vals):
@@ -289,6 +293,29 @@ def test_loop_pieces_join_and_keep_their_clearance(vals):
         kinds = [p.kind for p in pieces]
         k = kinds.index("arc")
         assert kinds == ["outward"] * k + ["arc", "arc"] + ["return"] * k
+        # the return pieces are the outward ones reversed
+        outward = pieces[:k]
+        assert pieces[k + 2 :] == tuple(
+            LoopPiece("return", p.end, p.start, p.center, -p.sweep)
+            for p in reversed(outward)
+        )
+        # one arc of radius r round each value in the corridor, from where
+        # the chord enters that circle to exactly where it leaves it
+        u = v / abs(v)
+        detours = [p for p in outward if p.sweep]
+        for w in sorted(map(complex, vals), key=lambda w: (u.conjugate() * w).real):
+            along, perp = (u.conjugate() * w).real, (u.conjugate() * w).imag
+            if w == v or not (0.0 < along < abs(v) - r and abs(perp) < r):
+                continue
+            arc = detours.pop(0)
+            half = math.sqrt(r * r - perp * perp)
+            assert arc.center == w
+            assert arc.start == (along - half) * u and arc.end == (along + half) * u
+            assert arc.at(1.0) == arc.end
+            assert 0.0 < abs(arc.sweep) <= math.pi
+            for z in _piece_samples(arc):
+                assert abs(z - w) == pytest.approx(r, rel=1e-12)
+        assert detours == []
         first, second = pieces[k], pieces[k + 1]
         entry = first.start
         assert first.sweep == second.sweep == math.pi
@@ -310,6 +337,19 @@ def test_loop_pieces_join_and_keep_their_clearance(vals):
                     gap = min(abs(z - w) for z in _piece_samples(piece))
                     assert gap >= 0.9 * r
                     assert piece.distance(w) == pytest.approx(gap, abs=r * 2e-3)
+
+
+@pytest.mark.parametrize("sweep", [-2.9, -1.2, -0.3, 0.3, 1.2, 2.9])
+def test_arc_distance_follows_the_sense_of_the_turn(sweep):
+    center, start = 0.1 - 0.2j, 0.35 + 0.05j
+    end = center + (start - center) * cmath.exp(1j * sweep)
+    arc = LoopPiece("outward", start, end, center, sweep)
+    samples = [arc.at(k / 4000) for k in range(4001)]
+    rng = rng_for(331)
+    for _ in range(200):
+        w = center + 0.6 * complex(*rng.uniform(-1.0, 1.0, 2))
+        gap = min(abs(z - w) for z in samples)
+        assert arc.distance(w) == pytest.approx(gap, abs=2e-4)
 
 
 def test_loop_count_matches_value_count():
@@ -728,9 +768,17 @@ PINNED_TOWERS = (
 
 def test_seeded_generators_are_pinned():
     rng = rng_for(2026)
+    detoured = 0
     for degree, expected in PINNED_RANDOM:
         B = normalize(random_product(rng, degree, radius=0.8)).product
-        assert tuple(g.images for g in monodromy_group(B).generators) == expected
+        res = monodromy_group(B)
+        assert tuple(g.images for g in res.generators) == expected
+        detoured += sum(
+            any(p.kind == "outward" and p.sweep for p in loop.pieces)
+            for loop in res.loops
+        )
+    # the pins cover loops that detour round a value in their corridor
+    assert detoured == 5
     for levels, expected in PINNED_TOWERS:
         B = normalize(_tower(rng, levels)).product
         res = monodromy_group(B)
