@@ -76,7 +76,7 @@ class GeometryFailure(BlaschkeError):
 
 
 class TrackingFailure(BlaschkeError):
-    """Analytic continuation stalled: step size underflowed."""
+    """Analytic continuation failed: the corrector missed its tolerance."""
 
 
 class NonBijective(BlaschkeError):

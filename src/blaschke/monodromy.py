@@ -17,14 +17,22 @@ arcs once per outward end, and no return piece; continue_branch lifts a
 whole closed loop.
 
 Lifting is a predictor-corrector tracker on B(z(t)) = gamma(t), one piece
-at a time under one step rule: Euler prediction through z' = gamma'/B'(z),
-Newton correction to |B(z) - gamma| <= 1e-12, with the step halved whenever
-correction labors and grown when it coasts.  The corrector is one-pass: each Newton iteration
-takes the residual and the slope from a single product-rule sweep over the
-factors, reading each factor's conj(a) and 1 - |a|^2 from the table the
-product built once, and the slope at the accepted point doubles as the next
-Euler predictor, so a step costs one sweep per iteration and no separate
-derivative evaluation.
+at a time under one step rule: from gamma_0 a step moves _STEP * rho along
+the piece, rho the distance from gamma_0 to the nearest critical value v.
+The branch of B^-1 through the current point is analytic on the disk of
+radius rho about gamma_0, as 1/conj(v) is farther still (|1 - conj(v) w|^2
+- |w - v|^2 = (1 - |w|^2)(1 - |v|^2) > 0 for |w| < 1), so every step stays
+where the branch is single-valued.  Each Newton iteration takes B and B'
+from one product-rule sweep over the factors' table, and the slope at the
+accepted point is the next Euler predictor's.  The corrector stops at
+|B - gamma| <= min(1e-12, rho / 1000), so it stays small beside the loops
+however close the critical values lie.
+
+The values looped round are the critical values clustered at _VALUE_GAP of
+the largest one, not at the absolute cluster_tol: a random product of
+degree 16 has all its critical values within 1e-3 of 0 and distinct ones
+come within 1e-9 of each other, while values that coincide (as in a
+composition) agree to about 1e-13 of the largest.
 
 monodromy_group keeps its last 64 results per (product, tolerances), so
 cross_validate after monodromy_group, or the CLI's one cross_validate,
@@ -40,7 +48,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -52,7 +60,7 @@ from .core import (
     _tol,
     _zeros_separated,
 )
-from .critical import CriticalData, critical_data
+from .critical import CriticalData, _cluster_values, critical_data
 from .errors import (
     DegenerateInput,
     GeometryFailure,
@@ -81,6 +89,8 @@ __all__ = [
 ]
 
 TAU = 2.0 * math.pi
+_STEP = 0.8  # a tracker step's share of the distance to the nearest value
+_VALUE_GAP = 1e-11  # values nearer than this share of the largest are one
 
 
 def _invert(images: tuple[int, ...]) -> tuple[int, ...]:
@@ -142,13 +152,15 @@ class Permutation:
 class PermutationGroup:
     """Group generated by a list of permutations on range(degree).
 
-    Every group question is read off one stabilizer chain, built by
-    deterministic Schreier-Sims on first use and cached (Sims 1970; Seress,
-    Permutation Group Algorithms, 2003).  Level i holds a base point b_i, the
-    strong generators fixing b_0 .. b_{i-1}, and a transversal: for each point
-    p of the basic orbit of b_i, a group element u with u(b_i) = p and its
-    inverse.  The order is the product of the basic-orbit sizes, and the
-    group is transitive when the first basic orbit holds every point.
+    The order is read off a stabilizer chain, built by deterministic
+    Schreier-Sims on first use and cached (Sims 1970; Seress, Permutation
+    Group Algorithms, 2003).  Level i holds a base point b_i, the strong
+    generators fixing b_0 .. b_{i-1}, and a transversal: for each point p of
+    the basic orbit of b_i, a group element u with u(b_i) = p and its
+    inverse; the order is the product of the basic-orbit sizes.  A primitive
+    group with a transposition among its generators is the symmetric group
+    (Jordan 1873), so its order needs no chain.  Transitivity is the orbit
+    of 0 under the generators.
     """
 
     def __init__(self, generators, degree: int):
@@ -205,7 +217,22 @@ class PermutationGroup:
                 self._extend(i + 1, tuple(w[s[x]] for x in u))
 
     def order(self) -> int:
+        if self._symmetric():
+            return math.factorial(self.degree)
         return math.prod(len(level[2]) for level in self._chain())
+
+    def _symmetric(self) -> bool:
+        """Whether a generator is a transposition and the group primitive,
+        which makes the group S_n (Jordan)."""
+        n = self.degree
+        return (
+            any(g.cycle_type()[:2] in ((2,), (2, 1)) for g in self.generators)
+            and self.is_transitive()
+            and all(
+                _minimal_system(self.generators, n, 0, j).count == 1
+                for j in range(1, n)
+            )
+        )
 
     def is_abelian(self) -> bool:
         gens = self.generators
@@ -214,9 +241,14 @@ class PermutationGroup:
         )
 
     def is_transitive(self) -> bool:
-        levels = self._chain()
-        orbit = len(levels[0][2]) if levels else 1
-        return orbit == self.degree
+        orbit, frontier = {0}, [0]
+        while frontier:
+            x = frontier.pop()
+            for g in self.generators:
+                if g.images[x] not in orbit:
+                    orbit.add(g.images[x])
+                    frontier.append(g.images[x])
+        return len(orbit) == self.degree
 
 
 @dataclass(frozen=True)
@@ -251,8 +283,9 @@ class LoopPiece:
     With sweep 0 the piece is the chord from start to end; otherwise it is
     the arc that turns start by sweep about center (counterclockwise when
     sweep > 0, clockwise when sweep < 0), and it ends exactly at the stored
-    end, so consecutive pieces join bit-exactly.
-    kind says where the piece lies: "outward", "arc" or "return".
+    end, so consecutive pieces join bit-exactly.  kind says where the piece
+    lies: "outward", "arc" or "return"; clear holds the critical values that
+    size the tracker's steps, and takes no part in equality.
     """
 
     kind: str
@@ -260,6 +293,14 @@ class LoopPiece:
     end: complex
     center: complex = 0j
     sweep: float = 0.0
+    clear: tuple[complex, ...] = field(default=(), compare=False, repr=False)
+
+    @property
+    def length(self) -> float:
+        """The length of the chord or the arc."""
+        if self.sweep:
+            return abs(self.sweep) * abs(self.start - self.center)
+        return abs(self.end - self.start)
 
     def at(self, s: float) -> complex:
         """The point a fraction s of the way along; exactly end at s = 1."""
@@ -311,7 +352,10 @@ def build_loops(
 
     The radius is 0.45 of the smallest of: pairwise value distances, value
     distances to the unit circle, value distances to the base point 0.  Every
-    loop therefore clears every other value by more than the radius.  A loop
+    loop therefore clears every other value by more than the radius.  Values
+    within _VALUE_GAP of the largest modulus of each other or of 0, a value
+    within root_tol of 0 (where a value counts as 0) or one within
+    cluster_tol of the circle raise GeometryFailure.  A loop
     is the outward chords from 0 to the entry point v - r v/|v| (with one arc
     of radius r round each value in the corridor), the circle about v as two
     half-turn arcs through the entry point, and the outward pieces reversed;
@@ -325,19 +369,19 @@ def build_loops(
     gaps = np.abs(points[:, None] - points)
     gaps[np.diag_indices(len(vals))] = math.inf
     i, j = sorted(map(int, np.unravel_index(np.argmin(gaps), gaps.shape)))
-    if gaps[i, j] <= tol.cluster_tol:
+    moduli = np.abs(points)
+    if gaps[i, j] <= _VALUE_GAP * moduli.max():
         raise GeometryFailure(
             f"critical values {vals[i]} and {vals[j]} coincide; "
             "cluster before building loops"
         )
-    moduli = np.abs(points)
-    tightest = float(min(gaps[i, j], moduli.min(), (1.0 - moduli).min()))
-    if tightest <= tol.cluster_tol:
+    base, rim = float(moduli.min()), float((1.0 - moduli).min())
+    if base <= max(tol.root_tol, _VALUE_GAP * moduli.max()) or rim <= tol.cluster_tol:
         raise GeometryFailure(
             "a critical value sits at the base point or on the circle; "
             "normalize the product first"
         )
-    r = 0.45 * tightest
+    r = 0.45 * min(float(gaps[i, j]), base, rim)
 
     loops = []
     for v in vals:
@@ -358,17 +402,17 @@ def build_loops(
             p1 = (along - half) * u
             p2 = (along + half) * u
             sweep = math.remainder(cmath.phase(p2 - w) - cmath.phase(p1 - w), TAU)
-            outward.append(LoopPiece("outward", here, p1))
-            outward.append(LoopPiece("outward", p1, p2, w, sweep))
+            outward.append(LoopPiece("outward", here, p1, clear=vals))
+            outward.append(LoopPiece("outward", p1, p2, w, sweep, vals))
             here = p2
         e = v - r * u
-        outward.append(LoopPiece("outward", here, e))
+        outward.append(LoopPiece("outward", here, e, clear=vals))
         outward = [p for p in outward if p.start != p.end]
 
         opposite = v + (v - e)
         arcs = [
-            LoopPiece("arc", e, opposite, v, math.pi),
-            LoopPiece("arc", opposite, e, v, math.pi),
+            LoopPiece("arc", e, opposite, v, math.pi, vals),
+            LoopPiece("arc", opposite, e, v, math.pi, vals),
         ]
         # the return pieces retrace the outward ones, so need no check
         for piece in outward + arcs:
@@ -378,7 +422,7 @@ def build_loops(
                         f"loop for {v} passes within {piece.distance(w):.3e} of {w}"
                     )
         back = [
-            LoopPiece("return", p.end, p.start, p.center, -p.sweep)
+            LoopPiece("return", p.end, p.start, p.center, -p.sweep, vals)
             for p in reversed(outward)
         ]
         loops.append(LoopSpec(v, tuple(outward + arcs + back), r))
@@ -394,36 +438,31 @@ def _where(loop: LoopSpec, start: complex, kind: str) -> str:
 
 def _lift_piece(jet, piece: LoopPiece, z: complex, d: complex, tol):
     """Lift one piece from the fiber point z, where B'(z) = d; returns the
-    lifted end point and B' there.  The only tracker loop (see
-    continue_branch for the step rule)."""
-    s, ds = 0.0, 0.2
-    g0 = piece.start
-    while True:
-        t = s + ds
-        if t >= 1.0 - 1e-15:
-            t = 1.0
-        g1 = piece.at(t)
-        trial = z if abs(d) < 1e-12 else z + (g1 - g0) / d
-        for iterations in range(1, 11):
-            value, slope = jet(trial, tol)
+    lifted end point and B' there.  The only tracker loop; a piece that
+    keeps clear of no value has rho = inf and is lifted in one step."""
+    length = piece.length
+    s, g0 = 0.0, piece.start
+    while s < 1.0:
+        rho = min((abs(g0 - v) for v in piece.clear), default=math.inf)
+        close = min(1e-12, rho / 1000.0)
+        reach = _STEP * rho
+        t = 1.0 if reach >= (1.0 - s) * length else s + reach / length
+        if t == s:
+            raise TrackingFailure(f"piece meets a critical value at gamma={g0:.6f}")
+        s, g1 = t, piece.at(t)
+        f = g0 - g1  # so the first Newton step is the Euler predictor
+        for _ in range(10):
+            z = z - f / d if d else z
+            value, d = jet(z, tol)
             f = value - g1
-            if abs(f) <= 1e-12 or abs(slope) < 1e-12:
+            if abs(f) <= close:
                 break
-            trial = trial - f / slope
-        if abs(trial) > 1.5:
+        else:
             raise TrackingFailure(
-                f"branch escaped the tracking region at |z|={abs(trial):.3f}"
+                f"corrector left |B - gamma|={abs(f):.3e} at gamma={g1:.6f}"
             )
-        if abs(f) > 1e-12 or iterations > 5:
-            ds = 0.5 * (t - s)
-            if ds < 1e-9:
-                raise TrackingFailure(f"step underflow near gamma={g0:.6f}")
-            continue
-        z, d, g0, s = trial, slope, g1, t
-        if t == 1.0:
-            return z, d
-        if iterations <= 3:
-            ds = min(1.5 * ds, 0.5)
+        g0 = g1
+    return z, d
 
 
 def _lift(jet, loop: LoopSpec, pieces, start: complex, z: complex, d: complex, tol):
@@ -447,15 +486,11 @@ def continue_branch(
     """Lift the whole closed loop, return pieces included, through the fiber
     point start; returns the endpoint.
 
-    Tracks B(z(t)) = gamma(t) piece by piece with an Euler predictor and a
-    Newton corrector (to 1e-12).  Every corrector iteration takes B and B'
-    from one pass over the factors (BlaschkeProduct._jet, over the
-    product's precomputed factor table), and the slope at the accepted point
-    is the next Euler predictor's.  One step rule holds on every piece, chord
-    or arc: the step starts at 0.2 of the piece, grows by 1.5 up to 0.5 when
-    a step takes at most 3 evaluations, and halves when one takes more than
-    5 or does not converge.  Underflow below 1e-9 or escape past |z| = 1.5
-    raises TrackingFailure naming the loop's value, start and the piece.
+    Tracks B(z(t)) = gamma(t) piece by piece under the step rule of the
+    module docstring, with an Euler predictor and a Newton corrector that
+    take B and B' from one pass over the factors (BlaschkeProduct._jet).  A
+    corrector that misses its tolerance in 10 iterations raises TrackingFailure
+    naming |B - gamma|, gamma, the loop's value, the start and the piece.
     monodromy_group does not call this: it lifts only the outward pieces and
     the arcs, so this full closed-loop lift is an independent cross-check.
     """
@@ -473,14 +508,15 @@ class MonodromyResult:
     group: PermutationGroup
 
 
-def _ramification_type(cd: CriticalData, k: int, n: int) -> tuple[int, ...]:
+def _ramification_type(
+    cd: CriticalData, index: list[int], k: int, n: int
+) -> tuple[int, ...]:
     """The cycle type Riemann-Hurwitz forces on the loop around the k-th
-    distinct critical value: one (m+1)-cycle per distinct critical point of
-    multiplicity m in that value's cluster, fixed points for the rest of the
-    fiber.  Lengths summing past n mean no loop can match."""
-    multiplicity = Counter(
-        p for p, c in zip(cd.points_in_disk, cd.cluster_index) if c == k
-    )
+    distinct critical value, index giving each critical point's value: one
+    (m+1)-cycle per distinct critical point of multiplicity m in that
+    value's cluster, fixed points for the rest of the fiber.  Lengths
+    summing past n mean no loop can match."""
+    multiplicity = Counter(p for p, c in zip(cd.points_in_disk, index) if c == k)
     cycles = sorted((m + 1 for m in multiplicity.values()), reverse=True)
     return tuple(cycles + [1] * (n - sum(cycles)))
 
@@ -494,20 +530,21 @@ def monodromy_group(
     Requires a product whose fiber over 0 is the zero set with all zeros
     simple (0 a regular value); normalize first otherwise.  Branch labels are
     the zeros sorted by (argument, modulus); one generator per distinct
-    critical value, values in (real, imag) order.  Each generator must have
-    the cycle type Riemann-Hurwitz gives for the critical points clustered
-    at its value, or VerificationFailure: a loop that encloses several
-    values merged by the clustering fails this check.
+    critical value, the values clustered at _VALUE_GAP of the largest (see
+    the module docstring) and taken in (real, imag) order.  Each generator
+    must have the cycle type Riemann-Hurwitz gives for the critical points
+    clustered at its value, or VerificationFailure: a loop that encloses
+    several values merged by the clustering fails this check.
 
     Each generator is read as out^-1 o arc o out (see the module
     docstring): the outward pieces are lifted from every label to points
     q_i over the loop's entry point e, which must be pairwise more than
     cluster_tol apart (else NonBijective, naming the outward piece); the
     two arcs are lifted from every q_i, and each arc end must satisfy
-    |B(end) - e| <= 1e-10 (else TrackingFailure) and lie within a tenth of
-    the smallest gap between the q of some q_j (else NonBijective, naming
-    the arc piece), and j is the image of label i.  No return piece is
-    lifted.
+    |B(end) - e| <= min(1e-10, r / 10), r the loop radius (else
+    TrackingFailure), and lie within a tenth of the smallest gap between
+    the q of some q_j (else NonBijective, naming the arc piece), and j is
+    the image of label i.  No return piece is lifted.
 
     The result is kept per (product, tolerances), so asking again for an
     equal product, as cross_validate does, tracks no branch; a refusal is
@@ -528,7 +565,9 @@ def _monodromy_group(B: BlaschkeProduct, tol: ToleranceConfig) -> MonodromyResul
     labels = tuple(sorted(B.zeros, key=lambda z: (cmath.phase(z), abs(z))))
 
     cd = critical_data(B, tol)
-    values = [v for v, _ in cd.distinct_values]
+    scale = max(map(abs, cd.values), default=0.0)
+    distinct, index = _cluster_values(list(cd.values), _VALUE_GAP * scale)
+    values = [v for v, _ in distinct]
     # a degree-1 product has no critical value: no loops, the trivial group
     loops = build_loops(values, tol) if values else ()
 
@@ -558,7 +597,7 @@ def _monodromy_group(B: BlaschkeProduct, tol: ToleranceConfig) -> MonodromyResul
         for z0, (q, d) in zip(labels, over_entry):
             end, _ = _lift(jet, loop, arcs, z0, q, d, tol)
             residual = abs(B.evaluate(end, tol) - entry)
-            if residual > 1e-10:
+            if residual > min(1e-10, loop.radius / 10.0):
                 raise TrackingFailure(
                     f"lifted endpoint is not in the fiber over the entry point: "
                     f"|B(end) - e|={residual:.3e}{_where(loop, z0, 'arc')}"
@@ -579,7 +618,7 @@ def _monodromy_group(B: BlaschkeProduct, tol: ToleranceConfig) -> MonodromyResul
                 f"{images[i]}{_where(loop, labels[i], 'arc')}"
             )
         generator = Permutation(tuple(images))
-        expected = _ramification_type(cd, len(generators), n)
+        expected = _ramification_type(cd, index, len(generators), n)
         if generator.cycle_type() != expected:
             raise VerificationFailure(
                 f"Riemann-Hurwitz: the loop around critical value "

@@ -7,12 +7,12 @@ suite is deterministic run to run.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import blaschke.monodromy as monodromy
 from blaschke import BlaschkeProduct, CompositionChain, ToleranceConfig
 from blaschke.monodromy import continue_branch
 
@@ -63,28 +63,25 @@ def sup_difference(f, g, points) -> float:
 
 def halved_step_images(B: BlaschkeProduct, result) -> list[tuple[int, ...]]:
     """The generator images of a MonodromyResult, lifted again along the same
-    loops with every piece, chord or arc, split in two at its midpoint.  Each
-    tracker step is a fraction of its piece, so this halves every step."""
+    whole closed loops with monodromy._STEP halved.  Every tracker step is
+    _STEP times the distance to the nearest critical value, so this halves
+    every step."""
     labels = result.labels
     images = []
-    for loop in result.loops:
-        split = []
-        for piece in loop.pieces:
-            mid = piece.at(0.5)
-            half = piece.sweep / 2
-            split += [
-                dataclasses.replace(piece, end=mid, sweep=half),
-                dataclasses.replace(piece, start=mid, sweep=half),
-            ]
-        halved = dataclasses.replace(loop, pieces=tuple(split))
-        row = []
-        for z0 in labels:
-            end = continue_branch(B, halved, z0)
-            dists = [abs(end - label) for label in labels]
-            j = min(range(len(labels)), key=dists.__getitem__)
-            assert dists[j] < 1e-8
-            row.append(j)
-        images.append(tuple(row))
+    step = monodromy._STEP
+    monodromy._STEP = step / 2
+    try:
+        for loop in result.loops:
+            row = []
+            for z0 in labels:
+                end = continue_branch(B, loop, z0)
+                dists = [abs(end - label) for label in labels]
+                j = min(range(len(labels)), key=dists.__getitem__)
+                assert dists[j] < 1e-8
+                row.append(j)
+            images.append(tuple(row))
+    finally:
+        monodromy._STEP = step
     return images
 
 

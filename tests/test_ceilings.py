@@ -1,0 +1,64 @@
+"""Seeded corpora that pin the degree up to which each pipeline certifies.
+
+A pipeline that moves its ceiling edits its table here and says so.
+"""
+
+import cmath
+import math
+
+from blaschke import BlaschkeProduct, normalize
+from blaschke.critical import critical_data
+from blaschke.monodromy import monodromy_group
+
+from conftest import TAU, random_product, rng_for
+from test_decompose import _tower
+
+# monodromy: every product drawn gets a group
+MONODROMY_RANDOM_DEGREES = (8, 10, 12)
+MONODROMY_RANDOM_PER_DEGREE = 12
+MONODROMY_TOWER_LEVELS = (5, 5, 6, 6)
+
+
+def test_monodromy_certifies_random_products_to_degree_12():
+    # radius 0.8, drawn in sequence from one generator: 12 of degree 8,
+    # then 12 of degree 10, then 12 of degree 12
+    rng = rng_for(2040)
+    for n in MONODROMY_RANDOM_DEGREES:
+        for _ in range(MONODROMY_RANDOM_PER_DEGREE):
+            B = normalize(random_product(rng, n, radius=0.8)).product
+            mono = monodromy_group(B)
+            assert len(mono.generators) == len(critical_data(B).distinct_values)
+            assert mono.group.is_transitive()
+
+
+def test_monodromy_certifies_random_products_of_degree_16():
+    # zero moduli uniform on [0, 0.8), as in the benchmark, rather than
+    # uniform in area: the zeros crowd the origin, every critical value lies
+    # within about 1e-3 of 0 and distinct ones come within 1e-9 of each
+    # other, closer than cluster_tol; each of the 15 simple critical points
+    # still gets its own loop
+    rng = rng_for(2042)
+    for _ in range(MONODROMY_RANDOM_PER_DEGREE):
+        zeros = tuple(
+            rng.uniform(0.0, 0.8) * cmath.exp(1j * rng.uniform(0.0, TAU))
+            for _ in range(16)
+        )
+        gamma = cmath.exp(1j * rng.uniform(0.0, TAU))
+        B = normalize(BlaschkeProduct(gamma, zeros)).product
+        mono = monodromy_group(B)
+        assert len(mono.generators) == 15
+        assert all(g.cycle_type()[:2] == (2, 1) for g in mono.generators)
+        assert mono.group.order() == math.factorial(16)
+
+
+def test_monodromy_certifies_towers_to_degree_64():
+    # two towers of degree 32, then two of degree 64; the stabilizer chain
+    # takes over a second at degree 64, so only degree 32 checks the order
+    rng = rng_for(2041)
+    for levels in MONODROMY_TOWER_LEVELS:
+        B = normalize(_tower(rng, levels)).product
+        mono = monodromy_group(B)
+        assert len(mono.generators) == len(critical_data(B).distinct_values)
+        assert all(g.order() in (2, 4, 8, 16, 32, 64) for g in mono.generators)
+        if levels == 5:
+            assert mono.group.order() == 2**31
