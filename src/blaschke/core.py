@@ -149,7 +149,10 @@ def circle_samples(count: int, offset: float = 0.0) -> list[complex]:
 
 def _factor_array(a: np.ndarray, z: np.ndarray):
     """(gap/den, gap, den), gap = z - a_j and den = 1 - conj(a_j) z, along a
-    new last axis of z: the array factors, of which _jet is the scalar form."""
+    new last axis of z: the array factors, of which _jet is the scalar form.
+    The branch tracker passes the points of every (loop, label) row still
+    correcting, one Newton pass per call, and reads B = gamma * prod(gap/den)
+    and B' = B * sum (1 - |a_j|^2) / (gap * den) off the result."""
     gap = z[..., None] - a
     den = 1.0 - a.conj() * z[..., None]
     return gap / den, gap, den

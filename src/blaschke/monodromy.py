@@ -16,17 +16,21 @@ monodromy_group therefore lifts the outward pieces once per label and the
 arcs once per outward end, and no return piece; continue_branch lifts a
 whole closed loop.
 
-Lifting is a predictor-corrector tracker on B(z(t)) = gamma(t), one piece
-at a time under one step rule: from gamma_0 a step moves _STEP * rho along
-the piece, rho the distance from gamma_0 to the nearest critical value v.
-The branch of B^-1 through the current point is analytic on the disk of
-radius rho about gamma_0, as 1/conj(v) is farther still (|1 - conj(v) w|^2
-- |w - v|^2 = (1 - |w|^2)(1 - |v|^2) > 0 for |w| < 1), so every step stays
-where the branch is single-valued.  Each Newton iteration takes B and B'
-from one product-rule sweep over the factors' table, and the slope at the
-accepted point is the next Euler predictor's.  The corrector stops at
-|B - gamma| <= min(1e-12, rho / 1000), so it stays small beside the loops
-however close the critical values lie.
+Lifting is a predictor-corrector tracker on B(z(t)) = gamma(t) under one
+step rule: from gamma_0 a step moves _STEP * rho along the piece, rho the
+distance from gamma_0 to the nearest critical value v.  The branch of B^-1
+through the current point is analytic on the disk of radius rho about
+gamma_0, as 1/conj(v) is farther still (|1 - conj(v) w|^2 - |w - v|^2 =
+(1 - |w|^2)(1 - |v|^2) > 0 for |w| < 1), so every step stays where the
+branch is single-valued.  No step depends on the branch, so each loop's
+step schedule is built once and every (loop, label) row follows it in
+lock-step: one Newton pass is one core._factor_array call on all the rows
+still correcting, giving B and B', and the slope at the accepted point is
+the next Euler predictor.  The corrector stops at |B - gamma| <= rho / 1000
+between steps, which keeps the point on its branch, and at
+min(1e-12, rho / 1000) at the last step of each tracker call: the ends
+over the entry point, the arc ends and the end of continue_branch are the
+only points compared or returned.
 
 The values looped round are the critical values clustered at _VALUE_GAP of
 the largest one, not at the absolute cluster_tol: a random product of
@@ -57,6 +61,7 @@ from .core import (
     BlaschkeProduct,
     ToleranceConfig,
     _DisjointSets,
+    _factor_array,
     _tol,
     _zeros_separated,
 )
@@ -66,6 +71,7 @@ from .errors import (
     GeometryFailure,
     InputError,
     NonBijective,
+    PoleProximity,
     TrackingFailure,
     VerificationFailure,
 )
@@ -429,52 +435,139 @@ def build_loops(
     return tuple(loops)
 
 
-def _where(loop: LoopSpec, start: complex, kind: str) -> str:
-    return (
-        f"; loop around critical value {loop.target:.6f}, "
-        f"start label {complex(start):.6f}, {kind} piece"
-    )
+def _where(loop: LoopSpec, start, kind: str) -> str:
+    label = "" if start is None else f"start label {complex(start):.6f}, "
+    return f"; loop around critical value {loop.target:.6f}, {label}{kind} piece"
 
 
-def _lift_piece(jet, piece: LoopPiece, z: complex, d: complex, tol):
-    """Lift one piece from the fiber point z, where B'(z) = d; returns the
-    lifted end point and B' there.  The only tracker loop; a piece that
-    keeps clear of no value has rho = inf and is lifted in one step."""
-    length = piece.length
-    s, g0 = 0.0, piece.start
-    while s < 1.0:
-        rho = min((abs(g0 - v) for v in piece.clear), default=math.inf)
-        close = min(1e-12, rho / 1000.0)
-        reach = _STEP * rho
-        t = 1.0 if reach >= (1.0 - s) * length else s + reach / length
-        if t == s:
-            raise TrackingFailure(f"piece meets a critical value at gamma={g0:.6f}")
-        s, g1 = t, piece.at(t)
-        f = g0 - g1  # so the first Newton step is the Euler predictor
-        for _ in range(10):
-            z = z - f / d if d else z
-            value, d = jet(z, tol)
-            f = value - g1
-            if abs(f) <= close:
-                break
-        else:
-            raise TrackingFailure(
-                f"corrector left |B - gamma|={abs(f):.3e} at gamma={g1:.6f}"
-            )
-        g0 = g1
-    return z, d
+def _schedule(
+    loop: LoopSpec, kinds: tuple[str, ...]
+) -> list[tuple[complex, complex, float, str]]:
+    """(gamma from, gamma to, corrector bound, piece kind) of every tracker
+    step along the loop's pieces of the given kinds, in order, under the
+    step rule of the module docstring.  The bound is rho / 1000, and
+    min(1e-12, rho / 1000) at the last step, whose end is the only point a
+    caller compares or returns.  A piece of length zero takes no step; one
+    that keeps clear of no value has rho = inf and takes one."""
+    steps = []
+    for piece in loop.pieces:
+        length = piece.length
+        if piece.kind not in kinds or not length:
+            continue
+        s, g0 = 0.0, piece.start
+        while s < 1.0:
+            rho = min((abs(g0 - v) for v in piece.clear), default=math.inf)
+            reach = _STEP * rho
+            t = 1.0 if reach >= (1.0 - s) * length else s + reach / length
+            if t == s:
+                raise TrackingFailure(
+                    f"piece meets a critical value at gamma={g0:.6f}"
+                    f"{_where(loop, None, piece.kind)}"
+                )
+            s, g1 = t, piece.at(t)
+            steps.append((g0, g1, rho / 1000.0, piece.kind))
+            g0 = g1
+    if steps:
+        g0, g1, close, kind = steps[-1]
+        steps[-1] = (g0, g1, min(1e-12, close), kind)
+    return steps
 
 
-def _lift(jet, loop: LoopSpec, pieces, start: complex, z: complex, d: complex, tol):
-    """Lift pieces in turn from the fiber point z, where B'(z) = d, on the
-    branch through the label start; returns the end point and B' there.  A
-    TrackingFailure names the loop's value, start and the failing piece."""
-    for piece in pieces:
-        try:
-            z, d = _lift_piece(jet, piece, z, d, tol)
-        except TrackingFailure as exc:
-            raise TrackingFailure(f"{exc}{_where(loop, start, piece.kind)}") from None
-    return z, d
+def _jets(B: BlaschkeProduct, table, z, tol: ToleranceConfig):
+    """B and B' at every point of z from one core._factor_array call:
+    B = gamma * prod f and B' = B * sum (1 - |a|^2) / (gap * den), table
+    holding the zeros a, 1 - |a|^2 and max |a|.  B'/B has a pole at the
+    zeros of B, so B' is NaN at a zero.  A denominator at or below root_tol
+    raises PoleProximity; as |den| >= 1 - |a| |z|, the denominators are
+    measured only when that bound cannot clear them."""
+    a, gain, a_max = table
+    factors, gap, den = _factor_array(a, z)
+    if not np.abs(z).max() * a_max < 1.0 - 2.0 * tol.root_tol:
+        size = np.abs(den)
+        if size.min() <= tol.root_tol:
+            i, j = np.unravel_index(np.argmin(size), size.shape)
+            raise PoleProximity(z[i], den[i, j])
+    value = B.gamma * factors.prod(axis=-1)
+    den *= gap
+    return value, value * np.divide(gain, den, out=den).sum(axis=-1)
+
+
+def _track(B: BlaschkeProduct, loops, kinds, labels, z, d, tol: ToleranceConfig):
+    """Lift every (loop, label) row along its loop's pieces of the given
+    kinds, all rows in lock-step; z and d are (loops x labels) arrays of the
+    start points and B' there, and the end points and B' there come back in
+    the same shape.
+
+    Each loop's step schedule is built once (_schedule) and every row of
+    the loop follows it.  One Newton pass evaluates B = gamma * prod f and
+    B' = B * sum (1 - |a|^2) / (gap * den) at every row still correcting in
+    one core._factor_array call; B'/B has a pole at the zeros, so a start
+    at a zero brings its slope.  With B' = 0 a row takes no Newton step.  A
+    row stops correcting once |B - gamma| <= its step's bound, so a NaN row
+    never does: it fails at once when B or B' is not finite, and any row
+    fails after 10 iterations.  The first failing row in (loop, label)
+    order at the earliest failing step raises TrackingFailure naming
+    |B - gamma|, gamma, the loop's value, the start label and the piece.  A
+    denominator at or below root_tol raises PoleProximity, as in
+    BlaschkeProduct._jet.
+    """
+    n = len(labels)
+    plans = [_schedule(loop, kinds) for loop in loops]
+    count = np.array([len(plan) for plan in plans], dtype=int)
+    depth = int(count.max(initial=0))
+    # step k of loop l corrects from gamma[l, k, 0] to gamma[l, k, 1];
+    # a loop with fewer steps is padded, and its rows sit those steps out
+    gamma = np.zeros((len(loops), depth, 2), dtype=complex)
+    bound = np.zeros((len(loops), depth))
+    for l, plan in enumerate(plans):
+        for k, (g0, g1, close, _) in enumerate(plan):
+            gamma[l, k] = g0, g1
+            bound[l, k] = close
+    a = np.asarray(B.zeros)
+    table = (a, 1.0 - np.abs(a) ** 2, np.abs(a).max())
+    z = np.array(z, dtype=complex).reshape(-1)
+    d = np.array(d, dtype=complex).reshape(-1)
+    row_loop = np.repeat(np.arange(len(loops)), n)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(depth):
+            at = np.flatnonzero(count[row_loop] > k)  # the rows correcting
+            loop_of = row_loop[at]
+            target, close = gamma[loop_of, k, 1], bound[loop_of, k]
+            # so the first Newton step is the Euler predictor
+            f = gamma[loop_of, k, 0] - target
+            zl, dl = z[at], d[at]
+            failed = []
+            for _ in range(10):
+                zl = zl - np.divide(f, dl, out=np.zeros_like(f), where=dl != 0)
+                value, dl = _jets(B, table, zl, tol)
+                f = value - target
+                z[at], d[at] = zl, dl
+                # written so that a NaN row never settles; B' is B times a
+                # sum, so it is not finite when B is not
+                unsettled = ~(np.abs(f) <= close)
+                if not unsettled.any():
+                    break
+                broken = unsettled & ~np.isfinite(dl)
+                failed += [
+                    (r, e, g, ", B or B' not finite")
+                    for r, e, g in zip(at[broken], f[broken], target[broken])
+                ]
+                keep = unsettled & ~broken
+                at, zl, dl, f, target, close = (
+                    x[keep] for x in (at, zl, dl, f, target, close)
+                )
+                if not at.size:
+                    break
+            else:
+                failed += [(r, e, g, "") for r, e, g in zip(at, f, target)]
+            if failed:
+                r, e, g, note = min(failed, key=lambda row: row[0])
+                raise TrackingFailure(
+                    f"corrector left |B - gamma|={abs(e):.3e} at gamma={g:.6f}{note}"
+                    f"{_where(loops[r // n], labels[r % n], plans[r // n][k][3])}"
+                )
+    return z.reshape(len(loops), n), d.reshape(len(loops), n)
 
 
 def continue_branch(
@@ -486,18 +579,21 @@ def continue_branch(
     """Lift the whole closed loop, return pieces included, through the fiber
     point start; returns the endpoint.
 
-    Tracks B(z(t)) = gamma(t) piece by piece under the step rule of the
-    module docstring, with an Euler predictor and a Newton corrector that
-    take B and B' from one pass over the factors (BlaschkeProduct._jet).  A
-    corrector that misses its tolerance in 10 iterations raises TrackingFailure
-    naming |B - gamma|, gamma, the loop's value, the start and the piece.
-    monodromy_group does not call this: it lifts only the outward pieces and
-    the arcs, so this full closed-loop lift is an independent cross-check.
+    The tracker of monodromy_group (_track) with one row: the loop's step
+    schedule under the rule of the module docstring, an Euler predictor and
+    a Newton corrector on B and B' from one array pass over the factors,
+    the start slope from BlaschkeProduct._jet.  Only the end is held to
+    |B - gamma| <= min(1e-12, rho / 1000).  A corrector that misses its
+    bound in 10 iterations raises TrackingFailure naming |B - gamma|, gamma,
+    the loop's value, the start and the piece.  monodromy_group lifts only
+    the outward pieces and the arcs, so this full closed-loop lift is an
+    independent cross-check.
     """
     tol = _tol(tol)
-    jet = B._jet
     z = complex(start)
-    return _lift(jet, loop, loop.pieces, z, z, jet(z, tol)[1], tol)[0]
+    kinds = ("outward", "arc", "return")
+    end, _ = _track(B, (loop,), kinds, (z,), [[z]], [[B._jet(z, tol)[1]]], tol)
+    return complex(end[0, 0])
 
 
 @dataclass(frozen=True)
@@ -537,14 +633,20 @@ def monodromy_group(
     several values merged by the clustering fails this check.
 
     Each generator is read as out^-1 o arc o out (see the module
-    docstring): the outward pieces are lifted from every label to points
-    q_i over the loop's entry point e, which must be pairwise more than
-    cluster_tol apart (else NonBijective, naming the outward piece); the
-    two arcs are lifted from every q_i, and each arc end must satisfy
+    docstring), from two tracker calls over all loops at once, every row
+    (loop, label) following its loop's step schedule in lock-step: the
+    outward pieces are lifted from every label to points q_i over the
+    loop's entry point e, which must be pairwise more than cluster_tol
+    apart (else NonBijective, naming the outward piece); then the two arcs
+    are lifted from every q_i, and each arc end must satisfy
     |B(end) - e| <= min(1e-10, r / 10), r the loop radius (else
     TrackingFailure), and lie within a tenth of the smallest gap between
     the q of some q_j (else NonBijective, naming the arc piece), and j is
-    the image of label i.  No return piece is lifted.
+    the image of label i.  No return piece is lifted.  The start slopes
+    come from BlaschkeProduct._jet, once per label.  The outward pieces of
+    every loop are lifted before any outward ends are compared, and the arcs
+    of every loop before any generator is read, so a TrackingFailure on one
+    loop can come before the refusal an earlier loop would give.
 
     The result is kept per (product, tolerances), so asking again for an
     equal product, as cross_validate does, tracks no branch; a refusal is
@@ -571,17 +673,14 @@ def _monodromy_group(B: BlaschkeProduct, tol: ToleranceConfig) -> MonodromyResul
     # a degree-1 product has no critical value: no loops, the trivial group
     loops = build_loops(values, tol) if values else ()
 
-    jet = B._jet
-    generators = []
-    for loop in loops:
-        outward = [p for p in loop.pieces if p.kind == "outward"]
-        arcs = [p for p in loop.pieces if p.kind == "arc"]
-        entry = arcs[0].start
-        # out: each label to its point over the entry point, with B' there
-        over_entry = [
-            _lift(jet, loop, outward, z0, z0, jet(z0, tol)[1], tol) for z0 in labels
-        ]
-        ends = np.array([q for q, _ in over_entry])
+    # out: every label to its point over each loop's entry point, the start
+    # slopes taken once per label
+    shape = (len(loops), n)
+    starts = np.broadcast_to(labels, shape)
+    slopes = np.broadcast_to([B._jet(z0, tol)[1] for z0 in labels], shape)
+    over_entry, slope = _track(B, loops, ("outward",), labels, starts, slopes, tol)
+    match_tol = []
+    for loop, ends in zip(loops, over_entry):
         apart = np.abs(ends[:, None] - ends)
         apart[np.diag_indices(n)] = math.inf
         i, k = sorted(map(int, np.unravel_index(np.argmin(apart), apart.shape)))
@@ -590,26 +689,28 @@ def _monodromy_group(B: BlaschkeProduct, tol: ToleranceConfig) -> MonodromyResul
                 f"outward lifts of labels {i} and {k} both reach "
                 f"{ends[i]:.6f}{_where(loop, labels[k], 'outward')}"
             )
-        match_tol = float(apart[i, k]) / 10.0
-        # arc, then out^-1: the arc end over the entry point names the label
-        # whose outward lift reaches it
-        images = []
-        for z0, (q, d) in zip(labels, over_entry):
-            end, _ = _lift(jet, loop, arcs, z0, q, d, tol)
-            residual = abs(B.evaluate(end, tol) - entry)
-            if residual > min(1e-10, loop.radius / 10.0):
+        match_tol.append(float(apart[i, k]) / 10.0)
+    # arc, then out^-1: the arc end over the entry point names the label
+    # whose outward lift reaches it
+    arc_ends, _ = _track(B, loops, ("arc",), labels, over_entry, slope, tol)
+    generators = []
+    for loop, ends, lifted, near in zip(loops, over_entry, arc_ends, match_tol):
+        entry = next(p.start for p in loop.pieces if p.kind == "arc")
+        residual = np.abs(B.evaluate(lifted, tol) - entry)
+        dists = np.abs(lifted[:, None] - ends)
+        images = np.argmin(dists, axis=1)
+        for z0, end, res, j, row in zip(labels, lifted, residual, images, dists):
+            if not res <= min(1e-10, loop.radius / 10.0):
                 raise TrackingFailure(
                     f"lifted endpoint is not in the fiber over the entry point: "
-                    f"|B(end) - e|={residual:.3e}{_where(loop, z0, 'arc')}"
+                    f"|B(end) - e|={res:.3e}{_where(loop, z0, 'arc')}"
                 )
-            dists = np.abs(ends - end)
-            j = int(np.argmin(dists))
-            if dists[j] > match_tol:
+            if not row[j] <= near:
                 raise NonBijective(
                     f"endpoint {end:.6f} matches no outward end within "
-                    f"{match_tol:.3e}{_where(loop, z0, 'arc')}"
+                    f"{near:.3e}{_where(loop, z0, 'arc')}"
                 )
-            images.append(j)
+        images = images.tolist()
         if sorted(images) != list(range(n)):
             i = next(i for i, j in enumerate(images) if j in images[:i])
             raise NonBijective(

@@ -17,6 +17,7 @@ from test_decompose import _tower
 MONODROMY_RANDOM_DEGREES = (8, 10, 12)
 MONODROMY_RANDOM_PER_DEGREE = 12
 MONODROMY_TOWER_LEVELS = (5, 5, 6, 6)
+MONODROMY_TOP_TOWER_LEVELS = 7
 
 
 def test_monodromy_certifies_random_products_to_degree_12():
@@ -62,3 +63,14 @@ def test_monodromy_certifies_towers_to_degree_64():
         assert all(g.order() in (2, 4, 8, 16, 32, 64) for g in mono.generators)
         if levels == 5:
             assert mono.group.order() == 2**31
+
+
+def test_monodromy_certifies_a_tower_of_degree_128():
+    # every branch of every loop is lifted in lock-step, so a degree-128
+    # tower gets its group in well under a second; order() is left out, as
+    # the stabilizer chain takes about 9 s there
+    B = normalize(_tower(rng_for(2043), MONODROMY_TOP_TOWER_LEVELS)).product
+    mono = monodromy_group(B)
+    assert B.degree == 128
+    assert len(mono.generators) == len(critical_data(B).distinct_values)
+    assert all(g.order() & (g.order() - 1) == 0 for g in mono.generators)

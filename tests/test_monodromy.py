@@ -4,6 +4,7 @@ import itertools
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import blaschke.cli as cli
@@ -416,24 +417,32 @@ def test_tracker_takes_value_and_slope_from_one_pass(monkeypatch):
 
 
 def test_tracker_step_budget_on_a_degree_8_tower(monkeypatch):
-    # one step rule over a few long pieces takes about 1600 evaluations of B
-    # for these 24 lifts; a circle of 24 chords, each restarting the step,
-    # takes about 8800
+    # one step rule over a few long pieces takes about 840 evaluations of B
+    # for these 24 lifts (1600 when every step corrected to 1e-12); a
+    # circle of 24 chords, each restarting the step, took about 8800.  Every
+    # evaluation is a row of the array kernel.
     B = normalize(_tower(rng_for(2034), 3)).product
     mono = monodromy_group(B)
-    calls = []
-    jet = BlaschkeProduct._jet
+    rows = []
+    kernel = monodromy._factor_array
 
-    def counted(self, z, tol):
-        calls.append(z)
-        return jet(self, z, tol)
+    def counted(a, z):
+        rows.append(z.size)
+        return kernel(a, z)
 
-    monkeypatch.setattr(BlaschkeProduct, "_jet", counted)
+    monkeypatch.setattr(monodromy, "_factor_array", counted)
     for loop in mono.loops:
         for z0 in mono.labels:
             continue_branch(B, loop, z0)
     assert len(mono.loops) * len(mono.labels) == 24
-    assert len(calls) < 4000
+    assert 0 < sum(rows) < 4000
+
+
+def _track_one(B, piece, z, d, tol):
+    """The tracker's end point and B' there, on one row through one piece."""
+    loop = LoopSpec(piece.end, (piece,), 0.0)
+    end, slope = monodromy._track(B, (loop,), (piece.kind,), (z,), [[z]], [[d]], tol)
+    return complex(end[0, 0]), complex(slope[0, 0])
 
 
 def test_tracker_refuses_where_it_cannot_step(tol):
@@ -441,19 +450,20 @@ def test_tracker_refuses_where_it_cannot_step(tol):
     B = BlaschkeProduct(1.0, (0j, 0.5 + 0j))
     (c,) = critical_data(B).points_in_disk
     v, d = B._jet(c, tol)
+    assert d == 0
     z, w = 0.1 + 0j, B.evaluate(0.1)
     slope = B._jet(z, tol)[1]
     # a piece of length zero leaves the point where it is
     point = LoopPiece("outward", w, w, clear=(v,))
-    assert monodromy._lift_piece(B._jet, point, z, slope, tol) == (z, slope)
+    assert _track_one(B, point, z, slope, tol) == (z, slope)
     # from the critical point, where B' = 0, there is no Newton step
     chord = LoopPiece("outward", v, 0.2 + 0j)
     with pytest.raises(TrackingFailure, match="corrector left"):
-        monodromy._lift_piece(B._jet, chord, c, d, tol)
+        _track_one(B, chord, c, d, tol)
     # steps toward a value on the piece shrink until they stop advancing
     through = LoopPiece("outward", w, 2 * v - w, clear=(v,))
     with pytest.raises(TrackingFailure, match="piece meets a critical value"):
-        monodromy._lift_piece(B._jet, through, z, slope, tol)
+        _track_one(B, through, z, slope, tol)
 
 
 def _outward_only(loop):
@@ -463,16 +473,16 @@ def _outward_only(loop):
 
 
 def test_tracker_failures_name_the_loop_the_label_and_the_piece(monkeypatch):
-    # steps of 1.5 times the distance to the nearest critical value leave
+    # steps of 4 times the distance to the nearest critical value leave
     # the disk on which the branch is analytic, and on this seeded degree-7
-    # product the corrector then misses 1e-12 in 10 iterations
+    # product the corrector then misses its bound in 10 iterations
     refused = normalize(random_product(rng_for(2027), 7)).product
     with monkeypatch.context() as patch:
-        patch.setattr(monodromy, "_STEP", 1.5)
+        patch.setattr(monodromy, "_STEP", 4.0)
         with pytest.raises(TrackingFailure) as info:
             monodromy_group(refused)
     message = str(info.value)
-    assert message.startswith("corrector left |B - gamma|=2.587e-07 at gamma=")
+    assert message.startswith("corrector left |B - gamma|=1.378e-03 at gamma=")
     assert "loop around critical value " in message
     assert "start label " in message
     assert message.endswith(" outward piece")
@@ -485,15 +495,15 @@ def test_tracker_failures_name_the_loop_the_label_and_the_piece(monkeypatch):
         loop.target: continue_branch(B, _outward_only(loop), labels[0])
         for loop in build_loops(v for v, _ in critical_data(B).distinct_values)
     }
-    lift_piece = monodromy._lift_piece
+    track = monodromy._track
 
-    def onto_first(jet, piece, z, d, tol):
-        if piece.kind == "arc":
-            z = first_end[piece.center]
-            return z, jet(z, tol)[1]
-        return lift_piece(jet, piece, z, d, tol)
+    def onto_first(B, loops, kinds, labels, z, d, tol):
+        if kinds == ("arc",):
+            ends = [[first_end[loop.target]] * len(labels) for loop in loops]
+            return np.array(ends), d
+        return track(B, loops, kinds, labels, z, d, tol)
 
-    monkeypatch.setattr(monodromy, "_lift_piece", onto_first)
+    monkeypatch.setattr(monodromy, "_track", onto_first)
     with pytest.raises(NonBijective) as info:
         monodromy_group(B)
     message = str(info.value)
@@ -506,20 +516,60 @@ def test_colliding_outward_lifts_are_not_injective(monkeypatch):
     # labels reach one point over the entry point
     B = normalize(_tower(rng_for(2037), 2)).product
     labels = sorted(B.zeros, key=lambda z: (cmath.phase(z), abs(z)))
-    first = {}
-    lift_piece = monodromy._lift_piece
+    track = monodromy._track
 
-    def collide(jet, piece, z, d, tol):
-        if piece not in first:
-            first[piece] = lift_piece(jet, piece, z, d, tol)
-        return first[piece]
+    def collide(B, loops, kinds, labels, z, d, tol):
+        ends, slopes = track(B, loops, kinds, labels, z, d, tol)
+        if kinds == ("outward",):
+            ends = np.repeat(ends[:, :1], len(labels), axis=1)
+            slopes = np.repeat(slopes[:, :1], len(labels), axis=1)
+        return ends, slopes
 
-    monkeypatch.setattr(monodromy, "_lift_piece", collide)
+    monkeypatch.setattr(monodromy, "_track", collide)
     with pytest.raises(NonBijective) as info:
         monodromy_group(B)
     message = str(info.value)
     assert "outward lifts of labels 0 and 1 both reach" in message
     assert f"start label {labels[1]:.6f}, outward piece" in message
+
+
+def _poisoned_first_pass(monkeypatch, row):
+    """Make the first Newton pass of the array kernel see NaN at one row."""
+    kernel = monodromy._factor_array
+    passes = []
+
+    def poisoned(a, z):
+        if not passes:
+            z = z.copy()
+            z[row] = complex("nan")
+        passes.append(z.size)
+        return kernel(a, z)
+
+    monkeypatch.setattr(monodromy, "_factor_array", poisoned)
+
+
+def test_a_non_finite_iterate_fails_its_row(monkeypatch):
+    # |B - gamma| is NaN on that row, and NaN <= bound is False, so the row
+    # must never count as converged: it fails at once, naming its loop and
+    # its label, before any point is compared
+    B = normalize(_tower(rng_for(2038), 2)).product
+    n = B.degree
+    with monkeypatch.context() as patch:
+        # every row is in the first pass, in (loop, label) order
+        _poisoned_first_pass(patch, n + 2)
+        with pytest.raises(TrackingFailure) as info:
+            monodromy_group(B)
+    mono = monodromy_group(B)
+    message = str(info.value)
+    assert message.startswith("corrector left |B - gamma|=nan at gamma=")
+    assert "B or B' not finite" in message
+    assert f"loop around critical value {mono.loops[1].target:.6f}" in message
+    assert message.endswith(f"start label {mono.labels[2]:.6f}, outward piece")
+
+    # one row round a whole loop fails the same way instead of returning NaN
+    _poisoned_first_pass(monkeypatch, 0)
+    with pytest.raises(TrackingFailure, match="B or B' not finite"):
+        continue_branch(B, mono.loops[0], mono.labels[0])
 
 
 def test_continuation_stable_under_step_halving():
@@ -910,16 +960,20 @@ def test_cross_validation_on_a_two_three_composite():
 
 
 def _counted_lifts(monkeypatch):
-    """Record the kind of every piece monodromy_group lifts."""
-    kinds = []
-    lift_piece = monodromy._lift_piece
+    """Record the kind of every piece monodromy_group lifts, once per row
+    (loop, label) that the tracker lifts along it."""
+    lifted = []
+    track = monodromy._track
 
-    def counted(jet, piece, z, d, tol):
-        kinds.append(piece.kind)
-        return lift_piece(jet, piece, z, d, tol)
+    def counted(B, loops, kinds, labels, z, d, tol):
+        for loop in loops:
+            for piece in loop.pieces:
+                if piece.kind in kinds:
+                    lifted.extend([piece.kind] * len(labels))
+        return track(B, loops, kinds, labels, z, d, tol)
 
-    monkeypatch.setattr(monodromy, "_lift_piece", counted)
-    return kinds
+    monkeypatch.setattr(monodromy, "_track", counted)
+    return lifted
 
 
 def test_cross_validate_reuses_the_group(monkeypatch):
