@@ -7,12 +7,22 @@ for every unimodular lambda.  Everything here rides on one object, a lifted
 any single point and kept once per product on a grid that is fine only where
 psi is steep (_lift_grid), so every grid cell is a guaranteed bracket.
 
+Arguments on the circle are read through w = 1 - a conj(z): for |z| = 1
+each factor is (z - a)/(1 - conj(a) z) = z w / conj(w), and Re w > 0 puts
+Arg w in (-pi/2, pi/2).  So a factor gains exactly Delta + 2 Arg(w2
+conj(w1)) across an arc of angle Delta, with no division and no wrap
+(_arc_gain sums the second term; each caller adds its own rotation part),
+and |w| = |z - a| gives psi' (_poisson_rate).  The lift grid here and the
+range sweep in shiftop need only these arguments.  _circle_terms,
+solve_levels' Newton offset and BlaschkeProduct.evaluate need B itself, so
+they keep core._factor_array.
+
 solve_levels solves any number of level sets at once: it brackets all
 n * len(lams) roots on that grid and solves them with _bracketed_newton, the
 one Newton kernel for every monotone circle equation here and in shiftop,
-and _certify, their one certificate.  Each pass reads B and psi' > 0
-(_poisson_rate) off one core._factor_array call; _arc_gain and _tangency,
-the summed arc gain and chord tangency point, serve shiftop and poncelet too.
+and _certify, their one certificate.  Each pass reads B and psi' > 0 off one
+_circle_terms call; _arc_gain and _tangency, the summed arc gain and chord
+tangency point, serve shiftop and poncelet too.
 
 The next-preimage map g (send a circle point to the next solution of the same
 level set, counterclockwise) generates the full set of continuous circle maps
@@ -67,16 +77,31 @@ _BASE_CELLS = 512
 _MAX_DEPTH = 64
 
 
-def _poisson_rate(a: np.ndarray, gap: np.ndarray) -> np.ndarray:
-    """The Poisson sum psi' at circle points z, from their gaps z - a_j."""
-    return np.sum((1.0 - np.abs(a) ** 2) / (gap.real**2 + gap.imag**2), axis=-1)
+def _circle_w(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """w = 1 - a_j e^{-it} at the angles t, along a new last axis."""
+    # in this operand order, with the add in place, numpy builds the sweep's
+    # first (2, 720, n) w up to five times faster than 1.0 - a * e[..., None]
+    w = np.exp(-1j * t)[..., None] * -a
+    w += 1.0
+    return w
 
 
-def _arc_gain(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    """The factors' summed argument gain from values f1 at one circle point
-    counterclockwise to f2 at another; each factor turns once round the circle
-    forwards, so on an arc short of a turn its wrapped increment is exact."""
-    return np.sum(np.angle(f2 * f1.conj()) % TAU, axis=-1)
+def _poisson_rate(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The Poisson sum psi' = sum (1 - |a_j|^2)/|w_j|^2 at circle points z,
+    from w_j = 1 - a_j conj(z) or the gaps z - a_j, equal in modulus there."""
+    return np.sum((1.0 - np.abs(a) ** 2) / (w.real**2 + w.imag**2), axis=-1)
+
+
+def _arc_gain(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """sum_j 2 Arg(w2_j conj(w1_j)): the factors' summed argument gain from
+    the circle point of w1 counterclockwise to that of w2, less their
+    rotation part, Delta per factor for an arc of angle Delta.
+
+    Every Arg w lies in (-pi/2, pi/2), so each difference lies in (-pi, pi)
+    and is the exact change of the continuous Arg w along the arc, whatever
+    its length; there is no wrap, so an arc shorter than rounding gains
+    about 0, never about 2 pi."""
+    return 2.0 * np.sum(np.angle(w2 * w1.conj()), axis=-1)
 
 
 def _tangency(p, rate_p, q, rate_q):
@@ -89,27 +114,27 @@ def _lift_grid(B: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
     """(ts, psi): the lift psi(t) on an increasing grid over [0, 2pi].
 
     psi is exact at every grid point: psi(0) = arg B(1) in [0, 2pi), read
-    off the unit-modulus factors at 1 (_circle_terms), plus the factors'
-    _arc_gain from 1 to e^{it}; the ends are exactly psi(0) and
-    psi(0) + 2 pi n.  Of _BASE_CELLS equal cells, only those across
-    which psi gains 0.5 or more are halved, repeatedly.  That terminates: a
-    steep cell of _ULPS ulps, one still steep after _MAX_DEPTH halvings, or
-    a psi that fails to increase (a zero so close to the circle that its
-    gain is lost to rounding) raises SolverFailure naming the largest zero
-    modulus.
+    off the unit-modulus factors at 1 (_circle_terms), plus n t and the
+    factors' _arc_gain from 1 to e^{it}; the ends are exactly psi(0) and
+    psi(0) + 2 pi n.  No gain is wrapped, so a cell next to t = 0 stays
+    increasing however close to the circle a zero near angle 0 sits.  Of
+    _BASE_CELLS equal cells, only those across which psi gains 0.5 or more
+    are halved, repeatedly.  That terminates: a steep cell of _ULPS ulps,
+    one still steep after _MAX_DEPTH halvings, or a psi that fails to
+    increase raises SolverFailure naming the largest zero modulus.
     """
     a = np.asarray(B.zeros)
 
     def lift(t):
-        return psi0 + _arc_gain(f_one, _factor_array(a, np.exp(1j * t))[0])
+        return psi0 + B.degree * t + _arc_gain(w_one, _circle_w(a, t))
 
     def refuse(why):
         top = max(abs(z) for z in B.zeros)
         return SolverFailure(f"argument lift {why}; the largest zero modulus is {top!r}")
 
-    # the factors at 1, (1 - a)/(1 - conj(a)), have no pole even for a zero
-    # next to 1, where B.evaluate(1) would refuse
-    f_one = _factor_array(a, np.array(1.0))[0]
+    # w = 1 - a at 1 and the factors (1 - a)/(1 - conj(a)) there have no
+    # pole even for a zero next to 1, where B.evaluate(1) would refuse
+    w_one = 1.0 - a
     psi0 = cmath.phase(complex(_circle_terms(B, np.array(1.0))[0])) % TAU
     ts = np.linspace(0.0, TAU, _BASE_CELLS + 1)
     psi = lift(ts)

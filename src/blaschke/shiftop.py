@@ -18,7 +18,10 @@ normal angles theta.  Which input takes which path:
   e^{i(theta - delta)} to e^{i(theta + delta)}, where the lifted argument psi
   of C gains exactly 2 pi across the arc; its support value is cos(delta)
   and its tangency point is circle._tangency, the psi'-weighted mean of the
-  two endpoints.
+  two endpoints.  The sweep reads C only through w = 1 - a_j conj(z) at the
+  ends (see circle): psi gains 2 delta (n + 1) plus circle._arc_gain across
+  the arc, with no complex division, and each angle's Newton start is
+  min(pi/psi'(theta), pi/2), the root of that gain at the local rate.
 * any other square array goes through a Hermitian eigen-sweep: for each
   direction, the top eigenpair of the Hermitian part of e^{-i theta} A gives
   both the support value and a boundary point.  The tests use it as the
@@ -33,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import (
-    TAU, _arc_gain, _bracketed_newton, _certify, _poisson_rate, _tangency
+    TAU, _arc_gain, _bracketed_newton, _certify, _circle_w, _poisson_rate, _tangency
 )
-from .core import ToleranceConfig, format_float, _factor_array, _finite, _tol
+from .core import ToleranceConfig, format_float, _finite, _tol
 from .errors import EigensolverFailure, InputError
 
 __all__ = [
@@ -145,13 +148,14 @@ def _chord(a: np.ndarray, theta: np.ndarray, delta: np.ndarray):
 
     Returns F = psi(theta + delta) - psi(theta - delta) - 2 pi, the ends
     stacked as z = (z1, z2) and psi' at both (circle._poisson_rate plus 1 for
-    the z factor).  F needs no lift grid: the z factor gains 2 delta and the
-    others their circle._arc_gain across the arc.
+    the z factor).  F needs no lift grid and no factor values: with w = 1 -
+    a_j conj(z) built once at both ends, C's n + 1 factors rotate by
+    2 delta (n + 1) and add circle._arc_gain(w1, w2) across the arc.
     """
-    z = np.exp(1j * (theta + np.stack((-delta, delta))))
-    (f1, f2), gap, _ = _factor_array(a, z)
-    F = 2.0 * delta + _arc_gain(f1, f2) - TAU
-    return F, z, 1.0 + _poisson_rate(a, gap)
+    t = theta + np.stack((-delta, delta))
+    w = _circle_w(a, t)
+    F = 2.0 * delta * (len(a) + 1) + _arc_gain(w[0], w[1]) - TAU
+    return F, np.exp(1j * t), 1.0 + _poisson_rate(a, w)
 
 
 def _tangency_sweep(zeros, theta: np.ndarray) -> tuple[list, list]:
@@ -161,8 +165,10 @@ def _tangency_sweep(zeros, theta: np.ndarray) -> tuple[list, list]:
     F(delta) rises from -2 pi at 0 to 2 pi len(zeros) at pi with slope
     psi'(theta - delta) + psi'(theta + delta), so each angle has one root,
     found by circle._bracketed_newton with base theta: the larger endpoint
-    angle theta + delta sets the noise floor of F.  Every delta is certified
-    on its error |F|/(psi'1 + psi'2) by circle._certify.
+    angle theta + delta sets the noise floor of F.  Each angle starts at
+    min(pi/psi'(theta), pi/2), where F would vanish if psi' stayed at its
+    value at theta across the arc.  Every delta is certified on its error
+    |F|/(psi'1 + psi'2) by circle._certify.
     """
     a = np.asarray(zeros, dtype=complex)
 
@@ -170,9 +176,10 @@ def _tangency_sweep(zeros, theta: np.ndarray) -> tuple[list, list]:
         F, _, rate = _chord(a, theta[live], d)
         return F, rate[0] + rate[1]
 
+    rate = 1.0 + _poisson_rate(a, _circle_w(a, theta))
     delta = _bracketed_newton(
         gap,
-        np.full_like(theta, math.pi / (len(a) + 1)),
+        np.minimum(math.pi / rate, 0.5 * math.pi),
         np.zeros_like(theta),
         np.full_like(theta, math.pi),
         theta,

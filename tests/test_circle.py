@@ -19,7 +19,7 @@ from blaschke.circle import (
 from blaschke import circle
 from blaschke.errors import BlaschkeError
 
-from conftest import TAU, circle_grid, random_product, rng_for
+from conftest import TAU, circle_grid, random_point, random_product, rng_for
 
 
 # ------------------------------------------------------------------- lifting
@@ -354,8 +354,9 @@ def test_solve_certifies_zeros_within_1e_8_and_1e_12_of_the_circle(gap, with_ori
 
 
 def test_lift_grid_refuses_a_zero_at_1e_15_promptly():
-    # a phase gain of about 1e-15 per factor is lost to rounding, so the lift
-    # cannot be resolved; the grid says so instead of halving forever
+    # the zero's factor turns once round the circle within a few ulps of
+    # angle 1, so no cell there can be split until psi gains less than 0.5;
+    # the grid says so instead of halving forever
     B = BlaschkeProduct(1.0, (0j, (1.0 - 1e-15) * cmath.exp(1j)))
     start = time.perf_counter()
     with pytest.raises(BlaschkeError, match="zero modulus is 0.999999999999999"):
@@ -378,3 +379,74 @@ def test_lift_grid_matches_a_dense_unwrap(degree):
     unwrapped += psi[0] - unwrapped[0]
     at_grid = unwrapped[np.searchsorted(dense, ts)]
     assert np.max(np.abs(at_grid - psi)) < 1e-12
+
+
+@pytest.mark.parametrize("angle", [1e-6, 1e-8, TAU - 1e-5, TAU - 1e-7])
+@pytest.mark.parametrize("gap", [1e-9, 1e-10, 1e-11, 1e-12])
+def test_lift_grid_solves_zeros_near_angle_0(gap, angle):
+    # the grid refines next to t = 0 for a zero near angle 0, where a far
+    # factor gains about 1e-17 per cell; a gain wrapped into [0, 2 pi) turned
+    # a rounding of -1e-17 into about 2 pi there, and the lift refused as
+    # "not increasing"; the gain on w = 1 - a conj(z) is never wrapped
+    rng = rng_for(3)
+    lams = [-1.0, 1j, cmath.exp(2.5j)]
+    for _ in range(5):
+        near = [(1.0 - gap) * cmath.exp(1j * t) for t in (angle, rng.uniform(0.0, TAU))]
+        B = BlaschkeProduct(1.0, (*near, *(random_point(rng, 0.8) for _ in range(4))))
+        for lam, sol in zip(lams, solve_levels(B, lams)):
+            assert len(sol) == B.degree
+            w, rate = circle._circle_terms(B, np.array(sol.points))
+            circle._certify(np.angle(w * np.conj(lam)), rate, str)
+
+
+def _factor_gain(a: complex, t1: float, t2: float) -> float:
+    """One factor's gain from e^{i t1} to e^{i t2} by _arc_gain, plus its
+    rotation part t2 - t1."""
+    w1, w2 = (circle._circle_w(np.array([a]), np.array(t)) for t in (t1, t2))
+    return t2 - t1 + float(circle._arc_gain(w1, w2))
+
+
+def _oracle_gain(mpmath, a: complex, t1: float, t2: float) -> float:
+    """The same gain at 50 digits: the factor's phase change on an arc
+    shorter than a turn, where it gains less than 2 pi."""
+    with mpmath.workdps(50):
+        am = mpmath.mpc(a.real, a.imag)
+
+        def factor(t):
+            z = mpmath.expj(mpmath.mpf(t))
+            return (z - am) / (1 - mpmath.conj(am) * z)
+
+        return float(mpmath.arg(factor(t2) / factor(t1)) % (2 * mpmath.pi))
+
+
+def test_arc_gain_matches_mpmath_on_random_arcs():
+    mpmath = pytest.importorskip("mpmath")
+    rng = rng_for(7)
+    for _ in range(100):
+        a = random_point(rng, 0.95)
+        t1 = rng.uniform(0.0, TAU)
+        t2 = t1 + rng.uniform(0.0, TAU)
+        assert abs(_factor_gain(a, t1, t2) - _oracle_gain(mpmath, a, t1, t2)) < 4e-15
+
+
+def test_arc_gain_matches_mpmath_next_to_a_zero_at_1e_12():
+    # ends at least 0.1 from the zero's angle: w there is far from 0, so the
+    # gain is accurate both across the zero (about 2 pi) and beside it
+    mpmath = pytest.importorskip("mpmath")
+    a = (1.0 - 1e-12) * cmath.exp(1j)
+    for t1, t2 in [(0.5, 1.5), (0.9, 1.1), (0.0, 0.9), (1.1, 6.0), (1.5, 0.5 + TAU)]:
+        assert abs(_factor_gain(a, t1, t2) - _oracle_gain(mpmath, a, t1, t2)) < 1e-14
+
+
+def test_arc_gain_of_an_arc_of_1e_17_at_angle_0_is_not_a_turn():
+    # a wrapped gain read a rounding of -1e-17 as about 2 pi; the w form
+    # reads it as about 0.  The rounding of w itself, about 1e-16, can still
+    # put such a gain a little below 0 for some directions of a, so every
+    # direction is held to the oracle and a = 0.3 also to its sign
+    mpmath = pytest.importorskip("mpmath")
+    gain = _factor_gain(0.3, 0.0, 1e-17)
+    assert 0.0 <= gain and abs(gain - _oracle_gain(mpmath, 0.3, 0.0, 1e-17)) < 1e-15
+    for k in range(16):
+        a = 0.3 * cmath.exp(1j * TAU * k / 16)
+        oracle = _oracle_gain(mpmath, a, 0.0, 1e-17)
+        assert abs(_factor_gain(a, 0.0, 1e-17) - oracle) < 1e-15

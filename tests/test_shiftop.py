@@ -182,6 +182,26 @@ def test_first_envelope_of_z_times_the_product_is_the_numerical_range(size):
         assert abs((cmath.exp(-1j * theta) * s.point).real - h) < 1e-12
 
 
+@pytest.mark.parametrize("degree,passes,rows", [(8, 5, 3100), (32, 4, 2400), (64, 3, 2300)])
+def test_tangency_sweep_stops_within_a_few_passes(monkeypatch, degree, passes, rows):
+    # each angle starts at pi/psi'(theta), where F would vanish at the local
+    # rate; from the flat start pi/(n + 1) the 720 angles took 5, 4 and 4
+    # Newton passes and 3260, 2821 and 2535 rows on these products
+    B = random_product(rng_for(100 + degree), degree, radius=0.8)
+    live = []
+    real = shiftop._chord
+
+    def counted(a, theta, delta):
+        live.append(len(theta))
+        return real(a, theta, delta)
+
+    monkeypatch.setattr(shiftop, "_chord", counted)
+    numerical_range_boundary(shift_matrix(B.zeros))
+    # the last call is the certificate over all 720 angles
+    assert len(live) - 1 <= passes
+    assert sum(live[:-1]) <= rows
+
+
 def test_shift_matrix_sweep_makes_no_eigensolve(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("eigensolve called for a ShiftMatrix")
