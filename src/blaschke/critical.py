@@ -13,13 +13,17 @@ reflections 1/conj(a) (weight minus the multiplicity) and the origin
 (weight its multiplicity).  Exactly n - 1 critical points (with
 multiplicity) lie in the open disk, inside the convex hull of {0} and the
 zeros.  The zeros of such a sum are the eigenvalues of a diagonal plus
-rank-one matrix after a shift of variable (a companion matrix in the
-Lagrange basis, Corless 2004).  The in-disk points are polished by Newton on
-S, which is conditioned like the product itself: all points of one
-multiplicity at once, as one (points x nodes) array per pass, each point
-with its own stop test.  critical_data refuses (raises SolverFailure) when a
-point cannot be certified that way, naming the first such point in
-(real, imag) order.
+rank-one matrix after a change of variable (a companion matrix in the
+Lagrange basis, Corless 2004).  For S the change is the Cayley map
+t = i(s + z)/(s - z), s on the circle, which takes the disk to the upper
+half plane and each reflection to the conjugate of its point: the matrix is
+then real, of order twice the number of distinct zeros, and the in-disk
+points are its eigenvalues with Im t > 0 (_half_plane_zeros).  They are
+polished by Newton on S, which is conditioned like the product itself: all
+points of one multiplicity at once, as one (points x nodes) array per pass,
+each point with its own stop test, down to the rounding floor of its step.
+critical_data refuses (raises SolverFailure) when a point cannot be
+certified that way, naming the first such point in (real, imag) order.
 
 Fibers.  The solutions of B(z) = w are the spectrum of the compressed shift
 S_B plus a rank-one term (Clark 1972; Sarason 2007); see fiber.
@@ -95,7 +99,9 @@ def _secular_zeros(nodes: np.ndarray, weights: np.ndarray, s: complex) -> np.nda
     diag(y) - v y^T / sum(v) (a companion matrix in the Lagrange basis)
     other than one zero eigenvalue of the construction, dropped here as the
     eigenvalue of least modulus.  A zero of F at infinity comes back as a
-    huge or infinite z.
+    huge or infinite z.  This complex solve serves sums with no reflection
+    symmetry (decompose's orbit polynomial); B'/B takes the real
+    _half_plane_zeros.
     """
     y = 1.0 / (nodes - s)
     v = -weights * y
@@ -103,6 +109,49 @@ def _secular_zeros(nodes: np.ndarray, weights: np.ndarray, s: complex) -> np.nda
     u = np.delete(u, np.argmin(np.abs(u)))
     with np.errstate(divide="ignore", invalid="ignore"):
         return s + 1.0 / u
+
+
+def _half_plane_zeros(counts: dict[complex, int]) -> tuple[complex, np.ndarray]:
+    """A shift s on the unit circle and the 2K - 2 finite zeros in t of
+    (B'/B) dz/dt, where t = i(s + z)/(s - z), for K distinct zeros of B.
+
+    The map sends the disk to the upper half plane, s to infinity and the
+    reflection of each point to the conjugate of its image, so a zero a of
+    multiplicity m and its reflection 1/conj(a) (infinity for a = 0) become
+    nodes xi, conj(xi) of weights m, -m.  With y = 1/xi and u = 1/t, as in
+    _secular_zeros with shift 0, the companion matrix is diag(y) - r y^T
+    with r = v/sum(v), v = -m y.  The pairs make sum(v) = -2i sum(m Im y)
+    purely imaginary and r a conjugate pair too, so in the real and
+    imaginary parts of each pair the matrix is real: 2 x 2 blocks
+    [[Re y, -Im y], [Im y, Re y]] minus 2 [Re r; Im r][Re y, -Im y]^T.  Its
+    two eigenvalues nearest 0, the construction's and that of the zero at
+    t = infinity (z = s), are dropped; the rest come in exact conjugate
+    pairs, the in-disk zeros of S = B'/B with Im t > 0 and their
+    reflections with Im t < 0.
+
+    s is the one of 16 circle samples whose s and -s are both farthest from
+    the zeros, so no xi and no y is large (a reflection is never nearer s
+    than its zero: |s - 1/conj(a)| = |s - a|/|a|).
+    """
+    a = np.array(list(counts), dtype=complex)
+    m = np.array(list(counts.values()), dtype=float)
+    s = max(
+        circle_samples(16, 0.3),
+        key=lambda p: np.min(np.abs(a[:, None] - np.array([p, -p]))),
+    )
+    # y = 1/xi; Re((s - a)/(s + a)) > 0 on the disk, so Im y < 0 and the
+    # sum m @ y.imag never vanishes
+    y = -1j * (s - a) / (s + a)
+    k = 2 * len(a)
+    R = np.zeros((k, k))
+    R[0::2, 0::2] = R[1::2, 1::2] = np.diag(y.real)
+    R[0::2, 1::2] = np.diag(-y.imag)
+    R[1::2, 0::2] = np.diag(y.imag)
+    # 2r = -i m y / sum(m Im y), as (real, imag) pairs
+    r2 = np.column_stack((m * y.imag, -m * y.real)).ravel() / (m @ y.imag)
+    R -= np.outer(r2, np.column_stack((y.real, -y.imag)).ravel())
+    u = np.linalg.eigvals(R)
+    return s, 1.0 / np.delete(u, np.argsort(np.abs(u))[:2])
 
 
 def _secular_kth(
@@ -137,6 +186,8 @@ def _polish(
     precision for any m.  Newton runs on every start as one
     (points x nodes) array, but each point keeps its own rules: it stops
     when F^(m) vanishes, the step is not finite, |step| <= 1e-16 (1 + |z|),
+    the step is within its rounding floor 4 eps sum|terms| / |F^(m)| (F^(m-1)
+    is known only to about eps times its scale sum|terms| from _secular_kth),
     or after 60 passes, and a point that leaves the disk or moves 5e-2 or
     more falls back to its start.  Returns the points and, for each, the
     largest relative residual of F, F', ..., F^(m-1) there; the caller
@@ -149,12 +200,16 @@ def _polish(
         for _ in range(60):
             if not len(live):
                 break
-            f, df, _ = _secular_kth(nodes, weights, z[live], m - 1)
+            f, df, scale = _secular_kth(nodes, weights, z[live], m - 1)
             step = f / df
             moves = (df != 0) & np.isfinite(step)
             live, step = live[moves], step[moves]
             z[live] -= step
-            live = live[np.abs(step) > 1e-16 * (1.0 + np.abs(z[live]))]
+            floor = np.maximum(
+                1e-16 * (1.0 + np.abs(z[live])),
+                4.0 * np.finfo(float).eps * scale[moves] / np.abs(df[moves]),
+            )
+            live = live[np.abs(step) > floor]
         stray = ~((np.abs(z - starts) < 5e-2) & (np.abs(z) < 1.0))
         z[stray] = starts[stray]
         residuals = []
@@ -324,8 +379,8 @@ def critical_data(
     """Critical points of B inside the disk, their values, and value clusters.
 
     Repeated zeros of B are taken as they are; the other points are the
-    in-disk zeros of S = B'/B, solved with the shift s on the unit circle
-    (where S never vanishes) farthest from the nodes among 16 samples.
+    in-disk zeros of S = B'/B, the eigenvalues with Im t > 0 of the real
+    matrix of _half_plane_zeros mapped back by z = s(t - i)/(t + i).
     Raises CountMismatch if the in-disk multiplicity count is not degree - 1
     and SolverFailure if a point fails its certificate on S.  The result is
     kept per (product, tolerances), so asking again for an equal product
@@ -338,10 +393,9 @@ def critical_data(
 def _critical_data(B: BlaschkeProduct, tol: ToleranceConfig) -> CriticalData:
     counts = Counter(B.zeros)
     nodes, weights = _log_derivative(counts)
-    s = max(circle_samples(16, 0.3), key=lambda p: np.min(np.abs(nodes - p)))
-    zeros_of_s = _secular_roots(
-        nodes, weights, [z for z in _secular_zeros(nodes, weights, s) if abs(z) < 1.0]
-    )
+    s, t = _half_plane_zeros(counts)
+    t = t[t.imag > 0]
+    zeros_of_s = _secular_roots(nodes, weights, s * (t - 1j) / (t + 1j))
     total = sum(m for _, m in zeros_of_s) + sum(k - 1 for k in counts.values())
     if total != B.degree - 1:
         raise CountMismatch(B.degree - 1, total, "critical points in the disk")

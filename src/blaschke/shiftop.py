@@ -146,16 +146,15 @@ def _chord(a: np.ndarray, theta: np.ndarray, delta: np.ndarray):
     for C = z * prod (z - a_j)/(1 - conj(a_j) z), with psi the lifted argument
     of C on the circle.
 
-    Returns F = psi(theta + delta) - psi(theta - delta) - 2 pi, the ends
-    stacked as z = (z1, z2) and psi' at both (circle._poisson_rate plus 1 for
-    the z factor).  F needs no lift grid and no factor values: with w = 1 -
-    a_j conj(z) built once at both ends, C's n + 1 factors rotate by
-    2 delta (n + 1) and add circle._arc_gain(w1, w2) across the arc.
+    Returns F = psi(theta + delta) - psi(theta - delta) - 2 pi and psi' at
+    both ends (circle._poisson_rate plus 1 for the z factor).  F needs no
+    lift grid, no factor values and no end point: with w = 1 - a_j conj(z)
+    built once at both ends, C's n + 1 factors rotate by 2 delta (n + 1)
+    and add circle._arc_gain(w1, w2) across the arc.
     """
-    t = theta + np.stack((-delta, delta))
-    w = _circle_w(a, t)
+    w = _circle_w(a, theta + np.stack((-delta, delta)))
     F = 2.0 * delta * (len(a) + 1) + _arc_gain(w[0], w[1]) - TAU
-    return F, np.exp(1j * t), 1.0 + _poisson_rate(a, w)
+    return F, 1.0 + _poisson_rate(a, w)
 
 
 def _tangency_sweep(zeros, theta: np.ndarray) -> tuple[list, list]:
@@ -168,12 +167,13 @@ def _tangency_sweep(zeros, theta: np.ndarray) -> tuple[list, list]:
     angle theta + delta sets the noise floor of F.  Each angle starts at
     min(pi/psi'(theta), pi/2), where F would vanish if psi' stayed at its
     value at theta across the arc.  Every delta is certified on its error
-    |F|/(psi'1 + psi'2) by circle._certify.
+    |F|/(psi'1 + psi'2) by circle._certify; the chord ends are formed once,
+    for the solved deltas only.
     """
     a = np.asarray(zeros, dtype=complex)
 
     def gap(live, d):
-        F, _, rate = _chord(a, theta[live], d)
+        F, rate = _chord(a, theta[live], d)
         return F, rate[0] + rate[1]
 
     rate = 1.0 + _poisson_rate(a, _circle_w(a, theta))
@@ -184,10 +184,11 @@ def _tangency_sweep(zeros, theta: np.ndarray) -> tuple[list, list]:
         np.full_like(theta, math.pi),
         theta,
     )
-    F, z, rate = _chord(a, theta, delta)
+    F, rate = _chord(a, theta, delta)
     _certify(
         F, rate[0] + rate[1], lambda k: f"tangent chord at theta={float(theta[k])!r}"
     )
+    z = np.exp(1j * (theta + np.stack((-delta, delta))))
     points = _tangency(z[0], rate[0], z[1], rate[1])
     return (np.exp(-1j * theta) * points).real.tolist(), points.tolist()
 

@@ -11,6 +11,7 @@ from blaschke.critical import critical_data
 from blaschke.monodromy import monodromy_group
 
 from conftest import TAU, random_product, rng_for
+from test_critical import assert_critical_points_match_mpmath
 from test_decompose import _tower
 
 # monodromy: every product drawn gets a group
@@ -18,6 +19,8 @@ MONODROMY_RANDOM_DEGREES = (8, 10, 12)
 MONODROMY_RANDOM_PER_DEGREE = 12
 MONODROMY_TOWER_LEVELS = (5, 5, 6, 6)
 MONODROMY_TOP_TOWER_LEVELS = 7
+# critical points: towers of degree 64 and 128
+CRITICAL_TOWER_LEVELS = (6, 7)
 
 
 def test_monodromy_certifies_random_products_to_degree_12():
@@ -74,3 +77,13 @@ def test_monodromy_certifies_a_tower_of_degree_128():
     assert B.degree == 128
     assert len(mono.generators) == len(critical_data(B).distinct_values)
     assert all(g.order() & (g.order() - 1) == 0 for g in mono.generators)
+
+
+def test_critical_points_certify_towers_to_degree_128():
+    # one tower of degree 64, then one of degree 128: n - 1 certified
+    # critical points, each the one a 50-digit Newton on B'/B reaches
+    rng = rng_for(2044)
+    for levels in CRITICAL_TOWER_LEVELS:
+        B = _tower(rng, levels)
+        assert B.degree == 2**levels
+        assert_critical_points_match_mpmath(B)

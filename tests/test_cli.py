@@ -420,14 +420,14 @@ def test_analyze_solves_critical_points_once_per_product(monkeypatch, capsys, de
     # solve of the input; the normalized product needs the second
     import blaschke.critical as critical
 
-    real = critical._secular_zeros
+    real = critical._half_plane_zeros
     calls = []
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(critical, "_secular_zeros", counted)
+    monkeypatch.setattr(critical, "_half_plane_zeros", counted)
     critical._critical_data.cache_clear()
     assert cli.main(["analyze", "--demo", demo]) == 0
     capsys.readouterr()

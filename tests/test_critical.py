@@ -19,14 +19,13 @@ from blaschke import (
 )
 from blaschke.circle import solve_on_circle
 from blaschke.cli import demo_corpus
-from blaschke.core import circle_samples
 from blaschke.critical import (
     _cluster_values,
     _critical_data,
+    _half_plane_zeros,
     _log_derivative,
     _polish,
     _secular_roots,
-    _secular_zeros,
     check_value_bound,
     critical_data,
     fiber,
@@ -180,6 +179,72 @@ def test_critical_points_of_normalized_products(degree):
         _assert_certified(normalize(_uniform_modulus_product(rng, degree)).product)
 
 
+def mpmath_critical_point(mpmath, zeros, z0):
+    """Newton on S = B'/B from z0 at 50 digits, the nodes formed from the
+    float zeros exactly: the oracle for a simple critical point."""
+    with mpmath.workdps(50):
+        nodes = []
+        for a, m in Counter(zeros).items():
+            am = mpmath.mpc(a.real, a.imag)
+            nodes.append((am, m))
+            if a != 0:
+                nodes.append((1 / mpmath.conj(am), -m))
+        z = mpmath.mpc(z0.real, z0.imag)
+        for _ in range(30):
+            inverse = [(w, 1 / (z - x)) for x, w in nodes]
+            step = mpmath.fsum(w * v for w, v in inverse) / -mpmath.fsum(
+                w * v * v for w, v in inverse
+            )
+            z -= step
+            # quadratic from a float start: z is then far inside any bound
+            if abs(step) < 1e-20:
+                break
+        return complex(z)
+
+
+def assert_critical_points_match_mpmath(B, bound=1e-9):
+    mpmath = pytest.importorskip("mpmath")
+    _assert_certified(B)
+    for p in critical_data(B).points_in_disk:
+        assert abs(p - mpmath_critical_point(mpmath, B.zeros, p)) <= bound
+
+
+@pytest.mark.parametrize("degree", [24, 48, 64])
+def test_critical_points_match_mpmath_newton(degree):
+    # the starts come from the real half-plane eigensolve; each polished
+    # point is the critical point a 50-digit Newton on S reaches from it
+    B = random_product(rng_for(4300 + degree), degree, radius=0.8)
+    assert_critical_points_match_mpmath(B)
+
+
+@pytest.mark.parametrize(
+    "zeros",
+    [
+        (0j, 0.5 + 0.2j, -0.4 + 0.3j, 0.1 - 0.6j, -0.2 - 0.1j),
+        (0.3 + 0.4j, 0.3 + 0.4j, 0.3 + 0.4j, -0.5 + 0.1j, 0.2 - 0.6j, -0.1j),
+        (0.999 * cmath.exp(0.7j), 0.5 - 0.3j, -0.6 + 0.2j, 0.1 + 0.1j, -0.3 - 0.7j),
+    ],
+    ids=["zero-at-0", "repeated-zero", "zero-at-0.999"],
+)
+def test_half_plane_starts_come_in_exact_conjugate_pairs(zeros):
+    # t = i(s + z)/(s - z) turns each reflection into a conjugate, so the
+    # real eigensolve returns every zero of S in the disk (Im t > 0) with its
+    # reflection (Im t < 0) as an exact conjugate: K - 1 pairs for K
+    # distinct zeros, the multiplicities being critical points on their own
+    B = BlaschkeProduct(1.0, zeros)
+    counts = Counter(zeros)
+    s, t = _half_plane_zeros(counts)
+    upper, lower = t[t.imag > 0], t[t.imag < 0]
+    assert abs(s) == pytest.approx(1.0)
+    assert len(upper) == len(lower) == len(counts) - 1
+    assert np.array_equal(np.sort_complex(upper), np.sort_complex(lower.conj()))
+    cd = critical_data(B)
+    assert len(cd.points_in_disk) == B.degree - 1
+    assert all(abs(p) < 1.0 for p in cd.points_in_disk)
+    for a, k in counts.items():
+        assert cd.points_in_disk.count(a) == k - 1
+
+
 # ----------------------------------------------------------------------- fiber
 
 
@@ -323,7 +388,7 @@ def _reference_polish(nodes, weights, r, m):
     z = complex(r)
     with np.errstate(all="ignore"):
         for _ in range(60):
-            f, df, _ = _reference_kth(nodes, weights, z, m - 1)
+            f, df, scale = _reference_kth(nodes, weights, z, m - 1)
             if df == 0:
                 break
             step = f / df
@@ -331,6 +396,8 @@ def _reference_polish(nodes, weights, r, m):
                 break
             z = z - step
             if abs(step) <= 1e-16 * (1.0 + abs(z)):
+                break
+            if abs(step) <= 4.0 * np.finfo(float).eps * scale / abs(df):
                 break
         if not (abs(z - r) < 5e-2 and abs(z) < 1.0):
             z = complex(r)
@@ -341,12 +408,20 @@ def _reference_polish(nodes, weights, r, m):
     return z, float(np.max(residuals))
 
 
+def _raw_starts(B):
+    """The in-disk zeros of S as _critical_data takes them from the real
+    eigensolve, before clustering and polish, with its nodes and weights."""
+    counts = Counter(B.zeros)
+    nodes, weights = _log_derivative(counts)
+    s, t = _half_plane_zeros(counts)
+    t = t[t.imag > 0]
+    return nodes, weights, list(s * (t - 1j) / (t + 1j))
+
+
 def _polish_cases(B):
     """(nodes, weights, starts, m) for every polish critical_data makes on B,
     plus every raw in-disk eigenvalue polished as a simple zero."""
-    nodes, weights = _log_derivative(Counter(B.zeros))
-    s = max(circle_samples(16, 0.3), key=lambda p: np.min(np.abs(nodes - p)))
-    raw = [z for z in _secular_zeros(nodes, weights, s) if abs(z) < 1.0]
+    nodes, weights, raw = _raw_starts(B)
     cases = [(nodes, weights, raw, 1)] if raw else []
     merged = _secular_roots(nodes, weights, raw)
     for m in sorted({m for _, m in merged}):
@@ -424,11 +499,7 @@ def test_failed_certificate_names_the_first_failing_point(monkeypatch):
     # fail every point in the right half plane: the error must name the
     # first of them in (real, imag) order, as the per-point loop did
     B = random_product(rng_for(4200), 12, radius=0.8)
-    nodes, weights = _log_derivative(Counter(B.zeros))
-    s = max(circle_samples(16, 0.3), key=lambda p: np.min(np.abs(nodes - p)))
-    merged = _secular_roots(
-        nodes, weights, [z for z in _secular_zeros(nodes, weights, s) if abs(z) < 1.0]
-    )
+    merged = _secular_roots(*_raw_starts(B))
     first = next(r for r, _ in merged if r.real > 0)
     assert first != min((r for r, _ in merged), key=lambda z: (z.real, z.imag))
     polish = critical._polish
