@@ -18,11 +18,15 @@ solve_levels' Newton offset and BlaschkeProduct.evaluate need B itself, so
 they keep core._factor_array.
 
 solve_levels solves any number of level sets at once: it brackets all
-n * len(lams) roots on that grid and solves them with _bracketed_newton, the
-one Newton kernel for every monotone circle equation here and in shiftop,
-and _certify, their one certificate.  Each pass reads B and psi' > 0 off one
-_circle_terms call; _arc_gain and _tangency, the summed arc gain and chord
-tangency point, serve shiftop and poncelet too.
+n * len(lams) roots on that grid, where psi' is kept too, starts each from
+the cubic Hermite interpolant of the inverse t(psi) on its cell, and solves
+them with _bracketed_newton, the one Newton kernel for every monotone circle
+equation here and in shiftop, and _certify, their one certificate.  Each
+pass reads B and psi' > 0 off one _circle_terms call; the kernel stops every
+root at a point it has just evaluated and hands that evaluation to the
+certificate, so a solve whose starts are one Newton step from their roots
+costs two evaluations of B.  _arc_gain and _tangency, the summed arc gain
+and chord tangency point, serve shiftop and poncelet too.
 
 The next-preimage map g (send a circle point to the next solution of the same
 level set, counterclockwise) generates the full set of continuous circle maps
@@ -110,8 +114,9 @@ def _tangency(p, rate_p, q, rate_q):
 
 
 @lru_cache(maxsize=64)
-def _lift_grid(B: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
-    """(ts, psi): the lift psi(t) on an increasing grid over [0, 2pi].
+def _lift_grid(B: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ts, psi, rate): the lift psi(t) and psi'(t) on an increasing grid
+    over [0, 2pi].
 
     psi is exact at every grid point: psi(0) = arg B(1) in [0, 2pi), read
     off the unit-modulus factors at 1 (_circle_terms), plus n t and the
@@ -121,12 +126,15 @@ def _lift_grid(B: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
     _BASE_CELLS equal cells, only those across which psi gains 0.5 or more
     are halved, repeatedly.  That terminates: a steep cell of _ULPS ulps,
     one still steep after _MAX_DEPTH halvings, or a psi that fails to
-    increase raises SolverFailure naming the largest zero modulus.
+    increase raises SolverFailure naming the largest zero modulus.  rate
+    is _poisson_rate at each grid point, from the same w as psi; it gives
+    solve_levels the end slopes of its Hermite starts.
     """
     a = np.asarray(B.zeros)
 
     def lift(t):
-        return psi0 + B.degree * t + _arc_gain(w_one, _circle_w(a, t))
+        w = _circle_w(a, t)
+        return psi0 + B.degree * t + _arc_gain(w_one, w), _poisson_rate(a, w)
 
     def refuse(why):
         top = max(abs(z) for z in B.zeros)
@@ -137,7 +145,7 @@ def _lift_grid(B: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
     w_one = 1.0 - a
     psi0 = cmath.phase(complex(_circle_terms(B, np.array(1.0))[0])) % TAU
     ts = np.linspace(0.0, TAU, _BASE_CELLS + 1)
-    psi = lift(ts)
+    psi, rate = lift(ts)
     psi[0], psi[-1] = psi0, psi0 + TAU * B.degree
     for _ in range(_MAX_DEPTH):
         gain = np.diff(psi)
@@ -145,13 +153,15 @@ def _lift_grid(B: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
             raise refuse("is not increasing on its grid")
         steep = np.flatnonzero(gain >= 0.5)
         if not steep.size:
-            return ts, psi
+            return ts, psi, rate
         lo, hi = ts[steep], ts[steep + 1]
         if np.any(hi - lo <= _ULPS * np.spacing(hi)):
             raise refuse("cannot split a steep cell of a few ulps")
         mid = 0.5 * (lo + hi)
+        psi_mid, rate_mid = lift(mid)
         ts = np.insert(ts, steep + 1, mid)
-        psi = np.insert(psi, steep + 1, lift(mid))
+        psi = np.insert(psi, steep + 1, psi_mid)
+        rate = np.insert(rate, steep + 1, rate_mid)
     raise refuse(f"still has steep cells after {_MAX_DEPTH} halvings")
 
 
@@ -160,7 +170,7 @@ def lifted_argument(B: BlaschkeProduct, t: float) -> float:
 
     B is read off its unit-modulus factors (_circle_terms), which have no
     pole on the circle."""
-    ts, psi = _lift_grid(B)
+    ts, psi, _ = _lift_grid(B)
     turns, tr = divmod(float(t), TAU)
     i = min(int(np.searchsorted(ts, tr, side="right")) - 1, len(ts) - 2)
     w, w0 = _circle_terms(B, np.exp(1j * np.array([tr, ts[i]])))[0]
@@ -220,37 +230,41 @@ def _bracketed_newton(evaluate, x, lo, hi, base):
     """Roots x of increasing functions, one per entry, solved together.
 
     evaluate(live, x) returns f and f' > 0 at the entries live.  Each root
-    lies in its bracket [lo, hi] and the solved angle is base + x, whose
-    rounding sets the noise floor of f.  Newton runs over the live entries as
-    numpy arrays; a step is taken only when it is at most half the bracket
-    width, otherwise the bracket is halved, so convergence is unconditional.
-    An entry stops when |f| < 1e-14 or when its step or bracket is within
-    _ULPS ulps of base + x; after 80 passes at most.  x, lo and hi are
-    updated in place.
+    lies in its bracket [lo, hi] and the solved angle is base + x (base an
+    array like x), whose rounding sets the noise floor of f.  Newton runs
+    over the live entries as numpy arrays; a step is taken only when it is
+    at most half the bracket width, otherwise the bracket is halved, so
+    convergence is unconditional.
+    An entry stops at the point it has just evaluated, once |f| < 1e-14 or
+    its step or bracket is within _ULPS ulps of base + x; after 80 passes
+    the entries still live are evaluated where they stand.  Returns
+    (x, f, f') with f and f' from the evaluation at x, so a certificate
+    needs no second one; x, lo and hi are updated in place.
     """
-    base = np.broadcast_to(base, x.shape)
+    f_at, rate_at = np.empty_like(x), np.empty_like(x)
     live = np.arange(len(x))
     for _ in range(80):
         xl = x[live]
         f, rate = evaluate(live, xl)
+        f_at[live], rate_at[live] = f, rate
         below = f < 0.0
         lo_l = np.where(below, xl, lo[live])
         hi_l = np.where(below, hi[live], xl)
+        lo[live], hi[live] = lo_l, hi_l
         step = f / rate
+        size, width = np.abs(step), hi_l - lo_l
         ulps = _ULPS * np.spacing(base[live] + xl)
-        done = np.abs(f) < 1e-14
-        settled = np.abs(step) <= ulps
+        go = ~((np.abs(f) < 1e-14) | (size <= ulps) | (width <= ulps))
         # xl is one end of its bracket, so a step of at most half the width
         # stays inside it
-        short = np.abs(step) <= 0.5 * (hi_l - lo_l)
-        x[live] = np.where(
-            done, xl, np.where(short | settled, xl - step, 0.5 * (lo_l + hi_l))
-        )
-        lo[live], hi[live] = lo_l, hi_l
-        live = live[~(done | settled | (hi_l - lo_l <= ulps))]
+        short = size <= 0.5 * width
+        x[live[go]] = np.where(short, xl - step, 0.5 * (lo_l + hi_l))[go]
+        live = live[go]
         if not live.size:
             break
-    return x
+    else:
+        f_at[live], rate_at[live] = evaluate(live, x[live])
+    return x, f_at, rate_at
 
 
 def _certify(f, rate, name) -> None:
@@ -275,10 +289,13 @@ def solve_levels(
     """The circle solutions of B(z) = lam for every unimodular lam in lams.
 
     Brackets each of the n * len(lams) roots psi(t) = arg(lam) + 2 pi k on
-    the lift grid and solves them all at once with _bracketed_newton.  Every
-    root is then certified on its argument error |psi(t) - arg(lam)|/psi'(t)
-    <= 5e-11, and every level set on its n strictly increasing angles, or
-    SolverFailure; the psi' of the certificate comes back as rates.
+    the lift grid, starts each from the cubic Hermite interpolant of the
+    inverse t(psi) on its cell (end slopes 1/psi'), and solves them all at
+    once with _bracketed_newton.  Every root is then certified on its
+    argument error |psi(t) - arg(lam)|/psi'(t) <= 5e-11, from the kernel's
+    own last evaluation at the returned point, and every level set on its n
+    strictly increasing angles, or SolverFailure; the psi' of the
+    certificate comes back as rates.
     """
     tol = _tol(tol)
     targets = []
@@ -292,33 +309,40 @@ def solve_levels(
     lam = np.array(targets, dtype=complex)
     n = B.degree
 
-    ts, psi = _lift_grid(B)
+    ts, psi, slope = _lift_grid(B)
     psi0 = float(psi[0])
     first = psi0 + (np.angle(lam) - psi0) % TAU
     level = (first[:, None] + TAU * np.arange(n)).ravel()
     idx = np.clip(np.searchsorted(psi, level), 1, len(ts) - 1)
     lo, hi = ts[idx - 1], ts[idx]
-    # psi is strictly increasing on the grid, so the secant is well defined
-    flo, fhi = psi[idx - 1] - level, psi[idx] - level
-    t = np.clip(lo + (hi - lo) * (-flo) / (fhi - flo), lo, hi)
+    # psi is strictly increasing on the grid, so each cell inverts to t(psi)
+    # with slopes 1/psi' at its ends; s is the level's place in the cell and
+    # m0, m1 the end slopes in units of s
+    gain = psi[idx] - psi[idx - 1]
+    s = (level - psi[idx - 1]) / gain
+    width = hi - lo
+    m0, m1 = gain / slope[idx - 1], gain / slope[idx]
+    bend = (1.0 - s) * (m0 - width) + s * (width - m1)
+    t = np.clip(lo + s * width + s * (1.0 - s) * bend, lo, hi)
 
-    # f = arg(B(z) conj(lam)) is the offset psi(t) - arg(lam), wrapped
+    # f = arg(B(z) conj(lam)) is the offset psi(t) - arg(lam), wrapped; z is
+    # formed from t mod 2 pi, as the returned points are
     rotate = np.repeat(lam.conj(), n)
 
     def offset(live, tl):
-        w, rate = _circle_terms(B, np.exp(1j * tl))
+        w, rate = _circle_terms(B, np.exp(1j * (tl % TAU)))
         return np.angle(w * rotate[live]), rate
 
-    t = _bracketed_newton(offset, t, lo, hi, 0.0)
+    t, f, rate = _bracketed_newton(offset, t, lo, hi, np.zeros_like(t))
+    _certify(f, rate, lambda k: f"circle solution of B = {targets[k // n]!r}")
 
-    angles = np.sort((t % TAU).reshape(len(lam), n), axis=1)
+    # a root at t = 2 pi reads as angle 0 and sorts to the front of its row;
+    # order holds flat indices, so it sorts the rates alike
+    angles = t % TAU
+    order = np.argsort(angles.reshape(len(lam), n), axis=1)
+    order += n * np.arange(len(lam))[:, None]
+    angles, rate = angles[order], rate[order]
     points = np.exp(1j * angles)
-    w, rate = _circle_terms(B, points)
-    _certify(
-        np.angle(w * lam.conj()[:, None]),
-        rate,
-        lambda k: f"circle solution of B = {targets[k // n]!r}",
-    )
     if not np.all(np.diff(angles, axis=1) > 0.0):
         raise SolverFailure("coincident circle solutions; level set degenerate")
     return [
@@ -360,7 +384,10 @@ def _orbits(
     if count < 1:
         raise InputError("orbit length must be at least 1")
     starts = [unit(complex(z)) for z in starts]
-    sols = solve_levels(B, [B.evaluate(z, tol) for z in starts], tol)
+    # _circle_terms has no pole next to a zero within root_tol of the circle,
+    # where B.evaluate refuses but solve_levels still solves
+    levels = _circle_terms(B, np.array(starts, dtype=complex))[0]
+    sols = solve_levels(B, levels.tolist(), tol)
     return [_orbit(sol, z, count) for sol, z in zip(sols, starts)]
 
 

@@ -167,29 +167,30 @@ def _tangency_sweep(zeros, theta: np.ndarray) -> tuple[list, list]:
     angle theta + delta sets the noise floor of F.  Each angle starts at
     min(pi/psi'(theta), pi/2), where F would vanish if psi' stayed at its
     value at theta across the arc.  Every delta is certified on its error
-    |F|/(psi'1 + psi'2) by circle._certify; the chord ends are formed once,
-    for the solved deltas only.
+    |F|/(psi'1 + psi'2) by circle._certify, from the kernel's last
+    evaluation at the returned delta, so no chord is evaluated twice; gap
+    keeps the psi' of each end from that evaluation for the tangency point,
+    and the chord ends are formed once, for the solved deltas only.
     """
     a = np.asarray(zeros, dtype=complex)
+    ends = np.empty((2, len(theta)))
 
     def gap(live, d):
         F, rate = _chord(a, theta[live], d)
+        ends[:, live] = rate
         return F, rate[0] + rate[1]
 
     rate = 1.0 + _poisson_rate(a, _circle_w(a, theta))
-    delta = _bracketed_newton(
+    delta, F, rate = _bracketed_newton(
         gap,
         np.minimum(math.pi / rate, 0.5 * math.pi),
         np.zeros_like(theta),
         np.full_like(theta, math.pi),
         theta,
     )
-    F, rate = _chord(a, theta, delta)
-    _certify(
-        F, rate[0] + rate[1], lambda k: f"tangent chord at theta={float(theta[k])!r}"
-    )
+    _certify(F, rate, lambda k: f"tangent chord at theta={float(theta[k])!r}")
     z = np.exp(1j * (theta + np.stack((-delta, delta))))
-    points = _tangency(z[0], rate[0], z[1], rate[1])
+    points = _tangency(z[0], ends[0], z[1], ends[1])
     return (np.exp(-1j * theta) * points).real.tolist(), points.tolist()
 
 

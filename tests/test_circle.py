@@ -167,6 +167,78 @@ def test_level_solve_stops_within_a_few_passes(monkeypatch, seed, degree):
         assert max(abs(B(z) - lam) for z in sol.points) < 1e-10
 
 
+_SOLVE_PRODUCTS = [(905, 14), (902, 16), (905, 20), (901, 24), (948, 48), (964, 64)]
+
+
+@pytest.mark.parametrize("seed,degree", _SOLVE_PRODUCTS)
+def test_level_solve_evaluates_b_twice(monkeypatch, seed, degree):
+    # the Hermite start on the lift grid leaves one Newton pass to settle
+    # every root, and the certificate reads that pass's own evaluation
+    # instead of evaluating B again at the same points
+    B = random_product(rng_for(seed), degree, radius=0.8)
+    lams = [cmath.exp(1j * TAU * q / 8) for q in range(8)]
+    solve_levels(B, lams)
+    passes = [0]
+    real = circle._circle_terms
+
+    def counted(*args):
+        passes[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(circle, "_circle_terms", counted)
+    solve_levels(B, lams)
+    assert passes[0] == 2
+
+
+@pytest.mark.parametrize("seed,degree", _SOLVE_PRODUCTS)
+def test_level_solve_certifies_the_points_it_returns(monkeypatch, seed, degree):
+    # the f and psi' the certificate checks are those of a fresh evaluation
+    # at the returned points, bit for bit
+    B = random_product(rng_for(seed), degree, radius=0.8)
+    lams = [cmath.exp(1j * (0.1 + TAU * q / 5)) for q in range(5)]
+    seen = []
+    real = circle._certify
+
+    def recorded(f, rate, name):
+        seen.append((f, rate))
+        return real(f, rate, name)
+
+    monkeypatch.setattr(circle, "_certify", recorded)
+    levels = solve_levels(B, lams)
+    (f, rate), = seen
+    certified = np.sort((np.abs(f) / rate).reshape(len(lams), degree), axis=1)
+    for lam, sol, row in zip(lams, levels, certified):
+        w, fresh_rate = circle._circle_terms(B, np.array(sol.points))
+        assert np.array_equal(np.array(sol.rates), fresh_rate)
+        error = np.abs(np.angle(w * np.conj(lam))) / fresh_rate
+        assert np.array_equal(np.sort(error), row)
+        assert error.max() <= 5e-11
+
+
+@pytest.mark.parametrize("gap", [1e-4, 1e-6, 1e-8, 1e-12])
+def test_roots_next_to_a_zero_close_to_the_circle_certify_in_16_evaluations(
+    monkeypatch, gap
+):
+    # psi' changes by orders of magnitude across the cells next to the zero;
+    # on 720 levels every root still stops within 16 evaluations of B, the
+    # last of which is its certificate
+    B = BlaschkeProduct(1.0, (0j, (1.0 - gap) * cmath.exp(1j)))
+    lams = [cmath.exp(1j * TAU * q / 720) for q in range(720)]
+    counts = np.zeros(720 * B.degree, dtype=int)
+    real = circle._bracketed_newton
+
+    def counted(evaluate, x, lo, hi, base):
+        def each(live, xl):
+            counts[live] += 1
+            return evaluate(live, xl)
+
+        return real(each, x, lo, hi, base)
+
+    monkeypatch.setattr(circle, "_bracketed_newton", counted)
+    solve_levels(B, lams)
+    assert 1 <= counts.min() and counts.max() <= 16
+
+
 def test_solve_certifies_roots_near_a_zero_close_to_the_circle():
     # next to a zero at 1 - 1e-6 psi' is about 2e6, so an accurate root can
     # leave |B(z) - lam| above 1e-10; the certificate is on the argument
@@ -227,6 +299,21 @@ def test_orbit_starts_exactly_and_cycles():
     assert abs(orbit[5] - z) < 1e-9
     for a, b in zip(orbit, orbit[1:]):
         assert abs(a - b) > 1e-6
+
+
+def test_orbit_next_to_a_zero_within_root_tol_of_its_start():
+    # B.evaluate(1) refuses here; the start's level is read off the
+    # unit-modulus factors, which have no pole, and the level set through 1
+    # still holds 1, so the orbit closes after deg B = 2 steps
+    B = BlaschkeProduct(1.0, (0.3j, 1.0 - 1e-13))
+    with pytest.raises(BlaschkeError):
+        B.evaluate(1.0)
+    orbit = invariant_orbit(B, 1.0, 3)
+    assert orbit[0] == 1.0 and abs(orbit[2] - 1.0) < 1e-12
+    lam = circle._circle_terms(B, np.array([1.0 + 0j]))[0][0]
+    roots = _level_polynomial_roots(B, lam)
+    assert np.min(np.abs(roots - orbit[1])) < 1e-12
+    assert abs(orbit[1] - 1.0) > 0.1
 
 
 def test_orbit_preserves_circular_order():
@@ -370,7 +457,7 @@ def test_lift_grid_matches_a_dense_unwrap(degree):
     # a uniform grid fine enough that every step gains far less than pi,
     # merged with the lift grid's own points
     B = random_product(rng_for(170 + degree), degree, radius=0.8)
-    ts, psi = circle._lift_grid(B)
+    ts, psi, _ = circle._lift_grid(B)
     assert np.all(np.diff(ts) > 0.0)
     assert np.all((np.diff(psi) > 0.0) & (np.diff(psi) < 0.5))
     assert abs(psi[-1] - psi[0] - TAU * degree) < 1e-12
