@@ -368,12 +368,13 @@ def solve_on_circle(
 def _orbit(sol: CircleSolutionSet, z: complex, count: int) -> tuple[complex, ...]:
     """(z, g(z), ..., g^{count-1}(z)) read off the level set sol through z,
     which must hold z itself."""
-    i = min(range(len(sol)), key=lambda k: abs(sol.points[k] - z))
-    if abs(sol.points[i] - z) > 1e-6:
+    points = np.array(sol.points)
+    i = int(np.argmin(np.abs(points - z)))
+    if abs(points[i] - z) > 1e-6:
         raise SolverFailure(
             "point is not on its own level set; circle solve inconsistent"
         )
-    return (z,) + tuple(sol.point(i + j) for j in range(1, count))
+    return (z,) + tuple(points[(i + np.arange(1, count)) % len(points)].tolist())
 
 
 def _orbits(

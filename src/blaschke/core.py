@@ -469,39 +469,49 @@ class NormalizedForm(NamedTuple):
     post: DiskAutomorphism
 
 
+# normalize's base-point candidates: 16 points on each of the circles of
+# radius 0.1, ..., 0.5 about the origin, one array per circle
+_BASE_RINGS = [
+    np.array([0.1 * k * cmath.exp(2j * math.pi * (j + 0.3) / 16) for j in range(16)])
+    for k in range(1, 6)
+]
+
+
 def normalize(B: BlaschkeProduct, tol: ToleranceConfig | None = None) -> NormalizedForm:
     """Conjugate B by disk automorphisms into the normalized form.
 
-    Picks a base point beta whose image alpha = B(beta) is a regular value
-    (beta = 0 when possible, otherwise scanning small circles around the
-    origin), then returns lambda * phi_alpha o B o phi_beta with the rotation
-    chosen so the derivative at 0 is real positive.  When no scanned point
-    has a value clear of every critical value by more than cluster_tol it
-    raises SolverFailure: that is a limit of the scan, not of the input.
+    Picks a base point beta whose image alpha = B(beta) is a regular value,
+    more than cluster_tol from every entry of critical_data(B).values, then
+    returns lambda * phi_alpha o B o phi_beta with the rotation chosen so
+    the derivative at 0 is real positive.  beta = 0 when possible; otherwise
+    the scan takes the 16 points of each circle of radius 0.1, ..., 0.5 about
+    the origin in turn, one array evaluation of B per circle, and keeps the
+    first point of greatest margin, stopping after the first circle whose
+    best margin exceeds 100 cluster_tol.  When no scanned point clears
+    cluster_tol it raises SolverFailure: that is a limit of the scan, not of
+    the input.
     """
     from .critical import critical_data, fiber
 
     tol = _tol(tol)
-    cd = critical_data(B, tol)
-    values = [v for v, _ in cd.distinct_values]
+    values = np.array(critical_data(B, tol).values, dtype=complex)
 
-    def margin(alpha: complex) -> float:
-        return min((abs(alpha - v) for v in values), default=math.inf)
+    def margin(alpha):
+        """Distance from each base value to the nearest critical value."""
+        return np.abs(np.subtract.outer(alpha, values)).min(axis=-1, initial=math.inf)
 
     beta = 0j
     if margin(B.evaluate(0j, tol)) <= tol.cluster_tol:
-        best: tuple[float, complex] | None = None
-        for k in range(1, 6):
-            for j in range(16):
-                cand = 0.1 * k * cmath.exp(2j * math.pi * (j + 0.3) / 16)
-                m = margin(B.evaluate(cand, tol))
-                if best is None or m > best[0]:
-                    best = (m, cand)
-            if best is not None and best[0] > 100 * tol.cluster_tol:
+        best = -1.0
+        for ring in _BASE_RINGS:
+            m = margin(B.evaluate(ring, tol))
+            j = int(np.argmax(m))
+            if m[j] > best:
+                best, beta = m[j], complex(ring[j])
+            if best > 100 * tol.cluster_tol:
                 break
-        if best is None or best[0] <= tol.cluster_tol:
+        if best <= tol.cluster_tol:
             raise SolverFailure("no regular base point found near the origin")
-        beta = best[1]
     alpha = B.evaluate(beta, tol)
 
     base_fiber = fiber(B, alpha, tol)
@@ -573,15 +583,23 @@ def is_regularized(
     tol = _tol(tol)
     zero_at_origin = abs(B.evaluate(0j, tol)) <= tol.identity_tol
     simple = _zeros_separated(B, tol)
-    violating: list[tuple[complex, complex]] = []
     values = [v for v, _ in critical_data(B, tol).distinct_values]
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            v1, v2 = values[i], values[j]
-            if abs(v1) <= tol.root_tol or abs(v2) <= tol.root_tol:
-                continue
-            r = v1 / v2
-            if r.real > 0.0 and abs(r.imag) <= 1e-9 * (1.0 + abs(r)):
-                violating.append((v1, v2))
+    violating = _positive_ratio_pairs(values, tol.root_tol)
     ok = zero_at_origin and simple and not violating
-    return RegularizedCheck(ok, zero_at_origin, simple, tuple(violating))
+    return RegularizedCheck(ok, zero_at_origin, simple, violating)
+
+
+def _positive_ratio_pairs(
+    values: list[complex], root_tol: float
+) -> tuple[tuple[complex, complex], ...]:
+    """The pairs (values[i], values[j]), i < j, in the order of a double
+    loop, of values above root_tol in modulus whose ratio r = v_i / v_j is
+    positive real: Re r > 0 and |Im r| <= 1e-9 (1 + |r|).  All pairs are
+    tested at once as one (V x V) array."""
+    v = np.array(values, dtype=complex)
+    nonzero = np.abs(v) > root_tol
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = v[:, None] / v
+    positive = (r.real > 0.0) & (np.abs(r.imag) <= 1e-9 * (1.0 + np.abs(r)))
+    pairs = np.argwhere(np.triu(positive & nonzero[:, None] & nonzero, 1))
+    return tuple((values[i], values[j]) for i, j in pairs.tolist())

@@ -33,7 +33,9 @@ eps^(1/m) apart.  Such a cluster becomes one point of multiplicity m only
 when Newton on the (m-1)-th derivative of the sum, where the root is
 simple, leaves every lower derivative at relative residual 1e-8; otherwise
 its points stay simple.  Clusters, and the distinct critical values, come
-from single linkage on one matrix of pairwise distances.
+from single linkage on one matrix of pairwise distances; the cluster merge
+builds that matrix once per call and reads every finer gap off it.  The
+critical values are one array evaluation of B over the distinct points.
 
 One critical value.  one_critical_value_form recognizes B = tau o phi_a^n,
 the products with a single critical value; it builds no chain.  Chains
@@ -135,10 +137,11 @@ def _half_plane_zeros(counts: dict[complex, int]) -> tuple[complex, np.ndarray]:
     """
     a = np.array(list(counts), dtype=complex)
     m = np.array(list(counts.values()), dtype=float)
-    s = max(
-        circle_samples(16, 0.3),
-        key=lambda p: np.min(np.abs(a[:, None] - np.array([p, -p]))),
-    )
+    samples = circle_samples(16, 0.3)
+    p = np.array(samples)
+    # (K, 16, 2) distances; np.argmax keeps the first sample of equal margins
+    gaps = np.abs(a[:, None, None] - np.stack((p, -p), axis=-1))
+    s = samples[int(np.argmax(gaps.min(axis=(0, 2))))]
     # y = 1/xi; Re((s - a)/(s + a)) > 0 on the disk, so Im y < 0 and the
     # sum m @ y.imag never vanishes
     y = -1j * (s - a) / (s + a)
@@ -220,43 +223,73 @@ def _polish(
     return z, np.max(residuals, axis=0)
 
 
+def _components(linked: np.ndarray) -> np.ndarray:
+    """For a symmetric boolean link matrix, the least index of each point's
+    connected component.
+
+    The diagonal of linked is set first: every point is linked to itself.
+    Each point starts with its own index as label and takes the least label among the points linked to it, then
+    the label of that label, until nothing changes.
+    """
+    np.fill_diagonal(linked, True)
+    label = np.arange(len(linked))
+    while True:
+        least = np.where(linked, label, len(label)).min(axis=1, initial=len(label))
+        least = least[least]
+        if np.array_equal(least, label):
+            return label
+        label = least
+
+
 def _merge_clusters(points, accept) -> list[tuple[complex, int]]:
     """(point, multiplicity) pairs, sorted by (real, imag), from eigenvalues
     that may hold multiple roots.
 
-    Points are linked by _cluster_values at gap 0.1, then 0.01, and so on.
-    A k-fold root splits into k eigenvalues about eps^(1/k) apart, so a
-    group of k > 1 points within min(0.1, 3 (1e-13)^(1/k)) of their mean
-    becomes one point of multiplicity k when accept(mean, k) returns that
-    point rather than None.  A group of exactly equal points is kept as one
-    (a triangular matrix returns a repeated diagonal entry exactly).  Any
-    other group is linked again at a tenth of the gap; below 1e-8 its
-    points stay simple.
+    Points are linked by single linkage at gap 0.1, then 0.01, and so on.
+    Every gap reads one matrix of pairwise distances: the components at a
+    finer gap nest in those at a coarser one, so the finer clusters of a
+    group are the components of the whole set that it holds.  A point more
+    than 0.1 from every other point leaves at once.  A k-fold root splits
+    into k eigenvalues about eps^(1/k) apart, so a group of k > 1 points
+    within min(0.1, 3 (1e-13)^(1/k)) of their mean becomes one point of
+    multiplicity k when accept(mean, k) returns that point rather than None.
+    A group of exactly equal points is kept as one (a triangular matrix
+    returns a repeated diagonal entry exactly).  Any other group is linked
+    again at a tenth of the gap; below 1e-8 its points stay simple.  Groups
+    are taken in the input order of their first members and list their
+    members in input order, the mean a Python sum in that order.
     """
+    points = [complex(p) for p in points]
+    v = np.array(points, dtype=complex)
+    distance = np.abs(v[:, None] - v)
+    labels: dict[float, list[int]] = {}
     out: list[tuple[complex, int]] = []
-    pending = [([complex(p) for p in points], 0.1)]
+    pending = [(list(range(len(points))), 0.1)]
     while pending:
         group, gap = pending.pop()
-        _, index = _cluster_values(group, gap)
-        members: dict[int, list[complex]] = {}
-        for p, i in zip(group, index):
-            members.setdefault(i, []).append(p)
-        for g in members.values():
+        if gap not in labels:
+            labels[gap] = _components(distance <= gap).tolist()
+        label = labels[gap]
+        members: dict[int, list[int]] = {}
+        for i in group:
+            members.setdefault(label[i], []).append(i)
+        for ids in members.values():
+            g = [points[i] for i in ids]
             k = len(g)
-            if k > 1 and all(p == g[0] for p in g):
+            if k == 1 or all(p == g[0] for p in g):
                 out.append((g[0], k))
                 continue
             mean = sum(g) / k
             radius = min(0.1, 3.0 * 1e-13 ** (1.0 / k))
-            if k > 1 and max(abs(p - mean) for p in g) <= radius:
+            if max(abs(p - mean) for p in g) <= radius:
                 merged = accept(mean, k)
                 if merged is not None:
                     out.append((merged, k))
                     continue
-            if k == 1 or gap < 1e-8:
+            if gap < 1e-8:
                 out.extend((p, 1) for p in g)
             else:
-                pending.append((g, gap / 10.0))
+                pending.append((ids, gap / 10.0))
     return sorted(out, key=lambda zm: (zm[0].real, zm[0].imag))
 
 
@@ -339,25 +372,13 @@ def _cluster_values(
     by mean, and the index of each value's cluster in that list.
 
     Values i and j are linked when |v_i - v_j| <= tol_gap, all pairs at
-    once as one boolean matrix.  Each value starts with its own index as
-    label and takes the least label among the values linked to it, then the
-    label of that label, until nothing changes: every value then carries the
-    least index of its component.  Each cluster lists its members in input
-    order and takes their mean as a Python sum in that order, and clusters
-    with equal means keep the order of their first members.
+    once as one boolean matrix (see _components).  Each cluster lists its
+    members in input order and takes their mean as a Python sum in that
+    order, and clusters with equal means keep the order of their first
+    members.
     """
-    if not values:
-        return [], []
     v = np.array(values, dtype=complex)
-    linked = np.abs(v[:, None] - v) <= tol_gap
-    np.fill_diagonal(linked, True)
-    label = np.arange(len(v))
-    while True:
-        least = np.where(linked, label, len(v)).min(axis=1)
-        least = least[least]
-        if np.array_equal(least, label):
-            break
-        label = least
+    label = _components(np.abs(v[:, None] - v) <= tol_gap)
     clusters: dict[int, list[int]] = {}
     for i, root in enumerate(label.tolist()):
         clusters.setdefault(root, []).append(i)
@@ -414,10 +435,11 @@ def _critical_data(B: BlaschkeProduct, tol: ToleranceConfig) -> CriticalData:
                 f"{residual:.1e}; root location unreliable at degree {B.degree}"
             )
         polished.append((p, m))
+    polished.sort(key=lambda rm: (rm[0].real, rm[0].imag))
+    at = B.evaluate(np.array([r for r, _ in polished], dtype=complex), tol)
     points: list[complex] = []
     values: list[complex] = []
-    for r, m in sorted(polished, key=lambda rm: (rm[0].real, rm[0].imag)):
-        v = B.evaluate(r, tol)
+    for (r, m), v in zip(polished, at.tolist()):
         points.extend([r] * m)
         values.extend([v] * m)
     distinct, index = _cluster_values(values, tol.cluster_tol)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blaschke import (
+    DEFAULT_TOL,
     BlaschkeProduct,
     CompositionChain,
     DiskAutomorphism,
@@ -22,7 +23,9 @@ from blaschke import (
     normalize,
     unit,
 )
-from blaschke.core import format_float
+from blaschke.core import _positive_ratio_pairs, format_float
+from blaschke.critical import _critical_data, critical_data
+from blaschke.errors import SolverFailure
 
 from conftest import TAU, circle_grid, random_degree2_chain, random_product, rng_for
 
@@ -313,6 +316,91 @@ def test_normalize_rotation_has_no_negative_zero():
     assert rotation == 1
     assert math.copysign(1.0, rotation.imag) == 1.0
     assert format_float(rotation.imag) == "0"
+
+
+def _crowded_product(rng, degree: int) -> BlaschkeProduct:
+    """Zero moduli uniform on [0, 0.8), as in the benchmark: the zeros crowd
+    the origin and so do the critical values."""
+    zeros = tuple(
+        rng.uniform(0.0, 0.8) * cmath.exp(1j * rng.uniform(0.0, TAU))
+        for _ in range(degree)
+    )
+    return BlaschkeProduct(cmath.exp(1j * rng.uniform(0.0, TAU)), zeros)
+
+
+@pytest.mark.parametrize("seed,degree", [(3030, 16), (3031, 12), (3032, 20), (3033, 24)])
+def test_normalize_base_value_clears_every_critical_value(seed, degree):
+    # at seed 3030, B(0) lies 7.1e-9 from a critical value but 1.1e-8 from
+    # the mean of its cluster: the margin must read every value
+    B = _crowded_product(rng_for(seed), degree)
+    nf = normalize(B)
+    alpha = nf.post.center
+    assert alpha == B(nf.pre.center)
+    assert min(abs(alpha - v) for v in critical_data(B).values) > DEFAULT_TOL.cluster_tol
+
+
+def test_refused_scan_evaluates_b_once_per_ring(monkeypatch):
+    # a degree-40 product with no regular base point in reach: the scan
+    # reads all 5 rings of 16 candidates, each as one array evaluation, and
+    # the critical values are one array evaluation too
+    B = _crowded_product(rng_for(4000), 40)
+    jets, arrays = [], []
+    jet, evaluate_array = BlaschkeProduct._jet, BlaschkeProduct._evaluate_array
+
+    def counted_jet(self, z, tol):
+        jets.append(z)
+        return jet(self, z, tol)
+
+    def counted_array(self, z, tol):
+        arrays.append(z.shape)
+        return evaluate_array(self, z, tol)
+
+    monkeypatch.setattr(BlaschkeProduct, "_jet", counted_jet)
+    monkeypatch.setattr(BlaschkeProduct, "_evaluate_array", counted_array)
+    _critical_data.cache_clear()
+    cd = critical_data(B)
+    assert jets == [] and arrays == [(len(set(cd.points_in_disk)),)]
+    arrays.clear()
+    with pytest.raises(SolverFailure, match="no regular base point"):
+        normalize(B)
+    # the one scalar evaluation is the first try, beta = 0
+    assert jets == [0j]
+    assert arrays == [(16,)] * 5
+
+
+def _positive_ratio_pairs_by_loop(values, root_tol):
+    violating = []
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            v1, v2 = values[i], values[j]
+            if abs(v1) <= root_tol or abs(v2) <= root_tol:
+                continue
+            r = v1 / v2
+            if r.real > 0.0 and abs(r.imag) <= 1e-9 * (1.0 + abs(r)):
+                violating.append((v1, v2))
+    return tuple(violating)
+
+
+def test_positive_ratio_pairs_match_a_double_loop():
+    rng = rng_for(5300)
+    root_tol = DEFAULT_TOL.root_tol
+    for trial in range(40):
+        n = int(rng.integers(0, 12))
+        values = [complex(v) for v in rng.normal(size=n) + 1j * rng.normal(size=n)]
+        # planted positive-real ratios: a real multiple, and one turned by 5e-13
+        for v in values[: n // 3]:
+            values.append(float(rng.uniform(0.1, 10.0)) * v)
+            values.append(v * complex(2.0, 1e-12))
+        # a negative ratio, and values at or within root_tol of 0
+        if values:
+            values.append(-values[0])
+        values += [0j, 0.5 * root_tol * cmath.exp(1j * trial), root_tol + 0j]
+        order = rng.permutation(len(values))
+        values = [values[k] for k in order]
+        got = _positive_ratio_pairs(values, root_tol)
+        assert repr(got) == repr(_positive_ratio_pairs_by_loop(values, root_tol))
+        if n >= 3:
+            assert got
 
 
 def test_regularized_examples():

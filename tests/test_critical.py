@@ -18,6 +18,7 @@ from blaschke import (
     normalize,
 )
 from blaschke.circle import solve_on_circle
+from blaschke.core import circle_samples
 from blaschke.cli import demo_corpus
 from blaschke.critical import (
     _cluster_values,
@@ -243,6 +244,24 @@ def test_half_plane_starts_come_in_exact_conjugate_pairs(zeros):
     assert all(abs(p) < 1.0 for p in cd.points_in_disk)
     for a, k in counts.items():
         assert cd.points_in_disk.count(a) == k - 1
+
+
+def test_half_plane_shift_is_the_first_sample_farthest_from_the_zeros():
+    # the shift as a Python max over the samples, each scored by its own
+    # distance array; for z^2 and z^8 every sample is at distance 1 up to
+    # rounding
+    rng = rng_for(4320)
+    cases = [Counter((0j, 0j)), Counter((0j,) * 8)] + [
+        Counter(random_product(rng, int(rng.integers(1, 40)), radius=0.9).zeros)
+        for _ in range(30)
+    ]
+    for counts in cases:
+        a = np.array(list(counts), dtype=complex)
+        want = max(
+            circle_samples(16, 0.3),
+            key=lambda p: np.min(np.abs(a[:, None] - np.array([p, -p]))),
+        )
+        assert repr(_half_plane_zeros(counts)[0]) == repr(want)
 
 
 # ----------------------------------------------------------------------- fiber
@@ -576,6 +595,79 @@ def test_cluster_values_match_brute_force_single_linkage():
             want = _brute_force_clusters(values, gap)
             # equal means bit for bit: the same members summed in the same order
             assert repr(got) == repr(want)
+
+
+def _merge_clusters_by_recursion(points, accept):
+    """The cluster merge as one single-linkage clustering per group and gap,
+    a fresh distance matrix each time."""
+    out = []
+    pending = [([complex(p) for p in points], 0.1)]
+    while pending:
+        group, gap = pending.pop()
+        _, index = _brute_force_clusters(group, gap)
+        members = {}
+        for p, i in zip(group, index):
+            members.setdefault(i, []).append(p)
+        for g in members.values():
+            k = len(g)
+            if k > 1 and all(p == g[0] for p in g):
+                out.append((g[0], k))
+                continue
+            mean = sum(g) / k
+            radius = min(0.1, 3.0 * 1e-13 ** (1.0 / k))
+            if k > 1 and max(abs(p - mean) for p in g) <= radius:
+                merged = accept(mean, k)
+                if merged is not None:
+                    out.append((merged, k))
+                    continue
+            if k == 1 or gap < 1e-8:
+                out.extend((p, 1) for p in g)
+            else:
+                pending.append((g, gap / 10.0))
+    return sorted(out, key=lambda zm: (zm[0].real, zm[0].imag))
+
+
+def test_merge_clusters_matches_the_recursive_merge():
+    rng = rng_for(4310)
+    for trial in range(60):
+        points = []
+        for _ in range(int(rng.integers(0, 6))):
+            # a k-fold root as its eigenvalues split at about eps^(1/k)
+            k = int(rng.integers(2, 5))
+            c = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
+            turn = rng.uniform(0.0, TAU)
+            spread = 1e-13 ** (1.0 / k)
+            points += [c + spread * cmath.exp(1j * (turn + TAU * j / k)) for j in range(k)]
+        for _ in range(int(rng.integers(0, 3))):
+            # exactly equal points, and points 1e-10 apart, which a refused
+            # merge links down to the last gap
+            c = complex(rng.normal(), rng.normal())
+            points += [c] * int(rng.integers(2, 4))
+            c = complex(rng.normal(), rng.normal())
+            points += [c, c + 1e-10 * cmath.exp(1j * rng.uniform(0.0, TAU))]
+        for _ in range(int(rng.integers(0, 3))):
+            # pairs just inside and just outside the first gap
+            c = complex(rng.normal(), rng.normal())
+            gap = 0.1 + rng.choice([-1e-12, 1e-12])
+            points += [c, c + gap * cmath.exp(1j * rng.uniform(0.0, TAU))]
+        points += [complex(v) for v in rng.normal(size=int(rng.integers(0, 8))) * (1 + 1j)]
+        points = [points[i] for i in rng.permutation(len(points))]
+        for accept_every in (1, 2, 3):
+            calls = {"merge": [], "recursion": []}
+
+            def accept(mean, k, who):
+                calls[who].append((mean, k))
+                # accept some groups and refuse others, by their mean
+                if int(abs(mean) * 1e6) % accept_every:
+                    return None
+                return mean + 1e-15
+
+            got = critical._merge_clusters(points, lambda m, k: accept(m, k, "merge"))
+            want = _merge_clusters_by_recursion(
+                points, lambda m, k: accept(m, k, "recursion")
+            )
+            assert repr(got) == repr(want)
+            assert repr(calls["merge"]) == repr(calls["recursion"])
 
 
 # ------------------------------------------------------------------- failures
