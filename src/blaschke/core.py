@@ -67,8 +67,8 @@ class ToleranceConfig:
         which a critical value or an automorphism center counts as 0.  It is
         not a solver stop: circle solves stop at 1e-14 or a few ulps and
         certify at 5e-11, and the branch tracker corrects to 1e-12.
-    cluster_tol: distance below which two computed values (critical values,
-        critical points, zeros) are the same value.
+    cluster_tol: distance at or below which two critical points or zeros
+        are one; critical values, relative to the smaller modulus.
     identity_tol: sup-norm slack when checking that two maps agree, and the
         modulus below which a zero counts as a zero at the origin.
     conic_residual_tol: algebraic residual gate for conic fits.
@@ -594,12 +594,12 @@ def _positive_ratio_pairs(
 ) -> tuple[tuple[complex, complex], ...]:
     """The pairs (values[i], values[j]), i < j, in the order of a double
     loop, of values above root_tol in modulus whose ratio r = v_i / v_j is
-    positive real: Re r > 0 and |Im r| <= 1e-9 (1 + |r|).  All pairs are
-    tested at once as one (V x V) array."""
+    positive real: Re r > 0 and |Im r| <= 1e-9 |r|, either order alike.
+    All pairs are tested at once as one (V x V) array."""
     v = np.array(values, dtype=complex)
     nonzero = np.abs(v) > root_tol
     with np.errstate(divide="ignore", invalid="ignore"):
         r = v[:, None] / v
-    positive = (r.real > 0.0) & (np.abs(r.imag) <= 1e-9 * (1.0 + np.abs(r)))
+    positive = (r.real > 0.0) & (np.abs(r.imag) <= 1e-9 * np.abs(r))
     pairs = np.argwhere(np.triu(positive & nonzero[:, None] & nonzero, 1))
     return tuple((values[i], values[j]) for i, j in pairs.tolist())

@@ -32,10 +32,10 @@ Multiple roots.  A root of multiplicity m comes back as m eigenvalues about
 eps^(1/m) apart.  Such a cluster becomes one point of multiplicity m only
 when Newton on the (m-1)-th derivative of the sum, where the root is
 simple, leaves every lower derivative at relative residual 1e-8; otherwise
-its points stay simple.  Clusters, and the distinct critical values, come
-from single linkage on one matrix of pairwise distances; the cluster merge
-builds that matrix once per call and reads every finer gap off it.  The
-critical values are one array evaluation of B over the distinct points.
+its points stay simple.  Clusters come from single linkage on one matrix
+of pairwise distances, built once per cluster merge.  The critical values
+are one array evaluation of B over the distinct points; two are one value
+when they agree to cluster_tol relative to the smaller (_value_links).
 
 One critical value.  one_critical_value_form recognizes B = tau o phi_a^n,
 the products with a single critical value; it builds no chain.  Chains
@@ -354,7 +354,7 @@ class CriticalData:
 
     points_in_disk: the n-1 critical points, repeated with multiplicity.
     values: B at each point (same order and length as points_in_disk).
-    distinct_values: clustered representatives with total multiplicities.
+    distinct_values: cluster means (see _value_links) with multiplicities.
     cluster_index: for each entry of values, the index in distinct_values of
     the cluster that holds it.
     """
@@ -365,22 +365,33 @@ class CriticalData:
     cluster_index: tuple[int, ...]
 
 
+def _value_links(values: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Whether critical values i and j are one value, as a boolean matrix:
+    |v_i - v_j| <= rel_tol min(|v_i|, |v_j|).  Two exact zeros link; an
+    exact zero links to nothing else.  To first order this is
+    |log v_i - log v_j| <= rel_tol, as |dv|/|v| = |exp(d log v) - 1|."""
+    size = np.abs(values)
+    return np.abs(values[:, None] - values) <= rel_tol * np.minimum.outer(size, size)
+
+
 def _cluster_values(
     values: list[complex], tol_gap: float
 ) -> tuple[list[tuple[complex, int]], list[int]]:
-    """Single-linkage clustering; returns (mean, count) per cluster, sorted
-    by mean, and the index of each value's cluster in that list.
-
-    Values i and j are linked when |v_i - v_j| <= tol_gap, all pairs at
-    once as one boolean matrix (see _components).  Each cluster lists its
-    members in input order and takes their mean as a Python sum in that
-    order, and clusters with equal means keep the order of their first
-    members.
-    """
+    """_group_linked with values i and j linked when |v_i - v_j| <= tol_gap."""
     v = np.array(values, dtype=complex)
-    label = _components(np.abs(v[:, None] - v) <= tol_gap)
+    return _group_linked(values, np.abs(v[:, None] - v) <= tol_gap)
+
+
+def _group_linked(
+    values: list[complex], linked: np.ndarray
+) -> tuple[list[tuple[complex, int]], list[int]]:
+    """Single-linkage clusters under a symmetric link matrix: (mean, count)
+    per cluster, sorted by mean, and each value's cluster index in that
+    list.  Each cluster's mean is a Python sum of its members in input
+    order; clusters with equal means keep the order of their first members.
+    """
     clusters: dict[int, list[int]] = {}
-    for i, root in enumerate(label.tolist()):
+    for i, root in enumerate(_components(linked).tolist()):
         clusters.setdefault(root, []).append(i)
     groups = [
         (sum(values[i] for i in members) / len(members), members)
@@ -442,7 +453,8 @@ def _critical_data(B: BlaschkeProduct, tol: ToleranceConfig) -> CriticalData:
     for (r, m), v in zip(polished, at.tolist()):
         points.extend([r] * m)
         values.extend([v] * m)
-    distinct, index = _cluster_values(values, tol.cluster_tol)
+    linked = _value_links(np.array(values, dtype=complex), tol.cluster_tol)
+    distinct, index = _group_linked(values, linked)
     return CriticalData(tuple(points), tuple(values), tuple(distinct), tuple(index))
 
 

@@ -32,12 +32,6 @@ min(1e-12, rho / 1000) at the last step of each tracker call: the ends
 over the entry point, the arc ends and the end of continue_branch are the
 only points compared or returned.
 
-The values looped round are the critical values clustered at _VALUE_GAP of
-the largest one, not at the absolute cluster_tol: a random product of
-degree 16 has all its critical values within 1e-3 of 0 and distinct ones
-come within 1e-9 of each other, while values that coincide (as in a
-composition) agree to about 1e-13 of the largest.
-
 monodromy_group keeps its last 64 results per (product, tolerances), so
 cross_validate after monodromy_group, or the CLI's one cross_validate,
 tracks each branch once.
@@ -65,7 +59,7 @@ from .core import (
     _tol,
     _zeros_separated,
 )
-from .critical import CriticalData, _cluster_values, critical_data
+from .critical import CriticalData, _value_links, critical_data
 from .errors import (
     DegenerateInput,
     GeometryFailure,
@@ -96,7 +90,6 @@ __all__ = [
 
 TAU = 2.0 * math.pi
 _STEP = 0.8  # a tracker step's share of the distance to the nearest value
-_VALUE_GAP = 1e-11  # values nearer than this share of the largest are one
 
 
 def _invert(images: tuple[int, ...]) -> tuple[int, ...]:
@@ -358,11 +351,11 @@ def build_loops(
 
     The radius is 0.45 of the smallest of: pairwise value distances, value
     distances to the unit circle, value distances to the base point 0.  Every
-    loop therefore clears every other value by more than the radius.  Values
-    within _VALUE_GAP of the largest modulus of each other or of 0, a value
-    within root_tol of 0 (where a value counts as 0) or one within
-    cluster_tol of the circle raise GeometryFailure.  A loop
-    is the outward chords from 0 to the entry point v - r v/|v| (with one arc
+    loop therefore clears every other value by more than the radius.  Two
+    values that critical_data counts as one (critical._value_links), a
+    value within root_tol of 0 (where a value counts as 0) or one within
+    cluster_tol of the circle raise GeometryFailure.  A loop is the
+    outward chords from 0 to the entry point v - r v/|v| (with one arc
     of radius r round each value in the corridor), the circle about v as two
     half-turn arcs through the entry point, and the outward pieces reversed;
     every piece must keep 0.9 r from every other value, or GeometryFailure.
@@ -372,22 +365,22 @@ def build_loops(
     if not vals:
         raise GeometryFailure("no critical values; nothing to loop around")
     points = np.array(vals)
-    gaps = np.abs(points[:, None] - points)
-    gaps[np.diag_indices(len(vals))] = math.inf
-    i, j = sorted(map(int, np.unravel_index(np.argmin(gaps), gaps.shape)))
-    moduli = np.abs(points)
-    if gaps[i, j] <= _VALUE_GAP * moduli.max():
+    coincide = np.argwhere(np.triu(_value_links(points, tol.cluster_tol), 1))
+    if len(coincide):
+        i, j = coincide[0].tolist()
         raise GeometryFailure(
             f"critical values {vals[i]} and {vals[j]} coincide; "
             "cluster before building loops"
         )
+    moduli = np.abs(points)
     base, rim = float(moduli.min()), float((1.0 - moduli).min())
-    if base <= max(tol.root_tol, _VALUE_GAP * moduli.max()) or rim <= tol.cluster_tol:
+    if base <= tol.root_tol or rim <= tol.cluster_tol:
         raise GeometryFailure(
             "a critical value sits at the base point or on the circle; "
             "normalize the product first"
         )
-    r = 0.45 * min(float(gaps[i, j]), base, rim)
+    gaps = np.abs(points[:, None] - points)[np.triu_indices(len(vals), 1)]
+    r = 0.45 * min(float(gaps.min(initial=math.inf)), base, rim)
 
     loops = []
     for v in vals:
@@ -604,15 +597,13 @@ class MonodromyResult:
     group: PermutationGroup
 
 
-def _ramification_type(
-    cd: CriticalData, index: list[int], k: int, n: int
-) -> tuple[int, ...]:
+def _ramification_type(cd: CriticalData, k: int, n: int) -> tuple[int, ...]:
     """The cycle type Riemann-Hurwitz forces on the loop around the k-th
-    distinct critical value, index giving each critical point's value: one
-    (m+1)-cycle per distinct critical point of multiplicity m in that
-    value's cluster, fixed points for the rest of the fiber.  Lengths
-    summing past n mean no loop can match."""
-    multiplicity = Counter(p for p, c in zip(cd.points_in_disk, index) if c == k)
+    distinct critical value: one (m+1)-cycle per distinct critical point of
+    multiplicity m in that value's cluster, fixed points for the rest of
+    the fiber.  Lengths summing past n mean no loop can match."""
+    pairs = zip(cd.points_in_disk, cd.cluster_index)
+    multiplicity = Counter(p for p, c in pairs if c == k)
     cycles = sorted((m + 1 for m in multiplicity.values()), reverse=True)
     return tuple(cycles + [1] * (n - sum(cycles)))
 
@@ -625,12 +616,11 @@ def monodromy_group(
 
     Requires a product whose fiber over 0 is the zero set with all zeros
     simple (0 a regular value); normalize first otherwise.  Branch labels are
-    the zeros sorted by (argument, modulus); one generator per distinct
-    critical value, the values clustered at _VALUE_GAP of the largest (see
-    the module docstring) and taken in (real, imag) order.  Each generator
-    must have the cycle type Riemann-Hurwitz gives for the critical points
-    clustered at its value, or VerificationFailure: a loop that encloses
-    several values merged by the clustering fails this check.
+    the zeros sorted by (argument, modulus); one generator per entry of
+    critical_data's distinct_values, in that order.  Each generator must
+    have the cycle type Riemann-Hurwitz gives for the critical points
+    clustered at its value, or VerificationFailure: a loop round several
+    values that critical_data merged fails this check.
 
     Each generator is read as out^-1 o arc o out (see the module
     docstring), from two tracker calls over all loops at once, every row
@@ -667,11 +657,8 @@ def _monodromy_group(B: BlaschkeProduct, tol: ToleranceConfig) -> MonodromyResul
     labels = tuple(sorted(B.zeros, key=lambda z: (cmath.phase(z), abs(z))))
 
     cd = critical_data(B, tol)
-    scale = max(map(abs, cd.values), default=0.0)
-    distinct, index = _cluster_values(list(cd.values), _VALUE_GAP * scale)
-    values = [v for v, _ in distinct]
     # a degree-1 product has no critical value: no loops, the trivial group
-    loops = build_loops(values, tol) if values else ()
+    loops = build_loops([v for v, _ in cd.distinct_values], tol) if cd.values else ()
 
     # out: every label to its point over each loop's entry point, the start
     # slopes taken once per label
@@ -719,7 +706,7 @@ def _monodromy_group(B: BlaschkeProduct, tol: ToleranceConfig) -> MonodromyResul
                 f"{images[i]}{_where(loop, labels[i], 'arc')}"
             )
         generator = Permutation(tuple(images))
-        expected = _ramification_type(cd, index, len(generators), n)
+        expected = _ramification_type(cd, len(generators), n)
         if generator.cycle_type() != expected:
             raise VerificationFailure(
                 f"Riemann-Hurwitz: the loop around critical value "

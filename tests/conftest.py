@@ -42,6 +42,18 @@ def random_product(
     return BlaschkeProduct(gamma, tuple(zeros))
 
 
+def crowded_product(rng: np.random.Generator, degree: int) -> BlaschkeProduct:
+    """Zero moduli uniform on [0, 0.8), as in the benchmark, rather than
+    uniform in area: the zeros crowd the origin, and the critical values
+    crowd 0 (at degree 128 all lie within about 1e-14 of it, the smallest
+    near 1e-70)."""
+    zeros = tuple(
+        rng.uniform(0.0, 0.8) * cmath.exp(1j * rng.uniform(0.0, TAU))
+        for _ in range(degree)
+    )
+    return BlaschkeProduct(cmath.exp(1j * rng.uniform(0.0, TAU)), zeros)
+
+
 def random_degree2_chain(
     rng: np.random.Generator,
     factor_count: int,

@@ -7,10 +7,10 @@ import cmath
 import math
 
 from blaschke import BlaschkeProduct, normalize
-from blaschke.critical import critical_data
+from blaschke.critical import check_value_bound, critical_data
 from blaschke.monodromy import monodromy_group
 
-from conftest import TAU, random_product, rng_for
+from conftest import TAU, crowded_product, random_degree2_chain, random_product, rng_for
 from test_critical import assert_critical_points_match_mpmath
 from test_decompose import _tower
 
@@ -21,6 +21,9 @@ MONODROMY_TOWER_LEVELS = (5, 5, 6, 6)
 MONODROMY_TOP_TOWER_LEVELS = 7
 # critical points: towers of degree 64 and 128
 CRITICAL_TOWER_LEVELS = (6, 7)
+# distinct critical values: crowded random products and degree-2 towers
+VALUE_COUNT_DEGREES = (12, 16, 24, 32, 64, 128, 256)
+VALUE_COUNT_TOWER_LEVELS = (3, 4, 5, 6, 7, 8)
 
 
 def test_monodromy_certifies_random_products_to_degree_12():
@@ -87,3 +90,17 @@ def test_critical_points_certify_towers_to_degree_128():
         B = _tower(rng, levels)
         assert B.degree == 2**levels
         assert_critical_points_match_mpmath(B)
+
+
+def test_distinct_critical_values_count_to_degree_256():
+    # a random product has n - 1 distinct critical values, though at degree
+    # 128 they all lie within about 1e-14 of 0; an expanded chain of L
+    # degree-2 factors has exactly L, one per factor
+    rng = rng_for(2045)
+    for n in VALUE_COUNT_DEGREES:
+        B = crowded_product(rng, n)
+        assert len(critical_data(B).distinct_values) == n - 1
+    rng = rng_for(2046)
+    for levels in VALUE_COUNT_TOWER_LEVELS:
+        report = check_value_bound(random_degree2_chain(rng, levels))
+        assert report.distinct_count == report.bound == levels

@@ -376,7 +376,7 @@ def _positive_ratio_pairs_by_loop(values, root_tol):
             if abs(v1) <= root_tol or abs(v2) <= root_tol:
                 continue
             r = v1 / v2
-            if r.real > 0.0 and abs(r.imag) <= 1e-9 * (1.0 + abs(r)):
+            if r.real > 0.0 and abs(r.imag) <= 1e-9 * abs(r):
                 violating.append((v1, v2))
     return tuple(violating)
 
@@ -401,6 +401,19 @@ def test_positive_ratio_pairs_match_a_double_loop():
         assert repr(got) == repr(_positive_ratio_pairs_by_loop(values, root_tol))
         if n >= 3:
             assert got
+
+
+def test_positive_ratio_pairs_do_not_depend_on_order():
+    # the ratio of this pair is 1e-9 at angle 1 one way and 1e9 the other:
+    # a bound of 1e-9 (1 + |r|) on Im r flags the first order alone
+    small, large = 1e-11 * cmath.exp(1j), 1e-2 + 0j
+    root_tol = DEFAULT_TOL.root_tol
+    assert _positive_ratio_pairs([small, large], root_tol) == ()
+    assert _positive_ratio_pairs([large, small], root_tol) == ()
+    # a positive real ratio of 1e-9 is flagged in either order
+    far = 1e9 * small
+    assert _positive_ratio_pairs([small, far], root_tol) == ((small, far),)
+    assert _positive_ratio_pairs([far, small], root_tol) == ((far, small),)
 
 
 def test_regularized_examples():

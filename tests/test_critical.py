@@ -35,7 +35,14 @@ from blaschke.critical import (
 from blaschke.errors import BlaschkeError
 from blaschke.decompose import factor_any_order
 
-from conftest import TAU, circle_grid, random_degree2_chain, random_product, rng_for
+from conftest import (
+    TAU,
+    circle_grid,
+    crowded_product,
+    random_degree2_chain,
+    random_product,
+    rng_for,
+)
 
 
 # ----------------------------------------------------- convex hull oracle
@@ -361,6 +368,15 @@ def test_single_value_form_round_trip():
 def test_single_value_form_none_for_generic():
     rng = rng_for(232)
     B = random_product(rng, 4)
+    assert one_critical_value_form(B) is None
+
+
+def test_single_value_form_none_for_values_crowding_zero():
+    # all 127 critical values lie within 1.5e-14 of 0, far inside an
+    # absolute cluster_tol, but are distinct relative to their moduli, so
+    # this is not tau o phi_a^128
+    B = crowded_product(rng_for(233), 128)
+    assert len(critical_data(B).distinct_values) == 127
     assert one_critical_value_form(B) is None
 
 

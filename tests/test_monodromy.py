@@ -699,9 +699,9 @@ def test_plain_power_needs_normalization():
 
 # A normalized random degree-16 product whose 15 simple critical points (at
 # least 0.017 apart) have values 6.6e-13 to 5.1e-9 apart, all within 1e-3
-# of 0: clustering at the absolute cluster_tol merges them into one value,
-# but at _VALUE_GAP of the largest value they stay 15 values, so the group
-# comes from 15 transpositions.
+# of 0: an absolute cluster_tol would merge them into one value, but
+# relative to their moduli they stay 15 values, so the group comes from 15
+# transpositions.
 CLOSE_VALUES_16 = BlaschkeProduct(
     -0.9922278757615017 + 0.12443408922726029j,
     (
@@ -725,10 +725,10 @@ CLOSE_VALUES_16 = BlaschkeProduct(
 )
 
 # A normalized random degree-16 product (the degree-16 op of monodromy
-# seed 148) four of whose simple critical points have values 1.1e-15 to
-# 2.1e-15 apart, 3.5e-12 of the largest value 3.1e-4: below _VALUE_GAP they
-# are one value, the one loop around them lifts to a 5-cycle, and four
-# simple points give (2, 2, 2, 2).
+# seed 148) six of whose simple critical points have values that differ
+# (50-digit mpmath) by only 1.9e-10 to 4.8e-9 of their moduli: within
+# cluster_tol they are one value, the one loop around them lifts to a
+# 7-cycle, and six simple points give (2, 2, 2, 2, 2, 2).
 MERGED_VALUES_16 = BlaschkeProduct(
     -0.9453458944567326 + 0.3260692255239677j,
     (
@@ -753,7 +753,7 @@ MERGED_VALUES_16 = BlaschkeProduct(
 
 
 def test_close_critical_values_each_get_a_loop():
-    assert len(critical_data(CLOSE_VALUES_16).distinct_values) == 1
+    assert len(critical_data(CLOSE_VALUES_16).distinct_values) == 15
     res = monodromy_group(CLOSE_VALUES_16)
     assert len(res.generators) == 15
     assert all(g.cycle_type()[:2] == (2, 1) for g in res.generators)
@@ -761,8 +761,41 @@ def test_close_critical_values_each_get_a_loop():
 
 
 def test_merged_critical_values_fail_riemann_hurwitz():
-    with pytest.raises(VerificationFailure, match=r"\(5, 1, .*\(2, 2, 2, 2, 1"):
+    with pytest.raises(VerificationFailure, match=r"\(7, 1, .*\(2, 2, 2, 2, 2, 2, 1"):
         monodromy_group(MERGED_VALUES_16)
+
+
+# The normalized degree-16 op of monodromy seed 368: its 15 critical values
+# are at least 1.9e-8 of their moduli apart, but two of them only 2.0e-14
+# apart, under 1e-11 of the largest value 2.3e-3.
+SPREAD_VALUES_16 = BlaschkeProduct(
+    0.9235967214930898 - 0.38336548624937006j,
+    (
+        -0.32997792258788483 - 0.6091038676134519j,
+        -0.06744823277955891 - 0.1866999417796364j,
+        -0.008215143399708639 - 0.3731645867734777j,
+        0j,
+        0.08339932223033787 + 0.5425485884263754j,
+        0.13428847848446832 - 0.4873419272719872j,
+        0.18027421675233857 + 0.10477729468952264j,
+        0.2744707511071469 - 0.6684180341669645j,
+        0.3151760755449598 - 0.5127468642898434j,
+        0.37979015876230604 + 0.07566347183873326j,
+        0.4428421766202904 - 0.5336879111264203j,
+        0.46943944298304496 - 0.40263253074476263j,
+        0.5219190330476041 - 0.030458645103617465j,
+        0.5305709207597857 - 0.27486995028574923j,
+        0.5608873139826596 - 0.13888836696072798j,
+        0.7922657806260198 + 0.22239374071628604j,
+    ),
+)
+
+
+def test_values_close_in_absolute_terms_each_get_a_loop():
+    res = monodromy_group(SPREAD_VALUES_16)
+    assert len(res.generators) == 15
+    assert all(g.cycle_type()[:2] == (2, 1) for g in res.generators)
+    assert res.group.order() == math.factorial(16)
 
 
 def test_repeated_zero_rejected():
