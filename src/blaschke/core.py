@@ -95,30 +95,6 @@ def _tol(tol: ToleranceConfig | None) -> ToleranceConfig:
     return DEFAULT_TOL if tol is None else tol
 
 
-class _DisjointSets:
-    """Union-find over range(n), for partition closures of labels."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        """The representative of x's class, halving the path on the way."""
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> bool:
-        """Merge the classes of x and y under x's representative; False if
-        they were already one class."""
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[ry] = rx
-        return True
-
-
 def _finite(name: str, value) -> complex:
     """value as a complex number, or InputError naming it when it is NaN or
     infinite (every comparison with NaN is False, so the range checks that

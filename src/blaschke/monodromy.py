@@ -36,9 +36,14 @@ monodromy_group keeps its last 64 results per (product, tolerances), so
 cross_validate after monodromy_group, or the CLI's one cross_validate,
 tracks each branch once.
 
-Block systems of the resulting group are the group-respected partitions of
-the zero labels; each corresponds to a compositional factorization, which is
-what cross_validate checks against the direct factor search.
+Near the circle B is an n-fold cover, so the loops taken in the order of
+their values' arguments compose to a loop round the circle, which lifts to
+an n-cycle; monodromy_group certifies that and appends the cycle to the
+group's generators.  Block systems of the group are the group-respected
+partitions of the zero labels, and in a group holding an n-cycle c they are
+the residue classes of positions along c, one candidate per divisor of n.
+Each corresponds to a compositional factorization, which is what
+cross_validate checks against the direct factor search.
 """
 
 from __future__ import annotations
@@ -54,7 +59,6 @@ import numpy as np
 from .core import (
     BlaschkeProduct,
     ToleranceConfig,
-    _DisjointSets,
     _factor_array,
     _tol,
     _zeros_separated,
@@ -158,8 +162,9 @@ class PermutationGroup:
     the basic orbit of b_i, a group element u with u(b_i) = p and its
     inverse; the order is the product of the basic-orbit sizes.  A primitive
     group with a transposition among its generators is the symmetric group
-    (Jordan 1873), so its order needs no chain.  Transitivity is the orbit
-    of 0 under the generators.
+    (Jordan 1873), so its order needs no chain; primitivity is read off an
+    n-cycle among the generators (block_systems), and a group with none is
+    not taken for S_n.  Transitivity is the orbit of 0 under the generators.
     """
 
     def __init__(self, generators, degree: int):
@@ -221,16 +226,12 @@ class PermutationGroup:
         return math.prod(len(level[2]) for level in self._chain())
 
     def _symmetric(self) -> bool:
-        """Whether a generator is a transposition and the group primitive,
-        which makes the group S_n (Jordan)."""
-        n = self.degree
+        """Whether a generator is a transposition, one is an n-cycle and the
+        group is primitive, which makes the group S_n (Jordan)."""
         return (
             any(g.cycle_type()[:2] in ((2,), (2, 1)) for g in self.generators)
-            and self.is_transitive()
-            and all(
-                _minimal_system(self.generators, n, 0, j).count == 1
-                for j in range(1, n)
-            )
+            and _long_cycle(self) is not None
+            and block_systems(self) == ()
         )
 
     def is_abelian(self) -> bool:
@@ -263,16 +264,6 @@ class BlockSystem:
     @property
     def count(self) -> int:
         return len(self.blocks)
-
-    @staticmethod
-    def from_classes(classes: dict) -> "BlockSystem":
-        buckets: dict = {}
-        for x, root in classes.items():
-            buckets.setdefault(root, []).append(x)
-        blocks = tuple(
-            sorted((tuple(sorted(b)) for b in buckets.values()), key=lambda b: b[0])
-        )
-        return BlockSystem(blocks)
 
 
 @dataclass(frozen=True)
@@ -620,7 +611,11 @@ def monodromy_group(
     critical_data's distinct_values, in that order.  Each generator must
     have the cycle type Riemann-Hurwitz gives for the critical points
     clustered at its value, or VerificationFailure: a loop round several
-    values that critical_data merged fails this check.
+    values that critical_data merged fails this check.  The generators taken
+    in the order of their values' arguments, the first applied first, must
+    compose to an n-cycle, the lift of a loop round the circle (see the
+    module docstring), or VerificationFailure naming the cycle type; the
+    group is generated by the generators and that n-cycle, appended last.
 
     Each generator is read as out^-1 o arc o out (see the module
     docstring), from two tracker calls over all loops at once, every row
@@ -715,83 +710,69 @@ def _monodromy_group(B: BlaschkeProduct, tol: ToleranceConfig) -> MonodromyResul
             )
         generators.append(generator)
 
-    return MonodromyResult(
-        labels, loops, tuple(generators), PermutationGroup(generators, n)
-    )
+    boundary = _boundary(loops, generators, n)
+    if boundary.cycle_type() != (n,):
+        raise VerificationFailure(
+            f"the loops round the critical values compose to cycle type "
+            f"{boundary.cycle_type()}, not the {n}-cycle of a loop round the "
+            "circle"
+        )
+    generators = tuple(generators)
+    group = PermutationGroup(generators + (boundary,), n)
+    return MonodromyResult(labels, loops, generators, group)
 
 
-def _minimal_system(
-    gens: tuple[Permutation, ...], n: int, a: int, b: int
-) -> BlockSystem:
-    """Finest group-congruence identifying a and b (union-find propagation)."""
-    sets = _DisjointSets(n)
-    stack = [(a, b)]
-    sets.union(a, b)
-    while stack:
-        x, y = stack.pop()
-        for g in gens:
-            gx, gy = g.images[x], g.images[y]
-            if sets.union(gx, gy):
-                stack.append((gx, gy))
-    return BlockSystem.from_classes({x: sets.find(x) for x in range(n)})
+def _boundary(loops, generators, n: int) -> Permutation:
+    """The generators composed in the order of their loops' values'
+    arguments, the first applied first: the lift of a loop round the
+    circle."""
+    product = Permutation.identity(n)
+    for k in sorted(range(len(loops)), key=lambda k: cmath.phase(loops[k].target)):
+        product = generators[k] * product
+    return product
 
 
-def _join(p: BlockSystem, q: BlockSystem, n: int) -> BlockSystem:
-    sets = _DisjointSets(n)
-    for system in (p, q):
-        for block in system.blocks:
-            for x in block[1:]:
-                sets.union(block[0], x)
-    return BlockSystem.from_classes({x: sets.find(x) for x in range(n)})
+def _long_cycle(G: PermutationGroup) -> tuple[int, ...] | None:
+    """The points in the order the first n-cycle among G's generators visits
+    them from 0, or None when no generator is an n-cycle."""
+    for g in G.generators:
+        cycles = g.cycles()
+        if len(cycles) == 1:
+            return cycles[0]
+    return None
 
 
 def block_systems(G: PermutationGroup) -> tuple[BlockSystem, ...]:
-    """Every nontrivial block system of a transitive group.
+    """Every nontrivial block system of a group with an n-cycle c among its
+    generators, by increasing block size.
 
-    Atkinson's propagation gives the minimal system identifying 0 with each
-    other point; an arbitrary system is recovered as the join of the minimal
-    systems for the pairs inside its 0-block, so closing the minimal set
-    under joins enumerates everything.
+    c permutes the blocks of a system with m blocks as one m-cycle, so the
+    block through c[0] is its orbit under c^m: the blocks are the residue
+    classes mod m of the positions along c.  So each divisor 1 < m < n gives
+    one candidate, and it is a system exactly when every generator maps each
+    class into one class.  A group with no n-cycle generator raises
+    InputError.
     """
-    if not G.is_transitive():
-        raise InputError("block systems are defined for transitive groups only")
+    cycle = _long_cycle(G)
+    if cycle is None:
+        raise InputError(
+            "block systems are read off an n-cycle among the generators; "
+            "this group has none"
+        )
     n = G.degree
-    found: dict = {}
-    for j in range(1, n):
-        system = _minimal_system(G.generators, n, 0, j)
-        if 1 < system.count < n:
-            found.setdefault(system.blocks, system)
-
-    frontier = list(found.values())
-    while frontier:
-        fresh = []
-        for p in frontier:
-            for q in list(found.values()):
-                joined = _join(p, q, n)
-                if 1 < joined.count < n and joined.blocks not in found:
-                    found[joined.blocks] = joined
-                    fresh.append(joined)
-        frontier = fresh
-
-    systems = sorted(found.values(), key=lambda s: (s.block_size, s.blocks))
-    for s in systems:
-        sizes = {len(b) for b in s.blocks}
-        if len(sizes) != 1:
-            raise VerificationFailure("uneven blocks from a transitive group")
-        block_index = {x: i for i, block in enumerate(s.blocks) for x in block}
-        for g in G.generators:
-            for block in s.blocks:
-                if len({block_index[g.images[x]] for x in block}) != 1:
-                    raise VerificationFailure("generator tore a block apart")
+    position = np.empty(n, dtype=int)
+    position[list(cycle)] = np.arange(n)
+    # the position along c of g(c[i]), one row per generator
+    along = position[np.array([g.images for g in G.generators])[:, cycle]]
+    systems = []
+    for m in range(n - 1, 1, -1):
+        if n % m:
+            continue
+        classes = (along % m).reshape(len(G.generators), n // m, m)
+        if (classes == classes[:, :1]).all():
+            blocks = sorted(tuple(sorted(cycle[r::m])) for r in range(m))
+            systems.append(BlockSystem(tuple(blocks)))
     return tuple(systems)
-
-
-def _refines(p: BlockSystem, q: BlockSystem) -> bool:
-    lookup = {}
-    for i, block in enumerate(q.blocks):
-        for x in block:
-            lookup[x] = i
-    return all(len({lookup[x] for x in block}) == 1 for block in p.blocks)
 
 
 @dataclass(frozen=True)
@@ -810,13 +791,22 @@ class WreathAudit:
 
 
 def wreath_audit(G: PermutationGroup, levels: int) -> WreathAudit:
-    """Audit G against the iterated binary wreath shape of height `levels`:
-    order 2^(2^levels - 1), every element order a power of two, and a nested
-    chain of block systems of sizes 2, 4, ..., 2^(levels-1).  The order comes
-    off G's stabilizer chain, so no element is listed at any height; a 2-group
-    is recognized by its order alone."""
+    """Audit G, which must act on 2^levels points (else InputError), against
+    the iterated binary wreath shape of height `levels`: order
+    2^(2^levels - 1), every element order a power of two, and a nested chain
+    of block systems of sizes 2, 4, ..., 2^(levels-1).  The order comes off
+    G's stabilizer chain, so no element is listed at any height; a 2-group
+    is recognized by its order alone.  The block systems are the residue
+    classes along an n-cycle among the generators (block_systems), which
+    nest by divisibility, so the chain exists when every size is present;
+    a group with no n-cycle generator has none."""
     if levels < 1:
         raise InputError("levels must be positive")
+    if G.degree != 2**levels:
+        raise InputError(
+            f"the wreath product of height {levels} acts on {2**levels} "
+            f"points, not {G.degree}"
+        )
     expected = 2 ** (2**levels - 1)
     order = G.order()
     order_ok = order == expected
@@ -825,22 +815,10 @@ def wreath_audit(G: PermutationGroup, levels: int) -> WreathAudit:
     two_group_ok = order & (order - 1) == 0
 
     wanted = [2**i for i in range(1, levels)]
-    systems = block_systems(G) if G.is_transitive() else ()
-    by_size: dict = {}
-    for s in systems:
-        by_size.setdefault(s.block_size, []).append(s)
-
-    def chain_exists(idx: int, prev: BlockSystem | None) -> bool:
-        if idx == len(wanted):
-            return True
-        for s in by_size.get(wanted[idx], []):
-            if prev is None or _refines(prev, s):
-                if chain_exists(idx + 1, s):
-                    return True
-        return False
-
-    nested_ok = chain_exists(0, None)
-    nested_sizes = tuple(size for size in wanted if size in by_size)
+    systems = block_systems(G) if _long_cycle(G) is not None else ()
+    sizes = {s.block_size for s in systems}
+    nested_sizes = tuple(size for size in wanted if size in sizes)
+    nested_ok = len(nested_sizes) == len(wanted)
     return WreathAudit(
         levels, order, expected, order_ok, two_group_ok, nested_sizes, nested_ok
     )

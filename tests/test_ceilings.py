@@ -8,7 +8,7 @@ import math
 
 from blaschke import BlaschkeProduct, normalize
 from blaschke.critical import check_value_bound, critical_data
-from blaschke.monodromy import monodromy_group
+from blaschke.monodromy import block_systems, monodromy_group
 
 from conftest import TAU, crowded_product, random_degree2_chain, random_product, rng_for
 from test_critical import assert_critical_points_match_mpmath
@@ -80,6 +80,15 @@ def test_monodromy_certifies_a_tower_of_degree_128():
     assert B.degree == 128
     assert len(mono.generators) == len(critical_data(B).distinct_values)
     assert all(g.order() & (g.order() - 1) == 0 for g in mono.generators)
+    # the group's last generator is the loop round the circle
+    assert mono.group.generators[-1].cycle_type() == (128,)
+    systems = block_systems(mono.group)
+    assert [s.block_size for s in systems] == [2, 4, 8, 16, 32, 64]
+    for s in systems:
+        block_of = {x: i for i, block in enumerate(s.blocks) for x in block}
+        for g in mono.group.generators:
+            for block in s.blocks:
+                assert len({block_of[g(x)] for x in block}) == 1
 
 
 def test_critical_points_certify_towers_to_degree_128():

@@ -19,7 +19,6 @@ from blaschke.errors import (
     VerificationFailure,
 )
 from blaschke.monodromy import (
-    BlockSystem,
     LoopPiece,
     LoopSpec,
     Permutation,
@@ -137,26 +136,70 @@ def _as_sets(systems):
     return {frozenset(frozenset(b) for b in s.blocks) for s in systems}
 
 
+def _ordered_product(gens):
+    """The generators composed with the first applied first."""
+    product = Permutation.identity(len(gens[0].images))
+    for g in gens:
+        product = g * product
+    return product
+
+
+def _random_cycle(rng, n):
+    """An n-cycle through the points in a random order."""
+    order = [int(i) for i in rng.permutation(n)]
+    images = [0] * n
+    for i, x in enumerate(order):
+        images[x] = order[(i + 1) % n]
+    return tuple(images)
+
+
+# leaf swaps and branch swaps on a depth-3 binary tree: W3 on 8 points
+W3 = [
+    Permutation((1, 0, 2, 3, 4, 5, 6, 7)),
+    Permutation((2, 3, 0, 1, 4, 5, 6, 7)),
+    Permutation((4, 5, 6, 7, 0, 1, 2, 3)),
+]
+
+
 @pytest.mark.parametrize(
     "gens,n",
     [
         ([(1, 2, 3, 0)], 4),
         ([(1, 2, 3, 0), (0, 3, 2, 1)], 4),
         ([(1, 0, 2, 3), (1, 2, 3, 0)], 4),
-        ([(1, 0, 3, 2), (2, 3, 0, 1)], 4),
         ([(1, 2, 3, 4, 5, 0)], 6),
         ([(1, 2, 3, 4, 5, 6, 7, 0)], 8),
-        # the regular action of C2 x C2 x C2, x -> x xor 1, 2 and 4: its 7
-        # systems with blocks of 4 are joins of two minimal systems
-        ([tuple(x ^ m for x in range(8)) for m in (1, 2, 4)], 8),
+        # a random n-cycle labels the residue classes out of order; the
+        # permutation drawn with seed 445 keeps one system of the 8-cycle,
+        # the one with seed 363 none of the 6-cycle's
+        ([_random_cycle(rng_for(360), 8), _random_perm(rng_for(445), 8).images], 8),
+        ([_random_cycle(rng_for(362), 6), _random_perm(rng_for(363), 6).images], 6),
+        ([g.images for g in W3] + [_ordered_product(W3).images], 8),
     ],
-    ids=["c4", "d4", "s4", "klein", "c6", "c8", "c2cubed"],
+    ids=["c4", "d4", "s4", "c6", "c8", "random8", "random6", "w3"],
 )
 def test_block_systems_match_brute_force(gens, n):
     perms = [Permutation(g) for g in gens]
     G = PermutationGroup(perms, n)
     assert G.is_transitive()
     assert _as_sets(block_systems(G)) == _brute_systems(perms, n)
+
+
+@pytest.mark.parametrize(
+    "gens,n",
+    [
+        ([(1, 0, 3, 2), (2, 3, 0, 1)], 4),
+        # the regular action of C2 x C2 x C2, x -> x xor 1, 2 and 4
+        ([tuple(x ^ m for x in range(8)) for m in (1, 2, 4)], 8),
+    ],
+    ids=["klein", "c2cubed"],
+)
+def test_block_systems_need_an_n_cycle_generator(gens, n):
+    # transitive, but no element is an n-cycle to read the systems off
+    G = PermutationGroup([Permutation(g) for g in gens], n)
+    assert G.is_transitive()
+    with pytest.raises(InputError, match="n-cycle"):
+        block_systems(G)
 
 
 def test_four_cycle_has_the_diagonal_system():
@@ -171,33 +214,33 @@ def test_symmetric_group_is_primitive():
     assert block_systems(G) == ()
 
 
-def test_torn_block_is_a_verification_failure(monkeypatch, capsys):
-    """A partition that a generator tears apart is a failed certificate on a
-    computed result (exit 4), not bad input."""
-
-    def torn(gens, n, a, b):
-        # consecutive pairs along the n-cycle of the first generator g: g maps
-        # {x, g(x)} onto {g(x), g(g(x))}, which straddles two of the pairs
-        cycle = [0]
-        while len(cycle) < n:
-            cycle.append(gens[0].images[cycle[-1]])
-        pairs = (tuple(sorted(cycle[i : i + 2])) for i in range(0, n, 2))
-        return BlockSystem(tuple(sorted(pairs)))
-
-    monkeypatch.setattr(monodromy, "_minimal_system", torn)
-    with pytest.raises(VerificationFailure, match="tore a block apart"):
-        block_systems(PermutationGroup([Permutation((1, 2, 3, 0))], 4))
-    # the monodromy of z^8 is generated by one 8-cycle
+def test_boundary_cycle_is_a_verification_failure(monkeypatch, capsys):
+    """Loops that do not compose to an n-cycle round the circle are a failed
+    certificate on a computed result (exit 4), not bad input."""
+    # a result kept from an earlier call would skip the composition
+    monodromy._monodromy_group.cache_clear()
+    monkeypatch.setattr(
+        monodromy, "_boundary", lambda loops, gens, n: Permutation.identity(n)
+    )
+    B = normalize(cli.demo_corpus()["power8"]).product
+    with pytest.raises(VerificationFailure, match=r"cycle type \(1, 1, 1, 1, 1"):
+        monodromy_group(B)
     assert cli.main(["monodromy", "--demo", "power8"]) == 4
-    assert "verification failure: generator tore a block apart" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "verification failure: the loops round the critical values" in err
+    assert "not the 8-cycle of a loop round the circle" in err
 
 
 # ---------------------------------------------------------------- wreath audit
 
 
 def test_wreath_audit_height_two():
-    # leaf swap and branch swap on a depth-2 binary tree
-    G = PermutationGroup([Permutation((1, 0, 2, 3)), Permutation((2, 3, 0, 1))], 4)
+    # leaf swap and branch swap on a depth-2 binary tree, and their product,
+    # a 4-cycle in the group they generate
+    gens = [Permutation((1, 0, 2, 3)), Permutation((2, 3, 0, 1))]
+    boundary = _ordered_product(gens)
+    assert boundary.cycle_type() == (4,)
+    G = PermutationGroup(gens + [boundary], 4)
     audit = wreath_audit(G, 2)
     assert G.order() == 8
     assert audit.ok
@@ -206,12 +249,10 @@ def test_wreath_audit_height_two():
 
 
 def test_wreath_audit_height_three():
-    gens = [
-        Permutation((1, 0, 2, 3, 4, 5, 6, 7)),
-        Permutation((2, 3, 0, 1, 4, 5, 6, 7)),
-        Permutation((4, 5, 6, 7, 0, 1, 2, 3)),
-    ]
-    G = PermutationGroup(gens, 8)
+    gens = W3
+    boundary = _ordered_product(gens)
+    assert boundary.cycle_type() == (8,)
+    G = PermutationGroup(gens + [boundary], 8)
     # independent closure count, so the audit is not grading its own homework
     seen = {tuple(range(8))}
     frontier = list(seen)
@@ -245,6 +286,13 @@ def test_wreath_audit_height_one_and_bad_levels():
     assert wreath_audit(G, 1).ok
     with pytest.raises(InputError):
         wreath_audit(G, 0)
+
+
+def test_wreath_audit_needs_2_to_the_levels_points():
+    # C8 on 8 points is not W2, which acts on 4
+    G = PermutationGroup([Permutation((1, 2, 3, 4, 5, 6, 7, 0))], 8)
+    with pytest.raises(InputError, match="acts on 4 points, not 8"):
+        wreath_audit(G, 2)
 
 
 # ---------------------------------------------------------------- loop routing
