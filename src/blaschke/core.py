@@ -34,6 +34,7 @@ from .errors import (
     NoInteriorFixedPoint,
     PoleProximity,
     SolverFailure,
+    VerificationFailure,
 )
 
 __all__ = [
@@ -410,11 +411,17 @@ class CompositionChain:
         )
 
 
-def _matching_point_candidates() -> list[complex]:
-    # fixed circle points used to pin down unimodular constants; a handful of
-    # angles with no shared symmetry so at least one is well away from any
-    # structure of the product at hand
-    return [cmath.exp(1j * t) for t in (0.83, 2.11, 3.91, 5.03, 0.17, 4.57)]
+# the circle points every unimodular constant is matched on: read at the
+# first, certified over all of them
+_MATCH_POINTS = np.array(circle_samples(100, 0.05))
+
+
+def _rotation(target: np.ndarray, base: np.ndarray) -> tuple[complex, float]:
+    """The unimodular rho with target = rho * base at the first of the
+    _MATCH_POINTS, and the sup error |target - rho * base| over all of them;
+    base is a map of the circle to itself evaluated there."""
+    rho = unit(complex(target[0] / base[0]))
+    return rho, float(np.abs(target - rho * base).max())
 
 
 def compose(
@@ -426,7 +433,9 @@ def compose(
 
     The zeros of the composition are the inner-preimages of the outer zeros:
     for each zero w of outer, the fiber inner(z) = w, all of which lies in
-    the open disk.  The constant is fixed by matching one circle evaluation.
+    the open disk.  The constant comes from _rotation against outer(inner(z))
+    on the circle; a sup error above 1e-8 raises VerificationFailure naming
+    it, and a zero within root_tol of a matching point PoleProximity.
     """
     from .critical import fiber
 
@@ -438,20 +447,21 @@ def compose(
             fiber_cache[w] = fiber(inner, w, tol)
         zeros.extend(fiber_cache[w])
 
-    base = BlaschkeProduct(1.0, tuple(zeros))
-    for z0 in _matching_point_candidates():
-        try:
-            gamma = outer.evaluate(inner.evaluate(z0, tol), tol) / base.evaluate(z0, tol)
-        except PoleProximity:
-            continue
-        return BlaschkeProduct(unit(gamma), tuple(zeros))
-    raise DegenerateInput("no usable matching point on the circle")
+    z = _MATCH_POINTS
+    base = BlaschkeProduct(1.0, tuple(zeros)).evaluate(z, tol)
+    gamma, err = _rotation(outer.evaluate(inner.evaluate(z, tol), tol), base)
+    if err > 1e-8:
+        raise VerificationFailure(
+            f"composition of degree {len(zeros)} misses outer(inner(z)) on the "
+            f"circle: sup error {err:.3e}"
+        )
+    return BlaschkeProduct(gamma, tuple(zeros))
 
 
 class NormalizedForm(NamedTuple):
     """normalize() result: product = post o B o pre with product(0) = 0,
     product'(0) > 0, and simple zeros.  pre is an involution (rotation 1), so
-    B = post.inverse() o product o pre."""
+    B = post.inverse() o product o pre, certified to 1e-8 on the circle."""
 
     product: BlaschkeProduct
     pre: DiskAutomorphism
@@ -471,14 +481,19 @@ def normalize(B: BlaschkeProduct, tol: ToleranceConfig | None = None) -> Normali
 
     Picks a base point beta whose image alpha = B(beta) is a regular value,
     more than cluster_tol from every entry of critical_data(B).values, then
-    returns lambda * phi_alpha o B o phi_beta with the rotation chosen so
-    the derivative at 0 is real positive.  beta = 0 when possible; otherwise
-    the scan takes the 16 points of each circle of radius 0.1, ..., 0.5 about
-    the origin in turn, one array evaluation of B per circle, and keeps the
-    first point of greatest margin, stopping after the first circle whose
-    best margin exceeds 100 cluster_tol.  When no scanned point clears
-    cluster_tol it raises SolverFailure: that is a limit of the scan, not of
-    the input.
+    returns lambda * phi_alpha o B o phi_beta.  beta = 0 when possible;
+    otherwise the scan takes the 16 points of each circle of radius 0.1,
+    ..., 0.5 about the origin in turn, one array evaluation of B per circle,
+    and keeps the first point of greatest margin, stopping after the first
+    circle whose best margin exceeds 100 cluster_tol.  When no scanned point
+    clears cluster_tol it raises SolverFailure: that is a limit of the scan,
+    not of the input.
+
+    N's constant is unit(conj prod_(a != 0) (-a)) over its zeros, so
+    N'(0) > 0 (DegenerateInput when the product is 0), and lambda comes
+    from _rotation of phi_alpha o B o pre against N; a sup error above 1e-8
+    raises VerificationFailure naming it, and a zero within root_tol of a
+    matching point (or, for B, of its image under pre) PoleProximity.
     """
     from .critical import critical_data, fiber
 
@@ -503,38 +518,26 @@ def normalize(B: BlaschkeProduct, tol: ToleranceConfig | None = None) -> Normali
             raise SolverFailure("no regular base point found near the origin")
         alpha = B.evaluate(beta, tol)
 
-    base_fiber = fiber(B, alpha, tol)
-    if len(base_fiber) != B.degree:
-        raise DegenerateInput("fiber of the base value has the wrong size")
-
     pre = DiskAutomorphism(1.0, beta)
-    zeros_n = [pre(w) for w in base_fiber]
+    zeros_n = [pre(w) for w in fiber(B, alpha, tol)]
     # beta itself is in the fiber; snap its image to exactly 0
-    i0 = min(range(len(zeros_n)), key=lambda i: abs(zeros_n[i]))
-    if abs(zeros_n[i0]) > 1e-7:
-        raise DegenerateInput("fiber does not contain the base point")
-    zeros_n[i0] = 0j
+    zeros_n[min(range(len(zeros_n)), key=lambda i: abs(zeros_n[i]))] = 0j
     zeros_n.sort(key=lambda z: (z.real, z.imag))
-
-    base = BlaschkeProduct(1.0, tuple(zeros_n))
-    phi_alpha = DiskAutomorphism(1.0, alpha)
-    gamma2 = None
-    for z0 in _matching_point_candidates():
-        try:
-            gamma2 = phi_alpha(B.evaluate(pre(z0), tol)) / base.evaluate(z0, tol)
-            break
-        except PoleProximity:
-            continue
-    if gamma2 is None:
-        raise DegenerateInput("no usable matching point on the circle")
-    n2 = BlaschkeProduct(unit(gamma2), tuple(zeros_n))
-    d0 = n2.derivative(0j, tol)
-    if abs(d0) == 0.0:
+    slope = math.prod(-a for a in zeros_n if a != 0)
+    if slope == 0:
         raise DegenerateInput("normalized derivative vanished at 0")
-    # + 0j turns the -0.0 imaginary part of a real d0's conjugate into +0.0
-    lam = d0.conjugate() / abs(d0) + 0j
-    product = BlaschkeProduct(unit(lam * n2.gamma), tuple(zeros_n))
-    post = DiskAutomorphism(lam, alpha)
+    product = BlaschkeProduct(unit(slope.conjugate()), tuple(zeros_n))
+
+    z = _MATCH_POINTS
+    target = DiskAutomorphism(1.0, alpha)(B.evaluate(pre(z), tol))
+    rho, err = _rotation(target, product.evaluate(z, tol))
+    if err > 1e-8:
+        raise VerificationFailure(
+            f"normalized product of degree {B.degree} misses "
+            f"post o B o pre on the circle: sup error {err:.3e}"
+        )
+    # + 0j turns the -0.0 imaginary part of a real rho's conjugate into +0.0
+    post = DiskAutomorphism(rho.conjugate() + 0j, alpha)
     return NormalizedForm(product, pre, post)
 
 

@@ -58,7 +58,8 @@ from .core import (
     DiskAutomorphism,
     ToleranceConfig,
     circle_samples,
-    unit,
+    _MATCH_POINTS,
+    _rotation,
     _tol,
 )
 from .errors import CountMismatch, SolverFailure, VerificationFailure
@@ -495,9 +496,10 @@ def one_critical_value_form(
 
     When the critical data collapses to one value, all n-1 critical points
     agree on one point a.  Since phi_a^n(a) = 0, tau(0) = v = B(a), so
-    phi_v o tau fixes 0 and is a rotation by rho = phi_v(B(z0)) / phi_a(z0)^n
-    for any circle point z0; then tau = phi_v(rho w) = DiskAutomorphism(rho,
-    v conj(rho)).  The form is verified to 1e-8 on 64 circle samples.
+    phi_v o tau fixes 0 and is a rotation: phi_v o B = rho phi_a^n, rho from
+    core._rotation on the circle, and tau = phi_v(rho w) =
+    DiskAutomorphism(rho, v conj(rho)).  A sup error of that match above
+    1e-8 raises VerificationFailure.
     """
     tol = _tol(tol)
     cd = critical_data(B, tol)
@@ -512,14 +514,12 @@ def one_critical_value_form(
     # phi_a^n: zero a of multiplicity n, gamma (-1)^n
     base = BlaschkeProduct((-1.0) ** B.degree, (a,) * B.degree)
     v = B.evaluate(a, tol)
-    phi_v = DiskAutomorphism(1.0, v)
-    rho = unit(phi_v(B.evaluate(1.0, tol)) / base.evaluate(1.0, tol))
-    tau = DiskAutomorphism(rho, v * rho.conjugate())
-
-    z = np.array(circle_samples(64))
-    err = float(np.abs(tau(base.evaluate(z, tol)) - B.evaluate(z, tol)).max())
+    z = _MATCH_POINTS
+    target = DiskAutomorphism(1.0, v)(B.evaluate(z, tol))
+    rho, err = _rotation(target, base.evaluate(z, tol))
     if err > 1e-8:
         raise VerificationFailure(
             f"one-critical-value form mismatch: sup error {err:.3e}"
         )
+    tau = DiskAutomorphism(rho, v * rho.conjugate())
     return OneCriticalValueForm(tau, a)

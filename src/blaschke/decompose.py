@@ -29,8 +29,8 @@ from .core import (
     BlaschkeProduct,
     CompositionChain,
     ToleranceConfig,
-    circle_samples,
-    unit,
+    _MATCH_POINTS,
+    _rotation,
     _tol,
 )
 from .circle import invariant_orbit
@@ -52,32 +52,11 @@ __all__ = [
 ]
 
 
-def _chain_error(
-    chain, B: BlaschkeProduct, tol: ToleranceConfig, count: int = 100
-) -> float:
-    """Sup distance between chain and B on count circle points, each side
+def _chain_error(chain, B: BlaschkeProduct, tol: ToleranceConfig) -> float:
+    """Sup distance between chain and B on the 100 _MATCH_POINTS, each side
     evaluated on all the points as one array."""
-    z = np.array(circle_samples(count, 0.05))
+    z = _MATCH_POINTS
     return float(np.abs(chain(z, tol) - B.evaluate(z, tol)).max())
-
-
-def _pin_outer(
-    B: BlaschkeProduct,
-    outer_zeros: tuple[complex, ...],
-    inner: BlaschkeProduct,
-    tol: ToleranceConfig,
-) -> BlaschkeProduct | None:
-    """The outer factor with these zeros whose composition with inner matches
-    B at z0 = e^{0.37i}; None if the constant is not unimodular to 1e-6.
-
-    inner maps the circle to the circle and so does the outer base product,
-    so the denominator at z0 has modulus 1 and z0 always serves."""
-    z0 = cmath.exp(0.37j)
-    base = BlaschkeProduct(1.0, outer_zeros)
-    gamma = B.evaluate(z0, tol) / base.evaluate(inner.evaluate(z0, tol), tol)
-    if abs(abs(gamma) - 1.0) > 1e-6:
-        return None
-    return BlaschkeProduct(unit(gamma), outer_zeros)
 
 
 @dataclass(frozen=True)
@@ -200,8 +179,8 @@ class InnerFactorResult:
 
     reason is "ok" when found; otherwise "not-found" (the two orbits fix no
     inner factor of degree k, or the collapsed zero multiset had the wrong
-    counts) or "verification-failed" (a candidate D was built but C o D
-    missed B on the circle).
+    counts, error inf) or "verification-failed" (a candidate D was built
+    but C o D missed B on the circle by a finite error above 1e-8).
     """
 
     found: bool
@@ -297,8 +276,9 @@ def inner_factor_general(
     D is normalized to D(0) = 0 with leading constant 1; the rotation freedom
     this leaves is absorbed by C.  If B = C o D, then D is constant on every
     (n/k)-th point of a level set of B on the circle, and two such orbits
-    determine D (see _inner_from_orbits).  C is then reconstructed from the
-    collapsed zero multiset and the pair is verified on the circle.  A
+    determine D (see _inner_from_orbits).  C takes the collapsed zero
+    multiset, and one core._rotation match on the circle gives its constant
+    and the error sup |B - C o D|, finite and at most 1e-8 for a factor.  A
     negative answer carries its reason; the theory certifies existence for
     genuine factors but gives no numerical certificate of absence.  The
     result is kept per (product, k, tolerances), so searching again costs
@@ -319,9 +299,11 @@ def _inner_factor(
     outer_zeros = None if D is None else _collapse_zeros(B, D, k, tol)
     if outer_zeros is None:
         return InnerFactorResult(False, None, None, "not-found", math.inf)
-    C = _pin_outer(B, outer_zeros, D, tol)
-    err = math.inf if C is None else _chain_error(CompositionChain((C, D)), B, tol)
+    z = _MATCH_POINTS
+    base = BlaschkeProduct(1.0, outer_zeros).evaluate(D.evaluate(z, tol), tol)
+    gamma, err = _rotation(B.evaluate(z, tol), base)
     if err <= 1e-8:
+        C = BlaschkeProduct(gamma, outer_zeros)
         return InnerFactorResult(True, C, D, "ok", err)
     return InnerFactorResult(False, None, None, "verification-failed", err)
 

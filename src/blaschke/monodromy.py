@@ -651,10 +651,12 @@ def _monodromy_group(B: BlaschkeProduct, tol: ToleranceConfig) -> MonodromyResul
     # arc, then out^-1: the arc end over the entry point names the label
     # whose outward lift reaches it
     arc_ends, _ = _track(B, loops, ("arc",), labels, over_entry, slope, tol)
+    entries = [next(p.start for p in loop.pieces if p.kind == "arc") for loop in loops]
+    residuals = np.abs(B.evaluate(arc_ends, tol) - np.array(entries)[:, None])
     generators = []
-    for loop, ends, lifted, near in zip(loops, over_entry, arc_ends, match_tol):
-        entry = next(p.start for p in loop.pieces if p.kind == "arc")
-        residual = np.abs(B.evaluate(lifted, tol) - entry)
+    for loop, ends, lifted, near, residual in zip(
+        loops, over_entry, arc_ends, match_tol, residuals
+    ):
         dists = np.abs(lifted[:, None] - ends)
         images = np.argmin(dists, axis=1)
         for z0, end, res, j, row in zip(labels, lifted, residual, images, dists):

@@ -25,7 +25,7 @@ from blaschke import (
 )
 from blaschke.core import _positive_ratio_pairs, format_float
 from blaschke.critical import _critical_data, critical_data
-from blaschke.errors import SolverFailure
+from blaschke.errors import SolverFailure, VerificationFailure
 
 from conftest import TAU, circle_grid, random_degree2_chain, random_product, rng_for
 
@@ -391,6 +391,43 @@ def test_normalize_rotation_has_no_negative_zero():
     assert rotation == 1
     assert math.copysign(1.0, rotation.imag) == 1.0
     assert format_float(rotation.imag) == "0"
+
+
+def test_normalized_constant_is_read_off_the_zeros():
+    # N'(0) = gamma prod_(a != 0) (-a) > 0 fixes gamma; no derivative of N
+    # is evaluated, so the constant is exactly this expression
+    rng = rng_for(53)
+    for _ in range(20):
+        N = normalize(random_product(rng, int(rng.integers(2, 9)))).product
+        slope = math.prod(-a for a in N.zeros if a != 0)
+        assert N.gamma == unit(slope.conjugate())
+
+
+def _nudge_farthest(fiber):
+    """fiber with the point farthest from 0 moved by 1e-6."""
+
+    def nudged(B, w, tol=None):
+        points = fiber(B, w, tol)
+        k = max(range(len(points)), key=lambda i: abs(points[i]))
+        points[k] += 1e-6
+        return points
+
+    return nudged
+
+
+def test_a_wrong_fiber_point_fails_the_circle_certificate(monkeypatch):
+    import blaschke.critical
+
+    rng = rng_for(54)
+    B = random_product(rng, 5)
+    outer, inner = random_product(rng, 2, radius=0.6), random_product(rng, 3, radius=0.6)
+    monkeypatch.setattr(
+        blaschke.critical, "fiber", _nudge_farthest(blaschke.critical.fiber)
+    )
+    with pytest.raises(VerificationFailure, match="normalized product .* sup error"):
+        normalize(B)
+    with pytest.raises(VerificationFailure, match="composition .* sup error"):
+        compose(outer, inner)
 
 
 def _crowded_product(rng, degree: int) -> BlaschkeProduct:

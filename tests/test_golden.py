@@ -18,7 +18,10 @@ the files with
 
 and say in the change why the output moved.  For every file it rewrites,
 the script prints how many printed numbers changed and the largest absolute
-change, so the size of the drift can be quoted with the change.
+change, so the size of the drift can be quoted with the change, and, on
+their own, how many integer tokens changed and how many zeros flipped sign,
+so a drift with no discrete change reads "0 integer tokens changed, 0 zero
+signs flipped".
 """
 
 from __future__ import annotations
@@ -100,15 +103,25 @@ NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 def drift(old: str, new: str) -> str:
     """How far the printed numbers of new moved from old, or that the text
-    around the numbers changed."""
+    around the numbers changed.  Two discrete changes are also counted on
+    their own: pairs of tokens both printed with no "." and no "e"
+    (indices, counts, orders) whose values differ, and zeros whose sign
+    flipped.  A float that moves onto or off an integer, as -3e-16 to 0,
+    is ordinary drift."""
     if NUMBER.sub("#", old) != NUMBER.sub("#", new):
         return "text other than numbers changed"
-    moved = [
-        abs(float(a) - float(b))
-        for a, b in zip(NUMBER.findall(old), NUMBER.findall(new))
-        if a != b
+    pairs = [
+        (a, b) for a, b in zip(NUMBER.findall(old), NUMBER.findall(new)) if a != b
     ]
-    return f"{len(moved)} numbers changed, largest by {max(moved, default=0.0):.2e}"
+    flips = sum(float(a) == float(b) == 0.0 for a, b in pairs)
+    integers = sum(
+        not re.search("[.eE]", a + b) and float(a) != float(b) for a, b in pairs
+    )
+    largest = max((abs(float(a) - float(b)) for a, b in pairs), default=0.0)
+    return (
+        f"{len(pairs)} numbers changed, largest by {largest:.2e}; "
+        f"{integers} integer tokens changed, {flips} zero signs flipped"
+    )
 
 
 def rewrite(path: Path, text: str) -> None:
