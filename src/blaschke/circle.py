@@ -15,18 +15,21 @@ conj(w1)) across an arc of angle Delta, with no division and no wrap
 and |w| = |z - a| gives psi' (_poisson_rate).  The lift grid here and the
 range sweep in shiftop need only these arguments.  _circle_terms,
 solve_levels' Newton offset and BlaschkeProduct.evaluate need B itself, so
-they keep core._factor_array.
+they keep core._factor_array, fed from the product's factor table
+(BlaschkeProduct._table: a, -conj(a) and 1 - |a|^2, built once per
+product).
 
 solve_levels solves any number of level sets at once: it brackets all
-n * len(lams) roots on that grid, where psi' is kept too, starts each from
-the cubic Hermite interpolant of the inverse t(psi) on its cell, and solves
-them with _bracketed_newton, the one Newton kernel for every monotone circle
-equation here and in shiftop, and _certify, their one certificate.  Each
-pass reads B and psi' > 0 off one _circle_terms call; the kernel stops every
-root at a point it has just evaluated and hands that evaluation to the
-certificate, so a solve whose starts are one Newton step from their roots
-costs two evaluations of B.  _arc_gain and _tangency, the summed arc gain
-and chord tangency point, serve shiftop and poncelet too.
+n * len(lams) roots on that grid, which keeps each cell's Hermite data too,
+starts each from the cubic Hermite interpolant of the inverse t(psi) on its
+cell, and solves them with _bracketed_newton, the one Newton kernel for
+every monotone circle equation here and in shiftop, and _certify, their one
+certificate.  Each pass reads B and psi' > 0 off one _circle_terms call,
+and a pass on which every root is live gathers and scatters nothing.  The
+kernel stops every root at a point it has just evaluated and hands that
+evaluation to the certificate, so a solve whose starts are one Newton step
+from their roots costs two evaluations of B.  _arc_gain and _tangency, the
+summed arc gain and chord tangency point, serve shiftop and poncelet too.
 
 The next-preimage map g (send a circle point to the next solution of the same
 level set, counterclockwise) generates the full set of continuous circle maps
@@ -91,10 +94,11 @@ def _circle_w(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     return w
 
 
-def _poisson_rate(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The Poisson sum psi' = sum (1 - |a_j|^2)/|w_j|^2 at circle points z,
-    from w_j = 1 - a_j conj(z) or the gaps z - a_j, equal in modulus there."""
-    return np.sum((1.0 - np.abs(a) ** 2) / (w.real**2 + w.imag**2), axis=-1)
+def _poisson_rate(weight: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The Poisson sum psi' = sum weight_j/|w_j|^2, weight_j = 1 - |a_j|^2,
+    at circle points z, from w_j = 1 - a_j conj(z) or the gaps z - a_j,
+    equal in modulus there."""
+    return (weight / (w.real**2 + w.imag**2)).sum(axis=-1)
 
 
 def _arc_gain(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
@@ -116,8 +120,8 @@ def _tangency(p, rate_p, q, rate_q):
 
 @lru_cache(maxsize=64)
 def _lift_grid(B: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ts, psi, rate): the lift psi(t) and psi'(t) on an increasing grid
-    over [0, 2pi].
+    """(ts, psi, cells): the lift psi(t) on an increasing grid over
+    [0, 2pi], and the data of solve_levels' Hermite start on each cell.
 
     psi is exact at every grid point: psi(0) = arg B(1) in [0, 2pi), read
     off the unit-modulus factors at 1 (_circle_terms), plus n t and the
@@ -127,15 +131,20 @@ def _lift_grid(B: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     _BASE_CELLS equal cells, only those across which psi gains 0.5 or more
     are halved, repeatedly.  That terminates: a steep cell of _ULPS ulps,
     one still steep after _MAX_DEPTH halvings, or a psi that fails to
-    increase raises SolverFailure naming the largest zero modulus.  rate
-    is _poisson_rate at each grid point, from the same w as psi; it gives
-    solve_levels the end slopes of its Hermite starts.
+    increase raises SolverFailure naming the largest zero modulus.
+
+    cells has one column per cell, read by solve_levels with one gather:
+    its ends t0 and t1, psi at t0, the cell's gain in psi, its width
+    t1 - t0, and m0 - width and width - m1, where m0 and m1 are the end
+    slopes gain/psi' of the inverse t(psi) in units of the level's place in
+    the cell; psi' is _poisson_rate at each grid point, from the same w as
+    psi.
     """
-    a = np.asarray(B.zeros)
+    a, _, weight, _ = B._table
 
     def lift(t):
         w = _circle_w(a, t)
-        return psi0 + B.degree * t + _arc_gain(w_one, w), _poisson_rate(a, w)
+        return psi0 + B.degree * t + _arc_gain(w_one, w), _poisson_rate(weight, w)
 
     def refuse(why):
         top = max(abs(z) for z in B.zeros)
@@ -154,7 +163,12 @@ def _lift_grid(B: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             raise refuse("is not increasing on its grid")
         steep = np.flatnonzero(gain >= 0.5)
         if not steep.size:
-            return ts, psi, rate
+            width = np.diff(ts)
+            m0, m1 = gain / rate[:-1], gain / rate[1:]
+            cells = np.stack(
+                (ts[:-1], ts[1:], psi[:-1], gain, width, m0 - width, width - m1)
+            )
+            return ts, psi, cells
         lo, hi = ts[steep], ts[steep + 1]
         if np.any(hi - lo <= _ULPS * np.spacing(hi)):
             raise refuse("cannot split a steep cell of a few ulps")
@@ -186,13 +200,15 @@ def _circle_terms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """B(z) and psi' at circle points z, each from one broadcast over the zeros.
 
-    Every factor of _factor_array is renormalized to unit modulus, as
-    BlaschkeProduct.evaluate does on the circle; psi' is _poisson_rate.
+    a, -conj(a) and 1 - |a|^2 come from the product's factor table
+    (BlaschkeProduct._table), built once per product.  Every factor of
+    _factor_array is renormalized to unit modulus, as BlaschkeProduct.evaluate
+    does on the circle; psi' is _poisson_rate.
     """
-    a = np.asarray(B.zeros)
-    factors, gap, _ = _factor_array(a, z)
+    a, minus_conj, weight, _ = B._table
+    factors, gap, _ = _factor_array(a, z, minus_conj)
     factors /= np.abs(factors)
-    return B.gamma * np.prod(factors, axis=-1), _poisson_rate(a, gap)
+    return B.gamma * factors.prod(axis=-1), _poisson_rate(weight, gap)
 
 
 def argument_derivative(B: BlaschkeProduct, t):
@@ -230,12 +246,14 @@ class CircleSolutionSet:
 def _bracketed_newton(evaluate, x, lo, hi, base):
     """Roots x of increasing functions, one per entry, solved together.
 
-    evaluate(live, x) returns f and f' > 0 at the entries live.  Each root
-    lies in its bracket [lo, hi] and the solved angle is base + x (base an
-    array like x), whose rounding sets the noise floor of f.  Newton runs
-    over the live entries as numpy arrays; a step is taken only when it is
-    at most half the bracket width, otherwise the bracket is halved, so
-    convergence is unconditional.
+    evaluate(live, x) returns f and f' > 0 at the entries live, an index
+    that selects from arrays like x: slice(None) while every entry is live,
+    so that pass gathers and scatters nothing, then an index array.  Each
+    root lies in its bracket [lo, hi] and the solved angle is base + x
+    (base an array like x), whose rounding sets the noise floor of f.
+    Newton runs over the live entries as numpy arrays; a step is taken only
+    when it is at most half the bracket width, otherwise the bracket is
+    halved, so convergence is unconditional.
     An entry stops at the point it has just evaluated, once |f| < 1e-14 or
     its step or bracket is within _ULPS ulps of base + x; after 80 passes
     the entries still live are evaluated where they stand.  Returns
@@ -243,7 +261,8 @@ def _bracketed_newton(evaluate, x, lo, hi, base):
     needs no second one; x, lo and hi are updated in place.
     """
     f_at, rate_at = np.empty_like(x), np.empty_like(x)
-    live = np.arange(len(x))
+    every = np.arange(len(x))
+    live = slice(None)
     for _ in range(80):
         xl = x[live]
         f, rate = evaluate(live, xl)
@@ -258,9 +277,12 @@ def _bracketed_newton(evaluate, x, lo, hi, base):
         go = ~((np.abs(f) < 1e-14) | (size <= ulps) | (width <= ulps))
         # xl is one end of its bracket, so a step of at most half the width
         # stays inside it
-        short = size <= 0.5 * width
-        x[live[go]] = np.where(short, xl - step, 0.5 * (lo_l + hi_l))[go]
-        live = live[go]
+        to = np.where(size <= 0.5 * width, xl - step, 0.5 * (lo_l + hi_l))
+        if go.size and go.all():
+            x[live] = to
+            continue
+        live = every[live][go]
+        x[live] = to[go]
         if not live.size:
             break
     else:
@@ -310,21 +332,22 @@ def solve_levels(
     lam = np.array(targets, dtype=complex)
     n = B.degree
 
-    ts, psi, slope = _lift_grid(B)
+    ts, psi, cells = _lift_grid(B)
     psi0 = float(psi[0])
     first = psi0 + (np.angle(lam) - psi0) % TAU
     level = (first[:, None] + TAU * np.arange(n)).ravel()
-    idx = np.clip(np.searchsorted(psi, level), 1, len(ts) - 1)
-    lo, hi = ts[idx - 1], ts[idx]
+    # c is the cell of each level, psi[c] < level <= psi[c + 1], clamped to
+    # the first and last cell: counting only the inner grid points does both
+    c = np.searchsorted(psi[1:-1], level)
+    lo, hi, psi_lo, gain, width, d0, d1 = cells[:, c]
     # psi is strictly increasing on the grid, so each cell inverts to t(psi)
     # with slopes 1/psi' at its ends; s is the level's place in the cell and
-    # m0, m1 the end slopes in units of s
-    gain = psi[idx] - psi[idx - 1]
-    s = (level - psi[idx - 1]) / gain
-    width = hi - lo
-    m0, m1 = gain / slope[idx - 1], gain / slope[idx]
-    bend = (1.0 - s) * (m0 - width) + s * (width - m1)
-    t = np.clip(lo + s * width + s * (1.0 - s) * bend, lo, hi)
+    # d0, d1 the end slopes' departures from the chord (see _lift_grid)
+    s = (level - psi_lo) / gain
+    r = 1.0 - s
+    bend = r * d0 + s * d1
+    t = lo + s * width + s * r * bend
+    np.minimum(np.maximum(t, lo, out=t), hi, out=t)
 
     # f = arg(B(z) conj(lam)) is the offset psi(t) - arg(lam), wrapped; z is
     # formed from t mod 2 pi, as the returned points are
@@ -344,7 +367,7 @@ def solve_levels(
     order += n * np.arange(len(lam))[:, None]
     angles, rate = angles[order], rate[order]
     points = np.exp(1j * angles)
-    if not np.all(np.diff(angles, axis=1) > 0.0):
+    if not (angles[:, 1:] > angles[:, :-1]).all():
         raise SolverFailure("coincident circle solutions; level set degenerate")
     return [
         CircleSolutionSet(target, tuple(row_t), tuple(row_z), tuple(row_rate))
@@ -369,13 +392,16 @@ def solve_on_circle(
 def _orbit(sol: CircleSolutionSet, z: complex, count: int) -> tuple[complex, ...]:
     """(z, g(z), ..., g^{count-1}(z)) read off the level set sol through z,
     which must hold z itself."""
-    points = np.array(sol.points)
-    i = int(np.argmin(np.abs(points - z)))
-    if abs(points[i] - z) > 1e-6:
+    points = sol.points
+    gaps = [abs(p - z) for p in points]
+    i = gaps.index(min(gaps))
+    if gaps[i] > 1e-6:
         raise SolverFailure(
             "point is not on its own level set; circle solve inconsistent"
         )
-    return (z,) + tuple(points[(i + np.arange(1, count)) % len(points)].tolist())
+    # the solutions after z counterclockwise, round as many times as needed
+    ahead = points[i + 1 :] + points[: i + 1]
+    return (z,) + (ahead * -(-(count - 1) // len(points)))[: count - 1]
 
 
 def invariant_orbits(
@@ -391,7 +417,7 @@ def invariant_orbits(
     # _circle_terms has no pole next to a zero within root_tol of the circle,
     # where B.evaluate refuses but solve_levels still solves
     levels = _circle_terms(B, np.array(starts, dtype=complex))[0]
-    sols = solve_levels(B, levels.tolist(), tol)
+    sols = solve_levels(B, levels, tol)
     return [_orbit(sol, z, count) for sol, z in zip(sols, starts)]
 
 

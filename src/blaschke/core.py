@@ -125,14 +125,15 @@ def circle_samples(count: int, offset: float = 0.0) -> list[complex]:
     return [cmath.exp(1j * (offset + 2.0 * math.pi * k / count)) for k in range(count)]
 
 
-def _factor_array(a: np.ndarray, z: np.ndarray):
+def _factor_array(a: np.ndarray, z: np.ndarray, minus_conj=None):
     """(gap/den, gap, den), gap = z - a_j and den = 1 - conj(a_j) z, along a
     new last axis of z: the array factors.  BlaschkeProduct._jet reads B and
-    B' off them, and circle._circle_terms reads B and psi' on the circle."""
+    B' off them, and circle._circle_terms reads B and psi' on the circle;
+    both pass -conj(a) from the product's _table as minus_conj."""
     gap = z[..., None] - a
     # in this operand order, with the add in place, numpy broadcasts den up
     # to five times faster than 1.0 - a.conj() * z[..., None]
-    den = z[..., None] * -a.conj()
+    den = z[..., None] * (-a.conj() if minus_conj is None else minus_conj)
     den += 1.0
     return gap / den, gap, den
 
@@ -142,9 +143,10 @@ class BlaschkeProduct:
     """A finite Blaschke product, stored as unimodular constant plus zero list.
 
     zeros is a tuple with multiplicity; the degree is its length.  The
-    private factor table _table holds the zeros a as an array, 1 - |a|^2
-    and max |a|, built for _jet on first use; it is not a field, so
-    equality, hashing and repr see only gamma and zeros.
+    private factor table _table holds the zeros a as an array, -conj(a),
+    1 - |a|^2 and max |a|, built on first use for _jet and the circle
+    solves' circle._circle_terms; it is not a field, so equality, hashing
+    and repr see only gamma and zeros.
     """
 
     gamma: complex
@@ -164,9 +166,9 @@ class BlaschkeProduct:
         object.__setattr__(self, "zeros", zeros)
 
     @cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray, float]:
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         a = np.array(self.zeros)
-        return a, 1.0 - np.abs(a) ** 2, np.abs(a).max()
+        return a, -a.conj(), 1.0 - np.abs(a) ** 2, np.abs(a).max()
 
     @property
     def degree(self) -> int:
@@ -213,7 +215,7 @@ class BlaschkeProduct:
         f_i, with f_j' = (1 - |a_j|^2) / den_j^2, from prefix and suffix
         products of the factors: exact at a simple zero, 0 at a double one.
         """
-        a, gain, a_max = self._table
+        a, minus_conj, gain, a_max = self._table
         points = np.asarray(z, dtype=complex)
         flat = points.reshape(-1)
         reach = np.abs(flat).max(initial=0.0)
@@ -222,7 +224,7 @@ class BlaschkeProduct:
             i, j = np.unravel_index(np.argmin(np.abs(den)), den.shape)
             if abs(den[i, j]) <= tol.root_tol:
                 raise PoleProximity(complex(flat[i]), complex(den[i, j]))
-        f, gap, den = _factor_array(a, flat)
+        f, gap, den = _factor_array(a, flat, minus_conj)
         if not reach < 1.0 - _ON_CIRCLE_TOL:
             on_circle = np.abs(np.abs(flat) - 1.0) <= _ON_CIRCLE_TOL
             f[on_circle] /= np.abs(f[on_circle])

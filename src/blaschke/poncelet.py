@@ -28,7 +28,10 @@ want one record per sample; nothing on the compute path calls it.
 
 Conic identification is algebraic least squares on the six monomials with a
 Sampson (gradient-normalized) residual; classification separates genuine
-ellipses from points, degenerate conics, and outright non-conics.
+ellipses from points, degenerate conics, and outright non-conics.  The
+envelopes of several skips, and the least-squares fronts of several fits,
+are computed as stacked arrays; envelope and fit_conic are their one-curve
+cases.
 """
 
 from __future__ import annotations
@@ -165,18 +168,22 @@ def _level_sets(
     return _LevelTable(t, points, np.array([sol.rates for sol in sols]).T)
 
 
-def _envelope_from_table(skip: int, table: _LevelTable) -> EnvelopeCurve:
-    """Every tangency point of the skip-m chords, vertex-major: all level
-    sets for vertex 0, then vertex 1, and so on."""
-    hop = skip + 1
+def _envelopes_from_table(skips, table: _LevelTable) -> list[EnvelopeCurve]:
+    """The envelope of the skip-m chords for every m in skips, vertex-major
+    (all level sets for vertex 0, then vertex 1, and so on), from one
+    stacked pass over the table: row m of the far ends is the table's
+    vertices m + 1 places ahead."""
     p, rp = table.points, table.rate
-    q, rq = np.roll(p, -hop, axis=0), np.roll(rp, -hop, axis=0)
-    return EnvelopeCurve(
-        skip,
-        np.tile(table.t, len(p)),
-        _tangency(p, rp, q, rq).ravel(),
-        np.stack((p, q), axis=-1).reshape(-1, 2),
-    )
+    n = len(p)
+    ahead = (np.arange(n) + (np.asarray(skips) + 1)[:, None]) % n
+    q, rq = p[ahead], rp[ahead]
+    points = _tangency(p, rp, q, rq)
+    chords = np.stack(np.broadcast_arrays(p, q), axis=-1)
+    angles = np.tile(table.t, n)
+    return [
+        EnvelopeCurve(skip, angles, row.ravel(), ends.reshape(-1, 2))
+        for skip, row, ends in zip(skips, points, chords)
+    ]
 
 
 def envelope(
@@ -200,7 +207,7 @@ def envelope(
     if samples < 6:
         raise InputError("need at least 6 envelope samples")
     per_chord = max(2, -(-samples // n))
-    return _envelope_from_table(skip, _level_sets(Bhat, per_chord, tol))
+    return _envelopes_from_table([skip], _level_sets(Bhat, per_chord, tol))[0]
 
 
 @dataclass(frozen=True)
@@ -263,31 +270,49 @@ def _point_fit(pts: np.ndarray) -> ConicFit:
 
 
 def fit_conic(points, tol: ToleranceConfig | None = None) -> ConicFit:
-    """Fit and classify a conic through a planar point sample (at least 6)."""
-    tol = _tol(tol)
-    pts = np.asarray(points, dtype=complex)
-    if len(pts) < 6:
-        raise InputError("conic fitting needs at least 6 points")
-    if float(np.max(np.abs(pts - pts[0]))) < 1e-6:
-        return _point_fit(pts)
+    """Fit and classify a conic through a planar point sample (at least 6).
 
+    The one-sample case of _fit_conics."""
+    return _fit_conics(np.asarray(points, dtype=complex)[None], _tol(tol))[0]
+
+
+def _fit_conics(samples: np.ndarray, tol: ToleranceConfig) -> list[ConicFit]:
+    """fit_conic on every row of samples, with the design matrices, their
+    SVDs and the gradient-normalized residuals stacked over the rows; each
+    row is then classified on its own (_classify)."""
+    if samples.shape[1] < 6:
+        raise InputError("conic fitting needs at least 6 points")
+    point = np.abs(samples - samples[:, :1]).max(axis=1) < 1e-6
+    fits = [_point_fit(pts) if p else None for pts, p in zip(samples, point)]
+    rows = np.flatnonzero(~point)
+    if not rows.size:
+        return fits
+    pts = samples[rows]
     x, y = pts.real, pts.imag
-    design = np.column_stack([x * x, x * y, y * y, x, y, np.ones_like(x)])
+    design = np.stack([x * x, x * y, y * y, x, y, np.ones_like(x)], axis=-1)
     _, _, vh = np.linalg.svd(design, full_matrices=False)
-    coeff = vh[-1]
+    coeff = vh[:, -1]
     # pin the arbitrary SVD sign: with A + C > 0 the quadratic part of an
     # ellipse is positive definite, so the eigh ordering below is reliable
-    if float(coeff[0] + coeff[2]) < 0:
-        coeff = -coeff
-    A, B, C, D, E, F = (float(c) for c in coeff)
-
-    qform = design @ coeff
+    coeff[coeff[:, 0] + coeff[:, 2] < 0] *= -1.0
+    qform = np.matmul(design, coeff[:, :, None])[..., 0]
+    A, B, C, D, E = (col[:, None] for col in coeff[:, :5].T)
     gx = 2 * A * x + B * y + D
     gy = B * x + 2 * C * y + E
     grad = np.hypot(gx, gy)
     grad = np.where(grad < 1e-12, 1e-12, grad)
-    max_residual = float(np.max(np.abs(qform) / grad))
+    max_residual = (np.abs(qform) / grad).max(axis=1)
+    for i, row, residual in zip(rows, coeff.tolist(), max_residual.tolist()):
+        fits[i] = _classify(*row, residual, tol)
+    return fits
 
+
+def _classify(
+    A, B, C, D, E, F, max_residual: float, tol: ToleranceConfig
+) -> ConicFit:
+    """The ConicFit of the unit coefficients (A, ..., F) of a sample's
+    least-squares conic, with max_residual its worst gradient-normalized
+    algebraic distance over the sample."""
     disc = B * B - 4 * A * C
     det3 = float(
         np.linalg.det(
@@ -454,7 +479,10 @@ def package(
     One level-set table (with psi' at every vertex), solved in one batch,
     serves every skip, and one verified level set through 1 serves every
     closure order, as in closure_order: max(2, ceil(samples/n)) + 1 level
-    sets in all.
+    sets in all.  The n/2 envelopes come from one stacked pass over the
+    table, and their conic fits share one stacked design matrix, SVD and
+    residual pass before each is classified; entry by entry the result is
+    that of envelope, fit_conic and closure_order.
     """
     tol = _tol(tol)
     n = Bhat.degree
@@ -463,12 +491,14 @@ def package(
     per_chord = max(2, -(-samples // n))
     table = _level_sets(Bhat, per_chord, tol)
     orbit = invariant_orbit(Bhat, 1.0 + 0j, n + 1, tol)
-    entries = []
-    for skip in range(n // 2):
-        curve = _envelope_from_table(skip, table)
-        fit = fit_conic(curve.points, tol)
-        entries.append(PackageEntry(skip, curve, fit, _hops_to_close(orbit, skip)))
-    return PonceletPackage(tuple(entries))
+    curves = _envelopes_from_table(range(n // 2), table)
+    fits = _fit_conics(np.array([curve.points for curve in curves]), tol)
+    return PonceletPackage(
+        tuple(
+            PackageEntry(curve.skip, curve, fit, _hops_to_close(orbit, curve.skip))
+            for curve, fit in zip(curves, fits)
+        )
+    )
 
 
 @dataclass(frozen=True)

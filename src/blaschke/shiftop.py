@@ -154,7 +154,7 @@ def _chord(a: np.ndarray, theta: np.ndarray, delta: np.ndarray):
     """
     w = _circle_w(a, theta + np.stack((-delta, delta)))
     F = 2.0 * delta * (len(a) + 1) + _arc_gain(w[0], w[1]) - TAU
-    return F, 1.0 + _poisson_rate(a, w)
+    return F, 1.0 + _poisson_rate(1.0 - np.abs(a) ** 2, w)
 
 
 def _tangency_sweep(zeros, theta: np.ndarray) -> tuple[list, list]:
@@ -180,7 +180,7 @@ def _tangency_sweep(zeros, theta: np.ndarray) -> tuple[list, list]:
         ends[:, live] = rate
         return F, rate[0] + rate[1]
 
-    rate = 1.0 + _poisson_rate(a, _circle_w(a, theta))
+    rate = 1.0 + _poisson_rate(1.0 - np.abs(a) ** 2, _circle_w(a, theta))
     delta, F, rate = _bracketed_newton(
         gap,
         np.minimum(math.pi / rate, 0.5 * math.pi),

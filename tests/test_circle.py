@@ -10,6 +10,7 @@ from blaschke.circle import (
     argument_derivative,
     chord_second_intersection,
     invariant_orbit,
+    invariant_orbits,
     lifted_argument,
     next_preimage,
     solve_levels,
@@ -340,6 +341,21 @@ def test_generator_sample_orbit():
         assert abs(orb[step] - next_preimage(B, z, steps=step)) < 1e-12
         assert abs(B.evaluate(orb[step]) - B.evaluate(z)) < 1e-9
     assert abs(orb[4] - z) < 1e-9
+
+
+@pytest.mark.parametrize("degree", [3, 5, 8, 13, 17, 24, 32, 48])
+def test_one_row_solves_are_rows_of_one_batch(degree):
+    # invariant_orbit, next_preimage and solve_on_circle are the one-row
+    # cases of the one solver: each equals its row of a batch bit for bit
+    B = random_product(rng_for(640 + degree), degree, radius=0.8)
+    starts = circle_grid(8, 0.13)
+    lams = circle_grid(5, 0.4)
+    orbits = invariant_orbits(B, starts, degree + 1)
+    for z, orbit in zip(starts, orbits):
+        assert invariant_orbit(B, z, degree + 1) == orbit
+        assert next_preimage(B, z) == orbit[1]
+    for lam, sol in zip(lams, solve_levels(B, lams)):
+        assert solve_on_circle(B, lam) == sol
 
 
 def test_two_step_matches_iterated_single_step():

@@ -1,6 +1,7 @@
 import cmath
 import math
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,14 +14,17 @@ from blaschke import (
     compose,
     normalize,
 )
+from blaschke import circle, cli, decompose
 from blaschke.cli import demo_corpus
+from blaschke.core import DEFAULT_TOL
+from blaschke.circle import invariant_orbit
 from blaschke.decompose import (
     chain_2n,
     elliptical_implies_decomposable_check,
     factor_any_order,
     inner_factor_general,
 )
-from blaschke.monodromy import block_systems, monodromy_group
+from blaschke.monodromy import block_systems, cross_validate, monodromy_group
 
 from conftest import TAU, circle_grid, random_degree2_chain, random_product, rng_for
 
@@ -370,3 +374,63 @@ def test_elliptical_check_needs_origin_zero():
         elliptical_implies_decomposable_check(
             BlaschkeProduct(1.0, (0.3 + 0j, 0.2j, -0.4 + 0.1j, 0.5 + 0j))
         )
+
+
+def _count_solves_per_product(monkeypatch) -> dict:
+    """Clear the kept searches and count circle.solve_levels calls by product."""
+    decompose._inner_factor.cache_clear()
+    decompose._level_orbits.cache_clear()
+    calls: dict = {}
+    real = circle.solve_levels
+
+    def counted(B, lams, *args, **kwargs):
+        calls[B] = calls.get(B, 0) + 1
+        return real(B, lams, *args, **kwargs)
+
+    monkeypatch.setattr(circle, "solve_levels", counted)
+    return calls
+
+
+def _one_start_orbit_pair(B, hop, k):
+    """The orbit pair from two one-start solves: from 1, and from halfway
+    to the first orbit's hop point."""
+    n = B.degree
+    full0 = invariant_orbit(B, 1.0 + 0j, n)
+    t1 = cmath.phase(full0[hop % n]) % TAU
+    full1 = invariant_orbit(B, cmath.exp(1j * (0.5 * t1)), n)
+    return tuple(full0[(j * hop) % n] for j in range(k)), tuple(
+        full1[(j * hop) % n] for j in range(k)
+    )
+
+
+def test_every_divisor_search_of_a_product_shares_two_solves(monkeypatch):
+    # the level set through 1 and one batch of every divisor's second start
+    # serve all divisors of a degree-16 tower; each pair is bit for bit the
+    # pair of two one-start solves, and every divisor is still found
+    N = normalize(_tower(rng_for(971), 4)).product
+    mono = monodromy_group(N)
+    calls = _count_solves_per_product(monkeypatch)
+    cross = cross_validate(N)
+    assert calls == {N: 2}
+    assert [(r.k, r.block_system, r.factor_found) for r in cross.rows] == [
+        (2, True, True),
+        (4, True, True),
+        (8, True, True),
+    ]
+    assert cross.monodromy is mono
+    for k in (2, 4, 8):
+        pair = decompose._orbit_pair(N, 16 // k, k, DEFAULT_TOL)
+        assert pair == _one_start_orbit_pair(N, 16 // k, k)
+
+
+def test_decompose_demo_solves_twice_per_product(monkeypatch, capsys, tmp_path):
+    # chain_2n peels power8 and its degree-4 outer factor; the divisor table
+    # asks again for power8, so two products take two solves each, and the
+    # report is the recorded one
+    calls = _count_solves_per_product(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["decompose", "--demo", "power8", "--out", "out"]) == 0
+    golden = Path(__file__).resolve().parent / "data" / "golden"
+    assert capsys.readouterr().out == (golden / "decompose-power8.stdout").read_text()
+    assert sorted(B.degree for B in calls) == [4, 8]
+    assert set(calls.values()) == {2}

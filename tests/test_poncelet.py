@@ -376,6 +376,28 @@ def test_package_matches_separate_envelopes_and_closures(degree):
         assert entry.closure == closure_order(B, entry.skip)
 
 
+def test_package_matches_separate_calls_on_the_demo_corpus():
+    # the stacked envelopes and conic fits of package against the one-curve
+    # calls, on the fits random products never reach: circles with both foci
+    # at the center (power8), non-conics (nonexample84, deg6nonelliptic),
+    # point curves next to conic rows, and a single skip (power2)
+    seen = set()
+    for name, P in demo_corpus().items():
+        B = P.expand() if hasattr(P, "expand") else P
+        pkg = package(B, 720)
+        assert len(pkg) == B.degree // 2
+        for entry in pkg.entries:
+            curve = envelope(B, entry.skip, 720)
+            assert entry.curve == curve
+            assert entry.fit == fit_conic(curve.points)
+            assert entry.closure == closure_order(B, entry.skip)
+            fit = entry.fit
+            circle_fit = fit.classification == "ellipse" and fit.foci[0] == fit.foci[1]
+            seen.add((name, "circle" if circle_fit else fit.classification))
+    assert {("power8", "circle"), ("power2", "point"), ("nonexample84", "non-conic")} <= seen
+    assert {("deg6nonelliptic", "non-conic"), ("elliptical8", "ellipse")} <= seen
+
+
 # ----------------------------------------------------------- audits and match
 
 
