@@ -320,6 +320,18 @@ def solve_levels(
     strictly increasing angles, or SolverFailure; the psi' of the
     certificate comes back as rates.
     """
+    targets, angles, points, rate = _solve_level_arrays(B, lams, tol)
+    return [
+        CircleSolutionSet(target, tuple(row_t), tuple(row_z), tuple(row_rate))
+        for target, row_t, row_z, row_rate in zip(
+            targets, angles.tolist(), points.tolist(), rate.tolist()
+        )
+    ]
+
+
+def _solve_level_arrays(B: BlaschkeProduct, lams, tol: ToleranceConfig | None):
+    """solve_levels' work: the unit targets, and the sorted angles, points
+    and psi' rates as (len(lams), n) arrays, one row per level set."""
     tol = _tol(tol)
     targets = []
     for value in lams:
@@ -369,12 +381,7 @@ def solve_levels(
     points = np.exp(1j * angles)
     if not (angles[:, 1:] > angles[:, :-1]).all():
         raise SolverFailure("coincident circle solutions; level set degenerate")
-    return [
-        CircleSolutionSet(target, tuple(row_t), tuple(row_z), tuple(row_rate))
-        for target, row_t, row_z, row_rate in zip(
-            targets, angles.tolist(), points.tolist(), rate.tolist()
-        )
-    ]
+    return targets, angles, points, rate
 
 
 def solve_on_circle(

@@ -25,6 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
+# core and errors serve every subcommand; each cmd_* imports the other
+# modules it uses in its body, so a process compiles and imports only what
+# its subcommand runs
 from .core import (
     BlaschkeProduct,
     CompositionChain,
@@ -36,22 +39,7 @@ from .core import (
     is_regularized,
     normalize,
 )
-from .circle import invariant_orbits, solve_levels, verify_generator_power
-from .critical import check_value_bound, critical_data
-from .decompose import chain_2n, elliptical_implies_decomposable_check, inner_factor_general
 from .errors import BlaschkeError, InputError
-from .monodromy import cross_validate, wreath_audit
-from .poncelet import (
-    closure_order,
-    curve_csv,
-    envelope,
-    fit_conic,
-    foci_vs_zeros,
-    package,
-    scene_svg,
-    tangency_audit,
-)
-from .shiftop import boundary_csv, is_elliptical_range, kippenhahn_eval, shift_matrix
 
 __all__ = ["main", "RunConfig", "demo_corpus"]
 
@@ -63,29 +51,33 @@ SCENE_LAMBDAS = tuple(cmath.exp(1j * t) for t in (0.4, 2.5, 4.6))
 # ---------------------------------------------------------------- demo corpus
 
 
-def demo_corpus(seed: int = DEFAULT_SEED):
-    """The named example products addressed by tests and documentation."""
+def _elliptical8(seed: int) -> BlaschkeProduct:
     a = 0.5
     phi_a = DiskAutomorphism(1.0, a)
     eighth_turn = DiskAutomorphism.rotation_map(cmath.exp(1j * math.pi / 4))
     aut = phi_a.compose(eighth_turn.compose(phi_a))
     power_of_aut = BlaschkeProduct(aut.rotation**8, (aut.center,) * 8)
     alpha = power_of_aut.evaluate(0j)
-    elliptical8 = compose(
-        DiskAutomorphism(1.0, alpha).as_blaschke(), power_of_aut
-    )
+    return compose(DiskAutomorphism(1.0, alpha).as_blaschke(), power_of_aut)
 
+
+def _nonexample84(seed: int) -> BlaschkeProduct:
     b = 0.84
-    nonexample84 = BlaschkeProduct(
-        1.0, (0j, 0j, 0j, 0j, b + 0j, -b + 0j, b * 1j, -b * 1j)
-    )
+    return BlaschkeProduct(1.0, (0j, 0j, 0j, 0j, b + 0j, -b + 0j, b * 1j, -b * 1j))
 
+
+def _deg6elliptic(seed: int) -> BlaschkeProduct:
     r = math.sqrt(0.5)
-    deg6elliptic = BlaschkeProduct(1.0, (0j, 0j, r + 0j, r + 0j, -r + 0j, -r + 0j))
+    return BlaschkeProduct(1.0, (0j, 0j, r + 0j, r + 0j, -r + 0j, -r + 0j))
+
+
+def _deg6nonelliptic(seed: int) -> BlaschkeProduct:
     s = 0.5 ** (1.0 / 3.0)
     w = cmath.exp(2j * math.pi / 3)
-    deg6nonelliptic = BlaschkeProduct(1.0, (0j, 0j, 0j, s, s * w, s * w**2))
+    return BlaschkeProduct(1.0, (0j, 0j, 0j, s, s * w, s * w**2))
 
+
+def _chain3(seed: int) -> CompositionChain:
     rng = np.random.default_rng(seed)
     factors = []
     for _ in range(3):
@@ -94,17 +86,25 @@ def demo_corpus(seed: int = DEFAULT_SEED):
         factors.append(
             BlaschkeProduct(-1.0, (0j, radius * cmath.exp(1j * angle)))
         )
-    chain3 = CompositionChain(tuple(factors))
+    return CompositionChain(tuple(factors))
 
-    return {
-        "power2": BlaschkeProduct(1.0, (0j, 0j)),
-        "power8": BlaschkeProduct(1.0, (0j,) * 8),
-        "elliptical8": elliptical8,
-        "nonexample84": nonexample84,
-        "deg6elliptic": deg6elliptic,
-        "deg6nonelliptic": deg6nonelliptic,
-        "chain3": chain3,
-    }
+
+# one builder per demo, so --demo NAME builds only NAME; only chain3 reads
+# the seed
+DEMO_BUILDERS = {
+    "power2": lambda seed: BlaschkeProduct(1.0, (0j, 0j)),
+    "power8": lambda seed: BlaschkeProduct(1.0, (0j,) * 8),
+    "elliptical8": _elliptical8,
+    "nonexample84": _nonexample84,
+    "deg6elliptic": _deg6elliptic,
+    "deg6nonelliptic": _deg6nonelliptic,
+    "chain3": _chain3,
+}
+
+
+def demo_corpus(seed: int = DEFAULT_SEED):
+    """The named example products addressed by tests and documentation."""
+    return {name: build(seed) for name, build in DEMO_BUILDERS.items()}
 
 
 # ------------------------------------------------------------- JSON emission
@@ -173,12 +173,10 @@ def _load_input(args, seed: int):
     if sum(chosen) != 1:
         raise InputError("exactly one of --input or --demo is required")
     if args.demo:
-        corpus = demo_corpus(seed)
-        if args.demo not in corpus:
-            raise InputError(
-                f"unknown demo {args.demo!r}; choices: {', '.join(sorted(corpus))}"
-            )
-        return corpus[args.demo]
+        if args.demo not in DEMO_BUILDERS:
+            choices = ", ".join(sorted(DEMO_BUILDERS))
+            raise InputError(f"unknown demo {args.demo!r}; choices: {choices}")
+        return DEMO_BUILDERS[args.demo](seed)
     path = Path(args.input)
     if not path.exists():
         raise InputError(f"input file not found: {path}")
@@ -201,6 +199,8 @@ def _as_product(obj) -> BlaschkeProduct:
 
 
 def _critical_dict(B: BlaschkeProduct) -> dict:
+    from .critical import critical_data
+
     cd = critical_data(B)
     return {
         "points": list(cd.points_in_disk),
@@ -216,6 +216,8 @@ def _critical_dict(B: BlaschkeProduct) -> dict:
 
 
 def cmd_analyze(obj, cfg: RunConfig) -> int:
+    from .critical import check_value_bound
+
     B = _as_product(obj)
     reg = is_regularized(B)
     report = {
@@ -273,6 +275,16 @@ def _fit_dict(fit) -> dict:
 
 
 def cmd_curve(obj, cfg: RunConfig) -> int:
+    from .circle import solve_levels
+    from .poncelet import (
+        closure_order,
+        curve_csv,
+        envelope,
+        fit_conic,
+        scene_svg,
+        tangency_audit,
+    )
+
     B = _as_product(obj)
     curve = envelope(B, cfg.skip, cfg.lambda_samples)
     fit = fit_conic(curve.points)
@@ -295,6 +307,9 @@ def cmd_curve(obj, cfg: RunConfig) -> int:
 
 
 def cmd_package(obj, cfg: RunConfig) -> int:
+    from .circle import solve_levels
+    from .poncelet import curve_csv, foci_vs_zeros, package, scene_svg
+
     B = _as_product(obj)
     pkg = package(B, cfg.lambda_samples)
     level_sets = solve_levels(B, SCENE_LAMBDAS)
@@ -341,6 +356,8 @@ def cmd_package(obj, cfg: RunConfig) -> int:
 
 
 def cmd_nrange(obj, cfg: RunConfig) -> int:
+    from .shiftop import boundary_csv, is_elliptical_range, kippenhahn_eval, shift_matrix
+
     B = _as_product(obj)
     # When the product vanishes at the origin the interesting operator is the
     # compressed shift on the model space of B(z)/z, so one origin zero is
@@ -378,6 +395,8 @@ def cmd_nrange(obj, cfg: RunConfig) -> int:
 
 
 def cmd_decompose(obj, cfg: RunConfig) -> int:
+    from .decompose import chain_2n, elliptical_implies_decomposable_check, inner_factor_general
+
     B = _as_product(obj)
     n = B.degree
     report: dict = {"degree": n}
@@ -429,6 +448,8 @@ def cmd_decompose(obj, cfg: RunConfig) -> int:
 
 
 def cmd_monodromy(obj, cfg: RunConfig) -> int:
+    from .monodromy import cross_validate, wreath_audit
+
     B = _as_product(obj)
     nf = normalize(B)
     N = nf.product
@@ -483,6 +504,8 @@ def cmd_monodromy(obj, cfg: RunConfig) -> int:
 
 
 def cmd_invariants(obj, cfg: RunConfig) -> int:
+    from .circle import invariant_orbits, verify_generator_power
+
     B = _as_product(obj)
     n = B.degree
     samples = list(circle_samples(8, 0.13))

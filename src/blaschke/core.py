@@ -138,6 +138,14 @@ def _factor_array(a: np.ndarray, z: np.ndarray, minus_conj=None):
     return gap / den, gap, den
 
 
+def _shaped(values: np.ndarray, points: np.ndarray):
+    """values, flat over the points, back in the points' shape: a Python
+    complex for a single point."""
+    if points.ndim == 0:
+        return complex(values[0])
+    return values.reshape(points.shape)
+
+
 @dataclass(frozen=True)
 class BlaschkeProduct:
     """A finite Blaschke product, stored as unimodular constant plus zero list.
@@ -179,7 +187,7 @@ class BlaschkeProduct:
 
     def evaluate(self, z, tol: ToleranceConfig | None = None):
         """B(z) at a point or at every point of an array (the first half of
-        _jet).
+        _jet, which then stops before forming B').
 
         On the unit circle the result satisfies ||B(z)| - 1| <= a few ulps
         regardless of degree.  Raises PoleProximity when a denominator
@@ -189,20 +197,21 @@ class BlaschkeProduct:
         BlaschkeProduct(1, (0.3j, 1 - 1e-13)).evaluate(1) raises.  For
         |z| > 1 it happens near the poles 1/conj(a).
         """
-        return self._jet(z, _tol(tol))[0]
+        return self._jet(z, _tol(tol), with_slope=False)[0]
 
     def derivative(self, z, tol: ToleranceConfig | None = None):
         """B'(z) at a point or at every point of an array (the second half
         of _jet), exact at the zeros of B as well."""
         return self._jet(z, _tol(tol))[1]
 
-    def _jet(self, z, tol: ToleranceConfig):
+    def _jet(self, z, tol: ToleranceConfig, with_slope: bool = True):
         """(B(z), B'(z)) at a point or an array of points z, in z's shape,
         from one _factor_array call: B = gamma * prod f and
         B' = B * sum (1 - |a_j|^2) / (gap_j * den_j).  A point in gives
         Python complex numbers out; every evaluation of B and B' in the
         package goes through here, except the circle solves'
-        circle._circle_terms.
+        circle._circle_terms.  With with_slope False the pair is (B(z),
+        None): B is the same to the bit, and no pass forms B'.
 
         The pole guard runs before anything is divided: as
         |den| >= 1 - |a| |z|, the denominators are measured only when
@@ -232,22 +241,23 @@ class BlaschkeProduct:
         exact_zero = np.count_nonzero(value) < len(value)
         if exact_zero:
             zero = value == 0
+            # +0 + 0j, whatever signs the product order left on the parts
+            value[zero] = 0.0
+        if not with_slope:
+            return _shaped(value, points), None
+        if exact_zero:
             fz = f[zero]
             # before_j = prod_(i < j) f_i and after_j = prod_(i > j) f_i
             before, after = np.ones((2, *fz.shape), dtype=complex)
             np.multiply.accumulate(fz[:, :-1], axis=1, out=before[:, 1:])
             np.multiply.accumulate(fz[:, :0:-1], axis=1, out=after[:, -2::-1])
             at_zero = self.gamma * (gain / den[zero] ** 2 * before * after).sum(axis=-1)
-            # +0 + 0j, whatever signs the product order left on the parts
-            value[zero] = 0.0
             gap[zero] = 1.0
         den *= gap
         slope = value * np.divide(gain, den, out=den).sum(axis=-1)
         if exact_zero:
             slope[zero] = at_zero
-        if points.ndim == 0:
-            return complex(value[0]), complex(slope[0])
-        return value.reshape(points.shape), slope.reshape(points.shape)
+        return _shaped(value, points), _shaped(slope, points)
 
     def to_json(self) -> str:
         """Serialize as {"gamma":[re,im],"zeros":[[re,im],...]}, 17 digits."""

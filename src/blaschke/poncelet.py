@@ -53,7 +53,7 @@ from .core import (
 from .circle import (
     CircleSolutionSet,
     invariant_orbit,
-    solve_levels,
+    _solve_level_arrays,
     _tangency,
 )
 from .errors import InputError, VerificationFailure
@@ -163,9 +163,8 @@ def _level_sets(
     """count level sets at evenly spaced angles, solved in one batch, with
     psi' at every vertex read from the solve's certificate."""
     t = TAU * np.arange(count) / count
-    sols = solve_levels(Bhat, np.exp(1j * t), tol)
-    points = np.array([sol.points for sol in sols]).T
-    return _LevelTable(t, points, np.array([sol.rates for sol in sols]).T)
+    _, _, points, rate = _solve_level_arrays(Bhat, np.exp(1j * t), tol)
+    return _LevelTable(t, points.T, rate.T)
 
 
 def _envelopes_from_table(skips, table: _LevelTable) -> list[EnvelopeCurve]:

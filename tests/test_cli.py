@@ -283,7 +283,10 @@ def test_requires_exactly_one_source(tmp_path):
 def test_unknown_demo_is_an_input_error(tmp_path):
     r = run_cli("analyze", "--demo", "nosuch", cwd=tmp_path)
     assert r.returncode == 2
-    assert "unknown demo" in r.stderr
+    assert r.stderr == (
+        "input error: unknown demo 'nosuch'; choices: chain3, deg6elliptic, "
+        "deg6nonelliptic, elliptical8, nonexample84, power2, power8\n"
+    )
 
 
 def test_missing_and_malformed_input_files(tmp_path):
@@ -491,6 +494,58 @@ def test_seed_env_changes_the_random_chain(tmp_path):
     chain0 = [r for r in d0["demos"] if r["name"] == "chain3"][0]
     chain7 = [r for r in d7["demos"] if r["name"] == "chain3"][0]
     assert chain0["definition"] != chain7["definition"]
-    fixed0 = [r for r in d0["demos"] if r["name"] == "elliptical8"][0]
-    fixed7 = [r for r in d7["demos"] if r["name"] == "elliptical8"][0]
-    assert fixed0["definition"] == fixed7["definition"]
+    for fixed0, fixed7 in zip(d0["demos"], d7["demos"]):
+        if fixed0["name"] != "chain3":
+            assert fixed0 == fixed7
+
+
+# ------------------------------------------------------------- start-up cost
+
+
+def test_demo_builders_agree_with_the_corpus():
+    # the corpus keeps its names and order, and each entry is, to the bit,
+    # what its own builder makes: the one a --demo run calls alone
+    corpus = cli.demo_corpus()
+    assert list(corpus) == list(DEMOS) == list(cli.DEMO_BUILDERS)
+    for name, item in corpus.items():
+        built = cli.DEMO_BUILDERS[name](cli.DEFAULT_SEED)
+        assert type(built) is type(item)
+        assert repr(built) == repr(item), name
+
+
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+from blaschke import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main([sys.argv[1], "--demo", "power2", "--out", "out"])
+print(json.dumps({"exit": code, "modules": sorted(sys.modules)}))
+"""
+
+# what each subcommand must not import: monodromy, poncelet and decompose
+# are the costly modules, and numpy.random only the seeded chain3 needs
+UNUSED_MODULES = {
+    "analyze": {"blaschke.monodromy", "blaschke.poncelet", "blaschke.decompose"},
+    "curve": {"blaschke.monodromy", "blaschke.decompose"},
+    "package": {"blaschke.monodromy", "blaschke.decompose"},
+    "invariants": {"blaschke.monodromy", "blaschke.decompose"},
+    "nrange": set(),
+    "decompose": set(),
+    "monodromy": set(),
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNUSED_MODULES))
+def test_subcommands_import_only_their_modules(tmp_path, command):
+    r = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, command],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=child_env(),
+    )
+    assert r.returncode == 0, r.stderr
+    report = json.loads(r.stdout)
+    assert report["exit"] == 0
+    loaded = set(report["modules"])
+    assert "blaschke.cli" in loaded
+    assert not loaded & (UNUSED_MODULES[command] | {"numpy.random"})

@@ -173,6 +173,26 @@ def test_value_and_derivative_share_one_pass():
         assert B._jet(z, ToleranceConfig()) == (B(z), B.derivative(z))
 
 
+def test_value_alone_matches_the_jet_to_the_bit():
+    # evaluate stops before B', and B is the same bits as _jet's B at
+    # points and on arrays: inside, on and outside the circle and at the
+    # exact zeros
+    rng = rng_for(23)
+    tol = ToleranceConfig()
+    for degree in (1, 2, 5, 8, 17):
+        B = random_product(rng, degree)
+        points = _jet_points(rng, B)
+        for z in points:
+            value = B.evaluate(z)
+            assert type(value) is complex
+            assert repr(value) == repr(B._jet(z, tol)[0]), (degree, z)
+        for grid in (np.array(points), np.array([points, points[::-1]])):
+            value = B.evaluate(grid)
+            assert value.shape == grid.shape
+            assert value.tobytes() == B._jet(grid, tol)[0].tobytes()
+        assert B._jet(np.array(points), tol, with_slope=False)[1] is None
+
+
 def _jet_points(rng, B):
     """Interior points, circle points, points with |z| > 1 and the zeros."""
     interior = 0.9 * np.sqrt(rng.uniform(size=4)) * np.exp(1j * rng.uniform(0, TAU, 4))
@@ -459,9 +479,9 @@ def test_refused_scan_evaluates_b_once_per_ring(monkeypatch):
     shapes = []
     jet = BlaschkeProduct._jet
 
-    def counted_jet(self, z, tol):
+    def counted_jet(self, z, tol, **kwargs):
         shapes.append(np.shape(z))
-        return jet(self, z, tol)
+        return jet(self, z, tol, **kwargs)
 
     monkeypatch.setattr(BlaschkeProduct, "_jet", counted_jet)
     _critical_data.cache_clear()

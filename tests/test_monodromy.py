@@ -474,9 +474,9 @@ def test_tracker_step_budget_on_a_degree_8_tower(monkeypatch):
     rows = []
     jet = BlaschkeProduct._jet
 
-    def counted(self, z, tol):
+    def counted(self, z, tol, **kwargs):
         rows.append(np.size(z))
-        return jet(self, z, tol)
+        return jet(self, z, tol, **kwargs)
 
     monkeypatch.setattr(BlaschkeProduct, "_jet", counted)
     for loop in mono.loops:
@@ -586,13 +586,13 @@ def _poisoned_first_pass(monkeypatch, row):
     jet, track = BlaschkeProduct._jet, monodromy._track
     passes, tracking = [], []
 
-    def poisoned(self, z, tol):
+    def poisoned(self, z, tol, **kwargs):
         if tracking:
             if not passes:
                 z = z.copy()
                 z[row] = complex("nan")
             passes.append(z.size)
-        return jet(self, z, tol)
+        return jet(self, z, tol, **kwargs)
 
     def tracked(*args):
         tracking.append(True)

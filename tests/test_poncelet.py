@@ -330,17 +330,17 @@ def test_closure_order_refuses_an_orbit_that_does_not_close(monkeypatch):
 
 def _count_solves(monkeypatch) -> list[int]:
     """Count every level set poncelet solves, batched or through an orbit:
-    all of them pass through circle.solve_levels."""
+    all of them pass through circle._solve_level_arrays."""
     calls = [0]
-    real = circle.solve_levels
+    real = circle._solve_level_arrays
 
     def counted(B, lams, *args, **kwargs):
         lams = list(lams)
         calls[0] += len(lams)
         return real(B, lams, *args, **kwargs)
 
-    monkeypatch.setattr(circle, "solve_levels", counted)
-    monkeypatch.setattr(poncelet, "solve_levels", counted)
+    monkeypatch.setattr(circle, "_solve_level_arrays", counted)
+    monkeypatch.setattr(poncelet, "_solve_level_arrays", counted)
     return calls
 
 
@@ -358,6 +358,39 @@ def test_package_solves_table_plus_one_level_set(monkeypatch, degree, samples):
     calls = _count_solves(monkeypatch)
     package(B, samples)
     assert calls[0] == max(2, -(-samples // degree)) + 1
+
+
+def _tuple_level_sets(Bhat, count, tol):
+    """The level table built from solve_levels' CircleSolutionSet tuples."""
+    t = TAU * np.arange(count) / count
+    sols = circle.solve_levels(Bhat, np.exp(1j * t), tol)
+    points = np.array([sol.points for sol in sols]).T
+    return poncelet._LevelTable(t, points, np.array([sol.rates for sol in sols]).T)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("degree,samples", [(3, 240), (8, 5), (12, 720), (17, 720)])
+def test_level_table_arrays_match_the_tuple_path(monkeypatch, degree, samples):
+    # the table reads the solve's arrays directly; every array of it, and
+    # every package answer built on it, is bit-identical to the tuple path
+    B = random_product(rng_for(415 + degree), degree, radius=0.8)
+    count = max(2, -(-samples // degree))
+    table = poncelet._level_sets(B, count, DEFAULT_TOL)
+    reference = _tuple_level_sets(B, count, DEFAULT_TOL)
+    for got, want in zip(table, reference):
+        assert got.shape == want.shape and _bits(got) == _bits(want)
+    pkg = package(B, samples)
+    monkeypatch.setattr(poncelet, "_level_sets", _tuple_level_sets)
+    old = package(B, samples)
+    assert len(pkg) == len(old)
+    for entry, want in zip(pkg.entries, old.entries):
+        assert (entry.skip, entry.closure) == (want.skip, want.closure)
+        for a in ("angles", "points", "chords"):
+            assert _bits(getattr(entry.curve, a)) == _bits(getattr(want.curve, a))
+        assert repr(entry.fit) == repr(want.fit)
 
 
 @pytest.mark.parametrize("degree", [10, 15, 24])
