@@ -37,6 +37,16 @@ commuting with B in the sense B o u = B, a cyclic group of order n.  Orbits
 of g come from a single level-set solve: the iterates are just successive
 entries of one CircleSolutionSet, and the orbits of many starts come from one
 batched solve.
+
+Those solves are kept.  _level_sets_through, an lru_cache of at most 64
+entries, holds the level sets through a tuple of unit-projected start points
+per product, keyed on the product (its gamma and zeros) and that tuple; the
+same product and starts read the same CircleSolutionSets, so next_preimage,
+invariant_orbit(s), poncelet.closure_order and the inner-factor search solve
+a level set once however often they ask for it.  No tolerance is part of the
+key because no circle solve reads one.  A refusal is not kept: lru_cache
+stores no exception, so the next call solves afresh.  solve_levels and
+solve_on_circle are not memoized.
 """
 
 from __future__ import annotations
@@ -318,9 +328,10 @@ def solve_levels(
     argument error |psi(t) - arg(lam)|/psi'(t) <= 5e-11, from the kernel's
     own last evaluation at the returned point, and every level set on its n
     strictly increasing angles, or SolverFailure; the psi' of the
-    certificate comes back as rates.
+    certificate comes back as rates.  tol is accepted for the common
+    signature; the solve reads no tolerance.
     """
-    targets, angles, points, rate = _solve_level_arrays(B, lams, tol)
+    targets, angles, points, rate = _solve_level_arrays(B, lams)
     return [
         CircleSolutionSet(target, tuple(row_t), tuple(row_z), tuple(row_rate))
         for target, row_t, row_z, row_rate in zip(
@@ -329,10 +340,9 @@ def solve_levels(
     ]
 
 
-def _solve_level_arrays(B: BlaschkeProduct, lams, tol: ToleranceConfig | None):
+def _solve_level_arrays(B: BlaschkeProduct, lams):
     """solve_levels' work: the unit targets, and the sorted angles, points
     and psi' rates as (len(lams), n) arrays, one row per level set."""
-    tol = _tol(tol)
     targets = []
     for value in lams:
         value = complex(value)
@@ -396,10 +406,24 @@ def solve_on_circle(
     return solve_levels(B, [lam], tol)[0]
 
 
-def _orbit(sol: CircleSolutionSet, z: complex, count: int) -> tuple[complex, ...]:
-    """(z, g(z), ..., g^{count-1}(z)) read off the level set sol through z,
-    which must hold z itself."""
-    points = sol.points
+@lru_cache(maxsize=64)
+def _level_sets_through(
+    B: BlaschkeProduct, starts: tuple[complex, ...]
+) -> tuple[CircleSolutionSet, ...]:
+    """The level set of B through each circle point of starts, from one
+    solve_levels call, kept per (product, starts) as the module docstring
+    describes."""
+    # _circle_terms has no pole next to a zero within root_tol of the circle,
+    # where B.evaluate refuses but solve_levels still solves
+    levels = _circle_terms(B, np.array(starts, dtype=complex))[0]
+    return tuple(solve_levels(B, levels))
+
+
+def _orbit(
+    points: tuple[complex, ...], z: complex, count: int
+) -> tuple[complex, ...]:
+    """(z, g(z), ..., g^{count-1}(z)) read off the points of the level set
+    through z, sorted by angle, which must hold z itself."""
     gaps = [abs(p - z) for p in points]
     i = gaps.index(min(gaps))
     if gaps[i] > 1e-6:
@@ -415,17 +439,18 @@ def invariant_orbits(
     B: BlaschkeProduct, starts, count: int, tol: ToleranceConfig | None = None
 ) -> list[tuple[complex, ...]]:
     """(z, g(z), ..., g^{count-1}(z)) for every start z, each projected
-    onto the circle, from one solve_levels call over all their level sets:
-    row i is invariant_orbit(B, starts[i], count, tol)."""
-    tol = _tol(tol)
+    onto the circle: row i is invariant_orbit(B, starts[i], count, tol).
+
+    Every row is read off _level_sets_through(B, starts), so all their level
+    sets come from one solve_levels call, and asking again with the same
+    product and starts solves nothing.  tol is accepted for the common
+    signature; no circle solve reads a tolerance.
+    """
     if count < 1:
         raise InputError("orbit length must be at least 1")
-    starts = [unit(complex(z)) for z in starts]
-    # _circle_terms has no pole next to a zero within root_tol of the circle,
-    # where B.evaluate refuses but solve_levels still solves
-    levels = _circle_terms(B, np.array(starts, dtype=complex))[0]
-    sols = solve_levels(B, levels, tol)
-    return [_orbit(sol, z, count) for sol, z in zip(sols, starts)]
+    starts = tuple(unit(complex(z)) for z in starts)
+    sols = _level_sets_through(B, starts)
+    return [_orbit(sol.points, z, count) for sol, z in zip(sols, starts)]
 
 
 def invariant_orbit(

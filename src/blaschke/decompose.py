@@ -197,33 +197,24 @@ def _orbit_pair(
     B: BlaschkeProduct, hop: int, k: int, tol: ToleranceConfig
 ) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
     """Two interlaced orbits of the hop-fold next-preimage power: from 1,
-    and from halfway to the first orbit's hop point, read off the
-    product's _level_orbits."""
+    and from halfway to the first orbit's hop point.
+
+    The second starts of every proper divisor's hop form one invariant_orbits
+    batch after the orbit from 1, whichever hop is asked for, so a product
+    takes two circle solves in all, each kept in circle's level-set memo
+    (circle._level_sets_through) and read again by every divisor search.
+    """
     n = B.degree
-    full0, second = _level_orbits(B, tol)
-    full1 = second[hop]
+    full0 = invariant_orbit(B, 1.0 + 0j, n, tol)
+    hops = [n // d for d in range(2, n) if n % d == 0]
+    starts = []
+    for h in hops:
+        t1 = cmath.phase(full0[h % n]) % (2.0 * math.pi)
+        starts.append(cmath.exp(1j * (0.5 * t1)))
+    full1 = invariant_orbits(B, starts, n, tol)[hops.index(hop)]
     orbit0 = tuple(full0[(j * hop) % n] for j in range(k))
     orbit1 = tuple(full1[(j * hop) % n] for j in range(k))
     return orbit0, orbit1
-
-
-@lru_cache(maxsize=64)
-def _level_orbits(
-    B: BlaschkeProduct, tol: ToleranceConfig
-) -> tuple[tuple[complex, ...], dict[int, tuple[complex, ...]]]:
-    """The n-point orbit of g from 1, and for the hop n/k of every proper
-    divisor k the orbit from halfway to that orbit's hop point: two
-    solve_levels calls per product, whichever divisors are searched.  The
-    second starts depend on the first solve, so they form one
-    invariant_orbits batch after it."""
-    n = B.degree
-    full0 = invariant_orbit(B, 1.0 + 0j, n, tol)
-    hops = [n // k for k in range(2, n) if n % k == 0]
-    starts = []
-    for hop in hops:
-        t1 = cmath.phase(full0[hop % n]) % (2.0 * math.pi)
-        starts.append(cmath.exp(1j * (0.5 * t1)))
-    return full0, dict(zip(hops, invariant_orbits(B, starts, n, tol)))
 
 
 def _collapse_zeros(

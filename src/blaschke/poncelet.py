@@ -53,6 +53,8 @@ from .core import (
 from .circle import (
     CircleSolutionSet,
     invariant_orbit,
+    _circle_terms,
+    _orbit,
     _solve_level_arrays,
     _tangency,
 )
@@ -163,7 +165,7 @@ def _level_sets(
     """count level sets at evenly spaced angles, solved in one batch, with
     psi' at every vertex read from the solve's certificate."""
     t = TAU * np.arange(count) / count
-    _, _, points, rate = _solve_level_arrays(Bhat, np.exp(1j * t), tol)
+    _, _, points, rate = _solve_level_arrays(Bhat, np.exp(1j * t))
     return _LevelTable(t, points.T, rate.T)
 
 
@@ -429,8 +431,9 @@ def closure_order(
     verified once (argument error, n strictly increasing angles, the start
     located on it) and the hops are read off it; the closing hop is measured
     against the re-solved n-th iterate of the start, so closure is still a
-    measured property, not an assumption.  VerificationFailure if it never
-    closes.
+    measured property, not an assumption.  That level set is kept in
+    circle's level-set memo, so the other skips of the same product solve
+    nothing.  VerificationFailure if it never closes.
     """
     tol = _tol(tol)
     orbit = invariant_orbit(Bhat, 1.0 + 0j, Bhat.degree + 1, tol)
@@ -475,10 +478,11 @@ def package(
 ) -> PonceletPackage:
     """Compute, fit, and order-test every curve of the package.
 
-    One level-set table (with psi' at every vertex), solved in one batch,
-    serves every skip, and one verified level set through 1 serves every
-    closure order, as in closure_order: max(2, ceil(samples/n)) + 1 level
-    sets in all.  The n/2 envelopes come from one stacked pass over the
+    One level-set table (with psi' at every vertex) serves every skip, and
+    one verified level set through 1 serves every closure order, as in
+    closure_order; the table's batch carries that level set as its last
+    row, so max(2, ceil(samples/n)) + 1 level sets come from one solve.
+    The n/2 envelopes come from one stacked pass over the
     table, and their conic fits share one stacked design matrix, SVD and
     residual pass before each is classified; entry by entry the result is
     that of envelope, fit_conic and closure_order.
@@ -488,8 +492,13 @@ def package(
     if n < 2:
         raise InputError("package needs degree at least 2")
     per_chord = max(2, -(-samples // n))
-    table = _level_sets(Bhat, per_chord, tol)
-    orbit = invariant_orbit(Bhat, 1.0 + 0j, n + 1, tol)
+    t = TAU * np.arange(per_chord) / per_chord
+    through_one = _circle_terms(Bhat, np.array([1.0 + 0j]))[0]
+    _, _, points, rate = _solve_level_arrays(
+        Bhat, np.append(np.exp(1j * t), through_one)
+    )
+    table = _LevelTable(t, points[:-1].T, rate[:-1].T)
+    orbit = _orbit(tuple(points[-1].tolist()), 1.0 + 0j, n + 1)
     curves = _envelopes_from_table(range(n // 2), table)
     fits = _fit_conics(np.array([curve.points for curve in curves]), tol)
     return PonceletPackage(

@@ -18,7 +18,8 @@ from blaschke.circle import (
     verify_generator_power,
 )
 from blaschke import circle
-from blaschke.errors import BlaschkeError
+from blaschke.errors import BlaschkeError, SolverFailure
+from blaschke.poncelet import closure_order
 
 from conftest import TAU, circle_grid, random_point, random_product, rng_for
 
@@ -356,6 +357,84 @@ def test_one_row_solves_are_rows_of_one_batch(degree):
         assert next_preimage(B, z) == orbit[1]
     for lam, sol in zip(lams, solve_levels(B, lams)):
         assert solve_on_circle(B, lam) == sol
+
+
+def _invariant_queries(B, starts):
+    """next_preimage, then invariant_orbit(B, z, n + 1), for every start,
+    then closure_order for every skip of the package: the queries that
+    share level sets."""
+    n = B.degree
+    images = [next_preimage(B, z) for z in starts]
+    orbits = [invariant_orbit(B, z, n + 1) for z in starts]
+    return images, orbits, [closure_order(B, skip) for skip in range(max(1, n // 2))]
+
+
+def _count_level_solves(monkeypatch) -> list[int]:
+    """Count _solve_level_arrays calls, after clearing the level-set memo."""
+    circle._level_sets_through.cache_clear()
+    calls = [0]
+    real = circle._solve_level_arrays
+
+    def counted(B, lams):
+        calls[0] += 1
+        return real(B, lams)
+
+    monkeypatch.setattr(circle, "_solve_level_arrays", counted)
+    return calls
+
+
+@pytest.mark.parametrize("degree", [3, 8, 17, 24, 48])
+def test_repeated_level_set_queries_solve_once_per_start(monkeypatch, degree):
+    # next_preimage and invariant_orbit through the same start, and
+    # closure_order for every skip, share one solve per distinct start; every
+    # answer is bit for bit that of a cold memo
+    B = random_product(rng_for(660 + degree), degree, radius=0.8)
+    starts = circle_grid(4, 0.13)
+    calls = _count_level_solves(monkeypatch)
+    warm = _invariant_queries(B, starts)
+    assert calls[0] == len(starts) + 1
+    assert repr(_invariant_queries(B, starts)) == repr(warm)
+    assert calls[0] == len(starts) + 1
+    n = B.degree
+    for z, image, orbit in zip(starts, *warm[:2]):
+        circle._level_sets_through.cache_clear()
+        assert repr(next_preimage(B, z)) == repr(image)
+        circle._level_sets_through.cache_clear()
+        assert repr(invariant_orbit(B, z, n + 1)) == repr(orbit)
+    for skip, order in enumerate(warm[2]):
+        circle._level_sets_through.cache_clear()
+        assert closure_order(B, skip) == order
+
+
+def test_a_refused_solve_is_not_kept(monkeypatch):
+    # lru_cache keeps no exception: a refusal is raised again by a fresh
+    # solve, and once the solve succeeds its answer is that of a cold memo
+    B = random_product(rng_for(671), 9, radius=0.8)
+    z = cmath.exp(0.4j)
+    cold = repr(invariant_orbit(B, z, 10))
+    circle._level_sets_through.cache_clear()
+    real = circle._solve_level_arrays
+    calls = [0]
+
+    def refused(B, lams):
+        calls[0] += 1
+        raise SolverFailure("refused on purpose")
+
+    monkeypatch.setattr(circle, "_solve_level_arrays", refused)
+    for attempt in (1, 2):
+        with pytest.raises(SolverFailure, match="refused on purpose"):
+            next_preimage(B, z)
+        assert calls[0] == attempt
+    monkeypatch.setattr(circle, "_solve_level_arrays", real)
+    assert repr(invariant_orbit(B, z, 10)) == cold
+
+
+def test_level_set_memo_is_bounded():
+    circle._level_sets_through.cache_clear()
+    rng = rng_for(672)
+    for _ in range(100):
+        next_preimage(random_product(rng, 4, radius=0.8), cmath.exp(0.7j))
+    assert circle._level_sets_through.cache_info().currsize == 64
 
 
 def test_two_step_matches_iterated_single_step():

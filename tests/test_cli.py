@@ -203,7 +203,9 @@ def test_invariants_chain_reports_generator_power(tmp_path):
 
 def test_invariants_solve_one_batch_per_orbit_family(monkeypatch, capsys, tmp_path):
     # the 8 generator samples share one solve_levels call, and so do the 64
-    # samples of the generator-power check
+    # samples of the generator-power check; the level-set memo is cleared
+    # first, so an earlier run of the same demo in this process counts too
+    circle._level_sets_through.cache_clear()
     real = circle.solve_levels
     batches = []
 
@@ -450,13 +452,14 @@ def test_tolerance_flags_are_not_accepted(capsys, flag):
 
 def test_unclosed_polygon_is_a_verification_failure(monkeypatch, capsys, tmp_path):
     # a computed polygon that fails its closure certificate is not bad input
-    real = poncelet.invariant_orbit
+    real = circle._orbit
 
-    def missed(B, z, count, tol=None):
-        orbit = real(B, z, count, tol)
+    def missed(points, z, count):
+        orbit = real(points, z, count)
         return orbit[:-1] + (-orbit[-1],)
 
-    monkeypatch.setattr(poncelet, "invariant_orbit", missed)
+    monkeypatch.setattr(circle, "_orbit", missed)
+    monkeypatch.setattr(poncelet, "_orbit", missed)
     for command in ("package", "curve"):
         code = cli.main([command, "--demo", "nonexample84", "--out", str(tmp_path)])
         assert code == 4

@@ -377,9 +377,10 @@ def test_elliptical_check_needs_origin_zero():
 
 
 def _count_solves_per_product(monkeypatch) -> dict:
-    """Clear the kept searches and count circle.solve_levels calls by product."""
+    """Clear the kept searches and level sets, and count circle.solve_levels
+    calls by product."""
     decompose._inner_factor.cache_clear()
-    decompose._level_orbits.cache_clear()
+    circle._level_sets_through.cache_clear()
     calls: dict = {}
     real = circle.solve_levels
 

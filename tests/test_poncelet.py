@@ -316,12 +316,17 @@ def test_closure_order_of_power():
 
 def test_closure_order_refuses_an_orbit_that_does_not_close(monkeypatch):
     # the closing hop is measured against the re-solved n-th iterate, so a
-    # level set whose orbit misses its start fails the closure certificate
-    def missed(B, z, count, tol=None):
-        orbit = invariant_orbit(B, z, count, tol)
+    # level set whose orbit misses its start fails the closure certificate;
+    # closure_order reads its orbit through circle._orbit, package through
+    # its own import of it
+    real = circle._orbit
+
+    def missed(points, z, count):
+        orbit = real(points, z, count)
         return orbit[:-1] + (orbit[-1] * cmath.exp(1e-6j),)
 
-    monkeypatch.setattr(poncelet, "invariant_orbit", missed)
+    monkeypatch.setattr(circle, "_orbit", missed)
+    monkeypatch.setattr(poncelet, "_orbit", missed)
     with pytest.raises(VerificationFailure, match="failed to close"):
         closure_order(B84, 0)
     with pytest.raises(VerificationFailure, match="failed to close"):
@@ -330,7 +335,9 @@ def test_closure_order_refuses_an_orbit_that_does_not_close(monkeypatch):
 
 def _count_solves(monkeypatch) -> list[int]:
     """Count every level set poncelet solves, batched or through an orbit:
-    all of them pass through circle._solve_level_arrays."""
+    all of them pass through circle._solve_level_arrays.  The level-set
+    memo is cleared first, so no earlier solve is counted as free."""
+    circle._level_sets_through.cache_clear()
     calls = [0]
     real = circle._solve_level_arrays
 
@@ -345,11 +352,12 @@ def _count_solves(monkeypatch) -> list[int]:
 
 
 def test_closure_order_solves_one_level_set(monkeypatch):
+    # the first skip solves the level set through 1; the memo serves the rest
     calls = _count_solves(monkeypatch)
     for skip in range(4):
         calls[0] = 0
         closure_order(B84, skip)
-        assert calls[0] == 1
+        assert calls[0] == (1 if skip == 0 else 0)
 
 
 @pytest.mark.parametrize("degree,samples", [(3, 240), (8, 5), (8, 360), (11, 720)])
@@ -368,6 +376,16 @@ def _tuple_level_sets(Bhat, count, tol):
     return poncelet._LevelTable(t, points, np.array([sol.rates for sol in sols]).T)
 
 
+def _tuple_level_arrays(Bhat, lams):
+    """_solve_level_arrays' arrays rebuilt from solve_levels' tuples."""
+    sols = circle.solve_levels(Bhat, lams)
+
+    def rows(name):
+        return np.array([getattr(sol, name) for sol in sols])
+
+    return [sol.target for sol in sols], rows("angles"), rows("points"), rows("rates")
+
+
 def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
@@ -383,7 +401,7 @@ def test_level_table_arrays_match_the_tuple_path(monkeypatch, degree, samples):
     for got, want in zip(table, reference):
         assert got.shape == want.shape and _bits(got) == _bits(want)
     pkg = package(B, samples)
-    monkeypatch.setattr(poncelet, "_level_sets", _tuple_level_sets)
+    monkeypatch.setattr(poncelet, "_solve_level_arrays", _tuple_level_arrays)
     old = package(B, samples)
     assert len(pkg) == len(old)
     for entry, want in zip(pkg.entries, old.entries):
