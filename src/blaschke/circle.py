@@ -66,6 +66,7 @@ from .core import (
     circle_samples,
     unit,
     _factor_array,
+    _finite,
     _tol,
 )
 from .errors import InputError, SolverFailure
@@ -328,8 +329,9 @@ def solve_levels(
     argument error |psi(t) - arg(lam)|/psi'(t) <= 5e-11, from the kernel's
     own last evaluation at the returned point, and every level set on its n
     strictly increasing angles, or SolverFailure; the psi' of the
-    certificate comes back as rates.  tol is accepted for the common
-    signature; the solve reads no tolerance.
+    certificate comes back as rates.  A target off the circle, NaN or
+    infinite raises InputError.  tol is accepted for the common signature;
+    the solve reads no tolerance.
     """
     targets, angles, points, rate = _solve_level_arrays(B, lams)
     return [
@@ -346,7 +348,8 @@ def _solve_level_arrays(B: BlaschkeProduct, lams):
     targets = []
     for value in lams:
         value = complex(value)
-        if abs(abs(value) - 1.0) > 1e-9:
+        # written so that NaN fails it too
+        if not abs(abs(value) - 1.0) <= 1e-9:
             raise InputError(
                 f"target must lie on the unit circle, got |lam|={abs(value)!r}"
             )
@@ -403,7 +406,7 @@ def solve_on_circle(
     grid, solved together by _bracketed_newton and certified on their
     argument error and their strictly increasing angles before returning.
     """
-    return solve_levels(B, [lam], tol)[0]
+    return solve_levels(B, [lam])[0]
 
 
 @lru_cache(maxsize=64)
@@ -413,8 +416,8 @@ def _level_sets_through(
     """The level set of B through each circle point of starts, from one
     solve_levels call, kept per (product, starts) as the module docstring
     describes."""
-    # _circle_terms has no pole next to a zero within root_tol of the circle,
-    # where B.evaluate refuses but solve_levels still solves
+    # _circle_terms has no pole next to a zero within core._ROOT_TOL of the
+    # circle, where B.evaluate refuses but solve_levels still solves
     levels = _circle_terms(B, np.array(starts, dtype=complex))[0]
     return tuple(solve_levels(B, levels))
 
@@ -443,12 +446,13 @@ def invariant_orbits(
 
     Every row is read off _level_sets_through(B, starts), so all their level
     sets come from one solve_levels call, and asking again with the same
-    product and starts solves nothing.  tol is accepted for the common
-    signature; no circle solve reads a tolerance.
+    product and starts solves nothing.  A NaN or infinite start raises
+    InputError.  tol is accepted for the common signature; no circle solve
+    reads a tolerance.
     """
     if count < 1:
         raise InputError("orbit length must be at least 1")
-    starts = tuple(unit(complex(z)) for z in starts)
+    starts = tuple(unit(_finite("start", z)) for z in starts)
     sols = _level_sets_through(B, starts)
     return [_orbit(sol.points, z, count) for sol, z in zip(sols, starts)]
 
@@ -464,7 +468,7 @@ def invariant_orbit(
     The one-start case of invariant_orbits: the iterates of g through z are
     consecutive points of the level set of B through z.
     """
-    return invariant_orbits(B, [z], count, tol)[0]
+    return invariant_orbits(B, [z], count)[0]
 
 
 def next_preimage(
@@ -476,7 +480,7 @@ def next_preimage(
     """The circle solution of B(w) = B(z) next after z, counterclockwise."""
     if steps < 0:
         steps %= B.degree
-    return invariant_orbit(B, z, steps + 1, tol)[steps]
+    return invariant_orbit(B, z, steps + 1)[steps]
 
 
 @dataclass(frozen=True)
@@ -513,12 +517,12 @@ def verify_generator_power(
 
     m = len(chain.factors)
     power = 2 ** (m - 1)
-    B = chain.expand(tol)
+    B = chain.expand()
     phi = DiskAutomorphism(1.0, a)
     worst = 0.0
     worst_at = 1.0 + 0j
     samples = list(circle_samples(64, offset=0.05))
-    for z, orbit in zip(samples, invariant_orbits(B, samples, power + 1, tol)):
+    for z, orbit in zip(samples, invariant_orbits(B, samples, power + 1)):
         err = abs(orbit[power] - phi(z))
         if err > worst:
             worst, worst_at = err, z

@@ -38,6 +38,7 @@ from .core import (
     format_float,
     is_regularized,
     normalize,
+    _CLUSTER_TOL,
 )
 from .errors import BlaschkeError, InputError
 
@@ -210,7 +211,7 @@ def _critical_dict(B: BlaschkeProduct) -> dict:
         ],
         "distinct_count": len(cd.distinct_values),
         "nonzero_point_count": sum(
-            1 for p in cd.points_in_disk if abs(p) > DEFAULT_TOL.cluster_tol
+            1 for p in cd.points_in_disk if abs(p) > _CLUSTER_TOL
         ),
     }
 
@@ -356,20 +357,18 @@ def cmd_package(obj, cfg: RunConfig) -> int:
 
 
 def cmd_nrange(obj, cfg: RunConfig) -> int:
-    from .shiftop import boundary_csv, is_elliptical_range, kippenhahn_eval, shift_matrix
+    from .shiftop import (
+        boundary_csv, is_elliptical_range, kippenhahn_eval, shift_matrix, _origin_dropped
+    )
 
     B = _as_product(obj)
     # When the product vanishes at the origin the interesting operator is the
     # compressed shift on the model space of B(z)/z, so one origin zero is
     # dropped before building the matrix.
-    zeros = list(B.zeros)
-    origin_removed = False
-    for i, z in enumerate(zeros):
-        if abs(z) <= DEFAULT_TOL.identity_tol:
-            del zeros[i]
-            origin_removed = True
-            break
-    if origin_removed and not zeros:
+    rest = _origin_dropped(B.zeros, DEFAULT_TOL.identity_tol)
+    origin_removed = rest is not None
+    zeros = rest if origin_removed else B.zeros
+    if not zeros:
         raise InputError(
             "nrange needs degree at least 2 when B(0) = 0: "
             "the model space of B(z)/z is empty"
@@ -396,6 +395,7 @@ def cmd_nrange(obj, cfg: RunConfig) -> int:
 
 def cmd_decompose(obj, cfg: RunConfig) -> int:
     from .decompose import chain_2n, elliptical_implies_decomposable_check, inner_factor_general
+    from .shiftop import _origin_dropped
 
     B = _as_product(obj)
     n = B.degree
@@ -434,7 +434,7 @@ def cmd_decompose(obj, cfg: RunConfig) -> int:
 
     # the check reads the compressed shift on the model space of B(z)/z,
     # which is empty at degree 1
-    if n >= 2 and any(abs(z) <= DEFAULT_TOL.identity_tol for z in B.zeros):
+    if n >= 2 and _origin_dropped(B.zeros, DEFAULT_TOL.identity_tol) is not None:
         ell = elliptical_implies_decomposable_check(B)
         report["elliptical_check"] = {
             "is_ellipse": ell.verdict.is_ellipse,

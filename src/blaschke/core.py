@@ -7,7 +7,7 @@ A finite Blaschke product of degree n is
 with |gamma| = 1 and all zeros a_j in the open unit disk.  B maps the disk
 n-to-1 onto itself and the unit circle n-to-1 onto itself.  Everything in this
 package is built on top of the two value types here (BlaschkeProduct,
-DiskAutomorphism), the chain container, and the shared tolerance block.
+DiskAutomorphism), the chain container, and the shared tolerances.
 
 The automorphism convention used everywhere is the self-inverse involution
 
@@ -54,40 +54,32 @@ __all__ = [
 ]
 
 _ON_CIRCLE_TOL = 1e-12
+# the pole guard of evaluation, the residual |B(z) - w| of a repeated fiber
+# point, and the modulus below which a critical value or an automorphism
+# center counts as 0; no solver stops on it
+_ROOT_TOL = 1e-12
+# the distance at or below which two critical points or zeros are one;
+# critical values, relative to the smaller modulus (critical._value_links)
+_CLUSTER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Shared numerical tolerances.
+    """The one settable tolerance, identity_tol: the sup-norm slack of
+    verify_generator_power, and the modulus below which is_regularized takes
+    B(0), and elliptical_implies_decomposable_check a zero, as 0.
 
-    DEFAULT_TOL holds the defaults.  Every CLI subcommand runs at them;
-    library callers may pass another instance as tol.
-
-    root_tol: the pole guard (evaluation raises PoleProximity when a factor's
-        denominator 1 - conj(a) z falls to root_tol) and the residual
-        |B(z) - w| a repeated fiber point must meet; also the modulus below
-        which a critical value or an automorphism center counts as 0.  It is
-        not a solver stop: circle solves stop at 1e-14 or a few ulps and
-        certify at 5e-11, and the branch tracker corrects to 1e-12.
-    cluster_tol: distance at or below which two critical points or zeros
-        are one; critical values, relative to the smaller modulus.
-    identity_tol: sup-norm slack when checking that two maps agree, and the
-        modulus below which a zero counts as a zero at the origin.
-    conic_residual_tol: algebraic residual gate for conic fits.
-    No tolerance sizes the lift grid of circle solves; it refines itself.
+    DEFAULT_TOL holds the default, at which every CLI subcommand runs.
+    Every other public function takes tol for the common signature and
+    reads no tolerance from it (the module constants _ROOT_TOL, _CLUSTER_TOL
+    and poncelet._CONIC_RESIDUAL_TOL).
     """
 
-    root_tol: float = 1e-12
-    cluster_tol: float = 1e-8
     identity_tol: float = 1e-9
-    conic_residual_tol: float = 1e-6
 
     def __post_init__(self):
-        for name in ("root_tol", "cluster_tol", "identity_tol", "conic_residual_tol"):
-            if not (0.0 < getattr(self, name) < 1.0):
-                raise InputError(f"{name} must lie in (0, 1)")
-        if self.cluster_tol <= self.root_tol:
-            raise InputError("cluster_tol must exceed root_tol")
+        if not (0.0 < self.identity_tol < 1.0):
+            raise InputError("identity_tol must lie in (0, 1)")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -183,7 +175,7 @@ class BlaschkeProduct:
         return len(self.zeros)
 
     def __call__(self, z, tol: ToleranceConfig | None = None):
-        return self.evaluate(z, tol)
+        return self.evaluate(z)
 
     def evaluate(self, z, tol: ToleranceConfig | None = None):
         """B(z) at a point or at every point of an array (the first half of
@@ -191,20 +183,20 @@ class BlaschkeProduct:
 
         On the unit circle the result satisfies ||B(z)| - 1| <= a few ulps
         regardless of degree.  Raises PoleProximity when a denominator
-        1 - conj(a) z falls to root_tol.  For |z| <= 1 the denominator is at
-        least 1 - |a|, so this needs a zero a within root_tol of the circle,
-        and then it happens near a/|a| although B has no pole there:
+        1 - conj(a) z falls to _ROOT_TOL.  For |z| <= 1 the denominator is
+        at least 1 - |a|, so this needs a zero a within _ROOT_TOL of the
+        circle, and then it happens near a/|a| although B has no pole there:
         BlaschkeProduct(1, (0.3j, 1 - 1e-13)).evaluate(1) raises.  For
         |z| > 1 it happens near the poles 1/conj(a).
         """
-        return self._jet(z, _tol(tol), with_slope=False)[0]
+        return self._jet(z, with_slope=False)[0]
 
     def derivative(self, z, tol: ToleranceConfig | None = None):
         """B'(z) at a point or at every point of an array (the second half
         of _jet), exact at the zeros of B as well."""
-        return self._jet(z, _tol(tol))[1]
+        return self._jet(z)[1]
 
-    def _jet(self, z, tol: ToleranceConfig, with_slope: bool = True):
+    def _jet(self, z, with_slope: bool = True):
         """(B(z), B'(z)) at a point or an array of points z, in z's shape,
         from one _factor_array call: B = gamma * prod f and
         B' = B * sum (1 - |a_j|^2) / (gap_j * den_j).  A point in gives
@@ -215,8 +207,8 @@ class BlaschkeProduct:
 
         The pole guard runs before anything is divided: as
         |den| >= 1 - |a| |z|, the denominators are measured only when
-        max |z| * max |a| >= 1 - 2 root_tol, and the least of them at or
-        below root_tol raises PoleProximity (see evaluate for where that
+        max |z| * max |a| >= 1 - 2 _ROOT_TOL, and the least of them at or
+        below _ROOT_TOL raises PoleProximity (see evaluate for where that
         happens).  On the unit circle every factor has modulus exactly 1, so
         at the points with |z| within 1e-12 of 1 each factor is
         renormalized to unit modulus.  B'/B has a pole at the zeros, so at
@@ -228,10 +220,10 @@ class BlaschkeProduct:
         points = np.asarray(z, dtype=complex)
         flat = points.reshape(-1)
         reach = np.abs(flat).max(initial=0.0)
-        if not reach * a_max < 1.0 - 2.0 * tol.root_tol:
+        if not reach * a_max < 1.0 - 2.0 * _ROOT_TOL:
             den = 1.0 - np.multiply.outer(flat, a.conj())
             i, j = np.unravel_index(np.argmin(np.abs(den)), den.shape)
-            if abs(den[i, j]) <= tol.root_tol:
+            if abs(den[i, j]) <= _ROOT_TOL:
                 raise PoleProximity(complex(flat[i]), complex(den[i, j]))
         f, gap, den = _factor_array(a, flat, minus_conj)
         if not reach < 1.0 - _ON_CIRCLE_TOL:
@@ -350,9 +342,8 @@ class DiskAutomorphism:
         root moduli multiply to 1; if neither root is interior the map has no
         interior fixed point and NoInteriorFixedPoint is raised.
         """
-        tol = _tol(tol)
         lam, c = self.rotation, self.center
-        if abs(c) <= tol.root_tol:
+        if abs(c) <= _ROOT_TOL:
             return 0j
         disc = cmath.sqrt((1.0 + lam) ** 2 - 4.0 * c.conjugate() * lam * c)
         denom = 2.0 * c.conjugate()
@@ -396,14 +387,14 @@ class CompositionChain:
 
     def __call__(self, z, tol: ToleranceConfig | None = None):
         for f in reversed(self.factors):
-            z = f.evaluate(z, tol)
+            z = f.evaluate(z)
         return z
 
     def expand(self, tol: ToleranceConfig | None = None) -> BlaschkeProduct:
         """Multiply the chain out to a single product."""
         out = self.factors[0]
         for f in self.factors[1:]:
-            out = compose(out, f, tol)
+            out = compose(out, f)
         return out
 
     def to_json(self) -> str:
@@ -447,21 +438,20 @@ def compose(
     for each zero w of outer, the fiber inner(z) = w, all of which lies in
     the open disk.  The constant comes from _rotation against outer(inner(z))
     on the circle; a sup error above 1e-8 raises VerificationFailure naming
-    it, and a zero within root_tol of a matching point PoleProximity.
+    it, and a zero within _ROOT_TOL of a matching point PoleProximity.
     """
     from .critical import fiber
 
-    tol = _tol(tol)
     zeros: list[complex] = []
     fiber_cache: dict[complex, list[complex]] = {}
     for w in outer.zeros:
         if w not in fiber_cache:
-            fiber_cache[w] = fiber(inner, w, tol)
+            fiber_cache[w] = fiber(inner, w)
         zeros.extend(fiber_cache[w])
 
     z = _MATCH_POINTS
-    base = BlaschkeProduct(1.0, tuple(zeros)).evaluate(z, tol)
-    gamma, err = _rotation(outer.evaluate(inner.evaluate(z, tol), tol), base)
+    base = BlaschkeProduct(1.0, tuple(zeros)).evaluate(z)
+    gamma, err = _rotation(outer.evaluate(inner.evaluate(z)), base)
     if err > 1e-8:
         raise VerificationFailure(
             f"composition of degree {len(zeros)} misses outer(inner(z)) on the "
@@ -492,46 +482,45 @@ def normalize(B: BlaschkeProduct, tol: ToleranceConfig | None = None) -> Normali
     """Conjugate B by disk automorphisms into the normalized form.
 
     Picks a base point beta whose image alpha = B(beta) is a regular value,
-    more than cluster_tol from every entry of critical_data(B).values, then
+    more than _CLUSTER_TOL from every entry of critical_data(B).values, then
     returns lambda * phi_alpha o B o phi_beta.  beta = 0 when possible;
     otherwise the scan takes the 16 points of each circle of radius 0.1,
     ..., 0.5 about the origin in turn, one array evaluation of B per circle,
     and keeps the first point of greatest margin, stopping after the first
-    circle whose best margin exceeds 100 cluster_tol.  When no scanned point
-    clears cluster_tol it raises SolverFailure: that is a limit of the scan,
-    not of the input.
+    circle whose best margin exceeds 100 _CLUSTER_TOL.  When no scanned
+    point clears _CLUSTER_TOL it raises SolverFailure: that is a limit of
+    the scan, not of the input.
 
     N's constant is unit(conj prod_(a != 0) (-a)) over its zeros, so
     N'(0) > 0 (DegenerateInput when the product is 0), and lambda comes
     from _rotation of phi_alpha o B o pre against N; a sup error above 1e-8
-    raises VerificationFailure naming it, and a zero within root_tol of a
+    raises VerificationFailure naming it, and a zero within _ROOT_TOL of a
     matching point (or, for B, of its image under pre) PoleProximity.
     """
     from .critical import critical_data, fiber
 
-    tol = _tol(tol)
-    values = np.array(critical_data(B, tol).values, dtype=complex)
+    values = np.array(critical_data(B).values, dtype=complex)
 
     def margin(alpha):
         """Distance from each base value to the nearest critical value."""
         return np.abs(np.subtract.outer(alpha, values)).min(axis=-1, initial=math.inf)
 
-    beta, alpha = 0j, B.evaluate(0j, tol)
-    if margin(alpha) <= tol.cluster_tol:
+    beta, alpha = 0j, B.evaluate(0j)
+    if margin(alpha) <= _CLUSTER_TOL:
         best = -1.0
         for ring in _BASE_RINGS:
-            m = margin(B.evaluate(ring, tol))
+            m = margin(B.evaluate(ring))
             j = int(np.argmax(m))
             if m[j] > best:
                 best, beta = m[j], complex(ring[j])
-            if best > 100 * tol.cluster_tol:
+            if best > 100 * _CLUSTER_TOL:
                 break
-        if best <= tol.cluster_tol:
+        if best <= _CLUSTER_TOL:
             raise SolverFailure("no regular base point found near the origin")
-        alpha = B.evaluate(beta, tol)
+        alpha = B.evaluate(beta)
 
     pre = DiskAutomorphism(1.0, beta)
-    zeros_n = [pre(w) for w in fiber(B, alpha, tol)]
+    zeros_n = [pre(w) for w in fiber(B, alpha)]
     # beta itself is in the fiber; snap its image to exactly 0
     zeros_n[min(range(len(zeros_n)), key=lambda i: abs(zeros_n[i]))] = 0j
     zeros_n.sort(key=lambda z: (z.real, z.imag))
@@ -541,8 +530,8 @@ def normalize(B: BlaschkeProduct, tol: ToleranceConfig | None = None) -> Normali
     product = BlaschkeProduct(unit(slope.conjugate()), tuple(zeros_n))
 
     z = _MATCH_POINTS
-    target = DiskAutomorphism(1.0, alpha)(B.evaluate(pre(z), tol))
-    rho, err = _rotation(target, product.evaluate(z, tol))
+    target = DiskAutomorphism(1.0, alpha)(B.evaluate(pre(z)))
+    rho, err = _rotation(target, product.evaluate(z))
     if err > 1e-8:
         raise VerificationFailure(
             f"normalized product of degree {B.degree} misses "
@@ -566,11 +555,11 @@ class RegularizedCheck:
         return self.ok
 
 
-def _zeros_separated(B: BlaschkeProduct, tol: ToleranceConfig) -> bool:
-    """Whether every two zeros of B lie more than cluster_tol apart."""
+def _zeros_separated(B: BlaschkeProduct) -> bool:
+    """Whether every two zeros of B lie more than _CLUSTER_TOL apart."""
     zs = np.array(B.zeros, dtype=complex)
     gaps = np.abs(zs[:, None] - zs)[np.triu_indices(len(zs), 1)]
-    return bool(np.all(gaps > tol.cluster_tol))
+    return bool(np.all(gaps > _CLUSTER_TOL))
 
 
 def is_regularized(
@@ -584,11 +573,10 @@ def is_regularized(
     """
     from .critical import critical_data
 
-    tol = _tol(tol)
-    zero_at_origin = abs(B.evaluate(0j, tol)) <= tol.identity_tol
-    simple = _zeros_separated(B, tol)
-    values = [v for v, _ in critical_data(B, tol).distinct_values]
-    violating = _positive_ratio_pairs(values, tol.root_tol)
+    zero_at_origin = abs(B.evaluate(0j)) <= _tol(tol).identity_tol
+    simple = _zeros_separated(B)
+    values = [v for v, _ in critical_data(B).distinct_values]
+    violating = _positive_ratio_pairs(values, _ROOT_TOL)
     ok = zero_at_origin and simple and not violating
     return RegularizedCheck(ok, zero_at_origin, simple, violating)
 

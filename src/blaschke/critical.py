@@ -35,7 +35,7 @@ simple, leaves every lower derivative at relative residual 1e-8; otherwise
 its points stay simple.  Clusters come from single linkage on one matrix
 of pairwise distances, built once per cluster merge.  The critical values
 are one array evaluation of B over the distinct points; two are one value
-when they agree to cluster_tol relative to the smaller (_value_links).
+when they agree to _CLUSTER_TOL relative to the smaller (_value_links).
 
 One critical value.  one_critical_value_form recognizes B = tau o phi_a^n,
 the products with a single critical value; it builds no chain.  Chains
@@ -58,9 +58,10 @@ from .core import (
     DiskAutomorphism,
     ToleranceConfig,
     circle_samples,
+    _CLUSTER_TOL,
     _MATCH_POINTS,
+    _ROOT_TOL,
     _rotation,
-    _tol,
 )
 from .errors import CountMismatch, SolverFailure, VerificationFailure
 from .shiftop import shift_matrix
@@ -326,14 +327,13 @@ def fiber(
     For w = 0 the matrix is triangular and the zeros come back exactly.  A
     cluster of k eigenvalues becomes one point of multiplicity k when it
     polishes to a critical point of multiplicity k - 1 (B'/B and its first
-    k - 2 derivatives vanish to relative 1e-8) with |B - w| <= root_tol.
+    k - 2 derivatives vanish to relative 1e-8) with |B - w| <= _ROOT_TOL.
     """
-    tol = _tol(tol)
     a = np.array(B.zeros, dtype=complex)
     defect = np.sqrt(1.0 - np.abs(a) ** 2)
     x = defect * np.cumprod(np.concatenate(([1.0], -a[:-1].conj())))
     y = B.gamma * defect * np.cumprod(np.concatenate(([1.0], -a[:0:-1])))[::-1]
-    beta = w / (1.0 - B.evaluate(0j, tol).conjugate() * w)
+    beta = w / (1.0 - B.evaluate(0j).conjugate() * w)
     A = shift_matrix(B.zeros).entries
     eigenvalues = np.linalg.eigvals(A.T + beta * np.outer(x, y.conj()))
 
@@ -342,7 +342,7 @@ def fiber(
     def accept(mean: complex, k: int) -> complex | None:
         z, residual = _polish(nodes, weights, np.array([mean]), k - 1)
         z = complex(z[0])
-        if residual[0] <= 1e-8 and abs(B.evaluate(z, tol) - w) <= tol.root_tol:
+        if residual[0] <= 1e-8 and abs(B.evaluate(z) - w) <= _ROOT_TOL:
             return z
         return None
 
@@ -366,13 +366,13 @@ class CriticalData:
     cluster_index: tuple[int, ...]
 
 
-def _value_links(values: np.ndarray, rel_tol: float) -> np.ndarray:
+def _value_links(values: np.ndarray) -> np.ndarray:
     """Whether critical values i and j are one value, as a boolean matrix:
-    |v_i - v_j| <= rel_tol min(|v_i|, |v_j|).  Two exact zeros link; an
-    exact zero links to nothing else.  To first order this is
-    |log v_i - log v_j| <= rel_tol, as |dv|/|v| = |exp(d log v) - 1|."""
+    |v_i - v_j| <= _CLUSTER_TOL min(|v_i|, |v_j|).  Two exact zeros link;
+    an exact zero links to nothing else.  To first order this is
+    |log v_i - log v_j| <= _CLUSTER_TOL, as |dv|/|v| = |exp(d log v) - 1|."""
     size = np.abs(values)
-    return np.abs(values[:, None] - values) <= rel_tol * np.minimum.outer(size, size)
+    return np.abs(values[:, None] - values) <= _CLUSTER_TOL * np.minimum.outer(size, size)
 
 
 def _cluster_values(
@@ -416,14 +416,14 @@ def critical_data(
     matrix of _half_plane_zeros mapped back by z = s(t - i)/(t + i).
     Raises CountMismatch if the in-disk multiplicity count is not degree - 1
     and SolverFailure if a point fails its certificate on S.  The result is
-    kept per (product, tolerances), so asking again for an equal product
-    costs no solve.
+    kept per product, so asking again for an equal product costs no solve;
+    tol is accepted for the common signature and is not part of the key.
     """
-    return _critical_data(B, _tol(tol))
+    return _critical_data(B)
 
 
 @lru_cache(maxsize=64)
-def _critical_data(B: BlaschkeProduct, tol: ToleranceConfig) -> CriticalData:
+def _critical_data(B: BlaschkeProduct) -> CriticalData:
     counts = Counter(B.zeros)
     nodes, weights = _log_derivative(counts)
     s, t = _half_plane_zeros(counts)
@@ -448,13 +448,13 @@ def _critical_data(B: BlaschkeProduct, tol: ToleranceConfig) -> CriticalData:
             )
         polished.append((p, m))
     polished.sort(key=lambda rm: (rm[0].real, rm[0].imag))
-    at = B.evaluate(np.array([r for r, _ in polished], dtype=complex), tol)
+    at = B.evaluate(np.array([r for r, _ in polished], dtype=complex))
     points: list[complex] = []
     values: list[complex] = []
     for (r, m), v in zip(polished, at.tolist()):
         points.extend([r] * m)
         values.extend([v] * m)
-    linked = _value_links(np.array(values, dtype=complex), tol.cluster_tol)
+    linked = _value_links(np.array(values, dtype=complex))
     distinct, index = _group_linked(values, linked)
     return CriticalData(tuple(points), tuple(values), tuple(distinct), tuple(index))
 
@@ -473,11 +473,10 @@ class ValueBoundReport:
 def check_value_bound(
     chain: CompositionChain, tol: ToleranceConfig | None = None
 ) -> ValueBoundReport:
-    tol = _tol(tol)
     degrees = tuple(f.degree for f in chain.factors)
     bound = sum(d - 1 for d in degrees)
-    expanded = chain.expand(tol)
-    count = len(critical_data(expanded, tol).distinct_values)
+    expanded = chain.expand()
+    count = len(critical_data(expanded).distinct_values)
     return ValueBoundReport(count <= bound, count, bound, degrees)
 
 
@@ -501,22 +500,21 @@ def one_critical_value_form(
     DiskAutomorphism(rho, v conj(rho)).  A sup error of that match above
     1e-8 raises VerificationFailure.
     """
-    tol = _tol(tol)
-    cd = critical_data(B, tol)
+    cd = critical_data(B)
     if len(cd.distinct_values) != 1:
         return None
     pts = cd.points_in_disk
     a = sum(pts) / len(pts)
-    if any(abs(p - a) > tol.cluster_tol for p in pts):
+    if any(abs(p - a) > _CLUSTER_TOL for p in pts):
         raise VerificationFailure(
             "single critical value but critical points do not coincide"
         )
     # phi_a^n: zero a of multiplicity n, gamma (-1)^n
     base = BlaschkeProduct((-1.0) ** B.degree, (a,) * B.degree)
-    v = B.evaluate(a, tol)
+    v = B.evaluate(a)
     z = _MATCH_POINTS
-    target = DiskAutomorphism(1.0, v)(B.evaluate(z, tol))
-    rho, err = _rotation(target, base.evaluate(z, tol))
+    target = DiskAutomorphism(1.0, v)(B.evaluate(z))
+    rho, err = _rotation(target, base.evaluate(z))
     if err > 1e-8:
         raise VerificationFailure(
             f"one-critical-value form mismatch: sup error {err:.3e}"

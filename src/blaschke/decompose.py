@@ -29,6 +29,7 @@ from .core import (
     BlaschkeProduct,
     CompositionChain,
     ToleranceConfig,
+    _CLUSTER_TOL,
     _MATCH_POINTS,
     _rotation,
     _tol,
@@ -36,7 +37,7 @@ from .core import (
 from .circle import invariant_orbit, invariant_orbits
 from .critical import _cluster_values, _secular_roots, _secular_zeros
 from .errors import DegenerateInput, InputError, VerificationFailure
-from .shiftop import RangeVerdict, is_elliptical_range, shift_matrix
+from .shiftop import RangeVerdict, is_elliptical_range, shift_matrix, _origin_dropped
 
 __all__ = [
     "ChainRecord",
@@ -52,11 +53,11 @@ __all__ = [
 ]
 
 
-def _chain_error(chain, B: BlaschkeProduct, tol: ToleranceConfig) -> float:
+def _chain_error(chain, B: BlaschkeProduct) -> float:
     """Sup distance between chain and B on the 100 _MATCH_POINTS, each side
     evaluated on all the points as one array."""
     z = _MATCH_POINTS
-    return float(np.abs(chain(z, tol) - B.evaluate(z, tol)).max())
+    return float(np.abs(chain(z) - B.evaluate(z)).max())
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ _IDENTITY = BlaschkeProduct(1.0, (0j,))
 
 
 def _peel(
-    B: BlaschkeProduct, ordering: tuple[int, ...], tol: ToleranceConfig
+    B: BlaschkeProduct, ordering: tuple[int, ...]
 ) -> tuple[CompositionChain | None, str, InnerFactorResult | None]:
     """(chain, "", None) with the factor degrees of ordering, outermost
     first, peeled from the innermost entry p outward; (None, why, result)
@@ -108,7 +109,7 @@ def _peel(
         elif p == 1:
             factors.insert(0, _IDENTITY)
         else:
-            res = inner_factor_general(pending, p, tol)
+            res = inner_factor_general(pending, p)
             if not res.found:
                 why = f"no degree-{p} inner factor at level {level}"
                 return None, f"{why} (pending degree {pending.degree})", res
@@ -126,15 +127,14 @@ def chain_2n(
     rather than raised: every inner factor is z (z - b) / (1 - conj(b) z),
     and the factors run outermost first, matching CompositionChain.
     """
-    tol = _tol(tol)
     n = B.degree
     k = n.bit_length() - 1
     if n != 2**k or n < 2:
         raise InputError(f"degree {n} is not a power of two")
     shape = (2,) * k
 
-    chain, why, _ = _peel(B, shape, tol)
-    err = math.inf if chain is None else _chain_error(chain, B, tol)
+    chain, why, _ = _peel(B, shape)
+    err = math.inf if chain is None else _chain_error(chain, B)
     if err > 1e-8:
         why = why or f"re-expansion error {err:.3e}"
         return DecompositionReport(n, (), (ShapeFailure(shape, why),))
@@ -156,7 +156,6 @@ def factor_any_order(
     entries other than the degree, and for a level without an inner factor,
     naming the level and the failed search.
     """
-    tol = _tol(tol)
     ordering = tuple(int(p) for p in ordering)
     if not ordering or any(p < 1 for p in ordering):
         raise DegenerateInput("ordering must be nonempty with positive entries")
@@ -164,10 +163,10 @@ def factor_any_order(
         raise DegenerateInput(
             f"ordering product {math.prod(ordering)} does not match degree {B.degree}"
         )
-    chain, why, res = _peel(B, ordering, tol)
+    chain, why, res = _peel(B, ordering)
     if chain is None:
         raise DegenerateInput(f"{why}: search {res.reason}, error {res.error:.3e}")
-    err = _chain_error(chain, B, tol)
+    err = _chain_error(chain, B)
     if err > 1e-8:
         raise VerificationFailure(f"ordering {ordering}: re-expansion error {err:.3e}")
     return chain
@@ -194,7 +193,7 @@ class InnerFactorResult:
 
 
 def _orbit_pair(
-    B: BlaschkeProduct, hop: int, k: int, tol: ToleranceConfig
+    B: BlaschkeProduct, hop: int, k: int
 ) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
     """Two interlaced orbits of the hop-fold next-preimage power: from 1,
     and from halfway to the first orbit's hop point.
@@ -205,23 +204,23 @@ def _orbit_pair(
     (circle._level_sets_through) and read again by every divisor search.
     """
     n = B.degree
-    full0 = invariant_orbit(B, 1.0 + 0j, n, tol)
+    full0 = invariant_orbit(B, 1.0 + 0j, n)
     hops = [n // d for d in range(2, n) if n % d == 0]
     starts = []
     for h in hops:
         t1 = cmath.phase(full0[h % n]) % (2.0 * math.pi)
         starts.append(cmath.exp(1j * (0.5 * t1)))
-    full1 = invariant_orbits(B, starts, n, tol)[hops.index(hop)]
+    full1 = invariant_orbits(B, starts, n)[hops.index(hop)]
     orbit0 = tuple(full0[(j * hop) % n] for j in range(k))
     orbit1 = tuple(full1[(j * hop) % n] for j in range(k))
     return orbit0, orbit1
 
 
 def _collapse_zeros(
-    B: BlaschkeProduct, D: BlaschkeProduct, k: int, tol: ToleranceConfig
+    B: BlaschkeProduct, D: BlaschkeProduct, k: int
 ) -> tuple[complex, ...] | None:
     """Zeros of the outer factor: cluster D(zeros of B), divide counts by k."""
-    images = D.evaluate(np.array(B.zeros), tol).tolist()
+    images = D.evaluate(np.array(B.zeros)).tolist()
     clusters, _ = _cluster_values(images, 1e-5)
     if any(count % k != 0 for _, count in clusters):
         return None
@@ -238,9 +237,7 @@ def _newton_step(b: complex, c0: complex, c1: complex, a0, a1) -> complex:
 
 
 def _inner_from_orbits(
-    orbits: tuple[tuple[complex, ...], tuple[complex, ...]],
-    k: int,
-    tol: ToleranceConfig,
+    orbits: tuple[tuple[complex, ...], tuple[complex, ...]], k: int
 ) -> BlaschkeProduct | None:
     """The degree-k D with D(0) = 0 and leading constant 1 that is constant
     on each of the two orbits, read off their vanishing polynomials.
@@ -253,13 +250,13 @@ def _inner_from_orbits(
     and the roots of P are the zeros of sum_j (rho_j / a_j) / (z - a_j),
     solved as eigenvalues with the shift 2 (away from the orbits on the
     circle and from roots in the disk).  Simple roots of P get one Newton
-    step in product form, except within cluster_tol of 0: there z P has a
+    step in product form, except within _CLUSTER_TOL of 0: there z P has a
     double root, and the step would return only rounding.  None when the
     two values coincide or the roots are not k-1 points inside the disk.
     """
     a0, a1 = (np.array(orbit) for orbit in orbits)
     c0, c1 = -np.prod(-a0), -np.prod(-a1)
-    if abs(c1 - c0) <= tol.cluster_tol:
+    if abs(c1 - c0) <= _CLUSTER_TOL:
         return None
     gaps = a0[:, None] - a0[None, :]
     np.fill_diagonal(gaps, 1.0)
@@ -267,7 +264,7 @@ def _inner_from_orbits(
     weights = rho / a0
     roots = _secular_roots(a0, weights, _secular_zeros(a0, weights, 2.0))
     zeros = [
-        _newton_step(b, c0, c1, a0, a1) if m == 1 and abs(b) > tol.cluster_tol else b
+        _newton_step(b, c0, c1, a0, a1) if m == 1 and abs(b) > _CLUSTER_TOL else b
         for b, m in roots
         for _ in range(m)
     ]
@@ -289,27 +286,25 @@ def inner_factor_general(
     and the error sup |B - C o D|, finite and at most 1e-8 for a factor.  A
     negative answer carries its reason; the theory certifies existence for
     genuine factors but gives no numerical certificate of absence.  The
-    result is kept per (product, k, tolerances), so searching again costs
-    nothing.
+    result is kept per (product, k), so searching again costs nothing; tol
+    is accepted for the common signature and is not part of the key.
     """
     n = B.degree
     if not (1 < k < n) or n % k != 0:
         raise InputError(f"k must be a proper divisor of {n}, got {k}")
-    return _inner_factor(B, k, _tol(tol))
+    return _inner_factor(B, k)
 
 
 @lru_cache(maxsize=64)
-def _inner_factor(
-    B: BlaschkeProduct, k: int, tol: ToleranceConfig
-) -> InnerFactorResult:
+def _inner_factor(B: BlaschkeProduct, k: int) -> InnerFactorResult:
     n = B.degree
-    D = _inner_from_orbits(_orbit_pair(B, n // k, k, tol), k, tol)
-    outer_zeros = None if D is None else _collapse_zeros(B, D, k, tol)
+    D = _inner_from_orbits(_orbit_pair(B, n // k, k), k)
+    outer_zeros = None if D is None else _collapse_zeros(B, D, k)
     if outer_zeros is None:
         return InnerFactorResult(False, None, None, "not-found", math.inf)
     z = _MATCH_POINTS
-    base = BlaschkeProduct(1.0, outer_zeros).evaluate(D.evaluate(z, tol), tol)
-    gamma, err = _rotation(B.evaluate(z, tol), base)
+    base = BlaschkeProduct(1.0, outer_zeros).evaluate(D.evaluate(z))
+    gamma, err = _rotation(B.evaluate(z), base)
     if err <= 1e-8:
         C = BlaschkeProduct(gamma, outer_zeros)
         return InnerFactorResult(True, C, D, "ok", err)
@@ -348,22 +343,21 @@ def elliptical_implies_decomposable_check(
 ) -> EllipticalDecomposableReport:
     """Elliptical numerical range should come with every divisor shape.
 
-    The matrix model is built from the zeros of B with one zero at the origin
-    removed (the compressed shift of B/z); if its numerical range is an
-    ellipse, a factorization must exist for every proper divisor of the
-    degree, and each is searched for directly with inner_factor_general; every
-    row keeps its search result.
+    The matrix model is built from the zeros of B with one zero within
+    identity_tol of the origin removed (shiftop._origin_dropped, the
+    compressed shift of B/z); if its numerical range is an ellipse, a
+    factorization must exist for every proper divisor of the degree, and
+    each is searched for directly with inner_factor_general; every row keeps
+    its search result.
     """
-    tol = _tol(tol)
-    idx = min(range(B.degree), key=lambda i: abs(B.zeros[i]))
-    if abs(B.zeros[idx]) > tol.identity_tol:
+    rest = _origin_dropped(B.zeros, _tol(tol).identity_tol)
+    if rest is None:
         raise DegenerateInput("expected a zero at the origin (the z factor)")
     n = B.degree
     rows = tuple(
-        DivisorRow(k, inner_factor_general(B, k, tol))
+        DivisorRow(k, inner_factor_general(B, k))
         for k in range(2, n)
         if n % k == 0
     )
-    rest = tuple(b for i, b in enumerate(B.zeros) if i != idx)
-    verdict = is_elliptical_range(shift_matrix(rest), tol=tol)
+    verdict = is_elliptical_range(shift_matrix(rest))
     return EllipticalDecomposableReport(verdict, rows)

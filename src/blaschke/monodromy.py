@@ -32,7 +32,7 @@ branch, and at min(1e-12, rho / 1000) at the last step of each tracker
 call: the ends over the entry point, the arc ends and the end of
 continue_branch are the only points compared or returned.
 
-monodromy_group keeps its last 64 results per (product, tolerances), so
+monodromy_group's results are kept per product, the last 64, so
 cross_validate after monodromy_group, or the CLI's one cross_validate,
 tracks each branch once.
 
@@ -59,7 +59,8 @@ import numpy as np
 from .core import (
     BlaschkeProduct,
     ToleranceConfig,
-    _tol,
+    _CLUSTER_TOL,
+    _ROOT_TOL,
     _zeros_separated,
 )
 from .critical import CriticalData, _value_links, critical_data
@@ -342,19 +343,18 @@ def build_loops(
     distances to the unit circle, value distances to the base point 0.  Every
     loop therefore clears every other value by more than the radius.  Two
     values that critical_data counts as one (critical._value_links), a
-    value within root_tol of 0 (where a value counts as 0) or one within
-    cluster_tol of the circle raise GeometryFailure.  A loop is the
+    value within _ROOT_TOL of 0 (where a value counts as 0) or one within
+    _CLUSTER_TOL of the circle raise GeometryFailure.  A loop is the
     outward chords from 0 to the entry point v - r v/|v| (with one arc
     of radius r round each value in the corridor), the circle about v as two
     half-turn arcs through the entry point, and the outward pieces reversed;
     every piece must keep 0.9 r from every other value, or GeometryFailure.
     """
-    tol = _tol(tol)
     vals = [complex(v) for v in values]
     if not vals:
         raise GeometryFailure("no critical values; nothing to loop around")
     points = np.array(vals)
-    coincide = np.argwhere(np.triu(_value_links(points, tol.cluster_tol), 1))
+    coincide = np.argwhere(np.triu(_value_links(points), 1))
     if len(coincide):
         i, j = coincide[0].tolist()
         raise GeometryFailure(
@@ -363,7 +363,7 @@ def build_loops(
         )
     moduli = np.abs(points)
     base, rim = float(moduli.min()), float((1.0 - moduli).min())
-    if base <= tol.root_tol or rim <= tol.cluster_tol:
+    if base <= _ROOT_TOL or rim <= _CLUSTER_TOL:
         raise GeometryFailure(
             "a critical value sits at the base point or on the circle; "
             "normalize the product first"
@@ -455,7 +455,7 @@ def _schedule(
     return steps
 
 
-def _track(B: BlaschkeProduct, loops, kinds, labels, z, d, tol: ToleranceConfig):
+def _track(B: BlaschkeProduct, loops, kinds, labels, z, d):
     """Lift every (loop, label) row along its loop's pieces of the given
     kinds, all rows in lock-step; z and d are (loops x labels) arrays of the
     start points and B' there, and the end points and B' there come back in
@@ -469,7 +469,7 @@ def _track(B: BlaschkeProduct, loops, kinds, labels, z, d, tol: ToleranceConfig)
     finite, and any row fails after 10 iterations.  The first failing row in (loop, label)
     order at the earliest failing step raises TrackingFailure naming
     |B - gamma|, gamma, the loop's value, the start label and the piece.  A
-    denominator at or below root_tol raises PoleProximity (_jet's guard).
+    denominator at or below _ROOT_TOL raises PoleProximity (_jet's guard).
     """
     n = len(labels)
     plans = [_schedule(loop, kinds) for loop in loops]
@@ -498,7 +498,7 @@ def _track(B: BlaschkeProduct, loops, kinds, labels, z, d, tol: ToleranceConfig)
             failed = []
             for _ in range(10):
                 zl = zl - np.divide(f, dl, out=np.zeros_like(f), where=dl != 0)
-                value, dl = B._jet(zl, tol)
+                value, dl = B._jet(zl)
                 f = value - target
                 z[at], d[at] = zl, dl
                 # written so that a NaN row never settles; B' is B times a
@@ -547,10 +547,9 @@ def continue_branch(
     the outward pieces and the arcs, so this full closed-loop lift is an
     independent cross-check.
     """
-    tol = _tol(tol)
     z = complex(start)
     kinds = ("outward", "arc", "return")
-    end, _ = _track(B, (loop,), kinds, (z,), [[z]], [[B._jet(z, tol)[1]]], tol)
+    end, _ = _track(B, (loop,), kinds, (z,), [[z]], [[B._jet(z)[1]]])
     return complex(end[0, 0])
 
 
@@ -595,7 +594,7 @@ def monodromy_group(
     docstring), from two tracker calls over all loops at once, every row
     (loop, label) following its loop's step schedule in lock-step: the
     outward pieces are lifted from every label to points q_i over the
-    loop's entry point e, which must be pairwise more than cluster_tol
+    loop's entry point e, which must be pairwise more than _CLUSTER_TOL
     apart (else NonBijective, naming the outward piece); then the two arcs
     are lifted from every q_i, and each arc end must satisfy
     |B(end) - e| <= min(1e-10, r / 10), r the loop radius (else
@@ -609,40 +608,41 @@ def monodromy_group(
     TrackingFailure on one loop can come before the refusal an earlier
     loop would give.
 
-    The result is kept per (product, tolerances), so asking again for an
-    equal product, as cross_validate does, tracks no branch; a refusal is
-    not kept and is raised again on every call.
+    The result is kept per product, so asking again for an equal product,
+    as cross_validate does, tracks no branch; a refusal is not kept and is
+    raised again on every call.  tol is accepted for the common signature
+    and is not part of the key.
     """
-    return _monodromy_group(B, _tol(tol))
+    return _monodromy_group(B)
 
 
 @lru_cache(maxsize=64)
-def _monodromy_group(B: BlaschkeProduct, tol: ToleranceConfig) -> MonodromyResult:
-    """monodromy_group's body, kept per (product, tolerances)."""
+def _monodromy_group(B: BlaschkeProduct) -> MonodromyResult:
+    """monodromy_group's body, kept per product."""
     n = B.degree
-    if not _zeros_separated(B, tol):
+    if not _zeros_separated(B):
         raise DegenerateInput(
             "zeros must be simple and separated for branch labeling; "
             "normalize the product first"
         )
     labels = tuple(sorted(B.zeros, key=lambda z: (cmath.phase(z), abs(z))))
 
-    cd = critical_data(B, tol)
+    cd = critical_data(B)
     # a degree-1 product has no critical value: no loops, the trivial group
-    loops = build_loops([v for v, _ in cd.distinct_values], tol) if cd.values else ()
+    loops = build_loops([v for v, _ in cd.distinct_values]) if cd.values else ()
 
     # out: every label to its point over each loop's entry point, the start
     # slopes taken once per label
     shape = (len(loops), n)
     starts = np.broadcast_to(labels, shape)
-    slopes = np.broadcast_to(B.derivative(np.array(labels), tol), shape)
-    over_entry, slope = _track(B, loops, ("outward",), labels, starts, slopes, tol)
+    slopes = np.broadcast_to(B.derivative(np.array(labels)), shape)
+    over_entry, slope = _track(B, loops, ("outward",), labels, starts, slopes)
     match_tol = []
     for loop, ends in zip(loops, over_entry):
         apart = np.abs(ends[:, None] - ends)
         apart[np.diag_indices(n)] = math.inf
         i, k = sorted(map(int, np.unravel_index(np.argmin(apart), apart.shape)))
-        if apart[i, k] <= tol.cluster_tol:
+        if apart[i, k] <= _CLUSTER_TOL:
             raise NonBijective(
                 f"outward lifts of labels {i} and {k} both reach "
                 f"{ends[i]:.6f}{_where(loop, labels[k], 'outward')}"
@@ -650,9 +650,9 @@ def _monodromy_group(B: BlaschkeProduct, tol: ToleranceConfig) -> MonodromyResul
         match_tol.append(float(apart[i, k]) / 10.0)
     # arc, then out^-1: the arc end over the entry point names the label
     # whose outward lift reaches it
-    arc_ends, _ = _track(B, loops, ("arc",), labels, over_entry, slope, tol)
+    arc_ends, _ = _track(B, loops, ("arc",), labels, over_entry, slope)
     entries = [next(p.start for p in loop.pieces if p.kind == "arc") for loop in loops]
-    residuals = np.abs(B.evaluate(arc_ends, tol) - np.array(entries)[:, None])
+    residuals = np.abs(B.evaluate(arc_ends) - np.array(entries)[:, None])
     generators = []
     for loop, ends, lifted, near, residual in zip(
         loops, over_entry, arc_ends, match_tol, residuals
@@ -838,14 +838,13 @@ def cross_validate(
     """
     from .decompose import inner_factor_general
 
-    tol = _tol(tol)
-    mono = monodromy_group(B, tol)
+    mono = monodromy_group(B)
     systems = block_systems(mono.group)
     sizes = {s.block_size for s in systems}
     rows = []
     n = B.degree
     for k in range(2, n):
         if n % k == 0:
-            result = inner_factor_general(B, k, tol)
+            result = inner_factor_general(B, k)
             rows.append(CrossRow(k, k in sizes, result.found))
     return CrossValidation(mono, systems, tuple(rows))

@@ -48,7 +48,6 @@ from .core import (
     ToleranceConfig,
     format_float,
     unit,
-    _tol,
 )
 from .circle import (
     CircleSolutionSet,
@@ -159,9 +158,7 @@ class _LevelTable(NamedTuple):
     rate: np.ndarray
 
 
-def _level_sets(
-    Bhat: BlaschkeProduct, count: int, tol: ToleranceConfig
-) -> _LevelTable:
+def _level_sets(Bhat: BlaschkeProduct, count: int) -> _LevelTable:
     """count level sets at evenly spaced angles, solved in one batch, with
     psi' at every vertex read from the solve's certificate."""
     t = TAU * np.arange(count) / count
@@ -199,7 +196,6 @@ def envelope(
     sets serve all n chord families, so only max(2, ceil(samples/n)) level
     sets are solved, in one batch, and psi' is computed once per vertex.
     """
-    tol = _tol(tol)
     n = Bhat.degree
     if n < 2:
         raise InputError("envelope needs degree at least 2")
@@ -208,7 +204,7 @@ def envelope(
     if samples < 6:
         raise InputError("need at least 6 envelope samples")
     per_chord = max(2, -(-samples // n))
-    return _envelopes_from_table([skip], _level_sets(Bhat, per_chord, tol))[0]
+    return _envelopes_from_table([skip], _level_sets(Bhat, per_chord))[0]
 
 
 @dataclass(frozen=True)
@@ -251,6 +247,9 @@ class ConicFit:
 # foci about 1e-7 p from the center.  Placing them at the center moves a focus by at
 # most p sqrt(2e-12) ~ 1.4e-6 p.
 _ROUND_GAP = 1e-12
+# a fit whose worst gradient-normalized algebraic distance over the sample
+# reaches this is a non-conic
+_CONIC_RESIDUAL_TOL = 1e-6
 
 
 def _point_fit(pts: np.ndarray) -> ConicFit:
@@ -274,10 +273,10 @@ def fit_conic(points, tol: ToleranceConfig | None = None) -> ConicFit:
     """Fit and classify a conic through a planar point sample (at least 6).
 
     The one-sample case of _fit_conics."""
-    return _fit_conics(np.asarray(points, dtype=complex)[None], _tol(tol))[0]
+    return _fit_conics(np.asarray(points, dtype=complex)[None])[0]
 
 
-def _fit_conics(samples: np.ndarray, tol: ToleranceConfig) -> list[ConicFit]:
+def _fit_conics(samples: np.ndarray) -> list[ConicFit]:
     """fit_conic on every row of samples, with the design matrices, their
     SVDs and the gradient-normalized residuals stacked over the rows; each
     row is then classified on its own (_classify)."""
@@ -304,13 +303,11 @@ def _fit_conics(samples: np.ndarray, tol: ToleranceConfig) -> list[ConicFit]:
     grad = np.where(grad < 1e-12, 1e-12, grad)
     max_residual = (np.abs(qform) / grad).max(axis=1)
     for i, row, residual in zip(rows, coeff.tolist(), max_residual.tolist()):
-        fits[i] = _classify(*row, residual, tol)
+        fits[i] = _classify(*row, residual)
     return fits
 
 
-def _classify(
-    A, B, C, D, E, F, max_residual: float, tol: ToleranceConfig
-) -> ConicFit:
+def _classify(A, B, C, D, E, F, max_residual: float) -> ConicFit:
     """The ConicFit of the unit coefficients (A, ..., F) of a sample's
     least-squares conic, with max_residual its worst gradient-normalized
     algebraic distance over the sample."""
@@ -322,7 +319,7 @@ def _classify(
             )
         )
     )
-    if max_residual >= tol.conic_residual_tol:
+    if max_residual >= _CONIC_RESIDUAL_TOL:
         classification = "non-conic"
     elif disc < 0 and det3 * (A + C) < 0:
         classification = "ellipse"
@@ -435,8 +432,7 @@ def closure_order(
     circle's level-set memo, so the other skips of the same product solve
     nothing.  VerificationFailure if it never closes.
     """
-    tol = _tol(tol)
-    orbit = invariant_orbit(Bhat, 1.0 + 0j, Bhat.degree + 1, tol)
+    orbit = invariant_orbit(Bhat, 1.0 + 0j, Bhat.degree + 1)
     return _hops_to_close(orbit, skip)
 
 
@@ -487,7 +483,6 @@ def package(
     residual pass before each is classified; entry by entry the result is
     that of envelope, fit_conic and closure_order.
     """
-    tol = _tol(tol)
     n = Bhat.degree
     if n < 2:
         raise InputError("package needs degree at least 2")
@@ -500,7 +495,7 @@ def package(
     table = _LevelTable(t, points[:-1].T, rate[:-1].T)
     orbit = _orbit(tuple(points[-1].tolist()), 1.0 + 0j, n + 1)
     curves = _envelopes_from_table(range(n // 2), table)
-    fits = _fit_conics(np.array([curve.points for curve in curves]), tol)
+    fits = _fit_conics(np.array([curve.points for curve in curves]))
     return PonceletPackage(
         tuple(
             PackageEntry(curve.skip, curve, fit, _hops_to_close(orbit, curve.skip))

@@ -38,7 +38,7 @@ import numpy as np
 from .circle import (
     TAU, _arc_gain, _bracketed_newton, _certify, _circle_w, _poisson_rate, _tangency
 )
-from .core import ToleranceConfig, format_float, _finite, _tol
+from .core import ToleranceConfig, format_float, _finite
 from .errors import EigensolverFailure, InputError
 
 __all__ = [
@@ -72,15 +72,28 @@ def shift_matrix(zeros) -> ShiftMatrix:
     if any(abs(a) >= 1.0 for a in zs):
         raise InputError("matrix model requires zeros in the open disk")
     n = len(zs)
-    defect = [math.sqrt(max(0.0, 1.0 - abs(a) ** 2)) for a in zs]
-    A = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        A[i, i] = zs[i]
-        run = 1.0 + 0j
-        for j in range(i + 1, n):
-            A[i, j] = run * defect[i] * defect[j]
-            run *= -zs[j].conjugate()
+    # Python's abs, as np.abs rounds some |a| an ulp apart
+    defect = np.array([math.sqrt(max(0.0, 1.0 - abs(a) ** 2)) for a in zs])
+    col = np.arange(n)
+    upper = col > col[:, None]
+    # run[i, j] = prod of -conj(a_l) over i < l < j, left to right
+    run = np.ones((n, n), dtype=complex)
+    np.cumprod(np.where(upper, -np.conj(zs), 1.0)[:, :-1], axis=1, out=run[:, 1:])
+    A = np.where(upper, run * defect[:, None] * defect, 0.0)
+    np.fill_diagonal(A, zs)
     return ShiftMatrix(A, zs)
+
+
+def _origin_dropped(
+    zeros: tuple[complex, ...], identity_tol: float
+) -> tuple[complex, ...] | None:
+    """The zeros of B/z, whose shift_matrix nrange and the elliptical check
+    read: zeros less the first of least modulus, or None when that one lies
+    farther than identity_tol from the origin."""
+    i = min(range(len(zeros)), key=lambda i: abs(zeros[i]))
+    if abs(zeros[i]) > identity_tol:
+        return None
+    return zeros[:i] + zeros[i + 1 :]
 
 
 def _as_matrix(A) -> np.ndarray:
@@ -226,15 +239,15 @@ def is_elliptical_range(
     """Decide whether the sampled boundary of W(A) is an ellipse.
 
     Two gates: the algebraic conic fit must classify as an ellipse within
-    conic_residual_tol, and the fitted ellipse's support function must match
-    the swept support values within 1e-6.  The second gate catches convex
-    non-ellipses whose best conic happens to fit the sample pointwise.
+    poncelet._CONIC_RESIDUAL_TOL, and the fitted ellipse's support function
+    must match the swept support values within 1e-6.  The second gate
+    catches convex non-ellipses whose best conic happens to fit the sample
+    pointwise.
     """
     from .poncelet import fit_conic
 
-    tol = _tol(tol)
     sample = numerical_range_boundary(A, samples)
-    fit = fit_conic(sample.points, tol)
+    fit = fit_conic(sample.points)
     if fit.classification != "ellipse":
         return RangeVerdict(False, fit, math.inf, sample)
     mismatch = max(

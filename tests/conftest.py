@@ -1,4 +1,4 @@
-"""Shared fixtures and small generators for the test suite.
+"""Shared helpers and small generators for the test suite.
 
 Randomness is always routed through numpy Generators with fixed seeds, so the
 suite is deterministic run to run.
@@ -10,10 +10,9 @@ import cmath
 import math
 
 import numpy as np
-import pytest
 
 import blaschke.monodromy as monodromy
-from blaschke import BlaschkeProduct, CompositionChain, ToleranceConfig
+from blaschke import BlaschkeProduct, CompositionChain
 from blaschke.monodromy import continue_branch
 
 TAU = 2.0 * math.pi
@@ -95,8 +94,3 @@ def halved_step_images(B: BlaschkeProduct, result) -> list[tuple[int, ...]]:
     finally:
         monodromy._STEP = step
     return images
-
-
-@pytest.fixture
-def tol() -> ToleranceConfig:
-    return ToleranceConfig()

@@ -1,6 +1,7 @@
 import cmath
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,25 @@ def test_solve_rejects_interior_target():
     B = BlaschkeProduct(1.0, (0j, 0j))
     with pytest.raises(InputError):
         solve_on_circle(B, 0.5 + 0j)
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0)])
+def test_non_finite_targets_and_starts_are_input_errors(bad):
+    # NaN passes no comparison, so an off-circle test written as
+    # "distance > slack" would let it through to the solve
+    B = BlaschkeProduct(1.0, (0.1 + 0.2j, -0.3j, 0.5 + 0j))
+    calls = [
+        lambda: solve_on_circle(B, bad),
+        lambda: solve_levels(B, [1.0, bad]),
+        lambda: next_preimage(B, bad),
+        lambda: invariant_orbit(B, bad, 3),
+        lambda: invariant_orbits(B, [1.0, bad], 3),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(InputError):
+                call()
 
 
 def test_solution_angle_wraps_by_turns():

@@ -406,9 +406,9 @@ def test_decompose_runs_each_inner_factor_search_once(monkeypatch, capsys, tmp_p
     real = decompose._orbit_pair
     calls = []
 
-    def counted(B, hop, k, tol):
+    def counted(B, hop, k):
         calls.append((B.degree, k))
-        return real(B, hop, k, tol)
+        return real(B, hop, k)
 
     monkeypatch.setattr(decompose, "_orbit_pair", counted)
     for demo in ("power8", "elliptical8", "nonexample84"):
@@ -417,6 +417,38 @@ def test_decompose_runs_each_inner_factor_search_once(monkeypatch, capsys, tmp_p
         assert cli.main(["decompose", "--demo", demo, "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         assert sorted(calls) == [(4, 2), (8, 2), (8, 4)], demo
+
+
+def test_nrange_and_the_elliptical_check_drop_the_same_origin_zero(
+    monkeypatch, capsys, tmp_path
+):
+    # nrange, decompose's guard and the elliptical check all read the
+    # compressed shift of B/z from shiftop._origin_dropped: the zero of least
+    # modulus goes, not the first zero within identity_tol
+    import blaschke.decompose as decompose
+    import blaschke.shiftop as shiftop
+
+    # complex(0.0, -0.4), not -0.4j: the JSON file keeps no -0.0 real part
+    B = blaschke.BlaschkeProduct(1.0, (1e-10 + 0j, 0j, 0.5 + 0j, complex(0.0, -0.4)))
+    path = tmp_path / "product.json"
+    path.write_text(B.to_json())
+    real = shiftop.shift_matrix
+    built = []
+
+    def recorded(zeros):
+        A = real(zeros)
+        built.append(A.entries.tobytes())
+        return A
+
+    monkeypatch.setattr(shiftop, "shift_matrix", recorded)
+    monkeypatch.setattr(decompose, "shift_matrix", recorded)
+    for command in ("nrange", "decompose"):
+        assert cli.main([command, "--input", str(path), "--out", str(tmp_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+    assert "elliptical_check" in report
+    decompose.elliptical_implies_decomposable_check(B)
+    rest = real((1e-10 + 0j, 0.5 + 0j, complex(0.0, -0.4))).entries.tobytes()
+    assert built == [rest] * 3
 
 
 @pytest.mark.parametrize("demo", ["chain3", "elliptical8", "power8"])

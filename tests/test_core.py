@@ -23,8 +23,10 @@ from blaschke import (
     normalize,
     unit,
 )
-from blaschke.core import _positive_ratio_pairs, format_float
+from blaschke.core import _CLUSTER_TOL, _ROOT_TOL, _positive_ratio_pairs, format_float
 from blaschke.critical import _critical_data, critical_data
+from blaschke.decompose import _inner_factor, inner_factor_general
+from blaschke.monodromy import _monodromy_group, monodromy_group
 from blaschke.errors import SolverFailure, VerificationFailure
 
 from conftest import TAU, circle_grid, random_degree2_chain, random_product, rng_for
@@ -170,7 +172,7 @@ def test_value_and_derivative_share_one_pass():
     rng = rng_for(22)
     B = random_product(rng, 6)
     for z in (0.3 + 0.2j, cmath.exp(0.7j), -0.1 - 0.55j, 1.4 + 0j):
-        assert B._jet(z, ToleranceConfig()) == (B(z), B.derivative(z))
+        assert B._jet(z) == (B(z), B.derivative(z))
 
 
 def test_value_alone_matches_the_jet_to_the_bit():
@@ -178,19 +180,18 @@ def test_value_alone_matches_the_jet_to_the_bit():
     # points and on arrays: inside, on and outside the circle and at the
     # exact zeros
     rng = rng_for(23)
-    tol = ToleranceConfig()
     for degree in (1, 2, 5, 8, 17):
         B = random_product(rng, degree)
         points = _jet_points(rng, B)
         for z in points:
             value = B.evaluate(z)
             assert type(value) is complex
-            assert repr(value) == repr(B._jet(z, tol)[0]), (degree, z)
+            assert repr(value) == repr(B._jet(z)[0]), (degree, z)
         for grid in (np.array(points), np.array([points, points[::-1]])):
             value = B.evaluate(grid)
             assert value.shape == grid.shape
-            assert value.tobytes() == B._jet(grid, tol)[0].tobytes()
-        assert B._jet(np.array(points), tol, with_slope=False)[1] is None
+            assert value.tobytes() == B._jet(grid)[0].tobytes()
+        assert B._jet(np.array(points), with_slope=False)[1] is None
 
 
 def _jet_points(rng, B):
@@ -246,7 +247,7 @@ def test_jet_matches_the_textbook_loop_to_a_few_ulps(degree):
     points += circle_grid(7, 0.2)
     bound = _jet_bound(degree)
     for z in points:
-        value, slope = B._jet(z, ToleranceConfig())
+        value, slope = B._jet(z)
         p, dp = _textbook_jet(B, z)
         assert abs(value - p) <= bound * abs(p), z
         assert abs(slope - dp) <= bound * abs(dp), z
@@ -257,7 +258,7 @@ def test_jet_matches_mpmath_at_degree_33():
     B = random_product(rng_for(56), 33)
     points = [0.3 + 0.2j, -0.1 - 0.55j, 0j, 1.4 + 0j, -0.9 + 1.1j]
     points += circle_grid(7, 0.2)
-    value, slope = B._jet(np.array(points), ToleranceConfig())
+    value, slope = B._jet(np.array(points))
     bound = _jet_bound(33)
     with mpmath.workdps(50):
         for z, v, d in zip(points, value, slope):
@@ -468,7 +469,7 @@ def test_normalize_base_value_clears_every_critical_value(seed, degree):
     nf = normalize(B)
     alpha = nf.post.center
     assert alpha == B(nf.pre.center)
-    assert min(abs(alpha - v) for v in critical_data(B).values) > DEFAULT_TOL.cluster_tol
+    assert min(abs(alpha - v) for v in critical_data(B).values) > _CLUSTER_TOL
 
 
 def test_refused_scan_evaluates_b_once_per_ring(monkeypatch):
@@ -479,9 +480,9 @@ def test_refused_scan_evaluates_b_once_per_ring(monkeypatch):
     shapes = []
     jet = BlaschkeProduct._jet
 
-    def counted_jet(self, z, tol, **kwargs):
+    def counted_jet(self, z, **kwargs):
         shapes.append(np.shape(z))
-        return jet(self, z, tol, **kwargs)
+        return jet(self, z, **kwargs)
 
     monkeypatch.setattr(BlaschkeProduct, "_jet", counted_jet)
     _critical_data.cache_clear()
@@ -509,7 +510,7 @@ def _positive_ratio_pairs_by_loop(values, root_tol):
 
 def test_positive_ratio_pairs_match_a_double_loop():
     rng = rng_for(5300)
-    root_tol = DEFAULT_TOL.root_tol
+    root_tol = _ROOT_TOL
     for trial in range(40):
         n = int(rng.integers(0, 12))
         values = [complex(v) for v in rng.normal(size=n) + 1j * rng.normal(size=n)]
@@ -533,7 +534,7 @@ def test_positive_ratio_pairs_do_not_depend_on_order():
     # the ratio of this pair is 1e-9 at angle 1 one way and 1e9 the other:
     # a bound of 1e-9 (1 + |r|) on Im r flags the first order alone
     small, large = 1e-11 * cmath.exp(1j), 1e-2 + 0j
-    root_tol = DEFAULT_TOL.root_tol
+    root_tol = _ROOT_TOL
     assert _positive_ratio_pairs([small, large], root_tol) == ()
     assert _positive_ratio_pairs([large, small], root_tol) == ()
     # a positive real ratio of 1e-9 is flagged in either order
@@ -554,6 +555,44 @@ def test_regularized_examples():
 
     no_origin = BlaschkeProduct(1.0, (0.3 + 0j, 0.5 + 0j))
     assert not is_regularized(no_origin).zero_at_origin
+
+
+# ---------------------------------------------------------------- tolerances
+
+
+def test_identity_tol_is_the_one_setting():
+    assert [f.name for f in dataclasses.fields(ToleranceConfig)] == ["identity_tol"]
+    assert DEFAULT_TOL == ToleranceConfig(identity_tol=1e-9)
+    with pytest.raises(TypeError):
+        ToleranceConfig(cluster_tol=1e-8)
+    for bad in (0.0, 1.0, -1e-9, math.nan):
+        with pytest.raises(InputError, match="identity_tol must lie in"):
+            ToleranceConfig(identity_tol=bad)
+
+
+def test_is_regularized_honours_identity_tol():
+    # B(0) = 5e-8 lies between the default identity_tol and 1e-6
+    B = BlaschkeProduct(1.0, (1e-7 + 0j, 0.5 + 0j))
+    assert 1e-9 < abs(B(0j)) < 1e-6
+    assert not is_regularized(B).zero_at_origin
+    assert is_regularized(B, ToleranceConfig(identity_tol=1e-6)).zero_at_origin
+
+
+def test_kept_results_are_keyed_on_the_product_alone():
+    # a non-default tolerance is no second key and no second solve
+    B = normalize(random_product(rng_for(5150), 4)).product
+    other = ToleranceConfig(identity_tol=1e-6)
+    for kept, ask in (
+        (_critical_data, lambda tol: critical_data(B, tol)),
+        (_monodromy_group, lambda tol: monodromy_group(B, tol)),
+        (_inner_factor, lambda tol: inner_factor_general(B, 2, tol)),
+    ):
+        kept.cache_clear()
+        first = ask(None)
+        assert ask(other) is first
+        assert ask(DEFAULT_TOL) is first
+        info = kept.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
 
 
 # ---------------------------------------------------------------------- JSON

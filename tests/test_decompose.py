@@ -16,7 +16,6 @@ from blaschke import (
 )
 from blaschke import circle, cli, decompose
 from blaschke.cli import demo_corpus
-from blaschke.core import DEFAULT_TOL
 from blaschke.circle import invariant_orbit
 from blaschke.decompose import (
     chain_2n,
@@ -420,7 +419,7 @@ def test_every_divisor_search_of_a_product_shares_two_solves(monkeypatch):
     ]
     assert cross.monodromy is mono
     for k in (2, 4, 8):
-        pair = decompose._orbit_pair(N, 16 // k, k, DEFAULT_TOL)
+        pair = decompose._orbit_pair(N, 16 // k, k)
         assert pair == _one_start_orbit_pair(N, 16 // k, k)
 
 

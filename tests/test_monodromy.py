@@ -474,9 +474,9 @@ def test_tracker_step_budget_on_a_degree_8_tower(monkeypatch):
     rows = []
     jet = BlaschkeProduct._jet
 
-    def counted(self, z, tol, **kwargs):
+    def counted(self, z, **kwargs):
         rows.append(np.size(z))
-        return jet(self, z, tol, **kwargs)
+        return jet(self, z, **kwargs)
 
     monkeypatch.setattr(BlaschkeProduct, "_jet", counted)
     for loop in mono.loops:
@@ -486,32 +486,32 @@ def test_tracker_step_budget_on_a_degree_8_tower(monkeypatch):
     assert 0 < sum(rows) < 4000
 
 
-def _track_one(B, piece, z, d, tol):
+def _track_one(B, piece, z, d):
     """The tracker's end point and B' there, on one row through one piece."""
     loop = LoopSpec(piece.end, (piece,), 0.0)
-    end, slope = monodromy._track(B, (loop,), (piece.kind,), (z,), [[z]], [[d]], tol)
+    end, slope = monodromy._track(B, (loop,), (piece.kind,), (z,), [[z]], [[d]])
     return complex(end[0, 0]), complex(slope[0, 0])
 
 
-def test_tracker_refuses_where_it_cannot_step(tol):
+def test_tracker_refuses_where_it_cannot_step():
     # B(z) = z (z - 0.5)/(1 - 0.5 z) has one critical point c in the disk
     B = BlaschkeProduct(1.0, (0j, 0.5 + 0j))
     (c,) = critical_data(B).points_in_disk
-    v, d = B._jet(c, tol)
+    v, d = B._jet(c)
     assert d == 0
     z, w = 0.1 + 0j, B.evaluate(0.1)
-    slope = B._jet(z, tol)[1]
+    slope = B._jet(z)[1]
     # a piece of length zero leaves the point where it is
     point = LoopPiece("outward", w, w, clear=(v,))
-    assert _track_one(B, point, z, slope, tol) == (z, slope)
+    assert _track_one(B, point, z, slope) == (z, slope)
     # from the critical point, where B' = 0, there is no Newton step
     chord = LoopPiece("outward", v, 0.2 + 0j)
     with pytest.raises(TrackingFailure, match="corrector left"):
-        _track_one(B, chord, c, d, tol)
+        _track_one(B, chord, c, d)
     # steps toward a value on the piece shrink until they stop advancing
     through = LoopPiece("outward", w, 2 * v - w, clear=(v,))
     with pytest.raises(TrackingFailure, match="piece meets a critical value"):
-        _track_one(B, through, z, slope, tol)
+        _track_one(B, through, z, slope)
 
 
 def _outward_only(loop):
@@ -545,11 +545,11 @@ def test_tracker_failures_name_the_loop_the_label_and_the_piece(monkeypatch):
     }
     track = monodromy._track
 
-    def onto_first(B, loops, kinds, labels, z, d, tol):
+    def onto_first(B, loops, kinds, labels, z, d):
         if kinds == ("arc",):
             ends = [[first_end[loop.target]] * len(labels) for loop in loops]
             return np.array(ends), d
-        return track(B, loops, kinds, labels, z, d, tol)
+        return track(B, loops, kinds, labels, z, d)
 
     monkeypatch.setattr(monodromy, "_track", onto_first)
     with pytest.raises(NonBijective) as info:
@@ -566,8 +566,8 @@ def test_colliding_outward_lifts_are_not_injective(monkeypatch):
     labels = sorted(B.zeros, key=lambda z: (cmath.phase(z), abs(z)))
     track = monodromy._track
 
-    def collide(B, loops, kinds, labels, z, d, tol):
-        ends, slopes = track(B, loops, kinds, labels, z, d, tol)
+    def collide(B, loops, kinds, labels, z, d):
+        ends, slopes = track(B, loops, kinds, labels, z, d)
         if kinds == ("outward",):
             ends = np.repeat(ends[:, :1], len(labels), axis=1)
             slopes = np.repeat(slopes[:, :1], len(labels), axis=1)
@@ -586,13 +586,13 @@ def _poisoned_first_pass(monkeypatch, row):
     jet, track = BlaschkeProduct._jet, monodromy._track
     passes, tracking = [], []
 
-    def poisoned(self, z, tol, **kwargs):
+    def poisoned(self, z, **kwargs):
         if tracking:
             if not passes:
                 z = z.copy()
                 z[row] = complex("nan")
             passes.append(z.size)
-        return jet(self, z, tol, **kwargs)
+        return jet(self, z, **kwargs)
 
     def tracked(*args):
         tracking.append(True)
@@ -1055,12 +1055,12 @@ def _counted_lifts(monkeypatch):
     lifted = []
     track = monodromy._track
 
-    def counted(B, loops, kinds, labels, z, d, tol):
+    def counted(B, loops, kinds, labels, z, d):
         for loop in loops:
             for piece in loop.pieces:
                 if piece.kind in kinds:
                     lifted.extend([piece.kind] * len(labels))
-        return track(B, loops, kinds, labels, z, d, tol)
+        return track(B, loops, kinds, labels, z, d)
 
     monkeypatch.setattr(monodromy, "_track", counted)
     return lifted

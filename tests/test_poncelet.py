@@ -13,7 +13,6 @@ from blaschke import (
 from blaschke import circle, poncelet
 from blaschke.circle import invariant_orbit, solve_on_circle
 from blaschke.cli import demo_corpus
-from blaschke.core import DEFAULT_TOL
 from blaschke.poncelet import (
     closure_order,
     curve_csv,
@@ -264,7 +263,7 @@ def test_envelope_arrays_come_straight_from_the_table(monkeypatch):
         pkg = package(B, 720)
         curve = envelope(B, 3, 720)
     assert curve == pkg.entry(4).curve
-    table = poncelet._level_sets(B, 60, DEFAULT_TOL)
+    table = poncelet._level_sets(B, 60)
     for entry in pkg.entries:
         arrays = (entry.curve.angles, entry.curve.points, entry.curve.chords)
         assert not any(a.flags.writeable for a in arrays)
@@ -368,10 +367,10 @@ def test_package_solves_table_plus_one_level_set(monkeypatch, degree, samples):
     assert calls[0] == max(2, -(-samples // degree)) + 1
 
 
-def _tuple_level_sets(Bhat, count, tol):
+def _tuple_level_sets(Bhat, count):
     """The level table built from solve_levels' CircleSolutionSet tuples."""
     t = TAU * np.arange(count) / count
-    sols = circle.solve_levels(Bhat, np.exp(1j * t), tol)
+    sols = circle.solve_levels(Bhat, np.exp(1j * t))
     points = np.array([sol.points for sol in sols]).T
     return poncelet._LevelTable(t, points, np.array([sol.rates for sol in sols]).T)
 
@@ -396,8 +395,8 @@ def test_level_table_arrays_match_the_tuple_path(monkeypatch, degree, samples):
     # every package answer built on it, is bit-identical to the tuple path
     B = random_product(rng_for(415 + degree), degree, radius=0.8)
     count = max(2, -(-samples // degree))
-    table = poncelet._level_sets(B, count, DEFAULT_TOL)
-    reference = _tuple_level_sets(B, count, DEFAULT_TOL)
+    table = poncelet._level_sets(B, count)
+    reference = _tuple_level_sets(B, count)
     for got, want in zip(table, reference):
         assert got.shape == want.shape and _bits(got) == _bits(want)
     pkg = package(B, samples)

@@ -57,6 +57,46 @@ def test_two_by_two_entry_formula():
     assert abs(A[0, 1] - off) < 1e-14
 
 
+def _loop_shift_matrix(zeros):
+    """The model matrix entry by entry: A_ij = run d_i d_j, with run the
+    product of -conj(a_l) over i < l < j taken left to right."""
+    n = len(zeros)
+    defect = [math.sqrt(max(0.0, 1.0 - abs(a) ** 2)) for a in zeros]
+    A = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        A[i, i] = zeros[i]
+        run = 1.0 + 0j
+        for j in range(i + 1, n):
+            A[i, j] = run * defect[i] * defect[j]
+            run *= -zeros[j].conjugate()
+    return A
+
+
+def test_shift_matrix_matches_the_entrywise_loop_to_the_bit():
+    # every third matrix has half its zeros at the origin, and every fifth
+    # only real zeros, so signed zeros meet the running products too
+    rng = rng_for(330)
+    for trial in range(60):
+        n = int(rng.integers(1, 70))
+        zeros = [random_point(rng, 0.95) for _ in range(n)]
+        if trial % 3 == 0:
+            zeros[: n // 2] = [0j] * (n // 2)
+        if trial % 5 == 0:
+            zeros = [complex(-z.real, -0.0) for z in zeros]
+        got = shift_matrix(zeros).entries
+        assert got.tobytes() == _loop_shift_matrix(zeros).tobytes(), (trial, n)
+
+
+def test_origin_dropped_takes_the_least_modulus_zero():
+    zeros = (1e-10 + 0j, 0j, 0.5 + 0j, -0.4j)
+    assert shiftop._origin_dropped(zeros, 1e-9) == (1e-10 + 0j, 0.5 + 0j, -0.4j)
+    # the first of equal moduli goes, and nothing goes when no zero is
+    # within the slack
+    assert shiftop._origin_dropped((0j, 0.3 + 0j, 0j), 1e-9) == (0.3 + 0j, 0j)
+    assert shiftop._origin_dropped((1e-8 + 0j, 0.3 + 0j), 1e-9) is None
+    assert shiftop._origin_dropped((0j,), 1e-9) == ()
+
+
 def test_eigenvalues_are_the_zeros():
     rng = rng_for(302)
     for _ in range(6):
