@@ -67,6 +67,7 @@ from .core import (
     unit,
     _factor_array,
     _finite,
+    _origin_dropped,
     _tol,
 )
 from .errors import InputError, SolverFailure
@@ -498,7 +499,8 @@ def verify_generator_power(
     chain: CompositionChain, tol: ToleranceConfig | None = None
 ) -> GeneratorPowerCheck:
     """Check g^{2^{m-1}} = phi_a for an m-factor chain of degree-2 products
-    whose innermost factor vanishes at 0 and at a.
+    whose innermost factor vanishes at 0 and at a; the zero at 0 is the one
+    core._origin_dropped finds within identity_tol, else InputError.
 
     That factor is gamma * z * phi_a for some unimodular gamma, and gamma
     does not matter: either way its fibers are the pairs {z, phi_a(z)}.
@@ -509,11 +511,10 @@ def verify_generator_power(
     tol = _tol(tol)
     if any(f.degree != 2 for f in chain.factors):
         raise InputError("every factor in the chain must have degree 2")
-    inner = chain.factors[-1]
-    zeros = sorted(inner.zeros, key=abs)
-    if abs(zeros[0]) > 1e-9:
+    rest = _origin_dropped(chain.factors[-1].zeros, tol.identity_tol)
+    if rest is None:
         raise InputError("innermost factor must vanish at the origin")
-    a = zeros[1]
+    (a,) = rest
 
     m = len(chain.factors)
     power = 2 ** (m - 1)

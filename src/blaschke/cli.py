@@ -20,7 +20,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,8 @@ from .core import (
     is_regularized,
     normalize,
     _CLUSTER_TOL,
+    _chain_from_json_dict,
+    _origin_dropped,
 )
 from .errors import BlaschkeError, InputError
 
@@ -181,13 +184,13 @@ def _load_input(args, seed: int):
     path = Path(args.input)
     if not path.exists():
         raise InputError(f"input file not found: {path}")
-    text = path.read_text()
-    data = json.loads(text)
+    # every number as a float, so a "-0" part reads back as -0.0
+    data = json.loads(path.read_text(), parse_int=float)
     if not isinstance(data, dict):
         raise InputError("input JSON must be an object")
     if "factors" in data:
-        return CompositionChain.from_json(text)
-    return BlaschkeProduct.from_json(text)
+        return _chain_from_json_dict(data)
+    return BlaschkeProduct._from_json_dict(data)
 
 
 def _as_product(obj) -> BlaschkeProduct:
@@ -216,36 +219,30 @@ def _critical_dict(B: BlaschkeProduct) -> dict:
     }
 
 
+def _normalization_dict(nf) -> dict:
+    return {
+        "pre_center": nf.pre.center,
+        "post_rotation": nf.post.rotation,
+        "post_center": nf.post.center,
+    }
+
+
 def cmd_analyze(obj, cfg: RunConfig) -> int:
     from .critical import check_value_bound
 
     B = _as_product(obj)
-    reg = is_regularized(B)
     report = {
         "degree": B.degree,
         "gamma": B.gamma,
         "zeros": list(B.zeros),
-        "regularized": {
-            "ok": reg.ok,
-            "zero_at_origin": reg.zero_at_origin,
-            "simple_zeros": reg.simple_zeros,
-            "violating_pairs": [list(p) for p in reg.violating_pairs],
-        },
+        "regularized": asdict(is_regularized(B)),
         "critical": _critical_dict(B),
     }
     if isinstance(obj, CompositionChain):
-        bound = check_value_bound(obj)
-        report["value_bound"] = {
-            "ok": bound.ok,
-            "distinct_count": bound.distinct_count,
-            "bound": bound.bound,
-            "factor_degrees": list(bound.factor_degrees),
-        }
+        report["value_bound"] = asdict(check_value_bound(obj))
     nf = normalize(B)
     report["normalized"] = {
-        "pre_center": nf.pre.center,
-        "post_rotation": nf.post.rotation,
-        "post_center": nf.post.center,
+        **_normalization_dict(nf),
         "zeros": list(nf.product.zeros),
         "critical": _critical_dict(nf.product),
     }
@@ -341,15 +338,11 @@ def cmd_package(obj, cfg: RunConfig) -> int:
                 scene_svg(entry.curve, entry.fit, level_sets),
             )
         )
-    closure_counts: dict[str, int] = {}
-    for entry in pkg.entries:
-        key = str(entry.closure)
-        closure_counts[key] = closure_counts.get(key, 0) + 1
     _emit(
         {
             "degree": B.degree,
             "curves": entries,
-            "closure_counts": closure_counts,
+            "closure_counts": Counter(str(entry.closure) for entry in pkg.entries),
             "files": files,
         }
     )
@@ -357,9 +350,7 @@ def cmd_package(obj, cfg: RunConfig) -> int:
 
 
 def cmd_nrange(obj, cfg: RunConfig) -> int:
-    from .shiftop import (
-        boundary_csv, is_elliptical_range, kippenhahn_eval, shift_matrix, _origin_dropped
-    )
+    from .shiftop import boundary_csv, is_elliptical_range, kippenhahn_eval, shift_matrix
 
     B = _as_product(obj)
     # When the product vanishes at the origin the interesting operator is the
@@ -395,7 +386,6 @@ def cmd_nrange(obj, cfg: RunConfig) -> int:
 
 def cmd_decompose(obj, cfg: RunConfig) -> int:
     from .decompose import chain_2n, elliptical_implies_decomposable_check, inner_factor_general
-    from .shiftop import _origin_dropped
 
     B = _as_product(obj)
     n = B.degree
@@ -407,17 +397,12 @@ def cmd_decompose(obj, cfg: RunConfig) -> int:
         if rep.found:
             record = rep.chains[0]
             report["chain"] = {
-                "factors": [_product_dict(f) for f in record.chain.factors],
-                "degrees": list(record.factor_degrees),
+                **_chain_dict(record.chain),
+                "degrees": record.factor_degrees,
                 "verification_error": record.verification_error,
             }
         else:
-            report["chain"] = {
-                "failures": [
-                    {"shape": list(f.shape), "reason": f.reason}
-                    for f in rep.failures
-                ]
-            }
+            report["chain"] = {"failures": [asdict(f) for f in rep.failures]}
 
     rows = []
     for divisor in range(2, n):
@@ -457,11 +442,7 @@ def cmd_monodromy(obj, cfg: RunConfig) -> int:
     mono, systems = cross.monodromy, cross.systems
     report = {
         "degree": N.degree,
-        "normalization": {
-            "pre_center": nf.pre.center,
-            "post_rotation": nf.post.rotation,
-            "post_center": nf.post.center,
-        },
+        "normalization": _normalization_dict(nf),
         "labels": list(mono.labels),
         "critical_values": [loop.target for loop in mono.loops],
         "generators": [list(g.images) for g in mono.generators],
@@ -478,26 +459,10 @@ def cmd_monodromy(obj, cfg: RunConfig) -> int:
     k = n.bit_length() - 1
     if n == 2**k and n >= 2:
         audit = wreath_audit(mono.group, k)
-        report["wreath_audit"] = {
-            "levels": audit.levels,
-            "order": audit.order,
-            "expected_order": audit.expected_order,
-            "order_ok": audit.order_ok,
-            "two_group_ok": audit.two_group_ok,
-            "nested_sizes": list(audit.nested_sizes),
-            "nested_ok": audit.nested_ok,
-            "ok": audit.ok,
-        }
+        report["wreath_audit"] = {**asdict(audit), "ok": audit.ok}
     report["cross_validation"] = {
         "consistent": cross.consistent,
-        "rows": [
-            {
-                "k": r.k,
-                "block_system": r.block_system,
-                "factor_found": r.factor_found,
-            }
-            for r in cross.rows
-        ],
+        "rows": [asdict(r) for r in cross.rows],
     }
     _emit(report)
     return 0
@@ -521,7 +486,7 @@ def cmd_invariants(obj, cfg: RunConfig) -> int:
     if (
         isinstance(obj, CompositionChain)
         and all(f.degree == 2 for f in obj.factors)
-        and min(abs(z) for z in obj.factors[-1].zeros) <= 1e-9
+        and _origin_dropped(obj.factors[-1].zeros, DEFAULT_TOL.identity_tol) is not None
     ):
         check = verify_generator_power(obj)
         report["generator_power"] = {
@@ -534,27 +499,17 @@ def cmd_invariants(obj, cfg: RunConfig) -> int:
 
 
 def cmd_demo(obj, cfg: RunConfig) -> int:
-    corpus = demo_corpus(cfg.seed)
     rows = []
-    for name, item in corpus.items():
-        if isinstance(item, CompositionChain):
-            rows.append(
-                {
-                    "name": name,
-                    "kind": "chain",
-                    "degree": item.degree,
-                    "definition": _chain_dict(item),
-                }
-            )
-        else:
-            rows.append(
-                {
-                    "name": name,
-                    "kind": "product",
-                    "degree": item.degree,
-                    "definition": _product_dict(item),
-                }
-            )
+    for name, item in demo_corpus(cfg.seed).items():
+        chain = isinstance(item, CompositionChain)
+        rows.append(
+            {
+                "name": name,
+                "kind": "chain" if chain else "product",
+                "degree": item.degree,
+                "definition": _chain_dict(item) if chain else _product_dict(item),
+            }
+        )
     _emit({"demos": rows, "seed": cfg.seed})
     return 0
 

@@ -66,8 +66,9 @@ _CLUSTER_TOL = 1e-8
 @dataclass(frozen=True)
 class ToleranceConfig:
     """The one settable tolerance, identity_tol: the sup-norm slack of
-    verify_generator_power, and the modulus below which is_regularized takes
-    B(0), and elliptical_implies_decomposable_check a zero, as 0.
+    verify_generator_power, the modulus below which is_regularized takes
+    B(0) as 0, and the slack of the z-factor test _origin_dropped, which
+    elliptical_implies_decomposable_check and verify_generator_power ask.
 
     DEFAULT_TOL holds the default, at which every CLI subcommand runs.
     Every other public function takes tol for the common signature and
@@ -128,6 +129,15 @@ def _factor_array(a: np.ndarray, z: np.ndarray, minus_conj=None):
     den = z[..., None] * (-a.conj() if minus_conj is None else minus_conj)
     den += 1.0
     return gap / den, gap, den
+
+
+def _parse_json(text: str):
+    """text parsed with every JSON integer read as a float: format_float
+    writes -0.0 as "-0", which json.loads alone reads back as the int 0."""
+    try:
+        return json.loads(text, parse_int=float)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid JSON: {exc}") from exc
 
 
 def _shaped(values: np.ndarray, points: np.ndarray):
@@ -261,11 +271,7 @@ class BlaschkeProduct:
 
     @staticmethod
     def from_json(text: str) -> "BlaschkeProduct":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON: {exc}") from exc
-        return BlaschkeProduct._from_json_dict(data)
+        return BlaschkeProduct._from_json_dict(_parse_json(text))
 
     @staticmethod
     def _from_json_dict(data) -> "BlaschkeProduct":
@@ -403,20 +409,21 @@ class CompositionChain:
 
     @staticmethod
     def from_json(text: str) -> "CompositionChain":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON: {exc}") from exc
-        if not isinstance(data, dict) or not isinstance(data.get("factors"), list):
-            raise InputError('chain JSON needs a "factors" list')
-        return CompositionChain(
-            tuple(BlaschkeProduct._from_json_dict(d) for d in data["factors"])
-        )
+        return _chain_from_json_dict(_parse_json(text))
+
+
+def _chain_from_json_dict(data) -> CompositionChain:
+    if not isinstance(data, dict) or not isinstance(data.get("factors"), list):
+        raise InputError('chain JSON needs a "factors" list')
+    return CompositionChain(
+        tuple(BlaschkeProduct._from_json_dict(d) for d in data["factors"])
+    )
 
 
 # the circle points every unimodular constant is matched on: read at the
-# first, certified over all of them
+# first, certified over all of them, to a sup error of at most _MATCH_TOL
 _MATCH_POINTS = np.array(circle_samples(100, 0.05))
+_MATCH_TOL = 1e-8
 
 
 def _rotation(target: np.ndarray, base: np.ndarray) -> tuple[complex, float]:
@@ -425,6 +432,15 @@ def _rotation(target: np.ndarray, base: np.ndarray) -> tuple[complex, float]:
     base is a map of the circle to itself evaluated there."""
     rho = unit(complex(target[0] / base[0]))
     return rho, float(np.abs(target - rho * base).max())
+
+
+def _matched_rotation(target: np.ndarray, base: np.ndarray, what: str) -> complex:
+    """_rotation's rho, or VerificationFailure "{what}: sup error ..." when
+    the sup error exceeds _MATCH_TOL."""
+    rho, err = _rotation(target, base)
+    if err > _MATCH_TOL:
+        raise VerificationFailure(f"{what}: sup error {err:.3e}")
+    return rho
 
 
 def compose(
@@ -436,9 +452,10 @@ def compose(
 
     The zeros of the composition are the inner-preimages of the outer zeros:
     for each zero w of outer, the fiber inner(z) = w, all of which lies in
-    the open disk.  The constant comes from _rotation against outer(inner(z))
-    on the circle; a sup error above 1e-8 raises VerificationFailure naming
-    it, and a zero within _ROOT_TOL of a matching point PoleProximity.
+    the open disk.  The constant comes from _matched_rotation against
+    outer(inner(z)) on the circle, which raises VerificationFailure naming a
+    sup error above _MATCH_TOL; a zero within _ROOT_TOL of a matching point
+    raises PoleProximity.
     """
     from .critical import fiber
 
@@ -451,19 +468,19 @@ def compose(
 
     z = _MATCH_POINTS
     base = BlaschkeProduct(1.0, tuple(zeros)).evaluate(z)
-    gamma, err = _rotation(outer.evaluate(inner.evaluate(z)), base)
-    if err > 1e-8:
-        raise VerificationFailure(
-            f"composition of degree {len(zeros)} misses outer(inner(z)) on the "
-            f"circle: sup error {err:.3e}"
-        )
+    gamma = _matched_rotation(
+        outer.evaluate(inner.evaluate(z)),
+        base,
+        f"composition of degree {len(zeros)} misses outer(inner(z)) on the circle",
+    )
     return BlaschkeProduct(gamma, tuple(zeros))
 
 
 class NormalizedForm(NamedTuple):
     """normalize() result: product = post o B o pre with product(0) = 0,
     product'(0) > 0, and simple zeros.  pre is an involution (rotation 1), so
-    B = post.inverse() o product o pre, certified to 1e-8 on the circle."""
+    B = post.inverse() o product o pre, certified to _MATCH_TOL on the
+    circle."""
 
     product: BlaschkeProduct
     pre: DiskAutomorphism
@@ -493,8 +510,8 @@ def normalize(B: BlaschkeProduct, tol: ToleranceConfig | None = None) -> Normali
 
     N's constant is unit(conj prod_(a != 0) (-a)) over its zeros, so
     N'(0) > 0 (DegenerateInput when the product is 0), and lambda comes
-    from _rotation of phi_alpha o B o pre against N; a sup error above 1e-8
-    raises VerificationFailure naming it, and a zero within _ROOT_TOL of a
+    from _matched_rotation of phi_alpha o B o pre against N (VerificationFailure
+    naming a sup error above _MATCH_TOL), and a zero within _ROOT_TOL of a
     matching point (or, for B, of its image under pre) PoleProximity.
     """
     from .critical import critical_data, fiber
@@ -530,13 +547,11 @@ def normalize(B: BlaschkeProduct, tol: ToleranceConfig | None = None) -> Normali
     product = BlaschkeProduct(unit(slope.conjugate()), tuple(zeros_n))
 
     z = _MATCH_POINTS
-    target = DiskAutomorphism(1.0, alpha)(B.evaluate(pre(z)))
-    rho, err = _rotation(target, product.evaluate(z))
-    if err > 1e-8:
-        raise VerificationFailure(
-            f"normalized product of degree {B.degree} misses "
-            f"post o B o pre on the circle: sup error {err:.3e}"
-        )
+    rho = _matched_rotation(
+        DiskAutomorphism(1.0, alpha)(B.evaluate(pre(z))),
+        product.evaluate(z),
+        f"normalized product of degree {B.degree} misses post o B o pre on the circle",
+    )
     # + 0j turns the -0.0 imaginary part of a real rho's conjugate into +0.0
     post = DiskAutomorphism(rho.conjugate() + 0j, alpha)
     return NormalizedForm(product, pre, post)
@@ -560,6 +575,20 @@ def _zeros_separated(B: BlaschkeProduct) -> bool:
     zs = np.array(B.zeros, dtype=complex)
     gaps = np.abs(zs[:, None] - zs)[np.triu_indices(len(zs), 1)]
     return bool(np.all(gaps > _CLUSTER_TOL))
+
+
+def _origin_dropped(
+    zeros: tuple[complex, ...], identity_tol: float
+) -> tuple[complex, ...] | None:
+    """The zeros of B/z, the z-factor test: zeros less the first of least
+    modulus, or None when that one lies farther than identity_tol from the
+    origin.  shiftop.shift_matrix of them is the compressed shift that nrange
+    and the elliptical check read, and verify_generator_power asks it of the
+    innermost factor."""
+    i = min(range(len(zeros)), key=lambda i: abs(zeros[i]))
+    if abs(zeros[i]) > identity_tol:
+        return None
+    return zeros[:i] + zeros[i + 1 :]
 
 
 def is_regularized(

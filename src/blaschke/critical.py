@@ -61,7 +61,7 @@ from .core import (
     _CLUSTER_TOL,
     _MATCH_POINTS,
     _ROOT_TOL,
-    _rotation,
+    _matched_rotation,
 )
 from .errors import CountMismatch, SolverFailure, VerificationFailure
 from .shiftop import shift_matrix
@@ -496,9 +496,9 @@ def one_critical_value_form(
     When the critical data collapses to one value, all n-1 critical points
     agree on one point a.  Since phi_a^n(a) = 0, tau(0) = v = B(a), so
     phi_v o tau fixes 0 and is a rotation: phi_v o B = rho phi_a^n, rho from
-    core._rotation on the circle, and tau = phi_v(rho w) =
+    core._matched_rotation on the circle, and tau = phi_v(rho w) =
     DiskAutomorphism(rho, v conj(rho)).  A sup error of that match above
-    1e-8 raises VerificationFailure.
+    core._MATCH_TOL raises VerificationFailure.
     """
     cd = critical_data(B)
     if len(cd.distinct_values) != 1:
@@ -513,11 +513,10 @@ def one_critical_value_form(
     base = BlaschkeProduct((-1.0) ** B.degree, (a,) * B.degree)
     v = B.evaluate(a)
     z = _MATCH_POINTS
-    target = DiskAutomorphism(1.0, v)(B.evaluate(z))
-    rho, err = _rotation(target, base.evaluate(z))
-    if err > 1e-8:
-        raise VerificationFailure(
-            f"one-critical-value form mismatch: sup error {err:.3e}"
-        )
+    rho = _matched_rotation(
+        DiskAutomorphism(1.0, v)(B.evaluate(z)),
+        base.evaluate(z),
+        "one-critical-value form mismatch",
+    )
     tau = DiskAutomorphism(rho, v * rho.conjugate())
     return OneCriticalValueForm(tau, a)

@@ -10,10 +10,11 @@
 
 * factor_any_order: the one route to a chain whose factor degrees follow
   a factorization of n.  It peels inner factors with inner_factor_general
-  from the innermost entry outward, continuing with each outer factor, and
-  certifies the chain by re-expansion.  chain_2n is its (2, ..., 2) case,
-  a degree-2^k product as a chain of k quadratic maps, reported rather
-  than raised.
+  from the innermost entry outward, continuing with each outer factor,
+  certifies the chain by re-expansion, and raises when either step fails.
+  chain_2n is its report for the (2, ..., 2) case, a degree-2^k product as
+  a chain of k quadratic maps: the chain with its certified error, or the
+  raised message as the one failure reason.
 """
 
 from __future__ import annotations
@@ -31,13 +32,15 @@ from .core import (
     ToleranceConfig,
     _CLUSTER_TOL,
     _MATCH_POINTS,
+    _MATCH_TOL,
+    _origin_dropped,
     _rotation,
     _tol,
 )
 from .circle import invariant_orbit, invariant_orbits
 from .critical import _cluster_values, _secular_roots, _secular_zeros
 from .errors import DegenerateInput, InputError, VerificationFailure
-from .shiftop import RangeVerdict, is_elliptical_range, shift_matrix, _origin_dropped
+from .shiftop import RangeVerdict, is_elliptical_range, shift_matrix
 
 __all__ = [
     "ChainRecord",
@@ -88,18 +91,58 @@ class DecompositionReport:
 _IDENTITY = BlaschkeProduct(1.0, (0j,))
 
 
-def _peel(
-    B: BlaschkeProduct, ordering: tuple[int, ...]
-) -> tuple[CompositionChain | None, str, InnerFactorResult | None]:
-    """(chain, "", None) with the factor degrees of ordering, outermost
-    first, peeled from the innermost entry p outward; (None, why, result)
-    at the first level whose inner factor search fails.
+def chain_2n(
+    B: BlaschkeProduct, tol: ToleranceConfig | None = None
+) -> DecompositionReport:
+    """Write a degree-2^k product as a chain of k degree-2 factors.
 
-    A p equal to the pending degree takes the pending product whole (and
-    leaves z pending), a 1 is the factor z, and any other p takes the inner
-    factor inner_factor_general(pending, p) and goes on with its outer
-    factor.  The chain is not checked against B here.
+    factor_any_order's (2, ..., 2) case, reported rather than raised: its
+    DegenerateInput or VerificationFailure becomes the one ShapeFailure,
+    with the message as the reason.  Every inner factor is
+    z (z - b) / (1 - conj(b) z), and the factors run outermost first,
+    matching CompositionChain.
     """
+    n = B.degree
+    k = n.bit_length() - 1
+    if n != 2**k or n < 2:
+        raise InputError(f"degree {n} is not a power of two")
+    shape = (2,) * k
+    try:
+        chain, err = _certified_chain(B, shape)
+    except (DegenerateInput, VerificationFailure) as exc:
+        return DecompositionReport(n, (), (ShapeFailure(shape, str(exc)),))
+    return DecompositionReport(n, (ChainRecord(chain, shape, err),), ())
+
+
+def factor_any_order(
+    B: BlaschkeProduct,
+    ordering: tuple[int, ...] | list[int],
+    tol: ToleranceConfig | None = None,
+) -> CompositionChain:
+    """Factor B along the degree ordering (p_1, ..., p_m), outermost first.
+
+    The chain is peeled from the innermost entry p outward: a p equal to
+    the pending degree takes the pending product whole (and leaves z
+    pending), a 1 is the factor z, and any other p takes the inner factor
+    inner_factor_general(pending, p) and goes on with its outer factor.  It
+    is certified by re-expansion to _MATCH_TOL on the circle, or
+    VerificationFailure.  Raises DegenerateInput, before any solve, for an
+    entry below 1 or a product of entries other than the degree, and for a
+    level without an inner factor, naming the level, the pending degree,
+    the failed search and its error.
+    """
+    return _certified_chain(B, ordering)[0]
+
+
+def _certified_chain(B: BlaschkeProduct, ordering) -> tuple[CompositionChain, float]:
+    """factor_any_order's chain and its re-expansion error."""
+    ordering = tuple(int(p) for p in ordering)
+    if not ordering or any(p < 1 for p in ordering):
+        raise DegenerateInput("ordering must be nonempty with positive entries")
+    if math.prod(ordering) != B.degree:
+        raise DegenerateInput(
+            f"ordering product {math.prod(ordering)} does not match degree {B.degree}"
+        )
     factors: list[BlaschkeProduct] = []
     pending = B
     for level, p in enumerate(reversed(ordering)):
@@ -111,65 +154,17 @@ def _peel(
         else:
             res = inner_factor_general(pending, p)
             if not res.found:
-                why = f"no degree-{p} inner factor at level {level}"
-                return None, f"{why} (pending degree {pending.degree})", res
+                raise DegenerateInput(
+                    f"no degree-{p} inner factor at level {level} (pending degree "
+                    f"{pending.degree}): search {res.reason}, error {res.error:.3e}"
+                )
             factors.insert(0, res.inner)
             pending = res.outer
-    return CompositionChain(tuple(factors)), "", None
-
-
-def chain_2n(
-    B: BlaschkeProduct, tol: ToleranceConfig | None = None
-) -> DecompositionReport:
-    """Write a degree-2^k product as a chain of k degree-2 factors.
-
-    The (2, ..., 2) case of factor_any_order, with a failure reported
-    rather than raised: every inner factor is z (z - b) / (1 - conj(b) z),
-    and the factors run outermost first, matching CompositionChain.
-    """
-    n = B.degree
-    k = n.bit_length() - 1
-    if n != 2**k or n < 2:
-        raise InputError(f"degree {n} is not a power of two")
-    shape = (2,) * k
-
-    chain, why, _ = _peel(B, shape)
-    err = math.inf if chain is None else _chain_error(chain, B)
-    if err > 1e-8:
-        why = why or f"re-expansion error {err:.3e}"
-        return DecompositionReport(n, (), (ShapeFailure(shape, why),))
-    return DecompositionReport(
-        n, (ChainRecord(chain, tuple(f.degree for f in chain.factors), err),), ()
-    )
-
-
-def factor_any_order(
-    B: BlaschkeProduct,
-    ordering: tuple[int, ...] | list[int],
-    tol: ToleranceConfig | None = None,
-) -> CompositionChain:
-    """Factor B along the degree ordering (p_1, ..., p_m), outermost first.
-
-    The chain is peeled from the inside (see _peel) and certified by
-    re-expansion to 1e-8 on the circle, or VerificationFailure.  Raises
-    DegenerateInput, before any solve, for an entry below 1 or a product of
-    entries other than the degree, and for a level without an inner factor,
-    naming the level and the failed search.
-    """
-    ordering = tuple(int(p) for p in ordering)
-    if not ordering or any(p < 1 for p in ordering):
-        raise DegenerateInput("ordering must be nonempty with positive entries")
-    if math.prod(ordering) != B.degree:
-        raise DegenerateInput(
-            f"ordering product {math.prod(ordering)} does not match degree {B.degree}"
-        )
-    chain, why, res = _peel(B, ordering)
-    if chain is None:
-        raise DegenerateInput(f"{why}: search {res.reason}, error {res.error:.3e}")
+    chain = CompositionChain(tuple(factors))
     err = _chain_error(chain, B)
-    if err > 1e-8:
+    if err > _MATCH_TOL:
         raise VerificationFailure(f"ordering {ordering}: re-expansion error {err:.3e}")
-    return chain
+    return chain, err
 
 
 @dataclass(frozen=True)
@@ -179,7 +174,7 @@ class InnerFactorResult:
     reason is "ok" when found; otherwise "not-found" (the two orbits fix no
     inner factor of degree k, or the collapsed zero multiset had the wrong
     counts, error inf) or "verification-failed" (a candidate D was built
-    but C o D missed B on the circle by a finite error above 1e-8).
+    but C o D missed B on the circle by a finite error above _MATCH_TOL).
     """
 
     found: bool
@@ -283,11 +278,12 @@ def inner_factor_general(
     (n/k)-th point of a level set of B on the circle, and two such orbits
     determine D (see _inner_from_orbits).  C takes the collapsed zero
     multiset, and one core._rotation match on the circle gives its constant
-    and the error sup |B - C o D|, finite and at most 1e-8 for a factor.  A
-    negative answer carries its reason; the theory certifies existence for
-    genuine factors but gives no numerical certificate of absence.  The
-    result is kept per (product, k), so searching again costs nothing; tol
-    is accepted for the common signature and is not part of the key.
+    and the error sup |B - C o D|, finite and at most _MATCH_TOL for a
+    factor.  A negative answer carries its reason; the theory certifies
+    existence for genuine factors but gives no numerical certificate of
+    absence.  The result is kept per (product, k), so searching again costs
+    nothing; tol is accepted for the common signature and is not part of
+    the key.
     """
     n = B.degree
     if not (1 < k < n) or n % k != 0:
@@ -305,7 +301,7 @@ def _inner_factor(B: BlaschkeProduct, k: int) -> InnerFactorResult:
     z = _MATCH_POINTS
     base = BlaschkeProduct(1.0, outer_zeros).evaluate(D.evaluate(z))
     gamma, err = _rotation(B.evaluate(z), base)
-    if err <= 1e-8:
+    if err <= _MATCH_TOL:
         C = BlaschkeProduct(gamma, outer_zeros)
         return InnerFactorResult(True, C, D, "ok", err)
     return InnerFactorResult(False, None, None, "verification-failed", err)
@@ -344,7 +340,7 @@ def elliptical_implies_decomposable_check(
     """Elliptical numerical range should come with every divisor shape.
 
     The matrix model is built from the zeros of B with one zero within
-    identity_tol of the origin removed (shiftop._origin_dropped, the
+    identity_tol of the origin removed (core._origin_dropped, the
     compressed shift of B/z); if its numerical range is an ellipse, a
     factorization must exist for every proper divisor of the degree, and
     each is searched for directly with inner_factor_general; every row keeps

@@ -84,18 +84,6 @@ def shift_matrix(zeros) -> ShiftMatrix:
     return ShiftMatrix(A, zs)
 
 
-def _origin_dropped(
-    zeros: tuple[complex, ...], identity_tol: float
-) -> tuple[complex, ...] | None:
-    """The zeros of B/z, whose shift_matrix nrange and the elliptical check
-    read: zeros less the first of least modulus, or None when that one lies
-    farther than identity_tol from the origin."""
-    i = min(range(len(zeros)), key=lambda i: abs(zeros[i]))
-    if abs(zeros[i]) > identity_tol:
-        return None
-    return zeros[:i] + zeros[i + 1 :]
-
-
 def _as_matrix(A) -> np.ndarray:
     if isinstance(A, ShiftMatrix):
         return A.entries

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from blaschke import BlaschkeProduct, CompositionChain, InputError
+from blaschke import BlaschkeProduct, CompositionChain, InputError, ToleranceConfig
 from blaschke.circle import (
     argument_derivative,
     chord_second_intersection,
@@ -503,6 +503,24 @@ def test_generator_power_requires_origin_zero_inside():
     )
     with pytest.raises(InputError):
         verify_generator_power(bad)
+
+
+def test_generator_power_origin_slack_is_identity_tol():
+    # the innermost factor's small zero sits at 1e-7: the z-factor test
+    # (core._origin_dropped) takes it for 0 within identity_tol = 1e-6 and
+    # refuses it at the default 1e-9
+    chain = CompositionChain(
+        (
+            BlaschkeProduct(1.0, (0j, 0.3 + 0.1j)),
+            BlaschkeProduct(1.0, (1e-7 + 0j, 0.4 - 0.3j)),
+        )
+    )
+    check = verify_generator_power(chain, ToleranceConfig(identity_tol=1e-6))
+    assert check.ok
+    assert check.power == 2
+    assert check.sup_error <= 1e-6
+    with pytest.raises(InputError, match="innermost factor must vanish at the origin"):
+        verify_generator_power(chain)
 
 
 # -------------------------------------------------------------------- chords

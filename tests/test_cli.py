@@ -423,13 +423,13 @@ def test_nrange_and_the_elliptical_check_drop_the_same_origin_zero(
     monkeypatch, capsys, tmp_path
 ):
     # nrange, decompose's guard and the elliptical check all read the
-    # compressed shift of B/z from shiftop._origin_dropped: the zero of least
-    # modulus goes, not the first zero within identity_tol
+    # compressed shift of B/z from core._origin_dropped: the zero of least
+    # modulus goes, not the first zero within identity_tol.  -0.4j has a
+    # -0.0 real part, which the product file keeps
     import blaschke.decompose as decompose
     import blaschke.shiftop as shiftop
 
-    # complex(0.0, -0.4), not -0.4j: the JSON file keeps no -0.0 real part
-    B = blaschke.BlaschkeProduct(1.0, (1e-10 + 0j, 0j, 0.5 + 0j, complex(0.0, -0.4)))
+    B = blaschke.BlaschkeProduct(1.0, (1e-10 + 0j, 0j, 0.5 + 0j, -0.4j))
     path = tmp_path / "product.json"
     path.write_text(B.to_json())
     real = shiftop.shift_matrix
@@ -447,7 +447,7 @@ def test_nrange_and_the_elliptical_check_drop_the_same_origin_zero(
         report = json.loads(capsys.readouterr().out)
     assert "elliptical_check" in report
     decompose.elliptical_implies_decomposable_check(B)
-    rest = real((1e-10 + 0j, 0.5 + 0j, complex(0.0, -0.4))).entries.tobytes()
+    rest = real((1e-10 + 0j, 0.5 + 0j, -0.4j)).entries.tobytes()
     assert built == [rest] * 3
 
 

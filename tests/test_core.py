@@ -615,6 +615,26 @@ def test_chain_json_round_trip():
         assert f.gamma == g.gamma and f.zeros == g.zeros
 
 
+def _signs(B: BlaschkeProduct) -> list[float]:
+    parts = [B.gamma.real, B.gamma.imag]
+    for a in B.zeros:
+        parts += [a.real, a.imag]
+    return [math.copysign(1.0, x) for x in parts]
+
+
+def test_json_round_trip_keeps_signed_zeros():
+    # to_json writes -0.0 as "-0", which a plain json.loads reads as the int 0
+    B = BlaschkeProduct(complex(-1.0, -0.0), (-0.4j, 0.3 + 0j, complex(-0.0, 0.2)))
+    again = BlaschkeProduct.from_json(B.to_json())
+    assert _signs(again) == _signs(B)
+    assert -1.0 in _signs(B)[2:]
+    chain = CompositionChain((B, BlaschkeProduct(1.0, (complex(0.5, -0.0), -0.0j))))
+    again = CompositionChain.from_json(chain.to_json())
+    for f, g in zip(chain.factors, again.factors, strict=True):
+        assert f == g
+        assert _signs(g) == _signs(f)
+
+
 def test_from_json_validates():
     with pytest.raises(InputError):
         BlaschkeProduct.from_json(json.dumps({"gamma": [2, 0], "zeros": [[0, 0]]}))

@@ -91,11 +91,24 @@ def test_chain_2n_rejects_other_degrees():
 
 
 def test_chain_2n_reports_failure_for_indecomposable():
-    B = random_product(rng_for(514), 4, origin_zero=True)
-    report = chain_2n(B)
-    assert not report.found
-    assert report.chains == ()
-    assert any(f.reason for f in report.failures)
+    # the reason is factor_any_order's message: the degree-4 product has no
+    # degree-2 inner factor, and in the degree-8 one the degree-2 inner
+    # factor peels off and its degree-4 outer factor has none
+    B4 = random_product(rng_for(514), 4, origin_zero=True)
+    B8 = compose(B4, random_product(rng_for(516), 2, radius=0.5))
+    for B, shape, level in ((B4, (2, 2), 0), (B8, (2, 2, 2), 1)):
+        with pytest.raises(DegenerateInput) as raised:
+            factor_any_order(B, shape)
+        assert str(raised.value) == (
+            f"no degree-2 inner factor at level {level} (pending degree 4): "
+            "search not-found, error inf"
+        )
+        report = chain_2n(B)
+        assert not report.found
+        assert report.chains == ()
+        assert [(f.shape, f.reason) for f in report.failures] == [
+            (shape, str(raised.value))
+        ]
 
 
 def test_chain_2n_degree_32_towers():

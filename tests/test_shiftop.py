@@ -6,6 +6,7 @@ import pytest
 
 from blaschke import BlaschkeProduct, InputError
 from blaschke import shiftop
+from blaschke.core import _origin_dropped
 from blaschke.shiftop import (
     boundary_csv,
     is_elliptical_range,
@@ -89,12 +90,12 @@ def test_shift_matrix_matches_the_entrywise_loop_to_the_bit():
 
 def test_origin_dropped_takes_the_least_modulus_zero():
     zeros = (1e-10 + 0j, 0j, 0.5 + 0j, -0.4j)
-    assert shiftop._origin_dropped(zeros, 1e-9) == (1e-10 + 0j, 0.5 + 0j, -0.4j)
+    assert _origin_dropped(zeros, 1e-9) == (1e-10 + 0j, 0.5 + 0j, -0.4j)
     # the first of equal moduli goes, and nothing goes when no zero is
     # within the slack
-    assert shiftop._origin_dropped((0j, 0.3 + 0j, 0j), 1e-9) == (0.3 + 0j, 0j)
-    assert shiftop._origin_dropped((1e-8 + 0j, 0.3 + 0j), 1e-9) is None
-    assert shiftop._origin_dropped((0j,), 1e-9) == ()
+    assert _origin_dropped((0j, 0.3 + 0j, 0j), 1e-9) == (0.3 + 0j, 0j)
+    assert _origin_dropped((1e-8 + 0j, 0.3 + 0j), 1e-9) is None
+    assert _origin_dropped((0j,), 1e-9) == ()
 
 
 def test_eigenvalues_are_the_zeros():
