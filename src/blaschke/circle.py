@@ -318,9 +318,7 @@ def _certify(f, rate, name) -> None:
         )
 
 
-def solve_levels(
-    B: BlaschkeProduct, lams, tol: ToleranceConfig | None = None
-) -> list[CircleSolutionSet]:
+def solve_levels(B: BlaschkeProduct, lams) -> list[CircleSolutionSet]:
     """The circle solutions of B(z) = lam for every unimodular lam in lams.
 
     Brackets each of the n * len(lams) roots psi(t) = arg(lam) + 2 pi k on
@@ -331,8 +329,8 @@ def solve_levels(
     own last evaluation at the returned point, and every level set on its n
     strictly increasing angles, or SolverFailure; the psi' of the
     certificate comes back as rates.  A target off the circle, NaN or
-    infinite raises InputError.  tol is accepted for the common signature;
-    the solve reads no tolerance.
+    infinite raises InputError.  Both bounds are fixed, so it takes no
+    tolerance.
     """
     targets, angles, points, rate = _solve_level_arrays(B, lams)
     return [
@@ -398,9 +396,7 @@ def _solve_level_arrays(B: BlaschkeProduct, lams):
     return targets, angles, points, rate
 
 
-def solve_on_circle(
-    B: BlaschkeProduct, lam: complex, tol: ToleranceConfig | None = None
-) -> CircleSolutionSet:
+def solve_on_circle(B: BlaschkeProduct, lam: complex) -> CircleSolutionSet:
     """All circle solutions of B(z) = lam for unimodular lam.
 
     The one-row case of solve_levels: the n roots are bracketed on the lift
@@ -440,16 +436,16 @@ def _orbit(
 
 
 def invariant_orbits(
-    B: BlaschkeProduct, starts, count: int, tol: ToleranceConfig | None = None
+    B: BlaschkeProduct, starts, count: int
 ) -> list[tuple[complex, ...]]:
     """(z, g(z), ..., g^{count-1}(z)) for every start z, each projected
-    onto the circle: row i is invariant_orbit(B, starts[i], count, tol).
+    onto the circle: row i is invariant_orbit(B, starts[i], count).
 
     Every row is read off _level_sets_through(B, starts), so all their level
     sets come from one solve_levels call, and asking again with the same
     product and starts solves nothing.  A NaN or infinite start raises
-    InputError.  tol is accepted for the common signature; no circle solve
-    reads a tolerance.
+    InputError.  No circle solve reads a tolerance, so none is part of the
+    memo's key.
     """
     if count < 1:
         raise InputError("orbit length must be at least 1")
@@ -495,12 +491,26 @@ class GeneratorPowerCheck:
         return self.ok
 
 
+def _generator_power_refusal(
+    chain: CompositionChain, identity_tol: float
+) -> str | None:
+    """Why verify_generator_power refuses chain, or None when it applies:
+    every factor must have degree 2, and the innermost one a zero that
+    core._origin_dropped finds within identity_tol of the origin."""
+    if any(f.degree != 2 for f in chain.factors):
+        return "every factor in the chain must have degree 2"
+    if _origin_dropped(chain.factors[-1].zeros, identity_tol) is None:
+        return "innermost factor must vanish at the origin"
+    return None
+
+
 def verify_generator_power(
     chain: CompositionChain, tol: ToleranceConfig | None = None
 ) -> GeneratorPowerCheck:
     """Check g^{2^{m-1}} = phi_a for an m-factor chain of degree-2 products
     whose innermost factor vanishes at 0 and at a; the zero at 0 is the one
-    core._origin_dropped finds within identity_tol, else InputError.
+    core._origin_dropped finds within identity_tol.  Any other chain raises
+    InputError with _generator_power_refusal's reason.
 
     That factor is gamma * z * phi_a for some unimodular gamma, and gamma
     does not matter: either way its fibers are the pairs {z, phi_a(z)}.
@@ -509,12 +519,10 @@ def verify_generator_power(
     passes when the sup error stays within identity_tol.
     """
     tol = _tol(tol)
-    if any(f.degree != 2 for f in chain.factors):
-        raise InputError("every factor in the chain must have degree 2")
-    rest = _origin_dropped(chain.factors[-1].zeros, tol.identity_tol)
-    if rest is None:
-        raise InputError("innermost factor must vanish at the origin")
-    (a,) = rest
+    refusal = _generator_power_refusal(chain, tol.identity_tol)
+    if refusal is not None:
+        raise InputError(refusal)
+    (a,) = _origin_dropped(chain.factors[-1].zeros, tol.identity_tol)
 
     m = len(chain.factors)
     power = 2 ** (m - 1)
@@ -530,9 +538,7 @@ def verify_generator_power(
     return GeneratorPowerCheck(worst <= tol.identity_tol, power, worst_at, worst)
 
 
-def chord_second_intersection(
-    a: complex, z: complex, tol: ToleranceConfig | None = None
-) -> complex:
+def chord_second_intersection(a: complex, z: complex) -> complex:
     """Second point where the line through the disk point a and the circle
     point z meets the circle.  Coincides with (a - z)/(1 - conj(a) z)."""
     a = complex(a)

@@ -469,7 +469,11 @@ def cmd_monodromy(obj, cfg: RunConfig) -> int:
 
 
 def cmd_invariants(obj, cfg: RunConfig) -> int:
-    from .circle import invariant_orbits, verify_generator_power
+    from .circle import (
+        _generator_power_refusal,
+        invariant_orbits,
+        verify_generator_power,
+    )
 
     B = _as_product(obj)
     n = B.degree
@@ -485,8 +489,7 @@ def cmd_invariants(obj, cfg: RunConfig) -> int:
     }
     if (
         isinstance(obj, CompositionChain)
-        and all(f.degree == 2 for f in obj.factors)
-        and _origin_dropped(obj.factors[-1].zeros, DEFAULT_TOL.identity_tol) is not None
+        and _generator_power_refusal(obj, DEFAULT_TOL.identity_tol) is None
     ):
         check = verify_generator_power(obj)
         report["generator_power"] = {

@@ -71,9 +71,13 @@ class ToleranceConfig:
     elliptical_implies_decomposable_check and verify_generator_power ask.
 
     DEFAULT_TOL holds the default, at which every CLI subcommand runs.
-    Every other public function takes tol for the common signature and
-    reads no tolerance from it (the module constants _ROOT_TOL, _CLUSTER_TOL
-    and poncelet._CONIC_RESIDUAL_TOL).
+    Those three readers take tol, and so do the nine public callables that
+    perfbench/workloads.py passes DEFAULT_TOL to positionally
+    (CompositionChain.expand, normalize, critical_data, next_preimage,
+    invariant_orbit, package, is_elliptical_range, monodromy_group and
+    cross_validate), which read nothing from it.  No other function takes
+    tol; every other bound is a module constant (_ROOT_TOL, _CLUSTER_TOL,
+    poncelet._CONIC_RESIDUAL_TOL and the like).
     """
 
     identity_tol: float = 1e-9
@@ -184,10 +188,10 @@ class BlaschkeProduct:
     def degree(self) -> int:
         return len(self.zeros)
 
-    def __call__(self, z, tol: ToleranceConfig | None = None):
+    def __call__(self, z):
         return self.evaluate(z)
 
-    def evaluate(self, z, tol: ToleranceConfig | None = None):
+    def evaluate(self, z):
         """B(z) at a point or at every point of an array (the first half of
         _jet, which then stops before forming B').
 
@@ -201,7 +205,7 @@ class BlaschkeProduct:
         """
         return self._jet(z, with_slope=False)[0]
 
-    def derivative(self, z, tol: ToleranceConfig | None = None):
+    def derivative(self, z):
         """B'(z) at a point or at every point of an array (the second half
         of _jet), exact at the zeros of B as well."""
         return self._jet(z)[1]
@@ -340,7 +344,7 @@ class DiskAutomorphism:
         center = -beta / alpha
         return DiskAutomorphism(rotation, center)
 
-    def fixed_point(self, tol: ToleranceConfig | None = None) -> complex:
+    def fixed_point(self) -> complex:
         """The fixed point inside the open disk, when one exists.
 
         Rotations about the origin (center == 0) fix 0.  Otherwise the fixed
@@ -391,7 +395,7 @@ class CompositionChain:
             d *= f.degree
         return d
 
-    def __call__(self, z, tol: ToleranceConfig | None = None):
+    def __call__(self, z):
         for f in reversed(self.factors):
             z = f.evaluate(z)
         return z
@@ -443,11 +447,7 @@ def _matched_rotation(target: np.ndarray, base: np.ndarray, what: str) -> comple
     return rho
 
 
-def compose(
-    outer: BlaschkeProduct,
-    inner: BlaschkeProduct,
-    tol: ToleranceConfig | None = None,
-) -> BlaschkeProduct:
+def compose(outer: BlaschkeProduct, inner: BlaschkeProduct) -> BlaschkeProduct:
     """Expand outer(inner(z)) into a single Blaschke product.
 
     The zeros of the composition are the inner-preimages of the outer zeros:
@@ -605,20 +605,18 @@ def is_regularized(
     zero_at_origin = abs(B.evaluate(0j)) <= _tol(tol).identity_tol
     simple = _zeros_separated(B)
     values = [v for v, _ in critical_data(B).distinct_values]
-    violating = _positive_ratio_pairs(values, _ROOT_TOL)
+    violating = _positive_ratio_pairs(values)
     ok = zero_at_origin and simple and not violating
     return RegularizedCheck(ok, zero_at_origin, simple, violating)
 
 
-def _positive_ratio_pairs(
-    values: list[complex], root_tol: float
-) -> tuple[tuple[complex, complex], ...]:
+def _positive_ratio_pairs(values: list[complex]) -> tuple[tuple[complex, complex], ...]:
     """The pairs (values[i], values[j]), i < j, in the order of a double
-    loop, of values above root_tol in modulus whose ratio r = v_i / v_j is
+    loop, of values above _ROOT_TOL in modulus whose ratio r = v_i / v_j is
     positive real: Re r > 0 and |Im r| <= 1e-9 |r|, either order alike.
     All pairs are tested at once as one (V x V) array."""
     v = np.array(values, dtype=complex)
-    nonzero = np.abs(v) > root_tol
+    nonzero = np.abs(v) > _ROOT_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
         r = v[:, None] / v
     positive = (r.real > 0.0) & (np.abs(r.imag) <= 1e-9 * np.abs(r))

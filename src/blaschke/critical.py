@@ -309,9 +309,7 @@ def _secular_roots(
     return _merge_clusters(points, accept)
 
 
-def fiber(
-    B: BlaschkeProduct, w: complex, tol: ToleranceConfig | None = None
-) -> list[complex]:
+def fiber(B: BlaschkeProduct, w: complex) -> list[complex]:
     """The n solutions of B(z) = w, repeated with multiplicity, sorted by
     (real, imag); every fiber solve in the package goes through here.
 
@@ -417,7 +415,7 @@ def critical_data(
     Raises CountMismatch if the in-disk multiplicity count is not degree - 1
     and SolverFailure if a point fails its certificate on S.  The result is
     kept per product, so asking again for an equal product costs no solve;
-    tol is accepted for the common signature and is not part of the key.
+    tol is accepted, not read, and not part of the key.
     """
     return _critical_data(B)
 
@@ -470,9 +468,7 @@ class ValueBoundReport:
     factor_degrees: tuple[int, ...]
 
 
-def check_value_bound(
-    chain: CompositionChain, tol: ToleranceConfig | None = None
-) -> ValueBoundReport:
+def check_value_bound(chain: CompositionChain) -> ValueBoundReport:
     degrees = tuple(f.degree for f in chain.factors)
     bound = sum(d - 1 for d in degrees)
     expanded = chain.expand()
@@ -488,9 +484,7 @@ class OneCriticalValueForm:
     point: complex
 
 
-def one_critical_value_form(
-    B: BlaschkeProduct, tol: ToleranceConfig | None = None
-) -> OneCriticalValueForm | None:
+def one_critical_value_form(B: BlaschkeProduct) -> OneCriticalValueForm | None:
     """Detect B = tau o phi_a^n (single critical value); None otherwise.
 
     When the critical data collapses to one value, all n-1 critical points

@@ -91,9 +91,7 @@ class DecompositionReport:
 _IDENTITY = BlaschkeProduct(1.0, (0j,))
 
 
-def chain_2n(
-    B: BlaschkeProduct, tol: ToleranceConfig | None = None
-) -> DecompositionReport:
+def chain_2n(B: BlaschkeProduct) -> DecompositionReport:
     """Write a degree-2^k product as a chain of k degree-2 factors.
 
     factor_any_order's (2, ..., 2) case, reported rather than raised: its
@@ -117,7 +115,6 @@ def chain_2n(
 def factor_any_order(
     B: BlaschkeProduct,
     ordering: tuple[int, ...] | list[int],
-    tol: ToleranceConfig | None = None,
 ) -> CompositionChain:
     """Factor B along the degree ordering (p_1, ..., p_m), outermost first.
 
@@ -268,9 +265,8 @@ def _inner_from_orbits(
     return BlaschkeProduct(1.0, (0j, *zeros))
 
 
-def inner_factor_general(
-    B: BlaschkeProduct, k: int, tol: ToleranceConfig | None = None
-) -> InnerFactorResult:
+@lru_cache(maxsize=64)
+def inner_factor_general(B: BlaschkeProduct, k: int) -> InnerFactorResult:
     """Search for B = C o D with deg D = k, for a proper divisor k of deg B.
 
     D is normalized to D(0) = 0 with leading constant 1; the rotation freedom
@@ -281,19 +277,14 @@ def inner_factor_general(
     and the error sup |B - C o D|, finite and at most _MATCH_TOL for a
     factor.  A negative answer carries its reason; the theory certifies
     existence for genuine factors but gives no numerical certificate of
-    absence.  The result is kept per (product, k), so searching again costs
-    nothing; tol is accepted for the common signature and is not part of
-    the key.
+    absence.  The result is kept per (product, k), at most 64 of them, so
+    searching again costs nothing; a raised error is not kept.  Every caller
+    reaches the search through this module global, so a wrapper bound in
+    its place sees every call.
     """
     n = B.degree
     if not (1 < k < n) or n % k != 0:
         raise InputError(f"k must be a proper divisor of {n}, got {k}")
-    return _inner_factor(B, k)
-
-
-@lru_cache(maxsize=64)
-def _inner_factor(B: BlaschkeProduct, k: int) -> InnerFactorResult:
-    n = B.degree
     D = _inner_from_orbits(_orbit_pair(B, n // k, k), k)
     outer_zeros = None if D is None else _collapse_zeros(B, D, k)
     if outer_zeros is None:

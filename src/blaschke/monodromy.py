@@ -334,9 +334,7 @@ class LoopSpec:
         return (self.pieces[0].start,) + tuple(p.end for p in self.pieces)
 
 
-def build_loops(
-    values, tol: ToleranceConfig | None = None
-) -> tuple[LoopSpec, ...]:
+def build_loops(values) -> tuple[LoopSpec, ...]:
     """One loop per critical value, all sharing a single exclusion radius.
 
     The radius is 0.45 of the smallest of: pairwise value distances, value
@@ -528,12 +526,7 @@ def _track(B: BlaschkeProduct, loops, kinds, labels, z, d):
     return z.reshape(len(loops), n), d.reshape(len(loops), n)
 
 
-def continue_branch(
-    B: BlaschkeProduct,
-    loop: LoopSpec,
-    start: complex,
-    tol: ToleranceConfig | None = None,
-) -> complex:
+def continue_branch(B: BlaschkeProduct, loop: LoopSpec, start: complex) -> complex:
     """Lift the whole closed loop, return pieces included, through the fiber
     point start; returns the endpoint.
 
@@ -610,8 +603,8 @@ def monodromy_group(
 
     The result is kept per product, so asking again for an equal product,
     as cross_validate does, tracks no branch; a refusal is not kept and is
-    raised again on every call.  tol is accepted for the common signature
-    and is not part of the key.
+    raised again on every call.  tol is accepted, not read, and not part
+    of the key.
     """
     return _monodromy_group(B)
 

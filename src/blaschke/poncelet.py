@@ -184,12 +184,7 @@ def _envelopes_from_table(skips, table: _LevelTable) -> list[EnvelopeCurve]:
     ]
 
 
-def envelope(
-    Bhat: BlaschkeProduct,
-    skip: int,
-    samples: int = 720,
-    tol: ToleranceConfig | None = None,
-) -> EnvelopeCurve:
+def envelope(Bhat: BlaschkeProduct, skip: int, samples: int = 720) -> EnvelopeCurve:
     """Envelope of the chords connecting vertex j to vertex j + skip + 1.
 
     samples is the total point budget for the closed curve; the same level
@@ -269,7 +264,7 @@ def _point_fit(pts: np.ndarray) -> ConicFit:
     )
 
 
-def fit_conic(points, tol: ToleranceConfig | None = None) -> ConicFit:
+def fit_conic(points) -> ConicFit:
     """Fit and classify a conic through a planar point sample (at least 6).
 
     The one-sample case of _fit_conics."""
@@ -415,11 +410,7 @@ def _hops_to_close(orbit: tuple[complex, ...], skip: int) -> int:
     )
 
 
-def closure_order(
-    Bhat: BlaschkeProduct,
-    skip: int,
-    tol: ToleranceConfig | None = None,
-) -> int:
+def closure_order(Bhat: BlaschkeProduct, skip: int) -> int:
     """Steps of the tangent-chord construction until the polygon closes.
 
     From the circle point 1, hop to the far endpoint of the skip-m chord
@@ -517,9 +508,7 @@ class FociZeroMatch:
         return max(self.distances)
 
 
-def foci_vs_zeros(
-    fit: ConicFit, B: BlaschkeProduct, tol: ToleranceConfig | None = None
-) -> FociZeroMatch:
+def foci_vs_zeros(fit: ConicFit, B: BlaschkeProduct) -> FociZeroMatch:
     """Match the two fitted foci to the closest pair of zeros of B.
 
     Zeros are taken with multiplicity, so a repeated zero may absorb both
@@ -560,9 +549,10 @@ def _svg_xy(z: complex) -> str:
     return f"{_f6(z.real)},{_f6(-z.imag)}"
 
 
-def _svg_polyline(pts, color: str, width: float, dashed: bool = False, close: bool = True) -> str:
+def _svg_polyline(pts, color: str, width: float, dashed: bool = False) -> str:
+    """A closed polyline through pts, back to the first point."""
     seq = list(pts)
-    if close and seq:
+    if seq:
         seq.append(seq[0])
     dash = ' stroke-dasharray="0.03,0.02"' if dashed else ""
     return (

@@ -209,10 +209,10 @@ def test_invariants_solve_one_batch_per_orbit_family(monkeypatch, capsys, tmp_pa
     real = circle.solve_levels
     batches = []
 
-    def counted(B, lams, *args, **kwargs):
+    def counted(B, lams):
         lams = list(lams)
         batches.append(len(lams))
-        return real(B, lams, *args, **kwargs)
+        return real(B, lams)
 
     monkeypatch.setattr(circle, "solve_levels", counted)
     assert cli.main(["invariants", "--demo", "chain3", "--out", str(tmp_path)]) == 0
@@ -412,7 +412,7 @@ def test_decompose_runs_each_inner_factor_search_once(monkeypatch, capsys, tmp_p
 
     monkeypatch.setattr(decompose, "_orbit_pair", counted)
     for demo in ("power8", "elliptical8", "nonexample84"):
-        decompose._inner_factor.cache_clear()
+        decompose.inner_factor_general.cache_clear()
         calls.clear()
         assert cli.main(["decompose", "--demo", demo, "--out", str(tmp_path)]) == 0
         capsys.readouterr()

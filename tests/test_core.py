@@ -1,9 +1,11 @@
 import cmath
 import dataclasses
 import importlib
+import inspect
 import itertools
 import json
 import math
+import pkgutil
 import warnings
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blaschke
 from blaschke import (
     DEFAULT_TOL,
     BlaschkeProduct,
@@ -25,7 +28,6 @@ from blaschke import (
 )
 from blaschke.core import _CLUSTER_TOL, _ROOT_TOL, _positive_ratio_pairs, format_float
 from blaschke.critical import _critical_data, critical_data
-from blaschke.decompose import _inner_factor, inner_factor_general
 from blaschke.monodromy import _monodromy_group, monodromy_group
 from blaschke.errors import SolverFailure, VerificationFailure
 
@@ -427,8 +429,8 @@ def test_normalized_constant_is_read_off_the_zeros():
 def _nudge_farthest(fiber):
     """fiber with the point farthest from 0 moved by 1e-6."""
 
-    def nudged(B, w, tol=None):
-        points = fiber(B, w, tol)
+    def nudged(B, w):
+        points = fiber(B, w)
         k = max(range(len(points)), key=lambda i: abs(points[i]))
         points[k] += 1e-6
         return points
@@ -524,7 +526,7 @@ def test_positive_ratio_pairs_match_a_double_loop():
         values += [0j, 0.5 * root_tol * cmath.exp(1j * trial), root_tol + 0j]
         order = rng.permutation(len(values))
         values = [values[k] for k in order]
-        got = _positive_ratio_pairs(values, root_tol)
+        got = _positive_ratio_pairs(values)
         assert repr(got) == repr(_positive_ratio_pairs_by_loop(values, root_tol))
         if n >= 3:
             assert got
@@ -534,13 +536,13 @@ def test_positive_ratio_pairs_do_not_depend_on_order():
     # the ratio of this pair is 1e-9 at angle 1 one way and 1e9 the other:
     # a bound of 1e-9 (1 + |r|) on Im r flags the first order alone
     small, large = 1e-11 * cmath.exp(1j), 1e-2 + 0j
-    root_tol = _ROOT_TOL
-    assert _positive_ratio_pairs([small, large], root_tol) == ()
-    assert _positive_ratio_pairs([large, small], root_tol) == ()
+    assert abs(small) > _ROOT_TOL
+    assert _positive_ratio_pairs([small, large]) == ()
+    assert _positive_ratio_pairs([large, small]) == ()
     # a positive real ratio of 1e-9 is flagged in either order
     far = 1e9 * small
-    assert _positive_ratio_pairs([small, far], root_tol) == ((small, far),)
-    assert _positive_ratio_pairs([far, small], root_tol) == ((far, small),)
+    assert _positive_ratio_pairs([small, far]) == ((small, far),)
+    assert _positive_ratio_pairs([far, small]) == ((far, small),)
 
 
 def test_regularized_examples():
@@ -585,7 +587,6 @@ def test_kept_results_are_keyed_on_the_product_alone():
     for kept, ask in (
         (_critical_data, lambda tol: critical_data(B, tol)),
         (_monodromy_group, lambda tol: monodromy_group(B, tol)),
-        (_inner_factor, lambda tol: inner_factor_general(B, 2, tol)),
     ):
         kept.cache_clear()
         first = ask(None)
@@ -593,6 +594,56 @@ def test_kept_results_are_keyed_on_the_product_alone():
         assert ask(DEFAULT_TOL) is first
         info = kept.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+
+
+# the public callables that take tol: the three readers of identity_tol, and
+# nine that perfbench/workloads.py passes DEFAULT_TOL to positionally
+TOL_TAKERS = {
+    "core.is_regularized",
+    "circle.verify_generator_power",
+    "decompose.elliptical_implies_decomposable_check",
+    "core.CompositionChain.expand",
+    "core.normalize",
+    "critical.critical_data",
+    "circle.next_preimage",
+    "circle.invariant_orbit",
+    "poncelet.package",
+    "shiftop.is_elliptical_range",
+    "monodromy.monodromy_group",
+    "monodromy.cross_validate",
+}
+
+
+def _public_callables():
+    """(label, callable) for every name in every module's __all__, and for
+    every public method of each class there, __call__ included."""
+    for info in pkgutil.iter_modules(blaschke.__path__):
+        module = importlib.import_module(f"blaschke.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            label = f"{info.name}.{name}"
+            if not isinstance(obj, type):
+                if callable(obj):
+                    yield label, obj
+                continue
+            for method, value in vars(obj).items():
+                value = getattr(value, "__func__", value)
+                public = method == "__call__" or not method.startswith("_")
+                if public and callable(value):
+                    yield f"{label}.{method}", value
+
+
+def test_tol_is_taken_only_by_its_readers_and_the_benchmark_callables():
+    callables = dict(_public_callables())
+    # the walk reaches methods and __call__
+    assert "core.BlaschkeProduct.__call__" in callables
+    assert "core.DiskAutomorphism.fixed_point" in callables
+    takers = {
+        label
+        for label, fn in callables.items()
+        if "tol" in inspect.signature(fn).parameters
+    }
+    assert takers == TOL_TAKERS
 
 
 # ---------------------------------------------------------------------- JSON

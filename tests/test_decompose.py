@@ -391,14 +391,14 @@ def test_elliptical_check_needs_origin_zero():
 def _count_solves_per_product(monkeypatch) -> dict:
     """Clear the kept searches and level sets, and count circle.solve_levels
     calls by product."""
-    decompose._inner_factor.cache_clear()
+    decompose.inner_factor_general.cache_clear()
     circle._level_sets_through.cache_clear()
     calls: dict = {}
     real = circle.solve_levels
 
-    def counted(B, lams, *args, **kwargs):
+    def counted(B, lams):
         calls[B] = calls.get(B, 0) + 1
-        return real(B, lams, *args, **kwargs)
+        return real(B, lams)
 
     monkeypatch.setattr(circle, "solve_levels", counted)
     return calls

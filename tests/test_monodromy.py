@@ -455,7 +455,7 @@ def test_tracker_takes_value_and_slope_from_one_pass(monkeypatch):
     loop = monodromy_group(B).loops[0]
     expected = [continue_branch(B, loop, z0) for z0 in B.zeros]
 
-    def forbidden(self, z, tol=None):
+    def forbidden(self, z):
         raise AssertionError("separate scalar evaluation in the tracker")
 
     monkeypatch.setattr(BlaschkeProduct, "evaluate", forbidden)

@@ -340,10 +340,10 @@ def _count_solves(monkeypatch) -> list[int]:
     calls = [0]
     real = circle._solve_level_arrays
 
-    def counted(B, lams, *args, **kwargs):
+    def counted(B, lams):
         lams = list(lams)
         calls[0] += len(lams)
-        return real(B, lams, *args, **kwargs)
+        return real(B, lams)
 
     monkeypatch.setattr(circle, "_solve_level_arrays", counted)
     monkeypatch.setattr(poncelet, "_solve_level_arrays", counted)
