@@ -42,6 +42,8 @@ from .core import (
     _CLUSTER_TOL,
     _chain_from_json_dict,
     _origin_dropped,
+    _parse_json,
+    _tower_height,
 )
 from .errors import BlaschkeError, InputError
 
@@ -184,11 +186,8 @@ def _load_input(args, seed: int):
     path = Path(args.input)
     if not path.exists():
         raise InputError(f"input file not found: {path}")
-    # every number as a float, so a "-0" part reads back as -0.0
-    data = json.loads(path.read_text(), parse_int=float)
-    if not isinstance(data, dict):
-        raise InputError("input JSON must be an object")
-    if "factors" in data:
+    data = _parse_json(path.read_text())
+    if isinstance(data, dict) and "factors" in data:
         return _chain_from_json_dict(data)
     return BlaschkeProduct._from_json_dict(data)
 
@@ -385,14 +384,14 @@ def cmd_nrange(obj, cfg: RunConfig) -> int:
 
 
 def cmd_decompose(obj, cfg: RunConfig) -> int:
-    from .decompose import chain_2n, elliptical_implies_decomposable_check, inner_factor_general
+    from .decompose import _divisor_rows, chain_2n, elliptical_implies_decomposable_check
 
     B = _as_product(obj)
     n = B.degree
     report: dict = {"degree": n}
 
-    k = n.bit_length() - 1
-    if n == 2**k and n >= 4:
+    k = _tower_height(n)
+    if k is not None and k >= 2:
         rep = chain_2n(B)
         if rep.found:
             record = rep.chains[0]
@@ -405,11 +404,8 @@ def cmd_decompose(obj, cfg: RunConfig) -> int:
             report["chain"] = {"failures": [asdict(f) for f in rep.failures]}
 
     rows = []
-    for divisor in range(2, n):
-        if n % divisor:
-            continue
-        res = inner_factor_general(B, divisor)
-        row = {"k": divisor, "found": res.found, "reason": res.reason}
+    for res in _divisor_rows(B):
+        row = {"k": res.k, "found": res.found, "reason": res.reason}
         if res.found:
             row["inner"] = _product_dict(res.inner)
             row["outer"] = _product_dict(res.outer)
@@ -455,9 +451,8 @@ def cmd_monodromy(obj, cfg: RunConfig) -> int:
             for s in systems
         ],
     }
-    n = N.degree
-    k = n.bit_length() - 1
-    if n == 2**k and n >= 2:
+    k = _tower_height(N.degree)
+    if k is not None:
         audit = wreath_audit(mono.group, k)
         report["wreath_audit"] = {**asdict(audit), "ok": audit.ok}
     report["cross_validation"] = {
@@ -563,9 +558,6 @@ def main(argv=None) -> int:
         else:
             obj = _load_input(args, seed)
         return DISPATCH[args.command](obj, cfg)
-    except json.JSONDecodeError as exc:
-        print(f"input parse error: {exc}", file=sys.stderr)
-        return 2
     except BlaschkeError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -122,6 +122,19 @@ def circle_samples(count: int, offset: float = 0.0) -> list[complex]:
     return [cmath.exp(1j * (offset + 2.0 * math.pi * k / count)) for k in range(count)]
 
 
+def _proper_divisors(n: int) -> tuple[int, ...]:
+    """Every k with 1 < k < n that divides n, ascending: the degrees an inner
+    factor of a degree-n product can have."""
+    return tuple(k for k in range(2, n) if n % k == 0)
+
+
+def _tower_height(n: int) -> int | None:
+    """k when n = 2^k with k >= 1, the length of a chain of quadratic
+    factors of degree n; None for any other n."""
+    k = n.bit_length() - 1
+    return k if k >= 1 and n == 1 << k else None
+
+
 def _factor_array(a: np.ndarray, z: np.ndarray, minus_conj=None):
     """(gap/den, gap, den), gap = z - a_j and den = 1 - conj(a_j) z, along a
     new last axis of z: the array factors.  BlaschkeProduct._jet reads B and
@@ -309,10 +322,6 @@ class DiskAutomorphism:
             raise InputError(f"center {center} is not inside the open unit disk")
         object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "center", center)
-
-    @staticmethod
-    def identity() -> "DiskAutomorphism":
-        return DiskAutomorphism(-1.0, 0.0)
 
     @staticmethod
     def rotation_map(mu: complex) -> "DiskAutomorphism":

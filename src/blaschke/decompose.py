@@ -34,8 +34,10 @@ from .core import (
     _MATCH_POINTS,
     _MATCH_TOL,
     _origin_dropped,
+    _proper_divisors,
     _rotation,
     _tol,
+    _tower_height,
 )
 from .circle import invariant_orbit, invariant_orbits
 from .critical import _cluster_values, _secular_roots, _secular_zeros
@@ -50,7 +52,6 @@ __all__ = [
     "factor_any_order",
     "InnerFactorResult",
     "inner_factor_general",
-    "DivisorRow",
     "EllipticalDecomposableReport",
     "elliptical_implies_decomposable_check",
 ]
@@ -101,8 +102,8 @@ def chain_2n(B: BlaschkeProduct) -> DecompositionReport:
     matching CompositionChain.
     """
     n = B.degree
-    k = n.bit_length() - 1
-    if n != 2**k or n < 2:
+    k = _tower_height(n)
+    if k is None:
         raise InputError(f"degree {n} is not a power of two")
     shape = (2,) * k
     try:
@@ -166,7 +167,8 @@ def _certified_chain(B: BlaschkeProduct, ordering) -> tuple[CompositionChain, fl
 
 @dataclass(frozen=True)
 class InnerFactorResult:
-    """Outcome of the degree-k inner factor search.
+    """Outcome of the degree-k inner factor search, k first as in
+    monodromy.CrossRow; _divisor_rows holds one per proper divisor.
 
     reason is "ok" when found; otherwise "not-found" (the two orbits fix no
     inner factor of degree k, or the collapsed zero multiset had the wrong
@@ -174,6 +176,7 @@ class InnerFactorResult:
     but C o D missed B on the circle by a finite error above _MATCH_TOL).
     """
 
+    k: int
     found: bool
     outer: BlaschkeProduct | None
     inner: BlaschkeProduct | None
@@ -197,7 +200,7 @@ def _orbit_pair(
     """
     n = B.degree
     full0 = invariant_orbit(B, 1.0 + 0j, n)
-    hops = [n // d for d in range(2, n) if n % d == 0]
+    hops = [n // d for d in _proper_divisors(n)]
     starts = []
     for h in hops:
         t1 = cmath.phase(full0[h % n]) % (2.0 * math.pi)
@@ -288,37 +291,33 @@ def inner_factor_general(B: BlaschkeProduct, k: int) -> InnerFactorResult:
     D = _inner_from_orbits(_orbit_pair(B, n // k, k), k)
     outer_zeros = None if D is None else _collapse_zeros(B, D, k)
     if outer_zeros is None:
-        return InnerFactorResult(False, None, None, "not-found", math.inf)
+        return InnerFactorResult(k, False, None, None, "not-found", math.inf)
     z = _MATCH_POINTS
     base = BlaschkeProduct(1.0, outer_zeros).evaluate(D.evaluate(z))
     gamma, err = _rotation(B.evaluate(z), base)
     if err <= _MATCH_TOL:
         C = BlaschkeProduct(gamma, outer_zeros)
-        return InnerFactorResult(True, C, D, "ok", err)
-    return InnerFactorResult(False, None, None, "verification-failed", err)
+        return InnerFactorResult(k, True, C, D, "ok", err)
+    return InnerFactorResult(k, False, None, None, "verification-failed", err)
 
 
-@dataclass(frozen=True)
-class DivisorRow:
-    k: int
-    result: InnerFactorResult
-
-    @property
-    def found(self) -> bool:
-        return self.result.found
-
-    @property
-    def reason(self) -> str:
-        return self.result.reason
+def _divisor_rows(B: BlaschkeProduct) -> tuple[InnerFactorResult, ...]:
+    """inner_factor_general(B, k) for every proper divisor k of the degree,
+    ascending: the one divisor table that the elliptical check,
+    monodromy.cross_validate and the CLI's decompose read.  The search is
+    looked up through this module global at each call, so a wrapper bound
+    in its place sees every search."""
+    return tuple(inner_factor_general(B, k) for k in _proper_divisors(B.degree))
 
 
 @dataclass(frozen=True)
 class EllipticalDecomposableReport:
     """Ellipticity of W (for the product divided by its zero at 0) against
-    inner-factor existence for every proper divisor."""
+    inner-factor existence for every proper divisor: rows is the divisor
+    table, one InnerFactorResult per proper divisor k, ascending."""
 
     verdict: RangeVerdict
-    rows: tuple[DivisorRow, ...]
+    rows: tuple[InnerFactorResult, ...]
 
     @property
     def consistent(self) -> bool:
@@ -334,17 +333,12 @@ def elliptical_implies_decomposable_check(
     identity_tol of the origin removed (core._origin_dropped, the
     compressed shift of B/z); if its numerical range is an ellipse, a
     factorization must exist for every proper divisor of the degree, and
-    each is searched for directly with inner_factor_general; every row keeps
-    its search result.
+    each is searched for directly with inner_factor_general; the rows are
+    the search results, _divisor_rows.
     """
     rest = _origin_dropped(B.zeros, _tol(tol).identity_tol)
     if rest is None:
         raise DegenerateInput("expected a zero at the origin (the z factor)")
-    n = B.degree
-    rows = tuple(
-        DivisorRow(k, inner_factor_general(B, k))
-        for k in range(2, n)
-        if n % k == 0
-    )
+    rows = _divisor_rows(B)
     verdict = is_elliptical_range(shift_matrix(rest))
     return EllipticalDecomposableReport(verdict, rows)

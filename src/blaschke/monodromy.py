@@ -61,6 +61,7 @@ from .core import (
     ToleranceConfig,
     _CLUSTER_TOL,
     _ROOT_TOL,
+    _proper_divisors,
     _zeros_separated,
 )
 from .critical import CriticalData, _value_links, critical_data
@@ -719,10 +720,10 @@ def block_systems(G: PermutationGroup) -> tuple[BlockSystem, ...]:
 
     c permutes the blocks of a system with m blocks as one m-cycle, so the
     block through c[0] is its orbit under c^m: the blocks are the residue
-    classes mod m of the positions along c.  So each divisor 1 < m < n gives
-    one candidate, and it is a system exactly when every generator maps each
-    class into one class.  A group with no n-cycle generator raises
-    InputError.
+    classes mod m of the positions along c.  So each proper divisor s of n
+    gives one candidate, with block size s and m = n / s classes, and it is
+    a system exactly when every generator maps each class into one class.
+    A group with no n-cycle generator raises InputError.
     """
     cycle = _long_cycle(G)
     if cycle is None:
@@ -736,10 +737,9 @@ def block_systems(G: PermutationGroup) -> tuple[BlockSystem, ...]:
     # the position along c of g(c[i]), one row per generator
     along = position[np.array([g.images for g in G.generators])[:, cycle]]
     systems = []
-    for m in range(n - 1, 1, -1):
-        if n % m:
-            continue
-        classes = (along % m).reshape(len(G.generators), n // m, m)
+    for s in _proper_divisors(n):
+        m = n // s
+        classes = (along % m).reshape(len(G.generators), s, m)
         if (classes == classes[:, :1]).all():
             blocks = sorted(tuple(sorted(cycle[r::m])) for r in range(m))
             systems.append(BlockSystem(tuple(blocks)))
@@ -829,15 +829,10 @@ def cross_validate(
     comes from monodromy_group, so after monodromy_group(B) no branch is
     tracked again and cross.monodromy is the same result object.
     """
-    from .decompose import inner_factor_general
+    from .decompose import _divisor_rows
 
     mono = monodromy_group(B)
     systems = block_systems(mono.group)
     sizes = {s.block_size for s in systems}
-    rows = []
-    n = B.degree
-    for k in range(2, n):
-        if n % k == 0:
-            result = inner_factor_general(B, k)
-            rows.append(CrossRow(k, k in sizes, result.found))
-    return CrossValidation(mono, systems, tuple(rows))
+    rows = tuple(CrossRow(r.k, r.k in sizes, r.found) for r in _divisor_rows(B))
+    return CrossValidation(mono, systems, rows)

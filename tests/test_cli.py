@@ -301,6 +301,20 @@ def test_missing_and_malformed_input_files(tmp_path):
     assert run_cli("analyze", "--input", str(schema), cwd=tmp_path).returncode == 2
 
 
+@pytest.mark.parametrize("text", ["5", '"factors"', "[1, 2]", "null", "{bad"])
+def test_input_that_is_no_json_object_is_one_input_error_line(tmp_path, text):
+    # the input is read by core's JSON readers, so bad JSON and JSON that is
+    # not an object both end in an InputError, never in a traceback
+    src = tmp_path / "input.json"
+    src.write_text(text)
+    r = run_cli("analyze", "--input", str(src), cwd=tmp_path)
+    assert r.returncode == 2
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error: ")
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
 @pytest.mark.parametrize("factors", ["5", "null"])
 def test_chain_factors_must_be_a_list(tmp_path, factors):
     src = tmp_path / "chain.json"

@@ -26,7 +26,14 @@ from blaschke import (
     normalize,
     unit,
 )
-from blaschke.core import _CLUSTER_TOL, _ROOT_TOL, _positive_ratio_pairs, format_float
+from blaschke.core import (
+    _CLUSTER_TOL,
+    _ROOT_TOL,
+    _positive_ratio_pairs,
+    _proper_divisors,
+    _tower_height,
+    format_float,
+)
 from blaschke.critical import _critical_data, critical_data
 from blaschke.monodromy import _monodromy_group, monodromy_group
 from blaschke.errors import SolverFailure, VerificationFailure
@@ -717,3 +724,11 @@ def test_every_export_exists(module):
     # a deleted name must not stay behind in __all__
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_degree_shape_helpers_match_brute_force():
+    powers = {2**k: k for k in range(1, 8)}
+    for n in range(1, 131):
+        divisors = {d for d in range(1, n + 1) if n % d == 0} - {1, n}
+        assert _proper_divisors(n) == tuple(sorted(divisors)), n
+        assert _tower_height(n) == powers.get(n), n

@@ -388,6 +388,41 @@ def test_elliptical_check_needs_origin_zero():
         )
 
 
+def test_every_reader_of_the_divisor_table_asks_each_divisor_in_order(
+    monkeypatch, capsys, tmp_path
+):
+    # the elliptical check, cross_validate and the CLI's decompose read one
+    # divisor table; a wrapper bound wherever a blaschke module holds the
+    # search, as a benchmark capture binds one, sees every search of it
+    original = decompose.inner_factor_general
+    asked = []
+
+    def keep(B, k):
+        result = original(B, k)
+        asked.append((B.degree, k, result.k))
+        return result
+
+    for name, module in list(sys.modules.items()):
+        if name == "blaschke" or name.startswith("blaschke."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, keep)
+
+    elliptical_implies_decomposable_check(DEG6_ELLIPTIC)
+    assert asked == [(6, 2, 2), (6, 3, 3)]
+
+    asked.clear()
+    cross_validate(random_product(rng_for(4401), 12))
+    assert asked == [(12, k, k) for k in (2, 3, 4, 6)]
+
+    asked.clear()
+    assert cli.main(["decompose", "--demo", "nonexample84", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    # chain_2n peels (8, 2) and then (4, 2); the divisor table and the
+    # elliptical check each ask for every proper divisor of 8
+    assert asked == [(8, 2, 2), (4, 2, 2)] + [(8, 2, 2), (8, 4, 4)] * 2
+
+
 def _count_solves_per_product(monkeypatch) -> dict:
     """Clear the kept searches and level sets, and count circle.solve_levels
     calls by product."""
