@@ -491,26 +491,13 @@ class GeneratorPowerCheck:
         return self.ok
 
 
-def _generator_power_refusal(
-    chain: CompositionChain, identity_tol: float
-) -> str | None:
-    """Why verify_generator_power refuses chain, or None when it applies:
-    every factor must have degree 2, and the innermost one a zero that
-    core._origin_dropped finds within identity_tol of the origin."""
-    if any(f.degree != 2 for f in chain.factors):
-        return "every factor in the chain must have degree 2"
-    if _origin_dropped(chain.factors[-1].zeros, identity_tol) is None:
-        return "innermost factor must vanish at the origin"
-    return None
-
-
 def verify_generator_power(
     chain: CompositionChain, tol: ToleranceConfig | None = None
 ) -> GeneratorPowerCheck:
     """Check g^{2^{m-1}} = phi_a for an m-factor chain of degree-2 products
     whose innermost factor vanishes at 0 and at a; the zero at 0 is the one
     core._origin_dropped finds within identity_tol.  Any other chain raises
-    InputError with _generator_power_refusal's reason.
+    InputError, before any solve, naming the condition it fails.
 
     That factor is gamma * z * phi_a for some unimodular gamma, and gamma
     does not matter: either way its fibers are the pairs {z, phi_a(z)}.
@@ -519,10 +506,12 @@ def verify_generator_power(
     passes when the sup error stays within identity_tol.
     """
     tol = _tol(tol)
-    refusal = _generator_power_refusal(chain, tol.identity_tol)
-    if refusal is not None:
-        raise InputError(refusal)
-    (a,) = _origin_dropped(chain.factors[-1].zeros, tol.identity_tol)
+    if any(f.degree != 2 for f in chain.factors):
+        raise InputError("every factor in the chain must have degree 2")
+    rest = _origin_dropped(chain.factors[-1].zeros, tol.identity_tol)
+    if rest is None:
+        raise InputError("innermost factor must vanish at the origin")
+    (a,) = rest
 
     m = len(chain.factors)
     power = 2 ** (m - 1)

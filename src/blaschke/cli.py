@@ -45,7 +45,7 @@ from .core import (
     _parse_json,
     _tower_height,
 )
-from .errors import BlaschkeError, InputError
+from .errors import BlaschkeError, DegenerateInput, InputError
 
 __all__ = ["main", "RunConfig", "demo_corpus"]
 
@@ -413,16 +413,16 @@ def cmd_decompose(obj, cfg: RunConfig) -> int:
         rows.append(row)
     report["divisors"] = rows
 
-    # the check reads the compressed shift on the model space of B(z)/z,
-    # which is empty at degree 1
-    if n >= 2 and _origin_dropped(B.zeros, DEFAULT_TOL.identity_tol) is not None:
+    # the check refuses a product whose B(z)/z has no model space; its rows
+    # are the divisor table above
+    try:
         ell = elliptical_implies_decomposable_check(B)
+    except DegenerateInput:
+        pass
+    else:
         report["elliptical_check"] = {
             "is_ellipse": ell.verdict.is_ellipse,
             "consistent": ell.consistent,
-            "rows": [
-                {"k": r.k, "found": r.found, "reason": r.reason} for r in ell.rows
-            ],
         }
     _emit(report)
     return 0
@@ -464,11 +464,7 @@ def cmd_monodromy(obj, cfg: RunConfig) -> int:
 
 
 def cmd_invariants(obj, cfg: RunConfig) -> int:
-    from .circle import (
-        _generator_power_refusal,
-        invariant_orbits,
-        verify_generator_power,
-    )
+    from .circle import invariant_orbits, verify_generator_power
 
     B = _as_product(obj)
     n = B.degree
@@ -482,16 +478,18 @@ def cmd_invariants(obj, cfg: RunConfig) -> int:
         "generator_samples": pairs,
         "identity_sup_error": identity_error,
     }
-    if (
-        isinstance(obj, CompositionChain)
-        and _generator_power_refusal(obj, DEFAULT_TOL.identity_tol) is None
-    ):
-        check = verify_generator_power(obj)
-        report["generator_power"] = {
-            "ok": check.ok,
-            "power": check.power,
-            "sup_error": check.sup_error,
-        }
+    if isinstance(obj, CompositionChain):
+        # the check refuses, with an InputError, a chain it does not apply to
+        try:
+            check = verify_generator_power(obj)
+        except InputError:
+            pass
+        else:
+            report["generator_power"] = {
+                "ok": check.ok,
+                "power": check.power,
+                "sup_error": check.sup_error,
+            }
     _emit(report)
     return 0
 

@@ -334,11 +334,16 @@ def elliptical_implies_decomposable_check(
     compressed shift of B/z); if its numerical range is an ellipse, a
     factorization must exist for every proper divisor of the degree, and
     each is searched for directly with inner_factor_general; the rows are
-    the search results, _divisor_rows.
+    the search results, _divisor_rows.  Raises DegenerateInput, before any
+    search or sweep, when B/z has no model space: no zero lies within
+    identity_tol of the origin, or the degree is 1.
     """
     rest = _origin_dropped(B.zeros, _tol(tol).identity_tol)
-    if rest is None:
-        raise DegenerateInput("expected a zero at the origin (the z factor)")
+    if not rest:
+        raise DegenerateInput(
+            "B(z)/z has no model space: a zero at the origin (the z factor) "
+            "and degree at least 2 are required"
+        )
     rows = _divisor_rows(B)
     verdict = is_elliptical_range(shift_matrix(rest))
     return EllipticalDecomposableReport(verdict, rows)

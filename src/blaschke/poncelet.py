@@ -274,7 +274,9 @@ def fit_conic(points) -> ConicFit:
 def _fit_conics(samples: np.ndarray) -> list[ConicFit]:
     """fit_conic on every row of samples, with the design matrices, their
     SVDs and the gradient-normalized residuals stacked over the rows; each
-    row is then classified on its own (_classify)."""
+    row is then classified on its own (_classify).  Only the right singular
+    vectors are read, so each SVD is taken of the 6x6 R of the design's QR
+    factorization, which has the same ones."""
     if samples.shape[1] < 6:
         raise InputError("conic fitting needs at least 6 points")
     point = np.abs(samples - samples[:, :1]).max(axis=1) < 1e-6
@@ -285,7 +287,7 @@ def _fit_conics(samples: np.ndarray) -> list[ConicFit]:
     pts = samples[rows]
     x, y = pts.real, pts.imag
     design = np.stack([x * x, x * y, y * y, x, y, np.ones_like(x)], axis=-1)
-    _, _, vh = np.linalg.svd(design, full_matrices=False)
+    _, _, vh = np.linalg.svd(np.linalg.qr(design, mode="r"))
     coeff = vh[:, -1]
     # pin the arbitrary SVD sign: with A + C > 0 the quadratic part of an
     # ellipse is positive definite, so the eigh ordering below is reliable
@@ -306,17 +308,13 @@ def _classify(A, B, C, D, E, F, max_residual: float) -> ConicFit:
     """The ConicFit of the unit coefficients (A, ..., F) of a sample's
     least-squares conic, with max_residual its worst gradient-normalized
     algebraic distance over the sample."""
-    disc = B * B - 4 * A * C
-    det3 = float(
-        np.linalg.det(
-            np.array(
-                [[A, B / 2, D / 2], [B / 2, C, E / 2], [D / 2, E / 2, F]]
-            )
-        )
-    )
     if max_residual >= _CONIC_RESIDUAL_TOL:
         classification = "non-conic"
-    elif disc < 0 and det3 * (A + C) < 0:
+    elif B * B - 4 * A * C < 0 and np.linalg.det(
+        [[A, B / 2, D / 2], [B / 2, C, E / 2], [D / 2, E / 2, F]]
+    ) * (A + C) < 0:
+        # a real ellipse: negative discriminant, and the determinant of the
+        # 3x3 conic matrix of the opposite sign to A + C
         classification = "ellipse"
     else:
         classification = "degenerate"

@@ -231,6 +231,43 @@ def test_invariants_accepts_found_chain(tmp_path):
     assert block["power"] == 4
 
 
+@pytest.mark.parametrize(
+    "factors",
+    [
+        # a degree-3 factor
+        ((0j, 0.3 + 0j), (0j, 0.2j, -0.4 + 0j)),
+        # degree-2 factors, but the innermost one has no zero at the origin
+        ((0j, 0.3 + 0j), (0.2j, -0.4 + 0j)),
+    ],
+    ids=["degree-three-factor", "no-origin-zero"],
+)
+def test_invariants_leaves_out_generator_power_for_a_refused_chain(
+    tmp_path, factors
+):
+    chain = blaschke.CompositionChain(
+        tuple(blaschke.BlaschkeProduct(1.0, zeros) for zeros in factors)
+    )
+    src = tmp_path / "chain.json"
+    src.write_text(chain.to_json())
+    r = run_cli("invariants", "--input", str(src), "--out", str(tmp_path), cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == ""
+    report = json.loads(r.stdout)
+    assert "generator_power" not in report
+    assert report["order"] == chain.degree
+
+
+def test_decompose_prints_one_divisor_table(capsys, tmp_path):
+    # each divisor's row appears once, under "divisors"; the elliptical check
+    # reports only its verdict and whether it agrees with that table
+    assert cli.main(["decompose", "--demo", "nonexample84", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert [row["k"] for row in report["divisors"]] == [2, 4]
+    assert out.count('"k": ') == 2
+    assert report["elliptical_check"] == {"is_ellipse": False, "consistent": True}
+
+
 def test_analyze_accepts_input_file(tmp_path):
     src = tmp_path / "p.json"
     src.write_text('{"gamma": [1.0, 0.0], "zeros": [[0.0, 0.0], [0.4, 0.1]]}')
@@ -436,7 +473,7 @@ def test_decompose_runs_each_inner_factor_search_once(monkeypatch, capsys, tmp_p
 def test_nrange_and_the_elliptical_check_drop_the_same_origin_zero(
     monkeypatch, capsys, tmp_path
 ):
-    # nrange, decompose's guard and the elliptical check all read the
+    # nrange and the elliptical check, which decompose runs, read the
     # compressed shift of B/z from core._origin_dropped: the zero of least
     # modulus goes, not the first zero within identity_tol.  -0.4j has a
     # -0.0 real part, which the product file keeps

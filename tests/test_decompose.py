@@ -388,6 +388,26 @@ def test_elliptical_check_needs_origin_zero():
         )
 
 
+@pytest.mark.parametrize(
+    "B",
+    [
+        BlaschkeProduct(1.0, (0j,)),
+        BlaschkeProduct(1.0, (0.3 + 0j, 0.2j, -0.4 + 0.1j, 0.5 + 0j)),
+    ],
+    ids=["degree-one", "no-origin-zero"],
+)
+def test_elliptical_check_refuses_a_product_without_a_model_space(monkeypatch, B):
+    # B/z has no model space: the check raises DegenerateInput before it
+    # searches for a factor or builds the compressed shift
+    def forbidden(*args):
+        raise AssertionError("searched or swept a refused product")
+
+    monkeypatch.setattr(decompose, "inner_factor_general", forbidden)
+    monkeypatch.setattr(decompose, "shift_matrix", forbidden)
+    with pytest.raises(DegenerateInput):
+        elliptical_implies_decomposable_check(B)
+
+
 def test_every_reader_of_the_divisor_table_asks_each_divisor_in_order(
     monkeypatch, capsys, tmp_path
 ):

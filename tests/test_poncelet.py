@@ -114,6 +114,24 @@ def test_fit_rejects_non_conic_sample():
         fit.support(0.0)
 
 
+def test_classify_takes_no_determinant_of_a_non_conic(monkeypatch):
+    # the 3x3 conic determinant decides only between ellipse and degenerate,
+    # so a fit that fails the residual gate never computes it
+    real = np.linalg.det
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    coeffs = (0.5, 0.0, 0.5, 0.0, 0.0, -0.1)
+    assert poncelet._classify(*coeffs, 1e-3).classification == "non-conic"
+    assert calls == []
+    assert poncelet._classify(*coeffs, 1e-9).classification == "ellipse"
+    assert len(calls) == 1
+
+
 def test_fit_needs_six_points():
     with pytest.raises(InputError):
         fit_conic([0j, 1j, 2j, 3j, 4j])
