@@ -27,7 +27,6 @@ from .errors import (
     EigensolverFailure,
     GeometryFailure,
     InputError,
-    NoInteriorFixedPoint,
     NonBijective,
     PoleProximity,
     SolverFailure,
@@ -56,7 +55,6 @@ __all__ = [
     "EigensolverFailure",
     "GeometryFailure",
     "InputError",
-    "NoInteriorFixedPoint",
     "NonBijective",
     "PoleProximity",
     "SolverFailure",

@@ -3,9 +3,9 @@
 A finite product of degree n wraps the circle around itself n times with
 strictly increasing argument, so B(z) = lambda has exactly n circle solutions
 for every unimodular lambda.  Everything here rides on one object, a lifted
-(continuous, increasing) argument psi with B(e^{it}) = e^{i psi(t)}, exact at
-any single point and kept once per product on a grid that is fine only where
-psi is steep (_lift_grid), so every grid cell is a guaranteed bracket.
+(continuous, increasing) argument psi with B(e^{it}) = e^{i psi(t)}, kept
+once per product on a grid that is fine only where psi is steep and exact at
+every grid point (_lift_grid), so every grid cell is a guaranteed bracket.
 
 Arguments on the circle are read through w = 1 - a conj(z): for |z| = 1
 each factor is (z - a)/(1 - conj(a) z) = z w / conj(w), and Re w > 0 puts
@@ -73,8 +73,6 @@ from .core import (
 from .errors import InputError, SolverFailure
 
 __all__ = [
-    "lifted_argument",
-    "argument_derivative",
     "CircleSolutionSet",
     "solve_levels",
     "solve_on_circle",
@@ -83,7 +81,6 @@ __all__ = [
     "invariant_orbits",
     "GeneratorPowerCheck",
     "verify_generator_power",
-    "chord_second_intersection",
 ]
 
 TAU = 2.0 * math.pi
@@ -192,21 +189,6 @@ def _lift_grid(B: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     raise refuse(f"still has steep cells after {_MAX_DEPTH} halvings")
 
 
-def lifted_argument(B: BlaschkeProduct, t: float) -> float:
-    """Continuous increasing lift of arg B(e^{it}), with psi(0) in [0, 2pi).
-
-    B is read off its unit-modulus factors (_circle_terms), which have no
-    pole on the circle."""
-    ts, psi, _ = _lift_grid(B)
-    turns, tr = divmod(float(t), TAU)
-    i = min(int(np.searchsorted(ts, tr, side="right")) - 1, len(ts) - 2)
-    w, w0 = _circle_terms(B, np.exp(1j * np.array([tr, ts[i]])))[0]
-    # within one grid cell psi gains less than half a turn, so the wrapped
-    # phase difference against the cell's left end is the exact increment
-    increment = math.remainder(cmath.phase(w) - cmath.phase(w0), TAU)
-    return float(psi[i]) + increment + TAU * B.degree * turns
-
-
 def _circle_terms(
     B: BlaschkeProduct, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -221,13 +203,6 @@ def _circle_terms(
     factors, gap, _ = _factor_array(a, z, minus_conj)
     factors /= np.abs(factors)
     return B.gamma * factors.prod(axis=-1), _poisson_rate(weight, gap)
-
-
-def argument_derivative(B: BlaschkeProduct, t):
-    """psi'(t) = sum_j (1 - |a_j|^2)/|e^{it} - a_j|^2; positive for every
-    product.  t may be a float or an array of angles."""
-    rate = _circle_terms(B, np.exp(1j * np.asarray(t, dtype=float)))[1]
-    return float(rate) if rate.ndim == 0 else rate
 
 
 @dataclass(frozen=True)
@@ -526,18 +501,3 @@ def verify_generator_power(
             worst, worst_at = err, z
     return GeneratorPowerCheck(worst <= tol.identity_tol, power, worst_at, worst)
 
-
-def chord_second_intersection(a: complex, z: complex) -> complex:
-    """Second point where the line through the disk point a and the circle
-    point z meets the circle.  Coincides with (a - z)/(1 - conj(a) z)."""
-    a = complex(a)
-    z = complex(z)
-    if abs(a) >= 1.0:
-        raise InputError("first argument must lie in the open disk")
-    if abs(abs(z) - 1.0) > 1e-9:
-        raise InputError("second argument must lie on the unit circle")
-    z = unit(z)
-    direction = a - z
-    # |z + s d|^2 = 1 has roots s = 0 and the one below
-    s = -2.0 * (z.conjugate() * direction).real / abs(direction) ** 2
-    return z + s * direction

@@ -31,7 +31,6 @@ import numpy as np
 from .errors import (
     DegenerateInput,
     InputError,
-    NoInteriorFixedPoint,
     PoleProximity,
     SolverFailure,
     VerificationFailure,
@@ -352,27 +351,6 @@ class DiskAutomorphism:
         rotation = unit(-alpha / delta)
         center = -beta / alpha
         return DiskAutomorphism(rotation, center)
-
-    def fixed_point(self) -> complex:
-        """The fixed point inside the open disk, when one exists.
-
-        Rotations about the origin (center == 0) fix 0.  Otherwise the fixed
-        points solve conj(c) z^2 - (1 + rotation) z + rotation c = 0, whose
-        root moduli multiply to 1; if neither root is interior the map has no
-        interior fixed point and NoInteriorFixedPoint is raised.
-        """
-        lam, c = self.rotation, self.center
-        if abs(c) <= _ROOT_TOL:
-            return 0j
-        disc = cmath.sqrt((1.0 + lam) ** 2 - 4.0 * c.conjugate() * lam * c)
-        denom = 2.0 * c.conjugate()
-        roots = [((1.0 + lam) + disc) / denom, ((1.0 + lam) - disc) / denom]
-        roots.sort(key=abs)
-        if abs(roots[0]) < 1.0 - 1e-12:
-            return roots[0]
-        raise NoInteriorFixedPoint(
-            f"fixed points of {self} lie on the unit circle"
-        )
 
     def as_blaschke(self) -> BlaschkeProduct:
         """The same map as a degree-1 BlaschkeProduct."""

@@ -61,9 +61,10 @@ from .core import (
     _CLUSTER_TOL,
     _MATCH_POINTS,
     _ROOT_TOL,
+    _finite,
     _matched_rotation,
 )
-from .errors import CountMismatch, SolverFailure, VerificationFailure
+from .errors import CountMismatch, DegenerateInput, SolverFailure, VerificationFailure
 from .shiftop import shift_matrix
 
 __all__ = [
@@ -326,12 +327,21 @@ def fiber(B: BlaschkeProduct, w: complex) -> list[complex]:
     cluster of k eigenvalues becomes one point of multiplicity k when it
     polishes to a critical point of multiplicity k - 1 (B'/B and its first
     k - 2 derivatives vanish to relative 1e-8) with |B - w| <= _ROOT_TOL.
+
+    A w that is not finite raises InputError.  At w = 1/conj(B(0)), the
+    value of B at infinity, beta has no value and DegenerateInput is raised.
     """
+    w = _finite("fiber value w", w)
     a = np.array(B.zeros, dtype=complex)
     defect = np.sqrt(1.0 - np.abs(a) ** 2)
     x = defect * np.cumprod(np.concatenate(([1.0], -a[:-1].conj())))
     y = B.gamma * defect * np.cumprod(np.concatenate(([1.0], -a[:0:-1])))[::-1]
-    beta = w / (1.0 - B.evaluate(0j).conjugate() * w)
+    pole = 1.0 - B.evaluate(0j).conjugate() * w
+    if pole == 0.0:
+        raise DegenerateInput(
+            f"one solution of B(z) = {w} lies at infinity: w is 1/conj(B(0))"
+        )
+    beta = w / pole
     A = shift_matrix(B.zeros).entries
     eigenvalues = np.linalg.eigvals(A.T + beta * np.outer(x, y.conj()))
 

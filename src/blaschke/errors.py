@@ -40,10 +40,6 @@ class PoleProximity(BlaschkeError):
         )
 
 
-class NoInteriorFixedPoint(BlaschkeError):
-    """The automorphism has no fixed point inside the open disk."""
-
-
 class SolverFailure(BlaschkeError):
     """An iterative solver did not reach its tolerance."""
 

@@ -13,8 +13,9 @@ the reversed pieces lift to the inverse of the outward map: with out taking
 the labels to the fiber over the entry point e and arc the permutation of
 that fiber the two arcs give, each generator is out^-1 o arc o out.
 monodromy_group therefore lifts the outward pieces once per label and the
-arcs once per outward end, and no return piece; continue_branch lifts a
-whole closed loop.
+arcs once per outward end, and no return piece.  _track also lifts a
+whole closed loop, return pieces included, which the tests use as an
+independent check of that shortcut.
 
 Lifting is a predictor-corrector tracker on B(z(t)) = gamma(t) under one
 step rule: from gamma_0 a step moves _STEP * rho along the piece, rho the
@@ -29,8 +30,8 @@ rows still correcting, giving B and B', and the slope at the accepted
 point is the next Euler predictor.  The corrector stops at
 |B - gamma| <= rho / 1000 between steps, which keeps the point on its
 branch, and at min(1e-12, rho / 1000) at the last step of each tracker
-call: the ends over the entry point, the arc ends and the end of
-continue_branch are the only points compared or returned.
+call: the ends over the entry point and the arc ends are the only points
+compared or returned.
 
 monodromy_group's results are kept per product, the last 64, so
 cross_validate after monodromy_group, or the CLI's one cross_validate,
@@ -81,7 +82,6 @@ __all__ = [
     "LoopPiece",
     "LoopSpec",
     "build_loops",
-    "continue_branch",
     "MonodromyResult",
     "monodromy_group",
     "block_systems",
@@ -525,26 +525,6 @@ def _track(B: BlaschkeProduct, loops, kinds, labels, z, d):
                     f"{_where(loops[r // n], labels[r % n], plans[r // n][k][3])}"
                 )
     return z.reshape(len(loops), n), d.reshape(len(loops), n)
-
-
-def continue_branch(B: BlaschkeProduct, loop: LoopSpec, start: complex) -> complex:
-    """Lift the whole closed loop, return pieces included, through the fiber
-    point start; returns the endpoint.
-
-    The tracker of monodromy_group (_track) with one row: the loop's step
-    schedule under the rule of the module docstring, an Euler predictor and
-    a Newton corrector on B and B' from one BlaschkeProduct._jet call per
-    pass, and the start slope from one more.  Only the end is held to
-    |B - gamma| <= min(1e-12, rho / 1000).  A corrector that misses its
-    bound in 10 iterations raises TrackingFailure naming |B - gamma|, gamma,
-    the loop's value, the start and the piece.  monodromy_group lifts only
-    the outward pieces and the arcs, so this full closed-loop lift is an
-    independent cross-check.
-    """
-    z = complex(start)
-    kinds = ("outward", "arc", "return")
-    end, _ = _track(B, (loop,), kinds, (z,), [[z]], [[B._jet(z)[1]]])
-    return complex(end[0, 0])
 
 
 @dataclass(frozen=True)

@@ -279,6 +279,11 @@ def _fit_conics(samples: np.ndarray) -> list[ConicFit]:
     factorization, which has the same ones."""
     if samples.shape[1] < 6:
         raise InputError("conic fitting needs at least 6 points")
+    finite = np.isfinite(samples)
+    if not finite.all():
+        raise InputError(
+            f"conic fitting needs finite points, got {samples[~finite][0]}"
+        )
     point = np.abs(samples - samples[:, :1]).max(axis=1) < 1e-6
     fits = [_point_fit(pts) if p else None for pts, p in zip(samples, point)]
     rows = np.flatnonzero(~point)

@@ -13,7 +13,7 @@ import numpy as np
 
 import blaschke.monodromy as monodromy
 from blaschke import BlaschkeProduct, CompositionChain
-from blaschke.monodromy import continue_branch
+from blaschke.monodromy import LoopSpec
 
 TAU = 2.0 * math.pi
 
@@ -70,6 +70,22 @@ def circle_grid(count: int, offset: float = 0.0) -> list[complex]:
 
 def sup_difference(f, g, points) -> float:
     return max(abs(f(z) - g(z)) for z in points)
+
+
+def continue_branch(B: BlaschkeProduct, loop: LoopSpec, start: complex) -> complex:
+    """Lift the whole closed loop, return pieces included, through the fiber
+    point start; returns the endpoint.
+
+    monodromy_group's tracker (monodromy._track) with one row and every
+    piece kind.  monodromy_group lifts only the outward pieces and the arcs,
+    so this full closed-loop lift is an independent check of it.  Only the
+    end is held to |B - gamma| <= min(1e-12, rho / 1000); a corrector that
+    misses its bound raises TrackingFailure.
+    """
+    z = complex(start)
+    kinds = ("outward", "arc", "return")
+    end, _ = monodromy._track(B, (loop,), kinds, (z,), [[z]], [[B._jet(z)[1]]])
+    return complex(end[0, 0])
 
 
 def halved_step_images(B: BlaschkeProduct, result) -> list[tuple[int, ...]]:

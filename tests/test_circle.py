@@ -8,11 +8,8 @@ import pytest
 
 from blaschke import BlaschkeProduct, CompositionChain, InputError, ToleranceConfig
 from blaschke.circle import (
-    argument_derivative,
-    chord_second_intersection,
     invariant_orbit,
     invariant_orbits,
-    lifted_argument,
     next_preimage,
     solve_levels,
     solve_on_circle,
@@ -30,56 +27,47 @@ from conftest import TAU, circle_grid, random_point, random_product, rng_for
 
 def test_lift_of_power_is_linear():
     B = BlaschkeProduct(1.0, (0j,) * 5)
-    for t in (0.0, 0.3, 2.2, 6.1, 9.4, -1.7):
-        assert abs(lifted_argument(B, t) - 5.0 * t) < 1e-9
+    ts, psi, _ = circle._lift_grid(B)
+    assert np.max(np.abs(psi - 5.0 * ts)) < 1e-9
 
 
 def test_lift_is_strictly_increasing():
     rng = rng_for(101)
     B = random_product(rng, 4)
-    ts = [TAU * k / 400 for k in range(401)]
-    vals = [lifted_argument(B, t) for t in ts]
-    for lo, hi in zip(vals, vals[1:]):
-        assert hi > lo
+    _, psi, _ = circle._lift_grid(B)
+    assert np.all(np.diff(psi) > 0.0)
 
 
 def test_lift_gains_full_turns():
     rng = rng_for(102)
     B = random_product(rng, 6)
-    base = lifted_argument(B, 0.25)
-    assert abs(lifted_argument(B, 0.25 + TAU) - base - 6 * TAU) < 1e-9
+    _, psi, _ = circle._lift_grid(B)
+    assert abs(psi[-1] - psi[0] - 6 * TAU) < 1e-9
+    # every cell gains less than half a turn, so the end node is the
+    # continuous continuation of its neighbour, not a wrapped copy
+    assert np.all(np.diff(psi) < 0.5)
 
 
 def test_lift_consistent_with_evaluation():
     rng = rng_for(103)
     B = random_product(rng, 5)
-    for t in (0.1, 1.9, 3.3, 5.6):
-        psi = lifted_argument(B, t)
-        assert abs(B(cmath.exp(1j * t)) - cmath.exp(1j * psi)) < 1e-9
-
-
-def test_argument_derivative_against_differences():
-    # oracle: central differences of the lift
-    rng = rng_for(104)
-    B = random_product(rng, 4)
-    h = 1e-6
-    for t in (0.2, 1.4, 4.0):
-        fd = (lifted_argument(B, t + h) - lifted_argument(B, t - h)) / (2 * h)
-        assert abs(argument_derivative(B, t) - fd) < 1e-5
+    ts, psi, _ = circle._lift_grid(B)
+    for t, p in zip(ts, psi):
+        assert abs(B(cmath.exp(1j * t)) - cmath.exp(1j * p)) < 1e-9
 
 
 def test_argument_derivative_positive():
     rng = rng_for(105)
+    z = np.exp(1j * np.array([0.0, 0.8, 2.9, 5.1]))
     for _ in range(5):
         B = random_product(rng, int(rng.integers(1, 7)))
-        for t in (0.0, 0.8, 2.9, 5.1):
-            assert argument_derivative(B, t) > 0.0
+        assert np.all(circle._circle_terms(B, z)[1] > 0.0)
 
 
 def test_argument_derivative_of_angle_array():
     B = random_product(rng_for(106), 7)
     ts = np.array([[0.0, 0.8], [2.9, 5.1]])
-    rates = argument_derivative(B, ts)
+    rates = circle._circle_terms(B, np.exp(1j * ts))[1]
     assert rates.shape == ts.shape
     for t, rate in zip(ts.ravel(), rates.ravel()):
         z = cmath.exp(1j * t)
@@ -289,9 +277,9 @@ def test_solve_and_lift_next_to_a_zero_within_root_tol_of_1():
     for angle in sol.angles:
         gap = np.abs(np.remainder(oracle - angle + math.pi, TAU) - math.pi)
         assert gap.min() < 1e-12
-        turn = (lifted_argument(B, angle) - math.pi / 2) / TAU
-        assert abs(turn - round(turn)) < 1e-9
-    assert 0.0 <= lifted_argument(B, 0.0) < TAU
+    levels = circle._circle_terms(B, np.exp(1j * np.array(sol.angles)))[0]
+    assert np.all(np.abs(levels - 1j) < 1e-9)
+    assert 0.0 <= circle._lift_grid(B)[1][0] < TAU
 
 
 def test_solve_levels_of_no_targets_is_empty():
@@ -521,36 +509,6 @@ def test_generator_power_origin_slack_is_identity_tol():
     assert check.sup_error <= 1e-6
     with pytest.raises(InputError, match="innermost factor must vanish at the origin"):
         verify_generator_power(chain)
-
-
-# -------------------------------------------------------------------- chords
-
-
-def test_chord_second_intersection_geometry():
-    rng = rng_for(141)
-    for _ in range(10):
-        a = random_product(rng, 1).zeros[0]
-        z = cmath.exp(1j * rng.uniform(0, TAU))
-        w = chord_second_intersection(a, z)
-        assert abs(abs(w) - 1.0) < 1e-12
-        # collinear with a and z: the cross product of the two directions
-        # vanishes
-        cross = ((w - z).conjugate() * (a - z)).imag
-        assert abs(cross) < 1e-10
-        phi = (a - z) / (1 - a.conjugate() * z)
-        assert abs(w - phi) < 1e-10
-
-
-def test_chord_through_center_hits_antipode():
-    z = cmath.exp(0.77j)
-    assert abs(chord_second_intersection(0j, z) + z) < 1e-12
-
-
-def test_chord_rejects_bad_arguments():
-    with pytest.raises(InputError):
-        chord_second_intersection(1.5 + 0j, 1.0 + 0j)
-    with pytest.raises(InputError):
-        chord_second_intersection(0.2 + 0j, 0.5 + 0j)
 
 
 # ------------------------------------------------------------------ lift grid

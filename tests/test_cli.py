@@ -409,7 +409,6 @@ EXIT_LADDER = {
     errors.DegenerateInput("x"): (2, "input error"),
     errors.GeometryFailure("x"): (2, "input error"),
     errors.PoleProximity(1.5 + 0j, 1e-13): (3, "solver failure"),
-    errors.NoInteriorFixedPoint("x"): (3, "solver failure"),
     errors.SolverFailure("x"): (3, "solver failure"),
     errors.CountMismatch(3, 2, "points"): (3, "solver failure"),
     errors.EigensolverFailure("x"): (3, "solver failure"),

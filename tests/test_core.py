@@ -1,3 +1,4 @@
+import ast
 import cmath
 import dataclasses
 import importlib
@@ -7,6 +8,7 @@ import json
 import math
 import pkgutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,15 +377,6 @@ def test_automorphism_as_blaschke_agrees():
         assert abs(B(z) - phi(z)) < 1e-13
 
 
-def test_rotation_map_fixed_point():
-    rot = DiskAutomorphism.rotation_map(cmath.exp(1.1j))
-    assert abs(rot.fixed_point()) < 1e-12
-    phi = DiskAutomorphism(cmath.exp(0.4j), 0.3 + 0.2j)
-    w = phi.fixed_point()
-    assert abs(w) < 1.0
-    assert abs(phi(w) - w) < 1e-10
-
-
 # --------------------------------------------------------------- normal forms
 
 
@@ -644,7 +637,7 @@ def test_tol_is_taken_only_by_its_readers_and_the_benchmark_callables():
     callables = dict(_public_callables())
     # the walk reaches methods and __call__
     assert "core.BlaschkeProduct.__call__" in callables
-    assert "core.DiskAutomorphism.fixed_point" in callables
+    assert "core.DiskAutomorphism.compose" in callables
     takers = {
         label
         for label, fn in callables.items()
@@ -712,18 +705,49 @@ def test_unit_helper():
     assert abs(abs(z) - 1.0) < 1e-15
 
 
-@pytest.mark.parametrize(
-    "module",
-    ["blaschke"]
-    + [
-        f"blaschke.{name}"
-        for name in ("core", "circle", "critical", "shiftop", "poncelet", "decompose", "monodromy", "cli")
-    ],
-)
+EXPORTERS = ["blaschke"] + [
+    f"blaschke.{name}"
+    for name in ("core", "circle", "critical", "shiftop", "poncelet", "decompose", "monodromy", "cli")
+]
+
+# exports that no pipeline reads, kept on purpose
+UNREAD_ON_PURPOSE = {
+    "blaschke.__version__",
+    # the one-level solve of the README quick start
+    "blaschke.circle.solve_on_circle",
+    # the paper's factorization along any ordering, documented in the README
+    "blaschke.decompose.factor_any_order",
+    # the ROADMAP re-derives it from the deck order
+    "blaschke.critical.one_critical_value_form",
+}
+
+
+@pytest.mark.parametrize("module", EXPORTERS)
 def test_every_export_exists(module):
     # a deleted name must not stay behind in __all__
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_every_export_has_a_reader():
+    # an export is read when the library or the benchmark loads it by name,
+    # as a bare name or an attribute; a string label is not a read
+    sources = list(Path(blaschke.__file__).resolve().parent.glob("*.py"))
+    sources += list((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+    loaded = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    unread = [
+        f"{module}.{name}"
+        for module in EXPORTERS
+        for name in importlib.import_module(module).__all__
+        if name not in loaded and f"{module}.{name}" not in UNREAD_ON_PURPOSE
+    ]
+    assert unread == []
 
 
 def test_degree_shape_helpers_match_brute_force():

@@ -11,6 +11,7 @@ from blaschke import (
     BlaschkeProduct,
     CompositionChain,
     CountMismatch,
+    DegenerateInput,
     DiskAutomorphism,
     InputError,
     SolverFailure,
@@ -287,6 +288,24 @@ def test_fiber_edge_cases():
     points = fiber(B, tau(0j))
     assert len(points) == 4 and len(set(points)) == 1
     assert abs(points[0] - a) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "w", [complex("nan"), complex("inf"), complex(0.2, float("nan"))]
+)
+def test_fiber_refuses_a_value_that_is_not_finite(w):
+    B = BlaschkeProduct(1.0, (0.5 + 0j, -0.3j, 0.2 + 0.1j))
+    with pytest.raises(InputError, match="fiber value w .* is not finite"):
+        fiber(B, w)
+
+
+def test_fiber_refuses_the_value_at_infinity():
+    # B(infinity) = 1/conj(B(0)) = -13.33 + 26.67i here: one of the n
+    # solutions of B(z) = w has gone to infinity
+    B = BlaschkeProduct(1.0, (0.5 + 0j, -0.3j, 0.2 + 0.1j))
+    w = 1.0 / B.evaluate(0j).conjugate()
+    with pytest.raises(DegenerateInput, match="lies at infinity"):
+        fiber(B, w)
 
 
 @pytest.mark.parametrize("degree", [3, 5, 8, 12, 16, 20, 24])

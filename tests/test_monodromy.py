@@ -25,13 +25,12 @@ from blaschke.monodromy import (
     PermutationGroup,
     block_systems,
     build_loops,
-    continue_branch,
     cross_validate,
     monodromy_group,
     wreath_audit,
 )
 
-from conftest import halved_step_images, random_point, random_product, rng_for
+from conftest import continue_branch, halved_step_images, random_point, random_product, rng_for
 from test_decompose import _tower
 
 

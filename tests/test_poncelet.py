@@ -132,6 +132,13 @@ def test_classify_takes_no_determinant_of_a_non_conic(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("bad", [complex("nan"), complex("inf")])
+def test_fit_refuses_a_point_that_is_not_finite(bad):
+    pts = [cmath.exp(1j * k) for k in range(5)] + [bad]
+    with pytest.raises(InputError, match="finite points"):
+        fit_conic(pts)
+
+
 def test_fit_needs_six_points():
     with pytest.raises(InputError):
         fit_conic([0j, 1j, 2j, 3j, 4j])
