@@ -23,7 +23,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -388,11 +388,12 @@ class CompositionChain:
         return z
 
     def expand(self, tol: ToleranceConfig | None = None) -> BlaschkeProduct:
-        """Multiply the chain out to a single product."""
-        out = self.factors[0]
-        for f in self.factors[1:]:
-            out = compose(out, f)
-        return out
+        """Multiply the chain out to a single product, once per chain."""
+        return self._expanded
+
+    @cached_property
+    def _expanded(self) -> BlaschkeProduct:
+        return reduce(compose, self.factors)
 
     def to_json(self) -> str:
         inner = ",".join(f.to_json() for f in self.factors)

@@ -5,17 +5,16 @@ the critical values lifts through each zero to a path ending at a (possibly
 different) zero, and the induced permutations of the zero labels generate the
 monodromy group.  One loop per distinct critical value suffices.
 
-Loops are lollipops built from exact chords and arcs: straight chords from
-0 toward the value (with one exact arc round any other critical value
-sitting in the corridor), one full counterclockwise circle as two exact
-half-turn arcs, and the outward pieces reversed.  Path lifting is unique, so
-the reversed pieces lift to the inverse of the outward map: with out taking
-the labels to the fiber over the entry point e and arc the permutation of
-that fiber the two arcs give, each generator is out^-1 o arc o out.
-monodromy_group therefore lifts the outward pieces once per label and the
-arcs once per outward end, and no return piece.  _track also lifts a
-whole closed loop, return pieces included, which the tests use as an
-independent check of that shortcut.
+Loops are lollipops of exact chords and arcs, held as the two legs
+monodromy_group lifts: the outward leg, straight chords from 0 toward the
+value (with one exact arc round any other critical value in the corridor)
+to the entry point e, and the circle, two exact half-turn arcs once round
+the value through e.  Path lifting is unique, so the outward leg retraced,
+which closes the loop, lifts to the inverse of the outward map: with out
+taking the labels to the fiber over e and arc the permutation of that
+fiber the circle gives, each generator is out^-1 o arc o out, and no
+return leg is built.  The tests lift whole closed loops through _track as
+an independent check.
 
 Lifting is a predictor-corrector tracker on B(z(t)) = gamma(t) under one
 step rule: from gamma_0 a step moves _STEP * rho along the piece, rho the
@@ -31,7 +30,9 @@ point is the next Euler predictor.  The corrector stops at
 |B - gamma| <= rho / 1000 between steps, which keeps the point on its
 branch, and at min(1e-12, rho / 1000) at the last step of each tracker
 call: the ends over the entry point and the arc ends are the only points
-compared or returned.
+compared or returned.  No bound is below _ROUNDING * n * eps * |gamma|,
+about the rounding of an evaluation of B at a point over gamma, which no
+corrector can beat.
 
 monodromy_group's results are kept per product, the last 64, so
 cross_validate after monodromy_group, or the CLI's one cross_validate,
@@ -52,7 +53,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -94,6 +95,8 @@ __all__ = [
 
 TAU = 2.0 * math.pi
 _STEP = 0.8  # a tracker step's share of the distance to the nearest value
+# the floor of every corrector bound, in units of n eps |gamma|
+_ROUNDING = 8.0
 
 
 def _invert(images: tuple[int, ...]) -> tuple[int, ...]:
@@ -273,17 +276,13 @@ class LoopPiece:
     With sweep 0 the piece is the chord from start to end; otherwise it is
     the arc that turns start by sweep about center (counterclockwise when
     sweep > 0, clockwise when sweep < 0), and it ends exactly at the stored
-    end, so consecutive pieces join bit-exactly.  kind says where the piece
-    lies: "outward", "arc" or "return"; clear holds the critical values that
-    size the tracker's steps, and takes no part in equality.
+    end, so consecutive pieces join bit-exactly.
     """
 
-    kind: str
     start: complex
     end: complex
     center: complex = 0j
     sweep: float = 0.0
-    clear: tuple[complex, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def length(self) -> float:
@@ -316,23 +315,17 @@ class LoopPiece:
 
 @dataclass(frozen=True)
 class LoopSpec:
-    """Closed loop from 0 around one critical value, as a list of pieces.
-
-    The outward pieces run from 0 to the entry point on the circle of the
-    given radius about target, with one arc of that radius round each
-    bystander value in the way; two exact half-turn arcs go once round the
-    circle counterclockwise, ending bit-exactly at the entry point; the
-    return pieces are the outward ones reversed.
-    """
+    """Loop from 0 once round one critical value, as the two legs
+    monodromy_group lifts: outward, from 0 to the entry point on the circle
+    of the given radius about target (with one arc of that radius round
+    each bystander value in the way), and circle, two exact half-turn arcs
+    once round target counterclockwise, ending bit-exactly at the entry
+    point."""
 
     target: complex
-    pieces: tuple[LoopPiece, ...]
+    outward: tuple[LoopPiece, ...]
+    circle: tuple[LoopPiece, ...]
     radius: float
-
-    @property
-    def waypoints(self) -> tuple[complex, ...]:
-        """The start of the loop and the end point of every piece."""
-        return (self.pieces[0].start,) + tuple(p.end for p in self.pieces)
 
 
 def build_loops(values) -> tuple[LoopSpec, ...]:
@@ -343,11 +336,11 @@ def build_loops(values) -> tuple[LoopSpec, ...]:
     loop therefore clears every other value by more than the radius.  Two
     values that critical_data counts as one (critical._value_links), a
     value within _ROOT_TOL of 0 (where a value counts as 0) or one within
-    _CLUSTER_TOL of the circle raise GeometryFailure.  A loop is the
-    outward chords from 0 to the entry point v - r v/|v| (with one arc
-    of radius r round each value in the corridor), the circle about v as two
-    half-turn arcs through the entry point, and the outward pieces reversed;
-    every piece must keep 0.9 r from every other value, or GeometryFailure.
+    _CLUSTER_TOL of the circle raise GeometryFailure.  A loop's outward leg
+    is the chords from 0 to the entry point v - r v/|v| (with one arc of
+    radius r round each value in the corridor), and its circle is the
+    circle about v as two half-turn arcs through the entry point; every
+    piece must keep 0.9 r from every other value, or GeometryFailure.
     """
     vals = [complex(v) for v in values]
     if not vals:
@@ -389,102 +382,100 @@ def build_loops(values) -> tuple[LoopSpec, ...]:
             p1 = (along - half) * u
             p2 = (along + half) * u
             sweep = math.remainder(cmath.phase(p2 - w) - cmath.phase(p1 - w), TAU)
-            outward.append(LoopPiece("outward", here, p1, clear=vals))
-            outward.append(LoopPiece("outward", p1, p2, w, sweep, vals))
+            outward.append(LoopPiece(here, p1))
+            outward.append(LoopPiece(p1, p2, w, sweep))
             here = p2
         e = v - r * u
-        outward.append(LoopPiece("outward", here, e, clear=vals))
-        outward = [p for p in outward if p.start != p.end]
+        outward.append(LoopPiece(here, e))
+        outward = tuple(p for p in outward if p.start != p.end)
 
         opposite = v + (v - e)
-        arcs = [
-            LoopPiece("arc", e, opposite, v, math.pi, vals),
-            LoopPiece("arc", opposite, e, v, math.pi, vals),
-        ]
-        # the return pieces retrace the outward ones, so need no check
-        for piece in outward + arcs:
+        circle = (LoopPiece(e, opposite, v, math.pi), LoopPiece(opposite, e, v, math.pi))
+        for piece in outward + circle:
             for w in others:
                 if piece.distance(w) < 0.9 * r:
                     raise GeometryFailure(
                         f"loop for {v} passes within {piece.distance(w):.3e} of {w}"
                     )
-        back = [
-            LoopPiece("return", p.end, p.start, p.center, -p.sweep, vals)
-            for p in reversed(outward)
-        ]
-        loops.append(LoopSpec(v, tuple(outward + arcs + back), r))
+        loops.append(LoopSpec(v, outward, circle, r))
     return tuple(loops)
 
 
-def _where(loop: LoopSpec, start, kind: str) -> str:
+def _where(target: complex, start, leg: str) -> str:
     label = "" if start is None else f"start label {complex(start):.6f}, "
-    return f"; loop around critical value {loop.target:.6f}, {label}{kind} piece"
+    return f"; loop around critical value {target:.6f}, {label}{leg} piece"
 
 
 def _schedule(
-    loop: LoopSpec, kinds: tuple[str, ...]
-) -> list[tuple[complex, complex, float, str]]:
-    """(gamma from, gamma to, corrector bound, piece kind) of every tracker
-    step along the loop's pieces of the given kinds, in order, under the
-    step rule of the module docstring.  The bound is rho / 1000, and
+    target: complex, pieces, values, leg: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The tracker steps along the pieces under the step rule of the module
+    docstring, rho the distance to the nearest of values: (steps x 2) gamma
+    from and to, and each step's corrector bound, rho / 1000, or
     min(1e-12, rho / 1000) at the last step, whose end is the only point a
-    caller compares or returns.  A piece of length zero takes no step; one
-    that keeps clear of no value has rho = inf and takes one."""
-    steps = []
-    for piece in loop.pieces:
+    caller compares or returns.  A piece of length zero takes no step; with
+    no values a piece takes one.  target and leg name the loop and the leg
+    in a TrackingFailure."""
+    steps, bounds = [], []
+    for piece in pieces:
         length = piece.length
-        if piece.kind not in kinds or not length:
+        if not length:
             continue
         s, g0 = 0.0, piece.start
         while s < 1.0:
-            rho = min((abs(g0 - v) for v in piece.clear), default=math.inf)
+            rho = min((abs(g0 - v) for v in values), default=math.inf)
             reach = _STEP * rho
             t = 1.0 if reach >= (1.0 - s) * length else s + reach / length
             if t == s:
                 raise TrackingFailure(
                     f"piece meets a critical value at gamma={g0:.6f}"
-                    f"{_where(loop, None, piece.kind)}"
+                    f"{_where(target, None, leg)}"
                 )
             s, g1 = t, piece.at(t)
-            steps.append((g0, g1, rho / 1000.0, piece.kind))
+            steps.append((g0, g1))
+            bounds.append(rho / 1000.0)
             g0 = g1
-    if steps:
-        g0, g1, close, kind = steps[-1]
-        steps[-1] = (g0, g1, min(1e-12, close), kind)
-    return steps
+    if bounds:
+        bounds[-1] = min(1e-12, bounds[-1])
+    return np.array(steps, dtype=complex).reshape(-1, 2), np.array(bounds)
 
 
-def _track(B: BlaschkeProduct, loops, kinds, labels, z, d):
-    """Lift every (loop, label) row along its loop's pieces of the given
-    kinds, all rows in lock-step; z and d are (loops x labels) arrays of the
-    start points and B' there, and the end points and B' there come back in
-    the same shape.
+def _track(B: BlaschkeProduct, legs, values, leg: str, labels, z, d):
+    """Lift every (loop, label) row along its loop's leg, all rows in
+    lock-step.  legs holds one (target, pieces) pair per loop, values the
+    critical values that size the steps, and leg names the leg in a
+    TrackingFailure; z and d are (loops x labels) arrays of the start points
+    and B' there, and the end points and B' there come back in the same
+    shape.
 
-    Each loop's step schedule is built once (_schedule) and every row of
-    the loop follows it.  One Newton pass reads B and B' at every row still
-    correcting off one BlaschkeProduct._jet call.  With B' = 0 a row takes
-    no Newton step.  A row stops correcting once |B - gamma| <= its step's
-    bound, so a NaN row never does: it fails at once when B or B' is not
-    finite, and any row fails after 10 iterations.  The first failing row in (loop, label)
-    order at the earliest failing step raises TrackingFailure naming
-    |B - gamma|, gamma, the loop's value, the start label and the piece.  A
-    denominator at or below _ROOT_TOL raises PoleProximity (_jet's guard).
+    Each leg's step schedule is built once (_schedule) and every row of
+    its loop follows it, each step's bound raised to _ROUNDING * n * eps *
+    |gamma| where it lies below.  One Newton pass reads B and B' at every
+    row still correcting off one BlaschkeProduct._jet call.  With B' = 0 a
+    row takes no Newton step.  A row stops correcting once |B - gamma| <=
+    its step's bound, so a NaN row never does: it fails at once when B or
+    B' is not finite, and any row fails after 10 iterations.  The first
+    failing row in (loop, label) order at the earliest failing step raises
+    TrackingFailure naming |B - gamma|, gamma, the loop's value, the start
+    label and the leg.  A denominator at or below _ROOT_TOL raises
+    PoleProximity (_jet's guard).
     """
     n = len(labels)
-    plans = [_schedule(loop, kinds) for loop in loops]
-    count = np.array([len(plan) for plan in plans], dtype=int)
+    plans = [_schedule(target, pieces, values, leg) for target, pieces in legs]
+    count = np.array([len(close) for _, close in plans], dtype=int)
     depth = int(count.max(initial=0))
     # step k of loop l corrects from gamma[l, k, 0] to gamma[l, k, 1];
     # a loop with fewer steps is padded, and its rows sit those steps out
-    gamma = np.zeros((len(loops), depth, 2), dtype=complex)
-    bound = np.zeros((len(loops), depth))
-    for l, plan in enumerate(plans):
-        for k, (g0, g1, close, _) in enumerate(plan):
-            gamma[l, k] = g0, g1
-            bound[l, k] = close
+    gamma = np.zeros((len(legs), depth, 2), dtype=complex)
+    bound = np.zeros((len(legs), depth))
+    for l, (steps, close) in enumerate(plans):
+        gamma[l, : len(close)] = steps
+        bound[l, : len(close)] = close
+    rounding = _ROUNDING * B.degree * np.finfo(float).eps * np.abs(gamma[..., 1])
+    bound = np.maximum(bound, rounding)
     z = np.array(z, dtype=complex).reshape(-1)
     d = np.array(d, dtype=complex).reshape(-1)
-    row_loop = np.repeat(np.arange(len(loops)), n)
+    row_loop = np.repeat(np.arange(len(legs)), n)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(depth):
@@ -522,9 +513,9 @@ def _track(B: BlaschkeProduct, loops, kinds, labels, z, d):
                 r, e, g, note = min(failed, key=lambda row: row[0])
                 raise TrackingFailure(
                     f"corrector left |B - gamma|={abs(e):.3e} at gamma={g:.6f}{note}"
-                    f"{_where(loops[r // n], labels[r % n], plans[r // n][k][3])}"
+                    f"{_where(legs[r // n][0], labels[r % n], leg)}"
                 )
-    return z.reshape(len(loops), n), d.reshape(len(loops), n)
+    return z.reshape(len(legs), n), d.reshape(len(legs), n)
 
 
 @dataclass(frozen=True)
@@ -567,20 +558,19 @@ def monodromy_group(
     Each generator is read as out^-1 o arc o out (see the module
     docstring), from two tracker calls over all loops at once, every row
     (loop, label) following its loop's step schedule in lock-step: the
-    outward pieces are lifted from every label to points q_i over the
-    loop's entry point e, which must be pairwise more than _CLUSTER_TOL
-    apart (else NonBijective, naming the outward piece); then the two arcs
-    are lifted from every q_i, and each arc end must satisfy
+    outward leg is lifted from every label to points q_i over the loop's
+    entry point e, which must be pairwise more than _CLUSTER_TOL apart
+    (else NonBijective, naming the outward piece); then the two arcs of
+    the circle are lifted from every q_i, and each arc end must satisfy
     |B(end) - e| <= min(1e-10, r / 10), r the loop radius (else
     TrackingFailure), and lie within a tenth of the smallest gap between
     the q of some q_j (else NonBijective, naming the arc piece), and j is
-    the image of label i.  No return piece is lifted.  The start slopes
-    come from one derivative call over the labels, where B' is exact
-    although B'/B has a pole (see BlaschkeProduct._jet).  The outward
-    pieces of every loop are lifted before any outward ends are compared,
-    and the arcs of every loop before any generator is read, so a
-    TrackingFailure on one loop can come before the refusal an earlier
-    loop would give.
+    the image of label i.  The start slopes come from one derivative call
+    over the labels, where B' is exact although B'/B has a pole (see
+    BlaschkeProduct._jet).  The outward leg of every loop is lifted before
+    any outward ends are compared, and the circle of every loop before any
+    generator is read, so a TrackingFailure on one loop can come before the
+    refusal an earlier loop would give.
 
     The result is kept per product, so asking again for an equal product,
     as cross_validate does, tracks no branch; a refusal is not kept and is
@@ -605,12 +595,14 @@ def _monodromy_group(B: BlaschkeProduct) -> MonodromyResult:
     # a degree-1 product has no critical value: no loops, the trivial group
     loops = build_loops([v for v, _ in cd.distinct_values]) if cd.values else ()
 
+    values = tuple(loop.target for loop in loops)
     # out: every label to its point over each loop's entry point, the start
     # slopes taken once per label
     shape = (len(loops), n)
     starts = np.broadcast_to(labels, shape)
     slopes = np.broadcast_to(B.derivative(np.array(labels)), shape)
-    over_entry, slope = _track(B, loops, ("outward",), labels, starts, slopes)
+    outward = [(loop.target, loop.outward) for loop in loops]
+    over_entry, slope = _track(B, outward, values, "outward", labels, starts, slopes)
     match_tol = []
     for loop, ends in zip(loops, over_entry):
         apart = np.abs(ends[:, None] - ends)
@@ -619,13 +611,14 @@ def _monodromy_group(B: BlaschkeProduct) -> MonodromyResult:
         if apart[i, k] <= _CLUSTER_TOL:
             raise NonBijective(
                 f"outward lifts of labels {i} and {k} both reach "
-                f"{ends[i]:.6f}{_where(loop, labels[k], 'outward')}"
+                f"{ends[i]:.6f}{_where(loop.target, labels[k], 'outward')}"
             )
         match_tol.append(float(apart[i, k]) / 10.0)
     # arc, then out^-1: the arc end over the entry point names the label
     # whose outward lift reaches it
-    arc_ends, _ = _track(B, loops, ("arc",), labels, over_entry, slope)
-    entries = [next(p.start for p in loop.pieces if p.kind == "arc") for loop in loops]
+    circles = [(loop.target, loop.circle) for loop in loops]
+    arc_ends, _ = _track(B, circles, values, "arc", labels, over_entry, slope)
+    entries = [loop.circle[0].start for loop in loops]
     residuals = np.abs(B.evaluate(arc_ends) - np.array(entries)[:, None])
     generators = []
     for loop, ends, lifted, near, residual in zip(
@@ -637,12 +630,12 @@ def _monodromy_group(B: BlaschkeProduct) -> MonodromyResult:
             if not res <= min(1e-10, loop.radius / 10.0):
                 raise TrackingFailure(
                     f"lifted endpoint is not in the fiber over the entry point: "
-                    f"|B(end) - e|={res:.3e}{_where(loop, z0, 'arc')}"
+                    f"|B(end) - e|={res:.3e}{_where(loop.target, z0, 'arc')}"
                 )
             if not row[j] <= near:
                 raise NonBijective(
                     f"endpoint {end:.6f} matches no outward end within "
-                    f"{near:.3e}{_where(loop, z0, 'arc')}"
+                    f"{near:.3e}{_where(loop.target, z0, 'arc')}"
                 )
         images = images.tolist()
         if sorted(images) != list(range(n)):
@@ -650,7 +643,7 @@ def _monodromy_group(B: BlaschkeProduct) -> MonodromyResult:
             raise NonBijective(
                 f"loop around {loop.target:.6f} did not permute: branches "
                 f"{images.index(images[i])} and {i} both end at label "
-                f"{images[i]}{_where(loop, labels[i], 'arc')}"
+                f"{images[i]}{_where(loop.target, labels[i], 'arc')}"
             )
         generator = Permutation(tuple(images))
         expected = _ramification_type(cd, len(generators), n)

@@ -13,7 +13,8 @@ import numpy as np
 
 import blaschke.monodromy as monodromy
 from blaschke import BlaschkeProduct, CompositionChain
-from blaschke.monodromy import LoopSpec
+from blaschke.critical import critical_data
+from blaschke.monodromy import LoopPiece, LoopSpec
 
 TAU = 2.0 * math.pi
 
@@ -73,18 +74,24 @@ def sup_difference(f, g, points) -> float:
 
 
 def continue_branch(B: BlaschkeProduct, loop: LoopSpec, start: complex) -> complex:
-    """Lift the whole closed loop, return pieces included, through the fiber
-    point start; returns the endpoint.
+    """Lift the whole closed loop through the fiber point start: the outward
+    leg, the circle, and the return leg, which is each outward piece
+    reversed with its sweep negated; returns the endpoint.
 
-    monodromy_group's tracker (monodromy._track) with one row and every
-    piece kind.  monodromy_group lifts only the outward pieces and the arcs,
-    so this full closed-loop lift is an independent check of it.  Only the
-    end is held to |B - gamma| <= min(1e-12, rho / 1000); a corrector that
-    misses its bound raises TrackingFailure.
+    monodromy_group's tracker (monodromy._track) with one row over all three
+    legs in one call, its steps sized by B's distinct critical values.
+    monodromy_group lifts only the outward leg and the circle and builds no
+    return leg, so this full closed-loop lift is an independent check of
+    it.  Only the end is held to |B - gamma| <= min(1e-12, rho / 1000); a
+    corrector that misses its bound raises TrackingFailure.
     """
+    back = tuple(
+        LoopPiece(p.end, p.start, p.center, -p.sweep) for p in reversed(loop.outward)
+    )
+    values = [complex(v) for v, _ in critical_data(B).distinct_values]
+    legs = [(loop.target, loop.outward + loop.circle + back)]
     z = complex(start)
-    kinds = ("outward", "arc", "return")
-    end, _ = monodromy._track(B, (loop,), kinds, (z,), [[z]], [[B._jet(z)[1]]])
+    end, _ = monodromy._track(B, legs, values, "closed-loop", (z,), [[z]], [[B._jet(z)[1]]])
     return complex(end[0, 0])
 
 

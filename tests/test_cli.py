@@ -521,6 +521,27 @@ def test_analyze_solves_critical_points_once_per_product(monkeypatch, capsys, de
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "invariants"])
+def test_a_chain_is_expanded_once_per_run(monkeypatch, capsys, tmp_path, command):
+    # the report and check_value_bound (analyze) or verify_generator_power
+    # (invariants) read one expansion of the three-factor chain: two
+    # compositions, not four
+    import blaschke.core as core
+
+    real = core.compose
+    calls = []
+
+    def counted(outer, inner):
+        calls.append(1)
+        return real(outer, inner)
+
+    monkeypatch.setattr(core, "compose", counted)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([command, "--demo", "chain3", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize(
     "flag", ["--tol-root", "--tol-cluster", "--tol-identity", "--tol-conic-residual"]
 )

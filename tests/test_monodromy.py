@@ -10,7 +10,7 @@ import pytest
 import blaschke.cli as cli
 import blaschke.monodromy as monodromy
 from blaschke import BlaschkeProduct, InputError, compose, normalize
-from blaschke.critical import critical_data
+from blaschke.critical import critical_data, fiber
 from blaschke.errors import (
     DegenerateInput,
     GeometryFailure,
@@ -297,10 +297,16 @@ def test_wreath_audit_needs_2_to_the_levels_points():
 # ---------------------------------------------------------------- loop routing
 
 
+def _waypoints(loop):
+    """The start of the outward leg and the end of every piece of the loop."""
+    pieces = loop.outward + loop.circle
+    return (pieces[0].start,) + tuple(p.end for p in pieces)
+
+
 def test_single_value_loop_geometry():
     (loop,) = build_loops([0.3 + 0j])
-    pts = loop.waypoints
-    assert pts[0] == 0j and pts[-1] == 0j
+    pts = _waypoints(loop)
+    assert pts[0] == 0j and pts[-1] == loop.circle[0].start
     assert all(abs(p) < 1.0 for p in pts)
     assert loop.radius <= 0.45 * 0.3 + 1e-12
     # the circular part sits exactly at the exclusion radius
@@ -312,9 +318,9 @@ def test_collinear_values_force_a_detour():
     loops = build_loops([near, far])
     by_target = {loop.target: loop for loop in loops}
     r = loops[0].radius
-    for p in by_target[far].waypoints:
+    for p in _waypoints(by_target[far]):
         assert abs(p - near) >= 0.9 * r - 1e-12
-    for p in by_target[near].waypoints:
+    for p in _waypoints(by_target[near]):
         assert abs(p - far) >= 0.9 * r - 1e-12
 
 
@@ -337,19 +343,11 @@ def _piece_samples(piece, count=64):
 )
 def test_loop_pieces_join_and_keep_their_clearance(vals):
     for loop in build_loops(vals):
-        v, r, pieces = loop.target, loop.radius, loop.pieces
-        assert pieces[0].start == 0j and pieces[-1].end == 0j
+        v, r, outward = loop.target, loop.radius, loop.outward
+        pieces = outward + loop.circle
+        assert pieces[0].start == 0j and len(loop.circle) == 2
         for before, after in zip(pieces, pieces[1:]):
             assert before.end == after.start
-        kinds = [p.kind for p in pieces]
-        k = kinds.index("arc")
-        assert kinds == ["outward"] * k + ["arc", "arc"] + ["return"] * k
-        # the return pieces are the outward ones reversed
-        outward = pieces[:k]
-        assert pieces[k + 2 :] == tuple(
-            LoopPiece("return", p.end, p.start, p.center, -p.sweep)
-            for p in reversed(outward)
-        )
         # one arc of radius r round each value in the corridor, from where
         # the chord enters that circle to exactly where it leaves it
         u = v / abs(v)
@@ -367,7 +365,7 @@ def test_loop_pieces_join_and_keep_their_clearance(vals):
             for z in _piece_samples(arc):
                 assert abs(z - w) == pytest.approx(r, rel=1e-12)
         assert detours == []
-        first, second = pieces[k], pieces[k + 1]
+        first, second = loop.circle
         entry = first.start
         assert first.sweep == second.sweep == math.pi
         assert second.end == entry and second.at(1.0) == entry
@@ -394,7 +392,7 @@ def test_loop_pieces_join_and_keep_their_clearance(vals):
 def test_arc_distance_follows_the_sense_of_the_turn(sweep):
     center, start = 0.1 - 0.2j, 0.35 + 0.05j
     end = center + (start - center) * cmath.exp(1j * sweep)
-    arc = LoopPiece("outward", start, end, center, sweep)
+    arc = LoopPiece(start, end, center, sweep)
     samples = [arc.at(k / 4000) for k in range(4001)]
     rng = rng_for(331)
     for _ in range(200):
@@ -435,13 +433,11 @@ def test_null_loop_is_the_identity():
     r = 0.4 * min(abs(v) for v, _ in critical_data(B).distinct_values)
     # out to r, once round the circle of radius r about the regular value 0,
     # and back
-    pieces = (
-        LoopPiece("outward", 0j, r + 0j),
-        LoopPiece("arc", r + 0j, -r + 0j, 0j, cmath.pi),
-        LoopPiece("arc", -r + 0j, r + 0j, 0j, cmath.pi),
-        LoopPiece("return", r + 0j, 0j),
+    circle = (
+        LoopPiece(r + 0j, -r + 0j, 0j, cmath.pi),
+        LoopPiece(-r + 0j, r + 0j, 0j, cmath.pi),
     )
-    loop = LoopSpec(0j, pieces, r)
+    loop = LoopSpec(0j, (LoopPiece(0j, r + 0j),), circle, r)
     for z0 in B.zeros:
         end = continue_branch(B, loop, z0)
         assert abs(end - z0) < 1e-8
@@ -485,10 +481,11 @@ def test_tracker_step_budget_on_a_degree_8_tower(monkeypatch):
     assert 0 < sum(rows) < 4000
 
 
-def _track_one(B, piece, z, d):
-    """The tracker's end point and B' there, on one row through one piece."""
-    loop = LoopSpec(piece.end, (piece,), 0.0)
-    end, slope = monodromy._track(B, (loop,), (piece.kind,), (z,), [[z]], [[d]])
+def _track_one(B, pieces, values, z, d):
+    """The tracker's end point and B' there, on one row through the pieces,
+    its steps sized by values."""
+    legs = [(pieces[-1].end, pieces)]
+    end, slope = monodromy._track(B, legs, values, "outward", (z,), [[z]], [[d]])
     return complex(end[0, 0]), complex(slope[0, 0])
 
 
@@ -501,22 +498,35 @@ def test_tracker_refuses_where_it_cannot_step():
     z, w = 0.1 + 0j, B.evaluate(0.1)
     slope = B._jet(z)[1]
     # a piece of length zero leaves the point where it is
-    point = LoopPiece("outward", w, w, clear=(v,))
-    assert _track_one(B, point, z, slope) == (z, slope)
+    point = LoopPiece(w, w)
+    assert _track_one(B, (point,), (v,), z, slope) == (z, slope)
     # from the critical point, where B' = 0, there is no Newton step
-    chord = LoopPiece("outward", v, 0.2 + 0j)
+    chord = LoopPiece(v, 0.2 + 0j)
     with pytest.raises(TrackingFailure, match="corrector left"):
-        _track_one(B, chord, c, d)
+        _track_one(B, (chord,), (), c, d)
     # steps toward a value on the piece shrink until they stop advancing
-    through = LoopPiece("outward", w, 2 * v - w, clear=(v,))
+    through = LoopPiece(w, 2 * v - w)
     with pytest.raises(TrackingFailure, match="piece meets a critical value"):
-        _track_one(B, through, z, slope)
+        _track_one(B, (through,), (v,), z, slope)
 
 
-def _outward_only(loop):
-    return dataclasses.replace(
-        loop, pieces=tuple(p for p in loop.pieces if p.kind == "outward")
-    )
+def test_corrector_bound_is_floored_at_the_rounding_of_B():
+    # a value 1e-15 from the start of a chord at gamma = 0.3 gives the
+    # first steps bounds rho / 1000 from 1e-17, below one float spacing
+    # there (5.6e-17); unfloored, the corrector stops at |B - gamma| =
+    # 5.551e-17 on the first step and raises TrackingFailure
+    B = BlaschkeProduct(1.0, (0j, 0.5 + 0j))
+    z = complex(fiber(B, 0.3)[0])
+    g0 = complex(B.evaluate(z))
+    chord, values = LoopPiece(g0, g0 + 0.1), (g0 - 1e-15,)
+    floor = monodromy._ROUNDING * B.degree * np.finfo(float).eps * 0.3
+    _, bounds = monodromy._schedule(chord.end, (chord,), values, "outward")
+    assert bounds[0] < 5.551e-17 < floor
+    end, _ = _track_one(B, (chord,), values, z, B._jet(z)[1])
+    # the same branch as one unfloored step from z, with no value nearby
+    alone, _ = _track_one(B, (chord,), (), z, B._jet(z)[1])
+    assert abs(end - alone) < 1e-12
+    assert abs(B.evaluate(end) - chord.end) <= 1e-12
 
 
 def test_tracker_failures_name_the_loop_the_label_and_the_piece(monkeypatch):
@@ -538,17 +548,19 @@ def test_tracker_failures_name_the_loop_the_label_and_the_piece(monkeypatch):
     # not permute
     B = normalize(_tower(rng_for(2036), 2)).product
     labels = sorted(B.zeros, key=lambda z: (cmath.phase(z), abs(z)))
+    values = [v for v, _ in critical_data(B).distinct_values]
+    slope = B._jet(labels[0])[1]
     first_end = {
-        loop.target: continue_branch(B, _outward_only(loop), labels[0])
-        for loop in build_loops(v for v, _ in critical_data(B).distinct_values)
+        loop.target: _track_one(B, loop.outward, values, labels[0], slope)[0]
+        for loop in build_loops(values)
     }
     track = monodromy._track
 
-    def onto_first(B, loops, kinds, labels, z, d):
-        if kinds == ("arc",):
-            ends = [[first_end[loop.target]] * len(labels) for loop in loops]
+    def onto_first(B, legs, values, leg, labels, z, d):
+        if leg == "arc":
+            ends = [[first_end[target]] * len(labels) for target, _ in legs]
             return np.array(ends), d
-        return track(B, loops, kinds, labels, z, d)
+        return track(B, legs, values, leg, labels, z, d)
 
     monkeypatch.setattr(monodromy, "_track", onto_first)
     with pytest.raises(NonBijective) as info:
@@ -565,9 +577,9 @@ def test_colliding_outward_lifts_are_not_injective(monkeypatch):
     labels = sorted(B.zeros, key=lambda z: (cmath.phase(z), abs(z)))
     track = monodromy._track
 
-    def collide(B, loops, kinds, labels, z, d):
-        ends, slopes = track(B, loops, kinds, labels, z, d)
-        if kinds == ("outward",):
+    def collide(B, legs, values, leg, labels, z, d):
+        ends, slopes = track(B, legs, values, leg, labels, z, d)
+        if leg == "outward":
             ends = np.repeat(ends[:, :1], len(labels), axis=1)
             slopes = np.repeat(slopes[:, :1], len(labels), axis=1)
         return ends, slopes
@@ -639,18 +651,22 @@ def test_continuation_stable_under_step_halving():
 
 def _split(loop, parts):
     """The loop with every piece, chord or arc, cut into parts equal pieces."""
-    pieces = []
-    for piece in loop.pieces:
-        cuts = [piece.at(k / parts) for k in range(parts + 1)]
-        pieces += [
-            dataclasses.replace(piece, start=p, end=q, sweep=piece.sweep / parts)
-            for p, q in zip(cuts, cuts[1:])
-        ]
-    return dataclasses.replace(loop, pieces=tuple(pieces))
+
+    def cut(leg):
+        pieces = []
+        for piece in leg:
+            cuts = [piece.at(k / parts) for k in range(parts + 1)]
+            pieces += [
+                dataclasses.replace(piece, start=p, end=q, sweep=piece.sweep / parts)
+                for p, q in zip(cuts, cuts[1:])
+            ]
+        return tuple(pieces)
+
+    return dataclasses.replace(loop, outward=cut(loop.outward), circle=cut(loop.circle))
 
 
 def _closed_loop_ends(B, mono, loop):
-    """For each label, the label its full closed-loop lift (return chords
+    """For each label, the label its full closed-loop lift (return leg
     included) ends on, or None where that lift fails or ends off the labels."""
     row = []
     for z0 in mono.labels:
@@ -674,7 +690,7 @@ def _corpus():
 
 
 def test_generators_match_closed_loop_lifts_on_a_seeded_corpus():
-    # the group never lifts a return chord; lifting every closed loop in full
+    # the group never lifts a return leg; lifting every closed loop in full
     # must give the same permutation wherever it gives one at all
     compared = 0
     for B in _corpus():
@@ -691,14 +707,12 @@ def test_generators_match_closed_loop_lifts_on_a_seeded_corpus():
 
 
 def test_group_lifts_outward_chords_and_arcs_only(monkeypatch):
-    kinds = _counted_lifts(monkeypatch)
+    lifted = _counted_lifts(monkeypatch)
     B = normalize(_tower(rng_for(2041), 3)).product
     mono = monodromy_group(B)
     n = B.degree
-    assert "return" not in kinds
-    outward = sum(p.kind == "outward" for loop in mono.loops for p in loop.pieces)
-    assert Counter(kinds) == {"outward": n * outward, "arc": 2 * n * len(mono.loops)}
-    assert any(p.kind == "return" for p in mono.loops[0].pieces)
+    outward = sum(len(loop.outward) for loop in mono.loops)
+    assert Counter(lifted) == {"outward": n * outward, "arc": 2 * n * len(mono.loops)}
 
 
 def test_product_whose_return_chord_jumps_gets_its_group():
@@ -979,7 +993,7 @@ def test_seeded_generators_are_pinned():
         res = monodromy_group(B)
         assert tuple(g.images for g in res.generators) == expected
         detoured += sum(
-            any(p.kind == "outward" and p.sweep for p in loop.pieces)
+            any(p.sweep for p in loop.outward)
             for loop in res.loops
         )
     # the pins cover loops that detour round a value in their corridor
@@ -1049,17 +1063,15 @@ def test_cross_validation_on_a_two_three_composite():
 
 
 def _counted_lifts(monkeypatch):
-    """Record the kind of every piece monodromy_group lifts, once per row
+    """Record the leg of every piece monodromy_group lifts, once per row
     (loop, label) that the tracker lifts along it."""
     lifted = []
     track = monodromy._track
 
-    def counted(B, loops, kinds, labels, z, d):
-        for loop in loops:
-            for piece in loop.pieces:
-                if piece.kind in kinds:
-                    lifted.extend([piece.kind] * len(labels))
-        return track(B, loops, kinds, labels, z, d)
+    def counted(B, legs, values, leg, labels, z, d):
+        for _, pieces in legs:
+            lifted.extend([leg] * (len(pieces) * len(labels)))
+        return track(B, legs, values, leg, labels, z, d)
 
     monkeypatch.setattr(monodromy, "_track", counted)
     return lifted
@@ -1067,25 +1079,25 @@ def _counted_lifts(monkeypatch):
 
 def test_cross_validate_reuses_the_group(monkeypatch):
     # a product no other test tracks, so the first call below tracks it
-    kinds = _counted_lifts(monkeypatch)
+    lifted = _counted_lifts(monkeypatch)
     B = normalize(_tower(rng_for(2031), 2)).product
     mono = monodromy_group(B)
-    assert kinds.count("arc") == 2 * len(mono.loops) * B.degree
-    kinds.clear()
+    assert lifted.count("arc") == 2 * len(mono.loops) * B.degree
+    lifted.clear()
     cross = cross_validate(B)
-    assert kinds == []
+    assert lifted == []
     assert cross.monodromy is mono is monodromy_group(B)
     assert cross.consistent
 
 
 def test_refusal_is_tracked_again(monkeypatch):
     # a refusal is not kept: every call tracks and raises anew
-    kinds = _counted_lifts(monkeypatch)
+    lifted = _counted_lifts(monkeypatch)
     for _ in range(2):
-        kinds.clear()
+        lifted.clear()
         with pytest.raises(VerificationFailure, match="Riemann-Hurwitz"):
             monodromy_group(MERGED_VALUES_16)
-        assert kinds
+        assert lifted
 
 
 def test_prime_degree_has_no_blocks():
