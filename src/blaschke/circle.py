@@ -65,10 +65,10 @@ from .core import (
     ToleranceConfig,
     circle_samples,
     unit,
+    _IDENTITY_TOL,
     _factor_array,
     _finite,
     _origin_dropped,
-    _tol,
 )
 from .errors import InputError, SolverFailure
 
@@ -444,15 +444,11 @@ def invariant_orbit(
 
 
 def next_preimage(
-    B: BlaschkeProduct,
-    z: complex,
-    tol: ToleranceConfig | None = None,
-    steps: int = 1,
+    B: BlaschkeProduct, z: complex, tol: ToleranceConfig | None = None
 ) -> complex:
-    """The circle solution of B(w) = B(z) next after z, counterclockwise."""
-    if steps < 0:
-        steps %= B.degree
-    return invariant_orbit(B, z, steps + 1)[steps]
+    """The circle solution of B(w) = B(z) next after z, counterclockwise:
+    invariant_orbit(B, z, 2)[1]."""
+    return invariant_orbit(B, z, 2)[1]
 
 
 @dataclass(frozen=True)
@@ -466,24 +462,21 @@ class GeneratorPowerCheck:
         return self.ok
 
 
-def verify_generator_power(
-    chain: CompositionChain, tol: ToleranceConfig | None = None
-) -> GeneratorPowerCheck:
+def verify_generator_power(chain: CompositionChain) -> GeneratorPowerCheck:
     """Check g^{2^{m-1}} = phi_a for an m-factor chain of degree-2 products
     whose innermost factor vanishes at 0 and at a; the zero at 0 is the one
-    core._origin_dropped finds within identity_tol.  Any other chain raises
-    InputError, before any solve, naming the condition it fails.
+    core._origin_dropped finds within _IDENTITY_TOL.  Any other chain
+    raises InputError, before any solve, naming the condition it fails.
 
     That factor is gamma * z * phi_a for some unimodular gamma, and gamma
     does not matter: either way its fibers are the pairs {z, phi_a(z)}.
     Compares the iterated next-preimage map of the expanded chain against
     phi_a on 64 circle samples, all read off one batched level-set solve;
-    passes when the sup error stays within identity_tol.
+    passes when the sup error stays within _IDENTITY_TOL.
     """
-    tol = _tol(tol)
     if any(f.degree != 2 for f in chain.factors):
         raise InputError("every factor in the chain must have degree 2")
-    rest = _origin_dropped(chain.factors[-1].zeros, tol.identity_tol)
+    rest = _origin_dropped(chain.factors[-1].zeros)
     if rest is None:
         raise InputError("innermost factor must vanish at the origin")
     (a,) = rest
@@ -499,5 +492,5 @@ def verify_generator_power(
         err = abs(orbit[power] - phi(z))
         if err > worst:
             worst, worst_at = err, z
-    return GeneratorPowerCheck(worst <= tol.identity_tol, power, worst_at, worst)
+    return GeneratorPowerCheck(worst <= _IDENTITY_TOL, power, worst_at, worst)
 

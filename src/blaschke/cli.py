@@ -2,7 +2,8 @@
 
 Subcommands: analyze, curve, package, nrange, decompose, monodromy,
 invariants, demo.  Input is a JSON product or chain file (--input) or a named
-demo (--demo).  All reports go to stdout as JSON; curve-like commands also
+demo (--demo); every demo is a fixed literal, and no environment variable
+changes a run.  All reports go to stdout as JSON; curve-like commands also
 write CSV and SVG files into --out.  Exit codes: 0 success, 2 bad input,
 3 solver failure, 4 verification failure; each error class in errors.py
 carries its code and its stderr prefix.
@@ -18,7 +19,6 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -32,7 +32,6 @@ import numpy as np
 from .core import (
     BlaschkeProduct,
     CompositionChain,
-    DEFAULT_TOL,
     DiskAutomorphism,
     circle_samples,
     compose,
@@ -49,7 +48,6 @@ from .errors import BlaschkeError, DegenerateInput, InputError
 
 __all__ = ["main", "RunConfig", "demo_corpus"]
 
-DEFAULT_SEED = 0xB1A5
 # level values whose polygons the SVG scenes draw and the tangency audit checks
 SCENE_LAMBDAS = tuple(cmath.exp(1j * t) for t in (0.4, 2.5, 4.6))
 
@@ -57,7 +55,7 @@ SCENE_LAMBDAS = tuple(cmath.exp(1j * t) for t in (0.4, 2.5, 4.6))
 # ---------------------------------------------------------------- demo corpus
 
 
-def _elliptical8(seed: int) -> BlaschkeProduct:
+def _elliptical8() -> BlaschkeProduct:
     a = 0.5
     phi_a = DiskAutomorphism(1.0, a)
     eighth_turn = DiskAutomorphism.rotation_map(cmath.exp(1j * math.pi / 4))
@@ -67,39 +65,37 @@ def _elliptical8(seed: int) -> BlaschkeProduct:
     return compose(DiskAutomorphism(1.0, alpha).as_blaschke(), power_of_aut)
 
 
-def _nonexample84(seed: int) -> BlaschkeProduct:
+def _nonexample84() -> BlaschkeProduct:
     b = 0.84
     return BlaschkeProduct(1.0, (0j, 0j, 0j, 0j, b + 0j, -b + 0j, b * 1j, -b * 1j))
 
 
-def _deg6elliptic(seed: int) -> BlaschkeProduct:
+def _deg6elliptic() -> BlaschkeProduct:
     r = math.sqrt(0.5)
     return BlaschkeProduct(1.0, (0j, 0j, r + 0j, r + 0j, -r + 0j, -r + 0j))
 
 
-def _deg6nonelliptic(seed: int) -> BlaschkeProduct:
+def _deg6nonelliptic() -> BlaschkeProduct:
     s = 0.5 ** (1.0 / 3.0)
     w = cmath.exp(2j * math.pi / 3)
     return BlaschkeProduct(1.0, (0j, 0j, 0j, s, s * w, s * w**2))
 
 
-def _chain3(seed: int) -> CompositionChain:
-    rng = np.random.default_rng(seed)
-    factors = []
-    for _ in range(3):
-        radius = rng.uniform(0.25, 0.55)
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        factors.append(
-            BlaschkeProduct(-1.0, (0j, radius * cmath.exp(1j * angle)))
+def _chain3() -> CompositionChain:
+    # three quadratic factors z (z - b)/(1 - conj(b) z), outermost first
+    return CompositionChain(
+        (
+            BlaschkeProduct(-1.0, (0j, 0.13760744476706951 + 0.26800061937351505j)),
+            BlaschkeProduct(-1.0, (0j, 0.4857242782846331 + 0.08400615624448605j)),
+            BlaschkeProduct(-1.0, (0j, 0.4373918087197892 - 0.004234764827409691j)),
         )
-    return CompositionChain(tuple(factors))
+    )
 
 
-# one builder per demo, so --demo NAME builds only NAME; only chain3 reads
-# the seed
+# one builder per demo, so --demo NAME builds only NAME
 DEMO_BUILDERS = {
-    "power2": lambda seed: BlaschkeProduct(1.0, (0j, 0j)),
-    "power8": lambda seed: BlaschkeProduct(1.0, (0j,) * 8),
+    "power2": lambda: BlaschkeProduct(1.0, (0j, 0j)),
+    "power8": lambda: BlaschkeProduct(1.0, (0j,) * 8),
     "elliptical8": _elliptical8,
     "nonexample84": _nonexample84,
     "deg6elliptic": _deg6elliptic,
@@ -108,9 +104,9 @@ DEMO_BUILDERS = {
 }
 
 
-def demo_corpus(seed: int = DEFAULT_SEED):
+def demo_corpus():
     """The named example products addressed by tests and documentation."""
-    return {name: build(seed) for name, build in DEMO_BUILDERS.items()}
+    return {name: build() for name, build in DEMO_BUILDERS.items()}
 
 
 # ------------------------------------------------------------- JSON emission
@@ -171,10 +167,9 @@ class RunConfig:
     lambda_samples: int
     skip: int
     out_dir: Path
-    seed: int
 
 
-def _load_input(args, seed: int):
+def _load_input(args):
     chosen = [bool(args.input), bool(args.demo)]
     if sum(chosen) != 1:
         raise InputError("exactly one of --input or --demo is required")
@@ -182,7 +177,7 @@ def _load_input(args, seed: int):
         if args.demo not in DEMO_BUILDERS:
             choices = ", ".join(sorted(DEMO_BUILDERS))
             raise InputError(f"unknown demo {args.demo!r}; choices: {choices}")
-        return DEMO_BUILDERS[args.demo](seed)
+        return DEMO_BUILDERS[args.demo]()
     path = Path(args.input)
     if not path.exists():
         raise InputError(f"input file not found: {path}")
@@ -355,7 +350,7 @@ def cmd_nrange(obj, cfg: RunConfig) -> int:
     # When the product vanishes at the origin the interesting operator is the
     # compressed shift on the model space of B(z)/z, so one origin zero is
     # dropped before building the matrix.
-    rest = _origin_dropped(B.zeros, DEFAULT_TOL.identity_tol)
+    rest = _origin_dropped(B.zeros)
     origin_removed = rest is not None
     zeros = rest if origin_removed else B.zeros
     if not zeros:
@@ -496,7 +491,7 @@ def cmd_invariants(obj, cfg: RunConfig) -> int:
 
 def cmd_demo(obj, cfg: RunConfig) -> int:
     rows = []
-    for name, item in demo_corpus(cfg.seed).items():
+    for name, item in demo_corpus().items():
         chain = isinstance(item, CompositionChain)
         rows.append(
             {
@@ -506,7 +501,7 @@ def cmd_demo(obj, cfg: RunConfig) -> int:
                 "definition": _chain_dict(item) if chain else _product_dict(item),
             }
         )
-    _emit({"demos": rows, "seed": cfg.seed})
+    _emit({"demos": rows})
     return 0
 
 
@@ -544,17 +539,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        seed = int(os.environ.get("BLASCHKE_SEED", str(DEFAULT_SEED)), 0)
         cfg = RunConfig(
             lambda_samples=args.lambda_samples,
             skip=args.skip,
             out_dir=Path(args.out),
-            seed=seed,
         )
-        if args.command == "demo":
-            obj = None
-        else:
-            obj = _load_input(args, seed)
+        obj = None if args.command == "demo" else _load_input(args)
         return DISPATCH[args.command](obj, cfg)
     except BlaschkeError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import NamedTuple
 
@@ -60,37 +60,28 @@ _ROOT_TOL = 1e-12
 # the distance at or below which two critical points or zeros are one;
 # critical values, relative to the smaller modulus (critical._value_links)
 _CLUSTER_TOL = 1e-8
+# the modulus at or below which B(0) counts as 0 (is_regularized) and a zero
+# counts as the origin (_origin_dropped, the z-factor test that cli nrange,
+# the elliptical check and verify_generator_power ask), and the sup-norm
+# slack of verify_generator_power
+_IDENTITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """The one settable tolerance, identity_tol: the sup-norm slack of
-    verify_generator_power, the modulus below which is_regularized takes
-    B(0) as 0, and the slack of the z-factor test _origin_dropped, which
-    elliptical_implies_decomposable_check and verify_generator_power ask.
-
-    DEFAULT_TOL holds the default, at which every CLI subcommand runs.
-    Those three readers take tol, and so do the nine public callables that
-    perfbench/workloads.py passes DEFAULT_TOL to positionally
-    (CompositionChain.expand, normalize, critical_data, next_preimage,
-    invariant_orbit, package, is_elliptical_range, monodromy_group and
-    cross_validate), which read nothing from it.  No other function takes
-    tol; every other bound is a module constant (_ROOT_TOL, _CLUSTER_TOL,
-    poncelet._CONIC_RESIDUAL_TOL and the like).
+    """A record of _IDENTITY_TOL that takes no argument, kept because
+    perfbench reads DEFAULT_TOL.identity_tol and writes asdict(DEFAULT_TOL)
+    into its run records.  Ten public callables take tol and read nothing
+    from it: is_regularized and the nine that perfbench/workloads.py passes
+    DEFAULT_TOL to positionally (CompositionChain.expand, normalize,
+    critical_data, next_preimage, invariant_orbit, package,
+    is_elliptical_range, monodromy_group and cross_validate).
     """
 
-    identity_tol: float = 1e-9
-
-    def __post_init__(self):
-        if not (0.0 < self.identity_tol < 1.0):
-            raise InputError("identity_tol must lie in (0, 1)")
+    identity_tol: float = field(default=_IDENTITY_TOL, init=False)
 
 
 DEFAULT_TOL = ToleranceConfig()
-
-
-def _tol(tol: ToleranceConfig | None) -> ToleranceConfig:
-    return DEFAULT_TOL if tol is None else tol
 
 
 def _finite(name: str, value) -> complex:
@@ -565,16 +556,14 @@ def _zeros_separated(B: BlaschkeProduct) -> bool:
     return bool(np.all(gaps > _CLUSTER_TOL))
 
 
-def _origin_dropped(
-    zeros: tuple[complex, ...], identity_tol: float
-) -> tuple[complex, ...] | None:
+def _origin_dropped(zeros: tuple[complex, ...]) -> tuple[complex, ...] | None:
     """The zeros of B/z, the z-factor test: zeros less the first of least
-    modulus, or None when that one lies farther than identity_tol from the
+    modulus, or None when that one lies farther than _IDENTITY_TOL from the
     origin.  shiftop.shift_matrix of them is the compressed shift that nrange
     and the elliptical check read, and verify_generator_power asks it of the
     innermost factor."""
     i = min(range(len(zeros)), key=lambda i: abs(zeros[i]))
-    if abs(zeros[i]) > identity_tol:
+    if abs(zeros[i]) > _IDENTITY_TOL:
         return None
     return zeros[:i] + zeros[i + 1 :]
 
@@ -582,7 +571,8 @@ def _origin_dropped(
 def is_regularized(
     B: BlaschkeProduct, tol: ToleranceConfig | None = None
 ) -> RegularizedCheck:
-    """Check B(0) = 0, simple zeros, and the critical-value ratio condition.
+    """Check B(0) = 0 (|B(0)| at most _IDENTITY_TOL), simple zeros, and the
+    critical-value ratio condition.  tol is accepted and not read.
 
     The ratio condition: no two distinct critical values may have a ratio that
     is a positive real number (such a pair would make distinct level sets
@@ -590,7 +580,7 @@ def is_regularized(
     """
     from .critical import critical_data
 
-    zero_at_origin = abs(B.evaluate(0j)) <= _tol(tol).identity_tol
+    zero_at_origin = abs(B.evaluate(0j)) <= _IDENTITY_TOL
     simple = _zeros_separated(B)
     values = [v for v, _ in critical_data(B).distinct_values]
     violating = _positive_ratio_pairs(values)

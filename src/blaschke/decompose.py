@@ -29,14 +29,12 @@ import numpy as np
 from .core import (
     BlaschkeProduct,
     CompositionChain,
-    ToleranceConfig,
     _CLUSTER_TOL,
     _MATCH_POINTS,
     _MATCH_TOL,
     _origin_dropped,
     _proper_divisors,
     _rotation,
-    _tol,
     _tower_height,
 )
 from .circle import invariant_orbit, invariant_orbits
@@ -125,16 +123,18 @@ def factor_any_order(
     inner_factor_general(pending, p) and goes on with its outer factor.  It
     is certified by re-expansion to _MATCH_TOL on the circle, or
     VerificationFailure.  Raises DegenerateInput, before any solve, for an
-    entry below 1 or a product of entries other than the degree, and for a
-    level without an inner factor, naming the level, the pending degree,
-    the failed search and its error.
+    entry that is not an integer or is below 1 or a product of entries
+    other than the degree, and for a level without an inner factor, naming
+    the level, the pending degree, the failed search and its error.
     """
     return _certified_chain(B, ordering)[0]
 
 
 def _certified_chain(B: BlaschkeProduct, ordering) -> tuple[CompositionChain, float]:
     """factor_any_order's chain and its re-expansion error."""
-    ordering = tuple(int(p) for p in ordering)
+    if not all(isinstance(p, (int, np.integer)) for p in ordering):
+        raise DegenerateInput(f"ordering entries must be integers, got {ordering!r}")
+    ordering = tuple(map(int, ordering))
     if not ordering or any(p < 1 for p in ordering):
         raise DegenerateInput("ordering must be nonempty with positive entries")
     if math.prod(ordering) != B.degree:
@@ -325,20 +325,20 @@ class EllipticalDecomposableReport:
 
 
 def elliptical_implies_decomposable_check(
-    B: BlaschkeProduct, tol: ToleranceConfig | None = None
+    B: BlaschkeProduct,
 ) -> EllipticalDecomposableReport:
     """Elliptical numerical range should come with every divisor shape.
 
     The matrix model is built from the zeros of B with one zero within
-    identity_tol of the origin removed (core._origin_dropped, the
+    core._IDENTITY_TOL of the origin removed (core._origin_dropped, the
     compressed shift of B/z); if its numerical range is an ellipse, a
     factorization must exist for every proper divisor of the degree, and
     each is searched for directly with inner_factor_general; the rows are
     the search results, _divisor_rows.  Raises DegenerateInput, before any
     search or sweep, when B/z has no model space: no zero lies within
-    identity_tol of the origin, or the degree is 1.
+    core._IDENTITY_TOL of the origin, or the degree is 1.
     """
-    rest = _origin_dropped(B.zeros, _tol(tol).identity_tol)
+    rest = _origin_dropped(B.zeros)
     if not rest:
         raise DegenerateInput(
             "B(z)/z has no model space: a zero at the origin (the z factor) "

@@ -63,6 +63,7 @@ from .core import (
     ToleranceConfig,
     _CLUSTER_TOL,
     _ROOT_TOL,
+    _finite,
     _proper_divisors,
     _zeros_separated,
 )
@@ -333,16 +334,17 @@ def build_loops(values) -> tuple[LoopSpec, ...]:
 
     The radius is 0.45 of the smallest of: pairwise value distances, value
     distances to the unit circle, value distances to the base point 0.  Every
-    loop therefore clears every other value by more than the radius.  Two
-    values that critical_data counts as one (critical._value_links), a
-    value within _ROOT_TOL of 0 (where a value counts as 0) or one within
+    loop therefore clears every other value by more than the radius.  A NaN
+    or infinite value raises InputError before any comparison.  Two values
+    that critical_data counts as one (critical._value_links), a value
+    within _ROOT_TOL of 0 (where a value counts as 0) or one within
     _CLUSTER_TOL of the circle raise GeometryFailure.  A loop's outward leg
     is the chords from 0 to the entry point v - r v/|v| (with one arc of
     radius r round each value in the corridor), and its circle is the
     circle about v as two half-turn arcs through the entry point; every
     piece must keep 0.9 r from every other value, or GeometryFailure.
     """
-    vals = [complex(v) for v in values]
+    vals = [_finite("critical value", v) for v in values]
     if not vals:
         raise GeometryFailure("no critical values; nothing to loop around")
     points = np.array(vals)

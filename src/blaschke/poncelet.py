@@ -184,6 +184,22 @@ def _envelopes_from_table(skips, table: _LevelTable) -> list[EnvelopeCurve]:
     ]
 
 
+def _check_skip(n: int, skip: int) -> None:
+    """InputError unless skip names one of the n // 2 chord families of a
+    degree-n product: envelope's and closure_order's gate."""
+    if not 0 <= skip <= n // 2 - 1:
+        raise InputError(f"skip must lie in [0, {n // 2 - 1}] for degree {n}")
+
+
+def _level_count(n: int, samples: int) -> int:
+    """max(2, ceil(samples/n)) level sets, each giving every envelope of a
+    degree-n product n points, or InputError below 6 samples: envelope's
+    and package's gate."""
+    if samples < 6:
+        raise InputError("need at least 6 envelope samples")
+    return max(2, -(-samples // n))
+
+
 def envelope(Bhat: BlaschkeProduct, skip: int, samples: int = 720) -> EnvelopeCurve:
     """Envelope of the chords connecting vertex j to vertex j + skip + 1.
 
@@ -194,11 +210,8 @@ def envelope(Bhat: BlaschkeProduct, skip: int, samples: int = 720) -> EnvelopeCu
     n = Bhat.degree
     if n < 2:
         raise InputError("envelope needs degree at least 2")
-    if not 0 <= skip <= n // 2 - 1:
-        raise InputError(f"skip must lie in [0, {n // 2 - 1}] for degree {n}")
-    if samples < 6:
-        raise InputError("need at least 6 envelope samples")
-    per_chord = max(2, -(-samples // n))
+    _check_skip(n, skip)
+    per_chord = _level_count(n, samples)
     return _envelopes_from_table([skip], _level_sets(Bhat, per_chord))[0]
 
 
@@ -424,8 +437,10 @@ def closure_order(Bhat: BlaschkeProduct, skip: int) -> int:
     against the re-solved n-th iterate of the start, so closure is still a
     measured property, not an assumption.  That level set is kept in
     circle's level-set memo, so the other skips of the same product solve
-    nothing.  VerificationFailure if it never closes.
+    nothing.  VerificationFailure if it never closes; a skip outside
+    [0, n // 2 - 1] raises InputError before any solve, as in envelope.
     """
+    _check_skip(Bhat.degree, skip)
     orbit = invariant_orbit(Bhat, 1.0 + 0j, Bhat.degree + 1)
     return _hops_to_close(orbit, skip)
 
@@ -475,12 +490,13 @@ def package(
     The n/2 envelopes come from one stacked pass over the
     table, and their conic fits share one stacked design matrix, SVD and
     residual pass before each is classified; entry by entry the result is
-    that of envelope, fit_conic and closure_order.
+    that of envelope, fit_conic and closure_order, and fewer than 6
+    samples raise InputError, as in envelope.
     """
     n = Bhat.degree
     if n < 2:
         raise InputError("package needs degree at least 2")
-    per_chord = max(2, -(-samples // n))
+    per_chord = _level_count(n, samples)
     t = TAU * np.arange(per_chord) / per_chord
     through_one = _circle_terms(Bhat, np.array([1.0 + 0j]))[0]
     _, _, points, rate = _solve_level_arrays(

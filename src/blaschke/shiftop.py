@@ -88,8 +88,8 @@ def _as_matrix(A) -> np.ndarray:
     if isinstance(A, ShiftMatrix):
         return A.entries
     M = np.asarray(A, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InputError("expected a square matrix")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or not M.size:
+        raise InputError("expected a nonempty square matrix")
     return M
 
 

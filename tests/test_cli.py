@@ -78,7 +78,8 @@ def test_demo_lists_the_corpus(tmp_path):
     r = run_cli("demo", cwd=tmp_path)
     assert r.returncode == 0
     data = json.loads(r.stdout)
-    assert data["seed"] == 0xB1A5
+    # the corpus is fixed, so the report names no seed
+    assert list(data) == ["demos"]
     names = [row["name"] for row in data["demos"]]
     assert names == list(DEMOS)
     kinds = {row["name"]: row["kind"] for row in data["demos"]}
@@ -370,15 +371,12 @@ def test_zero_outside_disk_rejected(tmp_path):
 def test_bad_skip_and_empty_grid(tmp_path):
     r = run_cli("curve", "--demo", "power8", "--skip", "9", cwd=tmp_path)
     assert r.returncode == 2
-    r = run_cli(
-        "curve", "--demo", "power8", "--lambda-samples", "0", cwd=tmp_path
-    )
-    assert r.returncode == 2
-
-
-def test_bad_seed_env(tmp_path):
-    r = run_cli("demo", cwd=tmp_path, env={"BLASCHKE_SEED": "pelican"})
-    assert r.returncode == 2
+    for command in ("curve", "package", "nrange"):
+        r = run_cli(
+            command, "--demo", "power8", "--lambda-samples", "0", cwd=tmp_path
+        )
+        assert r.returncode == 2, command
+        assert r.stderr.startswith("input error: need at least"), command
 
 
 def test_solver_failure_maps_to_exit_3(tmp_path):
@@ -590,45 +588,37 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert files_first == files_second
 
 
-def test_seed_env_changes_the_random_chain(tmp_path):
-    base = run_cli("demo", cwd=tmp_path)
-    seeded = run_cli("demo", cwd=tmp_path, env={"BLASCHKE_SEED": "7"})
-    assert base.returncode == seeded.returncode == 0
-    d0 = json.loads(base.stdout)
-    d7 = json.loads(seeded.stdout)
-    assert d7["seed"] == 7
-    chain0 = [r for r in d0["demos"] if r["name"] == "chain3"][0]
-    chain7 = [r for r in d7["demos"] if r["name"] == "chain3"][0]
-    assert chain0["definition"] != chain7["definition"]
-    for fixed0, fixed7 in zip(d0["demos"], d7["demos"]):
-        if fixed0["name"] != "chain3":
-            assert fixed0 == fixed7
-
-
 # ------------------------------------------------------------- start-up cost
 
 
 def test_demo_builders_agree_with_the_corpus():
     # the corpus keeps its names and order, and each entry is, to the bit,
-    # what its own builder makes: the one a --demo run calls alone
+    # what its own builder makes, taking no argument: the one a --demo run
+    # calls alone
     corpus = cli.demo_corpus()
     assert list(corpus) == list(DEMOS) == list(cli.DEMO_BUILDERS)
     for name, item in corpus.items():
-        built = cli.DEMO_BUILDERS[name](cli.DEFAULT_SEED)
+        built = cli.DEMO_BUILDERS[name]()
         assert type(built) is type(item)
         assert repr(built) == repr(item), name
+    assert [f.zeros[1] for f in corpus["chain3"].factors] == [
+        0.13760744476706951 + 0.26800061937351505j,
+        0.4857242782846331 + 0.08400615624448605j,
+        0.4373918087197892 - 0.004234764827409691j,
+    ]
 
 
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 from blaschke import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main([sys.argv[1], "--demo", "power2", "--out", "out"])
+    code = cli.main([sys.argv[1], "--demo", sys.argv[2], "--out", "out"])
 print(json.dumps({"exit": code, "modules": sorted(sys.modules)}))
 """
 
 # what each subcommand must not import: monodromy, poncelet and decompose
-# are the costly modules, and numpy.random only the seeded chain3 needs
+# are the costly modules, and no subcommand needs numpy.random, chain3 being
+# a fixed chain
 UNUSED_MODULES = {
     "analyze": {"blaschke.monodromy", "blaschke.poncelet", "blaschke.decompose"},
     "curve": {"blaschke.monodromy", "blaschke.decompose"},
@@ -642,16 +632,17 @@ UNUSED_MODULES = {
 
 @pytest.mark.parametrize("command", sorted(UNUSED_MODULES))
 def test_subcommands_import_only_their_modules(tmp_path, command):
-    r = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, command],
-        capture_output=True,
-        text=True,
-        cwd=tmp_path,
-        env=child_env(),
-    )
-    assert r.returncode == 0, r.stderr
-    report = json.loads(r.stdout)
-    assert report["exit"] == 0
-    loaded = set(report["modules"])
-    assert "blaschke.cli" in loaded
-    assert not loaded & (UNUSED_MODULES[command] | {"numpy.random"})
+    for demo in ("power2", "chain3"):
+        r = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, command, demo],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=child_env(),
+        )
+        assert r.returncode == 0, r.stderr
+        report = json.loads(r.stdout)
+        assert report["exit"] == 0
+        loaded = set(report["modules"])
+        assert "blaschke.cli" in loaded
+        assert not loaded & (UNUSED_MODULES[command] | {"numpy.random"}), demo

@@ -30,6 +30,7 @@ from blaschke import (
 )
 from blaschke.core import (
     _CLUSTER_TOL,
+    _IDENTITY_TOL,
     _ROOT_TOL,
     _positive_ratio_pairs,
     _proper_divisors,
@@ -563,45 +564,56 @@ def test_regularized_examples():
 
 
 def test_identity_tol_is_the_one_setting():
+    # identity_tol is the module constant _IDENTITY_TOL; ToleranceConfig is
+    # the record of it that the benchmark reads and writes into its runs
+    assert _IDENTITY_TOL == 1e-9
     assert [f.name for f in dataclasses.fields(ToleranceConfig)] == ["identity_tol"]
-    assert DEFAULT_TOL == ToleranceConfig(identity_tol=1e-9)
+    assert DEFAULT_TOL.identity_tol == _IDENTITY_TOL
+    assert dataclasses.asdict(DEFAULT_TOL) == {"identity_tol": 1e-9}
+    assert ToleranceConfig() == DEFAULT_TOL
+
+
+def test_tolerance_config_takes_no_argument():
+    # a setting that nothing reads is refused, not silently ignored
+    with pytest.raises(TypeError):
+        ToleranceConfig(identity_tol=1e-6)
+    with pytest.raises(TypeError):
+        ToleranceConfig(1e-6)
     with pytest.raises(TypeError):
         ToleranceConfig(cluster_tol=1e-8)
-    for bad in (0.0, 1.0, -1e-9, math.nan):
-        with pytest.raises(InputError, match="identity_tol must lie in"):
-            ToleranceConfig(identity_tol=bad)
 
 
 def test_is_regularized_honours_identity_tol():
-    # B(0) = 5e-8 lies between the default identity_tol and 1e-6
-    B = BlaschkeProduct(1.0, (1e-7 + 0j, 0.5 + 0j))
-    assert 1e-9 < abs(B(0j)) < 1e-6
-    assert not is_regularized(B).zero_at_origin
-    assert is_regularized(B, ToleranceConfig(identity_tol=1e-6)).zero_at_origin
+    # B(0) = 0.5 x for B with zeros x and 0.5: 5e-10 is taken for 0 within
+    # _IDENTITY_TOL, 5e-9 is not, and the tol slot changes neither
+    for x, at_origin in ((1e-9, True), (1e-8, False)):
+        B = BlaschkeProduct(1.0, (x + 0j, 0.5 + 0j))
+        assert abs(B(0j)) == pytest.approx(0.5 * x)
+        assert is_regularized(B).zero_at_origin is at_origin
+        assert is_regularized(B, DEFAULT_TOL).zero_at_origin is at_origin
 
 
 def test_kept_results_are_keyed_on_the_product_alone():
-    # a non-default tolerance is no second key and no second solve
+    # the unread tol slot is no second key, and an equal product is no
+    # second solve
     B = normalize(random_product(rng_for(5150), 4)).product
-    other = ToleranceConfig(identity_tol=1e-6)
+    twin = BlaschkeProduct(B.gamma, B.zeros)
     for kept, ask in (
-        (_critical_data, lambda tol: critical_data(B, tol)),
-        (_monodromy_group, lambda tol: monodromy_group(B, tol)),
+        (_critical_data, critical_data),
+        (_monodromy_group, monodromy_group),
     ):
         kept.cache_clear()
-        first = ask(None)
-        assert ask(other) is first
-        assert ask(DEFAULT_TOL) is first
+        first = ask(B)
+        assert ask(B, DEFAULT_TOL) is first
+        assert ask(twin) is first
         info = kept.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
 
 
-# the public callables that take tol: the three readers of identity_tol, and
-# nine that perfbench/workloads.py passes DEFAULT_TOL to positionally
+# the public callables that take tol, none of which reads it: is_regularized,
+# and the nine that perfbench/workloads.py passes DEFAULT_TOL to positionally
 TOL_TAKERS = {
     "core.is_regularized",
-    "circle.verify_generator_power",
-    "decompose.elliptical_implies_decomposable_check",
     "core.CompositionChain.expand",
     "core.normalize",
     "critical.critical_data",

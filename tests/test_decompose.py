@@ -219,6 +219,20 @@ def test_factor_any_order(products, orderings, successes):
     assert found == successes
 
 
+@pytest.mark.parametrize("ordering", [[2.9, 2.1], [2.0, 2], ["a"], [2, None]])
+def test_factor_any_order_refuses_an_entry_that_is_not_an_integer(monkeypatch, ordering):
+    # no entry is rounded or parsed: 2.9 is not read as 2, and the refusal
+    # comes before any search
+    T = compose(BlaschkeProduct(1, (0j, 0.3 + 0.2j)), BlaschkeProduct(1, (0j, -0.4j)))
+
+    def searched(*args):
+        raise AssertionError("searched for an inner factor")
+
+    monkeypatch.setattr(decompose, "inner_factor_general", searched)
+    with pytest.raises(DegenerateInput, match="ordering entries must be integers"):
+        factor_any_order(T, ordering)
+
+
 # ------------------------------------------------------- general inner factor
 
 

@@ -5,6 +5,7 @@ checkout would, so a stale read or call on a branch the rest of the suite
 never reaches fails here, offline.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -28,7 +29,7 @@ def _matches(pattern: str, *paths: str, exclude: str | None = None) -> list[str]
 
 
 def test_no_read_of_a_removed_tolerance_field():
-    # ToleranceConfig carries only identity_tol.  The suite runs most of the
+    # every tolerance is a module constant.  The suite runs most of the
     # CLI in child processes and never reaches some refusal branches, so a
     # stale read there would only show as an AttributeError in use
     assert _matches(r"\.(root_tol|cluster_tol|conic_residual_tol)\b", "src", "tests") == []
@@ -77,8 +78,29 @@ def test_one_divisor_table_and_one_home_for_the_shape_of_n():
 def test_the_cli_restates_no_library_gate():
     # the elliptical check and verify_generator_power each decide when they
     # apply and raise otherwise; the CLI calls them and leaves a refused
-    # block out, and reads identity_tol only where nrange chooses its model
-    # space
+    # block out, reads no tolerance, and asks the z-factor test only where
+    # nrange chooses its model space
     assert _matches("_generator_power_refusal", "src") == []
     cli = (ROOT / "src/blaschke/cli.py").read_text()
-    assert len(re.findall("identity_tol", cli)) == 1
+    assert re.findall("identity_tol|DEFAULT_TOL", cli, re.IGNORECASE) == []
+    assert len(re.findall(r"_origin_dropped\(", cli)) == 1
+
+
+def test_the_library_reads_no_environment():
+    # every setting is a constant or an argument: no environment variable
+    # changes what the library or the CLI computes
+    assert _matches(r"\bos\.environ\b|\bgetenv\b|\benviron\[", "src/blaschke") == []
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml and the README promise Python 3.10, and CI runs only a
+    # later version, so syntax that 3.10 lacks would otherwise pass there
+    failures = []
+    for d in ("src", "tests", "perfbench"):
+        for f in sorted((ROOT / d).rglob("*.py")):
+            path = f.relative_to(ROOT)
+            try:
+                ast.parse(f.read_text(), filename=str(path), feature_version=(3, 10))
+            except SyntaxError as exc:
+                failures.append(f"{path}:{exc.lineno}: {exc.msg}")
+    assert failures == []

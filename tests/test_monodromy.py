@@ -415,6 +415,10 @@ def test_loop_rejects_bad_value_sets():
         build_loops([1e-12 + 0j])
     with pytest.raises(GeometryFailure):
         build_loops([0.999999999 + 0j])
+    # every comparison with NaN is False, so no geometry test would see one
+    for bad in (math.nan, complex(0.3, math.inf)):
+        with pytest.raises(InputError, match="critical value .* is not finite"):
+            build_loops([0.3 + 0.1j, bad])
 
 
 # ----------------------------------------------------------------- continuation

@@ -237,11 +237,21 @@ def test_envelope_points_inside_disk():
 
 
 def test_envelope_skip_range_checked():
-    Bh = B84
-    with pytest.raises(InputError):
-        envelope(Bh, 4, 120)
-    with pytest.raises(InputError):
-        envelope(Bh, -1, 120)
+    # closure_order applies envelope's gate
+    degree3 = BlaschkeProduct(1.0, (0j, 0.2 + 0j, 0.3j))
+    for B, skip in ((B84, 4), (B84, 5), (B84, -1), (degree3, -1)):
+        with pytest.raises(InputError, match="skip must lie in"):
+            envelope(B, skip, 120)
+        with pytest.raises(InputError, match="skip must lie in"):
+            closure_order(B, skip)
+
+
+@pytest.mark.parametrize("samples", [5, 0, -3])
+def test_package_checks_the_samples_as_envelope_does(samples):
+    with pytest.raises(InputError, match="at least 6 envelope samples"):
+        envelope(B84, 0, samples)
+    with pytest.raises(InputError, match="at least 6 envelope samples"):
+        package(B84, samples)
 
 
 def test_envelope_tangency_touches_chord():
@@ -384,7 +394,7 @@ def test_closure_order_solves_one_level_set(monkeypatch):
         assert calls[0] == (1 if skip == 0 else 0)
 
 
-@pytest.mark.parametrize("degree,samples", [(3, 240), (8, 5), (8, 360), (11, 720)])
+@pytest.mark.parametrize("degree,samples", [(3, 240), (8, 6), (8, 360), (11, 720)])
 def test_package_solves_table_plus_one_level_set(monkeypatch, degree, samples):
     B = random_product(rng_for(412 + degree), degree, radius=0.8)
     calls = _count_solves(monkeypatch)
@@ -414,7 +424,7 @@ def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
-@pytest.mark.parametrize("degree,samples", [(3, 240), (8, 5), (12, 720), (17, 720)])
+@pytest.mark.parametrize("degree,samples", [(3, 240), (8, 6), (12, 720), (17, 720)])
 def test_level_table_arrays_match_the_tuple_path(monkeypatch, degree, samples):
     # the table reads the solve's arrays directly; every array of it, and
     # every package answer built on it, is bit-identical to the tuple path

@@ -34,6 +34,12 @@ def test_non_finite_zero_rejected():
         shift_matrix([0.2, complex(math.nan, 0.0)])
 
 
+@pytest.mark.parametrize("sweep", [numerical_range_boundary, is_elliptical_range])
+def test_empty_matrix_is_an_input_error(sweep):
+    with pytest.raises(InputError, match="nonempty"):
+        sweep(np.zeros((0, 0)))
+
+
 def test_matrix_entries_jordan():
     A = shift_matrix([0j, 0j, 0j])
     M = np.array(A.entries)
@@ -90,12 +96,14 @@ def test_shift_matrix_matches_the_entrywise_loop_to_the_bit():
 
 def test_origin_dropped_takes_the_least_modulus_zero():
     zeros = (1e-10 + 0j, 0j, 0.5 + 0j, -0.4j)
-    assert _origin_dropped(zeros, 1e-9) == (1e-10 + 0j, 0.5 + 0j, -0.4j)
+    assert _origin_dropped(zeros) == (1e-10 + 0j, 0.5 + 0j, -0.4j)
     # the first of equal moduli goes, and nothing goes when no zero is
-    # within the slack
-    assert _origin_dropped((0j, 0.3 + 0j, 0j), 1e-9) == (0.3 + 0j, 0j)
-    assert _origin_dropped((1e-8 + 0j, 0.3 + 0j), 1e-9) is None
-    assert _origin_dropped((0j,), 1e-9) == ()
+    # within _IDENTITY_TOL = 1e-9
+    assert _origin_dropped((0j, 0.3 + 0j, 0j)) == (0.3 + 0j, 0j)
+    assert _origin_dropped((5e-10 + 0j, 0.3 + 0j)) == (0.3 + 0j,)
+    assert _origin_dropped((5e-9 + 0j, 0.3 + 0j)) is None
+    assert _origin_dropped((1e-8 + 0j, 0.3 + 0j)) is None
+    assert _origin_dropped((0j,)) == ()
 
 
 def test_eigenvalues_are_the_zeros():
