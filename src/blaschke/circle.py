@@ -65,9 +65,10 @@ from .core import (
     ToleranceConfig,
     circle_samples,
     unit,
-    _IDENTITY_TOL,
+    _MATCH_TOL,
     _factor_array,
     _finite,
+    _integer,
     _origin_dropped,
 )
 from .errors import InputError, SolverFailure
@@ -418,11 +419,11 @@ def invariant_orbits(
 
     Every row is read off _level_sets_through(B, starts), so all their level
     sets come from one solve_levels call, and asking again with the same
-    product and starts solves nothing.  A NaN or infinite start raises
-    InputError.  No circle solve reads a tolerance, so none is part of the
-    memo's key.
+    product and starts solves nothing.  A NaN or infinite start, or a count
+    that is not an integer of at least 1, raises InputError.  No circle
+    solve reads a tolerance, so none is part of the memo's key.
     """
-    if count < 1:
+    if _integer(count, "orbit length must be an integer") < 1:
         raise InputError("orbit length must be at least 1")
     starts = tuple(unit(_finite("start", z)) for z in starts)
     sols = _level_sets_through(B, starts)
@@ -465,14 +466,17 @@ class GeneratorPowerCheck:
 def verify_generator_power(chain: CompositionChain) -> GeneratorPowerCheck:
     """Check g^{2^{m-1}} = phi_a for an m-factor chain of degree-2 products
     whose innermost factor vanishes at 0 and at a; the zero at 0 is the one
-    core._origin_dropped finds within _IDENTITY_TOL.  Any other chain
+    core._origin_dropped finds within core._IDENTITY_TOL.  Any other chain
     raises InputError, before any solve, naming the condition it fails.
 
     That factor is gamma * z * phi_a for some unimodular gamma, and gamma
     does not matter: either way its fibers are the pairs {z, phi_a(z)}.
     Compares the iterated next-preimage map of the expanded chain against
     phi_a on 64 circle samples, all read off one batched level-set solve;
-    passes when the sup error stays within _IDENTITY_TOL.
+    passes when the sup error stays within core._MATCH_TOL, the certificate
+    of every circle match.  A zero the gate takes for 0 may lie up to
+    core._IDENTITY_TOL from it, which moves g^{2^{m-1}} off phi_a by up to
+    2 (1 + |a|) core._IDENTITY_TOL, below that mark.
     """
     if any(f.degree != 2 for f in chain.factors):
         raise InputError("every factor in the chain must have degree 2")
@@ -492,5 +496,5 @@ def verify_generator_power(chain: CompositionChain) -> GeneratorPowerCheck:
         err = abs(orbit[power] - phi(z))
         if err > worst:
             worst, worst_at = err, z
-    return GeneratorPowerCheck(worst <= _IDENTITY_TOL, power, worst_at, worst)
+    return GeneratorPowerCheck(worst <= _MATCH_TOL, power, worst_at, worst)
 

@@ -44,7 +44,7 @@ from .core import (
     _parse_json,
     _tower_height,
 )
-from .errors import BlaschkeError, DegenerateInput, InputError
+from .errors import BlaschkeError, DegenerateInput, InputError, VerificationFailure
 
 __all__ = ["main", "RunConfig", "demo_corpus"]
 
@@ -379,7 +379,12 @@ def cmd_nrange(obj, cfg: RunConfig) -> int:
 
 
 def cmd_decompose(obj, cfg: RunConfig) -> int:
-    from .decompose import _divisor_rows, chain_2n, elliptical_implies_decomposable_check
+    from .decompose import (
+        _chain_error,
+        _divisor_rows,
+        elliptical_implies_decomposable_check,
+        factor_any_order,
+    )
 
     B = _as_product(obj)
     n = B.degree
@@ -387,16 +392,17 @@ def cmd_decompose(obj, cfg: RunConfig) -> int:
 
     k = _tower_height(n)
     if k is not None and k >= 2:
-        rep = chain_2n(B)
-        if rep.found:
-            record = rep.chains[0]
-            report["chain"] = {
-                **_chain_dict(record.chain),
-                "degrees": record.factor_degrees,
-                "verification_error": record.verification_error,
-            }
+        shape = (2,) * k
+        try:
+            chain = factor_any_order(B, shape)
+        except (DegenerateInput, VerificationFailure) as exc:
+            report["chain"] = {"failures": [{"shape": shape, "reason": str(exc)}]}
         else:
-            report["chain"] = {"failures": [asdict(f) for f in rep.failures]}
+            report["chain"] = {
+                **_chain_dict(chain),
+                "degrees": shape,
+                "verification_error": _chain_error(chain, B),
+            }
 
     rows = []
     for res in _divisor_rows(B):

@@ -62,8 +62,7 @@ _ROOT_TOL = 1e-12
 _CLUSTER_TOL = 1e-8
 # the modulus at or below which B(0) counts as 0 (is_regularized) and a zero
 # counts as the origin (_origin_dropped, the z-factor test that cli nrange,
-# the elliptical check and verify_generator_power ask), and the sup-norm
-# slack of verify_generator_power
+# the elliptical check and verify_generator_power ask)
 _IDENTITY_TOL = 1e-9
 
 
@@ -92,6 +91,17 @@ def _finite(name: str, value) -> complex:
     if not cmath.isfinite(c):
         raise InputError(f"{name} {c} is not finite")
     return c
+
+
+def _integer(value, refusal: str, error: type[InputError] = InputError) -> int:
+    """value as an int when it is a Python or numpy integer, or error
+    "{refusal}, got {value!r}", so 2.0 and 2.9 are refused, never truncated:
+    the check of inner_factor_general's k, factor_any_order's entries,
+    invariant_orbits' count, poncelet's skip and samples and
+    numerical_range_boundary's samples, before any range check."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    raise error(f"{refusal}, got {value!r}")
 
 
 def unit(c: complex) -> complex:
@@ -268,18 +278,6 @@ class BlaschkeProduct:
             slope[zero] = at_zero
         return _shaped(value, points), _shaped(slope, points)
 
-    def to_json(self) -> str:
-        """Serialize as {"gamma":[re,im],"zeros":[[re,im],...]}, 17 digits."""
-        g = f"[{format_float(self.gamma.real)},{format_float(self.gamma.imag)}]"
-        zs = ",".join(
-            f"[{format_float(a.real)},{format_float(a.imag)}]" for a in self.zeros
-        )
-        return f'{{"gamma":{g},"zeros":[{zs}]}}'
-
-    @staticmethod
-    def from_json(text: str) -> "BlaschkeProduct":
-        return BlaschkeProduct._from_json_dict(_parse_json(text))
-
     @staticmethod
     def _from_json_dict(data) -> "BlaschkeProduct":
         if not isinstance(data, dict) or "gamma" not in data or "zeros" not in data:
@@ -324,11 +322,6 @@ class DiskAutomorphism:
             return self.rotation * (c - z) / (1.0 - np.conj(c) * z)
         z = complex(z)
         return self.rotation * (c - z) / (1.0 - c.conjugate() * z)
-
-    def inverse(self) -> "DiskAutomorphism":
-        return DiskAutomorphism(
-            self.rotation.conjugate(), self.rotation * self.center
-        )
 
     def _matrix(self) -> np.ndarray:
         lam, c = self.rotation, self.center
@@ -385,14 +378,6 @@ class CompositionChain:
     @cached_property
     def _expanded(self) -> BlaschkeProduct:
         return reduce(compose, self.factors)
-
-    def to_json(self) -> str:
-        inner = ",".join(f.to_json() for f in self.factors)
-        return f'{{"factors":[{inner}]}}'
-
-    @staticmethod
-    def from_json(text: str) -> "CompositionChain":
-        return _chain_from_json_dict(_parse_json(text))
 
 
 def _chain_from_json_dict(data) -> CompositionChain:
@@ -458,8 +443,7 @@ def compose(outer: BlaschkeProduct, inner: BlaschkeProduct) -> BlaschkeProduct:
 class NormalizedForm(NamedTuple):
     """normalize() result: product = post o B o pre with product(0) = 0,
     product'(0) > 0, and simple zeros.  pre is an involution (rotation 1), so
-    B = post.inverse() o product o pre, certified to _MATCH_TOL on the
-    circle."""
+    B = post^-1 o product o pre, certified to _MATCH_TOL on the circle."""
 
     product: BlaschkeProduct
     pre: DiskAutomorphism

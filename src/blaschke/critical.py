@@ -36,11 +36,6 @@ its points stay simple.  Clusters come from single linkage on one matrix
 of pairwise distances, built once per cluster merge.  The critical values
 are one array evaluation of B over the distinct points; two are one value
 when they agree to _CLUSTER_TOL relative to the smaller (_value_links).
-
-One critical value.  one_critical_value_form recognizes B = tau o phi_a^n,
-the products with a single critical value; it builds no chain.  Chains
-along a factorization of n, for these products and any other, come from
-decompose.factor_any_order.
 """
 
 from __future__ import annotations
@@ -55,16 +50,13 @@ import numpy as np
 from .core import (
     BlaschkeProduct,
     CompositionChain,
-    DiskAutomorphism,
     ToleranceConfig,
     circle_samples,
     _CLUSTER_TOL,
-    _MATCH_POINTS,
     _ROOT_TOL,
     _finite,
-    _matched_rotation,
 )
-from .errors import CountMismatch, DegenerateInput, SolverFailure, VerificationFailure
+from .errors import CountMismatch, DegenerateInput, SolverFailure
 from .shiftop import shift_matrix
 
 __all__ = [
@@ -73,8 +65,6 @@ __all__ = [
     "critical_data",
     "ValueBoundReport",
     "check_value_bound",
-    "OneCriticalValueForm",
-    "one_critical_value_form",
 ]
 
 
@@ -484,43 +474,3 @@ def check_value_bound(chain: CompositionChain) -> ValueBoundReport:
     expanded = chain.expand()
     count = len(critical_data(expanded).distinct_values)
     return ValueBoundReport(count <= bound, count, bound, degrees)
-
-
-@dataclass(frozen=True)
-class OneCriticalValueForm:
-    """B = tau o phi_point^degree for a disk automorphism tau."""
-
-    tau: DiskAutomorphism
-    point: complex
-
-
-def one_critical_value_form(B: BlaschkeProduct) -> OneCriticalValueForm | None:
-    """Detect B = tau o phi_a^n (single critical value); None otherwise.
-
-    When the critical data collapses to one value, all n-1 critical points
-    agree on one point a.  Since phi_a^n(a) = 0, tau(0) = v = B(a), so
-    phi_v o tau fixes 0 and is a rotation: phi_v o B = rho phi_a^n, rho from
-    core._matched_rotation on the circle, and tau = phi_v(rho w) =
-    DiskAutomorphism(rho, v conj(rho)).  A sup error of that match above
-    core._MATCH_TOL raises VerificationFailure.
-    """
-    cd = critical_data(B)
-    if len(cd.distinct_values) != 1:
-        return None
-    pts = cd.points_in_disk
-    a = sum(pts) / len(pts)
-    if any(abs(p - a) > _CLUSTER_TOL for p in pts):
-        raise VerificationFailure(
-            "single critical value but critical points do not coincide"
-        )
-    # phi_a^n: zero a of multiplicity n, gamma (-1)^n
-    base = BlaschkeProduct((-1.0) ** B.degree, (a,) * B.degree)
-    v = B.evaluate(a)
-    z = _MATCH_POINTS
-    rho = _matched_rotation(
-        DiskAutomorphism(1.0, v)(B.evaluate(z)),
-        base.evaluate(z),
-        "one-critical-value form mismatch",
-    )
-    tau = DiskAutomorphism(rho, v * rho.conjugate())
-    return OneCriticalValueForm(tau, a)

@@ -9,12 +9,10 @@
   re-expansion, and failure is reported with its reason, never guessed.
 
 * factor_any_order: the one route to a chain whose factor degrees follow
-  a factorization of n.  It peels inner factors with inner_factor_general
+  a factorization of n, the paper's chain of quadratic maps for a degree-2^k
+  product among them.  It peels inner factors with inner_factor_general
   from the innermost entry outward, continuing with each outer factor,
   certifies the chain by re-expansion, and raises when either step fails.
-  chain_2n is its report for the (2, ..., 2) case, a degree-2^k product as
-  a chain of k quadratic maps: the chain with its certified error, or the
-  raised message as the one failure reason.
 """
 
 from __future__ import annotations
@@ -32,10 +30,10 @@ from .core import (
     _CLUSTER_TOL,
     _MATCH_POINTS,
     _MATCH_TOL,
+    _integer,
     _origin_dropped,
     _proper_divisors,
     _rotation,
-    _tower_height,
 )
 from .circle import invariant_orbit, invariant_orbits
 from .critical import _cluster_values, _secular_roots, _secular_zeros
@@ -43,10 +41,6 @@ from .errors import DegenerateInput, InputError, VerificationFailure
 from .shiftop import RangeVerdict, is_elliptical_range, shift_matrix
 
 __all__ = [
-    "ChainRecord",
-    "ShapeFailure",
-    "DecompositionReport",
-    "chain_2n",
     "factor_any_order",
     "InnerFactorResult",
     "inner_factor_general",
@@ -57,58 +51,14 @@ __all__ = [
 
 def _chain_error(chain, B: BlaschkeProduct) -> float:
     """Sup distance between chain and B on the 100 _MATCH_POINTS, each side
-    evaluated on all the points as one array."""
+    evaluated on all the points as one array: factor_any_order's
+    certificate, and the verification error that cli decompose prints."""
     z = _MATCH_POINTS
     return float(np.abs(chain(z) - B.evaluate(z)).max())
 
 
-@dataclass(frozen=True)
-class ChainRecord:
-    chain: CompositionChain
-    factor_degrees: tuple[int, ...]
-    verification_error: float
-
-
-@dataclass(frozen=True)
-class ShapeFailure:
-    shape: tuple[int, ...]
-    reason: str
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    input_degree: int
-    chains: tuple[ChainRecord, ...]
-    failures: tuple[ShapeFailure, ...]
-
-    @property
-    def found(self) -> bool:
-        return bool(self.chains)
-
-
 # the identity factor z, for a 1 in a degree ordering
 _IDENTITY = BlaschkeProduct(1.0, (0j,))
-
-
-def chain_2n(B: BlaschkeProduct) -> DecompositionReport:
-    """Write a degree-2^k product as a chain of k degree-2 factors.
-
-    factor_any_order's (2, ..., 2) case, reported rather than raised: its
-    DegenerateInput or VerificationFailure becomes the one ShapeFailure,
-    with the message as the reason.  Every inner factor is
-    z (z - b) / (1 - conj(b) z), and the factors run outermost first,
-    matching CompositionChain.
-    """
-    n = B.degree
-    k = _tower_height(n)
-    if k is None:
-        raise InputError(f"degree {n} is not a power of two")
-    shape = (2,) * k
-    try:
-        chain, err = _certified_chain(B, shape)
-    except (DegenerateInput, VerificationFailure) as exc:
-        return DecompositionReport(n, (), (ShapeFailure(shape, str(exc)),))
-    return DecompositionReport(n, (ChainRecord(chain, shape, err),), ())
 
 
 def factor_any_order(
@@ -127,14 +77,10 @@ def factor_any_order(
     other than the degree, and for a level without an inner factor, naming
     the level, the pending degree, the failed search and its error.
     """
-    return _certified_chain(B, ordering)[0]
-
-
-def _certified_chain(B: BlaschkeProduct, ordering) -> tuple[CompositionChain, float]:
-    """factor_any_order's chain and its re-expansion error."""
-    if not all(isinstance(p, (int, np.integer)) for p in ordering):
-        raise DegenerateInput(f"ordering entries must be integers, got {ordering!r}")
-    ordering = tuple(map(int, ordering))
+    ordering = tuple(
+        _integer(p, "ordering entries must be integers", DegenerateInput)
+        for p in ordering
+    )
     if not ordering or any(p < 1 for p in ordering):
         raise DegenerateInput("ordering must be nonempty with positive entries")
     if math.prod(ordering) != B.degree:
@@ -162,7 +108,7 @@ def _certified_chain(B: BlaschkeProduct, ordering) -> tuple[CompositionChain, fl
     err = _chain_error(chain, B)
     if err > _MATCH_TOL:
         raise VerificationFailure(f"ordering {ordering}: re-expansion error {err:.3e}")
-    return chain, err
+    return chain
 
 
 @dataclass(frozen=True)
@@ -268,7 +214,6 @@ def _inner_from_orbits(
     return BlaschkeProduct(1.0, (0j, *zeros))
 
 
-@lru_cache(maxsize=64)
 def inner_factor_general(B: BlaschkeProduct, k: int) -> InnerFactorResult:
     """Search for B = C o D with deg D = k, for a proper divisor k of deg B.
 
@@ -280,14 +225,23 @@ def inner_factor_general(B: BlaschkeProduct, k: int) -> InnerFactorResult:
     and the error sup |B - C o D|, finite and at most _MATCH_TOL for a
     factor.  A negative answer carries its reason; the theory certifies
     existence for genuine factors but gives no numerical certificate of
-    absence.  The result is kept per (product, k), at most 64 of them, so
-    searching again costs nothing; a raised error is not kept.  Every caller
+    absence.  A k that is not an integer proper divisor raises InputError
+    before the kept results are read.  The result is kept per (product, k),
+    at most 64 of them, so searching again costs nothing.  Every caller
     reaches the search through this module global, so a wrapper bound in
     its place sees every call.
     """
     n = B.degree
+    k = _integer(k, f"k must be a proper divisor of {n}")
     if not (1 < k < n) or n % k != 0:
         raise InputError(f"k must be a proper divisor of {n}, got {k}")
+    return _inner_factor(B, k)
+
+
+@lru_cache(maxsize=64)
+def _inner_factor(B: BlaschkeProduct, k: int) -> InnerFactorResult:
+    """inner_factor_general's search for a checked k, kept per (B, k)."""
+    n = B.degree
     D = _inner_from_orbits(_orbit_pair(B, n // k, k), k)
     outer_zeros = None if D is None else _collapse_zeros(B, D, k)
     if outer_zeros is None:

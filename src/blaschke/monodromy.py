@@ -122,16 +122,9 @@ class Permutation:
         """self after other."""
         return Permutation(tuple(self.images[j] for j in other.images))
 
-    def inverse(self) -> "Permutation":
-        return Permutation(_invert(self.images))
-
     @staticmethod
     def identity(n: int) -> "Permutation":
         return Permutation(tuple(range(n)))
-
-    @property
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         seen = [False] * len(self.images)
@@ -264,10 +257,6 @@ class BlockSystem:
     @property
     def block_size(self) -> int:
         return len(self.blocks[0])
-
-    @property
-    def count(self) -> int:
-        return len(self.blocks)
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,7 @@ from .core import (
     ToleranceConfig,
     format_float,
     unit,
+    _integer,
 )
 from .circle import (
     CircleSolutionSet,
@@ -185,17 +186,18 @@ def _envelopes_from_table(skips, table: _LevelTable) -> list[EnvelopeCurve]:
 
 
 def _check_skip(n: int, skip: int) -> None:
-    """InputError unless skip names one of the n // 2 chord families of a
-    degree-n product: envelope's and closure_order's gate."""
-    if not 0 <= skip <= n // 2 - 1:
+    """InputError unless skip is an integer naming one of the n // 2 chord
+    families of a degree-n product: the gate of envelope, closure_order and
+    tangency_audit."""
+    if not 0 <= _integer(skip, "skip must be an integer") <= n // 2 - 1:
         raise InputError(f"skip must lie in [0, {n // 2 - 1}] for degree {n}")
 
 
 def _level_count(n: int, samples: int) -> int:
     """max(2, ceil(samples/n)) level sets, each giving every envelope of a
-    degree-n product n points, or InputError below 6 samples: envelope's
-    and package's gate."""
-    if samples < 6:
+    degree-n product n points, or InputError for a sample count that is not
+    an integer of at least 6: envelope's and package's gate."""
+    if _integer(samples, "envelope samples must be an integer") < 6:
         raise InputError("need at least 6 envelope samples")
     return max(2, -(-samples // n))
 
@@ -387,7 +389,8 @@ def tangency_audit(
     A curve genuinely inscribed in the level-set polygons has every chord as
     a supporting line: the support value in the outward normal direction of
     each chord must equal the chord's offset.  Returns the max discrepancy
-    over all chords of the given solved level sets.
+    over all chords of the given solved level sets.  A skip that names no
+    chord family of a level set raises InputError, as in envelope.
     """
     if fit.classification not in ("ellipse", "point"):
         raise InputError("tangency audit requires an ellipse or point fit")
@@ -395,6 +398,7 @@ def tangency_audit(
     hop = skip + 1
     for sol in level_sets:
         n = len(sol)
+        _check_skip(n, skip)
         centroid = sum(sol.points) / n
         for j in range(n):
             p = sol.point(j)
@@ -467,14 +471,6 @@ class PonceletPackage:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def entry(self, index: int) -> PackageEntry:
-        """K_index, counting from 1."""
-        if not 1 <= index <= len(self.entries):
-            raise InputError(
-                f"curve index {index} out of range 1..{len(self.entries)}"
-            )
-        return self.entries[index - 1]
-
 
 def package(
     Bhat: BlaschkeProduct,
@@ -521,10 +517,6 @@ class FociZeroMatch:
     foci: tuple[complex, complex]
     matched_zeros: tuple[complex, complex]
     distances: tuple[float, float]
-
-    @property
-    def max_distance(self) -> float:
-        return max(self.distances)
 
 
 def foci_vs_zeros(fit: ConicFit, B: BlaschkeProduct) -> FociZeroMatch:

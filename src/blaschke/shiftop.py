@@ -38,7 +38,7 @@ import numpy as np
 from .circle import (
     TAU, _arc_gain, _bracketed_newton, _certify, _circle_w, _poisson_rate, _tangency
 )
-from .core import ToleranceConfig, format_float, _finite
+from .core import ToleranceConfig, format_float, _finite, _integer
 from .errors import EigensolverFailure, InputError
 
 __all__ = [
@@ -114,9 +114,10 @@ def numerical_range_boundary(A, samples: int = 720) -> NumericalRangeSample:
     eigensolve; every angle's delta is certified to |F|/(psi'1 + psi'2) <=
     5e-11, the certificate of every circle solve, or SolverFailure names the
     angle.  Any other square array is swept by one Hermitian eigensolve per
-    angle.
+    angle.  A sample count that is not an integer of at least 8 raises
+    InputError.
     """
-    if samples < 8:
+    if _integer(samples, "sweep direction count must be an integer") < 8:
         raise InputError("need at least 8 sweep directions")
     angles = [2.0 * math.pi * k / samples for k in range(samples)]
     if isinstance(A, ShiftMatrix):

@@ -13,6 +13,7 @@ import numpy as np
 
 import blaschke.monodromy as monodromy
 from blaschke import BlaschkeProduct, CompositionChain
+from blaschke.core import format_float
 from blaschke.critical import critical_data
 from blaschke.monodromy import LoopPiece, LoopSpec
 
@@ -63,6 +64,23 @@ def random_degree2_chain(
         random_product(rng, 2, radius=radius) for _ in range(factor_count)
     )
     return CompositionChain(factors)
+
+
+def _pair(c: complex) -> str:
+    return f"[{format_float(c.real)},{format_float(c.imag)}]"
+
+
+def product_json(B: BlaschkeProduct) -> str:
+    """The CLI's product file format, {"gamma":[re,im],"zeros":[[re,im],...]},
+    every part to 17 significant digits as the CLI prints it: -0.0 is
+    written "-0", which JSON reads as an integer."""
+    zeros = ",".join(map(_pair, B.zeros))
+    return f'{{"gamma":{_pair(B.gamma)},"zeros":[{zeros}]}}'
+
+
+def chain_json(chain: CompositionChain) -> str:
+    """The CLI's chain file format, {"factors":[product, ...]}, outermost first."""
+    return f'{{"factors":[{",".join(map(product_json, chain.factors))}]}}'
 
 
 def circle_grid(count: int, offset: float = 0.0) -> list[complex]:

@@ -17,7 +17,7 @@ from blaschke.circle import (
 )
 from blaschke.cli import demo_corpus
 from blaschke.critical import check_value_bound, critical_data
-from blaschke.decompose import chain_2n, inner_factor_general
+from blaschke.decompose import _chain_error, factor_any_order, inner_factor_general
 from blaschke.monodromy import monodromy_group, wreath_audit
 from blaschke.poncelet import envelope, fit_conic, foci_vs_zeros, package
 from blaschke.shiftop import (
@@ -96,10 +96,10 @@ def test_criterion_02_package_circle_point_and_counts():
     assert len(pkg) == 4
 
     radius = math.sqrt(0.5)
-    k2_dev = max(abs(abs(p) - radius) for p in pkg.entry(2).curve.points)
+    k2_dev = max(abs(abs(p) - radius) for p in pkg.entries[1].curve.points)
     assert k2_dev < 1e-6
 
-    k4_diam = pkg.entry(4).curve.diameter()
+    k4_diam = pkg.entries[3].curve.diameter()
     assert k4_diam < 1e-6
 
     closures = [entry.closure for entry in pkg.entries]
@@ -158,21 +158,19 @@ def test_criterion_04_degree8_elliptical_family():
     worst_residual = 0.0
     worst_foci = 0.0
     for m in (1, 2, 3):
-        fit = pkg.entry(m).fit
+        fit = pkg.entries[m - 1].fit
         assert fit.classification == "ellipse"
         worst_residual = max(worst_residual, fit.max_residual)
         match = foci_vs_zeros(fit, C)
-        worst_foci = max(worst_foci, match.max_distance)
+        worst_foci = max(worst_foci, max(match.distances))
     assert worst_residual < 1e-6
-    assert pkg.entry(4).fit.classification == "point"
+    assert pkg.entries[3].fit.classification == "point"
     assert worst_foci < 1e-3
 
-    report = chain_2n(C)
-    assert report.found
-    record = report.chains[0]
-    assert record.factor_degrees == (2, 2, 2)
-    assert record.verification_error <= 1e-8
-    expanded = record.chain.expand()
+    chain = factor_any_order(C, (2, 2, 2))
+    assert [f.degree for f in chain.factors] == [2, 2, 2]
+    assert _chain_error(chain, C) <= 1e-8
+    expanded = chain.expand()
     roundtrip = max(
         abs(expanded.evaluate(z) - C.evaluate(z)) for z in circle_grid(100, 0.05)
     )
@@ -377,12 +375,10 @@ def test_criterion_10_property_suites():
             random_product(rng, 2, radius) for _ in range(levels)
         )
         B = CompositionChain(factors).expand()
-        report = chain_2n(B)
-        assert report.found, report.failures
-        record = report.chains[0]
-        assert record.verification_error <= 1e-8
+        chain = factor_any_order(B, (2,) * levels)
+        assert _chain_error(chain, B) <= 1e-8
         err = max(
-            abs(record.chain.expand().evaluate(z) - B.evaluate(z))
+            abs(chain.expand().evaluate(z) - B.evaluate(z))
             for z in circle_grid(60, 0.011 * i)
         )
         assert err <= 1e-8

@@ -14,8 +14,8 @@ from blaschke import BlaschkeProduct, DiskAutomorphism, compose, normalize
 from blaschke.core import _BASE_RINGS, _CLUSTER_TOL
 from blaschke.critical import check_value_bound, critical_data
 from blaschke.decompose import (
-    chain_2n,
     elliptical_implies_decomposable_check,
+    factor_any_order,
     inner_factor_general,
 )
 from blaschke.errors import (
@@ -43,7 +43,7 @@ VALUE_COUNT_TOWER_LEVELS = (3, 4, 5, 6, 7, 8)
 # normalize on the benchmark's random products: whether a base point is found
 NORMALIZE_ACCEPTS = {32: True, 40: False, 48: False, 64: False}
 NORMALIZE_PER_DEGREE = 4
-# chain_2n: towers of degree 512 and 1024
+# the quadratic chain of factor_any_order: towers of degree 512 and 1024
 CHAIN_TOWER_LEVELS = (9, 10)
 # the elliptical family: consistent up to degree 24, no model space at 32
 ELLIPTICAL_CONSISTENT_DEGREES = (8, 16, 24)
@@ -195,13 +195,11 @@ def test_chain_2n_certifies_towers_to_degree_1024():
     rng = rng_for(2047)
     for levels in CHAIN_TOWER_LEVELS:
         B = _tower(rng, levels)
-        report = chain_2n(B)
-        assert report.found and report.failures == ()
-        (record,) = report.chains
-        assert record.factor_degrees == (2,) * levels
+        chain = factor_any_order(B, (2,) * levels)
+        assert [f.degree for f in chain.factors] == [2] * levels
         # the chain, composed by numpy from the innermost factor out, is B
         z = CIRCLE
-        for f in reversed(record.chain.factors):
+        for f in reversed(chain.factors):
             z = _np_map(f, z)
         assert np.abs(z - _np_map(B, CIRCLE)).max() < 1e-8
 

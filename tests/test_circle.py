@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from blaschke import BlaschkeProduct, CompositionChain, InputError
-from blaschke.core import _IDENTITY_TOL
+from blaschke import BlaschkeProduct, CompositionChain, InputError, compose
+from blaschke.core import _IDENTITY_TOL, _MATCH_TOL
 from blaschke.circle import (
     invariant_orbit,
     invariant_orbits,
@@ -327,6 +327,13 @@ def test_orbit_next_to_a_zero_within_root_tol_of_its_start():
     assert abs(orbit[1] - 1.0) > 0.1
 
 
+def test_orbit_length_must_be_an_integer():
+    T = compose(BlaschkeProduct(1, (0j, 0.3 + 0.2j)), BlaschkeProduct(1, (0j, -0.4j)))
+    with pytest.raises(InputError, match="orbit length must be an integer, got 2.5"):
+        invariant_orbits(T, [1], 2.5)
+    assert len(invariant_orbits(T, [1], np.int64(3))[0]) == 3
+
+
 def test_orbit_preserves_circular_order():
     # successive solutions of B = lambda are met in rotation order, so the
     # orbit angles must be a cyclic shift of their sorted arrangement
@@ -508,14 +515,31 @@ def _chain_with_small_inner_zero(x: float) -> CompositionChain:
 def test_generator_power_origin_slack_is_identity_tol():
     # the z-factor test (core._origin_dropped) takes the innermost factor's
     # small zero for 0 within _IDENTITY_TOL = 1e-9: at 5e-10 the check runs
-    # against phi_a (the displaced zero moves the fibers by about 1.3e-9), and
-    # at 5e-9 it refuses
+    # against phi_a and passes, as the displaced zero moves the fibers by
+    # about 1.3e-9, under the _MATCH_TOL pass mark; at 5e-9 it refuses
     assert _IDENTITY_TOL == 1e-9
     check = verify_generator_power(_chain_with_small_inner_zero(5e-10))
+    assert check.ok
     assert check.power == 2
-    assert check.sup_error < 1e-8
+    assert 1e-9 < check.sup_error < _MATCH_TOL
     with pytest.raises(InputError, match="innermost factor must vanish at the origin"):
         verify_generator_power(_chain_with_small_inner_zero(5e-9))
+
+
+def test_generator_power_fails_orbits_off_phi_a_by_twice_the_pass_mark(monkeypatch):
+    # the same chain with its zero exactly at 0, every orbit point moved by
+    # 2e-8: the check runs and reports the miss
+    real = circle.invariant_orbits
+
+    def moved(B, starts, count):
+        return [tuple(z + 2e-8 for z in orbit) for orbit in real(B, starts, count)]
+
+    chain = _chain_with_small_inner_zero(0.0)
+    assert verify_generator_power(chain).ok
+    monkeypatch.setattr(circle, "invariant_orbits", moved)
+    check = verify_generator_power(chain)
+    assert not check.ok
+    assert check.sup_error > _MATCH_TOL
 
 
 # ------------------------------------------------------------------ lift grid

@@ -10,10 +10,10 @@ import blaschke
 import blaschke.circle as circle
 import blaschke.cli as cli
 import blaschke.poncelet as poncelet
-from blaschke.decompose import chain_2n
+from blaschke.decompose import factor_any_order
 import blaschke.errors as errors
 
-from conftest import random_product, rng_for
+from conftest import chain_json, product_json, random_product, rng_for
 
 DEMOS = (
     "power2",
@@ -222,9 +222,9 @@ def test_invariants_solve_one_batch_per_orbit_family(monkeypatch, capsys, tmp_pa
 
 
 def test_invariants_accepts_found_chain(tmp_path):
-    chain = chain_2n(cli.demo_corpus()["chain3"].expand()).chains[0].chain
+    chain = factor_any_order(cli.demo_corpus()["chain3"].expand(), (2, 2, 2))
     src = tmp_path / "chain.json"
-    src.write_text(chain.to_json())
+    src.write_text(chain_json(chain))
     r = run_cli("invariants", "--input", str(src), "--out", str(tmp_path), cwd=tmp_path)
     assert r.returncode == 0, r.stderr
     block = json.loads(r.stdout)["generator_power"]
@@ -249,7 +249,7 @@ def test_invariants_leaves_out_generator_power_for_a_refused_chain(
         tuple(blaschke.BlaschkeProduct(1.0, zeros) for zeros in factors)
     )
     src = tmp_path / "chain.json"
-    src.write_text(chain.to_json())
+    src.write_text(chain_json(chain))
     r = run_cli("invariants", "--input", str(src), "--out", str(tmp_path), cwd=tmp_path)
     assert r.returncode == 0, r.stderr
     assert r.stderr == ""
@@ -267,6 +267,50 @@ def test_decompose_prints_one_divisor_table(capsys, tmp_path):
     assert [row["k"] for row in report["divisors"]] == [2, 4]
     assert out.count('"k": ') == 2
     assert report["elliptical_check"] == {"is_ellipse": False, "consistent": True}
+
+
+# a degree-8 product with no degree-2 inner factor, and its decompose report
+# as recorded: no golden case reaches the failure branch of the quadratic chain
+UNCHAINED8 = (
+    '{"gamma": [1, 0], "zeros": [[0, 0], [0.5, 0], [-0.3, 0.4], [0.2, -0.6], '
+    '[-0.45, -0.2], [0.1, 0.7], [0.6, 0.3], [-0.7, 0.1]]}'
+)
+UNCHAINED8_DECOMPOSE = """\
+{
+  "degree": 8,
+  "chain": {
+    "failures": [
+      {
+        "shape": [2, 2, 2],
+        "reason": "no degree-2 inner factor at level 0 (pending degree 8): search not-found, error inf"
+      }
+    ]
+  },
+  "divisors": [
+    {
+      "k": 2,
+      "found": false,
+      "reason": "not-found"
+    },
+    {
+      "k": 4,
+      "found": false,
+      "reason": "not-found"
+    }
+  ],
+  "elliptical_check": {
+    "is_ellipse": false,
+    "consistent": true
+  }
+}
+"""
+
+
+def test_decompose_reports_a_failed_quadratic_chain(capsys, tmp_path):
+    src = tmp_path / "p.json"
+    src.write_text(UNCHAINED8)
+    assert cli.main(["decompose", "--input", str(src), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr() == (UNCHAINED8_DECOMPOSE, "")
 
 
 def test_analyze_accepts_input_file(tmp_path):
@@ -395,7 +439,7 @@ def test_normalize_without_a_base_point_is_a_solver_failure(tmp_path):
     # lies within cluster_tol of a critical value: the scan gives up, which
     # is a solver limit and not an input error
     src = tmp_path / "deg64.json"
-    src.write_text(random_product(rng_for(2026), 64).to_json())
+    src.write_text(product_json(random_product(rng_for(2026), 64)))
     r = run_cli("analyze", "--input", str(src), "--out", str(tmp_path), cwd=tmp_path)
     assert r.returncode == 3
     assert r.stderr.startswith("solver failure: no regular base point")
@@ -447,7 +491,7 @@ def test_nan_gamma_is_an_input_error(tmp_path):
 
 
 def test_decompose_runs_each_inner_factor_search_once(monkeypatch, capsys, tmp_path):
-    # chain_2n peels (8, 2) and (4, 2); the divisor table and the elliptical
+    # the quadratic chain peels (8, 2) and (4, 2); the divisor table and the elliptical
     # check ask again for (8, 2) and (8, 4) and get the kept results
     import blaschke.decompose as decompose
 
@@ -460,7 +504,7 @@ def test_decompose_runs_each_inner_factor_search_once(monkeypatch, capsys, tmp_p
 
     monkeypatch.setattr(decompose, "_orbit_pair", counted)
     for demo in ("power8", "elliptical8", "nonexample84"):
-        decompose.inner_factor_general.cache_clear()
+        decompose._inner_factor.cache_clear()
         calls.clear()
         assert cli.main(["decompose", "--demo", demo, "--out", str(tmp_path)]) == 0
         capsys.readouterr()
@@ -479,7 +523,7 @@ def test_nrange_and_the_elliptical_check_drop_the_same_origin_zero(
 
     B = blaschke.BlaschkeProduct(1.0, (1e-10 + 0j, 0j, 0.5 + 0j, -0.4j))
     path = tmp_path / "product.json"
-    path.write_text(B.to_json())
+    path.write_text(product_json(B))
     real = shiftop.shift_matrix
     built = []
 

@@ -1,6 +1,7 @@
 import ast
 import cmath
 import dataclasses
+import functools
 import importlib
 import inspect
 import itertools
@@ -32,6 +33,8 @@ from blaschke.core import (
     _CLUSTER_TOL,
     _IDENTITY_TOL,
     _ROOT_TOL,
+    _chain_from_json_dict,
+    _parse_json,
     _positive_ratio_pairs,
     _proper_divisors,
     _tower_height,
@@ -41,7 +44,15 @@ from blaschke.critical import _critical_data, critical_data
 from blaschke.monodromy import _monodromy_group, monodromy_group
 from blaschke.errors import SolverFailure, VerificationFailure
 
-from conftest import TAU, circle_grid, random_degree2_chain, random_product, rng_for
+from conftest import (
+    TAU,
+    chain_json,
+    circle_grid,
+    product_json,
+    random_degree2_chain,
+    random_product,
+    rng_for,
+)
 
 disk_points = st.builds(
     lambda r, t: math.sqrt(r) * 0.85 * cmath.exp(1j * t),
@@ -359,6 +370,13 @@ def test_automorphism_is_involution_without_rotation():
         assert abs(phi(phi(z)) - z) < 1e-12
 
 
+def _inverse(f: DiskAutomorphism) -> DiskAutomorphism:
+    # f = rho phi_c, so f^{-1}(w) = phi_c(w / rho)
+    return DiskAutomorphism(1.0, f.center).compose(
+        DiskAutomorphism.rotation_map(f.rotation.conjugate())
+    )
+
+
 def test_automorphism_inverse_and_compose():
     rng = rng_for(41)
     for _ in range(10):
@@ -367,7 +385,7 @@ def test_automorphism_inverse_and_compose():
         h = f.compose(g)
         for z in circle_grid(8, 0.6):
             assert abs(h(z) - f(g(z))) < 1e-12
-            assert abs(f.inverse()(f(z)) - z) < 1e-12
+            assert abs(_inverse(f)(f(z)) - z) < 1e-12
 
 
 def test_automorphism_as_blaschke_agrees():
@@ -403,7 +421,7 @@ def test_normalize_reconstruction():
     nf = normalize(B)
     # product = post o B o pre, so B = post^{-1} o product o pre (pre is
     # an involution)
-    post_inv = nf.post.inverse()
+    post_inv = _inverse(nf.post)
     for z in circle_grid(40, 0.23):
         assert abs(nf.product(z) - nf.post(B(nf.pre(z)))) < 1e-9
         assert abs(B(z) - post_inv(nf.product(nf.pre(z)))) < 1e-9
@@ -661,10 +679,20 @@ def test_tol_is_taken_only_by_its_readers_and_the_benchmark_callables():
 # ---------------------------------------------------------------------- JSON
 
 
+def _read_product(text: str) -> BlaschkeProduct:
+    # the CLI's reader of a product file
+    return BlaschkeProduct._from_json_dict(_parse_json(text))
+
+
+def _read_chain(text: str) -> CompositionChain:
+    # the CLI's reader of a chain file
+    return _chain_from_json_dict(_parse_json(text))
+
+
 def test_product_json_round_trip():
     rng = rng_for(61)
     B = random_product(rng, 4)
-    again = BlaschkeProduct.from_json(B.to_json())
+    again = _read_product(product_json(B))
     assert again.gamma == B.gamma
     assert again.zeros == B.zeros
 
@@ -672,7 +700,7 @@ def test_product_json_round_trip():
 def test_chain_json_round_trip():
     rng = rng_for(62)
     chain = random_degree2_chain(rng, 3)
-    again = CompositionChain.from_json(chain.to_json())
+    again = _read_chain(chain_json(chain))
     assert len(again.factors) == 3
     for f, g in zip(chain.factors, again.factors):
         assert f.gamma == g.gamma and f.zeros == g.zeros
@@ -686,13 +714,15 @@ def _signs(B: BlaschkeProduct) -> list[float]:
 
 
 def test_json_round_trip_keeps_signed_zeros():
-    # to_json writes -0.0 as "-0", which a plain json.loads reads as the int 0
+    # format_float writes -0.0 as "-0", which a plain json.loads reads as
+    # the int 0
     B = BlaschkeProduct(complex(-1.0, -0.0), (-0.4j, 0.3 + 0j, complex(-0.0, 0.2)))
-    again = BlaschkeProduct.from_json(B.to_json())
+    assert '"gamma":[-1,-0]' in product_json(B)
+    again = _read_product(product_json(B))
     assert _signs(again) == _signs(B)
     assert -1.0 in _signs(B)[2:]
     chain = CompositionChain((B, BlaschkeProduct(1.0, (complex(0.5, -0.0), -0.0j))))
-    again = CompositionChain.from_json(chain.to_json())
+    again = _read_chain(chain_json(chain))
     for f, g in zip(chain.factors, again.factors, strict=True):
         assert f == g
         assert _signs(g) == _signs(f)
@@ -700,9 +730,9 @@ def test_json_round_trip_keeps_signed_zeros():
 
 def test_from_json_validates():
     with pytest.raises(InputError):
-        BlaschkeProduct.from_json(json.dumps({"gamma": [2, 0], "zeros": [[0, 0]]}))
+        _read_product(json.dumps({"gamma": [2, 0], "zeros": [[0, 0]]}))
     with pytest.raises(InputError):
-        BlaschkeProduct.from_json(json.dumps({"gamma": [1, 0], "zeros": [[3, 0]]}))
+        _read_product(json.dumps({"gamma": [1, 0], "zeros": [[3, 0]]}))
 
 
 def test_format_float_round_trips():
@@ -727,10 +757,6 @@ UNREAD_ON_PURPOSE = {
     "blaschke.__version__",
     # the one-level solve of the README quick start
     "blaschke.circle.solve_on_circle",
-    # the paper's factorization along any ordering, documented in the README
-    "blaschke.decompose.factor_any_order",
-    # the ROADMAP re-derives it from the deck order
-    "blaschke.critical.one_critical_value_form",
 }
 
 
@@ -741,18 +767,25 @@ def test_every_export_exists(module):
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
-def test_every_export_has_a_reader():
-    # an export is read when the library or the benchmark loads it by name,
-    # as a bare name or an attribute; a string label is not a read
+def _reads() -> tuple[set[str], set[str]]:
+    """The bare names and the attribute names that the library or the
+    benchmark loads; a string label is not a read."""
     sources = list(Path(blaschke.__file__).resolve().parent.glob("*.py"))
     sources += list((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
-    loaded = set()
+    names, attributes = set(), set()
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.attr)
+                attributes.add(node.attr)
+    return names, attributes
+
+
+def test_every_export_has_a_reader():
+    # an export is read when the library or the benchmark loads it by name,
+    # as a bare name or an attribute
+    loaded = set.union(*_reads())
     unread = [
         f"{module}.{name}"
         for module in EXPORTERS
@@ -760,6 +793,32 @@ def test_every_export_has_a_reader():
         if name not in loaded and f"{module}.{name}" not in UNREAD_ON_PURPOSE
     ]
     assert unread == []
+
+
+MEMBER_KINDS = (property, staticmethod, classmethod, functools.cached_property)
+
+
+def test_every_public_member_of_an_exported_class_has_a_reader():
+    # a member is read as an attribute: each public function, property,
+    # staticmethod and cached_property of an exported class's own body must
+    # be loaded as one.  Dunders are out of scope, and a read by name cannot
+    # tell two classes' members of one name apart (Permutation.order from
+    # PermutationGroup.order)
+    _, loaded = _reads()
+    classes = set()
+    for module in map(importlib.import_module, EXPORTERS):
+        classes.update(filter(inspect.isclass, (getattr(module, n) for n in module.__all__)))
+    members = {
+        f"{cls.__module__}.{cls.__qualname__}.{name}"
+        for cls in classes
+        for name, value in vars(cls).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(value) or isinstance(value, MEMBER_KINDS))
+    }
+    # the walk reaches properties and staticmethods
+    assert "blaschke.core.BlaschkeProduct.degree" in members
+    assert "blaschke.core.DiskAutomorphism.rotation_map" in members
+    assert sorted(m for m in members if m.rsplit(".", 1)[1] not in loaded) == []
 
 
 def test_degree_shape_helpers_match_brute_force():

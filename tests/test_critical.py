@@ -31,7 +31,6 @@ from blaschke.critical import (
     check_value_bound,
     critical_data,
     fiber,
-    one_critical_value_form,
 )
 from blaschke.errors import BlaschkeError
 from blaschke.decompose import factor_any_order
@@ -39,7 +38,6 @@ from blaschke.decompose import factor_any_order
 from conftest import (
     TAU,
     circle_grid,
-    crowded_product,
     random_degree2_chain,
     random_product,
     rng_for,
@@ -356,47 +354,6 @@ def test_value_bound_survives_degree_sixteen():
         B = chain.expand()
         cd = critical_data(B)
         assert max(abs(B.derivative(p)) for p in cd.points_in_disk) < 1e-9
-
-
-# ------------------------------------------------- single critical value form
-
-
-def test_single_value_form_round_trip():
-    # oracle first: build tau o phi_a^n explicitly, then ask for it back
-    rng = rng_for(231)
-    for _ in range(6):
-        a = 0.45 * cmath.exp(1j * rng.uniform(0, TAU))
-        n = int(rng.integers(2, 5))
-        tau = DiskAutomorphism(
-            cmath.exp(1j * rng.uniform(0, TAU)),
-            0.5 * cmath.exp(1j * rng.uniform(0, TAU)),
-        )
-        base = BlaschkeProduct((-1.0) ** n, (a,) * n)
-        M = compose(tau.as_blaschke(), base)
-        form = one_critical_value_form(M)
-        assert form is not None
-        assert abs(form.point - a) < 1e-7
-        rebuilt = compose(
-            form.tau.as_blaschke(),
-            BlaschkeProduct((-1.0) ** n, (form.point,) * n),
-        )
-        for z in circle_grid(32, 0.21):
-            assert abs(rebuilt(z) - M(z)) < 1e-7
-
-
-def test_single_value_form_none_for_generic():
-    rng = rng_for(232)
-    B = random_product(rng, 4)
-    assert one_critical_value_form(B) is None
-
-
-def test_single_value_form_none_for_values_crowding_zero():
-    # all 127 critical values lie within 1.5e-14 of 0, far inside an
-    # absolute cluster_tol, but are distinct relative to their moduli, so
-    # this is not tau o phi_a^128
-    B = crowded_product(rng_for(233), 128)
-    assert len(critical_data(B).distinct_values) == 127
-    assert one_critical_value_form(B) is None
 
 
 def test_factor_any_order():

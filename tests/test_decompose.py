@@ -3,6 +3,7 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from blaschke import (
@@ -18,7 +19,6 @@ from blaschke import circle, cli, decompose
 from blaschke.cli import demo_corpus
 from blaschke.circle import invariant_orbit
 from blaschke.decompose import (
-    chain_2n,
     elliptical_implies_decomposable_check,
     factor_any_order,
     inner_factor_general,
@@ -47,6 +47,18 @@ def _sup(B, C, count=200):
 
 
 # ------------------------------------------------------------ full 2^n chains
+#
+# factor_any_order(B, (2,) * k), the paper's chain of k quadratic maps for a
+# degree-2^k product, as cli decompose asks for it
+
+
+def _quadratic_chain(B):
+    k = B.degree.bit_length() - 1
+    chain = factor_any_order(B, (2,) * k)
+    assert [f.degree for f in chain.factors] == [2] * k
+    # every inner factor is z (z - b) / (1 - conj(b) z)
+    assert all(f.zeros[0] == 0 and f.gamma == 1 for f in chain.factors[1:])
+    return chain
 
 
 def test_chain_2n_round_trip_degree_4():
@@ -56,12 +68,9 @@ def test_chain_2n_round_trip_degree_4():
             tuple(random_product(rng, 2, radius=0.55) for _ in range(2))
         )
         B = chain.expand()
-        report = chain_2n(B)
-        assert report.found
-        record = report.chains[0]
-        assert record.factor_degrees == (2, 2)
-        assert record.verification_error < 1e-8
-        assert _sup(B, record.chain.expand()) < 1e-8
+        found = _quadratic_chain(B)
+        assert decompose._chain_error(found, B) < 1e-8
+        assert _sup(B, found.expand()) < 1e-8
 
 
 def test_chain_2n_round_trip_degree_8():
@@ -71,29 +80,26 @@ def test_chain_2n_round_trip_degree_8():
             tuple(random_product(rng, 2, radius=0.5) for _ in range(3))
         )
         B = chain.expand()
-        report = chain_2n(B)
-        assert report.found
-        record = report.chains[0]
-        assert record.factor_degrees == (2, 2, 2)
-        assert _sup(B, record.chain.expand()) < 1e-8
+        assert _sup(B, _quadratic_chain(B).expand()) < 1e-8
 
 
 def test_chain_2n_nonexample():
-    report = chain_2n(B84)
-    assert report.found
-    assert report.chains[0].factor_degrees == (2, 2, 2)
-    assert _sup(B84, report.chains[0].chain.expand()) < 1e-8
+    assert _sup(B84, _quadratic_chain(B84).expand()) < 1e-8
 
 
 def test_chain_2n_rejects_other_degrees():
-    with pytest.raises(InputError):
-        chain_2n(random_product(rng_for(513), 6))
+    # a chain of quadratic maps needs a power-of-two degree: every
+    # (2, ..., 2) ordering of a degree-6 product is refused before any search
+    B = random_product(rng_for(513), 6)
+    for k in (1, 2, 3):
+        with pytest.raises(DegenerateInput, match="does not match degree 6"):
+            factor_any_order(B, (2,) * k)
 
 
 def test_chain_2n_reports_failure_for_indecomposable():
-    # the reason is factor_any_order's message: the degree-4 product has no
-    # degree-2 inner factor, and in the degree-8 one the degree-2 inner
-    # factor peels off and its degree-4 outer factor has none
+    # the degree-4 product has no degree-2 inner factor, and in the degree-8
+    # one the degree-2 inner factor peels off and its degree-4 outer factor
+    # has none
     B4 = random_product(rng_for(514), 4, origin_zero=True)
     B8 = compose(B4, random_product(rng_for(516), 2, radius=0.5))
     for B, shape, level in ((B4, (2, 2), 0), (B8, (2, 2, 2), 1)):
@@ -103,34 +109,21 @@ def test_chain_2n_reports_failure_for_indecomposable():
             f"no degree-2 inner factor at level {level} (pending degree 4): "
             "search not-found, error inf"
         )
-        report = chain_2n(B)
-        assert not report.found
-        assert report.chains == ()
-        assert [(f.shape, f.reason) for f in report.failures] == [
-            (shape, str(raised.value))
-        ]
 
 
 def test_chain_2n_degree_32_towers():
     for seed in (931, 932, 935):
         B = _tower(rng_for(seed), 5)
-        report = chain_2n(B)
-        assert report.found, (seed, report.failures)
-        record = report.chains[0]
-        assert record.factor_degrees == (2, 2, 2, 2, 2)
-        assert _sup(B, record.chain.expand()) < 1e-8
+        assert _sup(B, _quadratic_chain(B).expand()) < 1e-8, seed
 
 
 def test_chain_2n_degree_16_towers_without_origin_zeros():
     for seed in (971, 976, 982):
         B = random_degree2_chain(rng_for(seed), 4).expand()
-        report = chain_2n(B)
-        assert report.found, (seed, report.failures)
-        assert report.chains[0].factor_degrees == (2, 2, 2, 2)
-        assert _sup(B, report.chains[0].chain.expand()) < 1e-8
+        assert _sup(B, _quadratic_chain(B).expand()) < 1e-8, seed
 
 
-def test_chain_2n_makes_no_compose_call(monkeypatch):
+def test_chain_2n_solves_a_tower_without_compose(monkeypatch):
     B = _tower(rng_for(931), 4)
     calls = []
 
@@ -141,7 +134,7 @@ def test_chain_2n_makes_no_compose_call(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "blaschke" and getattr(module, "compose", None) is compose:
             monkeypatch.setattr(module, "compose", counting)
-    assert chain_2n(B).found
+    _quadratic_chain(B)
     assert calls == []
 
 
@@ -278,6 +271,18 @@ def test_inner_factor_validates_k():
     for bad in (1, 6, 4, 0):
         with pytest.raises(InputError):
             inner_factor_general(B, bad)
+
+
+def test_inner_factor_refuses_a_k_that_is_not_an_integer_before_the_kept_results():
+    # 2.0 equals 2 as a key of the kept results, so the check must come first
+    T = compose(BlaschkeProduct(1, (0j, 0.3 + 0.2j)), BlaschkeProduct(1, (0j, -0.4j)))
+    decompose._inner_factor.cache_clear()
+    # on a cold cache, then with the k = 2 search kept
+    for _ in range(2):
+        with pytest.raises(InputError, match="k must be a proper divisor of 4, got 2.0"):
+            inner_factor_general(T, 2.0)
+        assert inner_factor_general(T, 2).found
+    assert inner_factor_general(T, np.int64(2)).k == 2
 
 
 def test_deg6_pair_both_orders():
@@ -452,7 +457,7 @@ def test_every_reader_of_the_divisor_table_asks_each_divisor_in_order(
     asked.clear()
     assert cli.main(["decompose", "--demo", "nonexample84", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    # chain_2n peels (8, 2) and then (4, 2); the divisor table and the
+    # the quadratic chain peels (8, 2) and then (4, 2); the divisor table and the
     # elliptical check each ask for every proper divisor of 8
     assert asked == [(8, 2, 2), (4, 2, 2)] + [(8, 2, 2), (8, 4, 4)] * 2
 
@@ -460,7 +465,7 @@ def test_every_reader_of_the_divisor_table_asks_each_divisor_in_order(
 def _count_solves_per_product(monkeypatch) -> dict:
     """Clear the kept searches and level sets, and count circle.solve_levels
     calls by product."""
-    decompose.inner_factor_general.cache_clear()
+    decompose._inner_factor.cache_clear()
     circle._level_sets_through.cache_clear()
     calls: dict = {}
     real = circle.solve_levels
@@ -506,7 +511,7 @@ def test_every_divisor_search_of_a_product_shares_two_solves(monkeypatch):
 
 
 def test_decompose_demo_solves_twice_per_product(monkeypatch, capsys, tmp_path):
-    # chain_2n peels power8 and its degree-4 outer factor; the divisor table
+    # the quadratic chain peels power8 and its degree-4 outer factor; the divisor table
     # asks again for power8, so two products take two solves each, and the
     # report is the recorded one
     calls = _count_solves_per_product(monkeypatch)

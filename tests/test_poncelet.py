@@ -9,6 +9,7 @@ from blaschke import (
     BlaschkeProduct,
     InputError,
     VerificationFailure,
+    compose,
 )
 from blaschke import circle, poncelet
 from blaschke.circle import invariant_orbit, solve_on_circle
@@ -29,6 +30,8 @@ from conftest import TAU, rng_for, random_point, random_product
 B84 = BlaschkeProduct(
     1.0, (0j, 0j, 0j, 0j, 0.84 + 0j, -0.84 + 0j, 0.84j, -0.84j)
 )
+# a degree-4 product for the argument checks
+T = compose(BlaschkeProduct(1, (0j, 0.3 + 0.2j)), BlaschkeProduct(1, (0j, -0.4j)))
 
 
 # --------------------------------------------------------------- conic fitting
@@ -246,6 +249,32 @@ def test_envelope_skip_range_checked():
             closure_order(B, skip)
 
 
+def test_closure_order_and_envelope_refuse_a_skip_that_is_not_an_integer():
+    with pytest.raises(InputError, match="skip must be an integer, got 0.5"):
+        closure_order(T, 0.5)
+    with pytest.raises(InputError, match="skip must be an integer, got 0.5"):
+        envelope(T, 0.5, 100)
+    assert closure_order(T, np.int64(0)) == closure_order(T, 0)
+
+
+def test_tangency_audit_checks_the_skip_as_envelope_does():
+    # skip 9 names no chord family of a degree-4 level set
+    fit = fit_conic(envelope(T, 0, 120).points)
+    level_sets = circle.solve_levels(T, [1j, -1.0])
+    assert tangency_audit(fit, level_sets, 1) >= 0.0
+    for skip in (9, 2, -1, 0.5):
+        with pytest.raises(InputError, match="skip must"):
+            tangency_audit(fit, level_sets, skip)
+
+
+@pytest.mark.parametrize("samples", [100.5, 6.0])
+def test_envelope_and_package_refuse_samples_that_are_not_an_integer(samples):
+    with pytest.raises(InputError, match="envelope samples must be an integer"):
+        envelope(T, 0, samples)
+    with pytest.raises(InputError, match="envelope samples must be an integer"):
+        package(T, samples)
+
+
 @pytest.mark.parametrize("samples", [5, 0, -3])
 def test_package_checks_the_samples_as_envelope_does(samples):
     with pytest.raises(InputError, match="at least 6 envelope samples"):
@@ -297,7 +326,7 @@ def test_envelope_arrays_come_straight_from_the_table(monkeypatch):
         m.setattr(poncelet, "EnvelopeSample", refuse)
         pkg = package(B, 720)
         curve = envelope(B, 3, 720)
-    assert curve == pkg.entry(4).curve
+    assert curve == pkg.entries[3].curve
     table = poncelet._level_sets(B, 60)
     for entry in pkg.entries:
         arrays = (entry.curve.angles, entry.curve.points, entry.curve.chords)
@@ -511,7 +540,7 @@ def test_foci_vs_zeros_degree_three():
     B = BlaschkeProduct(1.0, (0j, b, c))
     curve = envelope(B, 0, 240)
     match = foci_vs_zeros(fit_conic(curve.points), B)
-    assert match.max_distance < 1e-7
+    assert max(match.distances) < 1e-7
     matched = sorted(match.matched_zeros, key=lambda z: (z.real, z.imag))
     want = sorted([b, c], key=lambda z: (z.real, z.imag))
     assert max(abs(x - y) for x, y in zip(matched, want)) < 1e-7
@@ -526,18 +555,9 @@ def test_package_nonexample():
     kinds = [e.fit.classification for e in pkg.entries]
     assert kinds == ["non-conic", "ellipse", "non-conic", "point"]
     assert [e.closure for e in pkg.entries] == [8, 4, 8, 2]
-    k2 = pkg.entry(2)
+    k2 = pkg.entries[1]
     for s in k2.curve.samples:
         assert abs(abs(s.point) - math.sqrt(0.5)) < 1e-6
-
-
-def test_package_entry_lookup():
-    pkg = package(B84, 120)
-    assert pkg.entry(1).skip == 0
-    with pytest.raises(InputError):
-        pkg.entry(0)
-    with pytest.raises(InputError):
-        pkg.entry(5)
 
 
 # ------------------------------------------------------------------- file out

@@ -40,6 +40,13 @@ def test_empty_matrix_is_an_input_error(sweep):
         sweep(np.zeros((0, 0)))
 
 
+@pytest.mark.parametrize("sweep", [numerical_range_boundary, is_elliptical_range])
+def test_sweep_count_must_be_an_integer(sweep):
+    # envelope and package refuse 100.5 samples too
+    with pytest.raises(InputError, match="sweep direction count must be an integer"):
+        sweep(shift_matrix([0j, 0.5 + 0j]), 100.5)
+
+
 def test_matrix_entries_jordan():
     A = shift_matrix([0j, 0j, 0j])
     M = np.array(A.entries)
