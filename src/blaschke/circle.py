@@ -31,22 +31,27 @@ evaluation to the certificate, so a solve whose starts are one Newton step
 from their roots costs two evaluations of B.  _arc_gain and _tangency, the
 summed arc gain and chord tangency point, serve shiftop and poncelet too.
 
+A solve returns one LevelSets record: the angles, points and psi' rates of
+every level set as read-only (levels, n) arrays, one row per target, each
+row sorted by angle.  The level-set memo, the orbits below and poncelet's
+envelopes, closure orders, tangency audit and scene all read that record.
+
 The next-preimage map g (send a circle point to the next solution of the same
 level set, counterclockwise) generates the full set of continuous circle maps
 commuting with B in the sense B o u = B, a cyclic group of order n.  Orbits
 of g come from a single level-set solve: the iterates are just successive
-entries of one CircleSolutionSet, and the orbits of many starts come from one
-batched solve.
+entries of one row of a LevelSets, and the orbits of many starts come from
+one batched solve.
 
 Those solves are kept.  _level_sets_through, an lru_cache of at most 64
 entries, holds the level sets through a tuple of unit-projected start points
 per product, keyed on the product (its gamma and zeros) and that tuple; the
-same product and starts read the same CircleSolutionSets, so next_preimage,
-invariant_orbit(s), poncelet.closure_order and the inner-factor search solve
-a level set once however often they ask for it.  No tolerance is part of the
-key because no circle solve reads one.  A refusal is not kept: lru_cache
-stores no exception, so the next call solves afresh.  solve_levels and
-solve_on_circle are not memoized.
+same product and starts read the same LevelSets, whose arrays are
+read-only, so next_preimage, invariant_orbit(s), poncelet.closure_order and
+the inner-factor search solve a level set once however often they ask for
+it.  No tolerance is part of the key because no circle solve reads one.  A
+refusal is not kept: lru_cache stores no exception, so the next call solves
+afresh.  solve_levels itself is not memoized.
 """
 
 from __future__ import annotations
@@ -74,9 +79,8 @@ from .core import (
 from .errors import InputError, SolverFailure
 
 __all__ = [
-    "CircleSolutionSet",
+    "LevelSets",
     "solve_levels",
-    "solve_on_circle",
     "next_preimage",
     "invariant_orbit",
     "invariant_orbits",
@@ -206,29 +210,25 @@ def _circle_terms(
     return B.gamma * factors.prod(axis=-1), _poisson_rate(weight, gap)
 
 
-@dataclass(frozen=True)
-class CircleSolutionSet:
-    """The deg(B) circle solutions of B(z) = target, counterclockwise.
+@dataclass(frozen=True, eq=False)
+class LevelSets:
+    """The circle solutions of B = lam for each target lam, as read-only
+    numpy arrays with one row per level set, in the order of the targets.
 
-    angles are strictly increasing in [0, 2pi); point(k) indexes modularly,
-    so point(i + 1) is the next solution counterclockwise from point(i).
-    rates[k] is psi' at points[k], as the certificate computed it.
+    Row q holds its n solutions counterclockwise: angles[q] strictly
+    increasing in [0, 2pi), points[q] = e^{i angles[q]}, and rates[q] the
+    psi' there that the certificate computed.  Solution j + 1 of a row is
+    the next counterclockwise from solution j, and solution 0 follows
+    solution n - 1.
     """
 
-    target: complex
-    angles: tuple[float, ...]
-    points: tuple[complex, ...]
-    rates: tuple[float, ...]
+    angles: np.ndarray  # float, shape (levels, n)
+    points: np.ndarray  # complex, shape (levels, n)
+    rates: np.ndarray  # float, shape (levels, n)
 
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def point(self, k: int) -> complex:
-        return self.points[k % len(self.points)]
-
-    def angle(self, k: int) -> float:
-        n = len(self.angles)
-        return self.angles[k % n] + TAU * (k // n)
+    def __post_init__(self) -> None:
+        for a in (self.angles, self.points, self.rates):
+            a.flags.writeable = False
 
 
 def _bracketed_newton(evaluate, x, lo, hi, base):
@@ -294,7 +294,7 @@ def _certify(f, rate, name) -> None:
         )
 
 
-def solve_levels(B: BlaschkeProduct, lams) -> list[CircleSolutionSet]:
+def solve_levels(B: BlaschkeProduct, lams) -> LevelSets:
     """The circle solutions of B(z) = lam for every unimodular lam in lams.
 
     Brackets each of the n * len(lams) roots psi(t) = arg(lam) + 2 pi k on
@@ -308,18 +308,6 @@ def solve_levels(B: BlaschkeProduct, lams) -> list[CircleSolutionSet]:
     infinite raises InputError.  Both bounds are fixed, so it takes no
     tolerance.
     """
-    targets, angles, points, rate = _solve_level_arrays(B, lams)
-    return [
-        CircleSolutionSet(target, tuple(row_t), tuple(row_z), tuple(row_rate))
-        for target, row_t, row_z, row_rate in zip(
-            targets, angles.tolist(), points.tolist(), rate.tolist()
-        )
-    ]
-
-
-def _solve_level_arrays(B: BlaschkeProduct, lams):
-    """solve_levels' work: the unit targets, and the sorted angles, points
-    and psi' rates as (len(lams), n) arrays, one row per level set."""
     targets = []
     for value in lams:
         value = complex(value)
@@ -369,30 +357,19 @@ def _solve_level_arrays(B: BlaschkeProduct, lams):
     points = np.exp(1j * angles)
     if not (angles[:, 1:] > angles[:, :-1]).all():
         raise SolverFailure("coincident circle solutions; level set degenerate")
-    return targets, angles, points, rate
-
-
-def solve_on_circle(B: BlaschkeProduct, lam: complex) -> CircleSolutionSet:
-    """All circle solutions of B(z) = lam for unimodular lam.
-
-    The one-row case of solve_levels: the n roots are bracketed on the lift
-    grid, solved together by _bracketed_newton and certified on their
-    argument error and their strictly increasing angles before returning.
-    """
-    return solve_levels(B, [lam])[0]
+    return LevelSets(angles, points, rate)
 
 
 @lru_cache(maxsize=64)
 def _level_sets_through(
     B: BlaschkeProduct, starts: tuple[complex, ...]
-) -> tuple[CircleSolutionSet, ...]:
+) -> LevelSets:
     """The level set of B through each circle point of starts, from one
     solve_levels call, kept per (product, starts) as the module docstring
     describes."""
     # _circle_terms has no pole next to a zero within core._ROOT_TOL of the
     # circle, where B.evaluate refuses but solve_levels still solves
-    levels = _circle_terms(B, np.array(starts, dtype=complex))[0]
-    return tuple(solve_levels(B, levels))
+    return solve_levels(B, _circle_terms(B, np.array(starts, dtype=complex))[0])
 
 
 def _orbit(
@@ -426,8 +403,8 @@ def invariant_orbits(
     if _integer(count, "orbit length must be an integer") < 1:
         raise InputError("orbit length must be at least 1")
     starts = tuple(unit(_finite("start", z)) for z in starts)
-    sols = _level_sets_through(B, starts)
-    return [_orbit(sol.points, z, count) for sol, z in zip(sols, starts)]
+    rows = _level_sets_through(B, starts).points.tolist()
+    return [_orbit(tuple(row), z, count) for row, z in zip(rows, starts)]
 
 
 def invariant_orbit(

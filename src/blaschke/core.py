@@ -97,8 +97,9 @@ def _integer(value, refusal: str, error: type[InputError] = InputError) -> int:
     """value as an int when it is a Python or numpy integer, or error
     "{refusal}, got {value!r}", so 2.0 and 2.9 are refused, never truncated:
     the check of inner_factor_general's k, factor_any_order's entries,
-    invariant_orbits' count, poncelet's skip and samples and
-    numerical_range_boundary's samples, before any range check."""
+    circle_samples' and invariant_orbits' counts, wreath_audit's levels,
+    poncelet's skip and samples and numerical_range_boundary's samples,
+    before any range check."""
     if isinstance(value, (int, np.integer)):
         return int(value)
     raise error(f"{refusal}, got {value!r}")
@@ -118,7 +119,10 @@ def format_float(x: float) -> str:
 
 
 def circle_samples(count: int, offset: float = 0.0) -> list[complex]:
-    """Evenly spaced points on the unit circle, deterministic."""
+    """count evenly spaced points on the unit circle, deterministic; a count
+    that is not an integer of at least 1 raises InputError."""
+    if _integer(count, "sample count must be an integer") < 1:
+        raise InputError("sample count must be at least 1")
     return [cmath.exp(1j * (offset + 2.0 * math.pi * k / count)) for k in range(count)]
 
 

@@ -54,7 +54,7 @@ import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,6 +64,7 @@ from .core import (
     _CLUSTER_TOL,
     _ROOT_TOL,
     _finite,
+    _integer,
     _proper_divisors,
     _zeros_separated,
 )
@@ -144,9 +145,6 @@ class Permutation:
 
     def cycle_type(self) -> tuple[int, ...]:
         return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
-
-    def order(self) -> int:
-        return reduce(math.lcm, (len(c) for c in self.cycles()), 1)
 
 
 class PermutationGroup:
@@ -734,8 +732,9 @@ def wreath_audit(G: PermutationGroup, levels: int) -> WreathAudit:
     is recognized by its order alone.  The block systems are the residue
     classes along an n-cycle among the generators (block_systems), which
     nest by divisibility, so the chain exists when every size is present;
-    a group with no n-cycle generator has none."""
-    if levels < 1:
+    a group with no n-cycle generator has none.  A levels that is not an
+    integer of at least 1 raises InputError."""
+    if _integer(levels, "levels must be an integer") < 1:
         raise InputError("levels must be positive")
     if G.degree != 2**levels:
         raise InputError(

@@ -20,9 +20,11 @@ envelope of z times the zeros.  psi' > 0 on the circle and p != q, so e is a
 convex combination of two distinct circle points: no chord is stationary and
 no envelope point can leave the disk.
 
-A sampled envelope is an EnvelopeCurve: read-only numpy arrays of the level
-angles, the tangency points and the chord ends, filled straight from the
-level-set table with no per-sample object.  Its samples property builds
+Every polygon here is a row of one record, circle.LevelSets: the envelopes
+read its points and psi' rates, and tangency_audit and scene_svg walk its
+point rows.  A sampled envelope is an EnvelopeCurve: read-only numpy arrays
+of the level angles, the tangency points and the chord ends, filled straight
+from that record with no per-sample object.  Its samples property builds
 EnvelopeSample tuples from those arrays on each access, for readers that
 want one record per sample; nothing on the compute path calls it.
 
@@ -51,11 +53,11 @@ from .core import (
     _integer,
 )
 from .circle import (
-    CircleSolutionSet,
+    LevelSets,
     invariant_orbit,
+    solve_levels,
     _circle_terms,
     _orbit,
-    _solve_level_arrays,
     _tangency,
 )
 from .errors import InputError, VerificationFailure
@@ -148,40 +150,21 @@ class EnvelopeCurve:
         )
 
 
-class _LevelTable(NamedTuple):
-    """The envelope table shared by every chord family: the level sets
-    Bhat = e^{it} at the angles t, with vertex j of the q-th level set at
-    points[j, q] (each column sorted by angle) and psi' there at
-    rate[j, q]."""
-
-    t: np.ndarray
-    points: np.ndarray
-    rate: np.ndarray
-
-
-def _level_sets(Bhat: BlaschkeProduct, count: int) -> _LevelTable:
-    """count level sets at evenly spaced angles, solved in one batch, with
-    psi' at every vertex read from the solve's certificate."""
-    t = TAU * np.arange(count) / count
-    _, _, points, rate = _solve_level_arrays(Bhat, np.exp(1j * t))
-    return _LevelTable(t, points.T, rate.T)
-
-
-def _envelopes_from_table(skips, table: _LevelTable) -> list[EnvelopeCurve]:
+def _envelopes(skips, t, points, rates) -> list[EnvelopeCurve]:
     """The envelope of the skip-m chords for every m in skips, vertex-major
     (all level sets for vertex 0, then vertex 1, and so on), from one
-    stacked pass over the table: row m of the far ends is the table's
-    vertices m + 1 places ahead."""
-    p, rp = table.points, table.rate
+    stacked pass over the LevelSets rows of points and rates at the angles
+    t: row m of the far ends is the vertices m + 1 places ahead."""
+    p, rp = points.T, rates.T
     n = len(p)
     ahead = (np.arange(n) + (np.asarray(skips) + 1)[:, None]) % n
     q, rq = p[ahead], rp[ahead]
-    points = _tangency(p, rp, q, rq)
+    tangency = _tangency(p, rp, q, rq)
     chords = np.stack(np.broadcast_arrays(p, q), axis=-1)
-    angles = np.tile(table.t, n)
+    angles = np.tile(t, n)
     return [
         EnvelopeCurve(skip, angles, row.ravel(), ends.reshape(-1, 2))
-        for skip, row, ends in zip(skips, points, chords)
+        for skip, row, ends in zip(skips, tangency, chords)
     ]
 
 
@@ -193,13 +176,15 @@ def _check_skip(n: int, skip: int) -> None:
         raise InputError(f"skip must lie in [0, {n // 2 - 1}] for degree {n}")
 
 
-def _level_count(n: int, samples: int) -> int:
-    """max(2, ceil(samples/n)) level sets, each giving every envelope of a
-    degree-n product n points, or InputError for a sample count that is not
-    an integer of at least 6: envelope's and package's gate."""
+def _level_angles(n: int, samples: int) -> np.ndarray:
+    """The evenly spaced angles t of max(2, ceil(samples/n)) level sets
+    Bhat = e^{it}, each giving every envelope of a degree-n product n
+    points, or InputError for a sample count that is not an integer of at
+    least 6: envelope's and package's gate."""
     if _integer(samples, "envelope samples must be an integer") < 6:
         raise InputError("need at least 6 envelope samples")
-    return max(2, -(-samples // n))
+    count = max(2, -(-samples // n))
+    return TAU * np.arange(count) / count
 
 
 def envelope(Bhat: BlaschkeProduct, skip: int, samples: int = 720) -> EnvelopeCurve:
@@ -213,8 +198,9 @@ def envelope(Bhat: BlaschkeProduct, skip: int, samples: int = 720) -> EnvelopeCu
     if n < 2:
         raise InputError("envelope needs degree at least 2")
     _check_skip(n, skip)
-    per_chord = _level_count(n, samples)
-    return _envelopes_from_table([skip], _level_sets(Bhat, per_chord))[0]
+    t = _level_angles(n, samples)
+    levels = solve_levels(Bhat, np.exp(1j * t))
+    return _envelopes([skip], t, levels.points, levels.rates)[0]
 
 
 @dataclass(frozen=True)
@@ -379,11 +365,7 @@ def _classify(A, B, C, D, E, F, max_residual: float) -> ConicFit:
     )
 
 
-def tangency_audit(
-    fit: ConicFit,
-    level_sets: list[CircleSolutionSet],
-    skip: int = 0,
-) -> float:
+def tangency_audit(fit: ConicFit, levels: LevelSets, skip: int = 0) -> float:
     """Worst gap between the fitted curve and the polygon chords.
 
     A curve genuinely inscribed in the level-set polygons has every chord as
@@ -394,15 +376,15 @@ def tangency_audit(
     """
     if fit.classification not in ("ellipse", "point"):
         raise InputError("tangency audit requires an ellipse or point fit")
+    n = levels.points.shape[1]
+    _check_skip(n, skip)
     worst = 0.0
     hop = skip + 1
-    for sol in level_sets:
-        n = len(sol)
-        _check_skip(n, skip)
-        centroid = sum(sol.points) / n
+    for row in levels.points.tolist():
+        centroid = sum(row) / n
         for j in range(n):
-            p = sol.point(j)
-            q = sol.point(j + hop)
+            p = row[j]
+            q = row[(j + hop) % n]
             normal = unit(-1j * (q - p))
             if ((centroid - p) * normal.conjugate()).real > 0:
                 normal = -normal
@@ -412,41 +394,40 @@ def tangency_audit(
     return worst
 
 
-def _hops_to_close(orbit: tuple[complex, ...], skip: int) -> int:
-    """First d <= 2n at which d skip-m chords from orbit[0] land back on it.
+def _closure(orbit: tuple[complex, ...], skip: int) -> int:
+    """n // gcd(n, skip + 1), the hops that close the skip-m polygon from z.
 
-    orbit is (z, g(z), ..., g^n(z)) from one verified level set, so the hop
-    index wraps modulo n and the point at index 0 is the re-solved g^n(z),
-    never the start itself.
+    orbit is (z, g(z), ..., g^n(z)) from one verified level set, so the d-th
+    hop lands on z exactly when n divides d (skip + 1).  Its last point, the
+    re-solved g^n(z), must lie within 1e-8 of z, else VerificationFailure.
     """
     n = len(orbit) - 1
-    k = 0
-    for d in range(1, 2 * n + 1):
-        k = (k + skip + 1) % n
-        if abs(orbit[k or n] - orbit[0]) <= 1e-8:
-            return d
-    raise VerificationFailure(
-        f"tangent polygon failed to close within {2 * n} steps"
-    )
+    gap = abs(orbit[n] - orbit[0])
+    if not gap <= 1e-8:
+        raise VerificationFailure(
+            f"tangent polygon failed to close: g^{n}(z) lies {gap:.3e} from z, "
+            f"above 1e-8"
+        )
+    return n // math.gcd(n, skip + 1)
 
 
 def closure_order(Bhat: BlaschkeProduct, skip: int) -> int:
     """Steps of the tangent-chord construction until the polygon closes.
 
     From the circle point 1, hop to the far endpoint of the skip-m chord
-    (skip+1 solutions ahead on the same level set) until landing back within
-    1e-8 of the start.  All hops stay on one level set, so it is solved and
-    verified once (argument error, n strictly increasing angles, the start
-    located on it) and the hops are read off it; the closing hop is measured
-    against the re-solved n-th iterate of the start, so closure is still a
-    measured property, not an assumption.  That level set is kept in
-    circle's level-set memo, so the other skips of the same product solve
-    nothing.  VerificationFailure if it never closes; a skip outside
+    (skip+1 solutions ahead on the same level set) until landing back on
+    the start.  All hops stay on one level set, so it is solved and verified
+    once (argument error, n strictly increasing angles, the start located
+    on it), and the re-solved n-th iterate of the start must lie within
+    1e-8 of it: the certificate is measured, the order is arithmetic,
+    n // gcd(n, skip + 1) (_closure).  That level set is kept in circle's
+    level-set memo, so the other skips of the same product solve nothing.
+    VerificationFailure if the orbit does not close; a skip outside
     [0, n // 2 - 1] raises InputError before any solve, as in envelope.
     """
     _check_skip(Bhat.degree, skip)
     orbit = invariant_orbit(Bhat, 1.0 + 0j, Bhat.degree + 1)
-    return _hops_to_close(orbit, skip)
+    return _closure(orbit, skip)
 
 
 @dataclass(frozen=True)
@@ -479,32 +460,28 @@ def package(
 ) -> PonceletPackage:
     """Compute, fit, and order-test every curve of the package.
 
-    One level-set table (with psi' at every vertex) serves every skip, and
-    one verified level set through 1 serves every closure order, as in
-    closure_order; the table's batch carries that level set as its last
-    row, so max(2, ceil(samples/n)) + 1 level sets come from one solve.
-    The n/2 envelopes come from one stacked pass over the
-    table, and their conic fits share one stacked design matrix, SVD and
-    residual pass before each is classified; entry by entry the result is
-    that of envelope, fit_conic and closure_order, and fewer than 6
-    samples raise InputError, as in envelope.
+    One LevelSets record serves every skip: its rows at the envelope
+    angles (with psi' at every vertex) give the envelopes, and its last
+    row, the verified level set through 1, certifies every closure order
+    (_closure), so max(2, ceil(samples/n)) + 1 level sets come from one
+    solve.  The n/2 envelopes come from one stacked pass over those rows,
+    and their conic fits share one stacked design matrix, SVD and residual
+    pass before each is classified; entry by entry the result is that of
+    envelope, fit_conic and closure_order, and fewer than 6 samples raise
+    InputError, as in envelope.
     """
     n = Bhat.degree
     if n < 2:
         raise InputError("package needs degree at least 2")
-    per_chord = _level_count(n, samples)
-    t = TAU * np.arange(per_chord) / per_chord
+    t = _level_angles(n, samples)
     through_one = _circle_terms(Bhat, np.array([1.0 + 0j]))[0]
-    _, _, points, rate = _solve_level_arrays(
-        Bhat, np.append(np.exp(1j * t), through_one)
-    )
-    table = _LevelTable(t, points[:-1].T, rate[:-1].T)
-    orbit = _orbit(tuple(points[-1].tolist()), 1.0 + 0j, n + 1)
-    curves = _envelopes_from_table(range(n // 2), table)
+    levels = solve_levels(Bhat, np.append(np.exp(1j * t), through_one))
+    orbit = _orbit(tuple(levels.points[-1].tolist()), 1.0 + 0j, n + 1)
+    curves = _envelopes(range(n // 2), t, levels.points[:-1], levels.rates[:-1])
     fits = _fit_conics(np.array([curve.points for curve in curves]))
     return PonceletPackage(
         tuple(
-            PackageEntry(curve.skip, curve, fit, _hops_to_close(orbit, curve.skip))
+            PackageEntry(curve.skip, curve, fit, _closure(orbit, curve.skip))
             for curve, fit in zip(curves, fits)
         )
     )
@@ -572,11 +549,7 @@ def _svg_polyline(pts, color: str, width: float, dashed: bool = False) -> str:
     )
 
 
-def scene_svg(
-    curve: EnvelopeCurve,
-    fit: ConicFit,
-    level_sets: list[CircleSolutionSet],
-) -> str:
+def scene_svg(curve: EnvelopeCurve, fit: ConicFit, levels: LevelSets) -> str:
     """Standalone SVG: unit circle, the skip-m polygons of the given level
     sets, envelope, fit overlay."""
     hop = curve.skip + 1
@@ -584,11 +557,11 @@ def scene_svg(
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.1 -1.1 2.2 2.2">',
         '<circle cx="0" cy="0" r="1" fill="none" stroke="#303030" stroke-width="0.008"/>',
     ]
-    for sol in level_sets:
-        n = len(sol)
-        cycle = n // math.gcd(n, hop)
+    n = levels.points.shape[1]
+    cycle = n // math.gcd(n, hop)
+    for row in levels.points.tolist():
         for offset in range(math.gcd(n, hop)):
-            ring = [sol.point(offset + k * hop) for k in range(cycle)]
+            ring = [row[(offset + k * hop) % n] for k in range(cycle)]
             parts.append(_svg_polyline(ring, "#4878b0", 0.006))
     parts.append(_svg_polyline(curve.points.tolist(), "#c03030", 0.01))
     if fit.classification == "ellipse":

@@ -12,7 +12,7 @@ import time
 from blaschke import BlaschkeProduct, CompositionChain, compose, normalize
 from blaschke.circle import (
     invariant_orbit,
-    solve_on_circle,
+    solve_levels,
     verify_generator_power,
 )
 from blaschke.cli import demo_corpus
@@ -53,11 +53,9 @@ def test_criterion_01_degree8_octagon_is_not_elliptical():
     t0 = time.perf_counter()
     B = CORPUS["nonexample84"]
 
-    sols = solve_on_circle(B, -1.0 + 0j)
-    assert len(sols) == 8
-    pts = sorted(
-        (sols.point(k) for k in range(8)), key=lambda z: cmath.phase(z) % TAU
-    )
+    (fiber,) = solve_levels(B, [-1.0 + 0j]).points.tolist()
+    assert len(fiber) == 8
+    pts = sorted(fiber, key=lambda z: cmath.phase(z) % TAU)
     # pts[0]/pts[7] straddle angle 0 (vertical chord), pts[1]/pts[2]
     # straddle pi/2 (horizontal chord)
     assert abs(pts[0].real - pts[7].real) < 1e-9

@@ -118,7 +118,8 @@ def test_monodromy_certifies_towers_to_degree_64():
         B = normalize(_tower(rng, levels)).product
         mono = monodromy_group(B)
         assert len(mono.generators) == len(critical_data(B).distinct_values)
-        assert all(g.order() in (2, 4, 8, 16, 32, 64) for g in mono.generators)
+        orders = [math.lcm(*g.cycle_type()) for g in mono.generators]
+        assert all(order in (2, 4, 8, 16, 32, 64) for order in orders)
         if levels == 5:
             assert mono.group.order() == 2**31
 
@@ -131,7 +132,8 @@ def test_monodromy_certifies_a_tower_of_degree_128():
     mono = monodromy_group(B)
     assert B.degree == 128
     assert len(mono.generators) == len(critical_data(B).distinct_values)
-    assert all(g.order() & (g.order() - 1) == 0 for g in mono.generators)
+    orders = [math.lcm(*g.cycle_type()) for g in mono.generators]
+    assert all(order & (order - 1) == 0 for order in orders)
     # the group's last generator is the loop round the circle
     assert mono.group.generators[-1].cycle_type() == (128,)
     systems = block_systems(mono.group)

@@ -13,7 +13,6 @@ from blaschke.circle import (
     invariant_orbits,
     next_preimage,
     solve_levels,
-    solve_on_circle,
     verify_generator_power,
 )
 from blaschke import circle
@@ -80,10 +79,10 @@ def test_argument_derivative_of_angle_array():
 
 def test_solve_power_roots_of_unity():
     B = BlaschkeProduct(1.0, (0j,) * 6)
-    sol = solve_on_circle(B, 1.0 + 0j)
-    assert len(sol) == 6
+    (row,) = solve_levels(B, [1.0 + 0j]).points.tolist()
+    assert len(row) == 6
     for k in range(6):
-        assert abs(sol.point(k) - cmath.exp(1j * TAU * k / 6)) < 1e-10
+        assert abs(row[k] - cmath.exp(1j * TAU * k / 6)) < 1e-10
 
 
 def test_solve_residuals_and_ordering():
@@ -91,11 +90,12 @@ def test_solve_residuals_and_ordering():
     for _ in range(6):
         B = random_product(rng, int(rng.integers(2, 8)))
         lam = cmath.exp(1j * rng.uniform(0, TAU))
-        sol = solve_on_circle(B, lam)
-        assert len(sol) == B.degree
-        for k in range(len(sol)):
-            assert abs(B(sol.point(k)) - lam) < 1e-9
-        angles = [sol.angle(k) for k in range(len(sol))]
+        levels = solve_levels(B, [lam])
+        assert levels.points.shape == levels.angles.shape == (1, B.degree)
+        for z in levels.points[0].tolist():
+            assert abs(B(z) - lam) < 1e-9
+        angles = levels.angles[0].tolist()
+        assert 0.0 <= angles[0] and angles[-1] < TAU
         for lo, hi in zip(angles, angles[1:]):
             assert 0 < hi - lo < TAU
 
@@ -103,7 +103,7 @@ def test_solve_residuals_and_ordering():
 def test_solve_rejects_interior_target():
     B = BlaschkeProduct(1.0, (0j, 0j))
     with pytest.raises(InputError):
-        solve_on_circle(B, 0.5 + 0j)
+        solve_levels(B, [0.5 + 0j])
 
 
 @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0)])
@@ -112,7 +112,7 @@ def test_non_finite_targets_and_starts_are_input_errors(bad):
     # "distance > slack" would let it through to the solve
     B = BlaschkeProduct(1.0, (0.1 + 0.2j, -0.3j, 0.5 + 0j))
     calls = [
-        lambda: solve_on_circle(B, bad),
+        lambda: solve_levels(B, [bad]),
         lambda: solve_levels(B, [1.0, bad]),
         lambda: next_preimage(B, bad),
         lambda: invariant_orbit(B, bad, 3),
@@ -126,10 +126,26 @@ def test_non_finite_targets_and_starts_are_input_errors(bad):
 
 
 def test_solution_angle_wraps_by_turns():
+    # solution 0 of a row follows solution n - 1 a turn later: the gaps
+    # round the row, the last across angle 0, are positive and make one
+    # turn, and the orbit of g is back at its start after n steps
     B = BlaschkeProduct(1.0, (0j,) * 4)
-    sol = solve_on_circle(B, 1.0 + 0j)
-    assert abs(sol.angle(4) - (sol.angle(0) + TAU)) < 1e-12
-    assert abs(sol.point(4) - sol.point(0)) < 1e-12
+    levels = solve_levels(B, [1.0 + 0j])
+    angles = levels.angles[0]
+    gaps = np.diff(np.append(angles, angles[0] + TAU))
+    assert np.all(np.abs(gaps - TAU / 4) < 1e-12)
+    z = complex(levels.points[0, 0])
+    assert abs(invariant_orbit(B, z, 5)[4] - z) < 1e-12
+
+
+def _assert_rows_are_one_row_solves(B, lams, levels) -> None:
+    """Every row of the batch levels equals, bit for bit, the one-row solve
+    of its own target."""
+    for q, lam in enumerate(lams):
+        one = solve_levels(B, [lam])
+        for name in ("angles", "points", "rates"):
+            row, alone = getattr(levels, name)[q], getattr(one, name)[0]
+            assert row.tobytes() == alone.tobytes(), (name, q)
 
 
 def _level_polynomial_roots(B, lam) -> np.ndarray:
@@ -150,10 +166,10 @@ def test_level_sets_match_polynomial_roots(degree):
     B = random_product(rng_for(150 + degree), degree, radius=0.8)
     lams = [cmath.exp(1j * t) for t in (0.0, 0.9, 2.3, 3.7, 5.2)]
     levels = solve_levels(B, lams)
-    assert levels == [solve_on_circle(B, lam) for lam in lams]
-    for lam, sol in zip(lams, levels):
+    _assert_rows_are_one_row_solves(B, lams, levels)
+    for lam, row in zip(lams, levels.points):
         roots = _level_polynomial_roots(B, lam)
-        for z in sol.points:
+        for z in row:
             assert np.min(np.abs(roots - z)) < 1e-12
 
 
@@ -174,8 +190,8 @@ def test_level_solve_stops_within_a_few_passes(monkeypatch, seed, degree):
     lams = [cmath.exp(1j * TAU * q / 8) for q in range(8)]
     levels = solve_levels(B, lams)
     assert passes[0] <= 6
-    for lam, sol in zip(lams, levels):
-        assert max(abs(B(z) - lam) for z in sol.points) < 1e-10
+    for lam, row in zip(lams, levels.points.tolist()):
+        assert max(abs(B(z) - lam) for z in row) < 1e-10
 
 
 _SOLVE_PRODUCTS = [(905, 14), (902, 16), (905, 20), (901, 24), (948, 48), (964, 64)]
@@ -218,9 +234,9 @@ def test_level_solve_certifies_the_points_it_returns(monkeypatch, seed, degree):
     levels = solve_levels(B, lams)
     (f, rate), = seen
     certified = np.sort((np.abs(f) / rate).reshape(len(lams), degree), axis=1)
-    for lam, sol, row in zip(lams, levels, certified):
-        w, fresh_rate = circle._circle_terms(B, np.array(sol.points))
-        assert np.array_equal(np.array(sol.rates), fresh_rate)
+    for lam, points, rates, row in zip(lams, levels.points, levels.rates, certified):
+        w, fresh_rate = circle._circle_terms(B, points)
+        assert np.array_equal(rates, fresh_rate)
         error = np.abs(np.angle(w * np.conj(lam))) / fresh_rate
         assert np.array_equal(np.sort(error), row)
         assert error.max() <= 5e-11
@@ -257,9 +273,9 @@ def test_solve_certifies_roots_near_a_zero_close_to_the_circle():
     B = BlaschkeProduct(1.0, (0j, (1.0 - 1e-6) * cmath.exp(1j)))
     for t in (0.0, math.pi / 2, 4.6, math.pi, 2.5):
         lam = cmath.exp(1j * t)
-        sol = solve_on_circle(B, lam)
+        (angles,) = solve_levels(B, [lam]).angles
         roots = _level_polynomial_roots(B, lam)
-        for angle in sol.angles:
+        for angle in angles:
             oracle = np.angle(roots) % TAU
             gap = np.abs(np.remainder(oracle - angle + math.pi, TAU) - math.pi)
             assert gap.min() < 1e-12
@@ -272,19 +288,21 @@ def test_solve_and_lift_next_to_a_zero_within_root_tol_of_1():
     B = BlaschkeProduct(1.0, (0.3j, 1.0 - 1e-13))
     with pytest.raises(BlaschkeError):
         B.evaluate(1.0)
-    sol = solve_on_circle(B, 1j)
+    (angles,) = solve_levels(B, [1j]).angles
     roots = _level_polynomial_roots(B, 1j)
     oracle = np.angle(roots) % TAU
-    for angle in sol.angles:
+    for angle in angles:
         gap = np.abs(np.remainder(oracle - angle + math.pi, TAU) - math.pi)
         assert gap.min() < 1e-12
-    levels = circle._circle_terms(B, np.exp(1j * np.array(sol.angles)))[0]
+    levels = circle._circle_terms(B, np.exp(1j * angles))[0]
     assert np.all(np.abs(levels - 1j) < 1e-9)
     assert 0.0 <= circle._lift_grid(B)[1][0] < TAU
 
 
 def test_solve_levels_of_no_targets_is_empty():
-    assert solve_levels(BlaschkeProduct(1.0, (0j, 0.5j)), []) == []
+    levels = solve_levels(BlaschkeProduct(1.0, (0j, 0.5j)), [])
+    for a in (levels.angles, levels.points, levels.rates):
+        assert a.shape == (0, 2)
 
 
 # ------------------------------------------------------------ invariant maps
@@ -364,8 +382,9 @@ def test_generator_sample_orbit():
 
 @pytest.mark.parametrize("degree", [3, 5, 8, 13, 17, 24, 32, 48])
 def test_one_row_solves_are_rows_of_one_batch(degree):
-    # invariant_orbit, next_preimage and solve_on_circle are the one-row
-    # cases of the one solver: each equals its row of a batch bit for bit
+    # invariant_orbit, next_preimage and a one-target solve_levels are the
+    # one-row cases of the one solver: each equals its row of a batch bit
+    # for bit
     B = random_product(rng_for(640 + degree), degree, radius=0.8)
     starts = circle_grid(8, 0.13)
     lams = circle_grid(5, 0.4)
@@ -373,8 +392,7 @@ def test_one_row_solves_are_rows_of_one_batch(degree):
     for z, orbit in zip(starts, orbits):
         assert invariant_orbit(B, z, degree + 1) == orbit
         assert next_preimage(B, z) == orbit[1]
-    for lam, sol in zip(lams, solve_levels(B, lams)):
-        assert solve_on_circle(B, lam) == sol
+    _assert_rows_are_one_row_solves(B, lams, solve_levels(B, lams))
 
 
 def _invariant_queries(B, starts):
@@ -388,16 +406,16 @@ def _invariant_queries(B, starts):
 
 
 def _count_level_solves(monkeypatch) -> list[int]:
-    """Count _solve_level_arrays calls, after clearing the level-set memo."""
+    """Count solve_levels calls, after clearing the level-set memo."""
     circle._level_sets_through.cache_clear()
     calls = [0]
-    real = circle._solve_level_arrays
+    real = circle.solve_levels
 
     def counted(B, lams):
         calls[0] += 1
         return real(B, lams)
 
-    monkeypatch.setattr(circle, "_solve_level_arrays", counted)
+    monkeypatch.setattr(circle, "solve_levels", counted)
     return calls
 
 
@@ -431,20 +449,32 @@ def test_a_refused_solve_is_not_kept(monkeypatch):
     z = cmath.exp(0.4j)
     cold = repr(invariant_orbit(B, z, 10))
     circle._level_sets_through.cache_clear()
-    real = circle._solve_level_arrays
+    real = circle.solve_levels
     calls = [0]
 
     def refused(B, lams):
         calls[0] += 1
         raise SolverFailure("refused on purpose")
 
-    monkeypatch.setattr(circle, "_solve_level_arrays", refused)
+    monkeypatch.setattr(circle, "solve_levels", refused)
     for attempt in (1, 2):
         with pytest.raises(SolverFailure, match="refused on purpose"):
             next_preimage(B, z)
         assert calls[0] == attempt
-    monkeypatch.setattr(circle, "_solve_level_arrays", real)
+    monkeypatch.setattr(circle, "solve_levels", real)
     assert repr(invariant_orbit(B, z, 10)) == cold
+
+
+def test_a_memoized_level_solve_is_read_only():
+    # every reader of a kept LevelSets shares its arrays, so none may write
+    B = random_product(rng_for(673), 7, radius=0.8)
+    levels = circle._level_sets_through(B, (1.0 + 0j, 1j))
+    assert levels is circle._level_sets_through(B, (1.0 + 0j, 1j))
+    for a in (levels.angles, levels.points, levels.rates):
+        assert a.shape == (2, 7)
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0.0
+    assert not solve_levels(B, [1.0 + 0j]).points.flags.writeable
 
 
 def test_level_set_memo_is_bounded():
@@ -554,9 +584,8 @@ def test_solve_certifies_zeros_within_1e_8_and_1e_12_of_the_circle(gap, with_ori
     near = (1.0 - gap) * cmath.exp(1j)
     B = BlaschkeProduct(1.0, (0j, near) if with_origin else (near,))
     lams = [-1.0, 1j, cmath.exp(2.5j)]
-    for lam, sol in zip(lams, solve_levels(B, lams)):
-        assert len(sol) == B.degree
-        points = np.array(sol.points)
+    for lam, points in zip(lams, solve_levels(B, lams).points):
+        assert len(points) == B.degree
         w, rate = circle._circle_terms(B, points)
         circle._certify(np.angle(w * np.conj(lam)), rate, str)
     assert len(circle._lift_grid(B)[0]) - 1 < 1000
@@ -569,7 +598,7 @@ def test_lift_grid_refuses_a_zero_at_1e_15_promptly():
     B = BlaschkeProduct(1.0, (0j, (1.0 - 1e-15) * cmath.exp(1j)))
     start = time.perf_counter()
     with pytest.raises(BlaschkeError, match="zero modulus is 0.999999999999999"):
-        solve_on_circle(B, -1.0)
+        solve_levels(B, [-1.0])
     assert time.perf_counter() - start < 5.0
 
 
@@ -602,9 +631,9 @@ def test_lift_grid_solves_zeros_near_angle_0(gap, angle):
     for _ in range(5):
         near = [(1.0 - gap) * cmath.exp(1j * t) for t in (angle, rng.uniform(0.0, TAU))]
         B = BlaschkeProduct(1.0, (*near, *(random_point(rng, 0.8) for _ in range(4))))
-        for lam, sol in zip(lams, solve_levels(B, lams)):
-            assert len(sol) == B.degree
-            w, rate = circle._circle_terms(B, np.array(sol.points))
+        for lam, points in zip(lams, solve_levels(B, lams).points):
+            assert len(points) == B.degree
+            w, rate = circle._circle_terms(B, points)
             circle._certify(np.angle(w * np.conj(lam)), rate, str)
 
 

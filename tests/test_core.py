@@ -24,6 +24,7 @@ from blaschke import (
     DiskAutomorphism,
     InputError,
     ToleranceConfig,
+    circle_samples,
     compose,
     is_regularized,
     normalize,
@@ -741,6 +742,18 @@ def test_format_float_round_trips():
         assert float(format_float(x)) == x
 
 
+def test_circle_samples_count_must_be_an_integer():
+    with pytest.raises(InputError, match="sample count must be an integer, got 8.0"):
+        circle_samples(8.0)
+    assert circle_samples(np.int64(8)) == circle_samples(8)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_circle_samples_refuses_a_count_below_1(count):
+    with pytest.raises(InputError, match="sample count must be at least 1"):
+        circle_samples(count)
+
+
 def test_unit_helper():
     assert abs(unit(3 + 4j) - (0.6 + 0.8j)) < 1e-15
     z = unit(cmath.exp(0.2j) * (1 + 3e-12))
@@ -753,11 +766,7 @@ EXPORTERS = ["blaschke"] + [
 ]
 
 # exports that no pipeline reads, kept on purpose
-UNREAD_ON_PURPOSE = {
-    "blaschke.__version__",
-    # the one-level solve of the README quick start
-    "blaschke.circle.solve_on_circle",
-}
+UNREAD_ON_PURPOSE = {"blaschke.__version__"}
 
 
 @pytest.mark.parametrize("module", EXPORTERS)

@@ -40,7 +40,7 @@ def test_no_tol_passed_to_a_callable_that_takes_none():
     # above, a stale tol on an unreached CLI branch would only show as a
     # TypeError in use
     names = (
-        "solve_levels|solve_on_circle|invariant_orbits|evaluate|derivative|"
+        "solve_levels|invariant_orbits|evaluate|derivative|"
         "compose|fiber|check_value_bound|factor_any_order|"
         "inner_factor_general|build_loops|continue_branch|"
         "envelope|fit_conic|closure_order|foci_vs_zeros"
@@ -51,12 +51,15 @@ def test_no_tol_passed_to_a_callable_that_takes_none():
 def test_no_deleted_public_name_is_documented():
     # these names and class members had no reader in the library or the
     # benchmark and were deleted; continue_branch lives on in
-    # tests/conftest.py, and the CLI reads files through core._parse_json
+    # tests/conftest.py, the CLI reads files through core._parse_json, and
+    # every level set is a circle.LevelSets, whose closure orders
+    # poncelet._closure reads off one certified orbit
     names = (
         "lifted_argument|argument_derivative|chord_second_intersection|"
         "fixed_point|NoInteriorFixedPoint|chain_2n|ChainRecord|ShapeFailure|"
         "DecompositionReport|one_critical_value_form|OneCriticalValueForm|"
-        "from_json|to_json|is_identity|max_distance"
+        "from_json|to_json|is_identity|max_distance|solve_on_circle|"
+        "CircleSolutionSet|_LevelTable|_solve_level_arrays|_hops_to_close"
     )
     assert _matches(rf"\b({names})\b", "src", "README.md") == []
 

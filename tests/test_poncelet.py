@@ -12,7 +12,7 @@ from blaschke import (
     compose,
 )
 from blaschke import circle, poncelet
-from blaschke.circle import invariant_orbit, solve_on_circle
+from blaschke.circle import invariant_orbit, solve_levels
 from blaschke.cli import demo_corpus
 from blaschke.poncelet import (
     closure_order,
@@ -260,11 +260,11 @@ def test_closure_order_and_envelope_refuse_a_skip_that_is_not_an_integer():
 def test_tangency_audit_checks_the_skip_as_envelope_does():
     # skip 9 names no chord family of a degree-4 level set
     fit = fit_conic(envelope(T, 0, 120).points)
-    level_sets = circle.solve_levels(T, [1j, -1.0])
-    assert tangency_audit(fit, level_sets, 1) >= 0.0
+    levels = solve_levels(T, [1j, -1.0])
+    assert tangency_audit(fit, levels, 1) >= 0.0
     for skip in (9, 2, -1, 0.5):
         with pytest.raises(InputError, match="skip must"):
-            tangency_audit(fit, level_sets, skip)
+            tangency_audit(fit, levels, skip)
 
 
 @pytest.mark.parametrize("samples", [100.5, 6.0])
@@ -316,7 +316,7 @@ def test_power_envelope_collapses_to_origin():
 def test_envelope_arrays_come_straight_from_the_table(monkeypatch):
     # package and envelope build no per-sample object; the arrays are
     # read-only, and samples rebuilds exactly the tuples of the formula
-    # e = (p psi'_p + q psi'_q) / (psi'_p + psi'_q) on the level table
+    # e = (p psi'_p + q psi'_q) / (psi'_p + psi'_q) on the level sets
     B = random_product(rng_for(414), 12, radius=0.8)
 
     def refuse(*args):
@@ -327,15 +327,16 @@ def test_envelope_arrays_come_straight_from_the_table(monkeypatch):
         pkg = package(B, 720)
         curve = envelope(B, 3, 720)
     assert curve == pkg.entries[3].curve
-    table = poncelet._level_sets(B, 60)
+    t = TAU * np.arange(60) / 60
+    levels = solve_levels(B, np.exp(1j * t))
     for entry in pkg.entries:
         arrays = (entry.curve.angles, entry.curve.points, entry.curve.chords)
         assert not any(a.flags.writeable for a in arrays)
         hop = entry.skip + 1
-        p, rp = table.points, table.rate
+        p, rp = levels.points.T, levels.rates.T
         q, rq = np.roll(p, -hop, axis=0), np.roll(rp, -hop, axis=0)
         e = (p * rp + q * rq) / (rp + rq)
-        angle = np.broadcast_to(table.t, p.shape).ravel().tolist()
+        angle = np.broadcast_to(t, p.shape).ravel().tolist()
         want = zip(
             angle,
             e.ravel().tolist(),
@@ -349,10 +350,10 @@ def test_envelope_arrays_come_straight_from_the_table(monkeypatch):
 
 def test_polygon_vertices_are_fiber():
     lam = cmath.exp(0.7j)
-    verts = solve_on_circle(B84, lam)
+    (verts,) = solve_levels(B84, [lam]).points.tolist()
     assert len(verts) == B84.degree
-    for k in range(len(verts)):
-        assert abs(B84(verts.point(k)) - lam) < 1e-9
+    for z in verts:
+        assert abs(B84(z) - lam) < 1e-9
 
 
 def test_poncelet_closure_for_random_targets():
@@ -377,9 +378,37 @@ def test_closure_order_of_power():
     assert [closure_order(B, m) for m in range(4)] == [8, 4, 8, 2]
 
 
+# two zeros 1e-9 inside the circle next to 1 put g(1) 3.0e-9 from 1, within
+# the closure certificate's 1e-8 of the start
+NEAR_ONE = BlaschkeProduct(
+    1.0, (1 - 1e-9, (1 - 1e-9) * cmath.exp(1e-9j), 0.3j, -0.5, 0.2 + 0.1j, 0.6j)
+)
+
+
+def test_closure_order_next_to_two_zeros_near_1_is_not_one_hop():
+    # the first hop lands within 1e-8 of the start, yet the skip-m polygon
+    # closes after n / gcd(n, m + 1) hops, as everywhere else
+    orbit = invariant_orbit(NEAR_ONE, 1.0 + 0j, 7)
+    assert abs(orbit[1] - orbit[0]) < 1e-8
+    assert [closure_order(NEAR_ONE, skip) for skip in range(3)] == [6, 3, 2]
+    assert [entry.closure for entry in package(NEAR_ONE).entries] == [6, 3, 2]
+
+
+def test_closure_refuses_an_orbit_displaced_by_twice_the_certificate():
+    # the order is arithmetic, but only once the re-solved n-th iterate lies
+    # within 1e-8 of the start
+    orbit = invariant_orbit(B84, 1.0 + 0j, 9)
+    assert [poncelet._closure(orbit, skip) for skip in range(4)] == [8, 4, 8, 2]
+    near = orbit[:-1] + (orbit[0] * cmath.exp(5e-9j),)
+    assert poncelet._closure(near, 1) == 4
+    off = orbit[:-1] + (orbit[0] * cmath.exp(2e-8j),)
+    with pytest.raises(VerificationFailure, match="failed to close: g\\^8"):
+        poncelet._closure(off, 1)
+
+
 def test_closure_order_refuses_an_orbit_that_does_not_close(monkeypatch):
-    # the closing hop is measured against the re-solved n-th iterate, so a
-    # level set whose orbit misses its start fails the closure certificate;
+    # the re-solved n-th iterate is measured against the start, so a level
+    # set whose orbit misses its start fails the closure certificate;
     # closure_order reads its orbit through circle._orbit, package through
     # its own import of it
     real = circle._orbit
@@ -398,19 +427,19 @@ def test_closure_order_refuses_an_orbit_that_does_not_close(monkeypatch):
 
 def _count_solves(monkeypatch) -> list[int]:
     """Count every level set poncelet solves, batched or through an orbit:
-    all of them pass through circle._solve_level_arrays.  The level-set
-    memo is cleared first, so no earlier solve is counted as free."""
+    all of them pass through circle.solve_levels.  The level-set memo is
+    cleared first, so no earlier solve is counted as free."""
     circle._level_sets_through.cache_clear()
     calls = [0]
-    real = circle._solve_level_arrays
+    real = circle.solve_levels
 
     def counted(B, lams):
         lams = list(lams)
         calls[0] += len(lams)
         return real(B, lams)
 
-    monkeypatch.setattr(circle, "_solve_level_arrays", counted)
-    monkeypatch.setattr(poncelet, "_solve_level_arrays", counted)
+    monkeypatch.setattr(circle, "solve_levels", counted)
+    monkeypatch.setattr(poncelet, "solve_levels", counted)
     return calls
 
 
@@ -431,22 +460,15 @@ def test_package_solves_table_plus_one_level_set(monkeypatch, degree, samples):
     assert calls[0] == max(2, -(-samples // degree)) + 1
 
 
-def _tuple_level_sets(Bhat, count):
-    """The level table built from solve_levels' CircleSolutionSet tuples."""
-    t = TAU * np.arange(count) / count
-    sols = circle.solve_levels(Bhat, np.exp(1j * t))
-    points = np.array([sol.points for sol in sols]).T
-    return poncelet._LevelTable(t, points, np.array([sol.rates for sol in sols]).T)
+def _tuple_levels(Bhat, lams):
+    """solve_levels' record rebuilt from Python tuples, each row a one-row
+    solve of its own target."""
+    rows = [solve_levels(Bhat, [lam]) for lam in lams]
 
+    def stack(name):
+        return np.array([tuple(getattr(row, name)[0].tolist()) for row in rows])
 
-def _tuple_level_arrays(Bhat, lams):
-    """_solve_level_arrays' arrays rebuilt from solve_levels' tuples."""
-    sols = circle.solve_levels(Bhat, lams)
-
-    def rows(name):
-        return np.array([getattr(sol, name) for sol in sols])
-
-    return [sol.target for sol in sols], rows("angles"), rows("points"), rows("rates")
+    return circle.LevelSets(stack("angles"), stack("points"), stack("rates"))
 
 
 def _bits(a):
@@ -455,16 +477,18 @@ def _bits(a):
 
 @pytest.mark.parametrize("degree,samples", [(3, 240), (8, 6), (12, 720), (17, 720)])
 def test_level_table_arrays_match_the_tuple_path(monkeypatch, degree, samples):
-    # the table reads the solve's arrays directly; every array of it, and
-    # every package answer built on it, is bit-identical to the tuple path
+    # package reads one batched solve's arrays directly; every array of the
+    # batch, and every package answer built on it, is bit-identical to level
+    # sets solved one at a time and rebuilt from their Python tuples
     B = random_product(rng_for(415 + degree), degree, radius=0.8)
     count = max(2, -(-samples // degree))
-    table = poncelet._level_sets(B, count)
-    reference = _tuple_level_sets(B, count)
-    for got, want in zip(table, reference):
+    lams = np.exp(1j * TAU * np.arange(count) / count)
+    batch, reference = solve_levels(B, lams), _tuple_levels(B, lams)
+    for name in ("angles", "points", "rates"):
+        got, want = getattr(batch, name), getattr(reference, name)
         assert got.shape == want.shape and _bits(got) == _bits(want)
     pkg = package(B, samples)
-    monkeypatch.setattr(poncelet, "_solve_level_arrays", _tuple_level_arrays)
+    monkeypatch.setattr(poncelet, "solve_levels", _tuple_levels)
     old = package(B, samples)
     assert len(pkg) == len(old)
     for entry, want in zip(pkg.entries, old.entries):
@@ -521,7 +545,7 @@ def test_tangency_audit_degree_three():
     curve = envelope(B, 0, 240)
     fit = fit_conic(curve.points)
     lams = [cmath.exp(1j * t) for t in (0.3, 1.7, 4.1)]
-    assert tangency_audit(fit, [solve_on_circle(B, lam) for lam in lams]) < 1e-8
+    assert tangency_audit(fit, solve_levels(B, lams)) < 1e-8
 
 
 def test_tangency_audit_degree_two_point():
@@ -532,7 +556,7 @@ def test_tangency_audit_degree_two_point():
     curve = envelope(B, 0, 240)
     fit = fit_conic(curve.points)
     lams = [cmath.exp(1j * t) for t in (0.3, 1.7, 4.1)]
-    assert tangency_audit(fit, [solve_on_circle(B, lam) for lam in lams]) < 1e-9
+    assert tangency_audit(fit, solve_levels(B, lams)) < 1e-9
 
 
 def test_foci_vs_zeros_degree_three():
@@ -578,8 +602,8 @@ def test_scene_svg_well_formed():
     Bh = B84
     curve = envelope(Bh, 1, 90)
     fit = fit_conic(curve.points)
-    level_sets = [solve_on_circle(Bh, cmath.exp(1j * t)) for t in (0.4, 2.5, 4.6)]
-    text = scene_svg(curve, fit, level_sets)
+    levels = solve_levels(Bh, [cmath.exp(1j * t) for t in (0.4, 2.5, 4.6)])
+    text = scene_svg(curve, fit, levels)
     root = ET.fromstring(text)
     assert root.tag.endswith("svg")
     body = ET.tostring(root, encoding="unicode")
@@ -591,7 +615,7 @@ def test_scene_svg_marks_point_curve():
     B = BlaschkeProduct(1.0, (0j,) * 8)
     curve = envelope(B, 3, 90)
     fit = fit_conic(curve.points)
-    level_sets = [solve_on_circle(B, cmath.exp(1j * t)) for t in (0.4, 2.5, 4.6)]
-    text = scene_svg(curve, fit, level_sets)
+    levels = solve_levels(B, [cmath.exp(1j * t) for t in (0.4, 2.5, 4.6)])
+    text = scene_svg(curve, fit, levels)
     assert "point" in text
     ET.fromstring(text)
