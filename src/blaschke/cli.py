@@ -367,13 +367,18 @@ def cmd_nrange(obj, cfg: RunConfig) -> int:
         "origin_zero_removed": origin_removed,
         "size": A.size,
         "is_ellipse": verdict.is_ellipse,
-        "support_mismatch": verdict.support_mismatch,
-        "fit": _fit_dict(verdict.fit),
-        "kippenhahn_probes": [
-            {"uvw": list(p), "value": kippenhahn_eval(A, *p)} for p in probes
-        ],
-        "files": files,
+        "ellipse_residual": verdict.residual,
     }
+    if verdict.is_ellipse:
+        report["ellipse"] = {
+            "center": verdict.center,
+            "semi_axes": list(verdict.semi_axes),
+            "foci": list(verdict.foci),
+        }
+    report["kippenhahn_probes"] = [
+        {"uvw": list(p), "value": kippenhahn_eval(A, *p)} for p in probes
+    ]
+    report["files"] = files
     _emit(report)
     return 0
 

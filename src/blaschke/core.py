@@ -64,6 +64,15 @@ _CLUSTER_TOL = 1e-8
 # counts as the origin (_origin_dropped, the z-factor test that cli nrange,
 # the elliptical check and verify_generator_power ask)
 _IDENTITY_TOL = 1e-9
+# An ellipse whose semi-axes p >= q satisfy (p - q)/p <= _ROUND_GAP is a
+# circle with both foci at its center (poncelet's conic fits and shiftop's
+# range verdict).  The axes of a circle differ by rounding alone, at most
+# 3.9e-15 relative on the demo corpus, against at least 8.4e-2 for a true
+# ellipse there, and the focal distance sqrt(p^2 - q^2) ~ p sqrt(2 (p - q)/p)
+# would magnify that rounding into foci about 1e-7 p from the center.
+# Placing them at the center moves a focus by at most p sqrt(2e-12) ~
+# 1.4e-6 p.
+_ROUND_GAP = 1e-12
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,7 @@ from .core import (
     ToleranceConfig,
     format_float,
     unit,
+    _ROUND_GAP,
     _integer,
 )
 from .circle import (
@@ -211,7 +212,7 @@ class ConicFit:
     unit-normalized.  classification is one of "ellipse", "point",
     "degenerate", "non-conic".  center/semi_axes/axis_angle/foci are set for
     ellipses (both foci at the center when the axes differ by rounding
-    alone, see _ROUND_GAP) and degenerately for points; max_residual is the
+    alone, see core._ROUND_GAP) and degenerately for points; max_residual is the
     worst gradient-normalized algebraic distance over the sample.
     """
 
@@ -235,14 +236,6 @@ class ConicFit:
         return (cmath.exp(-1j * theta) * self.center).real + reach
 
 
-# An ellipse fit whose axes p >= q satisfy (p - q)/p <= _ROUND_GAP is a
-# circle with both foci at its center.  The axes of a circle's fit differ by
-# rounding alone, at most 3.9e-15 relative on the demo corpus, against at
-# least 8.4e-2 for a true ellipse there, and the focal distance
-# sqrt(p^2 - q^2) ~ p sqrt(2 (p - q)/p) would magnify that rounding into
-# foci about 1e-7 p from the center.  Placing them at the center moves a focus by at
-# most p sqrt(2e-12) ~ 1.4e-6 p.
-_ROUND_GAP = 1e-12
 # a fit whose worst gradient-normalized algebraic distance over the sample
 # reaches this is a non-conic
 _CONIC_RESIDUAL_TOL = 1e-6

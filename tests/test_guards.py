@@ -53,15 +53,31 @@ def test_no_deleted_public_name_is_documented():
     # benchmark and were deleted; continue_branch lives on in
     # tests/conftest.py, the CLI reads files through core._parse_json, and
     # every level set is a circle.LevelSets, whose closure orders
-    # poncelet._closure reads off one certified orbit
+    # poncelet._closure reads off one certified orbit, and the range
+    # verdict reports its Fourier residual
     names = (
         "lifted_argument|argument_derivative|chord_second_intersection|"
         "fixed_point|NoInteriorFixedPoint|chain_2n|ChainRecord|ShapeFailure|"
         "DecompositionReport|one_critical_value_form|OneCriticalValueForm|"
         "from_json|to_json|is_identity|max_distance|solve_on_circle|"
-        "CircleSolutionSet|_LevelTable|_solve_level_arrays|_hops_to_close"
+        "CircleSolutionSet|_LevelTable|_solve_level_arrays|_hops_to_close|"
+        "support_mismatch"
     )
     assert _matches(rf"\b({names})\b", "src", "README.md") == []
+
+
+def test_the_range_verdict_fits_no_conic():
+    # shiftop reads W(A)'s ellipse off the Fourier modes of its support
+    # function; conic fits stay with the envelopes, whose samples are not
+    # uniform support samples
+    assert _matches(r"^\s*(from\s+\S*poncelet\S*\s+import|import\s+\S*poncelet)",
+                    "src/blaschke/shiftop.py") == []
+    source = (ROOT / "src/blaschke/cli.py").read_text()
+    nrange = next(
+        node for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name == "cmd_nrange"
+    )
+    assert "fit_conic" not in ast.get_source_segment(source, nrange)
 
 
 def test_no_sup_error_certificate_against_a_literal_1e_8():

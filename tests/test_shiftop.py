@@ -6,7 +6,9 @@ import pytest
 
 from blaschke import BlaschkeProduct, InputError
 from blaschke import shiftop
+from blaschke.cli import DEMO_BUILDERS, _as_product
 from blaschke.core import _origin_dropped
+from blaschke.poncelet import fit_conic
 from blaschke.shiftop import (
     boundary_csv,
     is_elliptical_range,
@@ -16,6 +18,7 @@ from blaschke.shiftop import (
 )
 
 from conftest import TAU, rng_for, random_point, random_product
+from test_ceilings import _elliptical
 
 COS_QUARTER = math.cos(math.pi / 4)
 
@@ -274,7 +277,8 @@ def test_one_by_one_range_is_its_zero():
     sample = numerical_range_boundary(A, 720)
     assert max(abs(p - a) for p in sample.points) < 1e-14
     verdict = is_elliptical_range(A, 720)
-    assert verdict.fit.classification == "point"
+    assert not verdict.is_ellipse
+    assert verdict.center is verdict.semi_axes is verdict.foci is None
 
 
 # ------------------------------------------------------------ ellipse verdict
@@ -289,13 +293,12 @@ def test_two_by_two_ellipse_against_closed_form():
         b = 0.6 * cmath.exp(1j * rng.uniform(0, TAU)) * math.sqrt(rng.uniform(0, 1))
         verdict = is_elliptical_range(shift_matrix([a, b]), 360)
         assert verdict.is_ellipse
-        fit = verdict.fit
         q = math.sqrt((1 - abs(a) ** 2) * (1 - abs(b) ** 2)) / 2
         p = math.sqrt(q**2 + abs(a - b) ** 2 / 4)
-        assert abs(fit.center - (a + b) / 2) < 1e-9
-        assert abs(fit.semi_axes[0] - p) < 1e-9
-        assert abs(fit.semi_axes[1] - q) < 1e-9
-        got_foci = sorted(fit.foci, key=lambda z: (z.real, z.imag))
+        assert abs(verdict.center - (a + b) / 2) < 1e-12
+        assert abs(verdict.semi_axes[0] - p) < 1e-12
+        assert abs(verdict.semi_axes[1] - q) < 1e-12
+        got_foci = sorted(verdict.foci, key=lambda z: (z.real, z.imag))
         want_foci = sorted([a, b], key=lambda z: (z.real, z.imag))
         assert max(abs(x - y) for x, y in zip(got_foci, want_foci)) < 1e-8
 
@@ -303,8 +306,9 @@ def test_two_by_two_ellipse_against_closed_form():
 def test_jordan_three_is_a_disk():
     verdict = is_elliptical_range(shift_matrix([0j, 0j, 0j]), 360)
     assert verdict.is_ellipse
-    assert abs(verdict.fit.semi_axes[0] - COS_QUARTER) < 1e-9
-    assert abs(verdict.fit.semi_axes[1] - COS_QUARTER) < 1e-9
+    assert abs(verdict.semi_axes[0] - COS_QUARTER) < 1e-9
+    assert abs(verdict.semi_axes[1] - COS_QUARTER) < 1e-9
+    assert verdict.foci == (verdict.center, verdict.center)
 
 
 def test_generic_three_zeros_not_an_ellipse():
@@ -312,6 +316,89 @@ def test_generic_three_zeros_not_an_ellipse():
         shift_matrix([0.5 + 0.2j, -0.4 + 0.1j, 0.1 - 0.55j]), 360
     )
     assert not verdict.is_ellipse
+
+
+def _model_space_matrix(B):
+    """The compressed shift that cli nrange sweeps: one origin zero dropped
+    when B(0) = 0."""
+    rest = _origin_dropped(B.zeros)
+    return shift_matrix(B.zeros if rest is None else rest)
+
+
+def _demo_matrix(demo):
+    return _model_space_matrix(_as_product(DEMO_BUILDERS[demo]()))
+
+
+DEMO_ELLIPSES = {"power8": True, "elliptical8": True, "deg6elliptic": True,
+                 "nonexample84": False, "deg6nonelliptic": False, "chain3": False,
+                 "power2": False}
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_ELLIPSES))
+def test_demo_corpus_ellipse_verdicts(demo):
+    # the ellipses' other modes are rounding, and the non-ellipses' far
+    # above it; power2's range is the point 0, whose sweep is rounding alone
+    verdict = is_elliptical_range(_demo_matrix(demo))
+    assert verdict.is_ellipse is DEMO_ELLIPSES[demo]
+    if verdict.is_ellipse:
+        assert verdict.residual <= 1e-12
+    else:
+        assert verdict.residual >= 1e-3
+        assert verdict.center is verdict.semi_axes is verdict.foci is None
+
+
+def test_demo_ellipses_match_their_conic_fits():
+    # the conic through the swept points and the Fourier read-off agree
+    for demo in ("power8", "elliptical8", "deg6elliptic"):
+        verdict = is_elliptical_range(_demo_matrix(demo))
+        fit = fit_conic(verdict.sample.points)
+        assert abs(verdict.center - fit.center) < 1e-14
+        assert max(abs(x - y) for x, y in zip(verdict.semi_axes, fit.semi_axes)) < 1e-14
+        key = lambda z: (round(z.real, 9), round(z.imag, 9))
+        got, want = sorted(verdict.foci, key=key), sorted(fit.foci, key=key)
+        assert max(abs(x - y) for x, y in zip(got, want)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_elliptical_family_ranges_are_ellipses(n):
+    verdict = is_elliptical_range(_model_space_matrix(_elliptical(n)))
+    assert verdict.is_ellipse
+    assert verdict.residual <= 1e-10
+
+
+def test_random_ranges_are_not_ellipses():
+    rng = rng_for(3)
+    for degree in range(3, 40):
+        B = random_product(rng, degree)
+        verdict = is_elliptical_range(shift_matrix(B.zeros))
+        assert not verdict.is_ellipse, degree
+        assert verdict.residual >= 1e-5, degree
+
+
+def test_segment_range_is_not_an_ellipse():
+    # W(diag(0, 1)) = [0, 1]: its squared reach has only the modes 0 and
+    # +-2, and its minor axis is 0
+    verdict = is_elliptical_range(np.diag([0.0, 1.0]))
+    assert verdict.residual <= 1e-12
+    assert not verdict.is_ellipse
+
+
+def test_zero_matrix_range_is_not_an_ellipse():
+    verdict = is_elliptical_range(np.zeros((3, 3)))
+    assert verdict.residual == math.inf and not verdict.is_ellipse
+
+
+def test_thin_two_by_two_ellipse():
+    # zeros 1e-5 inside the circle give q/p ~ 1e-5; the sweep still reads
+    # the closed form, q to the rounding of q^2 = hat g_0 - 2 |hat g_2|
+    a, b = 0.99999, -0.99999j
+    verdict = is_elliptical_range(shift_matrix([a, b]))
+    assert verdict.is_ellipse
+    q = (1 - abs(a) ** 2) / 2
+    assert abs(verdict.center - (a + b) / 2) < 1e-12
+    assert abs(verdict.semi_axes[1] - q) < 1e-6 * q
+    got_foci = sorted(verdict.foci, key=lambda z: z.real)
+    assert max(abs(x - y) for x, y in zip(got_foci, [b, a])) < 1e-10
 
 
 def test_accepts_plain_arrays():
@@ -330,6 +417,19 @@ def test_kippenhahn_jordan_closed_form():
     for u, v, w in [(1.0, 0.0, 1.0), (0.3, -0.7, 0.9), (0.0, 1.0, 2.0)]:
         expected = w**3 - w * (u**2 + v**2) / 2
         assert abs(kippenhahn_eval(A, u, v, w) - expected) < 1e-12
+
+
+@pytest.mark.parametrize("uvw", [(math.nan, 0, 1), (1, math.inf, 1), (1, 0, complex(0, math.nan))])
+def test_kippenhahn_refuses_non_finite_arguments(uvw):
+    with pytest.raises(InputError, match="is not finite"):
+        kippenhahn_eval(shift_matrix([0.3, 0.2j]), *uvw)
+
+
+@pytest.mark.parametrize("sweep", [numerical_range_boundary, is_elliptical_range, kippenhahn_eval])
+def test_non_finite_matrix_entries_are_refused(sweep):
+    args = (1.0, 0.0, 1.0) if sweep is kippenhahn_eval else (8,)
+    with pytest.raises(InputError, match="matrix entry .* is not finite"):
+        sweep([[1, 0], [0, math.nan]], *args)
 
 
 def test_kippenhahn_vanishes_on_tangent_coordinates():
