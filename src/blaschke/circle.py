@@ -29,7 +29,10 @@ and a pass on which every root is live gathers and scatters nothing.  The
 kernel stops every root at a point it has just evaluated and hands that
 evaluation to the certificate, so a solve whose starts are one Newton step
 from their roots costs two evaluations of B.  _arc_gain and _tangency, the
-summed arc gain and chord tangency point, serve shiftop and poncelet too.
+summed arc gain and chord tangency point, serve shiftop and poncelet too, as
+does _ellipse, the one test of whether a family of lines, the support lines
+of a numerical range or the chords of an envelope, is tangent to an
+ellipse.
 
 A solve returns one LevelSets record: the angles, points and psi' rates of
 every level set as read-only (levels, n) arrays, one row per target, each
@@ -71,6 +74,7 @@ from .core import (
     circle_samples,
     unit,
     _MATCH_TOL,
+    _ROUND_GAP,
     _factor_array,
     _finite,
     _integer,
@@ -130,6 +134,72 @@ def _arc_gain(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
 def _tangency(p, rate_p, q, rate_q):
     """psi'-weighted mean of chord ends p, q: the chord's point on its envelope."""
     return (p * rate_p + q * rate_q) / (rate_p + rate_q)
+
+
+# A family of lines whose tangency equations miss by more than this fraction
+# of a0 has no ellipse.  Ellipses read at most 1.5e-14 (demo envelopes) and
+# 3.9e-12 (the elliptical family's ranges to degree 24); the other families
+# read at least 1.3e-4 (envelopes of random products of degree 3 to 128) and
+# 2.2e-3 (ranges of random products of degree 3 to 39).
+_ELLIPSE_TOL = 1e-8
+
+
+def _ellipse(s: np.ndarray, r: np.ndarray, points: np.ndarray | None = None):
+    """The ellipse tangent to every line z + r_k conj(z) = s_k, |r_k| = 1,
+    as (classification, center, semi_axes, axis_angle, foci, residual).
+
+    The chord from z1 to z2 on the unit circle is s = z1 + z2, r = z1 z2; the
+    support line Re(e^{-i theta} z) = h is s = 2 h e^{i theta}, r =
+    e^{2 i theta}.  A line with unit normal e^{i theta} and offset h touches
+    the ellipse with center c and squared reach g = a0 + Re(e^{-2i theta} m)
+    exactly when (h - Re(e^{-i theta} c))^2 = g (Gau and Wu 1998; Daepp,
+    Gorkin, Shaffer and Voss, "Finding ellipses", 2018), which is linear in
+    the five real unknowns c, A0 and A2 + i B2:
+
+        Re(conj(s) c) + A0 + Re(conj(r) (A2 + i B2)) = |s|^2 / 4,
+
+    with a0 = A0 + |c|^2/2 and m = A2 + i B2 + c^2/2.  One least-squares
+    solve gives them; the semi-axes are p, q = sqrt(a0 +- |m|), the major
+    axis lies at arg(m)/2 and the foci are c +- sqrt(2m), or both c when
+    p - q <= core._ROUND_GAP p, a circle.  residual is the worst equation
+    miss over a0, infinite when a0 <= 0.
+
+    A family whose points (the tangency points, when given) all lie within
+    1e-6 of the first is a "point" at their mean, with residual their
+    spread; this runs first, as lines through one point leave c free.
+    Otherwise it is a "non-conic" when the residual is above _ELLIPSE_TOL, a
+    "degenerate" one when q^2 <= core._ROUND_GAP p^2 (a segment), else an
+    "ellipse"; center, semi_axes, axis_angle and foci are None unless it
+    is a point or an ellipse.  Fewer than 6 lines, or a line that is not
+    finite, raise InputError.
+    """
+    if len(s) < 6:
+        raise InputError("an ellipse fit needs at least 6 tangent lines")
+    finite = np.isfinite(s) & np.isfinite(r)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise InputError(f"an ellipse fit needs finite lines; line {k} is not")
+    if points is not None and np.abs(points - points[0]).max() < 1e-6:
+        center = complex(np.mean(points))
+        spread = float(np.abs(points - center).max())
+        return "point", center, (0.0, 0.0), 0.0, (center, center), spread
+    design = np.stack((s.real, s.imag, np.ones(len(s)), r.real, r.imag), axis=1)
+    rhs = 0.25 * (s.real**2 + s.imag**2)
+    x = np.linalg.lstsq(design, rhs)[0]
+    c = complex(x[0], x[1])
+    a0 = float(x[2]) + 0.5 * abs(c) ** 2
+    m = complex(x[3], x[4]) + 0.5 * c * c
+    miss = float(np.abs(design @ x - rhs).max())
+    residual = miss / a0 if a0 > 0.0 else math.inf
+    p2, q2 = a0 + abs(m), a0 - abs(m)
+    if not residual <= _ELLIPSE_TOL:
+        return "non-conic", None, None, None, None, residual
+    if not q2 > _ROUND_GAP * p2:
+        return "degenerate", None, None, None, None, residual
+    p, q = math.sqrt(p2), math.sqrt(q2)
+    offset = 0j if p - q <= _ROUND_GAP * p else cmath.sqrt(2.0 * m)
+    foci = (c + offset, c - offset)
+    return "ellipse", c, (p, q), 0.5 * cmath.phase(m), foci, residual
 
 
 @lru_cache(maxsize=64)

@@ -254,8 +254,7 @@ def _write(cfg: RunConfig, name: str, text: str) -> str:
 def _fit_dict(fit) -> dict:
     out = {
         "classification": fit.classification,
-        "max_residual": fit.max_residual,
-        "coefficients": list(fit.coefficients),
+        "residual": fit.residual,
     }
     if fit.center is not None:
         out["center"] = fit.center
@@ -279,7 +278,7 @@ def cmd_curve(obj, cfg: RunConfig) -> int:
 
     B = _as_product(obj)
     curve = envelope(B, cfg.skip, cfg.lambda_samples)
-    fit = fit_conic(curve.points)
+    fit = fit_conic(curve)
     level_sets = solve_levels(B, SCENE_LAMBDAS)
     files = [
         _write(cfg, f"curve_skip{cfg.skip}.csv", curve_csv(curve)),

@@ -65,9 +65,9 @@ _CLUSTER_TOL = 1e-8
 # the elliptical check and verify_generator_power ask)
 _IDENTITY_TOL = 1e-9
 # An ellipse whose semi-axes p >= q satisfy (p - q)/p <= _ROUND_GAP is a
-# circle with both foci at its center (poncelet's conic fits and shiftop's
-# range verdict).  The axes of a circle differ by rounding alone, at most
-# 3.9e-15 relative on the demo corpus, against at least 8.4e-2 for a true
+# circle with both foci at its center (circle._ellipse, for envelopes and
+# ranges alike).  The axes of a circle differ by rounding alone, at most
+# 8.8e-15 relative on the demo corpus, against at least 8.4e-2 for a true
 # ellipse there, and the focal distance sqrt(p^2 - q^2) ~ p sqrt(2 (p - q)/p)
 # would magnify that rounding into foci about 1e-7 p from the center.
 # Placing them at the center moves a focus by at most p sqrt(2e-12) ~
@@ -129,9 +129,11 @@ def format_float(x: float) -> str:
 
 def circle_samples(count: int, offset: float = 0.0) -> list[complex]:
     """count evenly spaced points on the unit circle, deterministic; a count
-    that is not an integer of at least 1 raises InputError."""
+    that is not an integer of at least 1, or a NaN or infinite offset,
+    raises InputError."""
     if _integer(count, "sample count must be an integer") < 1:
         raise InputError("sample count must be at least 1")
+    _finite("sample offset", offset)
     return [cmath.exp(1j * (offset + 2.0 * math.pi * k / count)) for k in range(count)]
 
 
@@ -295,12 +297,29 @@ class BlaschkeProduct:
     def _from_json_dict(data) -> "BlaschkeProduct":
         if not isinstance(data, dict) or "gamma" not in data or "zeros" not in data:
             raise InputError('product JSON needs "gamma" and "zeros"')
-        try:
-            gamma = complex(data["gamma"][0], data["gamma"][1])
-            zeros = tuple(complex(p[0], p[1]) for p in data["zeros"])
-        except (TypeError, IndexError, ValueError) as exc:
-            raise InputError(f"malformed product JSON: {exc}") from exc
+        if not isinstance(data["zeros"], list):
+            raise InputError('malformed product JSON: "zeros" must be a list')
+        gamma = _json_complex(data["gamma"], "gamma")
+        zeros = tuple(
+            _json_complex(p, f"zeros[{k}]") for k, p in enumerate(data["zeros"])
+        )
         return BlaschkeProduct(gamma, zeros)
+
+
+def _json_complex(value, name: str) -> complex:
+    """re + i im for a JSON pair [re, im] of numbers, or InputError naming
+    the entry: a boolean is not a number, and a third component is refused,
+    not dropped."""
+    if not (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+    ):
+        raise InputError(
+            f"malformed product JSON: {name} must be a pair [re, im] of numbers, "
+            f"got {json.dumps(value)}"
+        )
+    return complex(value[0], value[1])
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,7 @@ from .core import (
     _finite,
     _integer,
     _proper_divisors,
+    _tower_height,
     _zeros_separated,
 )
 from .critical import CriticalData, _value_links, critical_data
@@ -736,10 +737,12 @@ def wreath_audit(G: PermutationGroup, levels: int) -> WreathAudit:
     integer of at least 1 raises InputError."""
     if _integer(levels, "levels must be an integer") < 1:
         raise InputError("levels must be positive")
-    if G.degree != 2**levels:
+    if _tower_height(G.degree) != levels:
+        # a height beyond G's bit length is refused before 2^levels is formed
+        size = 2**levels if levels <= G.degree.bit_length() else f"2^{levels}"
         raise InputError(
-            f"the wreath product of height {levels} acts on {2**levels} "
-            f"points, not {G.degree}"
+            f"the wreath product of height {levels} acts on {size} points, "
+            f"not {G.degree}"
         )
     expected = 2 ** (2**levels - 1)
     order = G.order()

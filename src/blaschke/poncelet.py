@@ -28,12 +28,14 @@ from that record with no per-sample object.  Its samples property builds
 EnvelopeSample tuples from those arrays on each access, for readers that
 want one record per sample; nothing on the compute path calls it.
 
-Conic identification is algebraic least squares on the six monomials with a
-Sampson (gradient-normalized) residual; classification separates genuine
-ellipses from points, degenerate conics, and outright non-conics.  The
-envelopes of several skips, and the least-squares fronts of several fits,
-are computed as stacked arrays; envelope and fit_conic are their one-curve
-cases.
+A curve is identified from its chords, not from its sampled points: the
+chord from z1 to z2 is the line z + z1 z2 conj(z) = z1 + z2, and
+circle._ellipse, the one ellipse test here and in shiftop, solves the
+chords' tangency equations for the ellipse they touch, by linear least
+squares in five unknowns.  It tells ellipses from points, segments and
+non-conics by one relative residual, so no sample needs to be uniform.
+The envelopes of several skips are computed as stacked arrays; envelope is
+their one-curve case.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .core import (
     ToleranceConfig,
     format_float,
     unit,
-    _ROUND_GAP,
     _integer,
 )
 from .circle import (
@@ -58,6 +59,7 @@ from .circle import (
     invariant_orbit,
     solve_levels,
     _circle_terms,
+    _ellipse,
     _orbit,
     _tangency,
 )
@@ -206,23 +208,23 @@ def envelope(Bhat: BlaschkeProduct, skip: int, samples: int = 720) -> EnvelopeCu
 
 @dataclass(frozen=True)
 class ConicFit:
-    """Least-squares conic through a point sample.
+    """The curve that the chords of an envelope are tangent to
+    (circle._ellipse).
 
-    coefficients (A, B, C, D, E, F) of Ax^2 + Bxy + Cy^2 + Dx + Ey + F,
-    unit-normalized.  classification is one of "ellipse", "point",
-    "degenerate", "non-conic".  center/semi_axes/axis_angle/foci are set for
-    ellipses (both foci at the center when the axes differ by rounding
-    alone, see core._ROUND_GAP) and degenerately for points; max_residual is the
-    worst gradient-normalized algebraic distance over the sample.
+    classification is one of "ellipse", "point", "degenerate", "non-conic".
+    center/semi_axes (major first)/axis_angle/foci are set for ellipses (both
+    foci at the center when the axes differ by rounding alone, see
+    core._ROUND_GAP) and degenerately for points; residual is the worst miss
+    of the chords' tangency equations relative to the squared mean reach a0,
+    or for a point the spread of the tangency points.
     """
 
-    coefficients: tuple[float, float, float, float, float, float]
     classification: str
     center: complex | None
     semi_axes: tuple[float, float] | None
     axis_angle: float | None
     foci: tuple[complex, complex] | None
-    max_residual: float
+    residual: float
 
     def support(self, theta: float) -> float:
         """Support function max Re(e^{-i theta} z) over the fitted curve."""
@@ -236,126 +238,13 @@ class ConicFit:
         return (cmath.exp(-1j * theta) * self.center).real + reach
 
 
-# a fit whose worst gradient-normalized algebraic distance over the sample
-# reaches this is a non-conic
-_CONIC_RESIDUAL_TOL = 1e-6
-
-
-def _point_fit(pts: np.ndarray) -> ConicFit:
-    center = complex(np.mean(pts))
-    cx, cy = center.real, center.imag
-    coeff = np.array([1.0, 0.0, 1.0, -2 * cx, -2 * cy, cx * cx + cy * cy])
-    coeff /= np.linalg.norm(coeff)
-    spread = float(np.max(np.abs(pts - center))) if len(pts) else 0.0
-    return ConicFit(
-        tuple(float(c) for c in coeff),
-        "point",
-        center,
-        (0.0, 0.0),
-        0.0,
-        (center, center),
-        spread,
-    )
-
-
-def fit_conic(points) -> ConicFit:
-    """Fit and classify a conic through a planar point sample (at least 6).
-
-    The one-sample case of _fit_conics."""
-    return _fit_conics(np.asarray(points, dtype=complex)[None])[0]
-
-
-def _fit_conics(samples: np.ndarray) -> list[ConicFit]:
-    """fit_conic on every row of samples, with the design matrices, their
-    SVDs and the gradient-normalized residuals stacked over the rows; each
-    row is then classified on its own (_classify).  Only the right singular
-    vectors are read, so each SVD is taken of the 6x6 R of the design's QR
-    factorization, which has the same ones."""
-    if samples.shape[1] < 6:
-        raise InputError("conic fitting needs at least 6 points")
-    finite = np.isfinite(samples)
-    if not finite.all():
-        raise InputError(
-            f"conic fitting needs finite points, got {samples[~finite][0]}"
-        )
-    point = np.abs(samples - samples[:, :1]).max(axis=1) < 1e-6
-    fits = [_point_fit(pts) if p else None for pts, p in zip(samples, point)]
-    rows = np.flatnonzero(~point)
-    if not rows.size:
-        return fits
-    pts = samples[rows]
-    x, y = pts.real, pts.imag
-    design = np.stack([x * x, x * y, y * y, x, y, np.ones_like(x)], axis=-1)
-    _, _, vh = np.linalg.svd(np.linalg.qr(design, mode="r"))
-    coeff = vh[:, -1]
-    # pin the arbitrary SVD sign: with A + C > 0 the quadratic part of an
-    # ellipse is positive definite, so the eigh ordering below is reliable
-    coeff[coeff[:, 0] + coeff[:, 2] < 0] *= -1.0
-    qform = np.matmul(design, coeff[:, :, None])[..., 0]
-    A, B, C, D, E = (col[:, None] for col in coeff[:, :5].T)
-    gx = 2 * A * x + B * y + D
-    gy = B * x + 2 * C * y + E
-    grad = np.hypot(gx, gy)
-    grad = np.where(grad < 1e-12, 1e-12, grad)
-    max_residual = (np.abs(qform) / grad).max(axis=1)
-    for i, row, residual in zip(rows, coeff.tolist(), max_residual.tolist()):
-        fits[i] = _classify(*row, residual)
-    return fits
-
-
-def _classify(A, B, C, D, E, F, max_residual: float) -> ConicFit:
-    """The ConicFit of the unit coefficients (A, ..., F) of a sample's
-    least-squares conic, with max_residual its worst gradient-normalized
-    algebraic distance over the sample."""
-    if max_residual >= _CONIC_RESIDUAL_TOL:
-        classification = "non-conic"
-    elif B * B - 4 * A * C < 0 and np.linalg.det(
-        [[A, B / 2, D / 2], [B / 2, C, E / 2], [D / 2, E / 2, F]]
-    ) * (A + C) < 0:
-        # a real ellipse: negative discriminant, and the determinant of the
-        # 3x3 conic matrix of the opposite sign to A + C
-        classification = "ellipse"
-    else:
-        classification = "degenerate"
-
-    center = semi_axes = axis_angle = foci = None
-    if classification == "ellipse":
-        sol = np.linalg.solve(np.array([[2 * A, B], [B, 2 * C]]), [-D, -E])
-        cx, cy = float(sol[0]), float(sol[1])
-        center = complex(cx, cy)
-        G = A * cx * cx + B * cx * cy + C * cy * cy + D * cx + E * cy + F
-        M2 = np.array([[A, B / 2], [B / 2, C]])
-        eigvals, eigvecs = np.linalg.eigh(M2)
-        axes = []
-        for lam_i in eigvals:
-            ratio = -G / lam_i
-            if ratio <= 0:
-                classification = "degenerate"
-                break
-            axes.append(math.sqrt(ratio))
-        if classification == "ellipse":
-            # eigh sorts eigenvalues ascending, so the first axis is major
-            major, minor = axes[0], axes[1]
-            direction = eigvecs[:, 0]
-            axis_angle = math.atan2(float(direction[1]), float(direction[0]))
-            semi_axes = (major, minor)
-            if major - minor <= _ROUND_GAP * major:
-                foci = (center, center)
-            else:
-                spread = math.sqrt(major * major - minor * minor)
-                offset = spread * cmath.exp(1j * axis_angle)
-                foci = (center + offset, center - offset)
-        else:
-            center = None
-    return ConicFit(
-        (A, B, C, D, E, F),
-        classification,
-        center,
-        semi_axes,
-        axis_angle,
-        foci,
-        max_residual,
-    )
+def fit_conic(curve: EnvelopeCurve) -> ConicFit:
+    """The ellipse, point, segment or non-conic that the chords of curve are
+    tangent to: circle._ellipse on the lines z + z1 z2 conj(z) = z1 + z2
+    through the chord ends z1, z2, with the tangency points for its point
+    test."""
+    z1, z2 = curve.chords.T
+    return ConicFit(*_ellipse(z1 + z2, z1 * z2, curve.points))
 
 
 def tangency_audit(fit: ConicFit, levels: LevelSets, skip: int = 0) -> float:
@@ -458,8 +347,7 @@ def package(
     row, the verified level set through 1, certifies every closure order
     (_closure), so max(2, ceil(samples/n)) + 1 level sets come from one
     solve.  The n/2 envelopes come from one stacked pass over those rows,
-    and their conic fits share one stacked design matrix, SVD and residual
-    pass before each is classified; entry by entry the result is that of
+    and each is fitted by fit_conic; entry by entry the result is that of
     envelope, fit_conic and closure_order, and fewer than 6 samples raise
     InputError, as in envelope.
     """
@@ -471,11 +359,10 @@ def package(
     levels = solve_levels(Bhat, np.append(np.exp(1j * t), through_one))
     orbit = _orbit(tuple(levels.points[-1].tolist()), 1.0 + 0j, n + 1)
     curves = _envelopes(range(n // 2), t, levels.points[:-1], levels.rates[:-1])
-    fits = _fit_conics(np.array([curve.points for curve in curves]))
     return PonceletPackage(
         tuple(
-            PackageEntry(curve.skip, curve, fit, _closure(orbit, curve.skip))
-            for curve, fit in zip(curves, fits)
+            PackageEntry(c.skip, c, fit_conic(c), _closure(orbit, c.skip))
+            for c in curves
         )
     )
 
@@ -571,7 +458,7 @@ def scene_svg(curve: EnvelopeCurve, fit: ConicFit, levels: LevelSets) -> str:
             f'<circle cx="{_f6(fit.center.real)}" cy="{_f6(-fit.center.imag)}" '
             f'r="0.012" fill="#208040"/>'
         )
-    label = f"K{curve.skip + 1}: {fit.classification} (residual {fit.max_residual:.2e})"
+    label = f"K{curve.skip + 1}: {fit.classification} (residual {fit.residual:.2e})"
     parts.append(
         f'<text x="-1.05" y="1.05" font-size="0.07" fill="#303030">{label}</text>'
     )

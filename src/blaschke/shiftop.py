@@ -28,21 +28,22 @@ normal angles theta.  Which input takes which path:
   reference for the first path.
 
 is_elliptical_range reads the ellipse, its center, semi-axes and foci off
-the Fourier modes of either sweep's support values; no conic is fitted.
+either sweep's support lines with circle._ellipse, the test that poncelet
+applies to the chords of its envelopes.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circle import (
-    TAU, _arc_gain, _bracketed_newton, _certify, _circle_w, _poisson_rate, _tangency
+    TAU, _arc_gain, _bracketed_newton, _certify, _circle_w, _ellipse, _poisson_rate,
+    _tangency,
 )
-from .core import ToleranceConfig, format_float, _ROUND_GAP, _finite, _integer
+from .core import ToleranceConfig, format_float, _finite, _integer
 from .errors import EigensolverFailure, InputError
 
 __all__ = [
@@ -218,22 +219,14 @@ def kippenhahn_eval(A, u: complex, v: complex, w: complex) -> complex:
     return complex(np.linalg.det(u * re + v * im + w * np.eye(M.shape[0])))
 
 
-# A range whose squared reach g = (h - Re(e^{-i theta} c))^2 has a Fourier
-# mode m not in {0, +-2} above this fraction of mode 0 is not an ellipse.
-# Ellipses read at most 1.7e-12 (the elliptical family to degree 24) and
-# 2e-15 (the demo ellipses and 2x2 matrices); the other ranges read at least
-# 2.8e-2 on the demo corpus and 3.2e-4 on random products of degree 3 to 39.
-_ELLIPSE_TOL = 1e-8
-
-
 @dataclass(frozen=True, eq=False)
 class RangeVerdict:
     """Outcome of the ellipticity test for W(A).
 
-    residual is the largest Fourier mode of the squared reach outside
-    {0, +-2}, relative to mode 0 (infinite when the reach is 0 throughout).
-    center, semi_axes (major first) and foci describe the ellipse and are
-    None unless is_ellipse; sample is the sweep they were read from.
+    residual is the worst miss of the support lines' tangency equations
+    relative to the squared mean reach a0 (circle._ellipse; infinite when
+    a0 <= 0).  center, semi_axes (major first) and foci describe the ellipse
+    and are None unless is_ellipse; sample is the sweep they were read from.
     """
 
     is_ellipse: bool
@@ -250,40 +243,23 @@ class RangeVerdict:
 def is_elliptical_range(
     A, samples: int = 720, tol: ToleranceConfig | None = None
 ) -> RangeVerdict:
-    """Decide whether W(A) is an ellipse, from its support function h on
-    the uniform sweep theta_k = 2 pi k / samples.
+    """Decide whether W(A) is an ellipse, from its support lines
+    Re(e^{-i theta_k} z) = h(theta_k) on the sweep theta_k = 2 pi k / samples.
 
-    An ellipse with center c, semi-axes p >= q and major axis at angle phi
-    has h(theta) = Re(e^{-i theta} c) + sqrt(g), with the squared reach
-
-        g = p^2 cos^2(theta - phi) + q^2 sin^2(theta - phi)
-          = (p^2 + q^2)/2 + (p^2 - q^2)/2 cos 2(theta - phi),
-
-    and conversely (Gau and Wu 1998; Daepp, Gorkin, Shaffer and Voss,
-    "Finding ellipses", 2018).  With hat the discrete Fourier coefficients
-    of the sweep, sqrt(g) has period pi and no odd mode, so the center is
-    c = 2 conj(hat h_1).  W is an ellipse when every mode of g outside
-    {0, +-2} is at most _ELLIPSE_TOL of hat g_0 and q^2 = hat g_0 -
-    2 |hat g_2| is more than rounding, core._ROUND_GAP p^2 (below it W is a
-    segment or a point).  Then p^2 = hat g_0 + 2 |hat g_2|, and the foci are
-    c +- 2 sqrt(conj hat g_2), the focal distance sqrt(p^2 - q^2) along the
-    major axis, or both c when p - q <= core._ROUND_GAP p, a circle.  Two
-    real FFTs of the sweep decide it; nothing is fitted.
+    Those lines are tangent to one ellipse exactly when W(A) is that
+    ellipse (Gau and Wu 1998; Daepp, Gorkin, Shaffer and Voss, "Finding
+    ellipses", 2018).  circle._ellipse, the test that poncelet.fit_conic
+    applies to chords, solves their tangency equations for its center,
+    semi-axes and foci; W is an ellipse when it reads one, so a W that is a
+    segment or a point never is.
     """
     sample = numerical_range_boundary(A, samples)
+    e = np.exp(1j * np.array(sample.angles))
     h = np.array(sample.support)
-    c = complex(2.0 * np.conj(np.fft.rfft(h)[1] / len(h)))
-    g = (h - (np.exp(-1j * np.array(sample.angles)) * c).real) ** 2
-    modes = np.fft.rfft(g) / len(g)
-    g0, g2 = float(modes[0].real), complex(modes[2])
-    modes[[0, 2]] = 0.0
-    residual = float(np.abs(modes).max()) / g0 if g0 > 0.0 else math.inf
-    p2, q2 = g0 + 2.0 * abs(g2), g0 - 2.0 * abs(g2)
-    if not (residual <= _ELLIPSE_TOL and q2 > _ROUND_GAP * p2):
-        return RangeVerdict(False, residual, None, None, None, sample)
-    p, q = math.sqrt(p2), math.sqrt(q2)
-    offset = 0j if p - q <= _ROUND_GAP * p else 2.0 * cmath.sqrt(g2.conjugate())
-    return RangeVerdict(True, residual, c, (p, q), (c + offset, c - offset), sample)
+    # no tangency points are passed, so the fit is never a point, and
+    # center, axes and foci are None unless it is an ellipse
+    kind, center, axes, _, foci, residual = _ellipse(2.0 * h * e, e * e)
+    return RangeVerdict(kind == "ellipse", residual, center, axes, foci, sample)
 
 
 def boundary_csv(sample: NumericalRangeSample) -> str:

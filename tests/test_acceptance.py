@@ -75,7 +75,7 @@ def test_criterion_01_degree8_octagon_is_not_elliptical():
     assert abs(distance - 0.866333) < 1e-5
     assert distance < vertical - 0.05  # the contradiction itself
 
-    fit = fit_conic(envelope(B, 0, 720).points)
+    fit = fit_conic(envelope(B, 0, 720))
     assert fit.classification == "non-conic"
 
     elapsed = time.perf_counter() - t0
@@ -158,7 +158,7 @@ def test_criterion_04_degree8_elliptical_family():
     for m in (1, 2, 3):
         fit = pkg.entries[m - 1].fit
         assert fit.classification == "ellipse"
-        worst_residual = max(worst_residual, fit.max_residual)
+        worst_residual = max(worst_residual, fit.residual)
         match = foci_vs_zeros(fit, C)
         worst_foci = max(worst_foci, max(match.distances))
     assert worst_residual < 1e-6

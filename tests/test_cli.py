@@ -406,6 +406,29 @@ def test_chain_factors_must_be_a_list(tmp_path, factors):
     assert r.stderr == 'input error: chain JSON needs a "factors" list\n'
 
 
+def test_a_boolean_is_no_number_in_product_json(tmp_path):
+    # json reads true as a bool, which complex() took for 1
+    src = tmp_path / "p.json"
+    src.write_text('{"gamma": [true, false], "zeros": [[0.5, 0]]}')
+    r = run_cli("analyze", "--input", str(src), cwd=tmp_path)
+    assert r.returncode == 2
+    assert r.stderr == (
+        "input error: malformed product JSON: gamma must be a pair [re, im] "
+        "of numbers, got [true, false]\n"
+    )
+
+
+def test_a_third_component_in_product_json_is_refused(tmp_path):
+    src = tmp_path / "p.json"
+    src.write_text('{"gamma": [1, 0], "zeros": [[0.5, 0], [0.25, 0, 9]]}')
+    r = run_cli("analyze", "--input", str(src), cwd=tmp_path)
+    assert r.returncode == 2
+    assert r.stderr == (
+        "input error: malformed product JSON: zeros[1] must be a pair [re, im] "
+        "of numbers, got [0.25, 0.0, 9.0]\n"
+    )
+
+
 def test_zero_outside_disk_rejected(tmp_path):
     src = tmp_path / "p.json"
     src.write_text('{"gamma": [1.0, 0.0], "zeros": [[1.5, 0.0]]}')

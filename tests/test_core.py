@@ -754,6 +754,12 @@ def test_circle_samples_refuses_a_count_below_1(count):
         circle_samples(count)
 
 
+@pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+def test_circle_samples_refuses_an_offset_that_is_not_finite(offset):
+    with pytest.raises(InputError, match="sample offset .* is not finite"):
+        circle_samples(3, offset)
+
+
 def test_unit_helper():
     assert abs(unit(3 + 4j) - (0.6 + 0.8j)) < 1e-15
     z = unit(cmath.exp(0.2j) * (1 + 3e-12))

@@ -53,23 +53,23 @@ def test_no_deleted_public_name_is_documented():
     # benchmark and were deleted; continue_branch lives on in
     # tests/conftest.py, the CLI reads files through core._parse_json, and
     # every level set is a circle.LevelSets, whose closure orders
-    # poncelet._closure reads off one certified orbit, and the range
-    # verdict reports its Fourier residual
+    # poncelet._closure reads off one certified orbit, the range verdict
+    # reports its own residual, and a conic fit reports `residual`
     names = (
         "lifted_argument|argument_derivative|chord_second_intersection|"
         "fixed_point|NoInteriorFixedPoint|chain_2n|ChainRecord|ShapeFailure|"
         "DecompositionReport|one_critical_value_form|OneCriticalValueForm|"
         "from_json|to_json|is_identity|max_distance|solve_on_circle|"
         "CircleSolutionSet|_LevelTable|_solve_level_arrays|_hops_to_close|"
-        "support_mismatch"
+        "support_mismatch|max_residual"
     )
     assert _matches(rf"\b({names})\b", "src", "README.md") == []
 
 
 def test_the_range_verdict_fits_no_conic():
-    # shiftop reads W(A)'s ellipse off the Fourier modes of its support
-    # function; conic fits stay with the envelopes, whose samples are not
-    # uniform support samples
+    # shiftop reads W(A)'s ellipse off its support lines with
+    # circle._ellipse, the test poncelet applies to chords; it needs nothing
+    # from poncelet, and cli nrange fits nothing of its own
     assert _matches(r"^\s*(from\s+\S*poncelet\S*\s+import|import\s+\S*poncelet)",
                     "src/blaschke/shiftop.py") == []
     source = (ROOT / "src/blaschke/cli.py").read_text()
@@ -78,6 +78,18 @@ def test_the_range_verdict_fits_no_conic():
         if isinstance(node, ast.FunctionDef) and node.name == "cmd_nrange"
     )
     assert "fit_conic" not in ast.get_source_segment(source, nrange)
+
+
+def test_one_ellipse_test_and_one_tolerance():
+    # circle._ellipse fits every family of tangent lines, envelope chords
+    # and range support lines alike, by one least-squares solve against
+    # circle._ELLIPSE_TOL; no point-sample conic fit, SVD or FFT comes back
+    package = "src/blaschke"
+    deleted = r"np\.linalg\.svd|np\.fft|\b_classify\b|\b_fit_conics\b|_CONIC_RESIDUAL_TOL"
+    assert _matches(deleted, package) == []
+    constants = _matches(r"^_\w*(ELLIPSE|CONIC|RESIDUAL)\w*\s*=", package)
+    assert [hit.split(":")[0] for hit in constants] == ["src/blaschke/circle.py"]
+    assert constants[0].endswith("_ELLIPSE_TOL = 1e-8")
 
 
 def test_no_sup_error_certificate_against_a_literal_1e_8():

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import itertools
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -300,6 +301,17 @@ def test_wreath_audit_needs_2_to_the_levels_points():
     G = PermutationGroup([Permutation((1, 2, 3, 4, 5, 6, 7, 0))], 8)
     with pytest.raises(InputError, match="acts on 4 points, not 8"):
         wreath_audit(G, 2)
+
+
+def test_wreath_audit_refuses_a_huge_height_before_forming_its_power():
+    # 2^(10^8) has thirty million digits: forming it took 0.7 s, and
+    # printing it in the message raised ValueError
+    G = PermutationGroup([Permutation((1, 2, 3, 4, 5, 6, 7, 0))], 8)
+    start = time.perf_counter()
+    huge = r"height 100000000 acts on 2\^100000000 points, not 8"
+    with pytest.raises(InputError, match=huge):
+        wreath_audit(G, 10**8)
+    assert time.perf_counter() - start < 0.1
 
 
 # ---------------------------------------------------------------- loop routing

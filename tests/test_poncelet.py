@@ -37,61 +37,112 @@ T = compose(BlaschkeProduct(1, (0j, 0.3 + 0.2j)), BlaschkeProduct(1, (0j, -0.4j)
 # --------------------------------------------------------------- conic fitting
 
 
-def _ellipse_points(center, p, q, angle, count=40, phase=0.05):
-    out = []
-    for k in range(count):
-        t = phase + TAU * k / count
-        out.append(
-            center
-            + cmath.exp(1j * angle) * complex(p * math.cos(t), q * math.sin(t))
-        )
-    return out
+def _support(center, p, q, angle, theta):
+    """Support value and touching point, in the direction e^{i theta}, of
+    the ellipse with this center, semi-axes p and q and major axis at
+    angle."""
+    u = cmath.exp(1j * (theta - angle))
+    reach = math.hypot(p * u.real, q * u.imag)
+    touch = complex(p * p * u.real, q * q * u.imag) / reach
+    h = (cmath.exp(-1j * theta) * center).real + reach
+    return h, center + cmath.exp(1j * angle) * touch
+
+
+def _chord_family(support, thetas):
+    """The EnvelopeCurve of the chords of the unit circle that carry the
+    support lines Re(e^{-i theta} z) = h of a curve inside the disk:
+    support(theta) gives h and the touching point, and the chord with
+    normal e^{i theta} and offset h = cos(delta) ends at e^{i(theta -+
+    delta)}."""
+    lines = [support(theta) for theta in thetas]
+    ends = [
+        [cmath.exp(1j * (theta - math.acos(h))), cmath.exp(1j * (theta + math.acos(h)))]
+        for theta, (h, _) in zip(thetas, lines)
+    ]
+    return poncelet.EnvelopeCurve(
+        0,
+        np.array(thetas, dtype=float),
+        np.array([z for _, z in lines]),
+        np.array(ends),
+    )
+
+
+def _ellipse_chords(center, p, q, angle, count=40):
+    thetas = [0.05 + TAU * k / count for k in range(count)]
+    return _chord_family(lambda t: _support(center, p, q, angle, t), thetas)
+
+
+def _same_axis(got, want):
+    return min(abs((got - want) % math.pi), abs((got - want) % math.pi - math.pi))
 
 
 def test_fit_recovers_synthetic_ellipse():
+    # chords tangent to a rotated, off-center ellipse inside the disk
     center, p, q, angle = 0.21 - 0.13j, 0.57, 0.31, 0.83
-    fit = fit_conic(_ellipse_points(center, p, q, angle))
+    fit = fit_conic(_ellipse_chords(center, p, q, angle))
     assert fit.classification == "ellipse"
-    assert abs(fit.center - center) < 1e-9
-    assert abs(fit.semi_axes[0] - p) < 1e-9
-    assert abs(fit.semi_axes[1] - q) < 1e-9
-    assert min(
-        abs((fit.axis_angle - angle) % math.pi),
-        abs((fit.axis_angle - angle) % math.pi - math.pi),
-    ) < 1e-9
+    assert fit.residual <= 1e-12
+    assert abs(fit.center - center) < 1e-12
+    assert abs(fit.semi_axes[0] - p) < 1e-12
+    assert abs(fit.semi_axes[1] - q) < 1e-12
+    assert _same_axis(fit.axis_angle, angle) < 1e-12
     c = math.sqrt(p * p - q * q)
     want = sorted(
         [center + c * cmath.exp(1j * angle), center - c * cmath.exp(1j * angle)],
         key=lambda z: (z.real, z.imag),
     )
     got = sorted(fit.foci, key=lambda z: (z.real, z.imag))
-    assert max(abs(x - y) for x, y in zip(got, want)) < 1e-9
+    assert max(abs(x - y) for x, y in zip(got, want)) < 1e-12
 
 
 def test_fit_support_function_against_sampling():
+    # a partial family: 200 chords whose normals cover a third of the
+    # circle, unevenly, still fix the whole ellipse
     center, p, q, angle = 0.1 + 0.2j, 0.5, 0.22, 1.9
-    pts = _ellipse_points(center, p, q, angle, count=20000)
-    fit = fit_conic(pts[:200])
+    thetas = [0.3 + 2.1 * (k / 200) ** 1.5 for k in range(200)]
+    fit = fit_conic(
+        _chord_family(lambda t: _support(center, p, q, angle, t), thetas)
+    )
+    assert fit.classification == "ellipse" and fit.residual <= 1e-12
+    pts = [
+        center + cmath.exp(1j * angle) * complex(p * math.cos(s), q * math.sin(s))
+        for s in np.linspace(0.0, TAU, 20000, endpoint=False)
+    ]
     for theta in (0.0, 0.7, 2.0, 3.9, 5.5):
         direct = max((cmath.exp(-1j * theta) * z).real for z in pts)
         assert abs(fit.support(theta) - direct) < 1e-6
 
 
 def test_fit_classifies_circle():
-    fit = fit_conic(_ellipse_points(0j, 0.4, 0.4, 0.0))
+    fit = fit_conic(_ellipse_chords(0j, 0.4, 0.4, 0.0))
     assert fit.classification == "ellipse"
     assert abs(fit.semi_axes[0] - fit.semi_axes[1]) < 1e-10
+    assert fit.foci == (fit.center, fit.center)
+
+
+def test_near_circular_fit_keeps_its_foci_apart():
+    # axes 1e-6 apart relative are far above rounding: the foci stand
+    # sqrt(p^2 - q^2) from the center, along the major axis
+    center, p, angle = -0.2 + 0.3j, 0.45, -0.4
+    q = p * (1.0 - 1e-6)
+    fit = fit_conic(_ellipse_chords(center, p, q, angle, count=360))
+    assert fit.classification == "ellipse" and fit.residual <= 1e-12
+    assert abs(fit.center - center) < 1e-12
+    assert abs(fit.semi_axes[0] - p) < 1e-12 and abs(fit.semi_axes[1] - q) < 1e-12
+    f1, f2 = fit.foci
+    assert abs(f1 - f2) == pytest.approx(2.0 * math.sqrt(p * p - q * q), rel=1e-4)
+    assert _same_axis(cmath.phase(f1 - f2), angle) < 1e-4
 
 
 def test_round_fit_puts_both_foci_at_the_center():
     # power8's K_1 is a circle whose fitted axes differ by rounding alone,
-    # (p - q)/p = 3.8e-15, which sqrt(p^2 - q^2) made into foci 1e-7 apart;
+    # which sqrt(p^2 - q^2) would make into foci about 1e-7 apart;
     # elliptical8's K_1 is a true ellipse, (p - q)/p = 8.4e-2
     demos = demo_corpus()
-    fit = fit_conic(envelope(demos["power8"], 0).points)
+    fit = fit_conic(envelope(demos["power8"], 0))
     assert fit.classification == "ellipse"
     assert fit.foci == (fit.center, fit.center)
-    fit = fit_conic(envelope(demos["elliptical8"], 0).points)
+    fit = fit_conic(envelope(demos["elliptical8"], 0))
     p, q = fit.semi_axes
     f1, f2 = fit.foci
     assert abs(f1 - f2) == pytest.approx(2.0 * math.sqrt(p * p - q * q), rel=1e-12)
@@ -99,52 +150,81 @@ def test_round_fit_puts_both_foci_at_the_center():
 
 
 def test_fit_detects_point():
-    fit = fit_conic([0.3 + 0.1j] * 10)
+    # chords through one point satisfy the tangency equations for every
+    # center, so the point test runs before the solve
+    P = 0.3 + 0.1j
+
+    def through(theta):
+        return (cmath.exp(-1j * theta) * P).real, P
+
+    fit = fit_conic(_chord_family(through, [TAU * k / 10 for k in range(10)]))
     assert fit.classification == "point"
-    assert abs(fit.center - (0.3 + 0.1j)) < 1e-12
-    assert fit.support(1.3) == pytest.approx((cmath.exp(-1.3j) * (0.3 + 0.1j)).real)
+    assert abs(fit.center - P) < 1e-12
+    assert fit.residual < 1e-12
+    assert fit.support(1.3) == pytest.approx((cmath.exp(-1.3j) * P).real)
 
 
 def test_fit_rejects_non_conic_sample():
-    pts = []
-    for k in range(60):
-        t = TAU * k / 60
-        r = 0.6 + 0.18 * math.cos(3 * t)
-        pts.append(r * cmath.exp(1j * t))
-    fit = fit_conic(pts)
+    # chords tangent to the convex curve with support 0.5 + 0.02 cos 3 theta
+    # (radius of curvature h + h'' = 0.5 - 0.16 cos 3 theta > 0)
+    def rounded_triangle(theta):
+        h = 0.5 + 0.02 * math.cos(3 * theta)
+        dh = -0.06 * math.sin(3 * theta)
+        return h, cmath.exp(1j * theta) * complex(h, dh)
+
+    fit = fit_conic(_chord_family(rounded_triangle, [TAU * k / 60 for k in range(60)]))
     assert fit.classification == "non-conic"
+    assert fit.residual >= 1e-3
+    assert fit.center is fit.semi_axes is fit.axis_angle is fit.foci is None
     with pytest.raises(InputError):
         fit.support(0.0)
 
 
-def test_classify_takes_no_determinant_of_a_non_conic(monkeypatch):
-    # the 3x3 conic determinant decides only between ellipse and degenerate,
-    # so a fit that fails the residual gate never computes it
-    real = np.linalg.det
-    calls = []
+def test_one_tolerance_gates_the_fit(monkeypatch):
+    # chords moved 1e-11 off an ellipse: their residual lies between 1e-12
+    # and circle._ELLIPSE_TOL, so the one constant decides the class
+    curve = _ellipse_chords(0.1 - 0.05j, 0.5, 0.3, 0.4, count=90)
+    wobble = np.exp(1e-11j * np.sin(7 * curve.angles))[:, None]
+    moved = poncelet.EnvelopeCurve(0, curve.angles, curve.points, curve.chords * wobble)
+    fit = fit_conic(moved)
+    assert fit.classification == "ellipse"
+    assert 1e-12 < fit.residual < circle._ELLIPSE_TOL
+    monkeypatch.setattr(circle, "_ELLIPSE_TOL", 1e-12)
+    fit = fit_conic(moved)
+    assert fit.classification == "non-conic"
+    assert fit.center is fit.semi_axes is fit.foci is None
 
-    def counted(a):
-        calls.append(a)
-        return real(a)
 
-    monkeypatch.setattr(np.linalg, "det", counted)
-    coeffs = (0.5, 0.0, 0.5, 0.0, 0.0, -0.1)
-    assert poncelet._classify(*coeffs, 1e-3).classification == "non-conic"
-    assert calls == []
-    assert poncelet._classify(*coeffs, 1e-9).classification == "ellipse"
-    assert len(calls) == 1
+def test_segment_chords_are_degenerate():
+    # every chord through one of two points supports the segment between
+    # them, whose squared minor axis is 0
+    a, b = -0.3 + 0.1j, 0.4 - 0.2j
+
+    def segment(theta):
+        return max((a, b), key=lambda z: (cmath.exp(-1j * theta) * z).real)
+
+    def support(theta):
+        z = segment(theta)
+        return (cmath.exp(-1j * theta) * z).real, z
+
+    fit = fit_conic(_chord_family(support, [0.1 + TAU * k / 48 for k in range(48)]))
+    assert fit.classification == "degenerate"
+    assert fit.residual <= 1e-12
+    assert fit.center is fit.semi_axes is fit.foci is None
 
 
 @pytest.mark.parametrize("bad", [complex("nan"), complex("inf")])
 def test_fit_refuses_a_point_that_is_not_finite(bad):
-    pts = [cmath.exp(1j * k) for k in range(5)] + [bad]
-    with pytest.raises(InputError, match="finite points"):
-        fit_conic(pts)
+    curve = _ellipse_chords(0j, 0.4, 0.3, 0.0, count=8)
+    chords = curve.chords.copy()
+    chords[5, 1] = bad
+    with pytest.raises(InputError, match="finite lines"):
+        fit_conic(poncelet.EnvelopeCurve(0, curve.angles, curve.points, chords))
 
 
 def test_fit_needs_six_points():
-    with pytest.raises(InputError):
-        fit_conic([0j, 1j, 2j, 3j, 4j])
+    with pytest.raises(InputError, match="at least 6 tangent lines"):
+        fit_conic(_ellipse_chords(0j, 0.4, 0.3, 0.0, count=5))
 
 
 # ------------------------------------------------------------------- envelope
@@ -162,7 +242,7 @@ def test_envelope_degree_two_is_concurrent_point():
             p, q = s.chord
             cross = ((q - p).conjugate() * (a - p)).imag
             assert abs(cross) < 1e-9
-        fit = fit_conic(curve.points)
+        fit = fit_conic(curve)
         assert fit.classification == "point"
         assert abs(fit.center - a) < 1e-9
 
@@ -177,7 +257,7 @@ def test_envelope_degree_three_matches_range_ellipse():
         b = 0.7 * cmath.exp(1j * rng.uniform(0, TAU)) * math.sqrt(rng.uniform(0, 1))
         c = 0.7 * cmath.exp(1j * rng.uniform(0, TAU)) * math.sqrt(rng.uniform(0, 1))
         B = BlaschkeProduct(1.0, (0j, b, c))
-        fit = fit_conic(envelope(B, 0, 240).points)
+        fit = fit_conic(envelope(B, 0, 240))
         assert fit.classification == "ellipse"
         q = math.sqrt((1 - abs(b) ** 2) * (1 - abs(c) ** 2)) / 2
         p = abs(1 - b.conjugate() * c) / 2
@@ -196,7 +276,7 @@ def test_curve_matches_shift_range_support():
 
     b, c = 0.3 + 0.25j, -0.45 + 0.1j
     B = BlaschkeProduct(1.0, (0j, b, c))
-    fit = fit_conic(envelope(B, 0, 240).points)
+    fit = fit_conic(envelope(B, 0, 240))
     sample = numerical_range_boundary(shift_matrix([b, c]), 180)
     mismatch = max(
         abs(fit.support(t) - h) for t, h in zip(sample.angles, sample.support)
@@ -223,8 +303,8 @@ def test_poncelet_curve_lies_in_shift_range(degree, seed):
 
 def test_envelope_grid_independence():
     Bh = B84
-    fit_a = fit_conic(envelope(Bh, 1, 360).points)
-    fit_b = fit_conic(envelope(Bh, 1, 1080).points)
+    fit_a = fit_conic(envelope(Bh, 1, 360))
+    fit_b = fit_conic(envelope(Bh, 1, 1080))
     assert fit_a.classification == fit_b.classification == "ellipse"
     assert abs(fit_a.center - fit_b.center) < 1e-8
     assert abs(fit_a.semi_axes[0] - fit_b.semi_axes[0]) < 1e-8
@@ -259,7 +339,7 @@ def test_closure_order_and_envelope_refuse_a_skip_that_is_not_an_integer():
 
 def test_tangency_audit_checks_the_skip_as_envelope_does():
     # skip 9 names no chord family of a degree-4 level set
-    fit = fit_conic(envelope(T, 0, 120).points)
+    fit = fit_conic(envelope(T, 0, 120))
     levels = solve_levels(T, [1j, -1.0])
     assert tangency_audit(fit, levels, 1) >= 0.0
     for skip in (9, 2, -1, 0.5):
@@ -510,7 +590,7 @@ def test_package_matches_separate_envelopes_and_closures(degree):
         assert entry.closure == degree // math.gcd(degree, entry.skip + 1)
         curve = envelope(B, entry.skip, samples)
         assert entry.curve == curve
-        assert entry.fit == fit_conic(curve.points)
+        assert entry.fit == fit_conic(curve)
         assert entry.closure == closure_order(B, entry.skip)
 
 
@@ -527,7 +607,7 @@ def test_package_matches_separate_calls_on_the_demo_corpus():
         for entry in pkg.entries:
             curve = envelope(B, entry.skip, 720)
             assert entry.curve == curve
-            assert entry.fit == fit_conic(curve.points)
+            assert entry.fit == fit_conic(curve)
             assert entry.closure == closure_order(B, entry.skip)
             fit = entry.fit
             circle_fit = fit.classification == "ellipse" and fit.foci[0] == fit.foci[1]
@@ -543,7 +623,7 @@ def test_tangency_audit_degree_three():
     b, c = 0.4 + 0.2j, -0.1 - 0.3j
     B = BlaschkeProduct(1.0, (0j, b, c))
     curve = envelope(B, 0, 240)
-    fit = fit_conic(curve.points)
+    fit = fit_conic(curve)
     lams = [cmath.exp(1j * t) for t in (0.3, 1.7, 4.1)]
     assert tangency_audit(fit, solve_levels(B, lams)) < 1e-8
 
@@ -554,7 +634,7 @@ def test_tangency_audit_degree_two_point():
     a = 0.4 + 0.2j
     B = BlaschkeProduct(1.0, (0j, a))
     curve = envelope(B, 0, 240)
-    fit = fit_conic(curve.points)
+    fit = fit_conic(curve)
     lams = [cmath.exp(1j * t) for t in (0.3, 1.7, 4.1)]
     assert tangency_audit(fit, solve_levels(B, lams)) < 1e-9
 
@@ -563,7 +643,7 @@ def test_foci_vs_zeros_degree_three():
     b, c = -0.25 + 0.5j, 0.35 + 0.1j
     B = BlaschkeProduct(1.0, (0j, b, c))
     curve = envelope(B, 0, 240)
-    match = foci_vs_zeros(fit_conic(curve.points), B)
+    match = foci_vs_zeros(fit_conic(curve), B)
     assert max(match.distances) < 1e-7
     matched = sorted(match.matched_zeros, key=lambda z: (z.real, z.imag))
     want = sorted([b, c], key=lambda z: (z.real, z.imag))
@@ -571,6 +651,52 @@ def test_foci_vs_zeros_degree_three():
 
 
 # -------------------------------------------------------------------- package
+
+
+# the class of every envelope K_1, K_2, ... of the demo corpus: 11 ellipses,
+# 6 points and 6 non-conics.  elliptical8's and chain3's K_4 are points only
+# because the point test runs first: the bare solve reads chords through
+# one point as a segment with an arbitrary center
+DEMO_CLASSES = {
+    "power2": ["point"],
+    "power8": ["ellipse", "ellipse", "ellipse", "point"],
+    "elliptical8": ["ellipse", "ellipse", "ellipse", "point"],
+    "nonexample84": ["non-conic", "ellipse", "non-conic", "point"],
+    "deg6elliptic": ["ellipse", "ellipse", "point"],
+    "deg6nonelliptic": ["non-conic", "ellipse", "non-conic"],
+    "chain3": ["non-conic", "ellipse", "non-conic", "point"],
+}
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_CLASSES))
+def test_demo_envelope_classes(demo):
+    # ellipses read at most 1.5e-14 and points spread at most 1.2e-15; the
+    # non-conics read at least 9.4e-2
+    P = demo_corpus()[demo]
+    B = P.expand() if hasattr(P, "expand") else P
+    fits = [entry.fit for entry in package(B, 720).entries]
+    assert [fit.classification for fit in fits] == DEMO_CLASSES[demo]
+    for fit in fits:
+        if fit.classification == "non-conic":
+            assert fit.residual >= 1e-2
+        else:
+            assert fit.residual <= 1e-13
+
+
+@pytest.mark.parametrize("seed", [901, 902, 903])
+def test_random_envelopes_leave_a_gap_around_the_tolerance(seed):
+    # 279 envelopes per seed: the ellipses (K_1 of degree 3) read at most
+    # 8.9e-15 and the non-conics at least 1.3e-4, at degree 128
+    rng = rng_for(seed)
+    for degree in [*range(3, 25), 32, 48, 64, 128]:
+        B = random_product(rng, degree, radius=0.8)
+        for entry in package(B, 720).entries:
+            fit = entry.fit
+            if fit.classification == "ellipse":
+                assert fit.residual <= 1e-12, (degree, entry.skip)
+            else:
+                assert fit.classification == "non-conic", (degree, entry.skip)
+                assert fit.residual >= 1e-5, (degree, entry.skip)
 
 
 def test_package_nonexample():
@@ -601,7 +727,7 @@ def test_curve_csv_round_trip():
 def test_scene_svg_well_formed():
     Bh = B84
     curve = envelope(Bh, 1, 90)
-    fit = fit_conic(curve.points)
+    fit = fit_conic(curve)
     levels = solve_levels(Bh, [cmath.exp(1j * t) for t in (0.4, 2.5, 4.6)])
     text = scene_svg(curve, fit, levels)
     root = ET.fromstring(text)
@@ -614,7 +740,7 @@ def test_scene_svg_well_formed():
 def test_scene_svg_marks_point_curve():
     B = BlaschkeProduct(1.0, (0j,) * 8)
     curve = envelope(B, 3, 90)
-    fit = fit_conic(curve.points)
+    fit = fit_conic(curve)
     levels = solve_levels(B, [cmath.exp(1j * t) for t in (0.4, 2.5, 4.6)])
     text = scene_svg(curve, fit, levels)
     assert "point" in text

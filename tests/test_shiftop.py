@@ -8,7 +8,6 @@ from blaschke import BlaschkeProduct, InputError
 from blaschke import shiftop
 from blaschke.cli import DEMO_BUILDERS, _as_product
 from blaschke.core import _origin_dropped
-from blaschke.poncelet import fit_conic
 from blaschke.shiftop import (
     boundary_csv,
     is_elliptical_range,
@@ -336,8 +335,9 @@ DEMO_ELLIPSES = {"power8": True, "elliptical8": True, "deg6elliptic": True,
 
 @pytest.mark.parametrize("demo", sorted(DEMO_ELLIPSES))
 def test_demo_corpus_ellipse_verdicts(demo):
-    # the ellipses' other modes are rounding, and the non-ellipses' far
-    # above it; power2's range is the point 0, whose sweep is rounding alone
+    # the ellipses' support lines miss their equations by rounding, and the
+    # non-ellipses' far more; power2's range is the point 0, whose sweep is
+    # rounding alone
     verdict = is_elliptical_range(_demo_matrix(demo))
     assert verdict.is_ellipse is DEMO_ELLIPSES[demo]
     if verdict.is_ellipse:
@@ -347,15 +347,35 @@ def test_demo_corpus_ellipse_verdicts(demo):
         assert verdict.center is verdict.semi_axes is verdict.foci is None
 
 
+def _point_conic(points):
+    """Center, semi-axes (major first) and foci of the least-squares conic
+    through points: the six monomials' smallest right singular vector, an
+    independent reference for the range verdict's tangent-line fit."""
+    z = np.asarray(points)
+    x, y = z.real, z.imag
+    design = np.stack([x * x, x * y, y * y, x, y, np.ones_like(x)], axis=1)
+    A, B, C, D, E, F = np.linalg.svd(design)[2][-1]
+    cx, cy = np.linalg.solve([[2 * A, B], [B, 2 * C]], [-D, -E])
+    G = A * cx * cx + B * cx * cy + C * cy * cy + D * cx + E * cy + F
+    lam, vec = np.linalg.eigh([[A, B / 2], [B / 2, C]])
+    p, q = sorted((math.sqrt(-G / v) for v in lam), reverse=True)
+    major = vec[:, int(np.argmax(-G / lam))]
+    # axes that differ by rounding alone are a circle's (core._ROUND_GAP)
+    offset = 0j if p - q <= 1e-12 * p else math.sqrt(p * p - q * q) * complex(*major)
+    center = complex(cx, cy)
+    return center, (p, q), (center + offset, center - offset)
+
+
 def test_demo_ellipses_match_their_conic_fits():
-    # the conic through the swept points and the Fourier read-off agree
+    # the conic through the swept points and the ellipse read off the
+    # support lines agree
     for demo in ("power8", "elliptical8", "deg6elliptic"):
         verdict = is_elliptical_range(_demo_matrix(demo))
-        fit = fit_conic(verdict.sample.points)
-        assert abs(verdict.center - fit.center) < 1e-14
-        assert max(abs(x - y) for x, y in zip(verdict.semi_axes, fit.semi_axes)) < 1e-14
+        center, axes, foci = _point_conic(verdict.sample.points)
+        assert abs(verdict.center - center) < 1e-14
+        assert max(abs(x - y) for x, y in zip(verdict.semi_axes, axes)) < 1e-14
         key = lambda z: (round(z.real, 9), round(z.imag, 9))
-        got, want = sorted(verdict.foci, key=key), sorted(fit.foci, key=key)
+        got, want = sorted(verdict.foci, key=key), sorted(foci, key=key)
         assert max(abs(x - y) for x, y in zip(got, want)) < 1e-14
 
 
@@ -367,17 +387,19 @@ def test_elliptical_family_ranges_are_ellipses(n):
 
 
 def test_random_ranges_are_not_ellipses():
+    # the least residual here is 2.2e-3, five decades above _ELLIPSE_TOL
     rng = rng_for(3)
     for degree in range(3, 40):
         B = random_product(rng, degree)
         verdict = is_elliptical_range(shift_matrix(B.zeros))
         assert not verdict.is_ellipse, degree
-        assert verdict.residual >= 1e-5, degree
+        assert verdict.residual >= 1e-3, degree
 
 
 def test_segment_range_is_not_an_ellipse():
-    # W(diag(0, 1)) = [0, 1]: its squared reach has only the modes 0 and
-    # +-2, and its minor axis is 0
+    # W(diag(0, 1)) = [0, 1]: its support lines are tangent to the
+    # "ellipse" with center 1/2 and squared reach cos^2(theta)/4, whose
+    # minor axis is 0
     verdict = is_elliptical_range(np.diag([0.0, 1.0]))
     assert verdict.residual <= 1e-12
     assert not verdict.is_ellipse
@@ -390,7 +412,7 @@ def test_zero_matrix_range_is_not_an_ellipse():
 
 def test_thin_two_by_two_ellipse():
     # zeros 1e-5 inside the circle give q/p ~ 1e-5; the sweep still reads
-    # the closed form, q to the rounding of q^2 = hat g_0 - 2 |hat g_2|
+    # the closed form, q to the rounding of q^2 = a0 - |m|
     a, b = 0.99999, -0.99999j
     verdict = is_elliptical_range(shift_matrix([a, b]))
     assert verdict.is_ellipse
