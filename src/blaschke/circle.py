@@ -13,11 +13,11 @@ Arg w in (-pi/2, pi/2).  So a factor gains exactly Delta + 2 Arg(w2
 conj(w1)) across an arc of angle Delta, with no division and no wrap
 (_arc_gain sums the second term; each caller adds its own rotation part),
 and |w| = |z - a| gives psi' (_poisson_rate).  The lift grid here and the
-range sweep in shiftop need only these arguments.  _circle_terms,
-solve_levels' Newton offset and BlaschkeProduct.evaluate need B itself, so
-they keep core._factor_array, fed from the product's factor table
-(BlaschkeProduct._table: a, -conj(a) and 1 - |a|^2, built once per
-product).
+range sweep in shiftop need only these arguments.  _circle_terms, which
+solve_levels' Newton offset reads, needs B itself and reads it off the same
+w: each factor is z w^2 / |w|^2, so no circle kernel forms a complex
+quotient.  a and 1 - |a|^2 come from the product's factor table
+(BlaschkeProduct._table), built once per product.
 
 solve_levels solves any number of level sets at once: it brackets all
 n * len(lams) roots on that grid, which keeps each cell's Hermite data too,
@@ -31,8 +31,8 @@ evaluation to the certificate, so a solve whose starts are one Newton step
 from their roots costs two evaluations of B.  _arc_gain and _tangency, the
 summed arc gain and chord tangency point, serve shiftop and poncelet too, as
 does _ellipse, the one test of whether a family of lines, the support lines
-of a numerical range or the chords of an envelope, is tangent to an
-ellipse.
+of a numerical range or the chords of an envelope, each with its tangency
+point, is tangent to an ellipse.
 
 A solve returns one LevelSets record: the angles, points and psi' rates of
 every level set as read-only (levels, n) arrays, one row per target, each
@@ -75,7 +75,6 @@ from .core import (
     unit,
     _MATCH_TOL,
     _ROUND_GAP,
-    _factor_array,
     _finite,
     _integer,
     _origin_dropped,
@@ -114,8 +113,7 @@ def _circle_w(a: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _poisson_rate(weight: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The Poisson sum psi' = sum weight_j/|w_j|^2, weight_j = 1 - |a_j|^2,
-    at circle points z, from w_j = 1 - a_j conj(z) or the gaps z - a_j,
-    equal in modulus there."""
+    at circle points z, from w_j = 1 - a_j conj(z)."""
     return (weight / (w.real**2 + w.imag**2)).sum(axis=-1)
 
 
@@ -144,9 +142,10 @@ def _tangency(p, rate_p, q, rate_q):
 _ELLIPSE_TOL = 1e-8
 
 
-def _ellipse(s: np.ndarray, r: np.ndarray, points: np.ndarray | None = None):
+def _ellipse(s: np.ndarray, r: np.ndarray, points: np.ndarray):
     """The ellipse tangent to every line z + r_k conj(z) = s_k, |r_k| = 1,
-    as (classification, center, semi_axes, axis_angle, foci, residual).
+    with tangency point points[k], as (classification, center, semi_axes,
+    axis_angle, foci, residual).
 
     The chord from z1 to z2 on the unit circle is s = z1 + z2, r = z1 z2; the
     support line Re(e^{-i theta} z) = h is s = 2 h e^{i theta}, r =
@@ -164,9 +163,9 @@ def _ellipse(s: np.ndarray, r: np.ndarray, points: np.ndarray | None = None):
     p - q <= core._ROUND_GAP p, a circle.  residual is the worst equation
     miss over a0, infinite when a0 <= 0.
 
-    A family whose points (the tangency points, when given) all lie within
-    1e-6 of the first is a "point" at their mean, with residual their
-    spread; this runs first, as lines through one point leave c free.
+    A family whose tangency points all lie within 1e-6 of the first is a
+    "point" at their mean, with residual their spread; this runs first, as
+    lines through one point leave c free.
     Otherwise it is a "non-conic" when the residual is above _ELLIPSE_TOL, a
     "degenerate" one when q^2 <= core._ROUND_GAP p^2 (a segment), else an
     "ellipse"; center, semi_axes, axis_angle and foci are None unless it
@@ -179,7 +178,7 @@ def _ellipse(s: np.ndarray, r: np.ndarray, points: np.ndarray | None = None):
     if not finite.all():
         k = int(np.argmin(finite))
         raise InputError(f"an ellipse fit needs finite lines; line {k} is not")
-    if points is not None and np.abs(points - points[0]).max() < 1e-6:
+    if np.abs(points - points[0]).max() < 1e-6:
         center = complex(np.mean(points))
         spread = float(np.abs(points - center).max())
         return "point", center, (0.0, 0.0), 0.0, (center, center), spread
@@ -234,8 +233,8 @@ def _lift_grid(B: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         top = max(abs(z) for z in B.zeros)
         return SolverFailure(f"argument lift {why}; the largest zero modulus is {top!r}")
 
-    # w = 1 - a at 1 and the factors (1 - a)/(1 - conj(a)) there have no
-    # pole even for a zero next to 1, where B.evaluate(1) would refuse
+    # w = 1 - a at 1, and the factors w^2 / |w|^2 there have no pole even
+    # for a zero next to 1, where B.evaluate(1) would refuse
     w_one = 1.0 - a
     psi0 = cmath.phase(complex(_circle_terms(B, np.array(1.0))[0])) % TAU
     ts = np.linspace(0.0, TAU, _BASE_CELLS + 1)
@@ -264,20 +263,22 @@ def _lift_grid(B: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     raise refuse(f"still has steep cells after {_MAX_DEPTH} halvings")
 
 
-def _circle_terms(
-    B: BlaschkeProduct, z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """B(z) and psi' at circle points z, each from one broadcast over the zeros.
-
-    a, -conj(a) and 1 - |a|^2 come from the product's factor table
-    (BlaschkeProduct._table), built once per product.  Every factor of
-    _factor_array is renormalized to unit modulus, as BlaschkeProduct.evaluate
-    does on the circle; psi' is _poisson_rate.
-    """
-    a, minus_conj, weight, _ = B._table
-    factors, gap, _ = _factor_array(a, z, minus_conj)
-    factors /= np.abs(factors)
-    return B.gamma * factors.prod(axis=-1), _poisson_rate(weight, gap)
+def _circle_terms(B: BlaschkeProduct, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B(z) and psi' at circle points z, both read off w_j = 1 - a_j conj(z),
+    built once as _circle_w builds it: each factor z w_j / conj(w_j) is
+    z w_j^2 / |w_j|^2, with no complex quotient, and psi' is _poisson_rate's
+    sum over the same |w_j|^2.  No factor is renormalized: it has unit
+    modulus to rounding however small w_j is, where the equal (z - a_j) w_j
+    / |w_j|^2 would miss it by about eps/|w_j|, 2e-4 next to a zero 1e-12
+    inside the circle."""
+    a, _, weight, _ = B._table
+    w = z.conj()[..., None] * -a
+    w += 1.0
+    size = w.real**2 + w.imag**2
+    factors = w * w
+    factors *= z[..., None]
+    factors /= size
+    return B.gamma * factors.prod(axis=-1), (weight / size).sum(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,7 +357,8 @@ def _certify(f, rate, name) -> None:
     describes the k-th root (flat index) for the message.
     """
     error = (np.abs(f) / rate).ravel()
-    if error.size and error.max() > 5e-11:
+    # written so that NaN fails it too; argmax finds the first NaN
+    if error.size and not error.max() <= 5e-11:
         worst = int(np.argmax(error))
         raise SolverFailure(
             f"{name(worst)} has argument error |f|/f' = {error[worst]:.3e}, "
@@ -536,12 +538,10 @@ def verify_generator_power(chain: CompositionChain) -> GeneratorPowerCheck:
     power = 2 ** (m - 1)
     B = chain.expand()
     phi = DiskAutomorphism(1.0, a)
-    worst = 0.0
-    worst_at = 1.0 + 0j
     samples = list(circle_samples(64, offset=0.05))
-    for z, orbit in zip(samples, invariant_orbits(B, samples, power + 1)):
-        err = abs(orbit[power] - phi(z))
-        if err > worst:
-            worst, worst_at = err, z
-    return GeneratorPowerCheck(worst <= _MATCH_TOL, power, worst_at, worst)
+    orbits = invariant_orbits(B, samples, power + 1)
+    errors = [abs(orbit[power] - phi(z)) for z, orbit in zip(samples, orbits)]
+    # argmax finds the first NaN, and NaN <= _MATCH_TOL fails
+    k = int(np.argmax(errors))
+    return GeneratorPowerCheck(errors[k] <= _MATCH_TOL, power, samples[k], errors[k])
 

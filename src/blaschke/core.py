@@ -150,19 +150,6 @@ def _tower_height(n: int) -> int | None:
     return k if k >= 1 and n == 1 << k else None
 
 
-def _factor_array(a: np.ndarray, z: np.ndarray, minus_conj=None):
-    """(gap/den, gap, den), gap = z - a_j and den = 1 - conj(a_j) z, along a
-    new last axis of z: the array factors.  BlaschkeProduct._jet reads B and
-    B' off them, and circle._circle_terms reads B and psi' on the circle;
-    both pass -conj(a) from the product's _table as minus_conj."""
-    gap = z[..., None] - a
-    # in this operand order, with the add in place, numpy broadcasts den up
-    # to five times faster than 1.0 - a.conj() * z[..., None]
-    den = z[..., None] * (-a.conj() if minus_conj is None else minus_conj)
-    den += 1.0
-    return gap / den, gap, den
-
-
 def _parse_json(text: str):
     """text parsed with every JSON integer read as a float: format_float
     writes -0.0 as "-0", which json.loads alone reads back as the int 0."""
@@ -240,12 +227,12 @@ class BlaschkeProduct:
 
     def _jet(self, z, with_slope: bool = True):
         """(B(z), B'(z)) at a point or an array of points z, in z's shape,
-        from one _factor_array call: B = gamma * prod f and
-        B' = B * sum (1 - |a_j|^2) / (gap_j * den_j).  A point in gives
-        Python complex numbers out; every evaluation of B and B' in the
-        package goes through here, except the circle solves'
-        circle._circle_terms.  With with_slope False the pair is (B(z),
-        None): B is the same to the bit, and no pass forms B'.
+        from the factors f_j = gap_j / den_j, gap_j = z - a_j and den_j =
+        1 - conj(a_j) z: B = gamma * prod f and B' = B * sum (1 - |a_j|^2) /
+        (gap_j * den_j).  A point in gives Python complex numbers out; every
+        evaluation of B and B' in the package goes through here, except the
+        circle solves' circle._circle_terms.  With with_slope False the pair
+        is (B(z), None): B is the same to the bit, and no pass forms B'.
 
         The pole guard runs before anything is divided: as
         |den| >= 1 - |a| |z|, the denominators are measured only when
@@ -267,7 +254,12 @@ class BlaschkeProduct:
             i, j = np.unravel_index(np.argmin(np.abs(den)), den.shape)
             if abs(den[i, j]) <= _ROOT_TOL:
                 raise PoleProximity(complex(flat[i]), complex(den[i, j]))
-        f, gap, den = _factor_array(a, flat, minus_conj)
+        gap = flat[:, None] - a
+        # in this operand order, with the add in place, numpy broadcasts den
+        # up to five times faster than 1.0 - a.conj() * flat[:, None]
+        den = flat[:, None] * minus_conj
+        den += 1.0
+        f = gap / den
         if not reach < 1.0 - _ON_CIRCLE_TOL:
             on_circle = np.abs(np.abs(flat) - 1.0) <= _ON_CIRCLE_TOL
             f[on_circle] /= np.abs(f[on_circle])
@@ -294,14 +286,16 @@ class BlaschkeProduct:
         return _shaped(value, points), _shaped(slope, points)
 
     @staticmethod
-    def _from_json_dict(data) -> "BlaschkeProduct":
+    def _from_json_dict(data, entry: str = "") -> "BlaschkeProduct":
+        """The product a JSON object holds; entry ("factors[i]." for a
+        chain's factor) prefixes every entry that an InputError names."""
         if not isinstance(data, dict) or "gamma" not in data or "zeros" not in data:
-            raise InputError('product JSON needs "gamma" and "zeros"')
+            raise InputError(f'product JSON needs "{entry}gamma" and "{entry}zeros"')
         if not isinstance(data["zeros"], list):
-            raise InputError('malformed product JSON: "zeros" must be a list')
-        gamma = _json_complex(data["gamma"], "gamma")
+            raise InputError(f'malformed product JSON: "{entry}zeros" must be a list')
+        gamma = _json_complex(data["gamma"], f"{entry}gamma")
         zeros = tuple(
-            _json_complex(p, f"zeros[{k}]") for k, p in enumerate(data["zeros"])
+            _json_complex(p, f"{entry}zeros[{k}]") for k, p in enumerate(data["zeros"])
         )
         return BlaschkeProduct(gamma, zeros)
 
@@ -415,8 +409,9 @@ class CompositionChain:
 def _chain_from_json_dict(data) -> CompositionChain:
     if not isinstance(data, dict) or not isinstance(data.get("factors"), list):
         raise InputError('chain JSON needs a "factors" list')
+    factors = enumerate(data["factors"])
     return CompositionChain(
-        tuple(BlaschkeProduct._from_json_dict(d) for d in data["factors"])
+        tuple(BlaschkeProduct._from_json_dict(d, f"factors[{i}].") for i, d in factors)
     )
 
 
@@ -438,7 +433,7 @@ def _matched_rotation(target: np.ndarray, base: np.ndarray, what: str) -> comple
     """_rotation's rho, or VerificationFailure "{what}: sup error ..." when
     the sup error exceeds _MATCH_TOL."""
     rho, err = _rotation(target, base)
-    if err > _MATCH_TOL:
+    if not err <= _MATCH_TOL:
         raise VerificationFailure(f"{what}: sup error {err:.3e}")
     return rho
 

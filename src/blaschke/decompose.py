@@ -106,7 +106,7 @@ def factor_any_order(
             pending = res.outer
     chain = CompositionChain(tuple(factors))
     err = _chain_error(chain, B)
-    if err > _MATCH_TOL:
+    if not err <= _MATCH_TOL:
         raise VerificationFailure(f"ordering {ordering}: re-expansion error {err:.3e}")
     return chain
 

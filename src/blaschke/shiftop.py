@@ -28,8 +28,9 @@ normal angles theta.  Which input takes which path:
   reference for the first path.
 
 is_elliptical_range reads the ellipse, its center, semi-axes and foci off
-either sweep's support lines with circle._ellipse, the test that poncelet
-applies to the chords of its envelopes.
+either sweep's support lines and boundary points with circle._ellipse, the
+test that poncelet applies to the chords of its envelopes and their
+tangency points.
 """
 
 from __future__ import annotations
@@ -225,8 +226,10 @@ class RangeVerdict:
 
     residual is the worst miss of the support lines' tangency equations
     relative to the squared mean reach a0 (circle._ellipse; infinite when
-    a0 <= 0).  center, semi_axes (major first) and foci describe the ellipse
-    and are None unless is_ellipse; sample is the sweep they were read from.
+    a0 <= 0), or for a point range (is_elliptical_range) the spread of its
+    boundary points.  center, semi_axes (major first) and foci describe the
+    ellipse and are None unless is_ellipse; sample is the sweep they were
+    read from.
     """
 
     is_ellipse: bool
@@ -249,16 +252,17 @@ def is_elliptical_range(
     Those lines are tangent to one ellipse exactly when W(A) is that
     ellipse (Gau and Wu 1998; Daepp, Gorkin, Shaffer and Voss, "Finding
     ellipses", 2018).  circle._ellipse, the test that poncelet.fit_conic
-    applies to chords, solves their tangency equations for its center,
-    semi-axes and foci; W is an ellipse when it reads one, so a W that is a
-    segment or a point never is.
+    applies to chords, reads these lines with the sweep's boundary points as
+    their tangency points; W is an ellipse when it reads one, so a W that is
+    a segment never is, nor a W whose boundary points all lie within 1e-6 of
+    one point, a point range.
     """
     sample = numerical_range_boundary(A, samples)
     e = np.exp(1j * np.array(sample.angles))
-    h = np.array(sample.support)
-    # no tangency points are passed, so the fit is never a point, and
-    # center, axes and foci are None unless it is an ellipse
-    kind, center, axes, _, foci, residual = _ellipse(2.0 * h * e, e * e)
+    h, points = np.array(sample.support), np.array(sample.points)
+    kind, center, axes, _, foci, residual = _ellipse(2.0 * h * e, e * e, points)
+    if kind != "ellipse":
+        center = axes = foci = None
     return RangeVerdict(kind == "ellipse", residual, center, axes, foci, sample)
 
 

@@ -74,6 +74,17 @@ def test_argument_derivative_of_angle_array():
         assert abs(rate - (z * B.derivative(z) / B(z)).real) < 1e-12
 
 
+def test_circle_values_keep_unit_modulus_next_to_a_zero_near_the_circle():
+    # w = 1 - a conj(z) loses about eps absolute to cancellation next to a
+    # zero 1e-12 inside the circle; each factor z w^2/|w|^2 keeps unit
+    # modulus anyway, where (z - a) w/|w|^2 misses it by up to 2e-4, so B's
+    # values there stay targets that solve_levels accepts (|lam| = 1 to 1e-9)
+    B = BlaschkeProduct(1.0, ((1 - 1e-12) * cmath.exp(1j), 0.3j))
+    z = np.exp(1j * (1.0 + np.linspace(-5e-11, 5e-11, 1001)))
+    assert np.abs(np.abs(circle._circle_terms(B, z)[0]) - 1.0).max() <= 4e-15
+    assert len(invariant_orbits(B, z[::100], 3)) == 11
+
+
 # ------------------------------------------------------------- circle solves
 
 
@@ -570,6 +581,30 @@ def test_generator_power_fails_orbits_off_phi_a_by_twice_the_pass_mark(monkeypat
     check = verify_generator_power(chain)
     assert not check.ok
     assert check.sup_error > _MATCH_TOL
+
+
+def test_generator_power_fails_a_nan_orbit_point(monkeypatch):
+    # one orbit point is NaN: the check reports it as its worst error and
+    # fails, where a running "err > worst" never recorded it
+    real = circle.invariant_orbits
+
+    def spoiled(B, starts, count):
+        orbits = real(B, starts, count)
+        orbits[5] = orbits[5][:-1] + (complex(math.nan, 0.0),)
+        return orbits
+
+    monkeypatch.setattr(circle, "invariant_orbits", spoiled)
+    check = verify_generator_power(_chain_with_small_inner_zero(0.0))
+    assert not check.ok
+    assert math.isnan(check.sup_error)
+    assert check.point == circle.circle_samples(64, offset=0.05)[5]
+
+
+def test_certificate_refuses_a_nan_argument_error():
+    # written as not error.max() <= 5e-11, and argmax names the NaN root
+    f = np.array([0.0, 1e-20, math.nan, 1e-20])
+    with pytest.raises(SolverFailure, match="root 2 has argument error"):
+        circle._certify(f, np.ones(4), lambda k: f"root {k}")
 
 
 # ------------------------------------------------------------------ lift grid

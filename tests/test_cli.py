@@ -429,6 +429,21 @@ def test_a_third_component_in_product_json_is_refused(tmp_path):
     )
 
 
+def test_a_chain_refusal_names_the_factor(tmp_path):
+    # each factor is read as a product, and its refusal names the factor too
+    src = tmp_path / "chain.json"
+    src.write_text(
+        '{"factors": [{"gamma": [1, 0], "zeros": [[0, 0], [0.3, 0]]},'
+        ' {"gamma": [1, 0], "zeros": [[0.2, 0, 1], [0, 0]]}]}'
+    )
+    r = run_cli("analyze", "--input", str(src), cwd=tmp_path)
+    assert r.returncode == 2
+    assert r.stderr == (
+        "input error: malformed product JSON: factors[1].zeros[0] must be a pair "
+        "[re, im] of numbers, got [0.2, 0.0, 1.0]\n"
+    )
+
+
 def test_zero_outside_disk_rejected(tmp_path):
     src = tmp_path / "p.json"
     src.write_text('{"gamma": [1.0, 0.0], "zeros": [[1.5, 0.0]]}')

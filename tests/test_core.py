@@ -4,7 +4,6 @@ import dataclasses
 import functools
 import importlib
 import inspect
-import itertools
 import json
 import math
 import pkgutil
@@ -35,6 +34,7 @@ from blaschke.core import (
     _IDENTITY_TOL,
     _ROOT_TOL,
     _chain_from_json_dict,
+    _matched_rotation,
     _parse_json,
     _positive_ratio_pairs,
     _proper_divisors,
@@ -155,26 +155,32 @@ def test_array_evaluation_at_a_zero_is_zero_without_warnings():
 
 
 def test_factor_kernel_matches_mpmath_next_to_the_circle():
+    # each one-zero product is its factor F = G/D, G = z - a and
+    # D = 1 - conj(a) z, so _jet reads F and F' = (1 - |a|^2)/D^2 off the
+    # kernel's gap and den alone
     mpmath = pytest.importorskip("mpmath")
-    from blaschke.core import _factor_array
 
     eps = np.finfo(float).eps
     a = np.array([(1 - 1e-9) * cmath.exp(0.7j), 0.3 - 0.2j])
     z = np.array(
         [cmath.exp(0.7j), cmath.exp(1j * (0.7 + 1e-9)), a[0], 0.5 + 0j, -1 + 0j]
     )
-    f, gap, den = _factor_array(a, z)
-    assert f.shape == gap.shape == den.shape == (5, 2)
-    with mpmath.workdps(50):
-        for (i, zi), (j, aj) in itertools.product(enumerate(z), enumerate(a)):
-            zm, am = mpmath.mpc(zi.real, zi.imag), mpmath.mpc(aj.real, aj.imag)
-            G, D = zm - am, 1 - mpmath.conj(am) * zm
-            F = G / D
-            # gap is exact up to rounding; den loses about eps absolute to
-            # cancellation, which is eps/|den| relative in the factor
-            assert abs(gap[i, j] - complex(G)) <= 2 * eps * abs(G)
-            assert abs(den[i, j] - complex(D)) <= 8 * eps
-            assert abs(f[i, j] - complex(F)) <= 8 * eps * abs(F) * (1 + 1 / abs(D))
+    for aj in a:
+        B = BlaschkeProduct(1.0, (complex(aj),))
+        f, slope = B._jet(z)
+        assert f.shape == slope.shape == (5,)
+        # the weight as the factor table holds it, which the kernel reads
+        weight = float(B._table[2][0])
+        with mpmath.workdps(50):
+            am = mpmath.mpc(aj.real, aj.imag)
+            for i, zi in enumerate(z):
+                zm = mpmath.mpc(zi.real, zi.imag)
+                G, D = zm - am, 1 - mpmath.conj(am) * zm
+                F, dF = G / D, weight / D**2
+                # den loses about eps absolute to cancellation, which is
+                # eps/|D| relative in the factor and twice that in F'
+                assert abs(f[i] - complex(F)) <= 8 * eps * abs(F) * (1 + 1 / abs(D))
+                assert abs(slope[i] - complex(dF)) <= 16 * eps * abs(dF) * (1 + 1 / abs(D))
 
 
 # ----------------------------------------------------------------- derivative
@@ -351,6 +357,16 @@ def test_compose_pointwise():
         C = compose(outer, inner)
         for z in circle_grid(24, 0.05) + [0.2 + 0.1j, -0.4j]:
             assert abs(C(z) - outer(inner(z))) < 1e-9
+
+
+def test_a_nan_sup_error_fails_the_circle_match():
+    # the certificate is written as not err <= _MATCH_TOL, so a NaN point
+    # refuses the match instead of passing it
+    base = np.exp(1j * np.linspace(0.0, 1.0, 4))
+    target = base.copy()
+    target[2] = complex(math.nan, 0.0)
+    with pytest.raises(VerificationFailure, match="probe: sup error nan"):
+        _matched_rotation(target, base, "probe")
 
 
 def test_chain_expand_and_call_agree():

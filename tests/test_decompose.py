@@ -12,6 +12,7 @@ from blaschke import (
     DegenerateInput,
     DiskAutomorphism,
     InputError,
+    VerificationFailure,
     compose,
     normalize,
 )
@@ -224,6 +225,14 @@ def test_factor_any_order_refuses_an_entry_that_is_not_an_integer(monkeypatch, o
     monkeypatch.setattr(decompose, "inner_factor_general", searched)
     with pytest.raises(DegenerateInput, match="ordering entries must be integers"):
         factor_any_order(T, ordering)
+
+
+def test_factor_any_order_refuses_a_nan_re_expansion_error(monkeypatch):
+    # the certificate is written as not err <= _MATCH_TOL, so NaN fails it
+    T = compose(BlaschkeProduct(1, (0j, 0.3 + 0.2j)), BlaschkeProduct(1, (0j, -0.4j)))
+    monkeypatch.setattr(decompose, "_chain_error", lambda chain, B: math.nan)
+    with pytest.raises(VerificationFailure, match="re-expansion error nan"):
+        factor_any_order(T, (4,))
 
 
 # ------------------------------------------------------- general inner factor

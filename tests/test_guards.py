@@ -92,6 +92,25 @@ def test_one_ellipse_test_and_one_tolerance():
     assert constants[0].endswith("_ELLIPSE_TOL = 1e-8")
 
 
+def test_every_certificate_fails_on_nan():
+    # a certificate reads "not err <= bound", which NaN fails; "err > bound"
+    # lets NaN through
+    assert _matches(r">\s*(_MATCH_TOL|5e-11)\b", "src/blaschke") == []
+
+
+def test_one_form_per_circle_kernel():
+    # circle reads every factor on the circle through w = 1 - a conj(z), so
+    # it needs no quotient kernel from core; and every family of tangent
+    # lines reaches circle._ellipse with its tangency points
+    assert _matches(r"\b_factor_array\b", "src") == []
+    arities = []
+    for f in sorted((ROOT / "src/blaschke").glob("*.py")):
+        for node in ast.walk(ast.parse(f.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_ellipse":
+                arities.append((f.name, len(node.args), len(node.keywords)))
+    assert arities and all(args == 3 and not keywords for _, args, keywords in arities)
+
+
 def test_no_sup_error_certificate_against_a_literal_1e_8():
     # every circle match and re-expansion is certified against
     # core._MATCH_TOL, so the certificates cannot drift apart

@@ -276,8 +276,11 @@ def test_one_by_one_range_is_its_zero():
     sample = numerical_range_boundary(A, 720)
     assert max(abs(p - a) for p in sample.points) < 1e-14
     verdict = is_elliptical_range(A, 720)
+    # a range whose boundary points lie within rounding of one point is that
+    # point, with their spread as residual
     assert not verdict.is_ellipse
     assert verdict.center is verdict.semi_axes is verdict.foci is None
+    assert verdict.residual <= 1e-14
 
 
 # ------------------------------------------------------------ ellipse verdict
@@ -336,15 +339,18 @@ DEMO_ELLIPSES = {"power8": True, "elliptical8": True, "deg6elliptic": True,
 @pytest.mark.parametrize("demo", sorted(DEMO_ELLIPSES))
 def test_demo_corpus_ellipse_verdicts(demo):
     # the ellipses' support lines miss their equations by rounding, and the
-    # non-ellipses' far more; power2's range is the point 0, whose sweep is
-    # rounding alone
+    # non-ellipses' far more; power2's range is the point 0, a point, whose
+    # residual is the rounding spread of its boundary points
     verdict = is_elliptical_range(_demo_matrix(demo))
     assert verdict.is_ellipse is DEMO_ELLIPSES[demo]
     if verdict.is_ellipse:
         assert verdict.residual <= 1e-12
+        return
+    assert verdict.center is verdict.semi_axes is verdict.foci is None
+    if demo == "power2":
+        assert verdict.residual <= 1e-14
     else:
         assert verdict.residual >= 1e-3
-        assert verdict.center is verdict.semi_axes is verdict.foci is None
 
 
 def _point_conic(points):
@@ -406,13 +412,19 @@ def test_segment_range_is_not_an_ellipse():
 
 
 def test_zero_matrix_range_is_not_an_ellipse():
+    # W(0) is the point 0: every boundary point is 0, so the spread is too
     verdict = is_elliptical_range(np.zeros((3, 3)))
-    assert verdict.residual == math.inf and not verdict.is_ellipse
+    assert not verdict.is_ellipse
+    assert verdict.center is verdict.semi_axes is verdict.foci is None
+    assert verdict.residual <= 1e-14
 
 
 def test_thin_two_by_two_ellipse():
     # zeros 1e-5 inside the circle give q/p ~ 1e-5; the sweep still reads
-    # the closed form, q to the rounding of q^2 = a0 - |m|
+    # the closed form, q to the rounding of q^2 = a0 - |m|.  The 1e-6 q
+    # bound sits on that floor: this sweep reads 7.4e-7 q at 720 samples but
+    # 2.8e-6 q to 4.6e-6 q at 360, 721 or 1000 samples, so a change to the
+    # range sweep's arithmetic can cross it without losing any accuracy
     a, b = 0.99999, -0.99999j
     verdict = is_elliptical_range(shift_matrix([a, b]))
     assert verdict.is_ellipse
