@@ -11,28 +11,30 @@ Arguments on the circle are read through w = 1 - a conj(z): for |z| = 1
 each factor is (z - a)/(1 - conj(a) z) = z w / conj(w), and Re w > 0 puts
 Arg w in (-pi/2, pi/2).  So a factor gains exactly Delta + 2 Arg(w2
 conj(w1)) across an arc of angle Delta, with no division and no wrap
-(_arc_gain sums the second term; each caller adds its own rotation part),
-and |w| = |z - a| gives psi' (_poisson_rate).  The lift grid here and the
-range sweep in shiftop need only these arguments.  _circle_terms, which
-solve_levels' Newton offset reads, needs B itself and reads it off the same
-w: each factor is z w^2 / |w|^2, so no circle kernel forms a complex
-quotient.  a and 1 - |a|^2 come from the product's factor table
-(BlaschkeProduct._table), built once per product.
+(_arc_gain sums the second term; the lift grid adds the rotation part),
+and |w| = |z - a| gives psi' (_poisson_rate).  The lift grid needs only
+these arguments.  _circle_terms, which solve_levels' Newton offset reads,
+needs B itself and reads it off the same w: each factor is z w^2 / |w|^2,
+so no circle kernel forms a complex quotient.  a and 1 - |a|^2 come from
+the product's factor table (BlaschkeProduct._table), built once per
+product.
 
 solve_levels solves any number of level sets at once: it brackets all
 n * len(lams) roots on that grid, which keeps each cell's Hermite data too,
 starts each from the cubic Hermite interpolant of the inverse t(psi) on its
-cell, and solves them with _bracketed_newton, the one Newton kernel for
-every monotone circle equation here and in shiftop, and _certify, their one
-certificate.  Each pass reads B and psi' > 0 off one _circle_terms call,
-and a pass on which every root is live gathers and scatters nothing.  The
-kernel stops every root at a point it has just evaluated and hands that
-evaluation to the certificate, so a solve whose starts are one Newton step
-from their roots costs two evaluations of B.  _arc_gain and _tangency, the
-summed arc gain and chord tangency point, serve shiftop and poncelet too, as
-does _ellipse, the one test of whether a family of lines, the support lines
-of a numerical range or the chords of an envelope, each with its tangency
-point, is tangent to an ellipse.
+cell, and solves them with _bracketed_newton, the one Newton kernel in the
+package, and _certify, its certificate.  Each pass reads B and psi' > 0 off
+one _circle_terms call, and a pass on which every root is live gathers and
+scatters nothing.  The kernel stops every root at a point it has just
+evaluated and hands that evaluation to the certificate, so a solve whose
+starts are one Newton step from their roots costs two evaluations of B.
+
+_chords reads every chord family off such a solve, with the point where
+each chord touches its envelope: poncelet's envelopes K_{m+1}, and shiftop's
+numerical ranges, each the K_1 of z times the zeros.  _ellipse is the one
+test of whether a family of lines, the chords of an envelope or the support
+lines of a numerical range, each with its tangency point, is tangent to an
+ellipse.
 
 A solve returns one LevelSets record: the angles, points and psi' rates of
 every level set as read-only (levels, n) arrays, one row per target, each
@@ -103,9 +105,10 @@ _MAX_DEPTH = 64
 
 
 def _circle_w(a: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """w = 1 - a_j e^{-it} at the angles t, along a new last axis."""
-    # in this operand order, with the add in place, numpy builds the sweep's
-    # first (2, 720, n) w up to five times faster than 1.0 - a * e[..., None]
+    """w = 1 - a_j e^{-it} at the lift grid's angles t, along a new last
+    axis."""
+    # in this operand order, with the add in place, numpy builds w up to
+    # five times faster than 1.0 - a * e[..., None]
     w = np.exp(-1j * t)[..., None] * -a
     w += 1.0
     return w
@@ -129,14 +132,23 @@ def _arc_gain(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     return 2.0 * np.sum(np.angle(w2 * w1.conj()), axis=-1)
 
 
-def _tangency(p, rate_p, q, rate_q):
-    """psi'-weighted mean of chord ends p, q: the chord's point on its envelope."""
-    return (p * rate_p + q * rate_q) / (rate_p + rate_q)
+def _chords(skips, points, rates) -> tuple[np.ndarray, np.ndarray]:
+    """(ends, tangency): for skip skips[i], vertex j and level set k,
+    ends[i, j, k] holds the chord from vertex j to vertex j + skips[i] + 1
+    of that LevelSets row and tangency[i, j, k] the point where it touches
+    its envelope, the psi'-weighted mean (p psi'_p + q psi'_q)/(psi'_p +
+    psi'_q) of its ends, as its ends turn at the rates 1/psi'."""
+    p, rp = points.T, rates.T
+    n = len(p)
+    ahead = (np.arange(n) + (np.asarray(skips) + 1)[:, None]) % n
+    q, rq = p[ahead], rp[ahead]
+    tangency = (p * rp + q * rq) / (rp + rq)
+    return np.stack(np.broadcast_arrays(p, q), axis=-1), tangency
 
 
 # A family of lines whose tangency equations miss by more than this fraction
-# of a0 has no ellipse.  Ellipses read at most 1.5e-14 (demo envelopes) and
-# 3.9e-12 (the elliptical family's ranges to degree 24); the other families
+# of a0 has no ellipse.  Ellipses read at most 2.0e-14 (demo envelopes) and
+# 5.2e-12 (the elliptical family's ranges to degree 24); the other families
 # read at least 1.3e-4 (envelopes of random products of degree 3 to 128) and
 # 2.2e-3 (ranges of random products of degree 3 to 39).
 _ELLIPSE_TOL = 1e-8
@@ -158,19 +170,24 @@ def _ellipse(s: np.ndarray, r: np.ndarray, points: np.ndarray):
         Re(conj(s) c) + A0 + Re(conj(r) (A2 + i B2)) = |s|^2 / 4,
 
     with a0 = A0 + |c|^2/2 and m = A2 + i B2 + c^2/2.  One least-squares
-    solve gives them; the semi-axes are p, q = sqrt(a0 +- |m|), the major
-    axis lies at arg(m)/2 and the foci are c +- sqrt(2m), or both c when
-    p - q <= core._ROUND_GAP p, a circle.  residual is the worst equation
-    miss over a0, infinite when a0 <= 0.
+    solve gives them, the major axis lies at arg(m)/2, and residual is the
+    worst equation miss over a0, infinite when a0 <= 0.
+
+    The semi-axes are p, q = sqrt(a0 +- |m|), but a0 - |m| cancels when an
+    ellipse near the circle is thin (|s|^2 / 4 ~ 1, q^2 ~ 1e-10).  So p^2
+    and q^2 come from a second least squares in two unknowns, on the squared
+    reach about c, |s - c - r conj(c)|^2 / 4 = p^2 cos^2 + q^2 sin^2 of the
+    normal's angle from the major axis.  The foci are c +- e^{i axis}
+    sqrt(p^2 - q^2), or both c when p - q <= core._ROUND_GAP p, a circle.
 
     A family whose tangency points all lie within 1e-6 of the first is a
     "point" at their mean, with residual their spread; this runs first, as
     lines through one point leave c free.
-    Otherwise it is a "non-conic" when the residual is above _ELLIPSE_TOL, a
-    "degenerate" one when q^2 <= core._ROUND_GAP p^2 (a segment), else an
-    "ellipse"; center, semi_axes, axis_angle and foci are None unless it
-    is a point or an ellipse.  Fewer than 6 lines, or a line that is not
-    finite, raise InputError.
+    Otherwise it is a "non-conic" when the residual is above _ELLIPSE_TOL,
+    before the second fit runs, a "degenerate" one when q^2 <=
+    core._ROUND_GAP p^2 (a segment), else an "ellipse"; center, semi_axes,
+    axis_angle and foci are None unless it is a point or an ellipse.  Fewer
+    than 6 lines, or a line that is not finite, raise InputError.
     """
     if len(s) < 6:
         raise InputError("an ellipse fit needs at least 6 tangent lines")
@@ -190,15 +207,20 @@ def _ellipse(s: np.ndarray, r: np.ndarray, points: np.ndarray):
     m = complex(x[3], x[4]) + 0.5 * c * c
     miss = float(np.abs(design @ x - rhs).max())
     residual = miss / a0 if a0 > 0.0 else math.inf
-    p2, q2 = a0 + abs(m), a0 - abs(m)
     if not residual <= _ELLIPSE_TOL:
         return "non-conic", None, None, None, None, residual
+    axis = 0.5 * cmath.phase(m)
+    # cos^2 and sin^2 of the normal's angle from the axis are (1 +- u)/2; a
+    # circle's axis is arbitrary, so the larger square is p^2
+    u = (r * cmath.exp(-2j * axis)).real
+    reach = s - c - r * c.conjugate()
+    halves = np.stack((1.0 + u, 1.0 - u), axis=1)
+    q2, p2 = sorted(np.linalg.lstsq(halves, 0.5 * (reach.real**2 + reach.imag**2))[0])
     if not q2 > _ROUND_GAP * p2:
         return "degenerate", None, None, None, None, residual
     p, q = math.sqrt(p2), math.sqrt(q2)
-    offset = 0j if p - q <= _ROUND_GAP * p else cmath.sqrt(2.0 * m)
-    foci = (c + offset, c - offset)
-    return "ellipse", c, (p, q), 0.5 * cmath.phase(m), foci, residual
+    offset = 0j if p - q <= _ROUND_GAP * p else cmath.rect(math.sqrt(p2 - q2), axis)
+    return "ellipse", c, (p, q), axis, (c + offset, c - offset), residual
 
 
 @lru_cache(maxsize=64)
@@ -302,20 +324,21 @@ class LevelSets:
             a.flags.writeable = False
 
 
-def _bracketed_newton(evaluate, x, lo, hi, base):
-    """Roots x of increasing functions, one per entry, solved together.
+def _bracketed_newton(evaluate, x, lo, hi):
+    """Roots x of increasing functions, one per entry, solved together:
+    solve_levels' circle angles.
 
     evaluate(live, x) returns f and f' > 0 at the entries live, an index
     that selects from arrays like x: slice(None) while every entry is live,
     so that pass gathers and scatters nothing, then an index array.  Each
-    root lies in its bracket [lo, hi] and the solved angle is base + x
-    (base an array like x), whose rounding sets the noise floor of f.
+    root lies in its bracket [lo, hi], and the rounding of the angle x sets
+    the noise floor of f.
     Newton runs over the live entries as numpy arrays; a step is taken only
     when it is at most half the bracket width, otherwise the bracket is
     halved, so convergence is unconditional.
     An entry stops at the point it has just evaluated, once |f| < 1e-14 or
-    its step or bracket is within _ULPS ulps of base + x; after 80 passes
-    the entries still live are evaluated where they stand.  Returns
+    its step or bracket is within _ULPS ulps of x; after 80 passes the
+    entries still live are evaluated where they stand.  Returns
     (x, f, f') with f and f' from the evaluation at x, so a certificate
     needs no second one; x, lo and hi are updated in place.
     """
@@ -332,7 +355,7 @@ def _bracketed_newton(evaluate, x, lo, hi, base):
         lo[live], hi[live] = lo_l, hi_l
         step = f / rate
         size, width = np.abs(step), hi_l - lo_l
-        ulps = _ULPS * np.spacing(base[live] + xl)
+        ulps = _ULPS * np.spacing(xl)
         go = ~((np.abs(f) < 1e-14) | (size <= ulps) | (width <= ulps))
         # xl is one end of its bracket, so a step of at most half the width
         # stays inside it
@@ -417,7 +440,7 @@ def solve_levels(B: BlaschkeProduct, lams) -> LevelSets:
         w, rate = _circle_terms(B, np.exp(1j * (tl % TAU)))
         return np.angle(w * rotate[live]), rate
 
-    t, f, rate = _bracketed_newton(offset, t, lo, hi, np.zeros_like(t))
+    t, f, rate = _bracketed_newton(offset, t, lo, hi)
     _certify(f, rate, lambda k: f"circle solution of B = {targets[k // n]!r}")
 
     # a root at t = 2 pi reads as angle 0 and sorts to the front of its row;

@@ -288,7 +288,8 @@ class BlaschkeProduct:
     @staticmethod
     def _from_json_dict(data, entry: str = "") -> "BlaschkeProduct":
         """The product a JSON object holds; entry ("factors[i]." for a
-        chain's factor) prefixes every entry that an InputError names."""
+        chain's factor) prefixes every entry that an InputError names, and
+        names the factor in the constructor's own refusals."""
         if not isinstance(data, dict) or "gamma" not in data or "zeros" not in data:
             raise InputError(f'product JSON needs "{entry}gamma" and "{entry}zeros"')
         if not isinstance(data["zeros"], list):
@@ -297,7 +298,12 @@ class BlaschkeProduct:
         zeros = tuple(
             _json_complex(p, f"{entry}zeros[{k}]") for k, p in enumerate(data["zeros"])
         )
-        return BlaschkeProduct(gamma, zeros)
+        try:
+            return BlaschkeProduct(gamma, zeros)
+        except InputError as exc:
+            if not entry:
+                raise
+            raise InputError(f"{entry[:-1]}: {exc}") from None
 
 
 def _json_complex(value, name: str) -> complex:

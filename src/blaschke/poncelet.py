@@ -13,12 +13,13 @@ its angle turns at rate 1/psi'(theta).  A chord whose ends p and q turn at
 rates 1/psi'_p and 1/psi'_q touches its envelope at the point dividing it in
 the ratio of those rates, the psi'-weighted mean of its ends:
 
-    e = (p psi'_p + q psi'_q) / (psi'_p + psi'_q),
+    e = (p psi'_p + q psi'_q) / (psi'_p + psi'_q).
 
-circle._tangency, which shiftop uses for the numerical range, the skip-0
-envelope of z times the zeros.  psi' > 0 on the circle and p != q, so e is a
-convex combination of two distinct circle points: no chord is stationary and
-no envelope point can leave the disk.
+circle._chords builds every chord family and these points; shiftop reads
+the numerical range, the skip-0 envelope of z times the zeros, through the
+same builder.  psi' > 0 on the circle and p != q, so e is a convex
+combination of two distinct circle points: no chord is stationary and no
+envelope point can leave the disk.
 
 Every polygon here is a row of one record, circle.LevelSets: the envelopes
 read its points and psi' rates, and tangency_audit and scene_svg walk its
@@ -58,10 +59,10 @@ from .circle import (
     LevelSets,
     invariant_orbit,
     solve_levels,
+    _chords,
     _circle_terms,
     _ellipse,
     _orbit,
-    _tangency,
 )
 from .errors import InputError, VerificationFailure
 
@@ -156,15 +157,10 @@ class EnvelopeCurve:
 def _envelopes(skips, t, points, rates) -> list[EnvelopeCurve]:
     """The envelope of the skip-m chords for every m in skips, vertex-major
     (all level sets for vertex 0, then vertex 1, and so on), from one
-    stacked pass over the LevelSets rows of points and rates at the angles
-    t: row m of the far ends is the vertices m + 1 places ahead."""
-    p, rp = points.T, rates.T
-    n = len(p)
-    ahead = (np.arange(n) + (np.asarray(skips) + 1)[:, None]) % n
-    q, rq = p[ahead], rp[ahead]
-    tangency = _tangency(p, rp, q, rq)
-    chords = np.stack(np.broadcast_arrays(p, q), axis=-1)
-    angles = np.tile(t, n)
+    stacked pass of circle._chords over the LevelSets rows of points and
+    rates at the angles t."""
+    chords, tangency = _chords(skips, points, rates)
+    angles = np.tile(t, points.shape[1])
     return [
         EnvelopeCurve(skip, angles, row.ravel(), ends.reshape(-1, 2))
         for skip, row, ends in zip(skips, tangency, chords)

@@ -7,28 +7,26 @@ on the diagonal and
 
 above it.  It is a contraction with rank(I - A*A) = 1, and its numerical
 range W(A) = {<Av, v> : |v| = 1} is the convex region whose boundary this
-module samples by a support-function sweep over a uniform grid of outward
-normal angles theta.  Which input takes which path:
+module samples by its support lines.  Which input takes which path:
 
-* a ShiftMatrix is swept from its zeros alone, with no eigensolve.  W(A) is
-  the region bounded by the Poncelet curve of C = z * prod (z - a_j)/(1 -
-  conj(a_j) z): the chord joining two consecutive circle solutions of
-  C = lam is tangent to its boundary (Gau and Wu 1998; Daepp, Gorkin,
-  Shaffer and Voss 2018).  The chord with normal e^{i theta} joins
-  e^{i(theta - delta)} to e^{i(theta + delta)}, where the lifted argument psi
-  of C gains exactly 2 pi across the arc; its support value is cos(delta)
-  and its tangency point is circle._tangency, the psi'-weighted mean of the
-  two endpoints.  The sweep reads C only through w = 1 - a_j conj(z) at the
-  ends (see circle): psi gains 2 delta (n + 1) plus circle._arc_gain across
-  the arc, with no complex division, and each angle's Newton start is
-  min(pi/psi'(theta), pi/2), the root of that gain at the local rate.
-* any other square array goes through a Hermitian eigen-sweep: for each
-  direction, the top eigenpair of the Hermitian part of e^{-i theta} A gives
-  both the support value and a boundary point.  The tests use it as the
-  reference for the first path.
+* a ShiftMatrix is read from its zeros alone, with no eigensolve.  W(A) is
+  the region bounded by K_1, the skip-0 Poncelet curve, of C = z * prod
+  (z - a_j)/(1 - conj(a_j) z): the chord joining two consecutive circle
+  solutions of C = lam touches the boundary of W(A) (Gau and Wu 1998;
+  Daepp, Gorkin, Shaffer and Voss 2018).  One circle.solve_levels call on C
+  gives the level sets, and circle._chords, the builder of poncelet's
+  envelopes, gives their skip-0 chords and tangency points.  Each chord is
+  a support line: its outward normal angle arg(-i (q - p)) is the sample's
+  angle and its tangency point the boundary point there, so the angles are
+  ascending but not uniform.
+* any other square array goes through a Hermitian eigen-sweep over the
+  uniform normal angles 2 pi k / samples: for each direction, the top
+  eigenpair of the Hermitian part of e^{-i theta} A gives both the support
+  value and a boundary point.  The tests use it as the reference for the
+  first path.
 
 is_elliptical_range reads the ellipse, its center, semi-axes and foci off
-either sweep's support lines and boundary points with circle._ellipse, the
+either path's support lines and boundary points with circle._ellipse, the
 test that poncelet applies to the chords of its envelopes and their
 tangency points.
 """
@@ -40,11 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import (
-    TAU, _arc_gain, _bracketed_newton, _certify, _circle_w, _ellipse, _poisson_rate,
-    _tangency,
-)
-from .core import ToleranceConfig, format_float, _finite, _integer
+from .circle import TAU, _chords, _ellipse, solve_levels
+from .core import BlaschkeProduct, ToleranceConfig, format_float, _finite, _integer
 from .errors import EigensolverFailure, InputError
 
 __all__ = [
@@ -104,11 +99,11 @@ def _as_matrix(A) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NumericalRangeSample:
-    """Support-function sweep of W(A).
+    """Support-function sample of W(A).
 
-    For each angle theta_k: support[k] is the maximum of Re(e^{-i theta} w)
-    over w in W(A), and points[k] = <A v, v> for a maximizing unit vector v,
-    a boundary point attaining that support value.
+    For each normal angle theta_k: support[k] is the maximum of Re(e^{-i
+    theta} w) over w in W(A), and points[k] is a boundary point attaining
+    that support value, <A v, v> for a maximizing unit vector v.
     """
 
     angles: tuple[float, ...]
@@ -117,23 +112,38 @@ class NumericalRangeSample:
 
 
 def numerical_range_boundary(A, samples: int = 720) -> NumericalRangeSample:
-    """Boundary sample of W(A) at the normal angles 2 pi k / samples.
+    """Boundary sample of W(A) at samples normal angles in [0, 2pi).
 
-    A ShiftMatrix is swept by the tangency formula from its zeros, with no
-    eigensolve; every angle's delta is certified to |F|/(psi'1 + psi'2) <=
-    5e-11, the certificate of every circle solve, or SolverFailure names the
-    angle.  Any other square array is swept by one Hermitian eigensolve per
-    angle.  A sample count that is not an integer of at least 8, or a
+    A ShiftMatrix is read off K_1 of z times its zeros (module docstring),
+    with no eigensolve: one solve_levels call at max(2, ceil(samples/(n +
+    1))) level angles, certified as every circle solve is, gives n + 1
+    chords per level set, at least samples in all; sorted by outward normal
+    angle, samples of them are picked evenly in that order.  Its angles are
+    those normals, ascending and not uniform.  Any other square array is
+    swept at the uniform angles 2 pi k / samples, one Hermitian eigensolve
+    per angle.  A sample count that is not an integer of at least 8, or a
     matrix with a non-finite entry, raises InputError.
     """
     if _integer(samples, "sweep direction count must be an integer") < 8:
         raise InputError("need at least 8 sweep directions")
-    angles = [2.0 * math.pi * k / samples for k in range(samples)]
-    if isinstance(A, ShiftMatrix):
-        support, points = _tangency_sweep(A.zeros, np.array(angles))
-    else:
+    if not isinstance(A, ShiftMatrix):
+        angles = [2.0 * math.pi * k / samples for k in range(samples)]
         support, points = _eigen_sweep(_as_matrix(A), angles)
-    return NumericalRangeSample(tuple(angles), tuple(support), tuple(points))
+        return NumericalRangeSample(tuple(angles), tuple(support), tuple(points))
+    C = BlaschkeProduct(1.0, (0j, *A.zeros))
+    count = max(2, -(-samples // C.degree))
+    levels = solve_levels(C, np.exp(1j * TAU * np.arange(count) / count))
+    ends, points = _chords([0], levels.points, levels.rates)
+    p, q = ends.reshape(-1, 2).T
+    # a normal a rounding below 0 wraps to 2 pi itself, which the second
+    # mod sends to 0
+    normals = np.angle(-1j * (q - p)) % TAU % TAU
+    pick = np.argsort(normals)[np.arange(samples) * len(normals) // samples]
+    angles, points = normals[pick], points.ravel()[pick]
+    support = (np.exp(-1j * angles) * points).real
+    return NumericalRangeSample(
+        tuple(angles.tolist()), tuple(support.tolist()), tuple(points.tolist())
+    )
 
 
 def _eigen_sweep(M: np.ndarray, angles: list[float]) -> tuple[list, list]:
@@ -150,59 +160,6 @@ def _eigen_sweep(M: np.ndarray, angles: list[float]) -> tuple[list, list]:
         support.append(float(w[-1]))
         points.append(complex(np.vdot(v, M @ v)))
     return support, points
-
-
-def _chord(a: np.ndarray, theta: np.ndarray, delta: np.ndarray):
-    """The chord from z1 = e^{i(theta - delta)} to z2 = e^{i(theta + delta)}
-    for C = z * prod (z - a_j)/(1 - conj(a_j) z), with psi the lifted argument
-    of C on the circle.
-
-    Returns F = psi(theta + delta) - psi(theta - delta) - 2 pi and psi' at
-    both ends (circle._poisson_rate plus 1 for the z factor).  F needs no
-    lift grid, no factor values and no end point: with w = 1 - a_j conj(z)
-    built once at both ends, C's n + 1 factors rotate by 2 delta (n + 1)
-    and add circle._arc_gain(w1, w2) across the arc.
-    """
-    w = _circle_w(a, theta + np.stack((-delta, delta)))
-    F = 2.0 * delta * (len(a) + 1) + _arc_gain(w[0], w[1]) - TAU
-    return F, 1.0 + _poisson_rate(1.0 - np.abs(a) ** 2, w)
-
-
-def _tangency_sweep(zeros, theta: np.ndarray) -> tuple[list, list]:
-    """Support values and boundary points of W(S) for the compressed shift
-    with these zeros, at every normal angle in theta at once.
-
-    F(delta) rises from -2 pi at 0 to 2 pi len(zeros) at pi with slope
-    psi'(theta - delta) + psi'(theta + delta), so each angle has one root,
-    found by circle._bracketed_newton with base theta: the larger endpoint
-    angle theta + delta sets the noise floor of F.  Each angle starts at
-    min(pi/psi'(theta), pi/2), where F would vanish if psi' stayed at its
-    value at theta across the arc.  Every delta is certified on its error
-    |F|/(psi'1 + psi'2) by circle._certify, from the kernel's last
-    evaluation at the returned delta, so no chord is evaluated twice; gap
-    keeps the psi' of each end from that evaluation for the tangency point,
-    and the chord ends are formed once, for the solved deltas only.
-    """
-    a = np.asarray(zeros, dtype=complex)
-    ends = np.empty((2, len(theta)))
-
-    def gap(live, d):
-        F, rate = _chord(a, theta[live], d)
-        ends[:, live] = rate
-        return F, rate[0] + rate[1]
-
-    rate = 1.0 + _poisson_rate(1.0 - np.abs(a) ** 2, _circle_w(a, theta))
-    delta, F, rate = _bracketed_newton(
-        gap,
-        np.minimum(math.pi / rate, 0.5 * math.pi),
-        np.zeros_like(theta),
-        np.full_like(theta, math.pi),
-        theta,
-    )
-    _certify(F, rate, lambda k: f"tangent chord at theta={float(theta[k])!r}")
-    z = np.exp(1j * (theta + np.stack((-delta, delta))))
-    points = _tangency(z[0], ends[0], z[1], ends[1])
-    return (np.exp(-1j * theta) * points).real.tolist(), points.tolist()
 
 
 def kippenhahn_eval(A, u: complex, v: complex, w: complex) -> complex:
@@ -246,16 +203,17 @@ class RangeVerdict:
 def is_elliptical_range(
     A, samples: int = 720, tol: ToleranceConfig | None = None
 ) -> RangeVerdict:
-    """Decide whether W(A) is an ellipse, from its support lines
-    Re(e^{-i theta_k} z) = h(theta_k) on the sweep theta_k = 2 pi k / samples.
+    """Decide whether W(A) is an ellipse, from the support lines
+    Re(e^{-i theta_k} z) = h(theta_k) of numerical_range_boundary(A,
+    samples).
 
     Those lines are tangent to one ellipse exactly when W(A) is that
     ellipse (Gau and Wu 1998; Daepp, Gorkin, Shaffer and Voss, "Finding
     ellipses", 2018).  circle._ellipse, the test that poncelet.fit_conic
-    applies to chords, reads these lines with the sweep's boundary points as
-    their tangency points; W is an ellipse when it reads one, so a W that is
-    a segment never is, nor a W whose boundary points all lie within 1e-6 of
-    one point, a point range.
+    applies to chords, reads these lines with the sample's boundary points
+    as their tangency points; W is an ellipse when it reads one, so a W that
+    is a segment never is, nor a W whose boundary points all lie within 1e-6
+    of one point, a point range.
     """
     sample = numerical_range_boundary(A, samples)
     e = np.exp(1j * np.array(sample.angles))

@@ -265,12 +265,12 @@ def test_roots_next_to_a_zero_close_to_the_circle_certify_in_16_evaluations(
     counts = np.zeros(720 * B.degree, dtype=int)
     real = circle._bracketed_newton
 
-    def counted(evaluate, x, lo, hi, base):
+    def counted(evaluate, x, lo, hi):
         def each(live, xl):
             counts[live] += 1
             return evaluate(live, xl)
 
-        return real(each, x, lo, hi, base)
+        return real(each, x, lo, hi)
 
     monkeypatch.setattr(circle, "_bracketed_newton", counted)
     solve_levels(B, lams)

@@ -444,6 +444,26 @@ def test_a_chain_refusal_names_the_factor(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "factor, refusal",
+    [
+        ('{"gamma": [1, 0], "zeros": [[1.5, 0]]}',
+         "zero (1.5+0j) is not inside the open unit disk"),
+        ('{"gamma": [2, 0], "zeros": [[0, 0], [0.5, 0]]}', "|gamma| = 2.0, must be 1"),
+        ('{"gamma": [1, 0], "zeros": []}', "a Blaschke product needs at least one zero"),
+    ],
+)
+def test_a_chain_factor_the_constructor_refuses_is_named(tmp_path, factor, refusal):
+    # the product's own refusals name the factor as the JSON shape checks do
+    src = tmp_path / "chain.json"
+    src.write_text(
+        f'{{"factors": [{{"gamma": [1, 0], "zeros": [[0, 0], [0.3, 0]]}}, {factor}]}}'
+    )
+    r = run_cli("analyze", "--input", str(src), cwd=tmp_path)
+    assert r.returncode == 2
+    assert r.stderr == f"input error: factors[1]: {refusal}\n"
+
+
 def test_zero_outside_disk_rejected(tmp_path):
     src = tmp_path / "p.json"
     src.write_text('{"gamma": [1.0, 0.0], "zeros": [[1.5, 0.0]]}')

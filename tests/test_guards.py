@@ -92,6 +92,17 @@ def test_one_ellipse_test_and_one_tolerance():
     assert constants[0].endswith("_ELLIPSE_TOL = 1e-8")
 
 
+def test_one_sampler_for_the_range_curve():
+    # W(S)'s boundary is K_1 of z times the zeros, read off one level-set
+    # solve through circle._chords, the builder of poncelet's envelopes; no
+    # second Newton over normal angles comes back, and solve_levels is the
+    # Newton kernel's one caller
+    package = "src/blaschke"
+    assert _matches(r"\b_chord\b", package) == []
+    assert _matches(r"_bracketed_newton\(", package, exclude="circle.py") == []
+    assert len(_matches(r"(?<!def )_bracketed_newton\(", "src/blaschke/circle.py")) == 1
+
+
 def test_every_certificate_fails_on_nan():
     # a certificate reads "not err <= bound", which NaN fails; "err > bound"
     # lets NaN through

@@ -194,33 +194,37 @@ def _oracle_zeros(rng, size: int) -> list[complex]:
     return zeros
 
 
+def _assert_matches_the_eigen_sweep(A, samples):
+    # the eigen-sweep of the plain entries at the chord normals, the
+    # reference, gives the same support values and boundary points
+    sample = numerical_range_boundary(A, samples)
+    support, points = shiftop._eigen_sweep(A.entries, sample.angles)
+    assert max(abs(x - y) for x, y in zip(sample.support, support)) < 1e-12
+    assert max(abs(x - y) for x, y in zip(sample.points, points)) < 1e-9
+
+
 @pytest.mark.parametrize("size", [1, 2, 3, 8, 24, 63])
 def test_tangency_sweep_matches_eigensolve(size):
-    # a ShiftMatrix is swept from its zeros by the Poncelet tangency formula;
-    # its plain entries go through the Hermitian eigen-sweep, the reference
-    zeros = _oracle_zeros(rng_for(330 + size), size)
-    A = shift_matrix(zeros)
-    fast = numerical_range_boundary(A, 180)
-    ref = numerical_range_boundary(A.entries, 180)
-    assert fast.angles == ref.angles
-    assert max(abs(x - y) for x, y in zip(fast.support, ref.support)) < 1e-12
-    assert max(abs(x - y) for x, y in zip(fast.points, ref.points)) < 1e-9
+    # a ShiftMatrix is read off the K_1 chords of z times its zeros, whose
+    # normals are ascending in [0, 2 pi) but not uniform
+    A = shift_matrix(_oracle_zeros(rng_for(330 + size), size))
+    angles = numerical_range_boundary(A, 180).angles
+    assert len(angles) == 180
+    assert 0.0 <= angles[0] and all(x < y for x, y in zip(angles, angles[1:]))
+    assert angles[-1] < TAU
+    _assert_matches_the_eigen_sweep(A, 180)
 
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-12])
 def test_tangency_sweep_certifies_zeros_near_the_circle(eps):
-    # near a zero at 1 - eps the slope psi'1 + psi'2 of F is of order 1/eps,
-    # so an accurate delta leaves |F| far above 1e-10; the certificate is on
-    # the delta error |F|/(psi'1 + psi'2)
+    # near a zero at 1 - eps psi' is of order 1/eps, so an accurate circle
+    # solution leaves its offset far above 1e-10; the certificate is on the
+    # argument error |f|/psi'
     for size in (3, 16, 63):
         rng = rng_for(350 + size)
         zeros = [random_point(rng, 0.9) for _ in range(size)]
         zeros[0] = (1.0 - eps) * cmath.exp(1.3j)
-        A = shift_matrix(zeros)
-        fast = numerical_range_boundary(A, 180)
-        ref = numerical_range_boundary(A.entries, 180)
-        assert max(abs(x - y) for x, y in zip(fast.support, ref.support)) < 1e-12
-        assert max(abs(x - y) for x, y in zip(fast.points, ref.points)) < 1e-9
+        _assert_matches_the_eigen_sweep(shift_matrix(zeros), 180)
 
 
 @pytest.mark.parametrize("size", [2, 3, 8, 16])
@@ -240,24 +244,25 @@ def test_first_envelope_of_z_times_the_product_is_the_numerical_range(size):
         assert abs((cmath.exp(-1j * theta) * s.point).real - h) < 1e-12
 
 
-@pytest.mark.parametrize("degree,passes,rows", [(8, 5, 3100), (32, 4, 2400), (64, 3, 2300)])
-def test_tangency_sweep_stops_within_a_few_passes(monkeypatch, degree, passes, rows):
-    # each angle starts at pi/psi'(theta), where F would vanish at the local
-    # rate; from the flat start pi/(n + 1) the 720 angles took 5, 4 and 4
-    # Newton passes and 3260, 2821 and 2535 rows on these products
-    B = random_product(rng_for(100 + degree), degree, radius=0.8)
-    live = []
-    real = shiftop._chord
+@pytest.mark.parametrize("samples", [8, 180, 720, 721])
+def test_shift_range_solves_one_level_batch(monkeypatch, samples):
+    # every chord comes from one solve of max(2, ceil(samples/(n + 1)))
+    # level sets of z times the zeros, and exactly samples of them are kept
+    calls = []
+    real = shiftop.solve_levels
 
-    def counted(a, theta, delta):
-        live.append(len(theta))
-        return real(a, theta, delta)
+    def counted(B, lams):
+        calls.append(len(lams))
+        return real(B, lams)
 
-    monkeypatch.setattr(shiftop, "_chord", counted)
-    numerical_range_boundary(shift_matrix(B.zeros))
-    # the certificate reads the last pass, so every call is a Newton pass
-    assert len(live) <= passes
-    assert sum(live) <= rows
+    monkeypatch.setattr(shiftop, "solve_levels", counted)
+    rng = rng_for(340)
+    for size in range(1, 64):
+        calls.clear()
+        zeros = [random_point(rng, 0.9) for _ in range(size)]
+        sample = numerical_range_boundary(shift_matrix(zeros), samples)
+        assert calls == [max(2, -(-samples // (size + 1)))], size
+        assert len(sample.angles) == len(sample.support) == len(sample.points) == samples
 
 
 def test_shift_matrix_sweep_makes_no_eigensolve(monkeypatch):
@@ -419,14 +424,14 @@ def test_zero_matrix_range_is_not_an_ellipse():
     assert verdict.residual <= 1e-14
 
 
-def test_thin_two_by_two_ellipse():
-    # zeros 1e-5 inside the circle give q/p ~ 1e-5; the sweep still reads
-    # the closed form, q to the rounding of q^2 = a0 - |m|.  The 1e-6 q
-    # bound sits on that floor: this sweep reads 7.4e-7 q at 720 samples but
-    # 2.8e-6 q to 4.6e-6 q at 360, 721 or 1000 samples, so a change to the
-    # range sweep's arithmetic can cross it without losing any accuracy
+@pytest.mark.parametrize("samples", [360, 720, 721, 1000, 1440])
+def test_thin_two_by_two_ellipse(samples):
+    # zeros 1e-5 inside the circle give q/p ~ 1e-5 and q^2 ~ 1e-10, below the
+    # rounding of a0 ~ 1, so q^2 = a0 - |m| would cancel to about 4e-6 q;
+    # the semi-axes come from the squared reach about the center instead,
+    # which reads 3e-8 q to 3.2e-7 q at these sample counts
     a, b = 0.99999, -0.99999j
-    verdict = is_elliptical_range(shift_matrix([a, b]))
+    verdict = is_elliptical_range(shift_matrix([a, b]), samples)
     assert verdict.is_ellipse
     q = (1 - abs(a) ** 2) / 2
     assert abs(verdict.center - (a + b) / 2) < 1e-12
