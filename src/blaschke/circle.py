@@ -48,15 +48,16 @@ of g come from a single level-set solve: the iterates are just successive
 entries of one row of a LevelSets, and the orbits of many starts come from
 one batched solve.
 
-Those solves are kept.  _level_sets_through, an lru_cache of at most 64
-entries, holds the level sets through a tuple of unit-projected start points
-per product, keyed on the product (its gamma and zeros) and that tuple; the
-same product and starts read the same LevelSets, whose arrays are
-read-only, so next_preimage, invariant_orbit(s), poncelet.closure_order and
-the inner-factor search solve a level set once however often they ask for
-it.  No tolerance is part of the key because no circle solve reads one.  A
-refusal is not kept: lru_cache stores no exception, so the next call solves
-afresh.  solve_levels itself is not memoized.
+Those solves are kept on the product object (core._kept), as the lift grid
+is: _level_sets_through holds the level sets through each tuple of
+unit-projected start points that has been asked of that product; the same
+product and starts read the same LevelSets, whose arrays are read-only, so
+next_preimage, invariant_orbit(s), poncelet.closure_order and the
+inner-factor search solve a level set once however often they ask for it.
+Both go when the product goes, and an equal product is another object that
+solves afresh.  No tolerance is part of the key because no circle solve
+reads one.  A refusal is not kept, so the next call solves afresh.
+solve_levels itself is not memoized.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -79,6 +79,7 @@ from .core import (
     _ROUND_GAP,
     _finite,
     _integer,
+    _kept,
     _origin_dropped,
 )
 from .errors import InputError, SolverFailure
@@ -223,7 +224,7 @@ def _ellipse(s: np.ndarray, r: np.ndarray, points: np.ndarray):
     return "ellipse", c, (p, q), axis, (c + offset, c - offset), residual
 
 
-@lru_cache(maxsize=64)
+@_kept
 def _lift_grid(B: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ts, psi, cells): the lift psi(t) on an increasing grid over
     [0, 2pi], and the data of solve_levels' Hermite start on each cell.
@@ -455,13 +456,13 @@ def solve_levels(B: BlaschkeProduct, lams) -> LevelSets:
     return LevelSets(angles, points, rate)
 
 
-@lru_cache(maxsize=64)
+@_kept
 def _level_sets_through(
     B: BlaschkeProduct, starts: tuple[complex, ...]
 ) -> LevelSets:
     """The level set of B through each circle point of starts, from one
-    solve_levels call, kept per (product, starts) as the module docstring
-    describes."""
+    solve_levels call, kept on the product per starts as the module
+    docstring describes."""
     # _circle_terms has no pole next to a zero within core._ROOT_TOL of the
     # circle, where B.evaluate refuses but solve_levels still solves
     return solve_levels(B, _circle_terms(B, np.array(starts, dtype=complex))[0])

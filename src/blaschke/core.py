@@ -23,7 +23,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, reduce, wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -167,6 +167,26 @@ def _shaped(values: np.ndarray, points: np.ndarray):
     return values.reshape(points.shape)
 
 
+def _kept(build):
+    """build(B, *key), run once per product object: the result is kept in
+    B's own __dict__ under (build's name, *key), as cached_property keeps
+    B._table, so it lives as long as B does.  A refusal is not kept, and the
+    next call builds afresh.  An equal product is another object and builds
+    its own result; equality, hashing and repr see only gamma and zeros.
+    The results kept this way are circle's lift grid and level sets,
+    critical data, the monodromy group and the inner-factor search."""
+    name = build.__name__
+
+    @wraps(build)
+    def kept(B, *key):
+        memo, slot = B.__dict__, (name, *key)
+        if slot not in memo:
+            memo[slot] = build(B, *key)
+        return memo[slot]
+
+    return kept
+
+
 @dataclass(frozen=True)
 class BlaschkeProduct:
     """A finite Blaschke product, stored as unimodular constant plus zero list.
@@ -174,7 +194,8 @@ class BlaschkeProduct:
     zeros is a tuple with multiplicity; the degree is its length.  The
     private factor table _table holds the zeros a as an array, -conj(a),
     1 - |a|^2 and max |a|, built on first use for _jet and the circle
-    solves' circle._circle_terms; it is not a field, so equality, hashing
+    solves' circle._circle_terms; it and every result _kept derives from the
+    product live in its __dict__, not in its fields, so equality, hashing
     and repr see only gamma and zeros.
     """
 

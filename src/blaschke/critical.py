@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -55,6 +54,7 @@ from .core import (
     _CLUSTER_TOL,
     _ROOT_TOL,
     _finite,
+    _kept,
 )
 from .errors import CountMismatch, DegenerateInput, SolverFailure
 from .shiftop import shift_matrix
@@ -414,13 +414,14 @@ def critical_data(
     matrix of _half_plane_zeros mapped back by z = s(t - i)/(t + i).
     Raises CountMismatch if the in-disk multiplicity count is not degree - 1
     and SolverFailure if a point fails its certificate on S.  The result is
-    kept per product, so asking again for an equal product costs no solve;
-    tol is accepted, not read, and not part of the key.
+    kept on the product object (core._kept), so asking the same product
+    again costs no solve; tol is accepted, not read, and not part of the
+    key.
     """
     return _critical_data(B)
 
 
-@lru_cache(maxsize=64)
+@_kept
 def _critical_data(B: BlaschkeProduct) -> CriticalData:
     counts = Counter(B.zeros)
     nodes, weights = _log_derivative(counts)

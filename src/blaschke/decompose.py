@@ -20,7 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .core import (
     _MATCH_POINTS,
     _MATCH_TOL,
     _integer,
+    _kept,
     _origin_dropped,
     _proper_divisors,
     _rotation,
@@ -141,7 +141,7 @@ def _orbit_pair(
 
     The second starts of every proper divisor's hop form one invariant_orbits
     batch after the orbit from 1, whichever hop is asked for, so a product
-    takes two circle solves in all, each kept in circle's level-set memo
+    takes two circle solves in all, each kept on the product object
     (circle._level_sets_through) and read again by every divisor search.
     """
     n = B.degree
@@ -226,10 +226,10 @@ def inner_factor_general(B: BlaschkeProduct, k: int) -> InnerFactorResult:
     factor.  A negative answer carries its reason; the theory certifies
     existence for genuine factors but gives no numerical certificate of
     absence.  A k that is not an integer proper divisor raises InputError
-    before the kept results are read.  The result is kept per (product, k),
-    at most 64 of them, so searching again costs nothing.  Every caller
-    reaches the search through this module global, so a wrapper bound in
-    its place sees every call.
+    before the kept results are read.  The result is kept on the product
+    object per k (core._kept), so searching the same product again costs
+    nothing.  Every caller reaches the search through this module global,
+    so a wrapper bound in its place sees every call.
     """
     n = B.degree
     k = _integer(k, f"k must be a proper divisor of {n}")
@@ -238,9 +238,9 @@ def inner_factor_general(B: BlaschkeProduct, k: int) -> InnerFactorResult:
     return _inner_factor(B, k)
 
 
-@lru_cache(maxsize=64)
+@_kept
 def _inner_factor(B: BlaschkeProduct, k: int) -> InnerFactorResult:
-    """inner_factor_general's search for a checked k, kept per (B, k)."""
+    """inner_factor_general's search for a checked k, kept on B per k."""
     n = B.degree
     D = _inner_from_orbits(_orbit_pair(B, n // k, k), k)
     outer_zeros = None if D is None else _collapse_zeros(B, D, k)

@@ -34,9 +34,9 @@ compared or returned.  No bound is below _ROUNDING * n * eps * |gamma|,
 about the rounding of an evaluation of B at a point over gamma, which no
 corrector can beat.
 
-monodromy_group's results are kept per product, the last 64, so
-cross_validate after monodromy_group, or the CLI's one cross_validate,
-tracks each branch once.
+monodromy_group's results are kept on the product object (core._kept), so
+cross_validate after monodromy_group on the same product, or the CLI's one
+cross_validate, tracks each branch once.
 
 Near the circle B is an n-fold cover, so the loops taken in the order of
 their values' arguments compose to a loop round the circle, which lifts to
@@ -54,7 +54,6 @@ import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -65,6 +64,7 @@ from .core import (
     _ROOT_TOL,
     _finite,
     _integer,
+    _kept,
     _proper_divisors,
     _tower_height,
     _zeros_separated,
@@ -562,17 +562,17 @@ def monodromy_group(
     generator is read, so a TrackingFailure on one loop can come before the
     refusal an earlier loop would give.
 
-    The result is kept per product, so asking again for an equal product,
-    as cross_validate does, tracks no branch; a refusal is not kept and is
-    raised again on every call.  tol is accepted, not read, and not part
-    of the key.
+    The result is kept on the product object (core._kept), so asking the
+    same product again, as cross_validate does, tracks no branch; a refusal
+    is not kept and is raised again on every call.  tol is accepted, not
+    read, and not part of the key.
     """
     return _monodromy_group(B)
 
 
-@lru_cache(maxsize=64)
+@_kept
 def _monodromy_group(B: BlaschkeProduct) -> MonodromyResult:
-    """monodromy_group's body, kept per product."""
+    """monodromy_group's body, kept on the product."""
     n = B.degree
     if not _zeros_separated(B):
         raise DegenerateInput(

@@ -248,9 +248,12 @@ def tangency_audit(fit: ConicFit, levels: LevelSets, skip: int = 0) -> float:
 
     A curve genuinely inscribed in the level-set polygons has every chord as
     a supporting line: the support value in the outward normal direction of
-    each chord must equal the chord's offset.  Returns the max discrepancy
-    over all chords of the given solved level sets.  A skip that names no
-    chord family of a level set raises InputError, as in envelope.
+    each chord must equal the chord's offset.  The envelope lies left of
+    the counterclockwise chord p -> q, so the outward normal is -i (q - p),
+    as for numerical_range_boundary's support lines, for a diagonal as for
+    an edge.  Returns the max discrepancy over all chords of the given
+    solved level sets.  A skip that names no chord family of a level set
+    raises InputError, as in envelope.
     """
     if fit.classification not in ("ellipse", "point"):
         raise InputError("tangency audit requires an ellipse or point fit")
@@ -259,13 +262,10 @@ def tangency_audit(fit: ConicFit, levels: LevelSets, skip: int = 0) -> float:
     worst = 0.0
     hop = skip + 1
     for row in levels.points.tolist():
-        centroid = sum(row) / n
         for j in range(n):
             p = row[j]
             q = row[(j + hop) % n]
             normal = unit(-1j * (q - p))
-            if ((centroid - p) * normal.conjugate()).real > 0:
-                normal = -normal
             offset = (normal.conjugate() * p).real
             h = fit.support(cmath.phase(normal))
             worst = max(worst, abs(h - offset))

@@ -1,12 +1,14 @@
 import cmath
+import gc
 import math
 import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
-from blaschke import BlaschkeProduct, CompositionChain, InputError, compose
+from blaschke import BlaschkeProduct, CompositionChain, InputError, compose, normalize
 from blaschke.core import _IDENTITY_TOL, _MATCH_TOL
 from blaschke.circle import (
     invariant_orbit,
@@ -16,8 +18,12 @@ from blaschke.circle import (
     verify_generator_power,
 )
 from blaschke import circle
+from blaschke.critical import critical_data
+from blaschke.decompose import inner_factor_general
 from blaschke.errors import BlaschkeError, SolverFailure
+from blaschke.monodromy import monodromy_group
 from blaschke.poncelet import closure_order
+from blaschke.shiftop import is_elliptical_range, shift_matrix
 
 from conftest import TAU, circle_grid, random_point, random_product, rng_for
 
@@ -417,8 +423,7 @@ def _invariant_queries(B, starts):
 
 
 def _count_level_solves(monkeypatch) -> list[int]:
-    """Count solve_levels calls, after clearing the level-set memo."""
-    circle._level_sets_through.cache_clear()
+    """Count solve_levels calls."""
     calls = [0]
     real = circle.solve_levels
 
@@ -434,7 +439,7 @@ def _count_level_solves(monkeypatch) -> list[int]:
 def test_repeated_level_set_queries_solve_once_per_start(monkeypatch, degree):
     # next_preimage and invariant_orbit through the same start, and
     # closure_order for every skip, share one solve per distinct start; every
-    # answer is bit for bit that of a cold memo
+    # answer is bit for bit that of an equal product with nothing kept on it
     B = random_product(rng_for(660 + degree), degree, radius=0.8)
     starts = circle_grid(4, 0.13)
     calls = _count_level_solves(monkeypatch)
@@ -443,23 +448,25 @@ def test_repeated_level_set_queries_solve_once_per_start(monkeypatch, degree):
     assert repr(_invariant_queries(B, starts)) == repr(warm)
     assert calls[0] == len(starts) + 1
     n = B.degree
+
+    def cold():
+        """An equal product with nothing kept on it."""
+        return BlaschkeProduct(B.gamma, B.zeros)
+
     for z, image, orbit in zip(starts, *warm[:2]):
-        circle._level_sets_through.cache_clear()
-        assert repr(next_preimage(B, z)) == repr(image)
-        circle._level_sets_through.cache_clear()
-        assert repr(invariant_orbit(B, z, n + 1)) == repr(orbit)
+        assert repr(next_preimage(cold(), z)) == repr(image)
+        assert repr(invariant_orbit(cold(), z, n + 1)) == repr(orbit)
     for skip, order in enumerate(warm[2]):
-        circle._level_sets_through.cache_clear()
-        assert closure_order(B, skip) == order
+        assert closure_order(cold(), skip) == order
 
 
 def test_a_refused_solve_is_not_kept(monkeypatch):
-    # lru_cache keeps no exception: a refusal is raised again by a fresh
-    # solve, and once the solve succeeds its answer is that of a cold memo
+    # no exception is kept: a refusal is raised again by a fresh solve, and
+    # once the solve succeeds its answer is that of an equal product
     B = random_product(rng_for(671), 9, radius=0.8)
     z = cmath.exp(0.4j)
     cold = repr(invariant_orbit(B, z, 10))
-    circle._level_sets_through.cache_clear()
+    fresh = BlaschkeProduct(B.gamma, B.zeros)
     real = circle.solve_levels
     calls = [0]
 
@@ -470,10 +477,10 @@ def test_a_refused_solve_is_not_kept(monkeypatch):
     monkeypatch.setattr(circle, "solve_levels", refused)
     for attempt in (1, 2):
         with pytest.raises(SolverFailure, match="refused on purpose"):
-            next_preimage(B, z)
+            next_preimage(fresh, z)
         assert calls[0] == attempt
     monkeypatch.setattr(circle, "solve_levels", real)
-    assert repr(invariant_orbit(B, z, 10)) == cold
+    assert repr(invariant_orbit(fresh, z, 10)) == cold
 
 
 def test_a_memoized_level_solve_is_read_only():
@@ -488,12 +495,29 @@ def test_a_memoized_level_solve_is_read_only():
     assert not solve_levels(B, [1.0 + 0j]).points.flags.writeable
 
 
-def test_level_set_memo_is_bounded():
-    circle._level_sets_through.cache_clear()
-    rng = rng_for(672)
-    for _ in range(100):
-        next_preimage(random_product(rng, 4, radius=0.8), cmath.exp(0.7j))
-    assert circle._level_sets_through.cache_info().currsize == 64
+def test_kept_results_are_released_with_their_product():
+    # every result solved for a product is kept on the product object, so
+    # nothing outlives it: no collection is run, so a reference held
+    # anywhere else would keep a weakref alive
+    N = normalize(random_product(rng_for(672), 6, radius=0.8)).product
+    grid = circle._lift_grid(N)[0]
+    kept = [
+        critical_data(N),
+        monodromy_group(N),
+        circle._level_sets_through(N, (1j,)),
+        inner_factor_general(N, 2),
+        grid,
+    ]
+    refs = [weakref.ref(x) for x in (N, *kept)]
+    del N, grid, kept
+    assert [ref() for ref in refs] == [None] * len(refs)
+    # the numerical range of a compressed shift solves on z times its zeros,
+    # a product no caller holds, so none is left alive after the call
+    zeros = random_product(rng_for(674), 7, radius=0.8).zeros
+    is_elliptical_range(shift_matrix(zeros))
+    zB = (0j, *zeros)
+    alive = [x for x in gc.get_objects() if isinstance(x, BlaschkeProduct)]
+    assert [x for x in alive if x.zeros == zB] == []
 
 
 def test_two_step_matches_iterated_single_step():

@@ -204,9 +204,8 @@ def test_invariants_chain_reports_generator_power(tmp_path):
 
 def test_invariants_solve_one_batch_per_orbit_family(monkeypatch, capsys, tmp_path):
     # the 8 generator samples share one solve_levels call, and so do the 64
-    # samples of the generator-power check; the level-set memo is cleared
-    # first, so an earlier run of the same demo in this process counts too
-    circle._level_sets_through.cache_clear()
+    # samples of the generator-power check; main builds the demo afresh, so
+    # nothing an earlier run of the same demo kept is read
     real = circle.solve_levels
     batches = []
 
@@ -562,7 +561,6 @@ def test_decompose_runs_each_inner_factor_search_once(monkeypatch, capsys, tmp_p
 
     monkeypatch.setattr(decompose, "_orbit_pair", counted)
     for demo in ("power8", "elliptical8", "nonexample84"):
-        decompose._inner_factor.cache_clear()
         calls.clear()
         assert cli.main(["decompose", "--demo", demo, "--out", str(tmp_path)]) == 0
         capsys.readouterr()
@@ -615,7 +613,6 @@ def test_analyze_solves_critical_points_once_per_product(monkeypatch, capsys, de
         return real(*args)
 
     monkeypatch.setattr(critical, "_half_plane_zeros", counted)
-    critical._critical_data.cache_clear()
     assert cli.main(["analyze", "--demo", demo]) == 0
     capsys.readouterr()
     assert len(calls) == 2

@@ -41,8 +41,8 @@ from blaschke.core import (
     _tower_height,
     format_float,
 )
-from blaschke.critical import _critical_data, critical_data
-from blaschke.monodromy import _monodromy_group, monodromy_group
+from blaschke.critical import critical_data
+from blaschke.monodromy import monodromy_group
 from blaschke.errors import SolverFailure, VerificationFailure
 
 from conftest import (
@@ -523,7 +523,6 @@ def test_refused_scan_evaluates_b_once_per_ring(monkeypatch):
         return jet(self, z, **kwargs)
 
     monkeypatch.setattr(BlaschkeProduct, "_jet", counted_jet)
-    _critical_data.cache_clear()
     cd = critical_data(B)
     assert shapes == [(len(set(cd.points_in_disk)),)]
     shapes.clear()
@@ -629,20 +628,24 @@ def test_is_regularized_honours_identity_tol():
 
 
 def test_kept_results_are_keyed_on_the_product_alone():
-    # the unread tol slot is no second key, and an equal product is no
-    # second solve
+    # the same object hits, and the unread tol slot is no second key; an
+    # equal twin is another object, which solves afresh to the same bits
     B = normalize(random_product(rng_for(5150), 4)).product
     twin = BlaschkeProduct(B.gamma, B.zeros)
-    for kept, ask in (
-        (_critical_data, critical_data),
-        (_monodromy_group, monodromy_group),
+    # a PermutationGroup's repr is its address, so a group is read by its
+    # generators
+    for ask, bits in (
+        (critical_data, repr),
+        (monodromy_group, lambda m: repr((m.labels, m.loops, m.group.generators))),
     ):
-        kept.cache_clear()
         first = ask(B)
+        assert ask(B) is first
         assert ask(B, DEFAULT_TOL) is first
-        assert ask(twin) is first
-        info = kept.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+        cold = ask(twin)
+        assert cold is not first
+        assert bits(cold) == bits(first)
+    # what is kept on a product is no part of its equality, hash or repr
+    assert twin == B and hash(twin) == hash(B) and repr(twin) == repr(B)
 
 
 # the public callables that take tol, none of which reads it: is_regularized,

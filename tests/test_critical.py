@@ -23,7 +23,6 @@ from blaschke.core import circle_samples
 from blaschke.cli import demo_corpus
 from blaschke.critical import (
     _cluster_values,
-    _critical_data,
     _half_plane_zeros,
     _log_derivative,
     _polish,
@@ -520,7 +519,6 @@ def test_failed_certificate_names_the_first_failing_point(monkeypatch):
         return points, np.where(np.asarray(starts).real > 0, 0.5, residuals)
 
     monkeypatch.setattr(critical, "_polish", failing)
-    _critical_data.cache_clear()
     with pytest.raises(SolverFailure) as excinfo:
         critical_data(B)
     assert str(excinfo.value) == (

@@ -285,8 +285,7 @@ def test_inner_factor_validates_k():
 def test_inner_factor_refuses_a_k_that_is_not_an_integer_before_the_kept_results():
     # 2.0 equals 2 as a key of the kept results, so the check must come first
     T = compose(BlaschkeProduct(1, (0j, 0.3 + 0.2j)), BlaschkeProduct(1, (0j, -0.4j)))
-    decompose._inner_factor.cache_clear()
-    # on a cold cache, then with the k = 2 search kept
+    # on a new product, then with the k = 2 search kept on it
     for _ in range(2):
         with pytest.raises(InputError, match="k must be a proper divisor of 4, got 2.0"):
             inner_factor_general(T, 2.0)
@@ -472,10 +471,8 @@ def test_every_reader_of_the_divisor_table_asks_each_divisor_in_order(
 
 
 def _count_solves_per_product(monkeypatch) -> dict:
-    """Clear the kept searches and level sets, and count circle.solve_levels
-    calls by product."""
-    decompose._inner_factor.cache_clear()
-    circle._level_sets_through.cache_clear()
+    """Count circle.solve_levels calls by product; the searches and level
+    sets are kept on each product, so the products counted must be new."""
     calls: dict = {}
     real = circle.solve_levels
 

@@ -150,6 +150,16 @@ def test_the_cli_restates_no_library_gate():
     assert len(re.findall(r"_origin_dropped\(", cli)) == 1
 
 
+def test_results_are_kept_on_their_product():
+    # a result derived from a product is kept on that product object by
+    # core._kept, so it lives as long as the product; no module-level memo,
+    # with a bound and a lifetime of its own, comes back
+    package = "src/blaschke"
+    assert _matches(r"\blru_cache\b|@(functools\.)?cache\b", package) == []
+    definitions = _matches(r"^\s*def _kept\b|^_kept\s*=", package)
+    assert [hit.split(":")[0] for hit in definitions] == ["src/blaschke/core.py"]
+
+
 def test_the_library_reads_no_environment():
     # every setting is a constant or an argument: no environment variable
     # changes what the library or the CLI computes

@@ -218,8 +218,8 @@ def test_symmetric_group_is_primitive():
 def test_boundary_cycle_is_a_verification_failure(monkeypatch, capsys):
     """Loops that do not compose to an n-cycle round the circle are a failed
     certificate on a computed result (exit 4), not bad input."""
-    # a result kept from an earlier call would skip the composition
-    monodromy._monodromy_group.cache_clear()
+    # B and the CLI's product are built here, so no result kept from an
+    # earlier call skips the composition
     monkeypatch.setattr(
         monodromy, "_boundary", lambda loops, gens, n: Permutation.identity(n)
     )

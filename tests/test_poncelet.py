@@ -13,7 +13,7 @@ from blaschke import (
 )
 from blaschke import circle, poncelet
 from blaschke.circle import invariant_orbit, solve_levels
-from blaschke.cli import demo_corpus
+from blaschke.cli import SCENE_LAMBDAS, demo_corpus
 from blaschke.poncelet import (
     closure_order,
     curve_csv,
@@ -507,9 +507,9 @@ def test_closure_order_refuses_an_orbit_that_does_not_close(monkeypatch):
 
 def _count_solves(monkeypatch) -> list[int]:
     """Count every level set poncelet solves, batched or through an orbit:
-    all of them pass through circle.solve_levels.  The level-set memo is
-    cleared first, so no earlier solve is counted as free."""
-    circle._level_sets_through.cache_clear()
+    all of them pass through circle.solve_levels.  Level sets are kept on
+    each product, so a product counted must be new, or an earlier solve
+    on it is counted as free."""
     calls = [0]
     real = circle.solve_levels
 
@@ -524,11 +524,14 @@ def _count_solves(monkeypatch) -> list[int]:
 
 
 def test_closure_order_solves_one_level_set(monkeypatch):
-    # the first skip solves the level set through 1; the memo serves the rest
+    # the first skip solves the level set through 1; the level set kept on
+    # the product serves the rest.  Earlier tests solve on B84, so the count
+    # is taken on an equal product of its own
+    B = BlaschkeProduct(B84.gamma, B84.zeros)
     calls = _count_solves(monkeypatch)
     for skip in range(4):
         calls[0] = 0
-        closure_order(B84, skip)
+        closure_order(B, skip)
         assert calls[0] == (1 if skip == 0 else 0)
 
 
@@ -637,6 +640,23 @@ def test_tangency_audit_degree_two_point():
     fit = fit_conic(curve)
     lams = [cmath.exp(1j * t) for t in (0.3, 1.7, 4.1)]
     assert tangency_audit(fit, solve_levels(B, lams)) < 1e-9
+
+
+def test_tangency_audit_reads_every_chord_family_of_the_demo_corpus():
+    # the envelope lies left of the counterclockwise chord p -> q, a
+    # diagonal as much as an edge: elliptical8 at skip 2 is a family of
+    # diagonals whose centroid lies on either side.  The level sets are
+    # those cli curve audits
+    audited = []
+    for name, P in demo_corpus().items():
+        B = P.expand() if hasattr(P, "expand") else P
+        levels = solve_levels(B, SCENE_LAMBDAS)
+        for entry in package(B, 720).entries:
+            if entry.fit.classification in ("ellipse", "point"):
+                gap = tangency_audit(entry.fit, levels, entry.skip)
+                assert gap <= 1e-12, (name, entry.skip, gap)
+                audited.append((name, entry.skip))
+    assert ("elliptical8", 2) in audited and len(audited) == 17
 
 
 def test_foci_vs_zeros_degree_three():
