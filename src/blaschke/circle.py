@@ -30,8 +30,10 @@ evaluated and hands that evaluation to the certificate, so a solve whose
 starts are one Newton step from their roots costs two evaluations of B.
 
 _chords reads every chord family off such a solve, with the point where
-each chord touches its envelope: poncelet's envelopes K_{m+1}, and shiftop's
-numerical ranges, each the K_1 of z times the zeros.  _ellipse is the one
+each chord touches its envelope: poncelet's envelopes K_{m+1} and their
+tangency audit, and shiftop's numerical ranges, each the K_1 of z times the
+zeros; _level_count is the number of evenly spaced level sets the
+envelopes and the ranges solve for a sample budget.  _ellipse is the one
 test of whether a family of lines, the chords of an envelope or the support
 lines of a numerical range, each with its tangency point, is tangent to an
 ellipse.
@@ -39,7 +41,7 @@ ellipse.
 A solve returns one LevelSets record: the angles, points and psi' rates of
 every level set as read-only (levels, n) arrays, one row per target, each
 row sorted by angle.  The level-set memo, the orbits below and poncelet's
-envelopes, closure orders, tangency audit and scene all read that record.
+package, tangency audit and scene all read that record.
 
 The next-preimage map g (send a circle point to the next solution of the same
 level set, counterclockwise) generates the full set of continuous circle maps
@@ -52,8 +54,8 @@ Those solves are kept on the product object (core._kept), as the lift grid
 is: _level_sets_through holds the level sets through each tuple of
 unit-projected start points that has been asked of that product; the same
 product and starts read the same LevelSets, whose arrays are read-only, so
-next_preimage, invariant_orbit(s), poncelet.closure_order and the
-inner-factor search solve a level set once however often they ask for it.
+next_preimage, invariant_orbit(s) and the inner-factor search solve a
+level set once however often they ask for it.
 Both go when the product goes, and an equal product is another object that
 solves afresh.  No tolerance is part of the key because no circle solve
 reads one.  A refusal is not kept, so the next call solves afresh.
@@ -147,8 +149,16 @@ def _chords(skips, points, rates) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(np.broadcast_arrays(p, q), axis=-1), tangency
 
 
+def _level_count(n: int, samples: int) -> int:
+    """max(2, ceil(samples/n)): the number of evenly spaced level sets of a
+    degree-n product whose n chords per family give every chord family at
+    least samples chords, the envelopes' and the numerical range's count.
+    Each caller gates samples itself."""
+    return max(2, -(-samples // n))
+
+
 # A family of lines whose tangency equations miss by more than this fraction
-# of a0 has no ellipse.  Ellipses read at most 2.0e-14 (demo envelopes) and
+# of a0 has no ellipse.  Ellipses read at most 6.7e-15 (demo envelopes) and
 # 5.2e-12 (the elliptical family's ranges to degree 24); the other families
 # read at least 1.3e-4 (envelopes of random products of degree 3 to 128) and
 # 2.2e-3 (ranges of random products of degree 3 to 39).
@@ -172,7 +182,11 @@ def _ellipse(s: np.ndarray, r: np.ndarray, points: np.ndarray):
 
     with a0 = A0 + |c|^2/2 and m = A2 + i B2 + c^2/2.  One least-squares
     solve gives them, the major axis lies at arg(m)/2, and residual is the
-    worst equation miss over a0, infinite when a0 <= 0.
+    worst equation miss over a0, infinite when a0 <= 0.  The lines are
+    first moved to the mean tangency point as origin, and c back after:
+    about it |s|^2 / 4 is of the size of a0, so a small ellipse far from 0,
+    the range of a 2 x 2 shift with zeros next to the circle, is not lost
+    to cancellation in A0 = a0 - |c|^2/2.
 
     The semi-axes are p, q = sqrt(a0 +- |m|), but a0 - |m| cancels when an
     ellipse near the circle is thin (|s|^2 / 4 ~ 1, q^2 ~ 1e-10).  So p^2
@@ -196,10 +210,13 @@ def _ellipse(s: np.ndarray, r: np.ndarray, points: np.ndarray):
     if not finite.all():
         k = int(np.argmin(finite))
         raise InputError(f"an ellipse fit needs finite lines; line {k} is not")
+    mean = complex(np.mean(points))
     if np.abs(points - points[0]).max() < 1e-6:
-        center = complex(np.mean(points))
-        spread = float(np.abs(points - center).max())
-        return "point", center, (0.0, 0.0), 0.0, (center, center), spread
+        spread = float(np.abs(points - mean).max())
+        return "point", mean, (0.0, 0.0), 0.0, (mean, mean), spread
+    # the lines about the mean tangency point: z = mean + w solves
+    # w + r conj(w) = s - mean - r conj(mean)
+    s = s - mean - r * mean.conjugate()
     design = np.stack((s.real, s.imag, np.ones(len(s)), r.real, r.imag), axis=1)
     rhs = 0.25 * (s.real**2 + s.imag**2)
     x = np.linalg.lstsq(design, rhs)[0]
@@ -221,6 +238,7 @@ def _ellipse(s: np.ndarray, r: np.ndarray, points: np.ndarray):
         return "degenerate", None, None, None, None, residual
     p, q = math.sqrt(p2), math.sqrt(q2)
     offset = 0j if p - q <= _ROUND_GAP * p else cmath.rect(math.sqrt(p2 - q2), axis)
+    c += mean
     return "ellipse", c, (p, q), axis, (c + offset, c - offset), residual
 
 

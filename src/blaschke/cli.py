@@ -268,17 +268,19 @@ def _fit_dict(fit) -> dict:
 def cmd_curve(obj, cfg: RunConfig) -> int:
     from .circle import solve_levels
     from .poncelet import (
-        closure_order,
         curve_csv,
-        envelope,
-        fit_conic,
+        package,
         scene_svg,
         tangency_audit,
+        _check_skip,
     )
 
     B = _as_product(obj)
-    curve = envelope(B, cfg.skip, cfg.lambda_samples)
-    fit = fit_conic(curve)
+    # a skip that names no curve, or a degree-1 product, is refused
+    # before any solve
+    _check_skip(B.degree, cfg.skip)
+    entry = package(B, cfg.lambda_samples).entries[cfg.skip]
+    curve, fit = entry.curve, entry.fit
     level_sets = solve_levels(B, SCENE_LAMBDAS)
     files = [
         _write(cfg, f"curve_skip{cfg.skip}.csv", curve_csv(curve)),
@@ -288,7 +290,7 @@ def cmd_curve(obj, cfg: RunConfig) -> int:
         "skip": cfg.skip,
         "curve_index": cfg.skip + 1,
         "fit": _fit_dict(fit),
-        "closure_order": closure_order(B, cfg.skip),
+        "closure_order": entry.closure,
         "files": files,
     }
     if fit.classification in ("ellipse", "point"):

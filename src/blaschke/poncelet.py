@@ -22,8 +22,8 @@ combination of two distinct circle points: no chord is stationary and no
 envelope point can leave the disk.
 
 Every polygon here is a row of one record, circle.LevelSets: the envelopes
-read its points and psi' rates, and tangency_audit and scene_svg walk its
-point rows.  A sampled envelope is an EnvelopeCurve: read-only numpy arrays
+and tangency_audit read its chords through circle._chords, and scene_svg
+walks its point rows.  A sampled envelope is an EnvelopeCurve: read-only numpy arrays
 of the level angles, the tangency points and the chord ends, filled straight
 from that record with no per-sample object.  Its samples property builds
 EnvelopeSample tuples from those arrays on each access, for readers that
@@ -35,8 +35,8 @@ circle._ellipse, the one ellipse test here and in shiftop, solves the
 chords' tangency equations for the ellipse they touch, by linear least
 squares in five unknowns.  It tells ellipses from points, segments and
 non-conics by one relative residual, so no sample needs to be uniform.
-The envelopes of several skips are computed as stacked arrays; envelope is
-their one-curve case.
+package computes the envelopes of every skip as stacked arrays from one
+solve; one curve is an entry of its package.
 """
 
 from __future__ import annotations
@@ -52,16 +52,15 @@ from .core import (
     BlaschkeProduct,
     ToleranceConfig,
     format_float,
-    unit,
     _integer,
 )
 from .circle import (
     LevelSets,
-    invariant_orbit,
     solve_levels,
     _chords,
     _circle_terms,
     _ellipse,
+    _level_count,
     _orbit,
 )
 from .errors import InputError, VerificationFailure
@@ -69,11 +68,9 @@ from .errors import InputError, VerificationFailure
 __all__ = [
     "EnvelopeSample",
     "EnvelopeCurve",
-    "envelope",
     "ConicFit",
     "fit_conic",
     "tangency_audit",
-    "closure_order",
     "PackageEntry",
     "PonceletPackage",
     "package",
@@ -103,8 +100,7 @@ class EnvelopeCurve:
     Sample k is the tangency point points[k] of the chord from chords[k, 0]
     to chords[k, 1], taken on the level set Bhat = e^{i angles[k]}.  Samples
     run vertex-major: every level set for vertex 0, then vertex 1, and so on,
-    which is in order along the curve.  Two curves are equal when their skips
-    are equal and every array is equal element by element.
+    which is in order along the curve.
     """
 
     skip: int
@@ -115,18 +111,6 @@ class EnvelopeCurve:
     def __post_init__(self) -> None:
         for a in (self.angles, self.points, self.chords):
             a.flags.writeable = False
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EnvelopeCurve):
-            return NotImplemented
-        return self.skip == other.skip and all(
-            np.array_equal(a, b)
-            for a, b in (
-                (self.angles, other.angles),
-                (self.points, other.points),
-                (self.chords, other.chords),
-            )
-        )
 
     @property
     def samples(self) -> tuple[EnvelopeSample, ...]:
@@ -169,37 +153,10 @@ def _envelopes(skips, t, points, rates) -> list[EnvelopeCurve]:
 
 def _check_skip(n: int, skip: int) -> None:
     """InputError unless skip is an integer naming one of the n // 2 chord
-    families of a degree-n product: the gate of envelope, closure_order and
-    tangency_audit."""
+    families of a degree-n product: the gate of tangency_audit and of cli
+    curve, which reads entry skip of the package."""
     if not 0 <= _integer(skip, "skip must be an integer") <= n // 2 - 1:
         raise InputError(f"skip must lie in [0, {n // 2 - 1}] for degree {n}")
-
-
-def _level_angles(n: int, samples: int) -> np.ndarray:
-    """The evenly spaced angles t of max(2, ceil(samples/n)) level sets
-    Bhat = e^{it}, each giving every envelope of a degree-n product n
-    points, or InputError for a sample count that is not an integer of at
-    least 6: envelope's and package's gate."""
-    if _integer(samples, "envelope samples must be an integer") < 6:
-        raise InputError("need at least 6 envelope samples")
-    count = max(2, -(-samples // n))
-    return TAU * np.arange(count) / count
-
-
-def envelope(Bhat: BlaschkeProduct, skip: int, samples: int = 720) -> EnvelopeCurve:
-    """Envelope of the chords connecting vertex j to vertex j + skip + 1.
-
-    samples is the total point budget for the closed curve; the same level
-    sets serve all n chord families, so only max(2, ceil(samples/n)) level
-    sets are solved, in one batch, and psi' is computed once per vertex.
-    """
-    n = Bhat.degree
-    if n < 2:
-        raise InputError("envelope needs degree at least 2")
-    _check_skip(n, skip)
-    t = _level_angles(n, samples)
-    levels = solve_levels(Bhat, np.exp(1j * t))
-    return _envelopes([skip], t, levels.points, levels.rates)[0]
 
 
 @dataclass(frozen=True)
@@ -251,25 +208,21 @@ def tangency_audit(fit: ConicFit, levels: LevelSets, skip: int = 0) -> float:
     each chord must equal the chord's offset.  The envelope lies left of
     the counterclockwise chord p -> q, so the outward normal is -i (q - p),
     as for numerical_range_boundary's support lines, for a diagonal as for
-    an edge.  Returns the max discrepancy over all chords of the given
-    solved level sets.  A skip that names no chord family of a level set
-    raises InputError, as in envelope.
+    an edge.  The chords come from circle._chords, as the envelopes' do.
+    Returns the max discrepancy over all chords of the given solved level
+    sets.  A skip that names no chord family of a level set raises
+    InputError.
     """
     if fit.classification not in ("ellipse", "point"):
         raise InputError("tangency audit requires an ellipse or point fit")
-    n = levels.points.shape[1]
-    _check_skip(n, skip)
-    worst = 0.0
-    hop = skip + 1
-    for row in levels.points.tolist():
-        for j in range(n):
-            p = row[j]
-            q = row[(j + hop) % n]
-            normal = unit(-1j * (q - p))
-            offset = (normal.conjugate() * p).real
-            h = fit.support(cmath.phase(normal))
-            worst = max(worst, abs(h - offset))
-    return worst
+    _check_skip(levels.points.shape[1], skip)
+    (ends,), _ = _chords([skip], levels.points, levels.rates)
+    p, q = ends.reshape(-1, 2).T
+    normal = -1j * (q - p)
+    normal /= np.abs(normal)
+    offset = (normal.conj() * p).real
+    support = [fit.support(theta) for theta in np.angle(normal).tolist()]
+    return float(np.abs(np.array(support) - offset).max())
 
 
 def _closure(orbit: tuple[complex, ...], skip: int) -> int:
@@ -287,25 +240,6 @@ def _closure(orbit: tuple[complex, ...], skip: int) -> int:
             f"above 1e-8"
         )
     return n // math.gcd(n, skip + 1)
-
-
-def closure_order(Bhat: BlaschkeProduct, skip: int) -> int:
-    """Steps of the tangent-chord construction until the polygon closes.
-
-    From the circle point 1, hop to the far endpoint of the skip-m chord
-    (skip+1 solutions ahead on the same level set) until landing back on
-    the start.  All hops stay on one level set, so it is solved and verified
-    once (argument error, n strictly increasing angles, the start located
-    on it), and the re-solved n-th iterate of the start must lie within
-    1e-8 of it: the certificate is measured, the order is arithmetic,
-    n // gcd(n, skip + 1) (_closure).  That level set is kept in circle's
-    level-set memo, so the other skips of the same product solve nothing.
-    VerificationFailure if the orbit does not close; a skip outside
-    [0, n // 2 - 1] raises InputError before any solve, as in envelope.
-    """
-    _check_skip(Bhat.degree, skip)
-    orbit = invariant_orbit(Bhat, 1.0 + 0j, Bhat.degree + 1)
-    return _closure(orbit, skip)
 
 
 @dataclass(frozen=True)
@@ -343,14 +277,16 @@ def package(
     row, the verified level set through 1, certifies every closure order
     (_closure), so max(2, ceil(samples/n)) + 1 level sets come from one
     solve.  The n/2 envelopes come from one stacked pass over those rows,
-    and each is fitted by fit_conic; entry by entry the result is that of
-    envelope, fit_conic and closure_order, and fewer than 6 samples raise
-    InputError, as in envelope.
+    and each is fitted by fit_conic.  A sample count that is not an integer
+    of at least 6 raises InputError.
     """
     n = Bhat.degree
     if n < 2:
         raise InputError("package needs degree at least 2")
-    t = _level_angles(n, samples)
+    if _integer(samples, "envelope samples must be an integer") < 6:
+        raise InputError("need at least 6 envelope samples")
+    count = _level_count(n, samples)
+    t = TAU * np.arange(count) / count
     through_one = _circle_terms(Bhat, np.array([1.0 + 0j]))[0]
     levels = solve_levels(Bhat, np.append(np.exp(1j * t), through_one))
     orbit = _orbit(tuple(levels.points[-1].tolist()), 1.0 + 0j, n + 1)

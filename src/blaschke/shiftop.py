@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import TAU, _chords, _ellipse, solve_levels
+from .circle import TAU, _chords, _ellipse, _level_count, solve_levels
 from .core import BlaschkeProduct, ToleranceConfig, format_float, _finite, _integer
 from .errors import EigensolverFailure, InputError
 
@@ -131,7 +131,7 @@ def numerical_range_boundary(A, samples: int = 720) -> NumericalRangeSample:
         support, points = _eigen_sweep(_as_matrix(A), angles)
         return NumericalRangeSample(tuple(angles), tuple(support), tuple(points))
     C = BlaschkeProduct(1.0, (0j, *A.zeros))
-    count = max(2, -(-samples // C.degree))
+    count = _level_count(C.degree, samples)
     levels = solve_levels(C, np.exp(1j * TAU * np.arange(count) / count))
     ends, points = _chords([0], levels.points, levels.rates)
     p, q = ends.reshape(-1, 2).T

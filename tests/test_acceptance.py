@@ -19,7 +19,7 @@ from blaschke.cli import demo_corpus
 from blaschke.critical import check_value_bound, critical_data
 from blaschke.decompose import _chain_error, factor_any_order, inner_factor_general
 from blaschke.monodromy import monodromy_group, wreath_audit
-from blaschke.poncelet import envelope, fit_conic, foci_vs_zeros, package
+from blaschke.poncelet import foci_vs_zeros, package
 from blaschke.shiftop import (
     is_elliptical_range,
     numerical_range_boundary,
@@ -75,7 +75,7 @@ def test_criterion_01_degree8_octagon_is_not_elliptical():
     assert abs(distance - 0.866333) < 1e-5
     assert distance < vertical - 0.05  # the contradiction itself
 
-    fit = fit_conic(envelope(B, 0, 720))
+    fit = package(B, 720).entries[0].fit
     assert fit.classification == "non-conic"
 
     elapsed = time.perf_counter() - t0

@@ -22,7 +22,6 @@ from blaschke.critical import critical_data
 from blaschke.decompose import inner_factor_general
 from blaschke.errors import BlaschkeError, SolverFailure
 from blaschke.monodromy import monodromy_group
-from blaschke.poncelet import closure_order
 from blaschke.shiftop import is_elliptical_range, shift_matrix
 
 from conftest import TAU, circle_grid, random_point, random_product, rng_for
@@ -413,13 +412,11 @@ def test_one_row_solves_are_rows_of_one_batch(degree):
 
 
 def _invariant_queries(B, starts):
-    """next_preimage, then invariant_orbit(B, z, n + 1), for every start,
-    then closure_order for every skip of the package: the queries that
-    share level sets."""
+    """next_preimage, then invariant_orbit(B, z, n + 1), for every start:
+    the queries that share level sets."""
     n = B.degree
     images = [next_preimage(B, z) for z in starts]
-    orbits = [invariant_orbit(B, z, n + 1) for z in starts]
-    return images, orbits, [closure_order(B, skip) for skip in range(max(1, n // 2))]
+    return images, [invariant_orbit(B, z, n + 1) for z in starts]
 
 
 def _count_level_solves(monkeypatch) -> list[int]:
@@ -437,27 +434,25 @@ def _count_level_solves(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("degree", [3, 8, 17, 24, 48])
 def test_repeated_level_set_queries_solve_once_per_start(monkeypatch, degree):
-    # next_preimage and invariant_orbit through the same start, and
-    # closure_order for every skip, share one solve per distinct start; every
-    # answer is bit for bit that of an equal product with nothing kept on it
+    # next_preimage and invariant_orbit through the same start share one
+    # solve per distinct start; every answer is bit for bit that of an equal
+    # product with nothing kept on it
     B = random_product(rng_for(660 + degree), degree, radius=0.8)
     starts = circle_grid(4, 0.13)
     calls = _count_level_solves(monkeypatch)
     warm = _invariant_queries(B, starts)
-    assert calls[0] == len(starts) + 1
+    assert calls[0] == len(starts)
     assert repr(_invariant_queries(B, starts)) == repr(warm)
-    assert calls[0] == len(starts) + 1
+    assert calls[0] == len(starts)
     n = B.degree
 
     def cold():
         """An equal product with nothing kept on it."""
         return BlaschkeProduct(B.gamma, B.zeros)
 
-    for z, image, orbit in zip(starts, *warm[:2]):
+    for z, image, orbit in zip(starts, *warm):
         assert repr(next_preimage(cold(), z)) == repr(image)
         assert repr(invariant_orbit(cold(), z, n + 1)) == repr(orbit)
-    for skip, order in enumerate(warm[2]):
-        assert closure_order(cold(), skip) == order
 
 
 def test_a_refused_solve_is_not_kept(monkeypatch):

@@ -220,6 +220,28 @@ def test_invariants_solve_one_batch_per_orbit_family(monkeypatch, capsys, tmp_pa
     assert batches == [8, 64]
 
 
+@pytest.mark.parametrize("demo", ["power8", "elliptical8", "chain3"])
+@pytest.mark.parametrize("skip", ["0", "1"])
+def test_curve_solves_two_level_batches(monkeypatch, capsys, tmp_path, demo, skip):
+    # the curve, its fit and its closure order are one entry of the package,
+    # whose one solve holds the 90 envelope level sets and the one through
+    # 1; the scene's 3 level sets are the second solve
+    real = circle.solve_levels
+    batches = []
+
+    def counted(B, lams):
+        lams = list(lams)
+        batches.append(len(lams))
+        return real(B, lams)
+
+    monkeypatch.setattr(circle, "solve_levels", counted)
+    monkeypatch.setattr(poncelet, "solve_levels", counted)
+    args = ["curve", "--demo", demo, "--skip", skip, "--out", str(tmp_path)]
+    assert cli.main(args) == 0
+    assert json.loads(capsys.readouterr().out)["curve_index"] == int(skip) + 1
+    assert batches == [91, 3]
+
+
 def test_invariants_accepts_found_chain(tmp_path):
     chain = factor_any_order(cli.demo_corpus()["chain3"].expand(), (2, 2, 2))
     src = tmp_path / "chain.json"
@@ -338,6 +360,23 @@ def test_degree_one_nrange_names_the_empty_model_space(tmp_path):
     assert r.stderr == (
         "input error: nrange needs degree at least 2 when B(0) = 0: "
         "the model space of B(z)/z is empty\n"
+    )
+
+
+def test_degree_one_curve_is_refused_by_the_skip_gate(monkeypatch, capsys, tmp_path):
+    # a degree-1 product has no chord family, so no skip names a curve; the
+    # gate refuses it, naming the degree, before any solve
+    src = tmp_path / "mobius.json"
+    src.write_text('{"gamma": [1, 0], "zeros": [[0.2, 0]]}')
+
+    def refuse(B, lams):
+        raise AssertionError("solved a level set")
+
+    monkeypatch.setattr(circle, "solve_levels", refuse)
+    monkeypatch.setattr(poncelet, "solve_levels", refuse)
+    assert cli.main(["curve", "--input", str(src), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: skip must lie in [0, -1] for degree 1\n"
     )
 
 

@@ -43,7 +43,7 @@ def test_no_tol_passed_to_a_callable_that_takes_none():
         "solve_levels|invariant_orbits|evaluate|derivative|"
         "compose|fiber|check_value_bound|factor_any_order|"
         "inner_factor_general|build_loops|continue_branch|"
-        "envelope|fit_conic|closure_order|foci_vs_zeros"
+        "fit_conic|foci_vs_zeros"
     )
     assert _matches(rf"\b({names})\([^)]*\btol\b", "src", "tests") == []
 
@@ -64,6 +64,13 @@ def test_no_deleted_public_name_is_documented():
         "support_mismatch|max_residual"
     )
     assert _matches(rf"\b({names})\b", "src", "README.md") == []
+
+
+def test_a_poncelet_curve_is_an_entry_of_its_package():
+    # package computes every curve, its fit and its closure order from one
+    # solve; no one-curve path beside it, and no closure order through a
+    # second solve, comes back
+    assert _matches(r"\b(envelope|closure_order)\(", "src", "README.md") == []
 
 
 def test_the_range_verdict_fits_no_conic():

@@ -15,9 +15,7 @@ from blaschke import circle, poncelet
 from blaschke.circle import invariant_orbit, solve_levels
 from blaschke.cli import SCENE_LAMBDAS, demo_corpus
 from blaschke.poncelet import (
-    closure_order,
     curve_csv,
-    envelope,
     fit_conic,
     foci_vs_zeros,
     package,
@@ -139,10 +137,10 @@ def test_round_fit_puts_both_foci_at_the_center():
     # which sqrt(p^2 - q^2) would make into foci about 1e-7 apart;
     # elliptical8's K_1 is a true ellipse, (p - q)/p = 8.4e-2
     demos = demo_corpus()
-    fit = fit_conic(envelope(demos["power8"], 0))
+    fit = package(demos["power8"]).entries[0].fit
     assert fit.classification == "ellipse"
     assert fit.foci == (fit.center, fit.center)
-    fit = fit_conic(envelope(demos["elliptical8"], 0))
+    fit = package(demos["elliptical8"]).entries[0].fit
     p, q = fit.semi_axes
     f1, f2 = fit.foci
     assert abs(f1 - f2) == pytest.approx(2.0 * math.sqrt(p * p - q * q), rel=1e-12)
@@ -237,12 +235,12 @@ def test_envelope_degree_two_is_concurrent_point():
     for _ in range(4):
         a = 0.7 * cmath.exp(1j * rng.uniform(0, TAU)) * math.sqrt(rng.uniform(0, 1))
         B = BlaschkeProduct(1.0, (0j, a))
-        curve = envelope(B, 0, 120)
-        for s in curve.samples:
+        (entry,) = package(B, 120).entries
+        for s in entry.curve.samples:
             p, q = s.chord
             cross = ((q - p).conjugate() * (a - p)).imag
             assert abs(cross) < 1e-9
-        fit = fit_conic(curve)
+        fit = entry.fit
         assert fit.classification == "point"
         assert abs(fit.center - a) < 1e-9
 
@@ -257,7 +255,8 @@ def test_envelope_degree_three_matches_range_ellipse():
         b = 0.7 * cmath.exp(1j * rng.uniform(0, TAU)) * math.sqrt(rng.uniform(0, 1))
         c = 0.7 * cmath.exp(1j * rng.uniform(0, TAU)) * math.sqrt(rng.uniform(0, 1))
         B = BlaschkeProduct(1.0, (0j, b, c))
-        fit = fit_conic(envelope(B, 0, 240))
+        (entry,) = package(B, 240).entries
+        fit = entry.fit
         assert fit.classification == "ellipse"
         q = math.sqrt((1 - abs(b) ** 2) * (1 - abs(c) ** 2)) / 2
         p = abs(1 - b.conjugate() * c) / 2
@@ -276,7 +275,7 @@ def test_curve_matches_shift_range_support():
 
     b, c = 0.3 + 0.25j, -0.45 + 0.1j
     B = BlaschkeProduct(1.0, (0j, b, c))
-    fit = fit_conic(envelope(B, 0, 240))
+    fit = package(B, 240).entries[0].fit
     sample = numerical_range_boundary(shift_matrix([b, c]), 180)
     mismatch = max(
         abs(fit.support(t) - h) for t, h in zip(sample.angles, sample.support)
@@ -293,7 +292,7 @@ def test_poncelet_curve_lies_in_shift_range(degree, seed):
 
     rng = rng_for(seed)
     Z = [random_point(rng) for _ in range(degree - 1)]
-    env = envelope(BlaschkeProduct(1.0, (0j, *Z)), 0).points
+    env = package(BlaschkeProduct(1.0, (0j, *Z))).entries[0].curve.points
     sample = numerical_range_boundary(shift_matrix(Z), 360)
     for t, h in zip(sample.angles, sample.support):
         reach = max((cmath.exp(-1j * t) * e).real for e in env)
@@ -303,8 +302,8 @@ def test_poncelet_curve_lies_in_shift_range(degree, seed):
 
 def test_envelope_grid_independence():
     Bh = B84
-    fit_a = fit_conic(envelope(Bh, 1, 360))
-    fit_b = fit_conic(envelope(Bh, 1, 1080))
+    fit_a = package(Bh, 360).entries[1].fit
+    fit_b = package(Bh, 1080).entries[1].fit
     assert fit_a.classification == fit_b.classification == "ellipse"
     assert abs(fit_a.center - fit_b.center) < 1e-8
     assert abs(fit_a.semi_axes[0] - fit_b.semi_axes[0]) < 1e-8
@@ -313,33 +312,39 @@ def test_envelope_grid_independence():
 
 def test_envelope_points_inside_disk():
     Bh = B84
-    for skip in range(4):
-        curve = envelope(Bh, skip, 180)
+    for entry in package(Bh, 180).entries:
+        curve = entry.curve
         assert all(abs(s.point) <= 1 + 1e-9 for s in curve.samples)
         assert all(abs(abs(s.chord[0]) - 1) < 1e-9 for s in curve.samples)
 
 
 def test_envelope_skip_range_checked():
-    # closure_order applies envelope's gate
+    # the gate of cli curve and tangency_audit passes exactly the skips that
+    # name an entry of the package, and names the degree when it refuses; a
+    # degree-1 product has no entry
     degree3 = BlaschkeProduct(1.0, (0j, 0.2 + 0j, 0.3j))
-    for B, skip in ((B84, 4), (B84, 5), (B84, -1), (degree3, -1)):
-        with pytest.raises(InputError, match="skip must lie in"):
-            envelope(B, skip, 120)
-        with pytest.raises(InputError, match="skip must lie in"):
-            closure_order(B, skip)
+    degree1 = BlaschkeProduct(1.0, (0.2j,))
+    refused = ((B84, 4), (B84, 5), (B84, -1), (degree3, -1), (degree3, 1), (degree1, 0))
+    for B, skip in refused:
+        with pytest.raises(InputError, match=f"skip must lie in .* for degree {B.degree}$"):
+            poncelet._check_skip(B.degree, skip)
+    for B in (B84, degree3):
+        entries = package(B, 120).entries
+        for skip in range(len(entries)):
+            poncelet._check_skip(B.degree, skip)
+            assert entries[skip].skip == skip
 
 
 def test_closure_order_and_envelope_refuse_a_skip_that_is_not_an_integer():
+    # the gate of cli curve and tangency_audit; an integral numpy skip passes
     with pytest.raises(InputError, match="skip must be an integer, got 0.5"):
-        closure_order(T, 0.5)
-    with pytest.raises(InputError, match="skip must be an integer, got 0.5"):
-        envelope(T, 0.5, 100)
-    assert closure_order(T, np.int64(0)) == closure_order(T, 0)
+        poncelet._check_skip(T.degree, 0.5)
+    poncelet._check_skip(T.degree, np.int64(0))
 
 
 def test_tangency_audit_checks_the_skip_as_envelope_does():
     # skip 9 names no chord family of a degree-4 level set
-    fit = fit_conic(envelope(T, 0, 120))
+    fit = package(T, 120).entries[0].fit
     levels = solve_levels(T, [1j, -1.0])
     assert tangency_audit(fit, levels, 1) >= 0.0
     for skip in (9, 2, -1, 0.5):
@@ -350,23 +355,18 @@ def test_tangency_audit_checks_the_skip_as_envelope_does():
 @pytest.mark.parametrize("samples", [100.5, 6.0])
 def test_envelope_and_package_refuse_samples_that_are_not_an_integer(samples):
     with pytest.raises(InputError, match="envelope samples must be an integer"):
-        envelope(T, 0, samples)
-    with pytest.raises(InputError, match="envelope samples must be an integer"):
         package(T, samples)
 
 
 @pytest.mark.parametrize("samples", [5, 0, -3])
 def test_package_checks_the_samples_as_envelope_does(samples):
     with pytest.raises(InputError, match="at least 6 envelope samples"):
-        envelope(B84, 0, samples)
-    with pytest.raises(InputError, match="at least 6 envelope samples"):
         package(B84, samples)
 
 
 def test_envelope_tangency_touches_chord():
     # each envelope point must lie on its generating chord
-    Bh = B84
-    curve = envelope(Bh, 0, 120)
+    curve = package(B84, 120).entries[0].curve
     for s in curve.samples:
         p, q = s.chord
         cross = ((q - p).conjugate() * (s.point - p)).imag
@@ -377,15 +377,15 @@ def test_power_envelope_collapses_to_origin():
     # skip 1 on z^4 joins antipodal vertices; the diameters all pass through
     # the center, so the curve is the origin point
     B = BlaschkeProduct(1.0, (0j, 0j, 0j, 0j))
-    curve = envelope(B, 1, 90)
+    curve = package(B, 90).entries[1].curve
     assert curve.diameter() < 1e-9
     assert max(abs(s.point) for s in curve.samples) < 1e-9
     # diameter() takes its maximum block by block: the same float as the
     # maximum over the full difference matrix, for 92, 720 and 40 samples
     curves = [
         curve,
-        envelope(random_product(rng_for(415), 12, radius=0.8), 2, 720),
-        envelope(random_product(rng_for(416), 8, radius=0.8), 1, 40),
+        package(random_product(rng_for(415), 12, radius=0.8), 720).entries[2].curve,
+        package(random_product(rng_for(416), 8, radius=0.8), 40).entries[1].curve,
     ]
     assert [len(c.points) for c in curves] == [92, 720, 40]
     for c in curves:
@@ -394,7 +394,7 @@ def test_power_envelope_collapses_to_origin():
 
 
 def test_envelope_arrays_come_straight_from_the_table(monkeypatch):
-    # package and envelope build no per-sample object; the arrays are
+    # package builds no per-sample object; the arrays are
     # read-only, and samples rebuilds exactly the tuples of the formula
     # e = (p psi'_p + q psi'_q) / (psi'_p + psi'_q) on the level sets
     B = random_product(rng_for(414), 12, radius=0.8)
@@ -405,8 +405,6 @@ def test_envelope_arrays_come_straight_from_the_table(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(poncelet, "EnvelopeSample", refuse)
         pkg = package(B, 720)
-        curve = envelope(B, 3, 720)
-    assert curve == pkg.entries[3].curve
     t = TAU * np.arange(60) / 60
     levels = solve_levels(B, np.exp(1j * t))
     for entry in pkg.entries:
@@ -448,14 +446,13 @@ def test_poncelet_closure_for_random_targets():
 
 
 def test_closure_orders_for_nonexample():
-    Bh = B84
-    assert [closure_order(Bh, m) for m in range(4)] == [8, 4, 8, 2]
+    assert [entry.closure for entry in package(B84, 120).entries] == [8, 4, 8, 2]
 
 
 def test_closure_order_of_power():
     B = BlaschkeProduct(1.0, (0j,) * 8)
     # skip m joins every (m+1)-th vertex of a regular 8-gon
-    assert [closure_order(B, m) for m in range(4)] == [8, 4, 8, 2]
+    assert [entry.closure for entry in package(B, 120).entries] == [8, 4, 8, 2]
 
 
 # two zeros 1e-9 inside the circle next to 1 put g(1) 3.0e-9 from 1, within
@@ -470,7 +467,6 @@ def test_closure_order_next_to_two_zeros_near_1_is_not_one_hop():
     # closes after n / gcd(n, m + 1) hops, as everywhere else
     orbit = invariant_orbit(NEAR_ONE, 1.0 + 0j, 7)
     assert abs(orbit[1] - orbit[0]) < 1e-8
-    assert [closure_order(NEAR_ONE, skip) for skip in range(3)] == [6, 3, 2]
     assert [entry.closure for entry in package(NEAR_ONE).entries] == [6, 3, 2]
 
 
@@ -489,18 +485,14 @@ def test_closure_refuses_an_orbit_displaced_by_twice_the_certificate():
 def test_closure_order_refuses_an_orbit_that_does_not_close(monkeypatch):
     # the re-solved n-th iterate is measured against the start, so a level
     # set whose orbit misses its start fails the closure certificate;
-    # closure_order reads its orbit through circle._orbit, package through
-    # its own import of it
+    # package reads its orbit through its own import of circle._orbit
     real = circle._orbit
 
     def missed(points, z, count):
         orbit = real(points, z, count)
         return orbit[:-1] + (orbit[-1] * cmath.exp(1e-6j),)
 
-    monkeypatch.setattr(circle, "_orbit", missed)
     monkeypatch.setattr(poncelet, "_orbit", missed)
-    with pytest.raises(VerificationFailure, match="failed to close"):
-        closure_order(B84, 0)
     with pytest.raises(VerificationFailure, match="failed to close"):
         package(B84, 120)
 
@@ -524,15 +516,25 @@ def _count_solves(monkeypatch) -> list[int]:
 
 
 def test_closure_order_solves_one_level_set(monkeypatch):
-    # the first skip solves the level set through 1; the level set kept on
-    # the product serves the rest.  Earlier tests solve on B84, so the count
-    # is taken on an equal product of its own
+    # every skip's closure order is read off one orbit, the last row of
+    # package's one solve, which passes through 1: no skip solves a level
+    # set of its own.  Earlier tests solve on B84, so the count is taken on
+    # an equal product of its own
     B = BlaschkeProduct(B84.gamma, B84.zeros)
     calls = _count_solves(monkeypatch)
-    for skip in range(4):
-        calls[0] = 0
-        closure_order(B, skip)
-        assert calls[0] == (1 if skip == 0 else 0)
+    real = poncelet._orbit
+    orbits = []
+
+    def recorded(points, z, count):
+        orbits.append((points, z, count))
+        return real(points, z, count)
+
+    monkeypatch.setattr(poncelet, "_orbit", recorded)
+    pkg = package(B, 120)
+    assert calls[0] == 15 + 1
+    ((points, z, count),) = orbits
+    assert (z, count) == (1.0, 9) and min(abs(p - 1.0) for p in points) < 1e-12
+    assert [entry.closure for entry in pkg.entries] == [8, 4, 8, 2]
 
 
 @pytest.mark.parametrize("degree,samples", [(3, 240), (8, 6), (8, 360), (11, 720)])
@@ -581,37 +583,57 @@ def test_level_table_arrays_match_the_tuple_path(monkeypatch, degree, samples):
         assert repr(entry.fit) == repr(want.fit)
 
 
+def _assert_entries_match_their_level_sets(B, pkg, samples):
+    """Every entry of pkg against references built here from solve_levels
+    at the package's level angles: each chord end lies on its level within
+    1e-10 in angle, its chord joins vertex j to vertex j + skip + 1 of that
+    level set, each tangency point is the psi'-weighted mean of its chord's
+    ends, psi' summed here from the zeros, and each closure order is
+    n // gcd(n, skip + 1)."""
+    n = B.degree
+    count = max(2, -(-samples // n))
+    t = TAU * np.arange(count) / count
+    levels = solve_levels(B, np.exp(1j * t))
+    zeros = np.array(B.zeros)
+
+    def rate(z):
+        return ((1 - abs(zeros) ** 2) / abs(z[..., None] - zeros) ** 2).sum(axis=-1)
+
+    assert len(pkg) == n // 2
+    for entry in pkg.entries:
+        curve, hop = entry.curve, entry.skip + 1
+        assert np.array_equal(curve.angles, np.tile(t, n))
+        p, q = curve.chords.T
+        level = np.exp(1j * curve.angles)
+        for ends in (p, q):
+            assert np.max(np.abs(np.angle(B(ends) * level.conj())) / rate(ends)) <= 1e-10
+        vertex = levels.points.T
+        assert np.allclose(p, vertex.ravel(), rtol=0.0, atol=1e-12)
+        assert np.allclose(q, np.roll(vertex, -hop, axis=0).ravel(), rtol=0.0, atol=1e-12)
+        mean = (p * rate(p) + q * rate(q)) / (rate(p) + rate(q))
+        assert np.max(np.abs(curve.points - mean)) <= 1e-12
+        assert entry.closure == n // math.gcd(n, hop)
+
+
 @pytest.mark.parametrize("degree", [10, 15, 24])
 def test_package_matches_separate_envelopes_and_closures(degree):
-    # the shared table, velocities and orbit change no bit of any entry, and
-    # every skip-m polygon closes after n / gcd(n, m+1) hops
+    # every entry against its level sets, solved separately, and every
+    # skip-m polygon closes after n / gcd(n, m+1) hops
     B = random_product(rng_for(413 + degree), degree, radius=0.8)
-    samples = 720
-    pkg = package(B, samples)
-    assert len(pkg) == degree // 2
-    for entry in pkg.entries:
-        assert entry.closure == degree // math.gcd(degree, entry.skip + 1)
-        curve = envelope(B, entry.skip, samples)
-        assert entry.curve == curve
-        assert entry.fit == fit_conic(curve)
-        assert entry.closure == closure_order(B, entry.skip)
+    _assert_entries_match_their_level_sets(B, package(B, 720), 720)
 
 
 def test_package_matches_separate_calls_on_the_demo_corpus():
-    # the stacked envelopes and conic fits of package against the one-curve
-    # calls, on the fits random products never reach: circles with both foci
-    # at the center (power8), non-conics (nonexample84, deg6nonelliptic),
-    # point curves next to conic rows, and a single skip (power2)
+    # the same references on the fits random products never reach: circles
+    # with both foci at the center (power8), non-conics (nonexample84,
+    # deg6nonelliptic), point curves next to conic rows, and a single skip
+    # (power2)
     seen = set()
     for name, P in demo_corpus().items():
         B = P.expand() if hasattr(P, "expand") else P
         pkg = package(B, 720)
-        assert len(pkg) == B.degree // 2
+        _assert_entries_match_their_level_sets(B, pkg, 720)
         for entry in pkg.entries:
-            curve = envelope(B, entry.skip, 720)
-            assert entry.curve == curve
-            assert entry.fit == fit_conic(curve)
-            assert entry.closure == closure_order(B, entry.skip)
             fit = entry.fit
             circle_fit = fit.classification == "ellipse" and fit.foci[0] == fit.foci[1]
             seen.add((name, "circle" if circle_fit else fit.classification))
@@ -625,8 +647,7 @@ def test_package_matches_separate_calls_on_the_demo_corpus():
 def test_tangency_audit_degree_three():
     b, c = 0.4 + 0.2j, -0.1 - 0.3j
     B = BlaschkeProduct(1.0, (0j, b, c))
-    curve = envelope(B, 0, 240)
-    fit = fit_conic(curve)
+    fit = package(B, 240).entries[0].fit
     lams = [cmath.exp(1j * t) for t in (0.3, 1.7, 4.1)]
     assert tangency_audit(fit, solve_levels(B, lams)) < 1e-8
 
@@ -636,8 +657,7 @@ def test_tangency_audit_degree_two_point():
     # supports the point curve exactly
     a = 0.4 + 0.2j
     B = BlaschkeProduct(1.0, (0j, a))
-    curve = envelope(B, 0, 240)
-    fit = fit_conic(curve)
+    fit = package(B, 240).entries[0].fit
     lams = [cmath.exp(1j * t) for t in (0.3, 1.7, 4.1)]
     assert tangency_audit(fit, solve_levels(B, lams)) < 1e-9
 
@@ -662,8 +682,7 @@ def test_tangency_audit_reads_every_chord_family_of_the_demo_corpus():
 def test_foci_vs_zeros_degree_three():
     b, c = -0.25 + 0.5j, 0.35 + 0.1j
     B = BlaschkeProduct(1.0, (0j, b, c))
-    curve = envelope(B, 0, 240)
-    match = foci_vs_zeros(fit_conic(curve), B)
+    match = foci_vs_zeros(package(B, 240).entries[0].fit, B)
     assert max(match.distances) < 1e-7
     matched = sorted(match.matched_zeros, key=lambda z: (z.real, z.imag))
     want = sorted([b, c], key=lambda z: (z.real, z.imag))
@@ -690,7 +709,7 @@ DEMO_CLASSES = {
 
 @pytest.mark.parametrize("demo", sorted(DEMO_CLASSES))
 def test_demo_envelope_classes(demo):
-    # ellipses read at most 1.5e-14 and points spread at most 1.2e-15; the
+    # ellipses read at most 6.7e-15 and points spread at most 1.2e-15; the
     # non-conics read at least 9.4e-2
     P = demo_corpus()[demo]
     B = P.expand() if hasattr(P, "expand") else P
@@ -734,8 +753,7 @@ def test_package_nonexample():
 
 
 def test_curve_csv_round_trip():
-    Bh = B84
-    curve = envelope(Bh, 1, 24)
+    curve = package(B84, 24).entries[1].curve
     text = curve_csv(curve)
     lines = text.strip().splitlines()
     assert lines[0] == "t,re,im"
@@ -745,10 +763,9 @@ def test_curve_csv_round_trip():
 
 
 def test_scene_svg_well_formed():
-    Bh = B84
-    curve = envelope(Bh, 1, 90)
-    fit = fit_conic(curve)
-    levels = solve_levels(Bh, [cmath.exp(1j * t) for t in (0.4, 2.5, 4.6)])
+    entry = package(B84, 90).entries[1]
+    curve, fit = entry.curve, entry.fit
+    levels = solve_levels(B84, [cmath.exp(1j * t) for t in (0.4, 2.5, 4.6)])
     text = scene_svg(curve, fit, levels)
     root = ET.fromstring(text)
     assert root.tag.endswith("svg")
@@ -759,8 +776,8 @@ def test_scene_svg_well_formed():
 
 def test_scene_svg_marks_point_curve():
     B = BlaschkeProduct(1.0, (0j,) * 8)
-    curve = envelope(B, 3, 90)
-    fit = fit_conic(curve)
+    entry = package(B, 90).entries[3]
+    curve, fit = entry.curve, entry.fit
     levels = solve_levels(B, [cmath.exp(1j * t) for t in (0.4, 2.5, 4.6)])
     text = scene_svg(curve, fit, levels)
     assert "point" in text

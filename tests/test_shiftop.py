@@ -44,7 +44,7 @@ def test_empty_matrix_is_an_input_error(sweep):
 
 @pytest.mark.parametrize("sweep", [numerical_range_boundary, is_elliptical_range])
 def test_sweep_count_must_be_an_integer(sweep):
-    # envelope and package refuse 100.5 samples too
+    # package refuses 100.5 samples too
     with pytest.raises(InputError, match="sweep direction count must be an integer"):
         sweep(shift_matrix([0j, 0.5 + 0j]), 100.5)
 
@@ -232,10 +232,10 @@ def test_first_envelope_of_z_times_the_product_is_the_numerical_range(size):
     # K_1 of z * prod_Z is the boundary of W(S) (Gau and Wu 1998): each
     # envelope point is the boundary point of the eigen-sweep at its chord's
     # outward normal angle, not only some point on the chord
-    from blaschke.poncelet import envelope
+    from blaschke.poncelet import package
 
     zeros = [random_point(rng_for(360 + size), 0.9) for _ in range(size)]
-    curve = envelope(BlaschkeProduct(1.0, (0j, *zeros)), 0, 120)
+    curve = package(BlaschkeProduct(1.0, (0j, *zeros)), 120).entries[0].curve
     chords = [s.chord for s in curve.samples]
     normals = [cmath.phase(-1j * (q - p)) for p, q in chords]
     support, points = shiftop._eigen_sweep(shift_matrix(zeros).entries, normals)
@@ -429,7 +429,7 @@ def test_thin_two_by_two_ellipse(samples):
     # zeros 1e-5 inside the circle give q/p ~ 1e-5 and q^2 ~ 1e-10, below the
     # rounding of a0 ~ 1, so q^2 = a0 - |m| would cancel to about 4e-6 q;
     # the semi-axes come from the squared reach about the center instead,
-    # which reads 3e-8 q to 3.2e-7 q at these sample counts
+    # which reads 1.6e-8 q to 3.1e-7 q at these sample counts
     a, b = 0.99999, -0.99999j
     verdict = is_elliptical_range(shift_matrix([a, b]), samples)
     assert verdict.is_ellipse
@@ -438,6 +438,28 @@ def test_thin_two_by_two_ellipse(samples):
     assert abs(verdict.semi_axes[1] - q) < 1e-6 * q
     got_foci = sorted(verdict.foci, key=lambda z: z.real)
     assert max(abs(x - y) for x, y in zip(got_foci, [b, a])) < 1e-10
+
+
+@pytest.mark.parametrize("depth", [1e-4, 1e-5, 1e-6])
+def test_small_two_by_two_ellipse_near_the_circle(depth):
+    # zeros r and r e^{3e-7 i}, r = 1 - depth, give a range of size about
+    # depth at distance about 1 from 0: the tangency equations are solved
+    # about the mean tangency point, or their right sides |s|^2 / 4 ~ 1
+    # swallow a0 ~ depth^2 and the range reads as a non-conic.  The axes
+    # read 1.2e-13 to 3.3e-11 relative of the closed form (1 - |b|^2)(1 -
+    # |c|^2) = (2q)^2 and |1 - conj(b) c| = 2p, taken in 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    b = 1 - depth
+    c = b * cmath.exp(3e-7j)
+    verdict = is_elliptical_range(shift_matrix([b, c]))
+    assert verdict.is_ellipse, verdict.residual
+    with mpmath.workdps(50):
+        zb, zc = mpmath.mpc(b), mpmath.mpc(c)
+        q = mpmath.sqrt((1 - abs(zb) ** 2) * (1 - abs(zc) ** 2)) / 2
+        p = abs(1 - mpmath.conj(zb) * zc) / 2
+        assert abs(verdict.semi_axes[1] - q) <= 1e-10 * q
+        assert abs(verdict.semi_axes[0] - p) <= 1e-9 * p
+    assert abs(verdict.center - (b + c) / 2) <= 1e-9 * depth
 
 
 def test_accepts_plain_arrays():
