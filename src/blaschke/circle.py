@@ -54,8 +54,10 @@ Those solves are kept on the product object (core._kept), as the lift grid
 is: _level_sets_through holds the level sets through each tuple of
 unit-projected start points that has been asked of that product; the same
 product and starts read the same LevelSets, whose arrays are read-only, so
-next_preimage, invariant_orbit(s) and the inner-factor search solve a
-level set once however often they ask for it.
+next_preimage and invariant_orbit(s) solve a level set once however often
+they ask for it.  The inner-factor search of every divisor k of n reads
+its orbits off the one level set through 1: the orbits of g^(n/k) there
+are the residue classes of its points mod n/k.
 Both go when the product goes, and an equal product is another object that
 solves afresh.  No tolerance is part of the key because no circle solve
 reads one.  A refusal is not kept, so the next call solves afresh.

@@ -104,12 +104,13 @@ def _finite(name: str, value) -> complex:
 
 def _integer(value, refusal: str, error: type[InputError] = InputError) -> int:
     """value as an int when it is a Python or numpy integer, or error
-    "{refusal}, got {value!r}", so 2.0 and 2.9 are refused, never truncated:
-    the check of inner_factor_general's k, factor_any_order's entries,
-    circle_samples' and invariant_orbits' counts, wreath_audit's levels,
-    poncelet's skip and samples and numerical_range_boundary's samples,
-    before any range check."""
-    if isinstance(value, (int, np.integer)):
+    "{refusal}, got {value!r}", so 2.0 and 2.9 are refused, never truncated,
+    and so is True, which Python counts as the int 1 (product JSON refuses
+    booleans too): the check of inner_factor_general's k, factor_any_order's
+    entries, circle_samples' and invariant_orbits' counts, wreath_audit's
+    levels, poncelet's skip and samples and numerical_range_boundary's
+    samples, before any range check."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     raise error(f"{refusal}, got {value!r}")
 
@@ -129,11 +130,12 @@ def format_float(x: float) -> str:
 
 def circle_samples(count: int, offset: float = 0.0) -> list[complex]:
     """count evenly spaced points on the unit circle, deterministic; a count
-    that is not an integer of at least 1, or a NaN or infinite offset,
-    raises InputError."""
+    that is not an integer of at least 1, or an offset angle that is NaN,
+    infinite or not real, raises InputError."""
     if _integer(count, "sample count must be an integer") < 1:
         raise InputError("sample count must be at least 1")
-    _finite("sample offset", offset)
+    if _finite("sample offset", offset).imag != 0.0:
+        raise InputError(f"sample offset must be a real angle, got {offset!r}")
     return [cmath.exp(1j * (offset + 2.0 * math.pi * k / count)) for k in range(count)]
 
 

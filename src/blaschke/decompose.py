@@ -2,11 +2,13 @@
 
 * inner_factor_general: for any divisor k of the degree, a degree-k inner
   factor D (normalized D(0) = 0, leading constant 1) takes one value on
-  every (n/k)-th point of a level set of B on the circle.  Two interlaced
-  such orbits fix D in closed form: writing D = z P / Q, the monic
-  polynomials vanishing on the orbits differ by a multiple of Q, and P
-  follows, with no candidate search.  Success is certified by
-  re-expansion, and failure is reported with its reason, never guessed.
+  every (n/k)-th point of a level set of B on the circle: the orbits of
+  the (n/k)-th power of the next-preimage map are the residue classes of
+  the level set's points mod n/k.  Two such classes of the one level set
+  through 1 fix D in closed form: writing D = z P / Q, the monic
+  polynomials vanishing on them differ by a multiple of Q, and P follows,
+  with no candidate search.  Success is certified by re-expansion, and
+  failure is reported with its reason, never guessed.
 
 * factor_any_order: the one route to a chain whose factor degrees follow
   a factorization of n, the paper's chain of quadratic maps for a degree-2^k
@@ -17,7 +19,6 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -35,7 +36,7 @@ from .core import (
     _proper_divisors,
     _rotation,
 )
-from .circle import invariant_orbit, invariant_orbits
+from .circle import invariant_orbit
 from .critical import _cluster_values, _secular_roots, _secular_zeros
 from .errors import DegenerateInput, InputError, VerificationFailure
 from .shiftop import RangeVerdict, is_elliptical_range, shift_matrix
@@ -133,30 +134,6 @@ class InnerFactorResult:
         return self.found
 
 
-def _orbit_pair(
-    B: BlaschkeProduct, hop: int, k: int
-) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
-    """Two interlaced orbits of the hop-fold next-preimage power: from 1,
-    and from halfway to the first orbit's hop point.
-
-    The second starts of every proper divisor's hop form one invariant_orbits
-    batch after the orbit from 1, whichever hop is asked for, so a product
-    takes two circle solves in all, each kept on the product object
-    (circle._level_sets_through) and read again by every divisor search.
-    """
-    n = B.degree
-    full0 = invariant_orbit(B, 1.0 + 0j, n)
-    hops = [n // d for d in _proper_divisors(n)]
-    starts = []
-    for h in hops:
-        t1 = cmath.phase(full0[h % n]) % (2.0 * math.pi)
-        starts.append(cmath.exp(1j * (0.5 * t1)))
-    full1 = invariant_orbits(B, starts, n)[hops.index(hop)]
-    orbit0 = tuple(full0[(j * hop) % n] for j in range(k))
-    orbit1 = tuple(full1[(j * hop) % n] for j in range(k))
-    return orbit0, orbit1
-
-
 def _collapse_zeros(
     B: BlaschkeProduct, D: BlaschkeProduct, k: int
 ) -> tuple[complex, ...] | None:
@@ -240,9 +217,15 @@ def inner_factor_general(B: BlaschkeProduct, k: int) -> InnerFactorResult:
 
 @_kept
 def _inner_factor(B: BlaschkeProduct, k: int) -> InnerFactorResult:
-    """inner_factor_general's search for a checked k, kept on B per k."""
-    n = B.degree
-    D = _inner_from_orbits(_orbit_pair(B, n // k, k), k)
+    """inner_factor_general's search for a checked k, kept on B per k.
+
+    The two orbits are the residue classes 0 and hop // 2 mod hop = n/k
+    of the points of the level set through 1, the second halfway round
+    from the first, both read off the one solve that circle keeps on B
+    for every divisor's search.
+    """
+    full, hop = invariant_orbit(B, 1.0 + 0j, B.degree), B.degree // k
+    D = _inner_from_orbits((full[0::hop], full[hop // 2 :: hop]), k)
     outer_zeros = None if D is None else _collapse_zeros(B, D, k)
     if outer_zeros is None:
         return InnerFactorResult(k, False, None, None, "not-found", math.inf)

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -590,15 +591,17 @@ def test_decompose_runs_each_inner_factor_search_once(monkeypatch, capsys, tmp_p
     # the quadratic chain peels (8, 2) and (4, 2); the divisor table and the elliptical
     # check ask again for (8, 2) and (8, 4) and get the kept results
     import blaschke.decompose as decompose
+    from blaschke.core import _kept
 
-    real = decompose._orbit_pair
+    raw = decompose._inner_factor.__wrapped__
     calls = []
 
-    def counted(B, hop, k):
+    @functools.wraps(raw)
+    def counted(B, k):
         calls.append((B.degree, k))
-        return real(B, hop, k)
+        return raw(B, k)
 
-    monkeypatch.setattr(decompose, "_orbit_pair", counted)
+    monkeypatch.setattr(decompose, "_inner_factor", _kept(counted))
     for demo in ("power8", "elliptical8", "nonexample84"):
         calls.clear()
         assert cli.main(["decompose", "--demo", demo, "--out", str(tmp_path)]) == 0

@@ -779,6 +779,65 @@ def test_circle_samples_refuses_an_offset_that_is_not_finite(offset):
         circle_samples(3, offset)
 
 
+@pytest.mark.parametrize("offset", [0.1j, 0.3 + 0.1j, np.complex128(1e-300j)])
+def test_circle_samples_refuses_an_offset_that_is_not_real(offset):
+    # exp(i (0.1i + t)) has modulus e^-0.1 = 0.905, off the circle
+    with pytest.raises(InputError, match="sample offset must be a real angle"):
+        circle_samples(4, offset)
+    assert circle_samples(4, complex(0.3)) == circle_samples(4, 0.3)
+
+
+def _integer_callers():
+    """One call per count or degree that core._integer checks, each taking
+    the value under test as its last argument."""
+    from blaschke.circle import invariant_orbits, solve_levels
+    from blaschke.decompose import factor_any_order, inner_factor_general
+    from blaschke.monodromy import Permutation, PermutationGroup, wreath_audit
+    from blaschke.poncelet import package, tangency_audit
+    from blaschke.shiftop import numerical_range_boundary, shift_matrix
+
+    B = compose(BlaschkeProduct(1, (0j, 0.3 + 0.2j)), BlaschkeProduct(1, (0j, -0.4j)))
+    G = PermutationGroup([Permutation((1, 2, 3, 0))], 4)
+    fit = package(B, 120).entries[0].fit
+    levels = solve_levels(B, [1j, -1.0])
+    return {
+        "inner_factor_general": lambda v: inner_factor_general(B, v),
+        "factor_any_order": lambda v: factor_any_order(B, (v, 4)),
+        "circle_samples": lambda v: circle_samples(v),
+        "invariant_orbits": lambda v: invariant_orbits(B, [1.0], v),
+        "wreath_audit": lambda v: wreath_audit(G, v),
+        "tangency_audit": lambda v: tangency_audit(fit, levels, v),
+        "package": lambda v: package(B, v),
+        "numerical_range_boundary": lambda v: numerical_range_boundary(
+            shift_matrix([0j, 0.5 + 0j]), v
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "caller",
+    [
+        "inner_factor_general",
+        "factor_any_order",
+        "circle_samples",
+        "invariant_orbits",
+        "wreath_audit",
+        "tangency_audit",
+        "package",
+        "numerical_range_boundary",
+    ],
+)
+@pytest.mark.parametrize("value", [True, False])
+def test_every_integer_check_refuses_a_boolean(caller, value):
+    # Python counts True as the int 1, so without the bool check
+    # factor_any_order(B, (True, 4)) returned a chain with an identity
+    # factor and invariant_orbits(B, [1], True) a 1-point orbit; a boolean
+    # is refused with the message a float gets, before any range check
+    call = _integer_callers()[caller]
+    with pytest.raises(InputError, match=f", got {value!r}$"):
+        call(value)
+
+
 def test_unit_helper():
     assert abs(unit(3 + 4j) - (0.6 + 0.8j)) < 1e-15
     z = unit(cmath.exp(0.2j) * (1 + 3e-12))

@@ -18,7 +18,8 @@ from blaschke import (
 )
 from blaschke import circle, cli, decompose
 from blaschke.cli import demo_corpus
-from blaschke.circle import invariant_orbit
+from blaschke.circle import solve_levels
+from blaschke.core import _MATCH_TOL, _proper_divisors
 from blaschke.decompose import (
     elliptical_implies_decomposable_check,
     factor_any_order,
@@ -471,59 +472,92 @@ def test_every_reader_of_the_divisor_table_asks_each_divisor_in_order(
 
 
 def _count_solves_per_product(monkeypatch) -> dict:
-    """Count circle.solve_levels calls by product; the searches and level
-    sets are kept on each product, so the products counted must be new."""
+    """Record the target count of every circle.solve_levels call, by
+    product; the searches and level sets are kept on each product, so the
+    products counted must be new."""
     calls: dict = {}
     real = circle.solve_levels
 
     def counted(B, lams):
-        calls[B] = calls.get(B, 0) + 1
+        calls.setdefault(B, []).append(len(lams))
         return real(B, lams)
 
     monkeypatch.setattr(circle, "solve_levels", counted)
     return calls
 
 
-def _one_start_orbit_pair(B, hop, k):
-    """The orbit pair from two one-start solves: from 1, and from halfway
-    to the first orbit's hop point."""
-    n = B.degree
-    full0 = invariant_orbit(B, 1.0 + 0j, n)
-    t1 = cmath.phase(full0[hop % n]) % TAU
-    full1 = invariant_orbit(B, cmath.exp(1j * (0.5 * t1)), n)
-    return tuple(full0[(j * hop) % n] for j in range(k)), tuple(
-        full1[(j * hop) % n] for j in range(k)
-    )
+def _level_set_through_one(B):
+    """The points of a raw one-target solve_levels(B, [B(1)]), rolled to
+    start at the point nearest 1."""
+    (row,) = solve_levels(B, [B(1.0)]).points
+    return np.roll(row, -int(np.argmin(np.abs(row - 1.0))))
 
 
-def test_every_divisor_search_of_a_product_shares_two_solves(monkeypatch):
-    # the level set through 1 and one batch of every divisor's second start
-    # serve all divisors of a degree-16 tower; each pair is bit for bit the
-    # pair of two one-start solves, and every divisor is still found
+def _assert_constant_on_every_class(B, D, k):
+    # D is constant on each class mod hop of the level set through 1
+    hop = B.degree // k
+    values = D.evaluate(_level_set_through_one(B).reshape(k, hop).T)
+    assert np.abs(values - values[:, :1]).max() <= _MATCH_TOL
+
+
+def test_every_divisor_search_of_a_product_shares_one_solve(monkeypatch):
+    # the level set through 1 serves all divisors of a degree-16 tower: each
+    # search's two orbits are classes 0 and hop // 2 mod hop = 16/k of its
+    # points, and every D found is constant on every class
     N = normalize(_tower(rng_for(971), 4)).product
     mono = monodromy_group(N)
     calls = _count_solves_per_product(monkeypatch)
+    real = decompose._inner_from_orbits
+    orbits = {}
+
+    def recorded(pair, k):
+        orbits[k] = pair
+        return real(pair, k)
+
+    monkeypatch.setattr(decompose, "_inner_from_orbits", recorded)
     cross = cross_validate(N)
-    assert calls == {N: 2}
+    assert calls == {N: [1]}
     assert [(r.k, r.block_system, r.factor_found) for r in cross.rows] == [
         (2, True, True),
         (4, True, True),
         (8, True, True),
     ]
     assert cross.monodromy is mono
+    row = _level_set_through_one(N)
     for k in (2, 4, 8):
-        pair = decompose._orbit_pair(N, 16 // k, k)
-        assert pair == _one_start_orbit_pair(N, 16 // k, k)
+        hop = 16 // k
+        assert np.allclose(orbits[k][0], row[0::hop], rtol=0.0, atol=1e-12)
+        assert np.allclose(orbits[k][1], row[hop // 2 :: hop], rtol=0.0, atol=1e-12)
+        _assert_constant_on_every_class(N, inner_factor_general(N, k).inner, k)
 
 
-def test_decompose_demo_solves_twice_per_product(monkeypatch, capsys, tmp_path):
-    # the quadratic chain peels power8 and its degree-4 outer factor; the divisor table
-    # asks again for power8, so two products take two solves each, and the
-    # report is the recorded one
+def test_decompose_demo_solves_once_per_product(monkeypatch, capsys, tmp_path):
+    # the quadratic chain peels power8 and its degree-4 outer factor; the
+    # divisor table asks again for power8, so two products take one
+    # one-target solve each, and the report is the recorded one
     calls = _count_solves_per_product(monkeypatch)
     monkeypatch.chdir(tmp_path)
     assert cli.main(["decompose", "--demo", "power8", "--out", "out"]) == 0
     golden = Path(__file__).resolve().parent / "data" / "golden"
     assert capsys.readouterr().out == (golden / "decompose-power8.stdout").read_text()
     assert sorted(B.degree for B in calls) == [4, 8]
-    assert set(calls.values()) == {2}
+    assert list(calls.values()) == [[1], [1]]
+    for B in calls:
+        for k in _proper_divisors(B.degree):
+            result = inner_factor_general(B, k)
+            if result.found:
+                _assert_constant_on_every_class(B, result.inner, k)
+
+
+@pytest.mark.parametrize("levels", [3, 4, 5])
+def test_factor_any_order_solves_one_level_set_per_pending_product(
+    monkeypatch, levels
+):
+    # each search peels degree 2 off the pending product with one solve of
+    # the level set through 1; the last pending degree 2 is taken whole
+    T = _tower(rng_for(5100 + levels), levels)
+    calls = _count_solves_per_product(monkeypatch)
+    chain = factor_any_order(T, (2,) * levels)
+    assert [f.degree for f in chain.factors] == [2] * levels
+    assert sorted(B.degree for B in calls) == [2**m for m in range(2, levels + 1)]
+    assert list(calls.values()) == [[1]] * (levels - 1)

@@ -73,6 +73,14 @@ def test_a_poncelet_curve_is_an_entry_of_its_package():
     assert _matches(r"\b(envelope|closure_order)\(", "src", "README.md") == []
 
 
+def test_every_divisor_reads_its_orbits_off_one_level_set():
+    # a degree-k search reads classes 0 and hop // 2 mod hop = n/k of the
+    # level set through 1, which every divisor shares; no pair of orbits
+    # from a second batch of halfway starts comes back
+    assert _matches(r"\b_orbit_pair\b", "src", "README.md") == []
+    assert _matches(r"\binvariant_orbits\b", "src/blaschke/decompose.py") == []
+
+
 def test_the_range_verdict_fits_no_conic():
     # shiftop reads W(A)'s ellipse off its support lines with
     # circle._ellipse, the test poncelet applies to chords; it needs nothing
