@@ -56,8 +56,9 @@ unit-projected start points that has been asked of that product; the same
 product and starts read the same LevelSets, whose arrays are read-only, so
 next_preimage and invariant_orbit(s) solve a level set once however often
 they ask for it.  The inner-factor search of every divisor k of n reads
-its orbits off the one level set through 1: the orbits of g^(n/k) there
-are the residue classes of its points mod n/k.
+its orbit off the one level set through 1: the orbits of g^(n/k) there
+are the residue classes of its points mod n/k, and the search takes class
+0 with its psi' rates.
 Both go when the product goes, and an equal product is another object that
 solves afresh.  No tolerance is part of the key because no circle solve
 reads one.  A refusal is not kept, so the next call solves afresh.

@@ -95,8 +95,8 @@ def _secular_zeros(nodes: np.ndarray, weights: np.ndarray, s: complex) -> np.nda
     other than one zero eigenvalue of the construction, dropped here as the
     eigenvalue of least modulus.  A zero of F at infinity comes back as a
     huge or infinite z.  This complex solve serves sums with no reflection
-    symmetry (decompose's orbit polynomial); B'/B takes the real
-    _half_plane_zeros.
+    symmetry (decompose's Clark sum over one class of a level set); B'/B
+    takes the real _half_plane_zeros.
     """
     y = 1.0 / (nodes - s)
     v = -weights * y

@@ -4,11 +4,12 @@
   factor D (normalized D(0) = 0, leading constant 1) takes one value on
   every (n/k)-th point of a level set of B on the circle: the orbits of
   the (n/k)-th power of the next-preimage map are the residue classes of
-  the level set's points mod n/k.  Two such classes of the one level set
-  through 1 fix D in closed form: writing D = z P / Q, the monic
-  polynomials vanishing on them differ by a multiple of Q, and P follows,
-  with no candidate search.  Success is certified by re-expansion, and
-  failure is reported with its reason, never guessed.
+  the level set's points mod n/k.  One such class of the one level set
+  through 1 and its psi' rates fix D in closed form: D/(D - c) is the
+  Clark sum z sum_j m_j / (z - a_j) over the class, with weights m_j
+  proportional to 1/psi'_B there, so the zeros of D are the zeros of that
+  sum, with no candidate search.  Success is certified by re-expansion,
+  and failure is reported with its reason, never guessed.
 
 * factor_any_order: the one route to a chain whose factor degrees follow
   a factorization of n, the paper's chain of quadratic maps for a degree-2^k
@@ -27,7 +28,6 @@ import numpy as np
 from .core import (
     BlaschkeProduct,
     CompositionChain,
-    _CLUSTER_TOL,
     _MATCH_POINTS,
     _MATCH_TOL,
     _integer,
@@ -36,7 +36,7 @@ from .core import (
     _proper_divisors,
     _rotation,
 )
-from .circle import invariant_orbit
+from .circle import _level_sets_through
 from .critical import _cluster_values, _secular_roots, _secular_zeros
 from .errors import DegenerateInput, InputError, VerificationFailure
 from .shiftop import RangeVerdict, is_elliptical_range, shift_matrix
@@ -117,10 +117,11 @@ class InnerFactorResult:
     """Outcome of the degree-k inner factor search, k first as in
     monodromy.CrossRow; _divisor_rows holds one per proper divisor.
 
-    reason is "ok" when found; otherwise "not-found" (the two orbits fix no
-    inner factor of degree k, or the collapsed zero multiset had the wrong
-    counts, error inf) or "verification-failed" (a candidate D was built
-    but C o D missed B on the circle by a finite error above _MATCH_TOL).
+    reason is "ok" when found; otherwise "not-found" (the class and its
+    rates fix no inner factor of degree k, or the collapsed zero multiset
+    had the wrong counts, error inf) or "verification-failed" (a candidate
+    D was built but C o D missed B on the circle by a finite error above
+    _MATCH_TOL).
     """
 
     k: int
@@ -146,46 +147,25 @@ def _collapse_zeros(
     return tuple(mean for mean, count in clusters for _ in range(count // k))
 
 
-def _newton_step(b: complex, c0: complex, c1: complex, a0, a1) -> complex:
-    """One Newton step on c1 R_0 - c0 R_1 evaluated as products over the
-    orbits, which sidesteps the cancellation among its coefficients."""
-    d0, d1 = b - a0, b - a1
-    t0, t1 = c1 * np.prod(d0), c0 * np.prod(d1)
-    return complex(b - (t0 - t1) / (t0 * np.sum(1.0 / d0) - t1 * np.sum(1.0 / d1)))
-
-
-def _inner_from_orbits(
-    orbits: tuple[tuple[complex, ...], tuple[complex, ...]], k: int
+def _inner_from_class(
+    points: np.ndarray, rates: np.ndarray, k: int
 ) -> BlaschkeProduct | None:
     """The degree-k D with D(0) = 0 and leading constant 1 that is constant
-    on each of the two orbits, read off their vanishing polynomials.
+    on the k circle points of one class, read off their psi' rates.
 
-    Write D = z P / Q with P monic of degree k-1 and Q = prod (1 - conj(b) z).
-    D = c on the k points of an orbit makes z P - c Q the monic polynomial
-    R_c vanishing there, with c = -R_c(0), so z P is a multiple of
-    c_1 R_0 - c_0 R_1.  In partial fractions over the orbit-0 points,
-    R_1/R_0 = 1 + sum_j rho_j / (z - a_j) with rho_j = R_1(a_j) / R_0'(a_j),
-    and the roots of P are the zeros of sum_j (rho_j / a_j) / (z - a_j),
-    solved as eigenvalues with the shift 2 (away from the orbits on the
-    circle and from roots in the disk).  Simple roots of P get one Newton
-    step in product form, except within _CLUSTER_TOL of 0: there z P has a
-    double root, and the step would return only rounding.  None when the
-    two values coincide or the roots are not k-1 points inside the disk.
+    If D(0) = 0 and D = c at the points a_j, the Clark measure of D at c
+    gives D/(D - c) = z sum_j m_j / (z - a_j) with m_j = 1/|D'(a_j)| (Clark
+    1972; in this partial-fraction form, Daepp, Gorkin and Mortini 2002).
+    On a class of B = C o D, psi'_B = psi'_C(c) |D'| with one psi'_C(c), so
+    the weights 1/psi'_B are the m_j up to one positive factor, and the
+    zeros of D other than 0 are the zeros of that sum, solved as
+    eigenvalues with the shift 2 (away from the class on the circle and
+    from roots in the disk).  None when the roots are not k-1 points inside
+    the disk.
     """
-    a0, a1 = (np.array(orbit) for orbit in orbits)
-    c0, c1 = -np.prod(-a0), -np.prod(-a1)
-    if abs(c1 - c0) <= _CLUSTER_TOL:
-        return None
-    gaps = a0[:, None] - a0[None, :]
-    np.fill_diagonal(gaps, 1.0)
-    rho = np.prod(a0[:, None] - a1[None, :], axis=1) / np.prod(gaps, axis=1)
-    weights = rho / a0
-    roots = _secular_roots(a0, weights, _secular_zeros(a0, weights, 2.0))
-    zeros = [
-        _newton_step(b, c0, c1, a0, a1) if m == 1 and abs(b) > _CLUSTER_TOL else b
-        for b, m in roots
-        for _ in range(m)
-    ]
+    weights = 1.0 / rates
+    roots = _secular_roots(points, weights, _secular_zeros(points, weights, 2.0))
+    zeros = [b for b, m in roots for _ in range(m)]
     if len(zeros) != k - 1 or not all(abs(b) < 1.0 for b in zeros):
         return None
     return BlaschkeProduct(1.0, (0j, *zeros))
@@ -196,8 +176,8 @@ def inner_factor_general(B: BlaschkeProduct, k: int) -> InnerFactorResult:
 
     D is normalized to D(0) = 0 with leading constant 1; the rotation freedom
     this leaves is absorbed by C.  If B = C o D, then D is constant on every
-    (n/k)-th point of a level set of B on the circle, and two such orbits
-    determine D (see _inner_from_orbits).  C takes the collapsed zero
+    (n/k)-th point of a level set of B on the circle, and one such class
+    fixes D with its rates (_inner_from_class).  C takes the collapsed zero
     multiset, and one core._rotation match on the circle gives its constant
     and the error sup |B - C o D|, finite and at most _MATCH_TOL for a
     factor.  A negative answer carries its reason; the theory certifies
@@ -219,13 +199,13 @@ def inner_factor_general(B: BlaschkeProduct, k: int) -> InnerFactorResult:
 def _inner_factor(B: BlaschkeProduct, k: int) -> InnerFactorResult:
     """inner_factor_general's search for a checked k, kept on B per k.
 
-    The two orbits are the residue classes 0 and hop // 2 mod hop = n/k
-    of the points of the level set through 1, the second halfway round
-    from the first, both read off the one solve that circle keeps on B
+    Every residue class mod hop = n/k of the points of the level set
+    through 1 is an orbit of g^hop, so class 0 of the sorted row serves:
+    its points and rates are read off the one solve that circle keeps on B
     for every divisor's search.
     """
-    full, hop = invariant_orbit(B, 1.0 + 0j, B.degree), B.degree // k
-    D = _inner_from_orbits((full[0::hop], full[hop // 2 :: hop]), k)
+    level, hop = _level_sets_through(B, (1.0 + 0j,)), B.degree // k
+    D = _inner_from_class(level.points[0, ::hop], level.rates[0, ::hop], k)
     outer_zeros = None if D is None else _collapse_zeros(B, D, k)
     if outer_zeros is None:
         return InnerFactorResult(k, False, None, None, "not-found", math.inf)

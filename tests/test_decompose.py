@@ -179,12 +179,12 @@ M4 = compose(
     "products,orderings,successes",
     [
         # the closed form from one_critical_value_form factored none of the
-        # degree-32 cases; the two refusals are degree 32, |a| = 0.3, (2, 16)
+        # degree-32 cases; now every ordering of every product factors
         pytest.param(
             lambda: _one_critical_value(24), _orderings(24), 48, id="tau-phi-24"
         ),
         pytest.param(
-            lambda: _one_critical_value(32), _orderings(32), 38, id="tau-phi-32"
+            lambda: _one_critical_value(32), _orderings(32), 40, id="tau-phi-32"
         ),
         pytest.param(lambda: _compositions((3, 2)), [(3, 2)], 3, id="composed-3-2"),
         pytest.param(
@@ -502,19 +502,19 @@ def _assert_constant_on_every_class(B, D, k):
 
 def test_every_divisor_search_of_a_product_shares_one_solve(monkeypatch):
     # the level set through 1 serves all divisors of a degree-16 tower: each
-    # search's two orbits are classes 0 and hop // 2 mod hop = 16/k of its
-    # points, and every D found is constant on every class
+    # search reads class 0 mod hop = 16/k of its points and their psi'
+    # rates, and every D found is constant on every class
     N = normalize(_tower(rng_for(971), 4)).product
     mono = monodromy_group(N)
     calls = _count_solves_per_product(monkeypatch)
-    real = decompose._inner_from_orbits
-    orbits = {}
+    real = decompose._inner_from_class
+    classes = {}
 
-    def recorded(pair, k):
-        orbits[k] = pair
-        return real(pair, k)
+    def recorded(points, rates, k):
+        classes[k] = (points, rates)
+        return real(points, rates, k)
 
-    monkeypatch.setattr(decompose, "_inner_from_orbits", recorded)
+    monkeypatch.setattr(decompose, "_inner_from_class", recorded)
     cross = cross_validate(N)
     assert calls == {N: [1]}
     assert [(r.k, r.block_system, r.factor_found) for r in cross.rows] == [
@@ -523,12 +523,34 @@ def test_every_divisor_search_of_a_product_shares_one_solve(monkeypatch):
         (8, True, True),
     ]
     assert cross.monodromy is mono
-    row = _level_set_through_one(N)
+    kept = circle._level_sets_through(N, (1.0 + 0j,))
     for k in (2, 4, 8):
         hop = 16 // k
-        assert np.allclose(orbits[k][0], row[0::hop], rtol=0.0, atol=1e-12)
-        assert np.allclose(orbits[k][1], row[hop // 2 :: hop], rtol=0.0, atol=1e-12)
+        points, rates = classes[k]
+        assert np.array_equal(points, kept.points[0, ::hop])
+        assert np.array_equal(rates, kept.rates[0, ::hop])
         _assert_constant_on_every_class(N, inner_factor_general(N, k).inner, k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 16, 32, 64])
+def test_the_search_recovers_d_from_one_class_and_its_rates(k):
+    # on a level set of D itself, with D(0) = 0, the Clark weights
+    # m_j = 1/|D'(a_j)| are the reciprocal psi' rates: D/(D - c) is
+    # z sum_j m_j / (z - a_j) inside the disk, and the zeros of that sum
+    # give D back up to rotation
+    rng = rng_for(41 + k)
+    D = random_product(rng, k, origin_zero=True)
+    c = cmath.exp(1j * rng.uniform(0.0, TAU))
+    level = solve_levels(D, [c])
+    a, rates = level.points[0], level.rates[0]
+    w = 0.9 * np.sqrt(rng.uniform(size=32)) * np.exp(1j * rng.uniform(0.0, TAU, 32))
+    Dw = D.evaluate(w)
+    clark = w * (1.0 / rates / (w[:, None] - a)).sum(axis=1)
+    assert np.abs(Dw / (Dw - c) - clark).max() <= 1e-14
+    found = decompose._inner_from_class(a, rates, k)
+    z = np.array(circle_grid(64, 0.17))
+    turn = D.evaluate(z) / found.evaluate(z)
+    assert np.abs(turn - turn[0]).max() <= 1e-11
 
 
 def test_decompose_demo_solves_once_per_product(monkeypatch, capsys, tmp_path):

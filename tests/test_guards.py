@@ -74,11 +74,18 @@ def test_a_poncelet_curve_is_an_entry_of_its_package():
 
 
 def test_every_divisor_reads_its_orbits_off_one_level_set():
-    # a degree-k search reads classes 0 and hop // 2 mod hop = n/k of the
-    # level set through 1, which every divisor shares; no pair of orbits
-    # from a second batch of halfway starts comes back
+    # a degree-k search reads class 0 mod hop = n/k of the level set
+    # through 1, which every divisor shares, and that class's psi' rates;
+    # no second orbit (halfway round, or from a second batch of starts),
+    # no partial fractions between two orbits and no product-form Newton
+    # step come back
     assert _matches(r"\b_orbit_pair\b", "src", "README.md") == []
-    assert _matches(r"\binvariant_orbits\b", "src/blaschke/decompose.py") == []
+    assert _matches(r"\binvariant_orbits?\b", "src/blaschke/decompose.py") == []
+    assert _matches(
+        r"\b(_inner_from_orbits|_newton_step)\b|hop // 2",
+        "src/blaschke/decompose.py",
+        "README.md",
+    ) == []
 
 
 def test_the_range_verdict_fits_no_conic():
