@@ -36,7 +36,9 @@ chords' tangency equations for the ellipse they touch, by linear least
 squares in five unknowns.  It tells ellipses from points, segments and
 non-conics by one relative residual, so no sample needs to be uniform.
 package computes the envelopes of every skip as stacked arrays from one
-solve; one curve is an entry of its package.
+solve; one curve is an entry of its package, and an entry fits its conic
+when its fit is first read, so a caller that reads only closures and
+chords fits nothing.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -130,9 +133,11 @@ class EnvelopeCurve:
         pts = self.points
         if len(pts) < 2:
             return 0.0
+        # block i meets only pts[i:]: the pairs before it were met from the
+        # other side, and |p - q| and |q - p| are the same bits
         return float(
             max(
-                np.max(np.abs(pts[i : i + _DIAMETER_ROWS, None] - pts[None, :]))
+                np.max(np.abs(pts[i : i + _DIAMETER_ROWS, None] - pts[None, i:]))
                 for i in range(0, len(pts), _DIAMETER_ROWS)
             )
         )
@@ -244,10 +249,17 @@ def _closure(orbit: tuple[complex, ...], skip: int) -> int:
 
 @dataclass(frozen=True)
 class PackageEntry:
+    """Curve K_index of a package: its sampled envelope, its closure order
+    and, on first read, the conic its chords are tangent to."""
+
     skip: int
     curve: EnvelopeCurve
-    fit: ConicFit
     closure: int
+
+    @cached_property
+    def fit(self) -> ConicFit:
+        """fit_conic of the curve, made on first read and kept on the entry."""
+        return fit_conic(self.curve)
 
     @property
     def index(self) -> int:
@@ -270,15 +282,16 @@ def package(
     samples: int = 720,
     tol: ToleranceConfig | None = None,
 ) -> PonceletPackage:
-    """Compute, fit, and order-test every curve of the package.
+    """Compute and order-test every curve of the package.
 
     One LevelSets record serves every skip: its rows at the envelope
     angles (with psi' at every vertex) give the envelopes, and its last
     row, the verified level set through 1, certifies every closure order
     (_closure), so max(2, ceil(samples/n)) + 1 level sets come from one
-    solve.  The n/2 envelopes come from one stacked pass over those rows,
-    and each is fitted by fit_conic.  A sample count that is not an integer
-    of at least 6 raises InputError.
+    solve.  The n/2 envelopes come from one stacked pass over those rows;
+    none is fitted here, as each entry fits its conic when its fit is first
+    read.  A sample count that is not an integer of at least 6 raises
+    InputError.
     """
     n = Bhat.degree
     if n < 2:
@@ -293,7 +306,7 @@ def package(
     curves = _envelopes(range(n // 2), t, levels.points[:-1], levels.rates[:-1])
     return PonceletPackage(
         tuple(
-            PackageEntry(c.skip, c, fit_conic(c), _closure(orbit, c.skip))
+            PackageEntry(c.skip, c, _closure(orbit, c.skip))
             for c in curves
         )
     )

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 import blaschke.monodromy as monodromy
+import blaschke.poncelet as poncelet
 from blaschke import BlaschkeProduct, CompositionChain
 from blaschke.core import format_float
 from blaschke.critical import critical_data
@@ -81,6 +82,21 @@ def product_json(B: BlaschkeProduct) -> str:
 def chain_json(chain: CompositionChain) -> str:
     """The CLI's chain file format, {"factors":[product, ...]}, outermost first."""
     return f'{{"factors":[{",".join(map(product_json, chain.factors))}]}}'
+
+
+def count_ellipse_calls(monkeypatch) -> list[int]:
+    """Count the conic fits poncelet makes: fit_conic reaches
+    circle._ellipse through the name poncelet binds, so every fit of a
+    package entry passes through the wrapper set here."""
+    calls = [0]
+    real = poncelet._ellipse
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(poncelet, "_ellipse", counted)
+    return calls
 
 
 def circle_grid(count: int, offset: float = 0.0) -> list[complex]:

@@ -14,7 +14,13 @@ import blaschke.poncelet as poncelet
 from blaschke.decompose import factor_any_order
 import blaschke.errors as errors
 
-from conftest import chain_json, product_json, random_product, rng_for
+from conftest import (
+    chain_json,
+    count_ellipse_calls,
+    product_json,
+    random_product,
+    rng_for,
+)
 
 DEMOS = (
     "power2",
@@ -241,6 +247,28 @@ def test_curve_solves_two_level_batches(monkeypatch, capsys, tmp_path, demo, ski
     assert cli.main(args) == 0
     assert json.loads(capsys.readouterr().out)["curve_index"] == int(skip) + 1
     assert batches == [91, 3]
+
+
+@pytest.mark.parametrize("demo", ["power8", "elliptical8", "chain3"])
+@pytest.mark.parametrize("skip", ["0", "1"])
+def test_curve_makes_one_ellipse_call(monkeypatch, capsys, tmp_path, demo, skip):
+    # cli curve prints the fit of one entry of the package, and the other
+    # entries fit nothing
+    calls = count_ellipse_calls(monkeypatch)
+    args = ["curve", "--demo", demo, "--skip", skip, "--out", str(tmp_path)]
+    assert cli.main(args) == 0
+    assert json.loads(capsys.readouterr().out)["curve_index"] == int(skip) + 1
+    assert calls[0] == 1
+
+
+@pytest.mark.parametrize("demo", ["power8", "elliptical8", "chain3"])
+def test_package_makes_one_ellipse_call_per_curve(monkeypatch, capsys, tmp_path, demo):
+    # cli package prints the fit of every entry; the report, foci match and
+    # scene of an entry read its one ConicFit
+    calls = count_ellipse_calls(monkeypatch)
+    assert cli.main(["package", "--demo", demo, "--out", str(tmp_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert calls[0] == len(report["curves"]) == report["degree"] // 2
 
 
 def test_invariants_accepts_found_chain(tmp_path):

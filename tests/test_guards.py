@@ -67,9 +67,9 @@ def test_no_deleted_public_name_is_documented():
 
 
 def test_a_poncelet_curve_is_an_entry_of_its_package():
-    # package computes every curve, its fit and its closure order from one
-    # solve; no one-curve path beside it, and no closure order through a
-    # second solve, comes back
+    # package computes every curve and its closure order from one solve,
+    # and an entry fits its curve when read; no one-curve path beside it,
+    # and no closure order through a second solve, comes back
     assert _matches(r"\b(envelope|closure_order)\(", "src", "README.md") == []
 
 
@@ -100,6 +100,27 @@ def test_the_range_verdict_fits_no_conic():
         if isinstance(node, ast.FunctionDef) and node.name == "cmd_nrange"
     )
     assert "fit_conic" not in ast.get_source_segment(source, nrange)
+
+
+def test_a_package_fits_no_conic_until_a_fit_is_read():
+    # an entry fits its conic when its fit is first read; package calls no
+    # fit, and fit is no dataclass field that package would have to fill
+    tree = ast.parse((ROOT / "src/blaschke/poncelet.py").read_text())
+    package, entry = (
+        next(node for node in tree.body if getattr(node, "name", None) == name)
+        for name in ("package", "PackageEntry")
+    )
+    called = {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(package)
+        if isinstance(node, ast.Call)
+    }
+    assert called & {"fit_conic", "_ellipse"} == set()
+    fields = {
+        node.target.id for node in entry.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    }
+    assert fields == {"skip", "curve", "closure"}
 
 
 def test_one_ellipse_test_and_one_tolerance():

@@ -1,6 +1,8 @@
 import cmath
+import importlib
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from blaschke.poncelet import (
     tangency_audit,
 )
 
-from conftest import TAU, rng_for, random_point, random_product
+from conftest import TAU, count_ellipse_calls, rng_for, random_point, random_product
 
 B84 = BlaschkeProduct(
     1.0, (0j, 0j, 0j, 0j, 0.84 + 0j, -0.84 + 0j, 0.84j, -0.84j)
@@ -380,17 +382,30 @@ def test_power_envelope_collapses_to_origin():
     curve = package(B, 90).entries[1].curve
     assert curve.diameter() < 1e-9
     assert max(abs(s.point) for s in curve.samples) < 1e-9
-    # diameter() takes its maximum block by block: the same float as the
-    # maximum over the full difference matrix, for 92, 720 and 40 samples
-    curves = [
-        curve,
+
+
+def test_diameter_is_the_full_pairwise_maximum():
+    # diameter() meets each pair of samples once, block i against pts[i:]
+    # only; |p - q| and |q - p| are the same bits, so it returns the bits of
+    # the maximum over the full difference matrix: on every demo curve, on
+    # the collapsed skip-1 curve of z^4, and on seeded curves of 6 to 1104
+    # samples (70 is one block and a part)
+    curves = [entry.curve for B in _demo_products() for entry in package(B, 720).entries]
+    curves += [
+        package(BlaschkeProduct(1.0, (0j, 0j, 0j, 0j)), 90).entries[1].curve,
         package(random_product(rng_for(415), 12, radius=0.8), 720).entries[2].curve,
         package(random_product(rng_for(416), 8, radius=0.8), 40).entries[1].curve,
     ]
-    assert [len(c.points) for c in curves] == [92, 720, 40]
+    rng = rng_for(420)
+    for degree, samples in [(3, 6), (7, 64), (10, 720), (17, 720), (24, 1100)]:
+        B = random_product(rng, degree, radius=0.8)
+        curves += [entry.curve for entry in package(B, samples).entries]
+    assert min(len(c.points) for c in curves) == 6
+    assert max(len(c.points) for c in curves) == 1104
     for c in curves:
         pts = c.points
-        assert c.diameter() == np.max(np.abs(pts[:, None] - pts[None, :]))
+        full = np.max(np.abs(pts[:, None] - pts[None, :]))
+        assert c.diameter().hex() == float(full).hex()
 
 
 def test_envelope_arrays_come_straight_from_the_table(monkeypatch):
@@ -543,6 +558,59 @@ def test_package_solves_table_plus_one_level_set(monkeypatch, degree, samples):
     calls = _count_solves(monkeypatch)
     package(B, samples)
     assert calls[0] == max(2, -(-samples // degree)) + 1
+
+
+def _demo_products() -> list[BlaschkeProduct]:
+    return [
+        P.expand() if hasattr(P, "expand") else P for P in demo_corpus().values()
+    ]
+
+
+def test_package_makes_no_ellipse_call(monkeypatch):
+    # package builds every curve and closure order and fits no conic: the
+    # curves op of the benchmark reads closures and chords alone
+    calls = count_ellipse_calls(monkeypatch)
+    products = _demo_products() + [
+        random_product(rng_for(417), 9, radius=0.8),
+        random_product(rng_for(418), 16, radius=0.8),
+    ]
+    for B in products:
+        assert len(package(B, 720)) == B.degree // 2
+    assert calls[0] == 0
+
+
+def test_an_entry_makes_one_ellipse_call_on_first_read(monkeypatch):
+    # the first read of an entry's fit fits its curve; a second read
+    # returns the same ConicFit and fits nothing
+    calls = count_ellipse_calls(monkeypatch)
+    for B in (_demo_products()[1], random_product(rng_for(419), 11, radius=0.8)):
+        for entry in package(B, 720).entries:
+            before = calls[0]
+            fit = entry.fit
+            assert calls[0] == before + 1
+            assert entry.fit is fit
+            assert calls[0] == before + 1
+
+
+def _curves_op_products(monkeypatch) -> list[BlaschkeProduct]:
+    """The 30 products of the op list of perfbench/run.py --workload curves
+    --seed 1 --seconds 25."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    ops = importlib.import_module("workloads").build_ops("curves", 1, 25)
+    return [op.product for op in ops]
+
+
+def test_every_fit_read_is_fit_conic_of_its_curve(monkeypatch):
+    # the fit an entry makes on first read has every bit of fit_conic on
+    # its curve: on the demos, whose fits cover circles, points and
+    # non-conics, and on the products the benchmark's curves op reads
+    products = _demo_products() + _curves_op_products(monkeypatch)
+    assert len(products) == 37
+    for B in products:
+        for entry in package(B, 720).entries:
+            got, want = entry.fit, fit_conic(entry.curve)
+            # == compares every field; repr tells 0.0 from -0.0
+            assert got == want and repr(got) == repr(want)
 
 
 def _tuple_levels(Bhat, lams):
